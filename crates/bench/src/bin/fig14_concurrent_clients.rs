@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stcam::exec::LatencyHistogram;
-use stcam::{Cluster, QueryMode};
+use stcam::{Cluster, HeatmapOp, Knn, QueryOpts, RangeOp};
 use stcam_bench::report::{obj, Report, Value};
 use stcam_bench::{
     fmt_count, ingest_chunked, launch, op_stats, square_extent, synthetic_stream, timed,
@@ -86,19 +86,29 @@ fn client(cluster: &Cluster, thread: usize, ops: usize, issued: &[AtomicU64; 3])
         match i % 3 {
             0 => {
                 cluster
-                    .range_query_with(QueryMode::Strict, BBox::around(p, 250.0), window)
+                    .query(
+                        RangeOp::new(BBox::around(p, 250.0), window),
+                        &QueryOpts::STRICT,
+                    )
                     .expect("range");
                 issued[0].fetch_add(1, Ordering::Relaxed);
             }
             1 => {
                 cluster
-                    .knn_query_with(QueryMode::Strict, p, window, 16)
+                    .query(
+                        Knn {
+                            at: p,
+                            window,
+                            k: 16,
+                        },
+                        &QueryOpts::STRICT,
+                    )
                     .expect("knn");
                 issued[1].fetch_add(1, Ordering::Relaxed);
             }
             _ => {
                 cluster
-                    .heatmap_with(QueryMode::Strict, &buckets, window)
+                    .query(HeatmapOp { buckets, window }, &QueryOpts::STRICT)
                     .expect("heatmap");
                 issued[2].fetch_add(1, Ordering::Relaxed);
             }

@@ -36,8 +36,8 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stcam::{
-    Cluster, Deadline, Priority, QueryCtx, QueryMode, ShedReason, StcamError, TenantBudget,
-    TenantId,
+    Cluster, Deadline, Priority, QueryCtx, QueryMode, QueryOpts, RangeOp, ShedReason, StcamError,
+    TenantBudget, TenantId,
 };
 use stcam_bench::report::{obj, Report, Value};
 use stcam_bench::{
@@ -124,7 +124,13 @@ fn vip_phase(cluster: &Cluster, ops: usize, seed: u64, tally: &Tally) -> Vec<f64
             .with_priority(Priority::High)
             .with_deadline(Deadline::within(Duration::from_secs(5)));
         let start = Instant::now();
-        let out = cluster.range_query_ctx(&ctx, QueryMode::Strict, BBox::around(p, 250.0), window);
+        let out = cluster.query(
+            RangeOp::new(BBox::around(p, 250.0), window),
+            &QueryOpts {
+                mode: QueryMode::Strict,
+                ctx: Some(ctx),
+            },
+        );
         samples.push(start.elapsed().as_secs_f64());
         if let Ok(d) = &out {
             assert!(
@@ -148,7 +154,13 @@ fn bulk_flooder(cluster: &Cluster, seed: u64, stop: &AtomicBool, tally: &Tally) 
     while !stop.load(Ordering::Relaxed) {
         let p = Point::new(rng.gen_range(0.0..EXTENT_M), rng.gen_range(0.0..EXTENT_M));
         let ctx = QueryCtx::new(BULK).with_priority(Priority::Bulk);
-        let out = cluster.range_query_ctx(&ctx, QueryMode::Strict, BBox::around(p, 250.0), window);
+        let out = cluster.query(
+            RangeOp::new(BBox::around(p, 250.0), window),
+            &QueryOpts {
+                mode: QueryMode::Strict,
+                ctx: Some(ctx),
+            },
+        );
         if let Err(StcamError::AdmissionRejected { retry_after_ms, .. }) = &out {
             // An impatient tenant: backs off, but at most 0.5 ms — enough
             // to keep the reject path from degenerating into a spin on

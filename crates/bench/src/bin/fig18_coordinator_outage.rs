@@ -38,7 +38,7 @@
 
 use std::time::Duration;
 
-use stcam::{Cluster, OpPolicy, Predicate, QueryMode};
+use stcam::{Cluster, HeatmapOp, Knn, OpPolicy, Predicate, QueryOpts, RangeOp};
 use stcam_bench::report::{obj, Report, Value};
 use stcam_bench::{
     fmt_count, ingest_chunked, lan_config, launch, square_extent, synthetic_stream, timed,
@@ -95,13 +95,13 @@ fn outage_availability(cluster: &Cluster, extent: BBox, rounds: usize) -> (f64, 
         strict_ok += u32::from(cluster.heatmap(&buckets, window).is_ok());
         let fractions = [
             cluster
-                .range_query_with(QueryMode::BestEffort, extent, window)
+                .query(RangeOp::new(extent, window), &QueryOpts::BEST_EFFORT)
                 .map(|d| d.completeness.fraction()),
             cluster
-                .knn_query_with(QueryMode::BestEffort, at, window, 10)
+                .query(Knn { at, window, k: 10 }, &QueryOpts::BEST_EFFORT)
                 .map(|d| d.completeness.fraction()),
             cluster
-                .heatmap_with(QueryMode::BestEffort, &buckets, window)
+                .query(HeatmapOp { buckets, window }, &QueryOpts::BEST_EFFORT)
                 .map(|d| d.completeness.fraction()),
         ];
         for fraction in fractions {

@@ -2,9 +2,11 @@
 //! aggregation vs shipping all matches to the coordinator.
 //!
 //! Both strategies produce identical bucket counts; partial aggregation
-//! moves one counts vector per worker instead of every matching
+//! moves one sparse counts vector per worker instead of every matching
 //! observation, so its traffic is (near-)independent of the data volume
-//! while ship-all grows linearly with it.
+//! while ship-all grows linearly with it. Ship-all is the paper's
+//! baseline built from the public API: a `range_query` over the bucket
+//! grid's extent, bucketed at the caller.
 //!
 //! ```text
 //! cargo run -p stcam-bench --release --bin fig7_aggregate
@@ -53,7 +55,13 @@ fn main() {
         let (shipall_result, shipall_s) = timed(|| {
             let mut last = Vec::new();
             for _ in 0..REPEATS {
-                last = cluster.heatmap_ship_all(&buckets, window).expect("heatmap");
+                let rows = cluster
+                    .range_query(buckets.extent(), window)
+                    .expect("range");
+                last = vec![0u64; buckets.cell_count() as usize];
+                for cell in rows.iter().filter_map(|o| buckets.cell_of(o.position)) {
+                    last[(cell.row * buckets.cols() + cell.col) as usize] += 1;
+                }
             }
             last
         });

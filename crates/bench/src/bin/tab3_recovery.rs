@@ -23,7 +23,7 @@
 //! cargo run -p stcam-bench --release --bin tab3_recovery
 //! ```
 
-use stcam::{Cluster, OpPolicy, QueryMode};
+use stcam::{Cluster, HeatmapOp, Knn, OpPolicy, QueryOpts, RangeOp};
 use stcam_bench::{
     fmt_count, ingest_chunked, lan_config, launch, op_stats, square_extent, synthetic_stream,
     timed, window_secs, Table,
@@ -137,13 +137,13 @@ fn crash_window_availability(cluster: &Cluster, extent: BBox) -> (f64, f64) {
         strict_ok += u32::from(cluster.heatmap(&buckets, window).is_ok());
         let fractions = [
             cluster
-                .range_query_with(QueryMode::BestEffort, extent, window)
+                .query(RangeOp::new(extent, window), &QueryOpts::BEST_EFFORT)
                 .map(|d| d.completeness.fraction()),
             cluster
-                .knn_query_with(QueryMode::BestEffort, at, window, 10)
+                .query(Knn { at, window, k: 10 }, &QueryOpts::BEST_EFFORT)
                 .map(|d| d.completeness.fraction()),
             cluster
-                .heatmap_with(QueryMode::BestEffort, &buckets, window)
+                .query(HeatmapOp { buckets, window }, &QueryOpts::BEST_EFFORT)
                 .map(|d| d.completeness.fraction()),
         ];
         for fraction in fractions {

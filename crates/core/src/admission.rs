@@ -2,10 +2,10 @@
 //!
 //! The cluster serves many tenants, and overload must degrade
 //! *truthfully* rather than surface as late timeouts. Every query that
-//! enters through a context-carrying entry point
-//! ([`QueryPlane::range_query_ctx`](crate::QueryPlane::range_query_ctx)
-//! and friends) passes through one [`AdmissionControl`] gate before any
-//! sub-query is scattered. The gate enforces three per-tenant budgets
+//! carries a tenant context
+//! ([`QueryOpts::ctx`](crate::QueryOpts::ctx) on
+//! [`QueryPlane::query`](crate::QueryPlane::query)) passes through one
+//! [`AdmissionControl`] gate before any sub-query is scattered. The gate enforces three per-tenant budgets
 //! plus one cluster-wide saturation bound:
 //!
 //! * **Ops/s token bucket** — each admitted query spends one token;

@@ -8,14 +8,14 @@ use stcam_geo::{BBox, Duration, GridSpec, Point, TimeInterval, Timestamp};
 use stcam_index::IndexConfig;
 use stcam_net::{Fabric, FabricStats, LinkModel, NodeId};
 
-use crate::admission::{QueryCtx, TenantBudget, TenantId, TenantUsage};
+use crate::admission::{TenantBudget, TenantId, TenantUsage};
 use crate::continuous::{ContinuousQueryId, Notification, Predicate};
 use crate::coordinator::{ClusterStats, Coordinator, RebalanceReport, ReconstructReport};
 use crate::error::StcamError;
-use crate::exec::{Degraded, QueryMode};
+use crate::exec::{Degraded, HeatmapOp, RangeOp};
 use crate::ingest::Ingestor;
 use crate::partition::{PartitionMap, PartitionPolicy};
-use crate::plane::QueryPlane;
+use crate::plane::{Knn, Query, QueryOpts, QueryPlane};
 use crate::repair::{RepairBudget, RepairReport};
 use crate::worker::{Worker, WorkerConfig, WorkerHandle};
 
@@ -176,8 +176,8 @@ impl ClusterConfig {
 /// behind plain method calls.
 ///
 /// All methods are `&self` (internally synchronised), so a `Cluster` can
-/// be shared across client threads. Reads (range/kNN/heat-map/top-cells
-/// and their `_with` variants, plus telemetry accessors) go straight to
+/// be shared across client threads. Reads ([`query`](Self::query) and
+/// its three strict shorthands, plus telemetry accessors) go straight to
 /// the lock-free [`QueryPlane`] and never touch the coordinator mutex;
 /// writes and control actions (ingest, flush, rebalance, recovery,
 /// continuous queries) serialise on the coordinator as before.
@@ -358,16 +358,6 @@ impl Cluster {
         self.coordinator.lock().ingest(batch)
     }
 
-    /// Legacy fire-and-forget ingest: no acknowledgement, returns the
-    /// number *routed* (see [`Coordinator::ingest_unacked`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::ingest_unacked`].
-    pub fn ingest_unacked(&self, batch: Vec<Observation>) -> Result<usize, StcamError> {
-        self.coordinator.lock().ingest_unacked(batch)
-    }
-
     /// Barrier: returns once all previously ingested traffic is indexed.
     ///
     /// # Errors
@@ -396,103 +386,86 @@ impl Cluster {
         )
     }
 
-    /// Spatio-temporal range query (lock-free: runs on the
-    /// [`QueryPlane`]).
+    /// The one way to ask a read. `q` is a typed query value whose
+    /// answer type is known statically — [`RangeOp`] (optionally
+    /// class-filtered, limited, projected), [`Knn`], [`HeatmapOp`],
+    /// [`TopCellsOp`](crate::TopCellsOp), or any other
+    /// [`ReadOp`](crate::ReadOp) such as the
+    /// [`KnnBroadcastOp`](crate::KnnBroadcastOp) baseline — and
+    /// `opts` says how to treat lost shards and on whose account to run
+    /// (see [`QueryPlane::query`]). Lock-free: never touches the
+    /// coordinator mutex.
+    ///
+    /// In [`QueryMode::BestEffort`](crate::QueryMode::BestEffort) the
+    /// answer's [`Completeness`](crate::Completeness) lists what is
+    /// missing. A degraded range or heat-map is a subset of the true
+    /// answer; a degraded kNN or top-cells ranking is not (`subset ==
+    /// false`), since a lost shard can promote items the complete
+    /// answer would have displaced.
     ///
     /// # Errors
     ///
-    /// See [`Coordinator::range_query`].
+    /// See [`QueryPlane::query`].
+    pub fn query<Q: Query>(
+        &self,
+        q: Q,
+        opts: &QueryOpts,
+    ) -> Result<Degraded<Q::Output>, StcamError> {
+        self.plane.query(q, opts)
+    }
+
+    /// Strict spatio-temporal range query: shorthand for
+    /// [`query`](Self::query) of [`RangeOp::new`].
+    ///
+    /// # Errors
+    ///
+    /// [`StcamError::PartialFailure`] when any shard stays unanswered
+    /// after replica failover.
     pub fn range_query(
         &self,
         region: BBox,
         window: TimeInterval,
     ) -> Result<Vec<Observation>, StcamError> {
-        self.plane
-            .range_query_mode(QueryMode::Strict, region, window)
-            .map(|d| d.value)
+        let d = self.query(RangeOp::new(region, window), &QueryOpts::STRICT)?;
+        Ok(d.value)
     }
 
-    /// Two-phase pruned k-nearest-neighbour query (lock-free).
+    /// Strict two-phase pruned k-nearest-neighbour query: shorthand for
+    /// [`query`](Self::query) of [`Knn`].
     ///
     /// # Errors
     ///
-    /// See [`Coordinator::knn_query`].
+    /// As [`range_query`](Self::range_query), plus
+    /// [`StcamError::NoQuorum`] when no worker can anchor phase one.
     pub fn knn_query(
         &self,
         at: Point,
         window: TimeInterval,
         k: usize,
     ) -> Result<Vec<Observation>, StcamError> {
-        self.plane
-            .knn_query_mode(QueryMode::Strict, at, window, k)
-            .map(|d| d.value)
+        let d = self.query(Knn { at, window, k }, &QueryOpts::STRICT)?;
+        Ok(d.value)
     }
 
-    /// Naive broadcast kNN (evaluation baseline; lock-free).
+    /// Strict aggregate heat-map with worker-side partial aggregation:
+    /// shorthand for [`query`](Self::query) of [`HeatmapOp`].
     ///
     /// # Errors
     ///
-    /// See [`Coordinator::knn_broadcast`].
-    pub fn knn_broadcast(
-        &self,
-        at: Point,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Vec<Observation>, StcamError> {
-        self.plane
-            .knn_broadcast_mode(QueryMode::Strict, at, window, k)
-            .map(|d| d.value)
-    }
-
-    /// Aggregate heat-map with worker-side partial aggregation
-    /// (lock-free).
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::heatmap`].
+    /// As [`range_query`](Self::range_query).
     pub fn heatmap(
         &self,
         buckets: &GridSpec,
         window: TimeInterval,
     ) -> Result<Vec<u64>, StcamError> {
-        self.plane
-            .heatmap_mode(QueryMode::Strict, buckets, window)
-            .map(|d| d.value)
-    }
-
-    /// The `k` densest heat-map buckets, via sparse worker-side partial
-    /// aggregation (lock-free).
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::top_cells`].
-    pub fn top_cells(
-        &self,
-        buckets: &GridSpec,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Vec<(stcam_geo::CellId, u64)>, StcamError> {
-        self.plane
-            .top_cells_mode(QueryMode::Strict, buckets, window, k)
-            .map(|d| d.value)
-    }
-
-    /// Ship-all aggregate baseline (lock-free).
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::heatmap_ship_all`].
-    pub fn heatmap_ship_all(
-        &self,
-        buckets: &GridSpec,
-        window: TimeInterval,
-    ) -> Result<Vec<u64>, StcamError> {
-        self.plane.heatmap_ship_all(buckets, window)
+        let buckets = *buckets;
+        let d = self.query(HeatmapOp { buckets, window }, &QueryOpts::STRICT)?;
+        Ok(d.value)
     }
 
     /// Registers (or replaces) a tenant's admission budget. Queries
-    /// issued through the `*_ctx` entry points are gated against it;
-    /// unknown tenants run unlimited but still metered.
+    /// carrying a [`QueryOpts::ctx`] for the tenant are gated against
+    /// it; unknown tenants run unlimited but still metered.
     pub fn register_tenant(&self, tenant: TenantId, budget: TenantBudget) {
         self.plane.admission().register(tenant, budget);
     }
@@ -500,69 +473,6 @@ impl Cluster {
     /// A tenant's cumulative admission/usage accounting.
     pub fn tenant_usage(&self, tenant: TenantId) -> TenantUsage {
         self.plane.admission().usage(tenant)
-    }
-
-    /// Multi-tenant range query: admission-gated, deadline-clamped,
-    /// byte-attributed (see [`QueryPlane::range_query_ctx`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`QueryPlane::range_query_ctx`].
-    pub fn range_query_ctx(
-        &self,
-        ctx: &QueryCtx,
-        mode: QueryMode,
-        region: BBox,
-        window: TimeInterval,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        self.plane.range_query_ctx(ctx, mode, region, window)
-    }
-
-    /// Multi-tenant two-phase kNN (see [`QueryPlane::knn_query_ctx`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`QueryPlane::knn_query_ctx`].
-    pub fn knn_query_ctx(
-        &self,
-        ctx: &QueryCtx,
-        mode: QueryMode,
-        at: Point,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        self.plane.knn_query_ctx(ctx, mode, at, window, k)
-    }
-
-    /// Multi-tenant heat-map (see [`QueryPlane::heatmap_ctx`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`QueryPlane::heatmap_ctx`].
-    pub fn heatmap_ctx(
-        &self,
-        ctx: &QueryCtx,
-        mode: QueryMode,
-        buckets: &GridSpec,
-        window: TimeInterval,
-    ) -> Result<Degraded<Vec<u64>>, StcamError> {
-        self.plane.heatmap_ctx(ctx, mode, buckets, window)
-    }
-
-    /// Multi-tenant top-cells (see [`QueryPlane::top_cells_ctx`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`QueryPlane::top_cells_ctx`].
-    pub fn top_cells_ctx(
-        &self,
-        ctx: &QueryCtx,
-        mode: QueryMode,
-        buckets: &GridSpec,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Degraded<Vec<(stcam_geo::CellId, u64)>>, StcamError> {
-        self.plane.top_cells_ctx(ctx, mode, buckets, window, k)
     }
 
     /// Registers a standing continuous query.
@@ -633,127 +543,6 @@ impl Cluster {
     /// query plan; lock-free).
     pub fn partition(&self) -> PartitionMap {
         self.plane.plan().partition.clone()
-    }
-
-    /// As [`range_query`](Self::range_query) with an entity-class filter
-    /// pushed down to the workers.
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::range_query_filtered`].
-    pub fn range_query_filtered(
-        &self,
-        region: BBox,
-        window: TimeInterval,
-        class: stcam_world::EntityClass,
-    ) -> Result<Vec<Observation>, StcamError> {
-        self.plane
-            .range_query_filtered_mode(QueryMode::Strict, region, window, class)
-            .map(|d| d.value)
-    }
-
-    /// As [`range_query`](Self::range_query) with an explicit
-    /// [`QueryMode`] and per-shard [completeness](crate::Completeness)
-    /// accounting.
-    ///
-    /// # Errors
-    ///
-    /// In [`QueryMode::Strict`], fails with
-    /// [`StcamError::PartialFailure`] when any shard stays unanswered
-    /// after replica failover. In [`QueryMode::BestEffort`] the only
-    /// errors are local (e.g. routing with an empty ring).
-    pub fn range_query_with(
-        &self,
-        mode: QueryMode,
-        region: BBox,
-        window: TimeInterval,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        self.plane.range_query_mode(mode, region, window)
-    }
-
-    /// As [`knn_query`](Self::knn_query) with an explicit [`QueryMode`].
-    /// A degraded kNN answer is *not* guaranteed to be a subset of the
-    /// true answer (a lost shard may promote farther neighbours into the
-    /// top `k`), which the returned completeness records as
-    /// `subset == false`.
-    ///
-    /// # Errors
-    ///
-    /// See [`range_query_with`](Self::range_query_with).
-    pub fn knn_query_with(
-        &self,
-        mode: QueryMode,
-        at: Point,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        self.plane.knn_query_mode(mode, at, window, k)
-    }
-
-    /// As [`knn_broadcast`](Self::knn_broadcast) with an explicit
-    /// [`QueryMode`].
-    ///
-    /// # Errors
-    ///
-    /// See [`range_query_with`](Self::range_query_with).
-    pub fn knn_broadcast_with(
-        &self,
-        mode: QueryMode,
-        at: Point,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        self.plane.knn_broadcast_mode(mode, at, window, k)
-    }
-
-    /// As [`heatmap`](Self::heatmap) with an explicit [`QueryMode`]. A
-    /// degraded heat-map undercounts only the missing shards' cells (a
-    /// strict per-cell subset).
-    ///
-    /// # Errors
-    ///
-    /// See [`range_query_with`](Self::range_query_with).
-    pub fn heatmap_with(
-        &self,
-        mode: QueryMode,
-        buckets: &GridSpec,
-        window: TimeInterval,
-    ) -> Result<Degraded<Vec<u64>>, StcamError> {
-        self.plane.heatmap_mode(mode, buckets, window)
-    }
-
-    /// As [`top_cells`](Self::top_cells) with an explicit [`QueryMode`].
-    /// Like kNN, a degraded ranking may include cells that a complete
-    /// answer would have displaced (`subset == false`).
-    ///
-    /// # Errors
-    ///
-    /// See [`range_query_with`](Self::range_query_with).
-    pub fn top_cells_with(
-        &self,
-        mode: QueryMode,
-        buckets: &GridSpec,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Degraded<Vec<(stcam_geo::CellId, u64)>>, StcamError> {
-        self.plane.top_cells_mode(mode, buckets, window, k)
-    }
-
-    /// As [`range_query_filtered`](Self::range_query_filtered) with an
-    /// explicit [`QueryMode`].
-    ///
-    /// # Errors
-    ///
-    /// See [`range_query_with`](Self::range_query_with).
-    pub fn range_query_filtered_with(
-        &self,
-        mode: QueryMode,
-        region: BBox,
-        window: TimeInterval,
-        class: stcam_world::EntityClass,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        self.plane
-            .range_query_filtered_mode(mode, region, window, class)
     }
 
     /// Re-partitions by measured load and migrates the moved shards (see
@@ -922,8 +711,7 @@ impl Cluster {
 
     /// Failure injection: replaces the fabric-wide message drop
     /// probability at runtime (`0.0` restores a reliable network). The
-    /// acked ingest path retransmits through the loss; the legacy
-    /// [`ingest_unacked`](Self::ingest_unacked) path loses traffic.
+    /// acked ingest path retransmits through the loss.
     ///
     /// # Panics
     ///
@@ -1041,27 +829,21 @@ mod tests {
         for (x, y, k) in [(800.0, 800.0, 10), (10.0, 10.0, 5), (1590.0, 900.0, 25)] {
             let at = Point::new(x, y);
             let fast = cluster.knn_query(at, window_all(), k).unwrap();
-            let slow = cluster.knn_broadcast(at, window_all(), k).unwrap();
+            let slow = cluster
+                .query(
+                    crate::exec::KnnBroadcastOp {
+                        at,
+                        window: window_all(),
+                        k,
+                    },
+                    &QueryOpts::STRICT,
+                )
+                .unwrap()
+                .value;
             let fast_ids: Vec<_> = fast.iter().map(|o| o.id).collect();
             let slow_ids: Vec<_> = slow.iter().map(|o| o.id).collect();
             assert_eq!(fast_ids, slow_ids, "knn mismatch at {at} k={k}");
         }
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn heatmap_partial_equals_ship_all() {
-        let cluster = Cluster::launch(test_config(3)).unwrap();
-        let batch: Vec<Observation> = (0..400)
-            .map(|i| obs(i, 0, (i as f64 * 13.0) % 1600.0, (i as f64 * 7.0) % 1600.0))
-            .collect();
-        cluster.ingest(batch).unwrap();
-        cluster.flush().unwrap();
-        let buckets = GridSpec::covering(extent(), 200.0);
-        let fast = cluster.heatmap(&buckets, window_all()).unwrap();
-        let slow = cluster.heatmap_ship_all(&buckets, window_all()).unwrap();
-        assert_eq!(fast, slow);
-        assert_eq!(fast.iter().sum::<u64>(), 400);
         cluster.shutdown();
     }
 

@@ -1,7 +1,7 @@
 //! The coordinator: the mutex-guarded **control plane** — ingest
 //! routing, membership, failover, rebalance, and continuous-query
-//! bookkeeping — plus thin delegating wrappers over the lock-free
-//! [`QueryPlane`](crate::QueryPlane).
+//! bookkeeping. Reads do not pass through here: they run on the
+//! lock-free [`QueryPlane`](crate::QueryPlane) this publishes plans to.
 //!
 //! Every distributed operation is a [`DistributedOp`] value handed to an
 //! [`Executor`]; this module contributes only what is not generic:
@@ -14,24 +14,23 @@ use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 use stcam_camnet::Observation;
-use stcam_codec::{decode_from_slice, encode_to_vec};
-use stcam_geo::{BBox, CellId, GridSpec, Point, TimeInterval, Timestamp};
+use stcam_codec::decode_from_slice;
+use stcam_geo::{CellId, TimeInterval, Timestamp};
 use stcam_net::{Endpoint, NodeId};
 
-use crate::admission::QueryCtx;
 use crate::continuous::{ContinuousQueryId, Notification, Predicate};
 use crate::error::StcamError;
 use crate::exec::{
-    CellDigestOp, CensusOp, CopyRegionOp, Degraded, EvictOp, Executor, ExportSegmentsOp,
-    ExtractRegionOp, FlushOp, InstallSegmentsOp, OpPolicy, OpStats, ProbeOp, PromoteOp, QueryMode,
+    CellDigestOp, CensusOp, CopyRegionOp, EvictOp, Executor, ExportSegmentsOp, ExtractRegionOp,
+    FlushOp, HeatmapOp, InstallSegmentsOp, OpPolicy, OpStats, ProbeOp, PromoteOp,
     RegisterContinuousOp, RejoinOp, RepairOp, RouteUpdateOp, SegmentDigestOp, StatsOp,
     UnregisterContinuousOp,
 };
 use crate::ingest::ReliableSender;
 use crate::partition::PartitionMap;
-use crate::plane::{self, QueryPlane};
+use crate::plane::{QueryOpts, QueryPlane};
 use crate::protocol::{
-    CensusReport, DigestReport, GridSpecMsg, Request, SegmentDigestEntry, WorkerStatsMsg,
+    CensusReport, DigestReport, GridSpecMsg, SegmentDigestEntry, WorkerStatsMsg,
 };
 use crate::repair::{self, RepairBudget, RepairReport};
 
@@ -296,51 +295,6 @@ impl Coordinator {
         self.sender.ingest(self.exec.endpoint(), batch)
     }
 
-    /// Legacy fire-and-forget ingest: routes the batch with no
-    /// acknowledgement and returns the number of observations *routed*.
-    /// Lossy links or a dying destination silently drop traffic — use
-    /// [`ingest`](Self::ingest) unless you are benchmarking the
-    /// unreliable baseline.
-    ///
-    /// # Errors
-    ///
-    /// Fails only on transport-level problems; observations routed to a
-    /// worker that died mid-flight are counted as routed (their fate is
-    /// governed by the replication factor).
-    pub fn ingest_unacked(&mut self, batch: Vec<Observation>) -> Result<usize, StcamError> {
-        let n = batch.len();
-        // Owner → destination is resolved once per distinct owner, not
-        // once per observation: the divert decision (alive-set lookup +
-        // suspicion check) is identical for every observation an owner
-        // receives, and a batch touches few distinct owners.
-        let mut destination: HashMap<NodeId, NodeId> = HashMap::new();
-        let mut groups: HashMap<NodeId, Vec<Observation>> = HashMap::new();
-        for obs in batch {
-            let owner = self.partition.owner_of(obs.position);
-            let dest = match destination.get(&owner) {
-                Some(&d) => d,
-                None => {
-                    let d = self.divert(owner)?;
-                    destination.insert(owner, d);
-                    d
-                }
-            };
-            groups.entry(dest).or_default().push(obs);
-        }
-        for (dest, group) in groups {
-            self.exec
-                .endpoint()
-                .send(dest, encode_to_vec(&Request::Ingest(group)))?;
-        }
-        Ok(n)
-    }
-
-    /// Resolves an owner to its traffic destination against the control
-    /// plane's own (pre-publication) routing state.
-    fn divert(&self, owner: NodeId) -> Result<NodeId, StcamError> {
-        plane::route_owner(owner, &self.partition, &self.alive, self.exec.health())
-    }
-
     /// Write barrier: first drains the acked sender's parked window
     /// (re-delivering unacknowledged observations under fresh routing),
     /// then confirms every alive worker has drained all previously sent
@@ -368,235 +322,15 @@ impl Coordinator {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Queries — delegating wrappers over the lock-free query plane
-    // ------------------------------------------------------------------
-    //
-    // Every read runs on the query plane against its current published
-    // plan snapshot, on the executor's degraded path — per-shard replica
-    // failover, then a merge over whatever survived. `QueryMode` decides
-    // what an incomplete answer becomes: `Strict` converts it into
-    // `StcamError::PartialFailure`, `BestEffort` hands it to the caller
-    // with its `Completeness` account. The plain (mode-less) methods are
-    // strict, preserving the historical all-or-nothing signature.
-    //
-    // Concurrent callers should clone [`query_plane`](Self::query_plane)
-    // and bypass this struct (and whatever lock guards it) entirely.
-
-    /// All observations in `region` × `window`, merged across shards and
-    /// sorted by id.
-    ///
-    /// # Errors
-    ///
-    /// With [`QueryMode::Strict`], fails with
-    /// [`StcamError::PartialFailure`] when a shard answered from neither
-    /// its primary nor a replica.
-    pub fn range_query_mode(
-        &self,
-        mode: QueryMode,
-        region: BBox,
-        window: TimeInterval,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        self.plane.range_query_mode(mode, region, window)
-    }
-
-    /// Strict [`range_query_mode`](Self::range_query_mode).
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`StcamError::PartialFailure`] on lost shards.
-    pub fn range_query(
-        &self,
-        region: BBox,
-        window: TimeInterval,
-    ) -> Result<Vec<Observation>, StcamError> {
-        self.range_query_mode(QueryMode::Strict, region, window)
-            .map(|d| d.value)
-    }
-
-    /// The `k` observations nearest to `at` within `window`, via two-phase
-    /// pruned search — two composed ops: the owner of `at`'s cell answers
-    /// first ([`KnnPhase1Op`]), its k-th distance bounds the disk that
-    /// phase two scatters to ([`KnnPhase2Op`]). The completeness accounts
-    /// of both phases are folded together; a degraded kNN is *not* a
-    /// subset of the true answer (`subset = false`), since a lost shard
-    /// can promote farther neighbours into the top-k.
-    ///
-    /// # Errors
-    ///
-    /// With [`QueryMode::Strict`], fails with
-    /// [`StcamError::PartialFailure`] on lost shards; [`StcamError::NoQuorum`]
-    /// when no worker can anchor phase one.
-    pub fn knn_query_mode(
-        &self,
-        mode: QueryMode,
-        at: Point,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        self.plane.knn_query_mode(mode, at, window, k)
-    }
-
-    /// Strict [`knn_query_mode`](Self::knn_query_mode).
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`StcamError::PartialFailure`] on lost shards.
-    pub fn knn_query(
-        &self,
-        at: Point,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Vec<Observation>, StcamError> {
-        self.knn_query_mode(QueryMode::Strict, at, window, k)
-            .map(|d| d.value)
-    }
-
-    /// Multi-tenant range query: admission-gated against the tenant's
-    /// budget, deadline-clamped, and byte-attributed (see
-    /// [`QueryPlane::range_query_ctx`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StcamError::AdmissionRejected`] when the tenant is over budget;
-    /// otherwise as [`range_query_mode`](Self::range_query_mode).
-    pub fn range_query_ctx(
-        &self,
-        ctx: &QueryCtx,
-        mode: QueryMode,
-        region: BBox,
-        window: TimeInterval,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        self.plane.range_query_ctx(ctx, mode, region, window)
-    }
-
-    /// Multi-tenant two-phase kNN (see [`QueryPlane::knn_query_ctx`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StcamError::AdmissionRejected`] when the tenant is over budget;
-    /// otherwise as [`knn_query_mode`](Self::knn_query_mode).
-    pub fn knn_query_ctx(
-        &self,
-        ctx: &QueryCtx,
-        mode: QueryMode,
-        at: Point,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        self.plane.knn_query_ctx(ctx, mode, at, window, k)
-    }
-
-    /// The naive kNN evaluation — broadcast to every worker with no
-    /// pruning bound. Baseline for the kNN experiment.
-    ///
-    /// # Errors
-    ///
-    /// With [`QueryMode::Strict`], fails with
-    /// [`StcamError::PartialFailure`] on lost shards.
-    pub fn knn_broadcast_mode(
-        &self,
-        mode: QueryMode,
-        at: Point,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        self.plane.knn_broadcast_mode(mode, at, window, k)
-    }
-
-    /// Strict [`knn_broadcast_mode`](Self::knn_broadcast_mode).
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`StcamError::PartialFailure`] on lost shards.
-    pub fn knn_broadcast(
-        &self,
-        at: Point,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Vec<Observation>, StcamError> {
-        self.knn_broadcast_mode(QueryMode::Strict, at, window, k)
-            .map(|d| d.value)
-    }
-
-    /// Per-bucket observation counts with worker-side partial aggregation:
-    /// each worker reduces its shard to a counts vector, the merge sums
-    /// vectors.
-    ///
-    /// # Errors
-    ///
-    /// With [`QueryMode::Strict`], fails with
-    /// [`StcamError::PartialFailure`] on lost shards.
-    pub fn heatmap_mode(
-        &self,
-        mode: QueryMode,
-        buckets: &GridSpec,
-        window: TimeInterval,
-    ) -> Result<Degraded<Vec<u64>>, StcamError> {
-        self.plane.heatmap_mode(mode, buckets, window)
-    }
-
-    /// Strict [`heatmap_mode`](Self::heatmap_mode).
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`StcamError::PartialFailure`] on lost shards.
-    pub fn heatmap(
-        &self,
-        buckets: &GridSpec,
-        window: TimeInterval,
-    ) -> Result<Vec<u64>, StcamError> {
-        self.heatmap_mode(QueryMode::Strict, buckets, window)
-            .map(|d| d.value)
-    }
-
-    /// The `k` densest buckets of `buckets` × `window`, ranked by count
-    /// (ties by cell index). Workers ship only their occupied buckets, so
-    /// sparse grids cost a fraction of a full [`heatmap`](Self::heatmap).
-    /// A degraded ranking is not a subset of the true one (`subset =
-    /// false`): a lost shard's counts can change which cells rank.
-    ///
-    /// # Errors
-    ///
-    /// With [`QueryMode::Strict`], fails with
-    /// [`StcamError::PartialFailure`] on lost shards.
-    pub fn top_cells_mode(
-        &self,
-        mode: QueryMode,
-        buckets: &GridSpec,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Degraded<Vec<(CellId, u64)>>, StcamError> {
-        self.plane.top_cells_mode(mode, buckets, window, k)
-    }
-
-    /// Strict [`top_cells_mode`](Self::top_cells_mode).
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`StcamError::PartialFailure`] on lost shards.
-    pub fn top_cells(
-        &self,
-        buckets: &GridSpec,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Vec<(CellId, u64)>, StcamError> {
-        self.top_cells_mode(QueryMode::Strict, buckets, window, k)
-            .map(|d| d.value)
-    }
-
-    /// The ship-all aggregate baseline: fetch every matching observation
-    /// and bucket at the coordinator. Same result, far more bytes moved.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sub-query failures.
-    pub fn heatmap_ship_all(
-        &self,
-        buckets: &GridSpec,
-        window: TimeInterval,
-    ) -> Result<Vec<u64>, StcamError> {
-        self.plane.heatmap_ship_all(buckets, window)
+    /// All-time observation counts per macro cell (row-major), read
+    /// through the query plane's published plan — the measured load
+    /// profile rebalance and rejoin partition by.
+    fn cell_loads(&self, opts: &QueryOpts) -> Result<Vec<u64>, StcamError> {
+        let op = HeatmapOp {
+            buckets: *self.partition.grid(),
+            window: TimeInterval::ALL,
+        };
+        self.plane.query(op, opts).map(|d| d.value)
     }
 
     /// Ages out observations older than `cutoff` everywhere.
@@ -608,39 +342,6 @@ impl Coordinator {
         let epoch = self.plane.epoch();
         self.exec
             .execute(EvictOp { cutoff, epoch }, &self.partition, &self.alive)
-    }
-
-    /// As [`range_query_mode`](Self::range_query_mode) with an
-    /// entity-class filter pushed down to the workers ("trucks inside A").
-    ///
-    /// # Errors
-    ///
-    /// With [`QueryMode::Strict`], fails with
-    /// [`StcamError::PartialFailure`] on lost shards.
-    pub fn range_query_filtered_mode(
-        &self,
-        mode: QueryMode,
-        region: BBox,
-        window: TimeInterval,
-        class: stcam_world::EntityClass,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        self.plane
-            .range_query_filtered_mode(mode, region, window, class)
-    }
-
-    /// Strict [`range_query_filtered_mode`](Self::range_query_filtered_mode).
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`StcamError::PartialFailure`] on lost shards.
-    pub fn range_query_filtered(
-        &self,
-        region: BBox,
-        window: TimeInterval,
-        class: stcam_world::EntityClass,
-    ) -> Result<Vec<Observation>, StcamError> {
-        self.range_query_filtered_mode(QueryMode::Strict, region, window, class)
-            .map(|d| d.value)
     }
 
     // ------------------------------------------------------------------
@@ -672,10 +373,8 @@ impl Coordinator {
     ///
     /// External [`Ingestor`](crate::Ingestor) handles hold routing
     /// snapshots, but heal themselves: the route broadcast after the
-    /// swap arms the misroute NACK that makes their acked path refresh
-    /// from the published plan (legacy
-    /// [`ingest_unacked`](crate::Ingestor::ingest_unacked) traffic keeps
-    /// landing on the old owners until then).
+    /// swap arms the misroute NACK that makes them refresh from the
+    /// published plan.
     pub fn rebalance(&mut self) -> Result<RebalanceReport, StcamError> {
         self.rebalance_with(RepairBudget::default())
     }
@@ -686,7 +385,7 @@ impl Coordinator {
     pub fn rebalance_with(&mut self, budget: RepairBudget) -> Result<RebalanceReport, StcamError> {
         // 1. Measure the load profile: all-time per-macro-cell counts.
         let grid = *self.partition.grid();
-        let loads = self.heatmap(&grid, TimeInterval::ALL)?;
+        let loads = self.cell_loads(&QueryOpts::STRICT)?;
         let imbalance_before = self.partition.imbalance(&loads);
         // 2. Build the target map over the alive ring.
         let alive_ring: Vec<NodeId> = self
@@ -1291,8 +990,7 @@ impl Coordinator {
         // covering (step 5) re-stream nearly every cell; carving keeps
         // the covering proportional to the share actually moved.
         let loads = self
-            .heatmap_mode(QueryMode::BestEffort, &grid, TimeInterval::ALL)
-            .map(|d| d.value)
+            .cell_loads(&QueryOpts::BEST_EFFORT)
             .unwrap_or_else(|_| vec![1; grid.cell_count() as usize]);
         let target = self.partition.admit(worker, &loads);
         let cells: Vec<u32> = target

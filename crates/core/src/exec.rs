@@ -25,14 +25,16 @@
 //!
 //! # Adding a new operation
 //!
-//! 1. Add the `Request`/`Response` message pair in
-//!    [`protocol`](crate::protocol) and a worker handler row in the
-//!    worker's dispatch table.
+//! 1. Add the `Request`/`Response` message pair in `protocol.rs` and a
+//!    worker handler row in the worker's dispatch table.
 //! 2. Implement [`DistributedOp`] (targets / request / decode / merge).
-//! 3. Call [`Executor::execute`] from a thin coordinator wrapper.
+//! 3. A control operation is called through [`Executor::execute`] from
+//!    the coordinator; a read is marked [`ReadOp`] and asked through
+//!    [`Cluster::query`](crate::Cluster::query) — no facade to add.
 //!
 //! The executor itself needs no changes — see [`TopCellsOp`] for a
-//! complete example.
+//! complete example (it reuses the heat-map message, so it skips step
+//! 1 too).
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -42,8 +44,9 @@ use std::time::{Duration as StdDuration, Instant};
 use parking_lot::Mutex;
 use stcam_camnet::Observation;
 use stcam_codec::{decode_from_slice, encode_to_vec};
-use stcam_geo::{BBox, CellId, Point, TimeInterval, Timestamp};
+use stcam_geo::{BBox, CellId, GridSpec, Point, TimeInterval, Timestamp};
 use stcam_net::{Endpoint, NetError, NodeId, PendingCall};
+use stcam_world::EntityClass;
 
 use crate::admission::{Deadline, ShedReason};
 use crate::continuous::{ContinuousQueryId, Predicate};
@@ -52,7 +55,7 @@ use crate::health::HealthView;
 use crate::paging;
 use crate::partition::PartitionMap;
 use crate::protocol::{
-    DigestReport, GridSpecMsg, Request, Response, SegmentDigestEntry, WorkerStatsMsg,
+    DigestReport, GridSpecMsg, Request, Response, SegmentDigestEntry, WorkerStatsMsg, PROJ_FULL,
 };
 
 // ----------------------------------------------------------------------
@@ -378,6 +381,18 @@ pub trait DistributedOp: Sync {
     /// Merges the per-worker partials (in target order) into the output.
     fn merge(self, partials: Vec<(NodeId, Self::Partial)>) -> Self::Output;
 }
+
+/// Marks the [`DistributedOp`]s that only read shard state — the ops
+/// [`Cluster::query`](crate::Cluster::query) accepts as a query value.
+/// Mutating ops stay behind the control plane, which fences them by
+/// epoch. An evaluation baseline that scatters its own read implements
+/// this for its op and needs no facade.
+pub trait ReadOp: DistributedOp {}
+
+impl ReadOp for RangeOp {}
+impl ReadOp for KnnBroadcastOp {}
+impl ReadOp for HeatmapOp {}
+impl ReadOp for TopCellsOp {}
 
 // ----------------------------------------------------------------------
 // The executor
@@ -711,23 +726,15 @@ impl Executor {
     /// [`HealthView`] — wrapped in [`Request::ReplicaRead`]. A shard is
     /// declared missing only after the primary and every candidate
     /// replica failed. The merge then runs over whatever survived.
+    ///
+    /// The per-call tenancy context is optional: a `deadline` clamps
+    /// every sub-query timeout to the remaining budget (a mid-flight
+    /// expiry surfaces as missing shards tagged
+    /// [`ShedReason::Deadline`] — truthful, never a silent overrun), and
+    /// a `bytes_out` accumulator receives this call's wire bytes (sent +
+    /// received, the same tally booked into [`OpStats`]) so the caller
+    /// can attribute them to a tenant.
     pub fn execute_degraded<O: DistributedOp>(
-        &self,
-        op: O,
-        partition: &PartitionMap,
-        alive: &HashSet<NodeId>,
-    ) -> Degraded<O::Output> {
-        self.execute_degraded_ctx(op, partition, alive, None, None)
-    }
-
-    /// [`execute_degraded`](Self::execute_degraded) with a per-call
-    /// tenancy context: a `deadline` that clamps every sub-query
-    /// timeout to the remaining budget (a mid-flight expiry surfaces as
-    /// missing shards tagged [`ShedReason::Deadline`] — truthful, never
-    /// a silent overrun), and a `bytes_out` accumulator receiving this
-    /// call's wire bytes (sent + received, the same tally booked into
-    /// [`OpStats`]) so the caller can attribute them to a tenant.
-    pub fn execute_degraded_ctx<O: DistributedOp>(
         &self,
         op: O,
         partition: &PartitionMap,
@@ -1186,29 +1193,49 @@ impl DistributedOp for ProbeOp {
 }
 
 /// Spatio-temporal range query over the shards overlapping `region`,
-/// with optional result-size and column pushdown.
+/// with optional entity-class, result-size and column pushdown.
 #[derive(Debug, Clone, Copy)]
 pub struct RangeOp {
     /// Spatial predicate.
     pub region: BBox,
     /// Temporal predicate.
     pub window: TimeInterval,
+    /// Entity-class predicate pushed down to the workers ("trucks inside
+    /// A"); `None` matches every class.
+    pub class: Option<EntityClass>,
     /// Per-shard row cutoff pushed down to the workers (0 = unlimited).
     /// Each shard keeps its `limit` lowest-id rows; the merge re-sorts
     /// and truncates globally, so the result equals the unlimited
     /// query's first `limit` rows in id order.
     pub limit: u32,
     /// Column projection pushed down to the workers
-    /// ([`PROJ_FULL`](crate::PROJ_FULL) or
-    /// [`PROJ_THIN`](crate::PROJ_THIN)).
+    /// ([`PROJ_FULL`] or
+    /// [`PROJ_THIN`](crate::PROJ_THIN), which blanks the signature and
+    /// ground-truth columns so they never cross the wire).
     pub projection: u8,
+}
+
+impl RangeOp {
+    /// Every full row in `region` × `window`: no class filter, no limit.
+    pub fn new(region: BBox, window: TimeInterval) -> Self {
+        RangeOp {
+            region,
+            window,
+            class: None,
+            limit: 0,
+            projection: PROJ_FULL,
+        }
+    }
 }
 
 impl DistributedOp for RangeOp {
     type Partial = Vec<Observation>;
     type Output = Vec<Observation>;
     fn name(&self) -> &'static str {
-        "range"
+        match self.class {
+            None => "range",
+            Some(_) => "range_filtered",
+        }
     }
     fn idempotent(&self) -> bool {
         true
@@ -1220,65 +1247,27 @@ impl DistributedOp for RangeOp {
         region_targets(partition, alive, self.region)
     }
     fn request(&self, _to: NodeId) -> Request {
-        Request::Range {
-            region: self.region,
-            window: self.window,
-            limit: self.limit,
-            projection: self.projection,
-        }
-    }
-    fn decode(&self, response: Response) -> Result<Vec<Observation>, StcamError> {
-        want_observations(response)
-    }
-    fn merge(self, partials: Vec<(NodeId, Vec<Observation>)>) -> Vec<Observation> {
-        let mut merged: Vec<Observation> = partials.into_iter().flat_map(|(_, obs)| obs).collect();
-        merged.sort_by_key(|o| o.id);
-        if self.limit > 0 {
-            merged.truncate(self.limit as usize);
-        }
-        merged
-    }
-}
-
-/// [`RangeOp`] with an entity-class filter pushed down to the workers.
-#[derive(Debug, Clone, Copy)]
-pub struct RangeFilteredOp {
-    /// Spatial predicate.
-    pub region: BBox,
-    /// Temporal predicate.
-    pub window: TimeInterval,
-    /// Required class, as `EntityClass::as_u8`.
-    pub class: u8,
-    /// Per-shard row cutoff pushed down to the workers (0 = unlimited);
-    /// see [`RangeOp::limit`].
-    pub limit: u32,
-    /// Column projection pushed down to the workers; see
-    /// [`RangeOp::projection`].
-    pub projection: u8,
-}
-
-impl DistributedOp for RangeFilteredOp {
-    type Partial = Vec<Observation>;
-    type Output = Vec<Observation>;
-    fn name(&self) -> &'static str {
-        "range_filtered"
-    }
-    fn idempotent(&self) -> bool {
-        true
-    }
-    fn replica_readable(&self) -> bool {
-        true
-    }
-    fn targets(&self, partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        region_targets(partition, alive, self.region)
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::RangeFiltered {
-            region: self.region,
-            window: self.window,
-            class: self.class,
-            limit: self.limit,
-            projection: self.projection,
+        let RangeOp {
+            region,
+            window,
+            class,
+            limit,
+            projection,
+        } = *self;
+        match class {
+            None => Request::Range {
+                region,
+                window,
+                limit,
+                projection,
+            },
+            Some(class) => Request::RangeFiltered {
+                region,
+                window,
+                class: class.as_u8(),
+                limit,
+                projection,
+            },
         }
     }
     fn decode(&self, response: Response) -> Result<Vec<Observation>, StcamError> {
@@ -1464,15 +1453,22 @@ impl DistributedOp for KnnBroadcastOp {
 #[derive(Debug, Clone, Copy)]
 pub struct HeatmapOp {
     /// Aggregation buckets.
-    pub buckets: GridSpecMsg,
+    pub buckets: GridSpec,
     /// Temporal predicate.
     pub window: TimeInterval,
 }
 
-impl HeatmapOp {
-    fn cell_count(&self) -> usize {
-        self.buckets.cols as usize * self.buckets.rows as usize
+/// Decodes a sparse heat-map partial, rejecting bucket indices outside
+/// `buckets` so the merges can index without checking.
+fn want_buckets(response: Response, buckets: &GridSpec) -> Result<Vec<(u32, u64)>, StcamError> {
+    let cells = want_cell_counts(response)?;
+    if cells
+        .iter()
+        .any(|&(idx, _)| u64::from(idx) >= buckets.cell_count())
+    {
+        return Err(StcamError::Remote("bucket index out of range".into()));
     }
+    Ok(cells)
 }
 
 impl DistributedOp for HeatmapOp {
@@ -1488,26 +1484,19 @@ impl DistributedOp for HeatmapOp {
         true
     }
     fn targets(&self, partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        region_targets(partition, alive, self.buckets.to_grid().extent())
+        region_targets(partition, alive, self.buckets.extent())
     }
     fn request(&self, _to: NodeId) -> Request {
         Request::Heatmap {
-            buckets: self.buckets,
+            buckets: self.buckets.into(),
             window: self.window,
         }
     }
     fn decode(&self, response: Response) -> Result<Vec<(u32, u64)>, StcamError> {
-        let cells = want_cell_counts(response)?;
-        if cells
-            .iter()
-            .any(|&(idx, _)| idx as usize >= self.cell_count())
-        {
-            return Err(StcamError::Remote("bucket index out of range".into()));
-        }
-        Ok(cells)
+        want_buckets(response, &self.buckets)
     }
     fn merge(self, partials: Vec<(NodeId, Vec<(u32, u64)>)>) -> Vec<u64> {
-        let mut total = vec![0u64; self.cell_count()];
+        let mut total = vec![0u64; self.buckets.cell_count() as usize];
         for (_, cells) in partials {
             for (idx, count) in cells {
                 total[idx as usize] += count;
@@ -1517,13 +1506,14 @@ impl DistributedOp for HeatmapOp {
     }
 }
 
-/// The `k` densest buckets of a heat-map grid, computed from *sparse*
-/// per-shard partials: workers report only occupied buckets, the merge
-/// sums and ranks. Ties rank by bucket index for determinism.
+/// The `k` densest buckets of a heat-map grid: the same sparse per-shard
+/// partials as [`HeatmapOp`] (same sub-query, booked separately as
+/// `"top_cells"`), summed and ranked at the merge. Ties rank by bucket
+/// index for determinism.
 #[derive(Debug, Clone, Copy)]
 pub struct TopCellsOp {
     /// Aggregation buckets.
-    pub buckets: GridSpecMsg,
+    pub buckets: GridSpec,
     /// Temporal predicate.
     pub window: TimeInterval,
     /// Number of cells to keep.
@@ -1546,21 +1536,16 @@ impl DistributedOp for TopCellsOp {
         false
     }
     fn targets(&self, partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        region_targets(partition, alive, self.buckets.to_grid().extent())
+        region_targets(partition, alive, self.buckets.extent())
     }
     fn request(&self, _to: NodeId) -> Request {
-        Request::TopCells {
-            buckets: self.buckets,
+        Request::Heatmap {
+            buckets: self.buckets.into(),
             window: self.window,
         }
     }
     fn decode(&self, response: Response) -> Result<Vec<(u32, u64)>, StcamError> {
-        let cells = want_cell_counts(response)?;
-        let limit = self.buckets.cols as u64 * self.buckets.rows as u64;
-        if cells.iter().any(|&(idx, _)| idx as u64 >= limit) {
-            return Err(StcamError::Remote("bucket index out of range".into()));
-        }
-        Ok(cells)
+        want_buckets(response, &self.buckets)
     }
     fn merge(self, partials: Vec<(NodeId, Vec<(u32, u64)>)>) -> Vec<(CellId, u64)> {
         let mut totals: HashMap<u32, u64> = HashMap::new();
@@ -1572,66 +1557,11 @@ impl DistributedOp for TopCellsOp {
         let mut ranked: Vec<(u32, u64)> = totals.into_iter().collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ranked.truncate(self.k);
-        let cols = self.buckets.cols;
+        let cols = self.buckets.cols();
         ranked
             .into_iter()
             .map(|(idx, count)| (CellId::new(idx % cols, idx / cols), count))
             .collect()
-    }
-}
-
-/// The former "ship-all" heat-map baseline, now riding the universal
-/// count pushdown: instead of fetching every matching observation and
-/// bucketing at the caller (megabytes per query), each worker ships
-/// *every occupied bucket's* count — sparse, untruncated — and the merge
-/// sums them into the dense grid. Same output as [`HeatmapOp`]; kept as
-/// a distinct operation so the communication experiment can account the
-/// unaggregated-transfer strategy separately from the dense partials.
-#[derive(Debug, Clone, Copy)]
-pub struct ShipAllCountsOp {
-    /// Aggregation buckets.
-    pub buckets: GridSpecMsg,
-    /// Temporal predicate.
-    pub window: TimeInterval,
-}
-
-impl DistributedOp for ShipAllCountsOp {
-    type Partial = Vec<(u32, u64)>;
-    type Output = Vec<u64>;
-    fn name(&self) -> &'static str {
-        "heatmap_ship_all"
-    }
-    fn idempotent(&self) -> bool {
-        true
-    }
-    fn replica_readable(&self) -> bool {
-        true
-    }
-    fn targets(&self, partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        region_targets(partition, alive, self.buckets.to_grid().extent())
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::TopCells {
-            buckets: self.buckets,
-            window: self.window,
-        }
-    }
-    fn decode(&self, response: Response) -> Result<Vec<(u32, u64)>, StcamError> {
-        let cells = want_cell_counts(response)?;
-        let limit = self.buckets.cols as u64 * self.buckets.rows as u64;
-        if cells.iter().any(|&(idx, _)| idx as u64 >= limit) {
-            return Err(StcamError::Remote("bucket index out of range".into()));
-        }
-        Ok(cells)
-    }
-    fn merge(self, partials: Vec<(NodeId, Vec<(u32, u64)>)>) -> Vec<u64> {
-        let mut total = vec![0u64; self.buckets.cols as usize * self.buckets.rows as usize];
-        for (_, cells) in partials {
-            for (idx, count) in cells {
-                total[idx as usize] += count;
-            }
-        }
-        total
     }
 }
 
@@ -1671,8 +1601,8 @@ impl DistributedOp for EvictOp {
 }
 
 /// Control-plane census sweep: collects every alive worker's
-/// [`CensusReport`] — installed route epoch, owned cells, replica-log
-/// keys, and standing registrations. Consumed via [`Executor::run`] so a
+/// [`CensusReport`](crate::CensusReport) — installed route epoch, owned
+/// cells, replica-log keys, and standing registrations. Consumed via [`Executor::run`] so a
 /// reconstructing coordinator can use whatever subset of the roster
 /// answers.
 #[derive(Debug, Clone, Copy)]
@@ -2346,12 +2276,10 @@ mod tests {
 
     #[test]
     fn decoders_map_remote_errors() {
-        let range = RangeOp {
-            region: BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0)),
-            window: window(),
-            limit: 0,
-            projection: 0,
-        };
+        let range = RangeOp::new(
+            BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0)),
+            window(),
+        );
         assert!(matches!(
             range.decode(Response::Error("boom".into())),
             Err(StcamError::Remote(_))
@@ -2362,12 +2290,7 @@ mod tests {
         ));
         assert!(matches!(FlushOp.decode(Response::Ack), Ok(())));
         let heat = HeatmapOp {
-            buckets: GridSpecMsg {
-                origin: Point::new(0.0, 0.0),
-                cell_size: 10.0,
-                cols: 2,
-                rows: 2,
-            },
+            buckets: GridSpec::new(Point::new(0.0, 0.0), 10.0, 2, 2),
             window: window(),
         };
         // An out-of-range bucket index is an application error, not a
@@ -2400,12 +2323,7 @@ mod tests {
     #[test]
     fn top_cells_merge_ranks_by_count_then_index() {
         let op = TopCellsOp {
-            buckets: GridSpecMsg {
-                origin: Point::new(0.0, 0.0),
-                cell_size: 10.0,
-                cols: 4,
-                rows: 4,
-            },
+            buckets: GridSpec::new(Point::new(0.0, 0.0), 10.0, 4, 4),
             window: window(),
             k: 3,
         };
@@ -2456,12 +2374,10 @@ mod tests {
         });
         let (partition, alive) = one_worker_world();
         let result = exec.execute(
-            RangeOp {
-                region: BBox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0)),
-                window: window(),
-                limit: 0,
-                projection: 0,
-            },
+            RangeOp::new(
+                BBox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0)),
+                window(),
+            ),
             &partition,
             &alive,
         );
@@ -2552,20 +2468,21 @@ mod tests {
     #[test]
     fn op_degradation_flags() {
         let region = BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-        let grid = GridSpecMsg {
-            origin: Point::new(0.0, 0.0),
-            cell_size: 1.0,
-            cols: 1,
-            rows: 1,
-        };
+        let grid = GridSpec::new(Point::new(0.0, 0.0), 1.0, 1, 1);
         // Unions and per-bucket sums lose rows monotonically.
-        let range = RangeOp {
-            region,
-            window: window(),
-            limit: 0,
-            projection: 0,
-        };
+        let range = RangeOp::new(region, window());
         assert!(range.replica_readable() && range.subset_on_loss());
+        // A class filter changes the frame and the stats key, nothing else.
+        let filtered = RangeOp {
+            class: Some(EntityClass::Car),
+            ..range
+        };
+        assert_eq!((range.name(), filtered.name()), ("range", "range_filtered"));
+        assert!(matches!(range.request(NodeId(1)), Request::Range { .. }));
+        assert!(matches!(
+            filtered.request(NodeId(1)),
+            Request::RangeFiltered { class, .. } if class == EntityClass::Car.as_u8()
+        ));
         let heat = HeatmapOp {
             buckets: grid,
             window: window(),
@@ -2606,14 +2523,14 @@ mod tests {
         );
         let (partition, alive) = one_worker_world();
         let d = exec.execute_degraded(
-            RangeOp {
-                region: BBox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0)),
-                window: window(),
-                limit: 0,
-                projection: 0,
-            },
+            RangeOp::new(
+                BBox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0)),
+                window(),
+            ),
             &partition,
             &alive,
+            None,
+            None,
         );
         assert!(d.value.is_empty());
         assert_eq!(d.completeness.shards_total, 1);
@@ -2639,12 +2556,10 @@ mod tests {
         let alive = HashSet::new(); // nobody alive
         let hits = exec
             .execute(
-                RangeOp {
-                    region: BBox::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)),
-                    window: window(),
-                    limit: 0,
-                    projection: 0,
-                },
+                RangeOp::new(
+                    BBox::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)),
+                    window(),
+                ),
                 &partition,
                 &alive,
             )

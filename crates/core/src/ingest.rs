@@ -36,10 +36,6 @@
 //! required. Parked observations are re-driven by
 //! [`flush`](Ingestor::flush), which is a true write barrier: it drains
 //! the parked window before running the ping round.
-//!
-//! The legacy fire-and-forget path survives as
-//! [`ingest_unacked`](Ingestor::ingest_unacked) for benchmarks that
-//! want minimal write latency and accept silent loss.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -536,32 +532,6 @@ impl Ingestor {
         self.sender.ingest(&self.endpoint, batch)
     }
 
-    /// Legacy fire-and-forget ingest: routes the batch under the cached
-    /// plan snapshot with no acknowledgement and returns the number of
-    /// observations *routed*. Lossy links, dead destinations, or a stale
-    /// snapshot silently drop traffic — use [`ingest`](Self::ingest)
-    /// unless you are benchmarking the unreliable baseline.
-    ///
-    /// # Errors
-    ///
-    /// Fails on transport-level problems (e.g. fabric shutdown).
-    pub fn ingest_unacked(&self, batch: Vec<Observation>) -> Result<usize, StcamError> {
-        let n = batch.len();
-        let plan = self.sender.snapshot();
-        let mut groups: HashMap<NodeId, Vec<Observation>> = HashMap::new();
-        for obs in batch {
-            groups
-                .entry(plan.partition.owner_of(obs.position))
-                .or_default()
-                .push(obs);
-        }
-        for (owner, group) in groups {
-            self.endpoint
-                .send(owner, encode_to_vec(&Request::Ingest(group)))?;
-        }
-        Ok(n)
-    }
-
     /// Write barrier: first drains this handle's parked window (re-
     /// delivering under fresh routing), then confirms every alive worker
     /// has processed previously sent traffic (per-link FIFO + a ping
@@ -689,26 +659,6 @@ mod tests {
             "acked {accepted} observations but only {stored} are queryable"
         );
         assert_eq!(stored, 200, "flush barrier must deliver the parked tail");
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn unacked_ingest_still_routes_by_count() {
-        let extent = BBox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0));
-        let cluster = Cluster::launch(
-            ClusterConfig::new(extent, 2)
-                .with_replication(0)
-                .with_link(LinkModel::instant()),
-        )
-        .unwrap();
-        let ingestor = cluster.create_ingestor();
-        let routed = ingestor
-            .ingest_unacked(vec![obs(0, 100.0, 100.0), obs(1, 900.0, 900.0)])
-            .unwrap();
-        assert_eq!(routed, 2);
-        ingestor.flush().unwrap();
-        let window = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(100));
-        assert_eq!(cluster.range_query(extent, window).unwrap().len(), 2);
         cluster.shutdown();
     }
 

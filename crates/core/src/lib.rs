@@ -35,12 +35,14 @@
 //!   registry. After every membership or partition mutation it
 //!   *publishes* an immutable, epoch-tagged [`QueryPlan`] snapshot to
 //!   the query plane.
-//! * [`QueryPlane`] — the lock-free **read path**: composes queries
-//!   (two-phase pruned kNN is [`exec::KnnPhase1Op`] feeding
-//!   [`exec::KnnPhase2Op`], heat-maps, top-cells, …) against the current
-//!   published plan, on a pool of fabric endpoints picked round-robin —
-//!   N client threads scatter/gather concurrently with zero shared
-//!   locking. Reads run in a [`QueryMode`]: `Strict` fails on any lost
+//! * [`QueryPlane`] — the lock-free **read path**: one entry,
+//!   [`QueryPlane::query`], runs a typed [`Query`] value ([`RangeOp`],
+//!   [`Knn`] — [`exec::KnnPhase1Op`] feeding [`exec::KnnPhase2Op`] —
+//!   [`HeatmapOp`], [`TopCellsOp`], or any other [`ReadOp`]) against the
+//!   current published plan, on a pool of fabric endpoints picked
+//!   round-robin — N client threads scatter/gather concurrently with
+//!   zero shared locking. [`QueryOpts`] carries the [`QueryMode`] and
+//!   the optional tenant context: `Strict` fails on any lost
 //!   shard with [`StcamError::PartialFailure`]; `BestEffort` returns a
 //!   [`Degraded`] value whose [`Completeness`] accounts for shards
 //!   answered, replicas used, and shards missing. Either way the
@@ -101,11 +103,14 @@ pub use cluster::{Cluster, ClusterConfig};
 pub use continuous::{ContinuousQueryId, InterestIndex, Notification, Predicate};
 pub use coordinator::{ClusterStats, Coordinator, RebalanceReport, ReconstructReport};
 pub use error::StcamError;
-pub use exec::{Completeness, Degraded, DistributedOp, Executor, OpPolicy, OpStats, QueryMode};
+pub use exec::{
+    Completeness, Degraded, DistributedOp, Executor, HeatmapOp, KnnBroadcastOp, OpPolicy, OpStats,
+    QueryMode, RangeOp, ReadOp, TopCellsOp,
+};
 pub use health::HealthView;
 pub use ingest::Ingestor;
 pub use partition::{PartitionMap, PartitionPolicy};
-pub use plane::{QueryPlan, QueryPlane};
+pub use plane::{Knn, Query, QueryOpts, QueryPlan, QueryPlane, Scatter};
 pub use protocol::{
     CensusRegistration, CensusReport, DigestEntry, DigestReport, GridSpecMsg, ReplicaDigestEntry,
     Request, Response, SegmentDigestEntry, WorkerStatsMsg, PROJ_FULL, PROJ_THIN,

@@ -152,7 +152,6 @@ mod tests {
         assert!(pages_for(&Response::Observations(rows)).is_none());
         assert!(pages_for(&Response::CellCounts(vec![(3, 9), (8, 2)])).is_none());
         assert!(pages_for(&Response::Ack).is_none());
-        assert!(pages_for(&Response::Counts(vec![0; 100_000])).is_none());
     }
 
     #[test]

@@ -35,18 +35,17 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use stcam_camnet::Observation;
-use stcam_geo::{BBox, CellId, GridSpec, Point, TimeInterval};
+use stcam_geo::{Point, TimeInterval};
 use stcam_net::NodeId;
 
-use crate::admission::{AdmissionControl, AdmissionTicket, QueryCtx};
+use crate::admission::{AdmissionControl, AdmissionTicket, Deadline, QueryCtx};
 use crate::error::StcamError;
 use crate::exec::{
-    Completeness, Degraded, Executor, HeatmapOp, KnnBroadcastOp, KnnPhase1Op, KnnPhase2Op, OpStats,
-    QueryMode, RangeFilteredOp, RangeOp, ShipAllCountsOp, TopCellsOp,
+    Completeness, Degraded, DistributedOp, Executor, KnnPhase1Op, KnnPhase2Op, OpStats, QueryMode,
+    ReadOp,
 };
 use crate::health::HealthView;
 use crate::partition::PartitionMap;
-use crate::protocol::GridSpecMsg;
 
 /// An immutable routing snapshot: everything a read needs to scatter.
 ///
@@ -73,9 +72,9 @@ pub struct QueryPlane {
     plan: RwLock<Arc<QueryPlan>>,
     pool: Vec<Executor>,
     next: AtomicUsize,
-    /// The multi-tenant gate every context-carrying entry point
-    /// consults before scattering. Legacy (`*_mode`) entry points
-    /// bypass it, so single-tenant embedders pay nothing.
+    /// The multi-tenant gate a query with a [`QueryOpts::ctx`] passes
+    /// before scattering. Context-free queries bypass it, so
+    /// single-tenant embedders pay nothing.
     admission: Arc<AdmissionControl>,
 }
 
@@ -188,410 +187,186 @@ impl QueryPlane {
         self.pool[0].op_stats()
     }
 
-    // ------------------------------------------------------------------
-    // Queries — each method snapshots the plan once and runs every
-    // phase of the operation against that same snapshot.
-    // ------------------------------------------------------------------
-
-    /// All observations in `region` × `window` (see
-    /// [`Coordinator::range_query_mode`](crate::Coordinator::range_query_mode)).
+    /// The one read entry: runs `q` against one plan snapshot on one
+    /// pooled executor, taking no lock shared with other reads or with
+    /// the control plane.
     ///
-    /// # Errors
-    ///
-    /// With [`QueryMode::Strict`], fails with
-    /// [`StcamError::PartialFailure`] when a shard answered from neither
-    /// its primary nor a replica.
-    pub fn range_query_mode(
-        &self,
-        mode: QueryMode,
-        region: BBox,
-        window: TimeInterval,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        self.range_query_pushdown_mode(mode, region, window, 0, crate::protocol::PROJ_FULL)
-    }
-
-    /// [`range_query_mode`](Self::range_query_mode) with result-size and
-    /// column pushdown: each shard keeps only its `limit` lowest-id rows
-    /// (0 = unlimited; the merge re-truncates globally, so the answer is
-    /// the unlimited query's first `limit` rows in id order), and
-    /// `projection` [`PROJ_THIN`](crate::PROJ_THIN) blanks the signature
-    /// and ground-truth columns at the worker so they never cross the
-    /// wire.
-    ///
-    /// # Errors
-    ///
-    /// With [`QueryMode::Strict`], fails with
-    /// [`StcamError::PartialFailure`] on lost shards.
-    pub fn range_query_pushdown_mode(
-        &self,
-        mode: QueryMode,
-        region: BBox,
-        window: TimeInterval,
-        limit: u32,
-        projection: u8,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        let plan = self.plan();
-        let d = self.executor().execute_degraded(
-            RangeOp {
-                region,
-                window,
-                limit,
-                projection,
-            },
-            &plan.partition,
-            &plan.alive,
-        );
-        finish(mode, d)
-    }
-
-    /// Two-phase pruned kNN (see
-    /// [`Coordinator::knn_query_mode`](crate::Coordinator::knn_query_mode)).
-    /// Both phases run against one plan snapshot, so an interleaved
-    /// failover cannot split the query across two routing views.
-    ///
-    /// # Errors
-    ///
-    /// With [`QueryMode::Strict`], fails with
-    /// [`StcamError::PartialFailure`] on lost shards;
-    /// [`StcamError::NoQuorum`] when no worker can anchor phase one.
-    pub fn knn_query_mode(
-        &self,
-        mode: QueryMode,
-        at: Point,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        if k == 0 {
-            return Ok(Degraded {
-                value: Vec::new(),
-                completeness: empty_completeness(),
-            });
-        }
-        let plan = self.plan();
-        let exec = self.executor();
-        let owner = route_owner(
-            plan.partition.owner_of(at),
-            &plan.partition,
-            &plan.alive,
-            exec.health(),
-        )?;
-        let phase1 = exec.execute_degraded(
-            KnnPhase1Op {
-                owner,
-                at,
-                window,
-                k,
-            },
-            &plan.partition,
-            &plan.alive,
-        );
-        let mut completeness = phase1.completeness;
-        let seed = phase1.value;
-        let bound = if seed.len() >= k {
-            seed.last().map(|o| at.distance(o.position))
-        } else {
-            None
-        };
-        let phase2 = exec.execute_degraded(
-            KnnPhase2Op {
-                at,
-                window,
-                k,
-                bound,
-                exclude: owner,
-                seed,
-            },
-            &plan.partition,
-            &plan.alive,
-        );
-        completeness.absorb(phase2.completeness);
-        finish(
-            mode,
-            Degraded {
-                value: phase2.value,
-                completeness,
-            },
-        )
-    }
-
-    /// Broadcast kNN baseline (see
-    /// [`Coordinator::knn_broadcast_mode`](crate::Coordinator::knn_broadcast_mode)).
-    ///
-    /// # Errors
-    ///
-    /// With [`QueryMode::Strict`], fails with
-    /// [`StcamError::PartialFailure`] on lost shards.
-    pub fn knn_broadcast_mode(
-        &self,
-        mode: QueryMode,
-        at: Point,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        if k == 0 {
-            return Ok(Degraded {
-                value: Vec::new(),
-                completeness: empty_completeness(),
-            });
-        }
-        let plan = self.plan();
-        let d = self.executor().execute_degraded(
-            KnnBroadcastOp { at, window, k },
-            &plan.partition,
-            &plan.alive,
-        );
-        finish(mode, d)
-    }
-
-    /// Partial-aggregation heat-map (see
-    /// [`Coordinator::heatmap_mode`](crate::Coordinator::heatmap_mode)).
-    ///
-    /// # Errors
-    ///
-    /// With [`QueryMode::Strict`], fails with
-    /// [`StcamError::PartialFailure`] on lost shards.
-    pub fn heatmap_mode(
-        &self,
-        mode: QueryMode,
-        buckets: &GridSpec,
-        window: TimeInterval,
-    ) -> Result<Degraded<Vec<u64>>, StcamError> {
-        let plan = self.plan();
-        let d = self.executor().execute_degraded(
-            HeatmapOp {
-                buckets: GridSpecMsg::from(*buckets),
-                window,
-            },
-            &plan.partition,
-            &plan.alive,
-        );
-        finish(mode, d)
-    }
-
-    /// The `k` densest buckets (see
-    /// [`Coordinator::top_cells_mode`](crate::Coordinator::top_cells_mode)).
-    ///
-    /// # Errors
-    ///
-    /// With [`QueryMode::Strict`], fails with
-    /// [`StcamError::PartialFailure`] on lost shards.
-    pub fn top_cells_mode(
-        &self,
-        mode: QueryMode,
-        buckets: &GridSpec,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Degraded<Vec<(CellId, u64)>>, StcamError> {
-        let plan = self.plan();
-        let d = self.executor().execute_degraded(
-            TopCellsOp {
-                buckets: GridSpecMsg::from(*buckets),
-                window,
-                k,
-            },
-            &plan.partition,
-            &plan.alive,
-        );
-        finish(mode, d)
-    }
-
-    /// Class-filtered range query (see
-    /// [`Coordinator::range_query_filtered_mode`](crate::Coordinator::range_query_filtered_mode)).
-    ///
-    /// # Errors
-    ///
-    /// With [`QueryMode::Strict`], fails with
-    /// [`StcamError::PartialFailure`] on lost shards.
-    pub fn range_query_filtered_mode(
-        &self,
-        mode: QueryMode,
-        region: BBox,
-        window: TimeInterval,
-        class: stcam_world::EntityClass,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        self.range_query_filtered_pushdown_mode(
-            mode,
-            region,
-            window,
-            class,
-            0,
-            crate::protocol::PROJ_FULL,
-        )
-    }
-
-    /// [`range_query_filtered_mode`](Self::range_query_filtered_mode)
-    /// with result-size and column pushdown (see
-    /// [`range_query_pushdown_mode`](Self::range_query_pushdown_mode)).
-    ///
-    /// # Errors
-    ///
-    /// With [`QueryMode::Strict`], fails with
-    /// [`StcamError::PartialFailure`] on lost shards.
-    pub fn range_query_filtered_pushdown_mode(
-        &self,
-        mode: QueryMode,
-        region: BBox,
-        window: TimeInterval,
-        class: stcam_world::EntityClass,
-        limit: u32,
-        projection: u8,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
-        let plan = self.plan();
-        let d = self.executor().execute_degraded(
-            RangeFilteredOp {
-                region,
-                window,
-                class: class.as_u8(),
-                limit,
-                projection,
-            },
-            &plan.partition,
-            &plan.alive,
-        );
-        finish(mode, d)
-    }
-
-    /// The "ship-all" aggregate strategy, now riding the universal count
-    /// pushdown: workers ship every occupied bucket's count (sparse,
-    /// untruncated) and the caller sums them into the dense grid —
-    /// observations themselves never cross the wire. Same result as
-    /// [`heatmap_mode`](Self::heatmap_mode); kept as a separately
-    /// accounted operation (`"heatmap_ship_all"`) so the communication
-    /// experiment can compare transfer strategies.
-    ///
-    /// # Errors
-    ///
-    /// Propagates sub-query failures.
-    pub fn heatmap_ship_all(
-        &self,
-        buckets: &GridSpec,
-        window: TimeInterval,
-    ) -> Result<Vec<u64>, StcamError> {
-        let plan = self.plan();
-        let d = self.executor().execute_degraded(
-            ShipAllCountsOp {
-                buckets: GridSpecMsg::from(*buckets),
-                window,
-            },
-            &plan.partition,
-            &plan.alive,
-        );
-        Ok(finish(QueryMode::Strict, d)?.value)
-    }
-
-    // ------------------------------------------------------------------
-    // Multi-tenant entry points — every query below passes the
-    // admission gate before scattering, runs with its deadline clamped
-    // into the sub-query timeouts, and has its wire bytes attributed to
-    // the tenant afterwards. A shed query is downgraded to best-effort
-    // and its answer carries the reason in `Completeness::shed`.
-    // ------------------------------------------------------------------
-
-    /// Gates one query for `ctx`. Scatter width is estimated as the
-    /// alive set — the upper bound every broadcast-shaped read obeys —
-    /// so width reservations are conservative and uniform.
-    fn admit_for(
-        &self,
-        ctx: &QueryCtx,
-        mode: QueryMode,
-        plan: &QueryPlan,
-    ) -> Result<AdmissionTicket<'_>, StcamError> {
-        self.admission.admit(ctx, mode, plan.alive.len().max(1))
-    }
-
-    /// Charges the call's wire bytes to the tenant, stamps the shed
-    /// reason into the answer, and applies the *effective* (possibly
-    /// downgraded) mode.
-    fn settle<T>(
-        ticket: &AdmissionTicket<'_>,
-        bytes: &AtomicU64,
-        mut d: Degraded<T>,
-    ) -> Result<Degraded<T>, StcamError> {
-        ticket.charge_bytes(bytes.load(Ordering::Relaxed));
-        d.completeness.shed = ticket.shed().or(d.completeness.shed);
-        finish(ticket.mode(), d)
-    }
-
-    /// [`range_query_mode`](Self::range_query_mode) through the
-    /// multi-tenant gate.
+    /// `opts.ctx: None` is the single-tenant path and never consults the
+    /// admission gate. With `Some(ctx)` the query is admitted first
+    /// (possibly shed: downgraded to best-effort with the reason in
+    /// [`Completeness::shed`]), runs with the tenant's deadline clamped
+    /// into every sub-query timeout, and has its wire bytes charged to
+    /// the tenant afterwards — one ticket across all of a composite
+    /// query's phases. Scatter width is reserved as the alive set, the
+    /// upper bound every broadcast-shaped read obeys.
     ///
     /// # Errors
     ///
     /// [`StcamError::AdmissionRejected`] when a budget or the deadline
     /// turns the query away; with an effective [`QueryMode::Strict`],
-    /// [`StcamError::PartialFailure`] on lost shards.
-    pub fn range_query_ctx(
+    /// [`StcamError::PartialFailure`] when a shard answered from neither
+    /// its primary nor a replica; whatever `q` itself reports (see
+    /// [`Knn`]).
+    pub fn query<Q: Query>(
         &self,
-        ctx: &QueryCtx,
-        mode: QueryMode,
-        region: BBox,
-        window: TimeInterval,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
+        q: Q,
+        opts: &QueryOpts,
+    ) -> Result<Degraded<Q::Output>, StcamError> {
         let plan = self.plan();
-        let ticket = self.admit_for(ctx, mode, &plan)?;
+        let ticket = opts
+            .ctx
+            .as_ref()
+            .map(|ctx| {
+                self.admission
+                    .admit(ctx, opts.mode, plan.alive.len().max(1))
+            })
+            .transpose()?;
         let bytes = AtomicU64::new(0);
-        let d = self.executor().execute_degraded_ctx(
-            RangeOp {
-                region,
-                window,
-                limit: 0,
-                projection: crate::protocol::PROJ_FULL,
-            },
-            &plan.partition,
-            &plan.alive,
-            ticket.deadline(),
-            Some(&bytes),
-        );
-        Self::settle(&ticket, &bytes, d)
+        let mut d = q.run(&Scatter {
+            exec: self.executor(),
+            plan: &plan,
+            deadline: ticket.as_ref().and_then(AdmissionTicket::deadline),
+            bytes: ticket.is_some().then_some(&bytes),
+        })?;
+        let mode = match &ticket {
+            Some(ticket) => {
+                ticket.charge_bytes(bytes.load(Ordering::Relaxed));
+                d.completeness.shed = ticket.shed().or(d.completeness.shed);
+                ticket.mode()
+            }
+            None => opts.mode,
+        };
+        if mode == QueryMode::Strict && !d.completeness.is_full() {
+            return Err(StcamError::PartialFailure {
+                missing: d.completeness.missing,
+            });
+        }
+        Ok(d)
     }
+}
 
-    /// [`knn_query_mode`](Self::knn_query_mode) through the
-    /// multi-tenant gate. Both phases run under the same ticket: one
-    /// admission charge, one byte attribution, one deadline budget
-    /// shrinking across the phases.
+/// What the method suffix used to carry: how a read treats lost shards
+/// and on whose account it runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueryOpts {
+    /// Strict (exact or [`StcamError::PartialFailure`]) or best-effort
+    /// (a truthful [`Completeness`] account of what is missing).
+    pub mode: QueryMode,
+    /// The tenant context to admit, deadline-clamp and meter under;
+    /// `None` bypasses the admission gate entirely.
+    pub ctx: Option<QueryCtx>,
+}
+
+impl QueryOpts {
+    /// Exact or error, no tenant.
+    pub const STRICT: QueryOpts = QueryOpts {
+        mode: QueryMode::Strict,
+        ctx: None,
+    };
+    /// Whatever shards survive, truthfully accounted, no tenant.
+    pub const BEST_EFFORT: QueryOpts = QueryOpts {
+        mode: QueryMode::BestEffort,
+        ctx: None,
+    };
+}
+
+/// What a [`Query`] scatters against: one pooled executor, one plan
+/// snapshot, and the admitting tenant's deadline and byte account.
+#[derive(Debug)]
+pub struct Scatter<'a> {
+    exec: &'a Executor,
+    plan: &'a QueryPlan,
+    deadline: Option<Deadline>,
+    bytes: Option<&'a AtomicU64>,
+}
+
+impl Scatter<'_> {
+    /// Runs one op's failover scatter/gather; lost shards show up in the
+    /// result's [`Completeness`], never as an error.
+    pub fn run<O: DistributedOp>(&self, op: O) -> Degraded<O::Output> {
+        self.exec.execute_degraded(
+            op,
+            &self.plan.partition,
+            &self.plan.alive,
+            self.deadline,
+            self.bytes,
+        )
+    }
+}
+
+/// A typed read with a statically known answer — the value
+/// [`Cluster::query`](crate::Cluster::query) takes. Every [`ReadOp`]
+/// ([`RangeOp`](crate::RangeOp), [`HeatmapOp`](crate::HeatmapOp),
+/// [`TopCellsOp`](crate::TopCellsOp),
+/// [`KnnBroadcastOp`](crate::KnnBroadcastOp)) is one; [`Knn`] composes
+/// two.
+pub trait Query {
+    /// What the read answers with.
+    type Output;
+
+    /// Runs every phase of the read against the one snapshot in `on`.
     ///
     /// # Errors
     ///
-    /// [`StcamError::AdmissionRejected`] at the gate;
-    /// [`StcamError::NoQuorum`] when no worker can anchor phase one;
-    /// with an effective [`QueryMode::Strict`],
-    /// [`StcamError::PartialFailure`] on lost shards.
-    pub fn knn_query_ctx(
-        &self,
-        ctx: &QueryCtx,
-        mode: QueryMode,
-        at: Point,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Degraded<Vec<Observation>>, StcamError> {
+    /// Only for failures that are not lost shards (those are accounted
+    /// in the result).
+    fn run(self, on: &Scatter<'_>) -> Result<Degraded<Self::Output>, StcamError>;
+}
+
+impl<O: ReadOp> Query for O {
+    type Output = O::Output;
+    fn run(self, on: &Scatter<'_>) -> Result<Degraded<O::Output>, StcamError> {
+        Ok(on.run(self))
+    }
+}
+
+/// The `k` observations nearest to `at` within `window`, via two-phase
+/// pruned search: the owner of `at`'s cell answers first
+/// ([`KnnPhase1Op`]), its k-th distance bounds the disk phase two
+/// scatters to ([`KnnPhase2Op`]). Both phases run against one plan
+/// snapshot, so an interleaved failover cannot split the query across
+/// two routing views, and their completeness accounts are folded
+/// together. A degraded kNN is *not* a subset of the true answer
+/// (`subset == false`): a lost shard can promote farther neighbours into
+/// the top `k`.
+///
+/// Fails with [`StcamError::NoQuorum`] when no worker can anchor phase
+/// one.
+#[derive(Debug, Clone, Copy)]
+pub struct Knn {
+    /// Query point.
+    pub at: Point,
+    /// Temporal predicate.
+    pub window: TimeInterval,
+    /// Result size.
+    pub k: usize,
+}
+
+impl Query for Knn {
+    type Output = Vec<Observation>;
+    fn run(self, on: &Scatter<'_>) -> Result<Degraded<Vec<Observation>>, StcamError> {
+        let Knn { at, window, k } = self;
         if k == 0 {
             return Ok(Degraded {
                 value: Vec::new(),
-                completeness: empty_completeness(),
+                completeness: Completeness {
+                    subset: true,
+                    ..Completeness::default()
+                },
             });
         }
-        let plan = self.plan();
-        let ticket = self.admit_for(ctx, mode, &plan)?;
-        let bytes = AtomicU64::new(0);
-        let exec = self.executor();
         let owner = route_owner(
-            plan.partition.owner_of(at),
-            &plan.partition,
-            &plan.alive,
-            exec.health(),
+            on.plan.partition.owner_of(at),
+            &on.plan.partition,
+            &on.plan.alive,
+            on.exec.health(),
         )?;
-        let phase1 = exec.execute_degraded_ctx(
-            KnnPhase1Op {
-                owner,
-                at,
-                window,
-                k,
-            },
-            &plan.partition,
-            &plan.alive,
-            ticket.deadline(),
-            Some(&bytes),
-        );
+        let phase1 = on.run(KnnPhase1Op {
+            owner,
+            at,
+            window,
+            k,
+        });
         let mut completeness = phase1.completeness;
         let seed = phase1.value;
         let bound = if seed.len() >= k {
@@ -599,113 +374,19 @@ impl QueryPlane {
         } else {
             None
         };
-        let phase2 = exec.execute_degraded_ctx(
-            KnnPhase2Op {
-                at,
-                window,
-                k,
-                bound,
-                exclude: owner,
-                seed,
-            },
-            &plan.partition,
-            &plan.alive,
-            ticket.deadline(),
-            Some(&bytes),
-        );
+        let phase2 = on.run(KnnPhase2Op {
+            at,
+            window,
+            k,
+            bound,
+            exclude: owner,
+            seed,
+        });
         completeness.absorb(phase2.completeness);
-        Self::settle(
-            &ticket,
-            &bytes,
-            Degraded {
-                value: phase2.value,
-                completeness,
-            },
-        )
-    }
-
-    /// [`heatmap_mode`](Self::heatmap_mode) through the multi-tenant
-    /// gate.
-    ///
-    /// # Errors
-    ///
-    /// [`StcamError::AdmissionRejected`] at the gate; with an effective
-    /// [`QueryMode::Strict`], [`StcamError::PartialFailure`] on lost
-    /// shards.
-    pub fn heatmap_ctx(
-        &self,
-        ctx: &QueryCtx,
-        mode: QueryMode,
-        buckets: &GridSpec,
-        window: TimeInterval,
-    ) -> Result<Degraded<Vec<u64>>, StcamError> {
-        let plan = self.plan();
-        let ticket = self.admit_for(ctx, mode, &plan)?;
-        let bytes = AtomicU64::new(0);
-        let d = self.executor().execute_degraded_ctx(
-            HeatmapOp {
-                buckets: GridSpecMsg::from(*buckets),
-                window,
-            },
-            &plan.partition,
-            &plan.alive,
-            ticket.deadline(),
-            Some(&bytes),
-        );
-        Self::settle(&ticket, &bytes, d)
-    }
-
-    /// [`top_cells_mode`](Self::top_cells_mode) through the
-    /// multi-tenant gate.
-    ///
-    /// # Errors
-    ///
-    /// [`StcamError::AdmissionRejected`] at the gate; with an effective
-    /// [`QueryMode::Strict`], [`StcamError::PartialFailure`] on lost
-    /// shards.
-    pub fn top_cells_ctx(
-        &self,
-        ctx: &QueryCtx,
-        mode: QueryMode,
-        buckets: &GridSpec,
-        window: TimeInterval,
-        k: usize,
-    ) -> Result<Degraded<Vec<(CellId, u64)>>, StcamError> {
-        let plan = self.plan();
-        let ticket = self.admit_for(ctx, mode, &plan)?;
-        let bytes = AtomicU64::new(0);
-        let d = self.executor().execute_degraded_ctx(
-            TopCellsOp {
-                buckets: GridSpecMsg::from(*buckets),
-                window,
-                k,
-            },
-            &plan.partition,
-            &plan.alive,
-            ticket.deadline(),
-            Some(&bytes),
-        );
-        Self::settle(&ticket, &bytes, d)
-    }
-}
-
-/// Applies the query mode to a degraded result: strict callers get
-/// [`StcamError::PartialFailure`] unless every shard answered.
-pub(crate) fn finish<T>(mode: QueryMode, d: Degraded<T>) -> Result<Degraded<T>, StcamError> {
-    match mode {
-        QueryMode::Strict if !d.completeness.is_full() => Err(StcamError::PartialFailure {
-            missing: d.completeness.missing,
-        }),
-        _ => Ok(d),
-    }
-}
-
-/// An already-complete account for queries that contact no shard
-/// (e.g. `k = 0` kNN).
-pub(crate) fn empty_completeness() -> Completeness {
-    Completeness {
-        subset: true,
-        ..Completeness::default()
+        Ok(Degraded {
+            value: phase2.value,
+            completeness,
+        })
     }
 }
 
@@ -713,13 +394,12 @@ pub(crate) fn empty_completeness() -> Completeness {
 /// traffic, diverting along the ring when the owner is marked dead — or
 /// merely *suspected* dead by the [`HealthView`], so a crashed node
 /// stops receiving traffic after its first failed RPC instead of after
-/// the next recovery tick. Shared by ingest routing (control plane) and
-/// the kNN phase-one anchor (query plane).
+/// the next recovery tick. Anchors kNN phase one.
 ///
 /// # Errors
 ///
 /// [`StcamError::NoQuorum`] when no alive candidate exists.
-pub(crate) fn route_owner(
+fn route_owner(
     owner: NodeId,
     partition: &PartitionMap,
     alive: &HashSet<NodeId>,
@@ -748,6 +428,7 @@ pub(crate) fn route_owner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stcam_geo::BBox;
 
     fn plan_parts() -> (PartitionMap, HashSet<NodeId>) {
         let extent = BBox::new(Point::new(0.0, 0.0), Point::new(1600.0, 1600.0));

@@ -163,7 +163,10 @@ pub enum Request {
         /// Prune radius from a previous phase, if any.
         max_distance: Option<f64>,
     },
-    /// Return per-bucket counts over the local shard.
+    /// Return the *non-zero* per-bucket counts over the local shard, as
+    /// sparse `(bucket index, count)` pairs ([`Response::CellCounts`]):
+    /// the wire cost is proportional to occupied cells, not grid size.
+    /// Heat-maps sum them; the "hot cell" ranking keeps the densest `k`.
     Heatmap {
         /// Aggregation buckets.
         buckets: GridSpecMsg,
@@ -241,16 +244,6 @@ pub enum Request {
         limit: u32,
         /// Column projection, as in [`Request::Range`].
         projection: u8,
-    },
-    /// Return the *non-zero* per-bucket counts over the local shard, as
-    /// sparse `(bucket index, count)` pairs. The coordinator sums them
-    /// and keeps the densest `k` ("hot cell" ranking). The sparse reply
-    /// keeps the wire cost proportional to occupied cells, not grid size.
-    TopCells {
-        /// Aggregation buckets.
-        buckets: GridSpecMsg,
-        /// Temporal predicate.
-        window: TimeInterval,
     },
     /// Answer `inner` from the replica log this worker holds for primary
     /// `of`, instead of from the local primary shard. This is the
@@ -393,7 +386,6 @@ impl Request {
             Request::Promote { .. } => "promote",
             Request::ExtractRegion { .. } => "extract_region",
             Request::RangeFiltered { .. } => "range_filtered",
-            Request::TopCells { .. } => "top_cells",
             Request::ReplicaRead { .. } => "replica_read",
             Request::CellDigest { .. } => "cell_digest",
             Request::Repair { .. } => "repair",
@@ -702,14 +694,12 @@ pub enum Response {
     Ack,
     /// Matching observations.
     Observations(Vec<Observation>),
-    /// Dense per-bucket counts.
-    Counts(Vec<u64>),
     /// Worker statistics.
     Stats(WorkerStatsMsg),
     /// Application-level failure.
     Error(String),
     /// Sparse per-bucket counts: `(bucket index, count)` for occupied
-    /// buckets only (answer to [`Request::TopCells`]).
+    /// buckets only (answer to [`Request::Heatmap`]).
     CellCounts(Vec<(u32, u64)>),
     /// Positive acknowledgement of an `IngestSeq`/`ReplicateSeq` batch:
     /// every observation in the batch is owned by the addressee and is
@@ -762,8 +752,9 @@ pub enum Response {
         page: u32,
         /// Total pages in the result.
         pages: u32,
-        /// Payload encoding: [`paging::PAGE_OBSERVATIONS`] or
-        /// [`paging::PAGE_CELL_COUNTS`] (see [`paging`](crate::paging)).
+        /// Payload encoding: [`PAGE_OBSERVATIONS`](crate::paging::PAGE_OBSERVATIONS)
+        /// or [`PAGE_CELL_COUNTS`](crate::paging::PAGE_CELL_COUNTS) (see
+        /// [`paging`](crate::paging)).
         kind: u8,
         /// The page's standalone-encoded rows.
         payload: Vec<u8>,
@@ -787,7 +778,6 @@ const REQ_EVICT: u8 = 11;
 const REQ_PROMOTE: u8 = 12;
 const REQ_EXTRACT: u8 = 13;
 const REQ_RANGE_FILTERED: u8 = 14;
-const REQ_TOP_CELLS: u8 = 15;
 const REQ_REPLICA_READ: u8 = 16;
 const REQ_INGEST_SEQ: u8 = 17;
 const REQ_REPLICATE_SEQ: u8 = 18;
@@ -893,11 +883,6 @@ impl Wire for Request {
                 class.encode(buf);
                 limit.encode(buf);
                 projection.encode(buf);
-            }
-            Request::TopCells { buckets, window } => {
-                buf.put_u8(REQ_TOP_CELLS);
-                buckets.encode(buf);
-                window.encode(buf);
             }
             Request::ReplicaRead { of, inner } => {
                 buf.put_u8(REQ_REPLICA_READ);
@@ -1070,10 +1055,6 @@ impl Request {
                 limit: u32::decode(buf)?,
                 projection: decode_projection(buf)?,
             },
-            REQ_TOP_CELLS => Request::TopCells {
-                buckets: GridSpecMsg::decode(buf)?,
-                window: TimeInterval::decode(buf)?,
-            },
             REQ_REPLICA_READ => {
                 let of = NodeId(u32::decode(buf)?);
                 let inner_tag = u8::decode(buf)?;
@@ -1147,7 +1128,6 @@ impl Request {
 
 const RESP_ACK: u8 = 0;
 const RESP_OBSERVATIONS: u8 = 1;
-const RESP_COUNTS: u8 = 2;
 const RESP_STATS: u8 = 3;
 const RESP_ERROR: u8 = 4;
 const RESP_CELL_COUNTS: u8 = 5;
@@ -1166,10 +1146,6 @@ impl Wire for Response {
             Response::Observations(obs) => {
                 buf.put_u8(RESP_OBSERVATIONS);
                 batch::encode_batch(obs, buf);
-            }
-            Response::Counts(counts) => {
-                buf.put_u8(RESP_COUNTS);
-                counts.encode(buf);
             }
             Response::Stats(stats) => {
                 buf.put_u8(RESP_STATS);
@@ -1239,7 +1215,6 @@ impl Wire for Response {
         Ok(match tag {
             RESP_ACK => Response::Ack,
             RESP_OBSERVATIONS => Response::Observations(batch::decode_batch(buf)?),
-            RESP_COUNTS => Response::Counts(Vec::decode(buf)?),
             RESP_STATS => Response::Stats(WorkerStatsMsg::decode(buf)?),
             RESP_ERROR => Response::Error(String::decode(buf)?),
             RESP_CELL_COUNTS => Response::CellCounts(Vec::decode(buf)?),
@@ -1289,7 +1264,6 @@ impl Wire for Response {
     fn size_hint(&self) -> usize {
         1 + match self {
             Response::Observations(obs) => batch::batch_size_hint(obs),
-            Response::Counts(counts) => counts.size_hint(),
             Response::CellCounts(cells) => cells.size_hint(),
             Response::Error(msg) => msg.size_hint(),
             Response::IngestNack { misrouted, .. } => 21 + misrouted.size_hint(),
@@ -1413,15 +1387,6 @@ mod tests {
             class: 3,
             limit: 1024,
             projection: PROJ_THIN,
-        });
-        round_trip_req(Request::TopCells {
-            buckets: GridSpecMsg {
-                origin: Point::new(0.0, 0.0),
-                cell_size: 50.0,
-                cols: 16,
-                rows: 16,
-            },
-            window,
         });
         round_trip_req(Request::ReplicaRead {
             of: NodeId(5),
@@ -1566,7 +1531,6 @@ mod tests {
     fn all_responses_round_trip() {
         round_trip_resp(Response::Ack);
         round_trip_resp(Response::Observations(vec![obs()]));
-        round_trip_resp(Response::Counts(vec![0, 5, 17]));
         round_trip_resp(Response::Stats(WorkerStatsMsg {
             primary_observations: 10,
             replica_observations: 3,
@@ -1768,10 +1732,6 @@ mod tests {
                 class: 0,
                 limit: 0,
                 projection: PROJ_FULL,
-            },
-            Request::TopCells {
-                buckets: grid,
-                window,
             },
             Request::ReplicaRead {
                 of: NodeId(1),

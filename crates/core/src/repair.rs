@@ -10,7 +10,7 @@
 //!    summary — observation count plus an order-independent checksum —
 //!    over both its primary shard and every replica log it holds
 //!    ([`DigestReport`]).
-//! 2. [`plan`] compares each alive owner's primary digest against the
+//! 2. `plan` compares each alive owner's primary digest against the
 //!    replica digests held by its required successors (the same
 //!    ring-walking [`PartitionMap::alive_successors`] rule the write and
 //!    read paths use) and emits the *deficits*: `(owner, holder, cell)`

@@ -230,8 +230,10 @@ fn finish_rows(mut rows: Vec<Observation>, limit: u32, projection: u8) -> Vec<Ob
     rows
 }
 
-/// Executes one read-only request against an immutable shard snapshot.
-/// Runs on pool threads; must not touch worker state beyond `shared`.
+/// Executes one read-only request against an immutable shard snapshot —
+/// the one place each read kind is evaluated against the index. Runs on
+/// pool threads (and on the control lane for pool-less workers); must
+/// not touch worker state beyond `shared`.
 fn execute_read(view: &ReadView, shared: &ReadShared, request: Request) -> Response {
     match request {
         Request::Range {
@@ -271,9 +273,6 @@ fn execute_read(view: &ReadView, shared: &ReadShared, request: Request) -> Respo
             Response::Observations(hits)
         }
         Request::Heatmap { buckets, window } => {
-            Response::CellCounts(sparse_counts(view.heatmap(&buckets.to_grid(), window)))
-        }
-        Request::TopCells { buckets, window } => {
             Response::CellCounts(sparse_counts(view.heatmap(&buckets.to_grid(), window)))
         }
         Request::FetchPage { cursor, page } => shared.fetch_page(cursor, page),
@@ -399,17 +398,16 @@ const DISPATCH: &[(&str, Handler)] = &[
     ("ping", Worker::serve_ping),
     ("ingest", Worker::serve_ingest),
     ("replicate", Worker::serve_replicate),
-    ("range", Worker::serve_range),
-    ("knn", Worker::serve_knn),
-    ("heatmap", Worker::serve_heatmap),
-    ("top_cells", Worker::serve_top_cells),
+    ("range", Worker::serve_read),
+    ("knn", Worker::serve_read),
+    ("heatmap", Worker::serve_read),
     ("register_continuous", Worker::serve_register_continuous),
     ("unregister_continuous", Worker::serve_unregister_continuous),
     ("snapshot_replica", Worker::serve_snapshot_replica),
     ("adopt", Worker::serve_adopt),
     ("promote", Worker::serve_promote),
     ("extract_region", Worker::serve_extract_region),
-    ("range_filtered", Worker::serve_range_filtered),
+    ("range_filtered", Worker::serve_read),
     ("stats", Worker::serve_stats),
     ("evict_before", Worker::serve_evict_before),
     ("replica_read", Worker::serve_replica_read),
@@ -422,7 +420,7 @@ const DISPATCH: &[(&str, Handler)] = &[
     ("segment_digest", Worker::serve_segment_digest),
     ("export_segments", Worker::serve_export_segments),
     ("install_segments", Worker::serve_install_segments),
-    ("fetch_page", Worker::serve_fetch_page),
+    ("fetch_page", Worker::serve_read),
     ("census", Worker::serve_census),
 ];
 
@@ -489,7 +487,6 @@ impl Worker {
                 | Request::RangeFiltered { .. }
                 | Request::Knn { .. }
                 | Request::Heatmap { .. }
-                | Request::TopCells { .. }
                 | Request::FetchPage { .. }
         )
     }
@@ -568,7 +565,7 @@ impl Worker {
 
     /// Executes one request against local state and produces the response.
     ///
-    /// Dispatch is table-driven by [`Request::op_name`] over [`DISPATCH`];
+    /// Dispatch is table-driven by [`Request::op_name`] over `DISPATCH`;
     /// every served request increments that operation's serve counter.
     /// Side-effecting requests (`Ingest`, `Promote`, `Adopt`) also emit
     /// replica and notification traffic through the endpoint.
@@ -919,69 +916,11 @@ impl Worker {
         Response::Ack
     }
 
-    fn serve_range(&mut self, request: Request) -> Response {
-        let Request::Range {
-            region,
-            window,
-            limit,
-            projection,
-        } = request
-        else {
-            return Self::misrouted(&request);
-        };
-        Response::Observations(finish_rows(
-            self.index.range(region, window),
-            limit,
-            projection,
-        ))
-    }
-
-    /// Serves a page pull on the control lane — the no-pool path;
-    /// pooled workers answer these on executor threads.
-    fn serve_fetch_page(&mut self, request: Request) -> Response {
-        let Request::FetchPage { cursor, page } = request else {
-            return Self::misrouted(&request);
-        };
-        self.shared.fetch_page(cursor, page)
-    }
-
-    fn serve_knn(&mut self, request: Request) -> Response {
-        let Request::Knn {
-            at,
-            window,
-            k,
-            max_distance,
-        } = request
-        else {
-            return Self::misrouted(&request);
-        };
-        let mut hits: Vec<Observation> = self.index.knn(at, window, k as usize);
-        if let Some(limit) = max_distance {
-            hits.retain(|o| at.distance(o.position) <= limit);
-        }
-        // Candidate lists never ship more than k rows, whatever the
-        // index returned.
-        hits.truncate(k as usize);
-        Response::Observations(hits)
-    }
-
-    fn serve_heatmap(&mut self, request: Request) -> Response {
-        let Request::Heatmap { buckets, window } = request else {
-            return Self::misrouted(&request);
-        };
-        Response::CellCounts(sparse_counts(
-            self.index.heatmap(&buckets.to_grid(), window),
-        ))
-    }
-
-    fn serve_top_cells(&mut self, request: Request) -> Response {
-        let Request::TopCells { buckets, window } = request else {
-            return Self::misrouted(&request);
-        };
-        // Sparse partial aggregate: only occupied buckets go on the wire.
-        Response::CellCounts(sparse_counts(
-            self.index.heatmap(&buckets.to_grid(), window),
-        ))
+    /// Serves a read (or page pull) on the control lane — the no-pool
+    /// path; pooled workers answer these on executor threads. Same
+    /// evaluation either way: [`execute_read`] over a snapshot.
+    fn serve_read(&mut self, request: Request) -> Response {
+        execute_read(&self.index.read_view(), &self.shared, request)
     }
 
     fn serve_register_continuous(&mut self, request: Request) -> Response {
@@ -1054,31 +993,6 @@ impl Worker {
         Response::Observations(extracted)
     }
 
-    fn serve_range_filtered(&mut self, request: Request) -> Response {
-        let Request::RangeFiltered {
-            region,
-            window,
-            class,
-            limit,
-            projection,
-        } = request
-        else {
-            return Self::misrouted(&request);
-        };
-        match stcam_world::EntityClass::from_u8(class) {
-            Some(class) => {
-                let rows = self
-                    .index
-                    .range(region, window)
-                    .into_iter()
-                    .filter(|o| o.class == class)
-                    .collect();
-                Response::Observations(finish_rows(rows, limit, projection))
-            }
-            None => Response::Error(format!("invalid class {class}")),
-        }
-    }
-
     /// Answers a read against the replica log held for an unreachable
     /// primary. The log is an unindexed append-only vector, so every
     /// replica read is a scan — acceptable for the degraded path, which
@@ -1142,9 +1056,6 @@ impl Worker {
                 Response::Observations(hits)
             }
             Request::Heatmap { buckets, window } => Response::CellCounts(sparse_counts(
-                Self::log_heatmap(log, &buckets.to_grid(), window),
-            )),
-            Request::TopCells { buckets, window } => Response::CellCounts(sparse_counts(
                 Self::log_heatmap(log, &buckets.to_grid(), window),
             )),
             other => Response::Error(format!("{} is not replica-readable", other.op_name())),
@@ -1644,15 +1555,6 @@ mod tests {
                 max_distance: None,
             },
             Request::Heatmap {
-                buckets: GridSpecMsg {
-                    origin: Point::ORIGIN,
-                    cell_size: 1.0,
-                    cols: 1,
-                    rows: 1,
-                },
-                window: window_all(),
-            },
-            Request::TopCells {
                 buckets: GridSpecMsg {
                     origin: Point::ORIGIN,
                     cell_size: 1.0,
@@ -2273,13 +2175,6 @@ mod tests {
             }
             other => panic!("unexpected response {other:?}"),
         }
-        match worker.handle_request(replica_read(Request::TopCells {
-            buckets,
-            window: window_all(),
-        })) {
-            Response::CellCounts(cells) => assert_eq!(cells, vec![(0, 3)]),
-            other => panic!("unexpected response {other:?}"),
-        }
         // An unknown primary reads as an empty log, not an error.
         match worker.handle_request(Request::ReplicaRead {
             of: NodeId(42),
@@ -2323,7 +2218,7 @@ mod tests {
     }
 
     #[test]
-    fn top_cells_reports_sparse_nonzero_buckets() {
+    fn heatmap_reports_sparse_nonzero_buckets() {
         use crate::protocol::GridSpecMsg;
         let (_fabric, mut worker) = lone_worker();
         worker.handle_request(Request::Ingest(vec![
@@ -2337,7 +2232,7 @@ mod tests {
             cols: 10,
             rows: 10,
         };
-        match worker.handle_request(Request::TopCells {
+        match worker.handle_request(Request::Heatmap {
             buckets,
             window: window_all(),
         }) {

@@ -28,8 +28,9 @@ use std::time::Duration as StdDuration;
 
 use stcam::chaos::{ChaosEvent, ChaosPlan};
 use stcam::{
-    CentralizedStore, Cluster, ClusterConfig, Deadline, OpPolicy, Predicate, Priority, QueryCtx,
-    QueryMode, ShedReason, StcamError, TenantBudget, TenantId,
+    CentralizedStore, Cluster, ClusterConfig, Deadline, HeatmapOp, Knn, OpPolicy, Predicate,
+    Priority, QueryCtx, QueryMode, QueryOpts, RangeOp, ShedReason, StcamError, TenantBudget,
+    TenantId,
 };
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
@@ -157,7 +158,7 @@ fn battery(
 
     // Strict range: errors are allowed mid-fault, lies are not — and no
     // acked observation may ever be missing from a strict answer.
-    match cluster.range_query_with(QueryMode::Strict, region, window) {
+    match cluster.query(RangeOp::new(region, window), &QueryOpts::STRICT) {
         Ok(d) => {
             assert!(
                 d.completeness.is_full(),
@@ -184,7 +185,7 @@ fn battery(
     // Best-effort range: a truthful subset of what was sent, containing
     // everything acked when it claims to be full.
     let d = cluster
-        .range_query_with(QueryMode::BestEffort, region, window)
+        .query(RangeOp::new(region, window), &QueryOpts::BEST_EFFORT)
         .expect("best-effort range never fails on shard loss");
     assert!(
         d.completeness.subset,
@@ -228,7 +229,7 @@ fn battery(
     let oracle_heat = oracle.heatmap(&buckets, window);
     let upper_heat = upper.heatmap(&buckets, window);
     let d = cluster
-        .heatmap_with(QueryMode::BestEffort, &buckets, window)
+        .query(HeatmapOp { buckets, window }, &QueryOpts::BEST_EFFORT)
         .expect("best-effort heatmap never fails on shard loss");
     for (cell, (&got, &cap)) in d.value.iter().zip(upper_heat.iter()).enumerate() {
         assert!(
@@ -255,7 +256,7 @@ fn battery(
         .iter()
         .map(|o| o.id)
         .collect();
-    match cluster.knn_query_with(QueryMode::BestEffort, at, window, 15) {
+    match cluster.query(Knn { at, window, k: 15 }, &QueryOpts::BEST_EFFORT) {
         Ok(d) => {
             if d.completeness.is_full() {
                 let got: Vec<ObservationId> = d.value.iter().map(|o| o.id).collect();
@@ -307,7 +308,13 @@ fn vip_query(cluster: &Cluster, seed: u64, tag: &str) {
     let ctx = QueryCtx::new(VIP)
         .with_priority(Priority::High)
         .with_deadline(Deadline::within(StdDuration::from_secs(10)));
-    match cluster.range_query_ctx(&ctx, QueryMode::Strict, extent(), window_all()) {
+    match cluster.query(
+        RangeOp::new(extent(), window_all()),
+        &QueryOpts {
+            mode: QueryMode::Strict,
+            ctx: Some(ctx),
+        },
+    ) {
         Ok(d) => {
             assert!(
                 d.completeness.is_full() || d.completeness.shed.is_some(),
@@ -341,7 +348,13 @@ fn vip_query(cluster: &Cluster, seed: u64, tag: &str) {
 /// answer that is not full must carry its shed reason.
 fn bulk_query(cluster: &Cluster, seed: u64, tag: &str) {
     let ctx = QueryCtx::new(BULK).with_priority(Priority::Bulk);
-    match cluster.range_query_ctx(&ctx, QueryMode::Strict, extent(), window_all()) {
+    match cluster.query(
+        RangeOp::new(extent(), window_all()),
+        &QueryOpts {
+            mode: QueryMode::Strict,
+            ctx: Some(ctx),
+        },
+    ) {
         Ok(d) => {
             assert!(
                 d.completeness.is_full() || d.completeness.shed.is_some(),
@@ -499,7 +512,10 @@ fn execute_plan(seed: u64, plan: &ChaosPlan, lossy: bool) {
     // The plan's convergence tail healed and recovered everything, so
     // completeness must be back to full with no data lost.
     let d = cluster
-        .range_query_with(QueryMode::BestEffort, extent(), window_all())
+        .query(
+            RangeOp::new(extent(), window_all()),
+            &QueryOpts::BEST_EFFORT,
+        )
         .expect("final best-effort range");
     assert!(
         d.completeness.is_full(),
@@ -931,7 +947,10 @@ fn killed_worker_is_served_by_replicas_before_recovery() {
     // partition map; only replica failover can answer for its shard.
 
     let d = cluster
-        .range_query_with(QueryMode::BestEffort, extent(), window_all())
+        .query(
+            RangeOp::new(extent(), window_all()),
+            &QueryOpts::BEST_EFFORT,
+        )
         .expect("range during crash window");
     assert!(
         d.completeness.is_full(),
@@ -957,7 +976,14 @@ fn killed_worker_is_served_by_replicas_before_recovery() {
 
     let at = Point::new(800.0, 800.0);
     let d = cluster
-        .knn_query_with(QueryMode::BestEffort, at, window_all(), 15)
+        .query(
+            Knn {
+                at,
+                window: window_all(),
+                k: 15,
+            },
+            &QueryOpts::BEST_EFFORT,
+        )
         .expect("knn during crash window");
     assert!(
         d.completeness.is_full(),
@@ -974,7 +1000,13 @@ fn killed_worker_is_served_by_replicas_before_recovery() {
 
     let buckets = GridSpec::covering(extent(), 200.0);
     let d = cluster
-        .heatmap_with(QueryMode::BestEffort, &buckets, window_all())
+        .query(
+            HeatmapOp {
+                buckets,
+                window: window_all(),
+            },
+            &QueryOpts::BEST_EFFORT,
+        )
         .expect("heatmap during crash window");
     assert!(
         d.completeness.is_full(),

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration as StdDuration;
 
 use stcam::exec::OpStats;
-use stcam::{CentralizedStore, Cluster, ClusterConfig};
+use stcam::{CentralizedStore, Cluster, ClusterConfig, QueryOpts, RangeOp};
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
 use stcam_net::LinkModel;
@@ -236,16 +236,12 @@ fn paged_pushdown_reads_match_oracle_with_pool() {
                     // order, with heavy columns blanked at the worker.
                     for i in 0..ITERS {
                         let limit = 50 + (t * ITERS + i) as u32 * 7 % 200;
-                        let got = plane
-                            .range_query_pushdown_mode(
-                                stcam::QueryMode::Strict,
-                                extent(),
-                                window,
-                                limit,
-                                stcam::PROJ_THIN,
-                            )
-                            .unwrap()
-                            .value;
+                        let thin = RangeOp {
+                            limit,
+                            projection: stcam::PROJ_THIN,
+                            ..RangeOp::new(extent(), window)
+                        };
+                        let got = plane.query(thin, &QueryOpts::STRICT).unwrap().value;
                         let want = oracle.range_query(extent(), window);
                         assert_eq!(got.len(), (limit as usize).min(want.len()));
                         for (g, w) in got.iter().zip(&want) {
@@ -256,11 +252,10 @@ fn paged_pushdown_reads_match_oracle_with_pool() {
                     }
                 }
                 _ => {
-                    // The count-pushdown "ship-all" strategy agrees with
-                    // the dense heat-map and the oracle.
+                    // The sparse count pushdown agrees with the oracle.
                     for _ in 0..ITERS {
-                        let ship = cluster.heatmap_ship_all(buckets, window).unwrap();
-                        assert_eq!(ship, oracle.heatmap(buckets, window));
+                        let heat = cluster.heatmap(buckets, window).unwrap();
+                        assert_eq!(heat, oracle.heatmap(buckets, window));
                     }
                 }
             });

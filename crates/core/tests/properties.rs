@@ -128,7 +128,6 @@ proptest! {
             Request::Promote { failed: NodeId(node), epoch },
             Request::ExtractRegion { region },
             Request::RangeFiltered { region, window, class, limit, projection },
-            Request::TopCells { buckets, window },
             Request::ReplicaRead {
                 of: NodeId(node),
                 inner: Box::new(Request::Range { region, window, limit, projection }),
@@ -158,13 +157,12 @@ proptest! {
             prop_assert!(names.insert(request.op_name()), "duplicate op name {}", request.op_name());
             prop_assert_eq!(decode_from_slice::<Request>(&bytes).unwrap(), request);
         }
-        prop_assert_eq!(names.len(), 28);
+        prop_assert_eq!(names.len(), 27);
     }
 
     #[test]
     fn responses_round_trip(
         batch in prop::collection::vec(arb_observation(), 0..8),
-        counts in prop::collection::vec(0u64..1_000_000, 0..64),
         cells in prop::collection::vec((0u32..4096, 0u64..1_000_000), 0..32),
         served in prop::collection::vec(("[a-z_]{1,20}", 0u64..1_000), 0..6),
         scalars in prop::collection::vec(0u64..1_000_000, 9),
@@ -216,7 +214,6 @@ proptest! {
         let responses = [
             Response::Ack,
             Response::Observations(batch),
-            Response::Counts(counts),
             Response::Stats(stats),
             Response::Error(error),
             Response::CellCounts(cells.clone()),

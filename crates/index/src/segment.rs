@@ -109,7 +109,7 @@ enum SegmentData {
 }
 
 /// One sealed, immutable time slice: per-cell columnar blocks plus a
-/// footer directory (see the [module docs](self)).
+/// footer directory (see the `segment` module docs).
 #[derive(Debug)]
 pub struct SealedSegment {
     number: u64,

@@ -477,7 +477,7 @@ impl Endpoint {
     ///
     /// A started call whose response is never waited for leaks its
     /// correlation entry only until the response (or nothing — a lost
-    /// frame's entry is reclaimed on [`call_wait`] timeout) arrives.
+    /// frame's entry is reclaimed on [`call_wait`](Self::call_wait) timeout) arrives.
     ///
     /// # Errors
     ///

@@ -4,7 +4,7 @@
 
 use std::time::Duration as StdDuration;
 
-use stcam::{Cluster, ClusterConfig, OpPolicy};
+use stcam::{Cluster, ClusterConfig, KnnBroadcastOp, OpPolicy, QueryOpts, TopCellsOp};
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
 use stcam_net::LinkModel;
@@ -57,7 +57,17 @@ fn top_cells_matches_dense_heatmap_ranking() {
 
     let buckets = GridSpec::covering(extent(), 200.0);
     let k = 5;
-    let top = cluster.top_cells(&buckets, window_all(), k).unwrap();
+    let top = cluster
+        .query(
+            TopCellsOp {
+                buckets,
+                window: window_all(),
+                k,
+            },
+            &QueryOpts::STRICT,
+        )
+        .unwrap()
+        .value;
     assert_eq!(top.len(), k);
 
     // The dense heatmap, ranked the same way, must agree exactly.
@@ -219,7 +229,14 @@ fn per_op_policy_is_isolated_from_other_ops() {
     );
     // The strangled op itself does time out.
     assert!(cluster
-        .knn_broadcast(Point::new(800.0, 800.0), window_all(), 1)
+        .query(
+            KnnBroadcastOp {
+                at: Point::new(800.0, 800.0),
+                window: window_all(),
+                k: 1
+            },
+            &QueryOpts::STRICT
+        )
         .is_err());
     cluster.shutdown();
 }

@@ -1,6 +1,6 @@
 //! Failure injection: crashes, failover, replication levels, partitions.
 
-use stcam::{Cluster, ClusterConfig, Predicate, QueryMode, StcamError};
+use stcam::{Cluster, ClusterConfig, Predicate, QueryOpts, RangeOp, StcamError};
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, Point, TimeInterval, Timestamp};
 use stcam_net::{LinkModel, NodeId};
@@ -296,7 +296,10 @@ fn crash_window_strict_fails_and_best_effort_degrades_truthfully() {
 
     // Best effort: the surviving subset, with truthful accounting.
     let d = cluster
-        .range_query_with(QueryMode::BestEffort, extent(), window_all())
+        .query(
+            RangeOp::new(extent(), window_all()),
+            &QueryOpts::BEST_EFFORT,
+        )
         .unwrap();
     assert_eq!(d.value.len() as u64, 600 - dead_share);
     assert_eq!(d.completeness.missing, vec![victim]);

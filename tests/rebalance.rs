@@ -1,6 +1,6 @@
 //! Online rebalancing and filtered queries, end to end.
 
-use stcam::{Cluster, ClusterConfig, PartitionPolicy, Predicate};
+use stcam::{Cluster, ClusterConfig, PartitionPolicy, Predicate, QueryOpts, RangeOp};
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, Point, TimeInterval, Timestamp};
 use stcam_net::LinkModel;
@@ -312,8 +312,15 @@ fn filtered_range_query_matches_postfiltering() {
     let window = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(40));
     for class in EntityClass::ALL {
         let filtered: Vec<_> = cluster
-            .range_query_filtered(region, window, class)
+            .query(
+                RangeOp {
+                    class: Some(class),
+                    ..RangeOp::new(region, window)
+                },
+                &QueryOpts::STRICT,
+            )
             .unwrap()
+            .value
             .iter()
             .map(|o| o.id)
             .collect();
