@@ -16,7 +16,7 @@ use crate::exec::{Degraded, HeatmapOp, RangeOp};
 use crate::ingest::Ingestor;
 use crate::partition::{PartitionMap, PartitionPolicy};
 use crate::plane::{Knn, Query, QueryOpts, QueryPlane};
-use crate::repair::{RepairBudget, RepairReport};
+use crate::repair::RepairReport;
 use crate::worker::{Worker, WorkerConfig, WorkerHandle};
 
 /// Configuration of a whole cluster, with builder-style adjustment.
@@ -285,13 +285,10 @@ impl Cluster {
                 .with_max_observations(config.max_observations_per_worker);
         let mut handles = Vec::with_capacity(config.workers);
         for &id in &worker_ids {
-            let endpoint = fabric.register(id);
-            let replicas = partition.successors(id, config.replication);
             handles.push(Worker::spawn(
-                endpoint,
+                fabric.register(id),
                 WorkerConfig {
                     index: index_config.clone(),
-                    replicas,
                     read_threads: config.read_concurrency,
                 },
             ));
@@ -546,7 +543,7 @@ impl Cluster {
     }
 
     /// Re-partitions by measured load and migrates the moved shards (see
-    /// [`Coordinator::rebalance`]). Recreate any [`Ingestor`]s afterwards.
+    /// [`Coordinator::rebalance`]). Live [`Ingestor`]s re-route themselves.
     ///
     /// # Errors
     ///
@@ -609,18 +606,13 @@ impl Cluster {
         self.coordinator.lock().check_and_recover()
     }
 
-    /// One anti-entropy repair pass under the default [`RepairBudget`]:
-    /// restores every cell's replica copies at its required ring
+    /// One anti-entropy repair pass under the default budget: restores
+    /// every cell's replica copies at its required ring
     /// successors (see [`Coordinator::repair`]). Idempotent; re-invoke
     /// until [`under_replicated_cells`](Self::under_replicated_cells)
     /// reaches zero if a pass exhausts its budget.
     pub fn repair(&self) -> RepairReport {
         self.coordinator.lock().repair()
-    }
-
-    /// As [`repair`](Self::repair) under an explicit [`RepairBudget`].
-    pub fn repair_with(&self, budget: RepairBudget) -> RepairReport {
-        self.coordinator.lock().repair_with(budget)
     }
 
     /// Distinct owned macro-cells currently missing at least one required

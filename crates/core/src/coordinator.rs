@@ -16,12 +16,13 @@ use std::time::Duration as StdDuration;
 use stcam_camnet::Observation;
 use stcam_codec::decode_from_slice;
 use stcam_geo::{CellId, TimeInterval, Timestamp};
+use stcam_index::SealedSegment;
 use stcam_net::{Endpoint, NodeId};
 
 use crate::continuous::{ContinuousQueryId, Notification, Predicate};
 use crate::error::StcamError;
 use crate::exec::{
-    CellDigestOp, CensusOp, CopyRegionOp, EvictOp, Executor, ExportSegmentsOp, ExtractRegionOp,
+    CellDigestOp, CensusOp, CopyRegionOp, DistributedOp, EvictOp, Executor, ExportSegmentsOp,
     FlushOp, HeatmapOp, InstallSegmentsOp, OpPolicy, OpStats, ProbeOp, PromoteOp,
     RegisterContinuousOp, RejoinOp, RepairOp, RouteUpdateOp, SegmentDigestOp, StatsOp,
     UnregisterContinuousOp,
@@ -98,7 +99,9 @@ impl ClusterStats {
 pub struct RebalanceReport {
     /// Macro-cells whose owner changed.
     pub cells_moved: usize,
-    /// Observations migrated between workers.
+    /// Rows shipped to new owners: every moved row once in the copy,
+    /// plus, for cells written to during the move, what the drain ships
+    /// (stragglers, and the old owner's unsealed head again).
     pub observations_moved: usize,
     /// Imbalance factor under the old map (max/mean of measured load).
     pub imbalance_before: f64,
@@ -121,6 +124,34 @@ pub struct ReconstructReport {
     pub claimed_cells: usize,
     /// Standing queries re-learned from worker-installed registrations.
     pub recovered_registrations: usize,
+}
+
+/// One macro cell's primary copy on its way from `from` to `to` — the
+/// unit [`Coordinator::ship`] and [`Coordinator::drain`] work on.
+#[derive(Debug)]
+struct CellMove {
+    /// Packed macro-cell index (`row * cols + col`).
+    cell: u32,
+    /// The worker ceding the cell.
+    from: NodeId,
+    /// The worker taking it over.
+    to: NodeId,
+    /// Digests of the segments `to` holds whole — what the copy phase
+    /// installed, and so what the drain need not export again.
+    installed: Vec<SegmentDigestEntry>,
+}
+
+/// What `node`'s primary shard holds of packed cell `cell` per one digest
+/// sweep: `None` when it did not answer, `Some(None)` when it holds
+/// nothing of the cell, else the cell's `(count, checksum)`.
+fn primary_digest(
+    digests: &[(NodeId, DigestReport)],
+    node: NodeId,
+    cell: u32,
+) -> Option<Option<(u32, u64)>> {
+    let (_, report) = digests.iter().find(|(w, _)| *w == node)?;
+    let entry = report.primary.iter().find(|e| e.cell == cell);
+    Some(entry.map(|e| (e.count, e.checksum)))
 }
 
 /// The cluster's control plane and query router.
@@ -307,7 +338,7 @@ impl Coordinator {
     /// alive does not answer in time.
     pub fn flush(&self) -> Result<(), StcamError> {
         self.sender.drain(self.exec.endpoint())?;
-        self.exec.execute(FlushOp, &self.partition, &self.alive)
+        self.call(FlushOp)
     }
 
     /// Pushes every alive worker its slice of the current routing plan
@@ -340,24 +371,154 @@ impl Coordinator {
     /// Propagates worker failures.
     pub fn evict_before(&self, cutoff: Timestamp) -> Result<(), StcamError> {
         let epoch = self.plane.epoch();
-        self.exec
-            .execute(EvictOp { cutoff, epoch }, &self.partition, &self.alive)
+        self.call(EvictOp { cutoff, epoch })
+    }
+
+    // ------------------------------------------------------------------
+    // Moving a cell's primary copy
+    // ------------------------------------------------------------------
+
+    /// Runs a control operation against the current map and alive set.
+    fn call<O: DistributedOp>(&self, op: O) -> Result<O::Output, StcamError> {
+        self.exec.execute(op, &self.partition, &self.alive)
+    }
+
+    /// Overwrites `target`'s copy of packed cell `cell` held for
+    /// `primary` (its own primary shard when the two are equal — then
+    /// only ever with nothing, to drop a ceded cell) with `contents`, in
+    /// bounded batches: the first truncates the stale copy, the rest
+    /// append.
+    fn overwrite_cell(
+        &self,
+        target: NodeId,
+        primary: NodeId,
+        cell: u32,
+        contents: &[Observation],
+    ) -> Result<(), StcamError> {
+        let mut chunks = contents.chunks(repair::STREAM_CHUNK);
+        let mut batch = chunks.next().unwrap_or(&[]);
+        let mut truncate = true;
+        loop {
+            self.call(RepairOp {
+                target,
+                primary,
+                grid: GridSpecMsg::from(*self.partition.grid()),
+                cell,
+                truncate,
+                batch: batch.to_vec(),
+            })?;
+            truncate = false;
+            match chunks.next() {
+                Some(next) => batch = next,
+                None => return Ok(()),
+            }
+        }
+    }
+
+    /// Exports `m.from`'s copy of the cell — minus the segments
+    /// `m.installed` names — and installs it at `m.to`; returns the rows
+    /// shipped. The only place a cell's rows leave one primary shard for
+    /// another, whoever asks (rebalance, rejoin, stray drain).
+    ///
+    /// `whole` ships sealed segments as frames, archived at `m.to`
+    /// without re-indexing and recorded in `m.installed`. Frames dedup
+    /// only by digest, so that is sound only onto a cell `m.to` holds
+    /// nothing of (the copy phase). Otherwise (the drain) frames are
+    /// unsealed here and travel as rows, which pass `m.to`'s id filter.
+    /// Export reads, install dedups: every message may be re-sent.
+    fn ship(&self, m: &mut CellMove, whole: bool) -> Result<usize, StcamError> {
+        let (mut frames, mut head) = self.call(ExportSegmentsOp {
+            target: m.from,
+            region: repair::cell_region(self.partition.grid(), m.cell),
+            skip: m.installed.clone(),
+        })?;
+        if whole {
+            m.installed
+                .extend(frames.iter().map(|f| SegmentDigestEntry {
+                    number: f.number,
+                    count: f.count,
+                    checksum: f.checksum,
+                }));
+        } else {
+            for frame in frames.drain(..) {
+                head.extend(SealedSegment::from_frame(frame)?.unseal());
+            }
+        }
+        let shipped = frames.iter().map(|f| f.count as usize).sum::<usize>() + head.len();
+        let mut chunks = head.chunks(repair::STREAM_CHUNK);
+        let first = chunks.next().unwrap_or(&[]).to_vec();
+        if !frames.is_empty() || !first.is_empty() {
+            self.call(InstallSegmentsOp {
+                target: m.to,
+                frames,
+                head: first,
+            })?;
+        }
+        for chunk in chunks {
+            self.call(InstallSegmentsOp {
+                target: m.to,
+                frames: Vec::new(),
+                head: chunk.to_vec(),
+            })?;
+        }
+        Ok(shipped)
+    }
+
+    /// The post-cutover half of every move in `moves`: hands each `to`
+    /// whatever its `from` accepted after the copy, then drops the ceded
+    /// copy. Returns the rows shipped, one result per move.
+    ///
+    /// Each `from` is first re-sent its slice of the published route (the
+    /// cutover broadcast tolerates losses; this step does not). From
+    /// then on it NACKs every write to the cell, so what it holds is
+    /// final and it will not refuse the truncate. One digest sweep then
+    /// tells which cells still differ between the two copies; only those
+    /// are exported again (a quiet cell is just dropped). A failure
+    /// leaves the old copy in place — a stray the next
+    /// [`repair`](Self::repair) round drains again.
+    fn drain(&self, moves: &mut [CellMove]) -> Vec<Result<usize, StcamError>> {
+        if moves.is_empty() {
+            return Vec::new();
+        }
+        let mut route = RouteUpdateOp::from_plan(self.plane.epoch(), &self.partition);
+        let mut confirmed: HashMap<NodeId, Result<(), StcamError>> = HashMap::new();
+        for m in moves.iter() {
+            confirmed.entry(m.from).or_insert_with(|| {
+                route.only = Some(m.from);
+                self.call(route.clone())
+            });
+        }
+        let digests = self.sweep_digests(&self.partition);
+        moves
+            .iter_mut()
+            .map(|m| {
+                confirmed[&m.from].clone()?;
+                let held = |node| primary_digest(&digests, node, m.cell);
+                let settled = match (held(m.from), held(m.to)) {
+                    (Some(None), _) => true,
+                    (Some(from), Some(to)) => from == to,
+                    _ => false,
+                };
+                let shipped = if settled { 0 } else { self.ship(m, false)? };
+                self.overwrite_cell(m.from, m.from, m.cell, &[])?;
+                Ok(shipped)
+            })
+            .collect()
     }
 
     // ------------------------------------------------------------------
     // Online rebalancing
     // ------------------------------------------------------------------
 
-    /// Re-partitions the cluster by *measured* per-cell load and migrates
-    /// the affected shards with copy-then-cutover semantics: each moved
-    /// macro-cell's contents are copied (idempotently, in bounded
-    /// streaming batches) into the new owner, the new owner's replica
-    /// chain is brought up to the configured factor by an anti-entropy
-    /// sweep against the *target* map, and only then is the map cut over
-    /// and the old copy evicted. Observations accepted by the old owner
-    /// between the copy and the cutover are drained into the new owner by
-    /// the eviction step, so acked data survives the move. Queries issued
-    /// after this call observe the full data set under the new map.
+    /// Re-partitions the cluster by *measured* per-cell load and moves
+    /// the affected primary copies: each moved macro-cell is copied into
+    /// its new owner as whole sealed segments plus head rows, the new
+    /// owner's replica chain is brought up to the configured factor by an
+    /// anti-entropy sweep against the *target* map, and only then is the
+    /// map cut over, the stragglers the old owner accepted meanwhile
+    /// drained across, and the old copy dropped. Acked data survives the
+    /// move; queries issued after this call observe the full data set
+    /// under the new map.
     ///
     /// Intended for rebalance epochs when traffic has drifted from the
     /// distribution the current map was built for (see the load-balance
@@ -365,24 +526,18 @@ impl Coordinator {
     ///
     /// # Errors
     ///
-    /// Propagates worker failures. A failure before the cutover leaves
-    /// the old map in force (the partial copies are redundant and are
-    /// garbage-collected by [`repair`](Self::repair)); a failure after
-    /// the cutover leaves the new map in force with stale copies at old
-    /// owners, cleaned up by re-running the rebalance.
+    /// Propagates worker failures; every step may simply be run again. A
+    /// failure before the cutover leaves the old map in force (the
+    /// partial copies are redundant: a re-run copies beside them); a
+    /// failure after it leaves the new map in force with undrained copies
+    /// at old owners. Either kind of leftover is a stray that
+    /// [`repair`](Self::repair) drains.
     ///
     /// External [`Ingestor`](crate::Ingestor) handles hold routing
     /// snapshots, but heal themselves: the route broadcast after the
     /// swap arms the misroute NACK that makes them refresh from the
     /// published plan.
     pub fn rebalance(&mut self) -> Result<RebalanceReport, StcamError> {
-        self.rebalance_with(RepairBudget::default())
-    }
-
-    /// As [`rebalance`](Self::rebalance) with an explicit budget bounding
-    /// the migration's streaming chunk size and its replica-repair
-    /// rounds.
-    pub fn rebalance_with(&mut self, budget: RepairBudget) -> Result<RebalanceReport, StcamError> {
         // 1. Measure the load profile: all-time per-macro-cell counts.
         let grid = *self.partition.grid();
         let loads = self.cell_loads(&QueryOpts::STRICT)?;
@@ -399,105 +554,51 @@ impl Coordinator {
             return Err(StcamError::NoQuorum);
         }
         let target = PartitionMap::load_aware(grid.extent(), grid.cell_size(), alive_ring, &loads);
-        // 3. Copy phase: stream each moved cell from its old owner into
-        // the new owner's primary shard. `Repair` with `primary ==
-        // addressee` is an idempotent cell overwrite, so a retried or
-        // re-run migration cannot duplicate observations the way the old
-        // extract/adopt chain could.
-        let moves: Vec<(CellId, NodeId, NodeId)> = grid
+        // 3. Copy every moved cell into its new owner. Whole frames may
+        // only land on a cell the new owner holds nothing of, and it may
+        // hold something — an abandoned earlier attempt, or an undrained
+        // stray of a cell that is now coming back, acked stragglers and
+        // all. One digest sweep tells; an occupied cell (or one whose new
+        // owner did not answer) is copied as rows instead, beside them.
+        let digests = self.sweep_digests(&self.partition);
+        let mut moves: Vec<CellMove> = grid
             .all_cells()
             .filter_map(|cell| {
-                let old = self.partition.owner_of_cell(cell);
-                let new = target.owner_of_cell(cell);
-                (old != new && self.alive.contains(&old)).then_some((cell, old, new))
+                let from = self.partition.owner_of_cell(cell);
+                let to = target.owner_of_cell(cell);
+                (from != to && self.alive.contains(&from)).then(|| CellMove {
+                    cell: cell.row * grid.cols() + cell.col,
+                    from,
+                    to,
+                    installed: Vec::new(),
+                })
             })
             .collect();
-        let gmsg = GridSpecMsg::from(grid);
-        let cols = grid.cols();
         let mut observations_moved = 0usize;
-        for &(cell, old, new) in &moves {
-            let region = self.partition.cell_routing_region(cell);
-            let contents = self.exec.execute(
-                CopyRegionOp {
-                    target: old,
-                    region,
-                },
-                &self.partition,
-                &self.alive,
-            )?;
-            observations_moved += contents.len();
-            self.stream_cell(
-                new,
-                new,
-                gmsg,
-                cell.row * cols + cell.col,
-                &contents,
-                &budget,
-            )?;
+        for m in &mut moves {
+            let whole = primary_digest(&digests, m.to, m.cell) == Some(None);
+            observations_moved += self.ship(m, whole)?;
         }
         // 4. Cover phase: bring every moved cell's replica chain up to
         // the configured factor *under the target map* before any old
         // copy is dropped.
         if self.replication > 0 {
-            self.repair_against(&target, budget, false);
+            self.repair_against(&target, RepairBudget::default(), false);
         }
         // 5. Cutover: swap in the new map and publish it.
         self.partition = target;
         self.publish_plan();
         self.broadcast_routes();
-        // 6. Evict the old copies, draining any stragglers accepted by
-        // the old owner between the copy and the cutover into the new
-        // owner (append without truncate: the rejoin-safe dedup on the
-        // worker makes this idempotent against the copied prefix).
-        for &(cell, old, new) in &moves {
-            let region = self.partition.cell_routing_region(cell);
-            let stragglers = self.exec.execute(
-                ExtractRegionOp {
-                    target: old,
-                    region,
-                },
-                &self.partition,
-                &self.alive,
-            )?;
-            if !stragglers.is_empty() {
-                observations_moved += stragglers.len();
-                let packed = cell.row * cols + cell.col;
-                for chunk in stragglers.chunks(budget.chunk.max(1)) {
-                    self.exec.execute(
-                        RepairOp {
-                            target: new,
-                            primary: new,
-                            grid: gmsg,
-                            cell: packed,
-                            truncate: false,
-                            batch: chunk.to_vec(),
-                        },
-                        &self.partition,
-                        &self.alive,
-                    )?;
-                }
-            }
+        // 6. Drain and drop the old copies.
+        for shipped in self.drain(&mut moves) {
+            observations_moved += shipped?;
         }
         // 7. Make standing queries present at their (possibly new)
         // overlapping workers, and re-converge replica coverage for the
         // straggler drain.
-        let notify = self.exec.endpoint().id();
-        let registrations: Vec<(ContinuousQueryId, Predicate)> =
-            self.registrations.iter().map(|(&id, &p)| (id, p)).collect();
-        for (id, predicate) in registrations {
-            self.exec.execute(
-                RegisterContinuousOp {
-                    id,
-                    predicate,
-                    notify,
-                    only: None,
-                },
-                &self.partition,
-                &self.alive,
-            )?;
-        }
+        self.reregister(None);
         if self.replication > 0 {
-            self.repair_with(budget);
+            self.repair();
         }
         let imbalance_after = self.partition.imbalance(&loads);
         Ok(RebalanceReport {
@@ -508,60 +609,12 @@ impl Coordinator {
         })
     }
 
-    /// Streams `contents` into `target`'s copy of packed cell `cell`
-    /// (primary shard when `target == primary`, replica log otherwise) in
-    /// bounded batches: the first chunk truncates the stale copy, the
-    /// rest append. Empty contents degenerate to a pure truncation.
-    fn stream_cell(
-        &self,
-        target: NodeId,
-        primary: NodeId,
-        grid: GridSpecMsg,
-        cell: u32,
-        contents: &[Observation],
-        budget: &RepairBudget,
-    ) -> Result<usize, StcamError> {
-        let mut first = true;
-        let mut streamed = 0usize;
-        for chunk in contents.chunks(budget.chunk.max(1)) {
-            self.exec.execute(
-                RepairOp {
-                    target,
-                    primary,
-                    grid,
-                    cell,
-                    truncate: first,
-                    batch: chunk.to_vec(),
-                },
-                &self.partition,
-                &self.alive,
-            )?;
-            first = false;
-            streamed += chunk.len();
-        }
-        if first {
-            self.exec.execute(
-                RepairOp {
-                    target,
-                    primary,
-                    grid,
-                    cell,
-                    truncate: true,
-                    batch: Vec::new(),
-                },
-                &self.partition,
-                &self.alive,
-            )?;
-        }
-        Ok(streamed)
-    }
-
     // ------------------------------------------------------------------
     // Anti-entropy repair
     // ------------------------------------------------------------------
 
-    /// One anti-entropy repair pass under the default [`RepairBudget`]:
-    /// sweeps per-cell digests from every alive worker, compares each
+    /// One anti-entropy repair pass under the default budget: sweeps
+    /// per-cell digests from every alive worker, compares each
     /// owner's primary against the replica copies at its required ring
     /// successors, and streams the missing/diverged cells until the
     /// configured replication factor holds everywhere (or the budget runs
@@ -570,12 +623,7 @@ impl Coordinator {
     /// Individual worker failures during a pass are tolerated: the next
     /// round re-plans from fresh digests. The pass itself never fails.
     pub fn repair(&self) -> RepairReport {
-        self.repair_with(RepairBudget::default())
-    }
-
-    /// As [`repair`](Self::repair) under an explicit [`RepairBudget`].
-    pub fn repair_with(&self, budget: RepairBudget) -> RepairReport {
-        self.repair_against(&self.partition.clone(), budget, true)
+        self.repair_against(&self.partition, RepairBudget::default(), true)
     }
 
     /// The digest-sweep/plan/stream loop behind [`repair`](Self::repair),
@@ -583,8 +631,8 @@ impl Coordinator {
     /// (rebalance repairs against its *target* map before cutover).
     ///
     /// `drain_strays` additionally reclaims primary copies of cells the
-    /// map assigns elsewhere (a ceded cell whose evict was lost): each is
-    /// drained into its assigned owner, then truncated. Pre-cutover
+    /// map assigns elsewhere (a ceded cell whose drain or drop was lost):
+    /// each goes through [`drain`](Self::drain) again. Pre-cutover
     /// callers pass `false` — against a not-yet-published target map the
     /// ceding owners still serve reads, so their copies are not stale.
     fn repair_against(
@@ -599,7 +647,6 @@ impl Coordinator {
             return report;
         }
         let grid = *partition.grid();
-        let gmsg = GridSpecMsg::from(grid);
         let mut first_sweep = true;
         loop {
             let digests = self.sweep_digests(partition);
@@ -629,77 +676,33 @@ impl Coordinator {
             }
             report.rounds += 1;
             let traffic_before = self.repair_traffic();
-            // Stray primary copies of ceded cells: drain into the
-            // assigned owner first (id dedup absorbs what already
-            // landed), truncate the stale copy only once every chunk has
-            // been accepted — a failed drain retries next round.
-            for s in &plan.strays {
-                let region = repair::cell_region(&grid, s.cell);
-                let Ok(contents) = self.exec.execute(
-                    CopyRegionOp {
-                        target: s.holder,
-                        region,
-                    },
-                    partition,
-                    &self.alive,
-                ) else {
-                    continue;
-                };
-                let mut drained = true;
-                for chunk in contents.chunks(budget.chunk.max(1)) {
-                    let appended = self.exec.execute(
-                        RepairOp {
-                            target: s.owner,
-                            primary: s.owner,
-                            grid: gmsg,
-                            cell: s.cell,
-                            truncate: false,
-                            batch: chunk.to_vec(),
-                        },
-                        partition,
-                        &self.alive,
-                    );
-                    if appended.is_err() {
-                        drained = false;
-                        break;
-                    }
-                }
-                if !drained {
-                    continue;
-                }
-                let truncated = self.exec.execute(
-                    RepairOp {
-                        target: s.holder,
-                        primary: s.holder,
-                        grid: gmsg,
-                        cell: s.cell,
-                        truncate: true,
-                        batch: Vec::new(),
-                    },
-                    partition,
-                    &self.alive,
-                );
-                if truncated.is_ok() {
-                    report.cells_repaired += 1;
-                    report.observations_streamed += contents.len();
-                }
+            // Stray primary copies of ceded cells: finish their move.
+            // Segments the owner already holds whole need not travel.
+            let mut held: HashMap<NodeId, Vec<SegmentDigestEntry>> = HashMap::new();
+            let mut strays: Vec<CellMove> = plan
+                .strays
+                .iter()
+                .map(|s| CellMove {
+                    cell: s.cell,
+                    from: s.holder,
+                    to: s.owner,
+                    installed: held
+                        .entry(s.owner)
+                        .or_insert_with(|| {
+                            let digests = self.call(SegmentDigestOp { target: s.owner });
+                            digests.unwrap_or_default()
+                        })
+                        .clone(),
+                })
+                .collect();
+            for drained in self.drain(&mut strays).into_iter().flatten() {
+                report.cells_repaired += 1;
+                report.observations_streamed += drained;
             }
             // Stale copies outside the required successor sets: truncate
             // without restreaming (their alive primaries hold the data).
             for g in &plan.garbage {
-                let cleaned = self.exec.execute(
-                    RepairOp {
-                        target: g.holder,
-                        primary: g.owner,
-                        grid: gmsg,
-                        cell: g.cell,
-                        truncate: true,
-                        batch: Vec::new(),
-                    },
-                    partition,
-                    &self.alive,
-                );
-                if cleaned.is_ok() {
+                if self.overwrite_cell(g.holder, g.owner, g.cell, &[]).is_ok() {
                     report.cells_repaired += 1;
                 }
             }
@@ -720,21 +723,17 @@ impl Coordinator {
                     break 'groups;
                 }
                 let region = repair::cell_region(&grid, cell);
-                let Ok(contents) = self.exec.execute(
-                    CopyRegionOp {
-                        target: owner,
-                        region,
-                    },
-                    partition,
-                    &self.alive,
-                ) else {
+                let Ok(contents) = self.call(CopyRegionOp {
+                    target: owner,
+                    region,
+                }) else {
                     continue; // owner unreachable this round: re-planned next round
                 };
                 for holder in holders {
-                    if let Ok(n) = self.stream_cell(holder, owner, gmsg, cell, &contents, &budget) {
+                    if self.overwrite_cell(holder, owner, cell, &contents).is_ok() {
                         report.cells_repaired += 1;
-                        report.observations_streamed += n;
-                        budget_left = budget_left.saturating_sub(n);
+                        report.observations_streamed += contents.len();
+                        budget_left = budget_left.saturating_sub(contents.len());
                     }
                     if budget_left == 0 {
                         break 'groups;
@@ -746,10 +745,14 @@ impl Coordinator {
         }
     }
 
-    /// Wire bytes attributable to repair streaming so far: repair
-    /// requests sent plus cell copies received.
+    /// Wire bytes attributable to repair streaming so far: repair and
+    /// install requests sent plus cell copies and exports received.
     fn repair_traffic(&self) -> u64 {
-        self.exec.stats_for("repair").bytes_sent + self.exec.stats_for("copy_region").bytes_received
+        let stats = |op| self.exec.stats_for(op);
+        stats("repair").bytes_sent
+            + stats("install_segments").bytes_sent
+            + stats("copy_region").bytes_received
+            + stats("export_segments").bytes_received
     }
 
     /// One digest sweep over the alive workers; non-answering workers
@@ -758,7 +761,6 @@ impl Coordinator {
     fn sweep_digests(&self, partition: &PartitionMap) -> Vec<(NodeId, DigestReport)> {
         let op = CellDigestOp {
             grid: GridSpecMsg::from(*partition.grid()),
-            only: None,
         };
         self.exec
             .run(&op, partition, &self.alive)
@@ -797,16 +799,12 @@ impl Coordinator {
         let id = ContinuousQueryId(self.next_query_id);
         self.next_query_id += 1;
         let notify = self.exec.endpoint().id();
-        self.exec.execute(
-            RegisterContinuousOp {
-                id,
-                predicate,
-                notify,
-                only: None,
-            },
-            &self.partition,
-            &self.alive,
-        )?;
+        self.call(RegisterContinuousOp {
+            id,
+            predicate,
+            notify,
+            only: None,
+        })?;
         self.registrations.insert(id, predicate);
         Ok(id)
     }
@@ -818,8 +816,7 @@ impl Coordinator {
     /// Fails when a shard worker cannot be reached.
     pub fn unregister_continuous(&mut self, id: ContinuousQueryId) -> Result<(), StcamError> {
         self.registrations.remove(&id);
-        self.exec
-            .execute(UnregisterContinuousOp { id }, &self.partition, &self.alive)
+        self.call(UnregisterContinuousOp { id })
     }
 
     /// Drains match notifications that have arrived since the last poll,
@@ -909,35 +906,33 @@ impl Coordinator {
         // already booked the failure into the "promote" telemetry and the
         // successor's suspicion, and the unabsorbed log is re-streamed by
         // the next anti-entropy pass.
-        let promoted = self.exec.execute(
-            PromoteOp {
-                target: successor,
-                failed,
-                epoch: self.plane.epoch(),
-            },
-            &self.partition,
-            &self.alive,
-        );
+        let promoted = self.call(PromoteOp {
+            target: successor,
+            failed,
+            epoch: self.plane.epoch(),
+        });
         if promoted.is_err() {
             self.promotion_failures += 1;
         }
         // Standing queries whose region now overlaps the successor's
         // enlarged shard must be present there.
+        self.reregister(Some(successor));
+    }
+
+    /// Re-sends every standing registration — to `only`, or with `None`
+    /// to every worker its region overlaps (registering twice is a
+    /// no-op). A failure is counted, not fatal: the next membership
+    /// change or rebalance re-sends the registration.
+    fn reregister(&mut self, only: Option<NodeId>) {
         let notify = self.exec.endpoint().id();
-        let registrations: Vec<(ContinuousQueryId, Predicate)> =
-            self.registrations.iter().map(|(&id, &p)| (id, p)).collect();
-        for (id, predicate) in registrations {
-            let registered = self.exec.execute(
-                RegisterContinuousOp {
-                    id,
-                    predicate,
-                    notify,
-                    only: Some(successor),
-                },
-                &self.partition,
-                &self.alive,
-            );
-            if registered.is_err() {
+        for (id, predicate) in self.registrations() {
+            let op = RegisterContinuousOp {
+                id,
+                predicate,
+                notify,
+                only,
+            };
+            if self.call(op).is_err() {
                 self.registration_failures += 1;
             }
         }
@@ -978,9 +973,7 @@ impl Coordinator {
     /// state moves; from the bulk-sync on, individual RPC failures are
     /// absorbed by the trailing anti-entropy pass.
     fn rejoin(&mut self, worker: NodeId) -> Result<(), StcamError> {
-        let budget = RepairBudget::default();
         let grid = *self.partition.grid();
-        let gmsg = GridSpecMsg::from(grid);
         let cols = grid.cols();
         // 1. Target map: minimal-churn admission — the rejoiner is
         // granted a fair share of the measured load carved from the most
@@ -1000,80 +993,28 @@ impl Coordinator {
             .collect();
         // 2. Handshake: reset the restarted worker's state and install
         // its route, stamped with the epoch the cutover below publishes.
-        self.exec.execute(
-            RejoinOp {
-                target: worker,
-                epoch: self.plane.epoch() + 1,
-                grid: gmsg,
-                cells: cells.clone(),
-            },
-            &self.partition,
-            &self.alive,
-        )?;
-        // 3. Bulk-sync: ship every assigned cell from its current owner
-        // into the rejoiner's primary shard as whole sealed segments
-        // (split at cell boundaries, installed without row-by-row
-        // re-indexing) plus the owner's loose mutable-head rows. The
-        // digest skip list keeps a retried handshake cheap — segments the
-        // rejoiner already holds are never re-exported — and the
-        // deterministic split makes retried frames digest-identical, so
-        // the dedup holds across retries.
-        let moves: Vec<(u32, NodeId)> = cells
+        self.call(RejoinOp {
+            target: worker,
+            epoch: self.plane.epoch() + 1,
+            grid: GridSpecMsg::from(grid),
+            cells: cells.clone(),
+        })?;
+        // 3. Bulk-sync: copy every assigned cell from its current owner
+        // into the (just emptied) rejoiner.
+        let mut moves: Vec<CellMove> = cells
             .iter()
-            .map(|&packed| {
-                let cell = CellId::new(packed % cols, packed / cols);
-                (packed, self.partition.owner_of_cell(cell))
+            .map(|&cell| CellMove {
+                cell,
+                from: self
+                    .partition
+                    .owner_of_cell(CellId::new(cell % cols, cell / cols)),
+                to: worker,
+                installed: Vec::new(),
             })
-            .filter(|(_, old)| *old != worker && self.alive.contains(old))
+            .filter(|m| m.from != worker && self.alive.contains(&m.from))
             .collect();
-        let mut installed: Vec<SegmentDigestEntry> = self
-            .exec
-            .execute(
-                SegmentDigestOp { target: worker },
-                &self.partition,
-                &self.alive,
-            )
-            .unwrap_or_default();
-        for &(packed, old) in &moves {
-            let region = repair::cell_region(&grid, packed);
-            let (frames, head) = self.exec.execute(
-                ExportSegmentsOp {
-                    target: old,
-                    region,
-                    skip: installed.clone(),
-                },
-                &self.partition,
-                &self.alive,
-            )?;
-            installed.extend(frames.iter().map(|f| SegmentDigestEntry {
-                number: f.number,
-                count: f.count,
-                checksum: f.checksum,
-            }));
-            let mut head_chunks = head.chunks(budget.chunk.max(1));
-            let first = head_chunks.next().unwrap_or(&[]).to_vec();
-            if !frames.is_empty() || !first.is_empty() {
-                self.exec.execute(
-                    InstallSegmentsOp {
-                        target: worker,
-                        frames,
-                        head: first,
-                    },
-                    &self.partition,
-                    &self.alive,
-                )?;
-            }
-            for chunk in head_chunks {
-                self.exec.execute(
-                    InstallSegmentsOp {
-                        target: worker,
-                        frames: Vec::new(),
-                        head: chunk.to_vec(),
-                    },
-                    &self.partition,
-                    &self.alive,
-                )?;
-            }
+        for m in &mut moves {
+            self.ship(m, true)?;
         }
         // 4. Readmit: a fresh incarnation gets a fresh suspicion history
         // (the old one's accumulated failures must not demote it).
@@ -1095,58 +1036,10 @@ impl Coordinator {
         self.broadcast_routes();
         // 7. Standing queries must be present at the fresh incarnation
         // (the reset dropped the old registrations).
-        let notify = self.exec.endpoint().id();
-        let registrations: Vec<(ContinuousQueryId, Predicate)> =
-            self.registrations.iter().map(|(&id, &p)| (id, p)).collect();
-        for (id, predicate) in registrations {
-            let registered = self.exec.execute(
-                RegisterContinuousOp {
-                    id,
-                    predicate,
-                    notify,
-                    only: Some(worker),
-                },
-                &self.partition,
-                &self.alive,
-            );
-            if registered.is_err() {
-                self.registration_failures += 1;
-            }
-        }
-        // 8. Evict the ceded copies, draining stragglers accepted by the
-        // old owners between the bulk-sync and the cutover into the
-        // rejoiner (append without truncate: worker-side dedup makes the
-        // overlap with the synced prefix harmless).
-        for &(packed, old) in &moves {
-            let region = repair::cell_region(&grid, packed);
-            let Ok(stragglers) = self.exec.execute(
-                ExtractRegionOp {
-                    target: old,
-                    region,
-                },
-                &self.partition,
-                &self.alive,
-            ) else {
-                continue; // stale copy lingers; a rerun extracts it
-            };
-            if stragglers.is_empty() {
-                continue;
-            }
-            for chunk in stragglers.chunks(budget.chunk.max(1)) {
-                let _ = self.exec.execute(
-                    RepairOp {
-                        target: worker,
-                        primary: worker,
-                        grid: gmsg,
-                        cell: packed,
-                        truncate: false,
-                        batch: chunk.to_vec(),
-                    },
-                    &self.partition,
-                    &self.alive,
-                );
-            }
-        }
+        self.reregister(Some(worker));
+        // 8. Drain and drop the ceded copies. A failed drain leaves a
+        // stray for the anti-entropy pass that follows every rejoin.
+        self.drain(&mut moves);
         Ok(())
     }
 
@@ -1296,15 +1189,11 @@ impl Coordinator {
                 .map(|(w, _)| *w)
                 .collect();
             for target in holders {
-                let promoted = self.exec.execute(
-                    PromoteOp {
-                        target,
-                        failed,
-                        epoch: adopted,
-                    },
-                    &self.partition,
-                    &self.alive,
-                );
+                let promoted = self.call(PromoteOp {
+                    target,
+                    failed,
+                    epoch: adopted,
+                });
                 if promoted.is_err() {
                     self.promotion_failures += 1;
                 }
@@ -1313,22 +1202,7 @@ impl Coordinator {
         self.plane
             .publish_at(adopted, self.partition.clone(), self.alive.clone());
         self.broadcast_routes();
-        let notify = self.exec.endpoint().id();
-        for (id, predicate) in self.registrations() {
-            let registered = self.exec.execute(
-                RegisterContinuousOp {
-                    id,
-                    predicate,
-                    notify,
-                    only: None,
-                },
-                &self.partition,
-                &self.alive,
-            );
-            if registered.is_err() {
-                self.registration_failures += 1;
-            }
-        }
+        self.reregister(None);
         if self.replication > 0 {
             self.repair_against(&self.partition, RepairBudget::bulk(), true);
         }
@@ -1350,7 +1224,7 @@ impl Coordinator {
     ///
     /// Fails when a worker believed alive does not answer.
     pub fn stats(&self) -> Result<ClusterStats, StcamError> {
-        let workers = self.exec.execute(StatsOp, &self.partition, &self.alive)?;
+        let workers = self.call(StatsOp)?;
         Ok(ClusterStats {
             workers,
             ops: self.exec.op_stats(),

@@ -14,19 +14,20 @@
 //! # Retry semantics
 //!
 //! RPCs are at-most-once: a timed-out sub-query may or may not have been
-//! executed by the worker. The executor therefore retries **only**
-//! operations that declare themselves idempotent
-//! ([`DistributedOp::idempotent`]) — pure reads plus writes that are safe
-//! to apply twice (flush pings, eviction, continuous-query registration).
-//! Migration steps (`extract`/`adopt`/`promote`) never retry: a repeated
-//! extract after a lost reply would discard data. Retries are
-//! deterministic: a fixed attempt budget with linear backoff, counted in
-//! [`OpStats::retries`].
+//! executed by the worker. The executor retries it anyway, because the
+//! protocol keeps one invariant instead of a per-op flag: **every
+//! request a [`DistributedOp`] sends is safe to apply twice.** Reads are
+//! pure; writes either overwrite (route install, truncate-then-stream
+//! repair), remove their input before acting (promote), or pass the
+//! worker's id/digest dedup (segment install). A new operation must keep
+//! that invariant — there is no opt-out short of a single-attempt
+//! [`OpPolicy::no_retry`]. Retries are deterministic: a fixed attempt
+//! budget with linear backoff, counted in [`OpStats::retries`].
 //!
 //! # Adding a new operation
 //!
 //! 1. Add the `Request`/`Response` message pair in `protocol.rs` and a
-//!    worker handler row in the worker's dispatch table.
+//!    `match` arm in the worker's `handle_request`.
 //! 2. Implement [`DistributedOp`] (targets / request / decode / merge).
 //! 3. A control operation is called through [`Executor::execute`] from
 //!    the coordinator; a read is marked [`ReadOp`] and asked through
@@ -67,8 +68,7 @@ use crate::protocol::{
 pub struct OpPolicy {
     /// Per-sub-query RPC timeout.
     pub timeout: StdDuration,
-    /// Total attempts per sub-query (1 = no retry). Only idempotent
-    /// operations ever use more than one.
+    /// Total attempts per sub-query (1 = no retry).
     pub max_attempts: u32,
     /// Base backoff between attempts; attempt `n` sleeps `n × backoff`
     /// (linear, deterministic).
@@ -346,12 +346,6 @@ pub trait DistributedOp: Sync {
     /// Stable operation name — the key for policy overrides and
     /// [`OpStats`] aggregation.
     fn name(&self) -> &'static str;
-
-    /// Whether a sub-query may safely be retried after a timeout (the
-    /// worker may or may not have executed the lost attempt).
-    fn idempotent(&self) -> bool {
-        false
-    }
 
     /// Whether a shard's sub-query may be answered from a ring
     /// successor's replica log when the primary is unreachable (the
@@ -654,8 +648,8 @@ impl Executor {
 
     /// Finishes a sub-query whose first wire exchange has already
     /// resolved (the pipelined scatter starts every exchange before
-    /// waiting on any): decode, page pulls, and the idempotent-retry
-    /// loop on timeout.
+    /// waiting on any): decode, page pulls, and the retry loop on
+    /// timeout.
     #[allow(clippy::too_many_arguments)]
     fn attempt_tail<O: DistributedOp>(
         &self,
@@ -679,9 +673,7 @@ impl Executor {
                 .and_then(|response| self.collect_pages(worker, response, policy, tally))
                 .and_then(|response| op.decode(response));
             match outcome {
-                Err(StcamError::Net(NetError::Timeout))
-                    if op.idempotent() && attempt < policy.max_attempts =>
-                {
+                Err(StcamError::Net(NetError::Timeout)) if attempt < policy.max_attempts => {
                     retries.fetch_add(1, Ordering::Relaxed);
                     if !policy.backoff.is_zero() {
                         std::thread::sleep(policy.backoff * attempt);
@@ -963,8 +955,8 @@ impl Executor {
     /// pulls the remaining pages from the same node and reassembles the
     /// unpaged response; any other response passes through untouched.
     ///
-    /// A pull that fails surfaces as the transport error it is, so an
-    /// idempotent operation's retry loop re-issues the whole sub-query —
+    /// A pull that fails surfaces as the transport error it is, so the
+    /// retry loop re-issues the whole sub-query —
     /// the worker's page store keeps every page (page 0 included) parked
     /// under the cursor, and re-parking under a fresh cursor on retry is
     /// harmless.
@@ -1006,8 +998,8 @@ impl Executor {
                 // A worker answers FetchPage with an error only when the
                 // cursor was evicted under churn (or the page index is
                 // stale) — the result is gone, not wrong. Surface it as
-                // a timeout-class transport failure so the idempotent
-                // retry loop re-issues the whole sub-query, which parks
+                // a timeout-class transport failure so the retry loop
+                // re-issues the whole sub-query, which parks
                 // a fresh cursor, instead of failing the read outright.
                 Response::Error(_) => return Err(StcamError::Net(NetError::Timeout)),
                 other => {
@@ -1147,9 +1139,6 @@ impl DistributedOp for FlushOp {
     fn name(&self) -> &'static str {
         "flush"
     }
-    fn idempotent(&self) -> bool {
-        true
-    }
     fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
         all_alive(alive)
     }
@@ -1176,9 +1165,6 @@ impl DistributedOp for ProbeOp {
     type Output = ();
     fn name(&self) -> &'static str {
         "probe"
-    }
-    fn idempotent(&self) -> bool {
-        true
     }
     fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
         all_alive(alive)
@@ -1236,9 +1222,6 @@ impl DistributedOp for RangeOp {
             None => "range",
             Some(_) => "range_filtered",
         }
-    }
-    fn idempotent(&self) -> bool {
-        true
     }
     fn replica_readable(&self) -> bool {
         true
@@ -1303,9 +1286,6 @@ impl DistributedOp for KnnPhase1Op {
     fn name(&self) -> &'static str {
         "knn_phase1"
     }
-    fn idempotent(&self) -> bool {
-        true
-    }
     fn replica_readable(&self) -> bool {
         true
     }
@@ -1359,9 +1339,6 @@ impl DistributedOp for KnnPhase2Op {
     fn name(&self) -> &'static str {
         "knn_phase2"
     }
-    fn idempotent(&self) -> bool {
-        true
-    }
     fn replica_readable(&self) -> bool {
         true
     }
@@ -1414,9 +1391,6 @@ impl DistributedOp for KnnBroadcastOp {
     type Output = Vec<Observation>;
     fn name(&self) -> &'static str {
         "knn_broadcast"
-    }
-    fn idempotent(&self) -> bool {
-        true
     }
     fn replica_readable(&self) -> bool {
         true
@@ -1477,9 +1451,6 @@ impl DistributedOp for HeatmapOp {
     fn name(&self) -> &'static str {
         "heatmap"
     }
-    fn idempotent(&self) -> bool {
-        true
-    }
     fn replica_readable(&self) -> bool {
         true
     }
@@ -1525,9 +1496,6 @@ impl DistributedOp for TopCellsOp {
     type Output = Vec<(CellId, u64)>;
     fn name(&self) -> &'static str {
         "top_cells"
-    }
-    fn idempotent(&self) -> bool {
-        true
     }
     fn replica_readable(&self) -> bool {
         true
@@ -1582,9 +1550,6 @@ impl DistributedOp for EvictOp {
     fn name(&self) -> &'static str {
         "evict"
     }
-    fn idempotent(&self) -> bool {
-        true
-    }
     fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
         all_alive(alive)
     }
@@ -1613,9 +1578,6 @@ impl DistributedOp for CensusOp {
     type Output = Vec<(NodeId, crate::protocol::CensusReport)>;
     fn name(&self) -> &'static str {
         "census"
-    }
-    fn idempotent(&self) -> bool {
-        true
     }
     fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
         all_alive(alive)
@@ -1650,9 +1612,6 @@ impl DistributedOp for StatsOp {
     type Output = Vec<(NodeId, WorkerStatsMsg)>;
     fn name(&self) -> &'static str {
         "stats"
-    }
-    fn idempotent(&self) -> bool {
-        true
     }
     fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
         all_alive(alive)
@@ -1690,9 +1649,6 @@ impl DistributedOp for RegisterContinuousOp {
     fn name(&self) -> &'static str {
         "register_continuous"
     }
-    fn idempotent(&self) -> bool {
-        true
-    }
     fn targets(&self, partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
         region_targets(partition, alive, self.predicate.region)
             .into_iter()
@@ -1725,75 +1681,11 @@ impl DistributedOp for UnregisterContinuousOp {
     fn name(&self) -> &'static str {
         "unregister_continuous"
     }
-    fn idempotent(&self) -> bool {
-        true
-    }
     fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
         all_alive(alive)
     }
     fn request(&self, _to: NodeId) -> Request {
         Request::UnregisterContinuous(self.id)
-    }
-    fn decode(&self, response: Response) -> Result<(), StcamError> {
-        want_ack(response)
-    }
-    fn merge(self, _partials: Vec<(NodeId, ())>) {}
-}
-
-/// Shard migration, extract side: remove and return `region`'s contents
-/// from one worker. **Not** idempotent — a retried extract after a lost
-/// reply would discard the first extraction's data.
-#[derive(Debug, Clone, Copy)]
-pub struct ExtractRegionOp {
-    /// The worker migrating data away.
-    pub target: NodeId,
-    /// The region being migrated.
-    pub region: BBox,
-}
-
-impl DistributedOp for ExtractRegionOp {
-    type Partial = Vec<Observation>;
-    type Output = Vec<Observation>;
-    fn name(&self) -> &'static str {
-        "extract_region"
-    }
-    fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        vec![self.target]
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::ExtractRegion {
-            region: self.region,
-        }
-    }
-    fn decode(&self, response: Response) -> Result<Vec<Observation>, StcamError> {
-        want_observations(response)
-    }
-    fn merge(self, partials: Vec<(NodeId, Vec<Observation>)>) -> Vec<Observation> {
-        partials.into_iter().flat_map(|(_, obs)| obs).collect()
-    }
-}
-
-/// Shard migration, adopt side: hand a batch to its new owner. **Not**
-/// idempotent — a retry after a lost reply would duplicate the batch.
-#[derive(Debug, Clone)]
-pub struct AdoptOp {
-    /// The adopting worker.
-    pub target: NodeId,
-    /// The migrated observations.
-    pub batch: Vec<Observation>,
-}
-
-impl DistributedOp for AdoptOp {
-    type Partial = ();
-    type Output = ();
-    fn name(&self) -> &'static str {
-        "adopt"
-    }
-    fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        vec![self.target]
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::Adopt(self.batch.clone())
     }
     fn decode(&self, response: Response) -> Result<(), StcamError> {
         want_ack(response)
@@ -1822,9 +1714,6 @@ impl DistributedOp for PromoteOp {
     type Output = ();
     fn name(&self) -> &'static str {
         "promote"
-    }
-    fn idempotent(&self) -> bool {
-        true
     }
     fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
         vec![self.target]
@@ -1892,9 +1781,6 @@ impl DistributedOp for RouteUpdateOp {
     fn name(&self) -> &'static str {
         "route_update"
     }
-    fn idempotent(&self) -> bool {
-        true
-    }
     fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
         match self.only {
             Some(worker) => vec![worker],
@@ -1922,8 +1808,6 @@ impl DistributedOp for RouteUpdateOp {
 pub struct CellDigestOp {
     /// The macro grid to bucket by (the partition grid of the sweep).
     pub grid: GridSpecMsg,
-    /// When set, sweep only this worker (spot checks).
-    pub only: Option<NodeId>,
 }
 
 impl DistributedOp for CellDigestOp {
@@ -1932,14 +1816,8 @@ impl DistributedOp for CellDigestOp {
     fn name(&self) -> &'static str {
         "cell_digest"
     }
-    fn idempotent(&self) -> bool {
-        true
-    }
     fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        match self.only {
-            Some(worker) => vec![worker],
-            None => all_alive(alive),
-        }
+        all_alive(alive)
     }
     fn request(&self, _to: NodeId) -> Request {
         Request::CellDigest { grid: self.grid }
@@ -1982,9 +1860,6 @@ impl DistributedOp for RepairOp {
     fn name(&self) -> &'static str {
         "repair"
     }
-    fn idempotent(&self) -> bool {
-        true
-    }
     fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
         vec![self.target]
     }
@@ -2025,9 +1900,6 @@ impl DistributedOp for RejoinOp {
     fn name(&self) -> &'static str {
         "rejoin"
     }
-    fn idempotent(&self) -> bool {
-        true
-    }
     fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
         vec![self.target]
     }
@@ -2057,9 +1929,6 @@ impl DistributedOp for SegmentDigestOp {
     type Output = Vec<SegmentDigestEntry>;
     fn name(&self) -> &'static str {
         "segment_digest"
-    }
-    fn idempotent(&self) -> bool {
-        true
     }
     fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
         vec![self.target]
@@ -2094,9 +1963,6 @@ impl DistributedOp for ExportSegmentsOp {
     type Output = (Vec<stcam_codec::SegmentFrame>, Vec<Observation>);
     fn name(&self) -> &'static str {
         "export_segments"
-    }
-    fn idempotent(&self) -> bool {
-        true
     }
     fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
         vec![self.target]
@@ -2147,9 +2013,6 @@ impl DistributedOp for InstallSegmentsOp {
     fn name(&self) -> &'static str {
         "install_segments"
     }
-    fn idempotent(&self) -> bool {
-        true
-    }
     fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
         vec![self.target]
     }
@@ -2166,10 +2029,8 @@ impl DistributedOp for InstallSegmentsOp {
 }
 
 /// Non-destructive read of a region's contents from one worker — the
-/// copy side of repair and copy-then-cutover migration. Unlike
-/// [`ExtractRegionOp`] the source keeps its data, so the op is idempotent
-/// and safe to retry over lossy links; the stale source copy is truncated
-/// later, only after the destination chain is covered.
+/// copy side of replica-log repair. A plain range read over all time, so
+/// safe to retry over lossy links.
 #[derive(Debug, Clone, Copy)]
 pub struct CopyRegionOp {
     /// The worker to read from.
@@ -2183,9 +2044,6 @@ impl DistributedOp for CopyRegionOp {
     type Output = Vec<Observation>;
     fn name(&self) -> &'static str {
         "copy_region"
-    }
-    fn idempotent(&self) -> bool {
-        true
     }
     fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
         vec![self.target]
@@ -2340,7 +2198,7 @@ mod tests {
     }
 
     #[test]
-    fn idempotent_read_is_retried_after_a_lost_request() {
+    fn read_is_retried_after_a_lost_request() {
         // A worker that swallows the first request it sees and serves
         // every later one: the seed coordinator would surface a timeout;
         // the executor retries and succeeds, with the retry on record.
@@ -2395,34 +2253,40 @@ mod tests {
     }
 
     #[test]
-    fn non_idempotent_op_is_never_retried() {
-        // Nobody serves NodeId(1): every attempt times out. Adopt must
-        // fail on the first timeout without retrying (a retry could
-        // duplicate the batch).
+    fn timed_out_control_op_retries_up_to_max_attempts_and_no_retry_sends_once() {
+        // Nobody serves NodeId(1): every attempt times out. A control
+        // mutation gets the full attempt budget like any read; a caller
+        // that wants exactly one attempt says so with `no_retry`.
         let fabric = Fabric::new(LinkModel::instant());
         let _worker_ep = fabric.register(NodeId(1));
         let exec = Executor::new(
             fabric.register(NodeId(0)),
             OpPolicy {
-                timeout: StdDuration::from_millis(50),
+                timeout: StdDuration::from_millis(30),
                 max_attempts: 3,
                 backoff: StdDuration::ZERO,
             },
         );
         let (partition, alive) = one_worker_world();
-        let result = exec.execute(
-            AdoptOp {
-                target: NodeId(1),
-                batch: vec![obs(0, 1.0)],
-            },
-            &partition,
-            &alive,
-        );
+        let install = || InstallSegmentsOp {
+            target: NodeId(1),
+            frames: vec![],
+            head: vec![obs(0, 1.0)],
+        };
+        let result = exec.execute(install(), &partition, &alive);
         assert!(matches!(result, Err(StcamError::Net(NetError::Timeout))));
-        let stats = exec.stats_for("adopt");
-        assert_eq!(stats.retries, 0);
-        assert_eq!(stats.sub_queries, 1);
-        assert_eq!(stats.failures, 1);
+        let stats = exec.stats_for("install_segments");
+        assert_eq!(
+            (stats.retries, stats.sub_queries, stats.failures),
+            (2, 3, 1)
+        );
+        exec.set_policy(
+            "install_segments",
+            OpPolicy::no_retry(StdDuration::from_millis(30)),
+        );
+        assert!(exec.execute(install(), &partition, &alive).is_err());
+        let once = exec.stats_for("install_segments").since(&stats);
+        assert_eq!((once.retries, once.sub_queries, once.failures), (0, 1, 1));
     }
 
     #[test]
@@ -2504,11 +2368,6 @@ mod tests {
         // Writes and probes never read replicas.
         assert!(!FlushOp.replica_readable());
         assert!(!ProbeOp.replica_readable());
-        let adopt = AdoptOp {
-            target: NodeId(1),
-            batch: vec![],
-        };
-        assert!(!adopt.replica_readable());
     }
 
     #[test]

@@ -18,21 +18,24 @@
 //! * [`PartitionMap`] — space is cut into macro-cells on a Z-order curve;
 //!   contiguous curve runs are assigned to workers (uniform) or packed by
 //!   measured load (load-aware).
-//! * [`Worker`] — owns the `stcam-index` shard for its cells, answers
-//!   sub-queries through a table-driven per-operation dispatch (with
-//!   per-op serve counters), evaluates continuous-query predicates at
-//!   ingest, and forwards replicas to its ring successors.
+//! * [`Worker`] — owns the `stcam-index` shard for its cells, serves
+//!   every request through one `match` (with per-op serve counters), and
+//!   evaluates continuous-query predicates at ingest. Rows enter its
+//!   primary shard through `IngestSeq` (clients) or `InstallSegments`
+//!   (control plane), a replica log through `ReplicateSeq` or `Repair`,
+//!   and nothing else; replication is the sender's job.
 //! * [`exec`] — the typed scatter/gather layer. Every distributed
 //!   operation is a [`exec::DistributedOp`] (targets / request / decode /
 //!   merge); the [`exec::Executor`] owns parallel fan-out, per-operation
-//!   timeout/retry policy ([`OpPolicy`] — idempotent reads retry
-//!   deterministically after timeouts, migration steps never do), and
-//!   per-operation telemetry ([`OpStats`]: sub-queries, retries, wire
+//!   timeout/retry policy ([`OpPolicy`] — any timed-out sub-query is
+//!   retried deterministically, because every request is safe to apply
+//!   twice), and per-operation telemetry ([`OpStats`]: sub-queries, retries, wire
 //!   bytes, scatter/merge latency split).
 //! * [`Coordinator`] — the mutex-guarded **control plane**: routes
-//!   ingest batches, chains extract/adopt migrations for rebalance,
-//!   turns probe failures into failover, and keeps the continuous-query
-//!   registry. After every membership or partition mutation it
+//!   ingest batches, moves a cell's primary copy between workers by one
+//!   routine (copy → cut over → drain → drop) for rebalance, rejoin and
+//!   stray repair, turns probe failures into failover, and keeps the
+//!   continuous-query registry. After every membership or partition mutation it
 //!   *publishes* an immutable, epoch-tagged [`QueryPlan`] snapshot to
 //!   the query plane.
 //! * [`QueryPlane`] — the lock-free **read path**: one entry,
@@ -115,5 +118,5 @@ pub use protocol::{
     CensusRegistration, CensusReport, DigestEntry, DigestReport, GridSpecMsg, ReplicaDigestEntry,
     Request, Response, SegmentDigestEntry, WorkerStatsMsg, PROJ_FULL, PROJ_THIN,
 };
-pub use repair::{RepairBudget, RepairReport};
+pub use repair::RepairReport;
 pub use worker::{Worker, WorkerConfig, WorkerHandle, STALE_EPOCH_ERROR};

@@ -387,34 +387,6 @@ impl PartitionMap {
         map
     }
 
-    /// The region of positions that *route* to `cell` under
-    /// [`owner_of`](Self::owner_of): the cell's half-open box, extended
-    /// unboundedly outward on grid-border sides (clamping maps outside
-    /// positions to border cells). Used by shard migration so that the
-    /// set of observations extracted from a cell is exactly the set that
-    /// routes to it.
-    pub fn cell_routing_region(&self, cell: CellId) -> BBox {
-        const FAR: f64 = 1e12;
-        let bb = self.grid.cell_bbox(cell);
-        let min = Point::new(
-            if cell.col == 0 { -FAR } else { bb.min.x },
-            if cell.row == 0 { -FAR } else { bb.min.y },
-        );
-        let max = Point::new(
-            if cell.col == self.grid.cols() - 1 {
-                FAR
-            } else {
-                bb.max.x.next_down()
-            },
-            if cell.row == self.grid.rows() - 1 {
-                FAR
-            } else {
-                bb.max.y.next_down()
-            },
-        );
-        BBox::new(min, max)
-    }
-
     /// Per-worker totals of `loads` (one entry per cell, row-major).
     ///
     /// # Panics
@@ -631,7 +603,8 @@ mod tests {
             let owning_cell = m.grid().cell_of_clamped(p);
             let mut containing = 0;
             for cell in m.grid().all_cells() {
-                if m.cell_routing_region(cell).contains(p) {
+                let packed = cell.row * m.grid().cols() + cell.col;
+                if crate::repair::cell_region(m.grid(), packed).contains(p) {
                     containing += 1;
                     assert_eq!(
                         cell, owning_cell,

@@ -76,26 +76,18 @@ impl Wire for GridSpecMsg {
 pub enum Request {
     /// Liveness probe.
     Ping,
-    /// Store these observations as shard primary (and replicate them).
-    Ingest(Vec<Observation>),
-    /// Store these observations as a replica for primary `primary`.
-    Replicate {
-        /// The worker whose shard these observations belong to.
-        primary: NodeId,
-        /// The replicated observations.
-        batch: Vec<Observation>,
-    },
-    /// Sequenced, acknowledged ingest: the reliable mirror of `Ingest`.
+    /// Sequenced, acknowledged ingest — the one door clients write a
+    /// primary shard through.
     ///
     /// The `(sender, seq)` pair identifies the batch for retransmission
     /// dedup: the worker remembers recent sequence numbers per sender and
     /// answers a retransmitted batch from that memory without re-applying
     /// it. `epoch` is the routing-plan epoch the sender routed under; a
     /// worker whose own plan disagrees about ownership answers with
-    /// [`Response::IngestNack`] naming the misrouted observations. Unlike
-    /// `Ingest`, the worker does **not** replicate onward — the sender
-    /// performs replication itself (via `ReplicateSeq`) so that an ack
-    /// can certify durability.
+    /// [`Response::IngestNack`] naming the misrouted observations. The
+    /// worker does **not** replicate onward — the sender performs
+    /// replication itself (via `ReplicateSeq`) so that an ack can certify
+    /// durability.
     IngestSeq {
         /// The ingesting endpoint (an ingestor or the coordinator).
         sender: NodeId,
@@ -106,9 +98,9 @@ pub enum Request {
         /// The observations, all believed owned by the addressee.
         batch: Vec<Observation>,
     },
-    /// Sequenced, acknowledged replica write: the reliable mirror of
-    /// `Replicate`, sent by the *ingesting* endpoint (not the primary) to
-    /// each ring successor of `primary` before the batch is acknowledged.
+    /// Sequenced, acknowledged replica write, sent by the *ingesting*
+    /// endpoint (not the primary) to each ring successor of `primary`
+    /// before the batch is acknowledged.
     /// Deduplicated by `(sender, seq)` exactly like `IngestSeq`, and
     /// answered with [`Response::IngestAck`].
     ReplicateSeq {
@@ -184,16 +176,6 @@ pub enum Request {
     },
     /// Remove a standing query.
     UnregisterContinuous(ContinuousQueryId),
-    /// Return every observation this worker holds as primary (failover
-    /// export) — the answering worker is the *replica*, `of` the failed
-    /// primary.
-    SnapshotReplica {
-        /// The failed primary whose replicated data is requested.
-        of: NodeId,
-    },
-    /// Adopt these observations into the local primary shard (failover
-    /// import). Unlike `Ingest` this does not re-replicate.
-    Adopt(Vec<Observation>),
     /// Report local statistics.
     Stats,
     /// Drop observations older than the timestamp (retention sweep).
@@ -207,7 +189,8 @@ pub enum Request {
         epoch: u64,
     },
     /// Failover: absorb the local replica log held for `failed` into the
-    /// primary shard and re-replicate it onward. The reply is `Ack`.
+    /// primary shard (the anti-entropy pass that follows every promotion
+    /// restores the replica copies). The reply is `Ack`.
     Promote {
         /// The failed worker being taken over.
         failed: NodeId,
@@ -223,13 +206,6 @@ pub enum Request {
     /// roster, epoch, and continuous-query table — from these reports;
     /// workers are the ground truth, the coordinator only a cache.
     Census,
-    /// Shard migration: remove and return every observation positioned in
-    /// `region` (all retained time). The coordinator ships the result to
-    /// the region's new owner via `Adopt` during online rebalancing.
-    ExtractRegion {
-        /// The spatial region being migrated away.
-        region: BBox,
-    },
     /// As `Range` with an additional entity-class filter — predicate
     /// pushdown for typed queries ("trucks inside A").
     RangeFiltered {
@@ -269,18 +245,21 @@ pub enum Request {
         /// `row * cols + col`, positions bucketed by `cell_of_clamped`).
         grid: GridSpecMsg,
     },
-    /// Idempotent cell overwrite, the repair streamer's write primitive.
+    /// Idempotent cell overwrite, the repair streamer's write primitive
+    /// and (beside `ReplicateSeq`) the only door into a replica log.
     ///
     /// When `primary` names *another* worker, the batch is applied to the
     /// replica log held for that primary; when it names the addressee
-    /// itself, the batch is applied to the local primary shard (the
-    /// rejoin/rebalance bulk-sync path). With `truncate` set the cell's
-    /// current contents (under `grid`'s clamped bucketing) are removed
-    /// first — including their dedup ids — so a repair round converges to
-    /// exactly the primary's content even when the target holds stale or
-    /// hinted extras. Chunked streams set `truncate` only on the first
-    /// chunk; appends deduplicate by observation id, so a retransmitted
-    /// chunk is harmless.
+    /// itself, it addresses the local primary shard — the control plane
+    /// uses that only with `truncate` and an empty batch, to drop a ceded
+    /// cell after a move, and the addressee refuses while its installed
+    /// route still owns the cell. With `truncate` set the cell's current
+    /// contents (under `grid`'s clamped bucketing) are removed first —
+    /// including their dedup ids — so a repair round converges to exactly
+    /// the primary's content even when the target holds stale or hinted
+    /// extras. Chunked streams set `truncate` only on the first chunk;
+    /// appends deduplicate by observation id, so a retransmitted chunk is
+    /// harmless.
     Repair {
         /// The primary whose shard the cell belongs to (the addressee
         /// itself for primary-shard bulk sync).
@@ -297,8 +276,9 @@ pub enum Request {
     /// Readmission handshake for a restarted worker: drop *all* local
     /// state (primary index, replica logs, dedup memories, standing
     /// queries) and install the given route. The coordinator then
-    /// bulk-syncs the worker's shard via `Repair` and re-enters it into
-    /// the plan; resetting first makes the whole handshake idempotent —
+    /// bulk-syncs the worker's shard via `InstallSegments` and re-enters
+    /// it into the plan; resetting first makes the whole handshake
+    /// idempotent —
     /// a worker that answers `Rejoin` twice just starts over.
     Rejoin {
         /// The routing-plan epoch of the installed route.
@@ -327,11 +307,15 @@ pub enum Request {
         /// omitted from the reply.
         skip: Vec<SegmentDigestEntry>,
     },
-    /// Install exported segments into the primary shard: each frame is
-    /// verified (counts, checksums, window bounds) and archived whole —
-    /// no row-by-row re-indexing — and `head` rows go through normal
+    /// Install exported segments into the primary shard — the one door
+    /// the control plane moves rows through: each frame is verified
+    /// (counts, checksums, window bounds) and archived whole — no
+    /// row-by-row re-indexing — and `head` rows go through normal
     /// deduplicated ingest. Re-delivery is harmless: frames matching an
-    /// already-held digest and rows already seen are dropped.
+    /// already-held digest and rows already seen are dropped. Frames are
+    /// deduplicated by digest only, so the sender ships them whole only
+    /// onto a cell the addressee holds nothing of, and as `head` rows
+    /// otherwise.
     InstallSegments {
         /// Verified-on-receipt sealed segment frames.
         frames: Vec<stcam_codec::SegmentFrame>,
@@ -363,14 +347,11 @@ pub const PROJ_FULL: u8 = 0;
 pub const PROJ_THIN: u8 = 1;
 
 impl Request {
-    /// The stable operation name of this request, used as the dispatch
-    /// key in the worker's handler table and as the label of per-op serve
-    /// counters. One name per variant.
+    /// The stable operation name of this request — the label of the
+    /// worker's per-op serve counters. One name per variant.
     pub fn op_name(&self) -> &'static str {
         match self {
             Request::Ping => "ping",
-            Request::Ingest(_) => "ingest",
-            Request::Replicate { .. } => "replicate",
             Request::IngestSeq { .. } => "ingest_seq",
             Request::ReplicateSeq { .. } => "replicate_seq",
             Request::RouteUpdate { .. } => "route_update",
@@ -379,12 +360,9 @@ impl Request {
             Request::Heatmap { .. } => "heatmap",
             Request::RegisterContinuous { .. } => "register_continuous",
             Request::UnregisterContinuous(_) => "unregister_continuous",
-            Request::SnapshotReplica { .. } => "snapshot_replica",
-            Request::Adopt(_) => "adopt",
             Request::Stats => "stats",
             Request::EvictBefore { .. } => "evict_before",
             Request::Promote { .. } => "promote",
-            Request::ExtractRegion { .. } => "extract_region",
             Request::RangeFiltered { .. } => "range_filtered",
             Request::ReplicaRead { .. } => "replica_read",
             Request::CellDigest { .. } => "cell_digest",
@@ -763,20 +741,18 @@ pub enum Response {
     Census(CensusReport),
 }
 
+// Tags 1, 2, 8, 9, 13 and 15 are retired (`Ingest`, `Replicate`,
+// `SnapshotReplica`, `Adopt`, `ExtractRegion`, `TopCells`) and stay
+// unassigned so an old frame fails to decode instead of aliasing.
 const REQ_PING: u8 = 0;
-const REQ_INGEST: u8 = 1;
-const REQ_REPLICATE: u8 = 2;
 const REQ_RANGE: u8 = 3;
 const REQ_KNN: u8 = 4;
 const REQ_HEATMAP: u8 = 5;
 const REQ_REGISTER: u8 = 6;
 const REQ_UNREGISTER: u8 = 7;
-const REQ_SNAPSHOT: u8 = 8;
-const REQ_ADOPT: u8 = 9;
 const REQ_STATS: u8 = 10;
 const REQ_EVICT: u8 = 11;
 const REQ_PROMOTE: u8 = 12;
-const REQ_EXTRACT: u8 = 13;
 const REQ_RANGE_FILTERED: u8 = 14;
 const REQ_REPLICA_READ: u8 = 16;
 const REQ_INGEST_SEQ: u8 = 17;
@@ -795,15 +771,6 @@ impl Wire for Request {
     fn encode<B: BufMut>(&self, buf: &mut B) {
         match self {
             Request::Ping => buf.put_u8(REQ_PING),
-            Request::Ingest(batch) => {
-                buf.put_u8(REQ_INGEST);
-                batch::encode_batch(batch, buf);
-            }
-            Request::Replicate { primary, batch } => {
-                buf.put_u8(REQ_REPLICATE);
-                primary.0.encode(buf);
-                batch::encode_batch(batch, buf);
-            }
             Request::Range {
                 region,
                 window,
@@ -847,14 +814,6 @@ impl Wire for Request {
                 buf.put_u8(REQ_UNREGISTER);
                 id.0.encode(buf);
             }
-            Request::SnapshotReplica { of } => {
-                buf.put_u8(REQ_SNAPSHOT);
-                of.0.encode(buf);
-            }
-            Request::Adopt(batch) => {
-                buf.put_u8(REQ_ADOPT);
-                batch::encode_batch(batch, buf);
-            }
             Request::Stats => buf.put_u8(REQ_STATS),
             Request::EvictBefore { cutoff, epoch } => {
                 buf.put_u8(REQ_EVICT);
@@ -865,10 +824,6 @@ impl Wire for Request {
                 buf.put_u8(REQ_PROMOTE);
                 failed.0.encode(buf);
                 epoch.encode(buf);
-            }
-            Request::ExtractRegion { region } => {
-                buf.put_u8(REQ_EXTRACT);
-                region.encode(buf);
             }
             Request::RangeFiltered {
                 region,
@@ -970,8 +925,6 @@ impl Wire for Request {
 
     fn size_hint(&self) -> usize {
         1 + match self {
-            Request::Ingest(batch) | Request::Adopt(batch) => batch::batch_size_hint(batch),
-            Request::Replicate { batch, .. } => 5 + batch::batch_size_hint(batch),
             Request::IngestSeq { batch, .. } => 23 + batch::batch_size_hint(batch),
             Request::ReplicateSeq { batch, .. } => 28 + batch::batch_size_hint(batch),
             Request::RouteUpdate { cells, .. } => 41 + cells.size_hint(),
@@ -1005,11 +958,6 @@ impl Request {
     fn decode_tagged<B: Buf>(tag: u8, buf: &mut B) -> Result<Self, DecodeError> {
         Ok(match tag {
             REQ_PING => Request::Ping,
-            REQ_INGEST => Request::Ingest(batch::decode_batch(buf)?),
-            REQ_REPLICATE => Request::Replicate {
-                primary: NodeId(u32::decode(buf)?),
-                batch: batch::decode_batch(buf)?,
-            },
             REQ_RANGE => Request::Range {
                 region: BBox::decode(buf)?,
                 window: TimeInterval::decode(buf)?,
@@ -1032,10 +980,6 @@ impl Request {
                 notify: NodeId(u32::decode(buf)?),
             },
             REQ_UNREGISTER => Request::UnregisterContinuous(ContinuousQueryId(u64::decode(buf)?)),
-            REQ_SNAPSHOT => Request::SnapshotReplica {
-                of: NodeId(u32::decode(buf)?),
-            },
-            REQ_ADOPT => Request::Adopt(batch::decode_batch(buf)?),
             REQ_STATS => Request::Stats,
             REQ_EVICT => Request::EvictBefore {
                 cutoff: stcam_geo::Timestamp::decode(buf)?,
@@ -1044,9 +988,6 @@ impl Request {
             REQ_PROMOTE => Request::Promote {
                 failed: NodeId(u32::decode(buf)?),
                 epoch: u64::decode(buf)?,
-            },
-            REQ_EXTRACT => Request::ExtractRegion {
-                region: BBox::decode(buf)?,
             },
             REQ_RANGE_FILTERED => Request::RangeFiltered {
                 region: BBox::decode(buf)?,
@@ -1319,11 +1260,6 @@ mod tests {
     fn all_requests_round_trip() {
         let window = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(10));
         round_trip_req(Request::Ping);
-        round_trip_req(Request::Ingest(vec![obs(), obs()]));
-        round_trip_req(Request::Replicate {
-            primary: NodeId(3),
-            batch: vec![obs()],
-        });
         round_trip_req(Request::Range {
             region: BBox::new(Point::new(0.0, 0.0), Point::new(5.0, 5.0)),
             window,
@@ -1366,8 +1302,6 @@ mod tests {
             notify: NodeId(0),
         });
         round_trip_req(Request::UnregisterContinuous(ContinuousQueryId(9)));
-        round_trip_req(Request::SnapshotReplica { of: NodeId(2) });
-        round_trip_req(Request::Adopt(vec![obs()]));
         round_trip_req(Request::Stats);
         round_trip_req(Request::EvictBefore {
             cutoff: Timestamp::from_secs(100),
@@ -1378,9 +1312,6 @@ mod tests {
             epoch: 4,
         });
         round_trip_req(Request::Census);
-        round_trip_req(Request::ExtractRegion {
-            region: BBox::new(Point::new(1.0, 1.0), Point::new(2.0, 2.0)),
-        });
         round_trip_req(Request::RangeFiltered {
             region: BBox::new(Point::new(0.0, 0.0), Point::new(9.0, 9.0)),
             window,
@@ -1684,11 +1615,6 @@ mod tests {
         };
         let all = [
             Request::Ping,
-            Request::Ingest(vec![]),
-            Request::Replicate {
-                primary: NodeId(1),
-                batch: vec![],
-            },
             Request::Range {
                 region,
                 window,
@@ -1714,8 +1640,6 @@ mod tests {
                 notify: NodeId(0),
             },
             Request::UnregisterContinuous(ContinuousQueryId(1)),
-            Request::SnapshotReplica { of: NodeId(1) },
-            Request::Adopt(vec![]),
             Request::Stats,
             Request::EvictBefore {
                 cutoff: Timestamp::ZERO,
@@ -1725,7 +1649,6 @@ mod tests {
                 failed: NodeId(1),
                 epoch: 0,
             },
-            Request::ExtractRegion { region },
             Request::RangeFiltered {
                 region,
                 window,
@@ -1800,10 +1723,13 @@ mod tests {
 
     #[test]
     fn unknown_tags_rejected() {
-        assert!(matches!(
-            decode_from_slice::<Request>(&[200]),
-            Err(DecodeError::InvalidDiscriminant { .. })
-        ));
+        // 200 was never assigned; the rest are retired and must stay dead.
+        for tag in [200, 1, 2, 8, 9, 13, 15] {
+            assert!(matches!(
+                decode_from_slice::<Request>(&[tag]),
+                Err(DecodeError::InvalidDiscriminant { .. })
+            ));
+        }
         assert!(matches!(
             decode_from_slice::<Response>(&[200]),
             Err(DecodeError::InvalidDiscriminant { .. })

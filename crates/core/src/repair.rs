@@ -17,8 +17,8 @@
 //!    triples whose copies are missing or diverged, plus the *garbage*:
 //!    replica log cells whose holder is no longer a required successor.
 //! 3. The coordinator's sweeper (`Coordinator::repair`) drains the plan
-//!    under a [`RepairBudget`]: per deficit it copies the cell's contents
-//!    from the owner and streams them to the holder in bounded
+//!    under a bounded per-round budget: per deficit it copies the cell's
+//!    contents from the owner and streams them to the holder in bounded
 //!    columnar-codec batches ([`Request::Repair`]), truncating the
 //!    holder's stale copy first so the stream is idempotent.
 //!
@@ -57,13 +57,13 @@ use crate::protocol::DigestReport;
 /// re-exported here for the repair plane.
 pub use stcam_index::observation_checksum;
 
-/// The region of positions that bucket into packed cell `cell` under the
+/// The region of positions that route to packed cell `cell` under the
 /// clamped assignment of `grid` (outside positions clamp to border
-/// cells). Mirrors `PartitionMap::cell_routing_region`, but standalone so
-/// workers — which hold only the grid, not the partition — can truncate a
-/// cell's exact contents during [`Request::Repair`]. Delegates to
-/// `stcam-index`'s [`cell_scope`](stcam_index::cell_scope), the same rule
-/// sealed-segment scans use to copy whole blocks without decoding.
+/// cells) — the one region rule: cell moves export by it, workers truncate
+/// by it during [`Request::Repair`], and sealed-segment scans copy whole
+/// blocks by it (it is `stcam-index`'s
+/// [`cell_scope`](stcam_index::cell_scope)), so a clamped out-of-extent
+/// observation is in scope for all three or for none.
 ///
 /// [`Request::Repair`]: crate::Request::Repair
 pub fn cell_region(grid: &GridSpec, cell: u32) -> BBox {
@@ -119,28 +119,28 @@ where
     acc.finish()
 }
 
-/// Resource bounds for one `Coordinator::repair_with` invocation, so
-/// repair traffic never starves foreground queries.
+/// Resource bounds for one `Coordinator::repair` invocation, so repair
+/// traffic never starves foreground queries.
 #[derive(Debug, Clone, Copy)]
-pub struct RepairBudget {
+pub(crate) struct RepairBudget {
     /// Ceiling on observations streamed per digest round; when reached
     /// the round ends and the next round re-plans from fresh digests.
     pub max_observations_per_round: usize,
     /// Ceiling on digest/stream rounds per invocation.
     pub max_rounds: usize,
-    /// Observations per [`Request::Repair`] batch — the streaming unit,
-    /// sized to the columnar codec's sweet spot.
-    ///
-    /// [`Request::Repair`]: crate::Request::Repair
-    pub chunk: usize,
 }
+
+/// Observations per [`Request::Repair`] / `InstallSegments` head batch —
+/// the streaming unit, sized to the columnar codec's sweet spot.
+///
+/// [`Request::Repair`]: crate::Request::Repair
+pub(crate) const STREAM_CHUNK: usize = 512;
 
 impl Default for RepairBudget {
     fn default() -> Self {
         RepairBudget {
             max_observations_per_round: 8_192,
             max_rounds: 32,
-            chunk: 512,
         }
     }
 }
@@ -151,7 +151,7 @@ impl RepairBudget {
     /// before cutover, with no foreground traffic to starve): every
     /// deficit streams in a single round instead of paying a fresh
     /// digest sweep and copy fetch per 8 k rows.
-    pub fn bulk() -> Self {
+    pub(crate) fn bulk() -> Self {
         RepairBudget {
             max_observations_per_round: usize::MAX,
             ..RepairBudget::default()

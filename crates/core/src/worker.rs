@@ -4,7 +4,7 @@
 //!
 //! * the **control lane** — the single thread behind [`Worker::run`],
 //!   which owns all mutable state and serves every side-effecting
-//!   request (ingest, replication, routing, repair, migration) in
+//!   request (ingest, replication, routing, repair, cell moves) in
 //!   arrival order;
 //! * the **read executor pool** — [`WorkerConfig::read_threads`] threads
 //!   that answer read-only sub-queries concurrently against an immutable
@@ -26,12 +26,15 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use stcam_camnet::{Observation, ObservationId, Signature, SIGNATURE_DIM};
 use stcam_codec::{decode_from_slice, encode_to_vec};
+use stcam_geo::{BBox, GridSpec};
 use stcam_index::{IndexConfig, ReadView, StIndex};
 use stcam_net::{Endpoint, Envelope, MessageKind, NodeId, Waker};
 
 use crate::continuous::{InterestIndex, Notification};
 use crate::paging;
-use crate::protocol::{Request, Response, WorkerStatsMsg, PROJ_THIN};
+use crate::protocol::{
+    GridSpecMsg, Request, Response, SegmentDigestEntry, WorkerStatsMsg, PROJ_THIN,
+};
 
 /// Per-sender sequence numbers remembered for retransmission dedup;
 /// lowest are evicted beyond this. 256 far exceeds any sender's in-flight
@@ -93,9 +96,6 @@ impl SeqMemory {
 pub struct WorkerConfig {
     /// Configuration of the local shard index.
     pub index: IndexConfig,
-    /// Ring successors that receive replicas of this worker's ingest
-    /// (empty disables replication).
-    pub replicas: Vec<NodeId>,
     /// Size of the read executor pool the serving loop runs: read-only
     /// sub-queries are answered concurrently from index snapshots by this
     /// many threads. `0` disables the pool and serves everything
@@ -350,8 +350,11 @@ impl Drop for ReadPool {
 }
 
 /// A worker node: owns the local shard, answers sub-queries from the
-/// coordinator, evaluates continuous-query predicates at ingest time, and
-/// forwards replicas to its ring successors.
+/// coordinator, and evaluates continuous-query predicates at ingest time.
+/// Rows enter the primary shard through [`Request::IngestSeq`] (clients)
+/// or [`Request::InstallSegments`] (control plane), a replica log through
+/// [`Request::ReplicateSeq`] or [`Request::Repair`], and nothing else —
+/// replication is the *sender's* job, never forwarded from here.
 ///
 /// Normally driven via [`Worker::spawn`], which runs the serving loop on a
 /// dedicated thread until [`WorkerHandle::shutdown`] (or fabric crash).
@@ -365,7 +368,7 @@ pub struct Worker {
     /// Append-only replica logs, one per primary this worker backs up.
     replica_logs: HashMap<NodeId, Vec<Observation>>,
     /// Ids present in each replica log, so sequenced replica writes and
-    /// promote-time re-replication never append the same observation twice.
+    /// repair streams never append the same observation twice.
     replica_seen: HashMap<NodeId, HashSet<ObservationId>>,
     /// Standing-query registrations, bucketed by (coarse cell, class)
     /// so ingest-time matching is sub-linear in the registration count.
@@ -388,41 +391,6 @@ pub struct Worker {
     /// with the read executor pool while the serving loop runs.
     shared: Arc<ReadShared>,
 }
-
-/// One row of the dispatch table: an operation name and its handler.
-type Handler = fn(&mut Worker, Request) -> Response;
-
-/// The worker's dispatch table, keyed by [`Request::op_name`]. Adding a
-/// request kind means adding exactly one row here plus its handler.
-const DISPATCH: &[(&str, Handler)] = &[
-    ("ping", Worker::serve_ping),
-    ("ingest", Worker::serve_ingest),
-    ("replicate", Worker::serve_replicate),
-    ("range", Worker::serve_read),
-    ("knn", Worker::serve_read),
-    ("heatmap", Worker::serve_read),
-    ("register_continuous", Worker::serve_register_continuous),
-    ("unregister_continuous", Worker::serve_unregister_continuous),
-    ("snapshot_replica", Worker::serve_snapshot_replica),
-    ("adopt", Worker::serve_adopt),
-    ("promote", Worker::serve_promote),
-    ("extract_region", Worker::serve_extract_region),
-    ("range_filtered", Worker::serve_read),
-    ("stats", Worker::serve_stats),
-    ("evict_before", Worker::serve_evict_before),
-    ("replica_read", Worker::serve_replica_read),
-    ("ingest_seq", Worker::serve_ingest_seq),
-    ("replicate_seq", Worker::serve_replicate_seq),
-    ("route_update", Worker::serve_route_update),
-    ("cell_digest", Worker::serve_cell_digest),
-    ("repair", Worker::serve_repair),
-    ("rejoin", Worker::serve_rejoin),
-    ("segment_digest", Worker::serve_segment_digest),
-    ("export_segments", Worker::serve_export_segments),
-    ("install_segments", Worker::serve_install_segments),
-    ("fetch_page", Worker::serve_read),
-    ("census", Worker::serve_census),
-];
 
 /// The application error a worker answers to any control mutation whose
 /// epoch is below the installed route epoch — the split-brain fence. A
@@ -538,22 +506,6 @@ impl Worker {
         }
     }
 
-    /// Decodes and executes one envelope on the control lane (the
-    /// non-pooled path [`run`](Self::run) inlines; kept for tests that
-    /// drive a worker without a thread).
-    #[cfg(test)]
-    fn dispatch(&mut self, envelope: Envelope) {
-        match decode_from_slice::<Request>(&envelope.payload) {
-            Ok(request) => self.dispatch_decoded(envelope, request),
-            Err(e) => {
-                if envelope.kind == MessageKind::Request {
-                    let resp = Response::Error(format!("bad request: {e}"));
-                    let _ = self.endpoint.reply(&envelope, encode_to_vec(&resp));
-                }
-            }
-        }
-    }
-
     /// Executes a decoded request on the control lane and replies
     /// (paged when oversize).
     fn dispatch_decoded(&mut self, envelope: Envelope, request: Request) {
@@ -565,53 +517,79 @@ impl Worker {
 
     /// Executes one request against local state and produces the response.
     ///
-    /// Dispatch is table-driven by [`Request::op_name`] over `DISPATCH`;
-    /// every served request increments that operation's serve counter.
-    /// Side-effecting requests (`Ingest`, `Promote`, `Adopt`) also emit
-    /// replica and notification traffic through the endpoint.
+    /// One `match` destructures the request and calls its handler; every
+    /// served request increments that operation's serve counter (keyed by
+    /// [`Request::op_name`]). `IngestSeq` also emits continuous-query
+    /// notification traffic through the endpoint.
     pub fn handle_request(&mut self, request: Request) -> Response {
-        let name = request.op_name();
-        match DISPATCH.iter().find(|(op, _)| *op == name) {
-            Some(&(op, handler)) => {
-                self.shared.count(op);
-                handler(self, request)
+        self.shared.count(request.op_name());
+        match request {
+            Request::Ping => Response::Ack,
+            Request::IngestSeq {
+                sender,
+                seq,
+                epoch,
+                batch,
+            } => self.serve_ingest_seq(sender, seq, epoch, batch),
+            Request::ReplicateSeq {
+                sender,
+                seq,
+                primary,
+                batch,
+            } => self.serve_replicate_seq(sender, seq, primary, batch),
+            Request::RouteUpdate { epoch, grid, cells } => {
+                self.serve_route_update(epoch, grid, cells)
             }
-            None => Response::Error(format!("no handler for operation {name}")),
+            read @ (Request::Range { .. }
+            | Request::RangeFiltered { .. }
+            | Request::Knn { .. }
+            | Request::Heatmap { .. }
+            | Request::FetchPage { .. }) => {
+                // The no-pool path; pooled workers answer these on
+                // executor threads. Same evaluation either way.
+                execute_read(&self.index.read_view(), &self.shared, read)
+            }
+            Request::RegisterContinuous {
+                id,
+                predicate,
+                notify,
+            } => {
+                self.continuous.insert(id, predicate, notify);
+                Response::Ack
+            }
+            Request::UnregisterContinuous(id) => {
+                self.continuous.remove(id);
+                Response::Ack
+            }
+            Request::Stats => Response::Stats(self.stats()),
+            Request::EvictBefore { cutoff, epoch } => self.serve_evict_before(cutoff, epoch),
+            Request::Promote { failed, epoch } => self.serve_promote(failed, epoch),
+            Request::Census => self.serve_census(),
+            Request::ReplicaRead { of, inner } => self.serve_replica_read(of, *inner),
+            Request::CellDigest { grid } => self.serve_cell_digest(grid.to_grid()),
+            Request::Repair {
+                primary,
+                grid,
+                cell,
+                truncate,
+                batch,
+            } => self.serve_repair(primary, grid.to_grid(), cell, truncate, batch),
+            Request::Rejoin { epoch, grid, cells } => self.serve_rejoin(epoch, grid, cells),
+            Request::SegmentDigest => Response::SegmentDigests(
+                self.index
+                    .segment_digests()
+                    .into_iter()
+                    .map(Into::into)
+                    .collect(),
+            ),
+            Request::ExportSegments { region, skip } => self.serve_export_segments(region, skip),
+            Request::InstallSegments { frames, head } => self.serve_install_segments(frames, head),
         }
     }
 
-    /// A request routed to the wrong handler — only reachable if the
-    /// dispatch table and [`Request::op_name`] disagree.
-    fn misrouted(request: &Request) -> Response {
-        Response::Error(format!(
-            "request {} misrouted in dispatch table",
-            request.op_name()
-        ))
-    }
-
-    fn serve_ping(&mut self, _request: Request) -> Response {
-        Response::Ack
-    }
-
-    fn serve_ingest(&mut self, request: Request) -> Response {
-        let Request::Ingest(batch) = request else {
-            return Self::misrouted(&request);
-        };
-        self.ingest(batch);
-        Response::Ack
-    }
-
-    fn serve_replicate(&mut self, request: Request) -> Response {
-        let Request::Replicate { primary, batch } = request else {
-            return Self::misrouted(&request);
-        };
-        self.append_replica(primary, batch);
-        Response::Ack
-    }
-
     /// Appends `batch` to the replica log held for `primary`, skipping
-    /// observations already present (sender-side replication and
-    /// promote-time re-replication may both deliver the same data).
+    /// observations already present (a sender re-routing after a
+    /// failover delivers the same data under a fresh sequence number).
     fn append_replica(&mut self, primary: NodeId, batch: Vec<Observation>) {
         let log = self.replica_logs.entry(primary).or_default();
         let ids = self.replica_seen.entry(primary).or_default();
@@ -622,16 +600,13 @@ impl Worker {
         }
     }
 
-    fn serve_ingest_seq(&mut self, request: Request) -> Response {
-        let Request::IngestSeq {
-            sender,
-            seq,
-            epoch,
-            batch,
-        } = request
-        else {
-            return Self::misrouted(&request);
-        };
+    fn serve_ingest_seq(
+        &mut self,
+        sender: NodeId,
+        seq: u64,
+        epoch: u64,
+        batch: Vec<Observation>,
+    ) -> Response {
         // Retransmission of an already-answered batch: replay the stored
         // answer without re-applying (idempotent retry).
         if let Some(answer) = self.ingest_seqs.replay(sender, seq) {
@@ -675,16 +650,13 @@ impl Worker {
         answer
     }
 
-    fn serve_replicate_seq(&mut self, request: Request) -> Response {
-        let Request::ReplicateSeq {
-            sender,
-            seq,
-            primary,
-            batch,
-        } = request
-        else {
-            return Self::misrouted(&request);
-        };
+    fn serve_replicate_seq(
+        &mut self,
+        sender: NodeId,
+        seq: u64,
+        primary: NodeId,
+        batch: Vec<Observation>,
+    ) -> Response {
         if let Some(answer) = self.replicate_seqs.replay(sender, seq) {
             return answer;
         }
@@ -708,10 +680,7 @@ impl Worker {
         }
     }
 
-    fn serve_route_update(&mut self, request: Request) -> Response {
-        let Request::RouteUpdate { epoch, grid, cells } = request else {
-            return Self::misrouted(&request);
-        };
+    fn serve_route_update(&mut self, epoch: u64, grid: GridSpecMsg, cells: Vec<u32>) -> Response {
         if let Some(rejected) = self.fence(epoch) {
             return rejected;
         }
@@ -727,11 +696,7 @@ impl Worker {
     /// digests over the primary shard and every held replica log,
     /// bucketed by the request's grid with clamping (the ingest routing
     /// rule), so the coordinator can compare copies without moving data.
-    fn serve_cell_digest(&mut self, request: Request) -> Response {
-        let Request::CellDigest { grid } = request else {
-            return Self::misrouted(&request);
-        };
-        let grid = grid.to_grid();
+    fn serve_cell_digest(&mut self, grid: GridSpec) -> Response {
         // Stream the shard through the accumulator instead of
         // materialising it: sealed segments decode block by block.
         let mut acc = crate::repair::DigestAccumulator::new(&grid);
@@ -764,35 +729,43 @@ impl Worker {
         Response::Digests(crate::protocol::DigestReport { primary, replicas })
     }
 
-    /// Applies one repair stream chunk. `truncate` first removes the
-    /// cell's current contents (and their dedup ids), so a full stream is
-    /// an idempotent overwrite; appends then pass through the id filter,
-    /// making chunk retransmissions harmless. `primary == self` targets
-    /// the primary shard (the rejoin/rebalance bulk-sync path); any other
-    /// primary targets the replica log held for it.
-    fn serve_repair(&mut self, request: Request) -> Response {
-        let Request::Repair {
-            primary,
-            grid,
-            cell,
-            truncate,
-            batch,
-        } = request
-        else {
-            return Self::misrouted(&request);
-        };
-        let region = crate::repair::cell_region(&grid.to_grid(), cell);
+    /// Applies one repair stream chunk to the replica log held for
+    /// `primary`: `truncate` first removes the cell's current contents
+    /// (and their dedup ids), so a full stream is an idempotent overwrite;
+    /// appends then pass through the id filter, making chunk
+    /// retransmissions harmless.
+    ///
+    /// `primary == self` addresses the primary shard and only ever drops:
+    /// the last step of a cell move truncates the ceded copy. It is
+    /// refused while the installed route still owns the cell — once a
+    /// route excluding the cell is installed, `IngestSeq` NACKs every
+    /// write to it, so nothing can land between the mover's final export
+    /// and this truncate; before that, acked rows could. A refused or
+    /// repeated truncate changes nothing.
+    fn serve_repair(
+        &mut self,
+        primary: NodeId,
+        grid: GridSpec,
+        cell: u32,
+        truncate: bool,
+        batch: Vec<Observation>,
+    ) -> Response {
+        let region = crate::repair::cell_region(&grid, cell);
         if primary == self.endpoint.id() {
+            if !batch.is_empty() {
+                return Response::Error("rows enter a primary shard via install_segments".into());
+            }
             if truncate {
+                let route = self.route.as_ref();
+                if route.is_some_and(|r| r.grid != grid || r.cells.contains(&cell)) {
+                    return Response::Error(format!(
+                        "cell {cell} is owned under the installed route"
+                    ));
+                }
                 for removed in self.index.extract_range(region) {
                     self.seen.remove(&removed.id);
                 }
             }
-            let fresh: Vec<Observation> = batch
-                .into_iter()
-                .filter(|o| self.seen.insert(o.id))
-                .collect();
-            self.index.insert_batch(fresh);
         } else {
             let log = self.replica_logs.entry(primary).or_default();
             let ids = self.replica_seen.entry(primary).or_default();
@@ -824,14 +797,11 @@ impl Worker {
     /// state (the pre-crash incarnation's shard, replica logs, dedup and
     /// retransmission memory, standing queries) and install the new
     /// epoch-stamped routing slice. The coordinator then bulk-syncs the
-    /// shard via [`Request::Repair`] and re-registers standing queries
-    /// before publishing the plan that re-admits this node. Idempotent:
+    /// shard via [`Request::InstallSegments`] and re-registers standing
+    /// queries before publishing the plan that re-admits this node. Idempotent:
     /// re-clearing an empty worker and re-installing the same route are
     /// no-ops.
-    fn serve_rejoin(&mut self, request: Request) -> Response {
-        let Request::Rejoin { epoch, grid, cells } = request else {
-            return Self::misrouted(&request);
-        };
+    fn serve_rejoin(&mut self, epoch: u64, grid: GridSpecMsg, cells: Vec<u32>) -> Response {
         // Fence *before* the reset: a stale coordinator's rejoin handshake
         // must not wipe a live worker's shard.
         if let Some(rejected) = self.fence(epoch) {
@@ -852,33 +822,15 @@ impl Worker {
         Response::Ack
     }
 
-    /// Reports the digests of every sealed segment in the primary shard,
-    /// so a bulk-sync peer can ask for only the segments it lacks.
-    fn serve_segment_digest(&mut self, request: Request) -> Response {
-        let Request::SegmentDigest = request else {
-            return Self::misrouted(&request);
-        };
-        Response::SegmentDigests(
-            self.index
-                .segment_digests()
-                .into_iter()
-                .map(Into::into)
-                .collect(),
-        )
-    }
-
     /// Exports the shard contents overlapping a region as whole sealed
     /// segment frames (split at cell boundaries, skipping digests the
     /// requester already holds) plus the loose mutable-head rows. The
     /// export reads without mutating, so it is safe to retry and the
     /// deterministic split keeps retried frames digest-identical.
-    fn serve_export_segments(&mut self, request: Request) -> Response {
-        let Request::ExportSegments { region, skip } = request else {
-            return Self::misrouted(&request);
-        };
+    fn serve_export_segments(&mut self, region: BBox, skip: Vec<SegmentDigestEntry>) -> Response {
         let skip: Vec<stcam_index::SegmentDigest> = skip
             .into_iter()
-            .map(crate::protocol::SegmentDigestEntry::to_digest)
+            .map(SegmentDigestEntry::to_digest)
             .collect();
         let (frames, head) = self.index.export_segments(region, &skip);
         Response::Segments { frames, head }
@@ -890,10 +842,11 @@ impl Worker {
     /// through the normal deduplicated ingest. Duplicate frames (digest
     /// already held) and already-seen rows are dropped, making
     /// retransmission harmless.
-    fn serve_install_segments(&mut self, request: Request) -> Response {
-        let Request::InstallSegments { frames, head } = request else {
-            return Self::misrouted(&request);
-        };
+    fn serve_install_segments(
+        &mut self,
+        frames: Vec<stcam_codec::SegmentFrame>,
+        head: Vec<Observation>,
+    ) -> Response {
         for frame in frames {
             let segment = match stcam_index::SealedSegment::from_frame(frame) {
                 Ok(segment) => segment,
@@ -916,59 +869,12 @@ impl Worker {
         Response::Ack
     }
 
-    /// Serves a read (or page pull) on the control lane — the no-pool
-    /// path; pooled workers answer these on executor threads. Same
-    /// evaluation either way: [`execute_read`] over a snapshot.
-    fn serve_read(&mut self, request: Request) -> Response {
-        execute_read(&self.index.read_view(), &self.shared, request)
-    }
-
-    fn serve_register_continuous(&mut self, request: Request) -> Response {
-        let Request::RegisterContinuous {
-            id,
-            predicate,
-            notify,
-        } = request
-        else {
-            return Self::misrouted(&request);
-        };
-        self.continuous.insert(id, predicate, notify);
-        Response::Ack
-    }
-
-    fn serve_unregister_continuous(&mut self, request: Request) -> Response {
-        let Request::UnregisterContinuous(id) = request else {
-            return Self::misrouted(&request);
-        };
-        self.continuous.remove(id);
-        Response::Ack
-    }
-
-    fn serve_snapshot_replica(&mut self, request: Request) -> Response {
-        let Request::SnapshotReplica { of } = request else {
-            return Self::misrouted(&request);
-        };
-        Response::Observations(self.replica_logs.get(&of).cloned().unwrap_or_default())
-    }
-
-    fn serve_adopt(&mut self, request: Request) -> Response {
-        let Request::Adopt(batch) = request else {
-            return Self::misrouted(&request);
-        };
-        self.index.insert_batch(batch);
-        Response::Ack
-    }
-
-    fn serve_promote(&mut self, request: Request) -> Response {
-        let Request::Promote { failed, epoch } = request else {
-            return Self::misrouted(&request);
-        };
+    fn serve_promote(&mut self, failed: NodeId, epoch: u64) -> Response {
         if let Some(rejected) = self.fence(epoch) {
             return rejected;
         }
         let log = self.replica_logs.remove(&failed).unwrap_or_default();
         self.replica_seen.remove(&failed);
-        self.replicate(&log);
         // The same observations may already be primary here — a sender
         // whose ack from `failed` was lost retransmits to this worker
         // after failover. Promote through the seen-id filter so they
@@ -979,30 +885,13 @@ impl Worker {
         Response::Ack
     }
 
-    fn serve_extract_region(&mut self, request: Request) -> Response {
-        let Request::ExtractRegion { region } = request else {
-            return Self::misrouted(&request);
-        };
-        // Extraction cedes ownership of the data, so the extracted ids
-        // must leave the dedup set too — if the cell migrates back here
-        // later, the repair stream's appends have to be accepted again.
-        let extracted = self.index.extract_range(region);
-        for o in &extracted {
-            self.seen.remove(&o.id);
-        }
-        Response::Observations(extracted)
-    }
-
     /// Answers a read against the replica log held for an unreachable
     /// primary. The log is an unindexed append-only vector, so every
     /// replica read is a scan — acceptable for the degraded path, which
     /// only runs while the primary is down.
-    fn serve_replica_read(&mut self, request: Request) -> Response {
-        let Request::ReplicaRead { of, inner } = request else {
-            return Self::misrouted(&request);
-        };
+    fn serve_replica_read(&mut self, of: NodeId, inner: Request) -> Response {
         let log: &[Observation] = self.replica_logs.get(&of).map_or(&[], |v| v.as_slice());
-        match *inner {
+        match inner {
             Request::Range {
                 region,
                 window,
@@ -1081,14 +970,7 @@ impl Worker {
         counts
     }
 
-    fn serve_stats(&mut self, _request: Request) -> Response {
-        Response::Stats(self.stats())
-    }
-
-    fn serve_evict_before(&mut self, request: Request) -> Response {
-        let Request::EvictBefore { cutoff, epoch } = request else {
-            return Self::misrouted(&request);
-        };
+    fn serve_evict_before(&mut self, cutoff: stcam_geo::Timestamp, epoch: u64) -> Response {
         if let Some(rejected) = self.fence(epoch) {
             return rejected;
         }
@@ -1104,10 +986,7 @@ impl Worker {
     /// standing registrations. A reconstructing coordinator derives its
     /// whole control state from these reports — worker state is the
     /// ground truth, coordinator memory only a cache of it.
-    fn serve_census(&mut self, request: Request) -> Response {
-        let Request::Census = request else {
-            return Self::misrouted(&request);
-        };
+    fn serve_census(&mut self) -> Response {
         let (epoch, grid, cells) = match &self.route {
             Some(r) => {
                 let mut cells: Vec<u32> = r.cells.iter().copied().collect();
@@ -1141,30 +1020,6 @@ impl Worker {
             replica_of,
             registrations,
         })
-    }
-
-    fn ingest(&mut self, batch: Vec<Observation>) {
-        self.ingested_total += batch.len() as u64;
-        self.notify_continuous(&batch);
-        self.replicate(&batch);
-        self.index.insert_batch(batch);
-    }
-
-    /// Forwards a copy of `batch` to every replica successor (one-way:
-    /// ingest latency is not serialized behind replica acknowledgements;
-    /// the window of loss this leaves open is measured by the recovery
-    /// experiment).
-    fn replicate(&mut self, batch: &[Observation]) {
-        if batch.is_empty() || self.config.replicas.is_empty() {
-            return;
-        }
-        let message = encode_to_vec(&Request::Replicate {
-            primary: self.endpoint.id(),
-            batch: batch.to_vec(),
-        });
-        for &replica in &self.config.replicas {
-            let _ = self.endpoint.send(replica, message.clone());
-        }
     }
 
     fn notify_continuous(&mut self, batch: &[Observation]) {
@@ -1281,18 +1136,48 @@ mod tests {
         )
     }
 
+    fn config(read_threads: usize) -> WorkerConfig {
+        WorkerConfig {
+            index: index_config(),
+            read_threads,
+        }
+    }
+
     fn lone_worker() -> (Fabric, Worker) {
         let fabric = Fabric::new(LinkModel::instant());
-        let endpoint = fabric.register(NodeId(1));
-        let worker = Worker::new(
-            endpoint,
-            WorkerConfig {
-                index: index_config(),
-                replicas: vec![],
-                read_threads: 0,
-            },
-        );
+        let worker = Worker::new(fabric.register(NodeId(1)), config(0));
         (fabric, worker)
+    }
+
+    /// Fixture: a client write through the one client door, under a fresh
+    /// `(sender, seq)` so no two fixture batches replay each other.
+    fn ingest_req(batch: Vec<Observation>) -> Request {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        Request::IngestSeq {
+            sender: NodeId(10_000),
+            seq: SEQ.fetch_add(1, Ordering::Relaxed),
+            epoch: 0,
+            batch,
+        }
+    }
+
+    /// Fixture: a sender-side replica write for `primary`'s shard.
+    fn replicate_req(primary: NodeId, batch: Vec<Observation>) -> Request {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        Request::ReplicateSeq {
+            sender: NodeId(10_000),
+            seq: SEQ.fetch_add(1, Ordering::Relaxed),
+            primary,
+            batch,
+        }
+    }
+
+    /// Sorted sequence numbers of the replica log held for `primary`.
+    fn log_seqs(worker: &Worker, primary: NodeId) -> Vec<u64> {
+        let log = worker.replica_logs.get(&primary);
+        let mut seqs: Vec<u64> = log.into_iter().flatten().map(|o| o.id.seq()).collect();
+        seqs.sort_unstable();
+        seqs
     }
 
     fn window_all() -> TimeInterval {
@@ -1302,10 +1187,10 @@ mod tests {
     #[test]
     fn ingest_then_range() {
         let (_fabric, mut worker) = lone_worker();
-        assert_eq!(
-            worker.handle_request(Request::Ingest(vec![obs(0, 500, 10.0, 10.0)])),
-            Response::Ack
-        );
+        assert!(matches!(
+            worker.handle_request(ingest_req(vec![obs(0, 500, 10.0, 10.0)])),
+            Response::IngestAck { accepted: 1, .. }
+        ));
         let resp = worker.handle_request(Request::Range {
             region: BBox::around(Point::new(10.0, 10.0), 5.0),
             window: window_all(),
@@ -1321,7 +1206,7 @@ mod tests {
     #[test]
     fn knn_respects_max_distance() {
         let (_fabric, mut worker) = lone_worker();
-        worker.handle_request(Request::Ingest(vec![
+        worker.handle_request(ingest_req(vec![
             obs(0, 0, 10.0, 0.0),
             obs(1, 0, 100.0, 0.0),
         ]));
@@ -1341,66 +1226,25 @@ mod tests {
     }
 
     #[test]
-    fn replication_reaches_successors() {
-        let fabric = Fabric::new(LinkModel::instant());
-        let primary_ep = fabric.register(NodeId(1));
-        let replica_ep = fabric.register(NodeId(2));
-        let mut primary = Worker::new(
-            primary_ep,
-            WorkerConfig {
-                index: index_config(),
-                replicas: vec![NodeId(2)],
-                read_threads: 0,
-            },
-        );
-        let mut replica = Worker::new(
-            replica_ep,
-            WorkerConfig {
-                index: index_config(),
-                replicas: vec![],
-                read_threads: 0,
-            },
-        );
-        primary.handle_request(Request::Ingest(vec![
-            obs(0, 0, 1.0, 1.0),
-            obs(1, 0, 2.0, 2.0),
-        ]));
-        // Deliver the replicate message by hand.
-        let env = replica
-            .endpoint
-            .recv_timeout(StdDuration::from_secs(1))
-            .unwrap();
-        replica.dispatch(env);
+    fn replica_writes_land_in_the_log_not_the_shard() {
+        let (_fabric, mut replica) = lone_worker();
+        replica.handle_request(replicate_req(
+            NodeId(7),
+            vec![obs(0, 0, 1.0, 1.0), obs(1, 0, 2.0, 2.0)],
+        ));
         let stats = replica.stats();
         assert_eq!(stats.replica_observations, 2);
         assert_eq!(stats.primary_observations, 0);
-        // Snapshot exports exactly the replica log.
-        match replica.handle_request(Request::SnapshotReplica { of: NodeId(1) }) {
-            Response::Observations(log) => assert_eq!(log.len(), 2),
-            other => panic!("unexpected response {other:?}"),
-        }
+        assert_eq!(log_seqs(&replica, NodeId(7)), vec![0, 1]);
     }
 
     #[test]
     fn promote_moves_replica_log_into_index() {
-        let fabric = Fabric::new(LinkModel::instant());
-        let ep = fabric.register(NodeId(2));
-        let _other = fabric.register(NodeId(3));
-        let mut worker = Worker::new(
-            ep,
-            WorkerConfig {
-                index: index_config(),
-                replicas: vec![NodeId(3)],
-                read_threads: 0,
-            },
-        );
-        worker.handle_request(Request::Replicate {
-            primary: NodeId(1),
-            batch: vec![obs(0, 0, 5.0, 5.0)],
-        });
+        let (_fabric, mut worker) = lone_worker();
+        worker.handle_request(replicate_req(NodeId(4), vec![obs(0, 0, 5.0, 5.0)]));
         assert_eq!(
             worker.handle_request(Request::Promote {
-                failed: NodeId(1),
+                failed: NodeId(4),
                 epoch: 0,
             }),
             Response::Ack
@@ -1423,14 +1267,7 @@ mod tests {
         let fabric = Fabric::new(LinkModel::instant());
         let worker_ep = fabric.register(NodeId(1));
         let client = fabric.register(NodeId(0));
-        let mut worker = Worker::new(
-            worker_ep,
-            WorkerConfig {
-                index: index_config(),
-                replicas: vec![],
-                read_threads: 0,
-            },
-        );
+        let mut worker = Worker::new(worker_ep, config(0));
         worker.handle_request(Request::RegisterContinuous {
             id: ContinuousQueryId(7),
             predicate: Predicate {
@@ -1439,7 +1276,7 @@ mod tests {
             },
             notify: NodeId(0),
         });
-        worker.handle_request(Request::Ingest(vec![
+        worker.handle_request(ingest_req(vec![
             obs(0, 0, 10.0, 10.0),   // match
             obs(1, 0, 500.0, 500.0), // outside region
         ]));
@@ -1450,18 +1287,18 @@ mod tests {
         assert_eq!(notification.matches[0].id.seq(), 0);
         // Unregister stops the stream.
         worker.handle_request(Request::UnregisterContinuous(ContinuousQueryId(7)));
-        worker.handle_request(Request::Ingest(vec![obs(2, 0, 10.0, 10.0)]));
+        worker.handle_request(ingest_req(vec![obs(2, 0, 10.0, 10.0)]));
         assert!(client.recv_timeout(StdDuration::from_millis(50)).is_none());
     }
 
     #[test]
     fn eviction_trims_index_and_replica_logs() {
         let (_fabric, mut worker) = lone_worker();
-        worker.handle_request(Request::Ingest(vec![obs(0, 1_000, 1.0, 1.0)]));
-        worker.handle_request(Request::Replicate {
-            primary: NodeId(9),
-            batch: vec![obs(1, 1_000, 2.0, 2.0), obs(2, 90_000, 2.0, 2.0)],
-        });
+        worker.handle_request(ingest_req(vec![obs(0, 1_000, 1.0, 1.0)]));
+        worker.handle_request(replicate_req(
+            NodeId(9),
+            vec![obs(1, 1_000, 2.0, 2.0), obs(2, 90_000, 2.0, 2.0)],
+        ));
         worker.handle_request(Request::EvictBefore {
             cutoff: Timestamp::from_secs(60),
             epoch: 0,
@@ -1472,39 +1309,11 @@ mod tests {
     }
 
     #[test]
-    fn extract_region_removes_and_returns() {
-        let (_fabric, mut worker) = lone_worker();
-        worker.handle_request(Request::Ingest(vec![
-            obs(0, 0, 100.0, 100.0),
-            obs(1, 0, 900.0, 900.0),
-        ]));
-        let region = BBox::new(Point::new(0.0, 0.0), Point::new(500.0, 500.0));
-        match worker.handle_request(Request::ExtractRegion { region }) {
-            Response::Observations(moved) => {
-                assert_eq!(moved.len(), 1);
-                assert_eq!(moved[0].id.seq(), 0);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
-        assert_eq!(worker.stats().primary_observations, 1);
-        // Idempotent on an already-empty region.
-        match worker.handle_request(Request::ExtractRegion { region }) {
-            Response::Observations(moved) => assert!(moved.is_empty()),
-            other => panic!("unexpected response {other:?}"),
-        }
-        // Extraction must also release the ids from the ingest dedup set:
-        // if the cell migrates back here later, the same observation has
-        // to be accepted again rather than silently dropped.
-        worker.handle_request(Request::Ingest(vec![obs(0, 0, 100.0, 100.0)]));
-        assert_eq!(worker.stats().primary_observations, 2);
-    }
-
-    #[test]
     fn range_filtered_applies_class_predicate() {
         let (_fabric, mut worker) = lone_worker();
         let mut truck = obs(0, 0, 100.0, 100.0);
         truck.class = EntityClass::Truck;
-        worker.handle_request(Request::Ingest(vec![truck, obs(1, 0, 110.0, 110.0)]));
+        worker.handle_request(ingest_req(vec![truck, obs(1, 0, 110.0, 110.0)]));
         let region = BBox::new(Point::new(0.0, 0.0), Point::new(500.0, 500.0));
         match worker.handle_request(Request::RangeFiltered {
             region,
@@ -1533,158 +1342,10 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_table_covers_every_request_kind() {
-        use crate::protocol::GridSpecMsg;
-        let all = [
-            Request::Ping,
-            Request::Ingest(vec![]),
-            Request::Replicate {
-                primary: NodeId(1),
-                batch: vec![],
-            },
-            Request::Range {
-                region: BBox::around(Point::ORIGIN, 1.0),
-                window: window_all(),
-                limit: 0,
-                projection: PROJ_FULL,
-            },
-            Request::Knn {
-                at: Point::ORIGIN,
-                window: window_all(),
-                k: 1,
-                max_distance: None,
-            },
-            Request::Heatmap {
-                buckets: GridSpecMsg {
-                    origin: Point::ORIGIN,
-                    cell_size: 1.0,
-                    cols: 1,
-                    rows: 1,
-                },
-                window: window_all(),
-            },
-            Request::RegisterContinuous {
-                id: ContinuousQueryId(1),
-                predicate: Predicate {
-                    region: BBox::around(Point::ORIGIN, 1.0),
-                    class: None,
-                },
-                notify: NodeId(0),
-            },
-            Request::UnregisterContinuous(ContinuousQueryId(1)),
-            Request::SnapshotReplica { of: NodeId(1) },
-            Request::Adopt(vec![]),
-            Request::Promote {
-                failed: NodeId(1),
-                epoch: 0,
-            },
-            Request::ExtractRegion {
-                region: BBox::around(Point::ORIGIN, 1.0),
-            },
-            Request::RangeFiltered {
-                region: BBox::around(Point::ORIGIN, 1.0),
-                window: window_all(),
-                class: EntityClass::Car.as_u8(),
-                limit: 0,
-                projection: PROJ_FULL,
-            },
-            Request::Stats,
-            Request::EvictBefore {
-                cutoff: Timestamp::ZERO,
-                epoch: 0,
-            },
-            Request::ReplicaRead {
-                of: NodeId(1),
-                inner: Box::new(Request::Range {
-                    region: BBox::around(Point::ORIGIN, 1.0),
-                    window: window_all(),
-                    limit: 0,
-                    projection: PROJ_FULL,
-                }),
-            },
-            Request::IngestSeq {
-                sender: NodeId(10_001),
-                seq: 0,
-                epoch: 1,
-                batch: vec![],
-            },
-            Request::ReplicateSeq {
-                sender: NodeId(10_001),
-                seq: 0,
-                primary: NodeId(1),
-                batch: vec![],
-            },
-            Request::RouteUpdate {
-                epoch: 1,
-                grid: GridSpecMsg {
-                    origin: Point::ORIGIN,
-                    cell_size: 1.0,
-                    cols: 1,
-                    rows: 1,
-                },
-                cells: vec![],
-            },
-            Request::CellDigest {
-                grid: GridSpecMsg {
-                    origin: Point::ORIGIN,
-                    cell_size: 1.0,
-                    cols: 1,
-                    rows: 1,
-                },
-            },
-            Request::Repair {
-                primary: NodeId(1),
-                grid: GridSpecMsg {
-                    origin: Point::ORIGIN,
-                    cell_size: 1.0,
-                    cols: 1,
-                    rows: 1,
-                },
-                cell: 0,
-                truncate: false,
-                batch: vec![],
-            },
-            Request::Rejoin {
-                epoch: 1,
-                grid: GridSpecMsg {
-                    origin: Point::ORIGIN,
-                    cell_size: 1.0,
-                    cols: 1,
-                    rows: 1,
-                },
-                cells: vec![],
-            },
-            Request::SegmentDigest,
-            Request::ExportSegments {
-                region: BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0)),
-                skip: vec![],
-            },
-            Request::InstallSegments {
-                frames: vec![],
-                head: vec![],
-            },
-            Request::FetchPage { cursor: 0, page: 1 },
-            Request::Census,
-        ];
-        assert_eq!(
-            all.len(),
-            DISPATCH.len(),
-            "dispatch table out of sync with Request"
-        );
-        for request in all {
-            let name = request.op_name();
-            assert!(
-                DISPATCH.iter().any(|(op, _)| *op == name),
-                "no dispatch row for {name}"
-            );
-        }
-    }
-
-    #[test]
     fn export_install_bulk_syncs_a_fresh_worker() {
         let (fabric, mut source) = lone_worker();
         // Spread across enough slices that the head seals some of them.
-        let batch: Vec<Observation> = (0..200)
+        let mut batch: Vec<Observation> = (0..200)
             .map(|i| {
                 obs(
                     i,
@@ -1694,10 +1355,12 @@ mod tests {
                 )
             })
             .collect();
-        assert_eq!(
-            source.handle_request(Request::Ingest(batch.clone())),
-            Response::Ack
-        );
+        // One row outside the extent: it clamps into a border cell.
+        batch.push(obs(200, 0, -50.0, 1200.0));
+        assert!(matches!(
+            source.handle_request(ingest_req(batch.clone())),
+            Response::IngestAck { accepted: 201, .. }
+        ));
         let Response::SegmentDigests(digests) = source.handle_request(Request::SegmentDigest)
         else {
             panic!("expected segment digests");
@@ -1716,15 +1379,7 @@ mod tests {
             batch.len()
         );
         // Install into a fresh worker; answers must match the source's.
-        let endpoint = fabric.register(NodeId(2));
-        let mut target = Worker::new(
-            endpoint,
-            WorkerConfig {
-                index: index_config(),
-                replicas: vec![],
-                read_threads: 0,
-            },
-        );
+        let mut target = Worker::new(fabric.register(NodeId(2)), config(0));
         assert_eq!(
             target.handle_request(Request::InstallSegments {
                 frames: frames.clone(),
@@ -1759,6 +1414,19 @@ mod tests {
             panic!("expected segments");
         };
         assert!(frames.is_empty(), "skip list ignored");
+        // The clamped row travelled, and is in scope of the border cell
+        // it routes to — the one region rule every cell move exports by.
+        let corner = crate::repair::cell_region(&grid_2x2().to_grid(), 2);
+        let Response::Segments { frames, head } = target.handle_request(Request::ExportSegments {
+            region: corner,
+            skip: vec![],
+        }) else {
+            panic!("expected segments");
+        };
+        let sealed = frames
+            .into_iter()
+            .flat_map(|f| stcam_index::SealedSegment::from_frame(f).unwrap().unseal());
+        assert!(sealed.chain(head).any(|o| o.id.seq() == 200));
     }
 
     #[test]
@@ -1824,7 +1492,7 @@ mod tests {
     }
 
     #[test]
-    fn misrouted_observations_are_nacked_with_epoch() {
+    fn nack_names_the_misrouted_observations_and_the_epoch() {
         use crate::protocol::GridSpecMsg;
         let (_fabric, mut worker) = lone_worker();
         // Own only cell 0 of a 2×1 macro grid splitting x at 500.
@@ -1979,10 +1647,7 @@ mod tests {
             cells: vec![1, 0],
         });
         // A replica log and a standing registration become census facts.
-        worker.handle_request(Request::Replicate {
-            primary: NodeId(9),
-            batch: vec![obs(1, 500, 100.0, 100.0)],
-        });
+        worker.handle_request(replicate_req(NodeId(9), vec![obs(1, 500, 100.0, 100.0)]));
         let predicate = Predicate {
             region: BBox::new(Point::new(0.0, 0.0), Point::new(400.0, 400.0)),
             class: None,
@@ -2108,13 +1773,13 @@ mod tests {
         use crate::protocol::GridSpecMsg;
         let (_fabric, mut worker) = lone_worker();
         // Primary data must NOT leak into replica reads.
-        worker.handle_request(Request::Ingest(vec![obs(90, 0, 500.0, 500.0)]));
+        worker.handle_request(ingest_req(vec![obs(90, 0, 500.0, 500.0)]));
         let mut truck = obs(1, 0, 20.0, 20.0);
         truck.class = EntityClass::Truck;
-        worker.handle_request(Request::Replicate {
-            primary: NodeId(7),
-            batch: vec![obs(0, 0, 10.0, 10.0), truck, obs(2, 80_000, 30.0, 30.0)],
-        });
+        worker.handle_request(replicate_req(
+            NodeId(7),
+            vec![obs(0, 0, 10.0, 10.0), truck, obs(2, 80_000, 30.0, 30.0)],
+        ));
         let region = BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
         let replica_read = |inner: Request| Request::ReplicaRead {
             of: NodeId(7),
@@ -2210,10 +1875,10 @@ mod tests {
         let (_fabric, mut worker) = lone_worker();
         worker.handle_request(Request::Ping);
         worker.handle_request(Request::Ping);
-        worker.handle_request(Request::Ingest(vec![obs(0, 0, 10.0, 10.0)]));
+        worker.handle_request(ingest_req(vec![obs(0, 0, 10.0, 10.0)]));
         let stats = worker.stats();
         assert_eq!(stats.served_count("ping"), 2);
-        assert_eq!(stats.served_count("ingest"), 1);
+        assert_eq!(stats.served_count("ingest_seq"), 1);
         assert_eq!(stats.served_count("range"), 0);
     }
 
@@ -2221,7 +1886,7 @@ mod tests {
     fn heatmap_reports_sparse_nonzero_buckets() {
         use crate::protocol::GridSpecMsg;
         let (_fabric, mut worker) = lone_worker();
-        worker.handle_request(Request::Ingest(vec![
+        worker.handle_request(ingest_req(vec![
             obs(0, 0, 10.0, 10.0),   // cell (0, 0)
             obs(1, 0, 10.0, 15.0),   // cell (0, 0)
             obs(2, 0, 910.0, 910.0), // cell (9, 9)
@@ -2259,11 +1924,8 @@ mod tests {
         let a = obs(0, 100, 100.0, 100.0); // cell 0
         let b = obs(1, 200, 100.0, 150.0); // cell 0
         let c = obs(2, 300, 900.0, 900.0); // cell 3
-        worker.handle_request(Request::Ingest(vec![a.clone(), b.clone()]));
-        worker.handle_request(Request::Replicate {
-            primary: NodeId(7),
-            batch: vec![c.clone()],
-        });
+        worker.handle_request(ingest_req(vec![a.clone(), b.clone()]));
+        worker.handle_request(replicate_req(NodeId(7), vec![c.clone()]));
         match worker.handle_request(Request::CellDigest { grid: grid_2x2() }) {
             Response::Digests(report) => {
                 assert_eq!(report.primary.len(), 1);
@@ -2287,10 +1949,10 @@ mod tests {
     fn repair_overwrites_replica_log_cell_idempotently() {
         let (_fabric, mut worker) = lone_worker();
         // Stale copy in cell 0 of primary 4's log.
-        worker.handle_request(Request::Replicate {
-            primary: NodeId(4),
-            batch: vec![obs(0, 100, 10.0, 10.0), obs(9, 100, 900.0, 900.0)],
-        });
+        worker.handle_request(replicate_req(
+            NodeId(4),
+            vec![obs(0, 100, 10.0, 10.0), obs(9, 100, 900.0, 900.0)],
+        ));
         // Stream the authoritative contents: truncate, then two chunks.
         let fresh = [obs(1, 100, 20.0, 20.0), obs(2, 100, 30.0, 30.0)];
         worker.handle_request(Request::Repair {
@@ -2315,16 +1977,9 @@ mod tests {
             truncate: false,
             batch: vec![fresh[1].clone()],
         });
-        match worker.handle_request(Request::SnapshotReplica { of: NodeId(4) }) {
-            Response::Observations(log) => {
-                let mut seqs: Vec<u64> = log.iter().map(|o| o.id.seq()).collect();
-                seqs.sort_unstable();
-                // Cell 0 replaced (seq 0 gone, 1 and 2 in); cell 3
-                // untouched (seq 9 kept).
-                assert_eq!(seqs, vec![1, 2, 9]);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        // Cell 0 replaced (seq 0 gone, 1 and 2 in); cell 3 untouched
+        // (seq 9 kept).
+        assert_eq!(log_seqs(&worker, NodeId(4)), vec![1, 2, 9]);
         // Truncating the stale-id namespace re-admits the removed id.
         worker.handle_request(Request::Repair {
             primary: NodeId(4),
@@ -2333,64 +1988,163 @@ mod tests {
             truncate: true,
             batch: vec![obs(0, 100, 10.0, 10.0)],
         });
-        match worker.handle_request(Request::SnapshotReplica { of: NodeId(4) }) {
-            Response::Observations(log) => {
-                let mut seqs: Vec<u64> = log.iter().map(|o| o.id.seq()).collect();
-                seqs.sort_unstable();
-                assert_eq!(seqs, vec![0, 9]);
-            }
-            other => panic!("unexpected response {other:?}"),
+        assert_eq!(log_seqs(&worker, NodeId(4)), vec![0, 9]);
+    }
+
+    /// Sorted sequence numbers of everything in the primary shard.
+    fn shard_seqs(worker: &mut Worker) -> Vec<u64> {
+        let everything = Request::Range {
+            region: BBox::new(Point::new(-1e12, -1e12), Point::new(1e12, 1e12)),
+            window: TimeInterval::ALL,
+            limit: 0,
+            projection: PROJ_FULL,
+        };
+        let Response::Observations(rows) = worker.handle_request(everything) else {
+            panic!("expected observations");
+        };
+        let mut seqs: Vec<u64> = rows.iter().map(|o| o.id.seq()).collect();
+        seqs.sort_unstable();
+        seqs
+    }
+
+    fn drop_cell(cell: u32) -> Request {
+        Request::Repair {
+            primary: NodeId(1), // == self: the primary shard
+            grid: grid_2x2(),
+            cell,
+            truncate: true,
+            batch: vec![],
+        }
+    }
+
+    fn route(epoch: u64, cells: Vec<u32>) -> Request {
+        Request::RouteUpdate {
+            epoch,
+            grid: grid_2x2(),
+            cells,
         }
     }
 
     #[test]
-    fn repair_to_self_overwrites_primary_cell() {
+    fn truncate_drops_a_ceded_primary_cell_and_releases_its_ids() {
         let (_fabric, mut worker) = lone_worker();
-        worker.handle_request(Request::Ingest(vec![
-            obs(0, 100, 10.0, 10.0),   // cell 0 — to be replaced
-            obs(9, 100, 900.0, 900.0), // cell 3 — untouched
+        worker.handle_request(ingest_req(vec![
+            obs(0, 100, 10.0, 10.0),   // cell 0 — ceded
+            obs(9, 100, 900.0, 900.0), // cell 3 — kept
         ]));
-        worker.handle_request(Request::Repair {
-            primary: NodeId(1), // == self: primary shard path
-            grid: grid_2x2(),
-            cell: 0,
-            truncate: true,
-            batch: vec![obs(1, 100, 20.0, 20.0)],
+        assert_eq!(worker.handle_request(drop_cell(0)), Response::Ack);
+        assert_eq!(shard_seqs(&mut worker), vec![9]);
+        // The truncated id left the dedup filter: the same observation
+        // can be installed back (rebalance return trip).
+        worker.handle_request(Request::InstallSegments {
+            frames: vec![],
+            head: vec![obs(0, 100, 10.0, 10.0)],
         });
-        let resp = worker.handle_request(Request::Range {
-            region: BBox::new(Point::ORIGIN, Point::new(1000.0, 1000.0)),
-            window: window_all(),
-            limit: 0,
-            projection: PROJ_FULL,
-        });
-        match resp {
-            Response::Observations(hits) => {
-                let mut seqs: Vec<u64> = hits.iter().map(|o| o.id.seq()).collect();
-                seqs.sort_unstable();
-                assert_eq!(seqs, vec![1, 9]);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
-        // The truncated id was released from the dedup filter: the same
-        // observation can be streamed back (rebalance return trip).
-        worker.handle_request(Request::Repair {
+        assert_eq!(shard_seqs(&mut worker), vec![0, 9]);
+        // Rows never enter a primary shard through a repair batch.
+        let smuggle = Request::Repair {
             primary: NodeId(1),
             grid: grid_2x2(),
             cell: 0,
-            truncate: true,
-            batch: vec![obs(0, 100, 10.0, 10.0)],
+            truncate: false,
+            batch: vec![obs(5, 100, 20.0, 20.0)],
+        };
+        assert!(matches!(worker.handle_request(smuggle), Response::Error(_)));
+        assert_eq!(shard_seqs(&mut worker), vec![0, 9]);
+    }
+
+    #[test]
+    fn truncate_of_a_route_owned_primary_cell_is_refused() {
+        let (_fabric, mut worker) = lone_worker();
+        worker.handle_request(ingest_req(vec![
+            obs(0, 100, 10.0, 10.0),
+            obs(9, 100, 900.0, 900.0),
+        ]));
+        worker.handle_request(route(3, vec![0, 3]));
+        assert!(matches!(
+            worker.handle_request(drop_cell(0)),
+            Response::Error(_)
+        ));
+        assert_eq!(
+            shard_seqs(&mut worker),
+            vec![0, 9],
+            "refusal must change nothing"
+        );
+        // A grid the installed route cannot be judged against is refused
+        // too, whatever the cell index.
+        let mut other_grid = drop_cell(1);
+        if let Request::Repair { grid, .. } = &mut other_grid {
+            grid.cell_size = 250.0;
+        }
+        assert!(matches!(
+            worker.handle_request(other_grid),
+            Response::Error(_)
+        ));
+        // Once a newer route cedes the cell, the same truncate goes through.
+        worker.handle_request(route(4, vec![3]));
+        assert_eq!(worker.handle_request(drop_cell(0)), Response::Ack);
+        assert_eq!(shard_seqs(&mut worker), vec![9]);
+    }
+
+    #[test]
+    fn redelivered_drain_is_a_no_op() {
+        // The drain of a cell move as the old and new owner see it, every
+        // message delivered twice: rows into `to`, truncate at `from`.
+        let fabric = Fabric::new(LinkModel::instant());
+        let mut from = Worker::new(fabric.register(NodeId(1)), config(0));
+        let mut to = Worker::new(fabric.register(NodeId(2)), config(0));
+        let stragglers = vec![obs(0, 100, 10.0, 10.0), obs(1, 100, 20.0, 20.0)];
+        from.handle_request(ingest_req(stragglers.clone()));
+        from.handle_request(ingest_req(vec![obs(9, 100, 900.0, 900.0)]));
+        to.handle_request(ingest_req(vec![obs(0, 100, 10.0, 10.0)])); // landed earlier
+        from.handle_request(route(2, vec![3]));
+        for _ in 0..2 {
+            let install = Request::InstallSegments {
+                frames: vec![],
+                head: stragglers.clone(),
+            };
+            assert_eq!(to.handle_request(install), Response::Ack);
+            assert_eq!(shard_seqs(&mut to), vec![0, 1]);
+        }
+        for _ in 0..2 {
+            assert_eq!(from.handle_request(drop_cell(0)), Response::Ack);
+            assert_eq!(shard_seqs(&mut from), vec![9]);
+        }
+    }
+
+    #[test]
+    fn whole_frame_then_the_same_rows_as_head_stores_each_id_once() {
+        let (fabric, mut source) = lone_worker();
+        let batch: Vec<Observation> = (0..60)
+            .map(|i| obs(i, (i * 1_000) % 50_000, 10.0 + i as f64, 10.0))
+            .collect();
+        source.handle_request(ingest_req(batch.clone()));
+        let everything = BBox::new(Point::new(-1e12, -1e12), Point::new(1e12, 1e12));
+        let Response::Segments { frames, head } = source.handle_request(Request::ExportSegments {
+            region: everything,
+            skip: vec![],
+        }) else {
+            panic!("expected segments");
+        };
+        assert!(!frames.is_empty(), "nothing sealed at the source");
+        let mut target = Worker::new(fabric.register(NodeId(2)), config(0));
+        // The copy lands whole frames on an empty cell …
+        target.handle_request(Request::InstallSegments { frames, head });
+        // … and the drain re-delivers every row as `head`: the id filter
+        // knows the archived rows, so nothing is stored twice.
+        target.handle_request(Request::InstallSegments {
+            frames: vec![],
+            head: batch.clone(),
         });
-        assert_eq!(worker.stats().primary_observations, 2);
+        assert_eq!(target.stats().primary_observations, batch.len() as u64);
+        assert_eq!(shard_seqs(&mut target), (0..60).collect::<Vec<u64>>());
     }
 
     #[test]
     fn rejoin_resets_all_state_and_installs_route() {
         let (_fabric, mut worker) = lone_worker();
-        worker.handle_request(Request::Ingest(vec![obs(0, 100, 10.0, 10.0)]));
-        worker.handle_request(Request::Replicate {
-            primary: NodeId(4),
-            batch: vec![obs(1, 100, 20.0, 20.0)],
-        });
+        worker.handle_request(ingest_req(vec![obs(0, 100, 10.0, 10.0)]));
+        worker.handle_request(replicate_req(NodeId(4), vec![obs(1, 100, 20.0, 20.0)]));
         worker.handle_request(Request::RegisterContinuous {
             id: ContinuousQueryId(7),
             predicate: Predicate {
@@ -2444,14 +2198,7 @@ mod tests {
         let fabric = Fabric::new(LinkModel::instant());
         let worker_ep = fabric.register(NodeId(1));
         let client = fabric.register(NodeId(0));
-        let handle = Worker::spawn(
-            worker_ep,
-            WorkerConfig {
-                index: index_config(),
-                replicas: vec![],
-                read_threads: 0,
-            },
-        );
+        let handle = Worker::spawn(worker_ep, config(0));
         let big: Vec<Observation> = (0..5_000u64)
             .map(|i| {
                 obs(
@@ -2465,11 +2212,14 @@ mod tests {
         let resp = client
             .call(
                 NodeId(1),
-                encode_to_vec(&Request::Ingest(big)),
+                encode_to_vec(&ingest_req(big)),
                 StdDuration::from_secs(10),
             )
             .unwrap();
-        assert_eq!(decode_from_slice::<Response>(&resp).unwrap(), Response::Ack);
+        assert!(matches!(
+            decode_from_slice::<Response>(&resp).unwrap(),
+            Response::IngestAck { .. }
+        ));
         let stats_bytes = client
             .call(
                 NodeId(1),
@@ -2492,14 +2242,7 @@ mod tests {
         let fabric = Fabric::new(LinkModel::instant());
         let worker_ep = fabric.register(NodeId(1));
         let client = fabric.register(NodeId(0));
-        let handle = Worker::spawn(
-            worker_ep,
-            WorkerConfig {
-                index: index_config(),
-                replicas: vec![],
-                read_threads: 0,
-            },
-        );
+        let handle = Worker::spawn(worker_ep, config(0));
         let resp_bytes = client
             .call(
                 NodeId(1),
@@ -2519,14 +2262,7 @@ mod tests {
         let fabric = Fabric::new(LinkModel::instant());
         let worker_ep = fabric.register(NodeId(1));
         let client = fabric.register(NodeId(0));
-        let handle = Worker::spawn(
-            worker_ep,
-            WorkerConfig {
-                index: index_config(),
-                replicas: vec![],
-                read_threads: 0,
-            },
-        );
+        let handle = Worker::spawn(worker_ep, config(0));
         let resp_bytes = client
             .call(NodeId(1), vec![250, 1, 2], StdDuration::from_secs(5))
             .unwrap();
@@ -2545,14 +2281,7 @@ mod tests {
     ) -> (stcam_net::Endpoint, WorkerHandle) {
         let worker_ep = fabric.register(NodeId(1));
         let client = fabric.register(NodeId(0));
-        let handle = Worker::spawn(
-            worker_ep,
-            WorkerConfig {
-                index: index_config(),
-                replicas: vec![],
-                read_threads,
-            },
-        );
+        let handle = Worker::spawn(worker_ep, config(read_threads));
         let rows: Vec<Observation> = (0..n)
             .map(|i| {
                 obs(
@@ -2566,11 +2295,14 @@ mod tests {
         let resp = client
             .call(
                 NodeId(1),
-                encode_to_vec(&Request::Ingest(rows)),
+                encode_to_vec(&ingest_req(rows)),
                 StdDuration::from_secs(10),
             )
             .unwrap();
-        assert_eq!(decode_from_slice::<Response>(&resp).unwrap(), Response::Ack);
+        assert!(matches!(
+            decode_from_slice::<Response>(&resp).unwrap(),
+            Response::IngestAck { .. }
+        ));
         (client, handle)
     }
 
@@ -2642,7 +2374,7 @@ mod tests {
     #[test]
     fn range_limit_and_projection_push_down() {
         let (_fabric, mut worker) = lone_worker();
-        worker.handle_request(Request::Ingest(vec![
+        worker.handle_request(ingest_req(vec![
             obs(3, 100, 10.0, 10.0),
             obs(1, 200, 11.0, 11.0),
             obs(2, 300, 12.0, 12.0),
@@ -2730,7 +2462,7 @@ mod tests {
         client
             .call(
                 NodeId(1),
-                encode_to_vec(&Request::Ingest(more)),
+                encode_to_vec(&ingest_req(more)),
                 StdDuration::from_secs(5),
             )
             .unwrap();

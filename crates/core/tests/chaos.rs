@@ -1064,7 +1064,6 @@ fn stale_coordinator_instance_is_fenced_out() {
             endpoint,
             WorkerConfig {
                 index: index.clone(),
-                replicas: partition.successors(id, 1),
                 read_threads: 0,
             },
         ));

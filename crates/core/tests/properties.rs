@@ -107,8 +107,6 @@ proptest! {
         // Every Request variant the protocol defines.
         let requests = [
             Request::Ping,
-            Request::Ingest(batch.clone()),
-            Request::Replicate { primary: NodeId(node), batch: batch.clone() },
             Request::IngestSeq { sender: NodeId(node), seq, epoch, batch: batch.clone() },
             Request::ReplicateSeq { sender: NodeId(node), seq, primary: NodeId(node), batch: batch.clone() },
             Request::RouteUpdate { epoch, grid: buckets, cells: cells.clone() },
@@ -121,12 +119,9 @@ proptest! {
                 notify: NodeId(node),
             },
             Request::UnregisterContinuous(stcam::ContinuousQueryId(k as u64)),
-            Request::SnapshotReplica { of: NodeId(node) },
-            Request::Adopt(batch.clone()),
             Request::Stats,
             Request::EvictBefore { cutoff: Timestamp::from_millis(cutoff), epoch },
             Request::Promote { failed: NodeId(node), epoch },
-            Request::ExtractRegion { region },
             Request::RangeFiltered { region, window, class, limit, projection },
             Request::ReplicaRead {
                 of: NodeId(node),
@@ -157,7 +152,7 @@ proptest! {
             prop_assert!(names.insert(request.op_name()), "duplicate op name {}", request.op_name());
             prop_assert_eq!(decode_from_slice::<Request>(&bytes).unwrap(), request);
         }
-        prop_assert_eq!(names.len(), 27);
+        prop_assert_eq!(names.len(), 22);
     }
 
     #[test]
@@ -350,7 +345,10 @@ proptest! {
         let containing: Vec<_> = map
             .grid()
             .all_cells()
-            .filter(|&c| map.cell_routing_region(c).contains(p))
+            .filter(|&c| {
+                let packed = c.row * map.grid().cols() + c.col;
+                stcam::repair::cell_region(map.grid(), packed).contains(p)
+            })
             .collect();
         prop_assert_eq!(containing.len(), 1, "point {} in {} regions", p, containing.len());
         prop_assert_eq!(containing[0], map.grid().cell_of_clamped(p));

@@ -1,6 +1,6 @@
 //! Online rebalancing and filtered queries, end to end.
 
-use stcam::{Cluster, ClusterConfig, PartitionPolicy, Predicate, QueryOpts, RangeOp};
+use stcam::{Cluster, ClusterConfig, OpPolicy, PartitionPolicy, Predicate, QueryOpts, RangeOp};
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, Point, TimeInterval, Timestamp};
 use stcam_net::LinkModel;
@@ -200,7 +200,7 @@ fn repeated_rebalances_with_shifting_hotspots_lose_nothing() {
 }
 
 #[test]
-fn rebalance_with_replication_preserves_data_and_coverage() {
+fn replicated_rebalance_preserves_data_and_coverage() {
     let cluster = Cluster::launch(
         ClusterConfig::new(extent(), 4)
             .with_replication(1)
@@ -210,8 +210,8 @@ fn rebalance_with_replication_preserves_data_and_coverage() {
     cluster.ingest(hotspot_batch(1_000)).unwrap();
     cluster.flush().unwrap();
 
-    // The old factor-0 guard is gone: the move runs copy-then-cutover
-    // through the repair streamer and keeps the replica chains covered.
+    // The move runs copy-then-cutover and keeps the replica chains
+    // covered.
     let report = cluster.rebalance().unwrap();
     assert!(report.cells_moved > 0, "hotspot workload should move cells");
     assert_eq!(
@@ -224,6 +224,76 @@ fn rebalance_with_replication_preserves_data_and_coverage() {
         0,
         "moved cells left without their replica copies"
     );
+    cluster.shutdown();
+}
+
+/// Rebalance beside a live writer, over links that drop 5 % of frames:
+/// every control message of the move may be lost and re-sent, and the
+/// writer keeps landing rows in the cells being moved. Nothing acked may
+/// be lost or doubled, and the replica chains must converge afterwards.
+#[test]
+fn lossy_rebalance_beside_a_writer_keeps_every_acked_observation() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    let cluster = Cluster::launch(
+        ClusterConfig::new(extent(), 4)
+            .with_replication(1)
+            .with_link(LinkModel::instant())
+            .with_rpc_timeout(Duration::from_millis(100)),
+    )
+    .unwrap();
+    cluster.ingest(hotspot_batch(2_000)).unwrap();
+    cluster.flush().unwrap();
+    let ingestor = cluster.create_ingestor();
+    let stop = AtomicBool::new(false);
+    let (wrote, written) = mpsc::channel();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let total = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let mut next = 2_000u64;
+            while !stop.load(Ordering::SeqCst) {
+                ingestor.ingest(corner_batch(next, 40, 50.0, 50.0)).unwrap();
+                next += 40;
+                let _ = wrote.send(next);
+            }
+            next
+        });
+        // The writer is under way before the move starts, and lands at
+        // least one more batch after it ends.
+        written.recv().unwrap();
+        cluster.set_drop_probability(0.05);
+        while cluster.rebalance().is_err() {
+            assert!(Instant::now() < deadline, "rebalance never got through");
+        }
+        let during = written.try_iter().count();
+        assert!(during > 0, "the writer never ran beside the rebalance");
+        written.recv().unwrap();
+        cluster.set_drop_probability(0.0);
+        stop.store(true, Ordering::SeqCst);
+        writer.join().unwrap()
+    });
+    // The 100 ms budget was for the lossy phase; the audit below reads
+    // every row of the cluster in one query and gets a real one.
+    for op in ["range", "cell_digest"] {
+        cluster.set_op_policy(op, OpPolicy::new(Duration::from_secs(10)));
+    }
+    while ingestor.flush().is_err() || cluster.flush().is_err() {
+        assert!(Instant::now() < deadline, "parked writes never drained");
+    }
+    while !cluster.repair().converged {
+        assert!(Instant::now() < deadline, "repair never converged");
+    }
+    assert_eq!(cluster.under_replicated_cells(), 0);
+    let mut held: Vec<u64> = cluster
+        .range_query(extent(), window_all())
+        .unwrap()
+        .iter()
+        .map(|o| o.id.seq())
+        .collect();
+    held.sort_unstable();
+    assert_eq!(held, (0..total).collect::<Vec<u64>>());
     cluster.shutdown();
 }
 
