@@ -49,8 +49,6 @@ pub struct ClusterConfig {
     pub index_cell_size: f64,
     /// Worker-local index slice length.
     pub slice_len: Duration,
-    /// Per-worker retention budget in observations (0 = unbounded).
-    pub max_observations_per_worker: usize,
     /// Link model of the simulated network.
     pub link: LinkModel,
     /// RPC timeout for coordinator → worker calls.
@@ -58,16 +56,12 @@ pub struct ClusterConfig {
     /// Per-macro-cell load estimates for
     /// [`PartitionPolicy::LoadAware`] (row-major over the macro grid).
     pub load_profile: Option<Vec<u64>>,
-    /// Fabric endpoints in the query plane's pool (minimum 1). Each
-    /// concurrent read borrows one round-robin; endpoints support
-    /// concurrent calls, so this bounds contention, not parallelism.
-    pub query_concurrency: usize,
     /// Read-executor threads per worker (0 serves every read on the
     /// worker's sequential control lane).
     pub read_concurrency: usize,
     /// Cluster-wide in-flight scatter width past which the admission
     /// gate sheds non-high-priority tenant queries (0 = auto: one full
-    /// fan-out per query-plane endpoint, `workers × query_concurrency`).
+    /// fan-out per query-plane endpoint, `workers × 8`).
     pub saturation_width: usize,
 }
 
@@ -91,11 +85,9 @@ impl ClusterConfig {
             macro_cell_size: width / 16.0,
             index_cell_size: width / 80.0,
             slice_len: Duration::from_secs(10),
-            max_observations_per_worker: 0,
             link: LinkModel::lan(),
             rpc_timeout: StdDuration::from_secs(5),
             load_profile: None,
-            query_concurrency: 8,
             read_concurrency: 4,
             saturation_width: 0,
         }
@@ -132,22 +124,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Replaces the per-worker retention budget.
-    pub fn with_max_observations_per_worker(mut self, max: usize) -> Self {
-        self.max_observations_per_worker = max;
-        self
-    }
-
     /// Replaces the coordinator → worker RPC timeout. Chaos and failover
     /// tests lower this so dead-node sub-queries fail fast.
     pub fn with_rpc_timeout(mut self, timeout: StdDuration) -> Self {
         self.rpc_timeout = timeout;
-        self
-    }
-
-    /// Replaces the query-plane endpoint pool size (clamped to ≥ 1).
-    pub fn with_query_concurrency(mut self, endpoints: usize) -> Self {
-        self.query_concurrency = endpoints.max(1);
         self
     }
 
@@ -159,7 +139,7 @@ impl ClusterConfig {
     }
 
     /// Replaces the admission gate's saturation width (0 = auto-derive
-    /// from the worker count and query concurrency at launch).
+    /// from the worker count and the query-plane pool size at launch).
     pub fn with_saturation_width(mut self, width: usize) -> Self {
         self.saturation_width = width;
         self
@@ -263,6 +243,11 @@ impl Drop for MonitorHandle {
     }
 }
 
+/// Fabric endpoints in the query plane's pool. Each concurrent read
+/// borrows one round-robin; endpoints support concurrent calls, so this
+/// bounds contention, not parallelism.
+const QUERY_ENDPOINTS: u32 = 8;
+
 impl Cluster {
     /// Boots a cluster per `config`.
     ///
@@ -281,8 +266,7 @@ impl Cluster {
             config.load_profile.as_deref(),
         );
         let index_config =
-            IndexConfig::new(config.extent, config.index_cell_size, config.slice_len)
-                .with_max_observations(config.max_observations_per_worker);
+            IndexConfig::new(config.extent, config.index_cell_size, config.slice_len);
         let mut handles = Vec::with_capacity(config.workers);
         for &id in &worker_ids {
             handles.push(Worker::spawn(
@@ -297,7 +281,7 @@ impl Cluster {
         // Query-plane endpoints live in their own id range (20 000+),
         // clear of workers (1..), the coordinator (0) and ingestors
         // (10 000+).
-        let query_endpoints = (0..config.query_concurrency.max(1) as u32)
+        let query_endpoints = (0..QUERY_ENDPOINTS)
             .map(|k| fabric.register(NodeId(20_000 + k)))
             .collect();
         let coordinator = Coordinator::new(
@@ -317,7 +301,7 @@ impl Cluster {
         let saturation = if config.saturation_width > 0 {
             config.saturation_width
         } else {
-            config.workers * config.query_concurrency.max(1)
+            config.workers * QUERY_ENDPOINTS as usize
         };
         plane.admission().set_saturation_width(saturation);
         Ok(Cluster {

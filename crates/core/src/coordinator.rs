@@ -3,8 +3,9 @@
 //! bookkeeping. Reads do not pass through here: they run on the
 //! lock-free [`QueryPlane`](crate::QueryPlane) this publishes plans to.
 //!
-//! Every distributed operation is a [`DistributedOp`] value handed to an
-//! [`Executor`]; this module contributes only what is not generic:
+//! Every control message is a [`Request`] this module spells and hands
+//! to [`Executor::ask`] under the name that keys its policy and
+//! telemetry; beyond that it contributes only what is not generic:
 //! ingest routing, partition-map surgery during rebalance/failover, and
 //! plan publication. Read composition (two-phase kNN, heat-maps, …)
 //! lives in [`QueryPlane`] so it can run without this lock.
@@ -15,23 +16,22 @@ use std::time::Duration as StdDuration;
 
 use stcam_camnet::Observation;
 use stcam_codec::decode_from_slice;
-use stcam_geo::{CellId, TimeInterval, Timestamp};
+use stcam_geo::{TimeInterval, Timestamp};
 use stcam_index::SealedSegment;
 use stcam_net::{Endpoint, NodeId};
 
 use crate::continuous::{ContinuousQueryId, Notification, Predicate};
 use crate::error::StcamError;
 use crate::exec::{
-    CellDigestOp, CensusOp, CopyRegionOp, DistributedOp, EvictOp, Executor, ExportSegmentsOp,
-    FlushOp, HeatmapOp, InstallSegmentsOp, OpPolicy, OpStats, ProbeOp, PromoteOp,
-    RegisterContinuousOp, RejoinOp, RepairOp, RouteUpdateOp, SegmentDigestOp, StatsOp,
-    UnregisterContinuousOp,
+    all_alive, region_targets, unexpected, want_ack, want_observations, Executor, HeatmapOp,
+    OpPolicy, OpStats,
 };
 use crate::ingest::ReliableSender;
 use crate::partition::PartitionMap;
 use crate::plane::{QueryOpts, QueryPlane};
 use crate::protocol::{
-    CensusReport, DigestReport, GridSpecMsg, SegmentDigestEntry, WorkerStatsMsg,
+    CensusReport, DigestReport, GridSpecMsg, Request, Response, SegmentDigestEntry, WorkerStatsMsg,
+    PROJ_FULL,
 };
 use crate::repair::{self, RepairBudget, RepairReport};
 
@@ -154,16 +154,19 @@ fn primary_digest(
     Some(entry.map(|e| (e.count, e.checksum)))
 }
 
+/// The answer of a control message asked of one worker.
+fn only<T>(mut answers: Vec<(NodeId, Result<T, StcamError>)>) -> Result<T, StcamError> {
+    answers.pop().expect("one target, one answer").1
+}
+
 /// The cluster's control plane and query router.
 ///
 /// The coordinator is driven synchronously by the client thread: ingest
 /// routing and failure recovery are plain method calls. Fan-out, retry,
-/// and telemetry live in the [`Executor`]; read composition lives in the
-/// [`QueryPlane`] (the query methods here are delegating wrappers, kept
-/// so single-threaded callers need no second handle). After every
-/// mutation of the partition map or alive set the coordinator publishes
-/// a fresh [`QueryPlan`](crate::QueryPlan) so lock-free readers observe
-/// it.
+/// and telemetry live in the [`Executor`]; reads live in the
+/// [`QueryPlane`]. After every mutation of the partition map or alive
+/// set the coordinator publishes a fresh [`QueryPlan`](crate::QueryPlan)
+/// so lock-free readers observe it.
 #[derive(Debug)]
 pub struct Coordinator {
     exec: Executor,
@@ -252,20 +255,6 @@ impl Coordinator {
         &self.partition
     }
 
-    /// Replication factor (replica count per shard, excluding the
-    /// primary).
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
-    /// Overrides the liveness-probe timeout used by
-    /// [`check_and_recover`](Self::check_and_recover) (default: the lesser
-    /// of the RPC timeout and 250 ms). Shorter probes detect failures
-    /// faster at the cost of more false positives under load.
-    pub fn set_probe_timeout(&mut self, timeout: StdDuration) {
-        self.exec.set_policy("probe", OpPolicy::no_retry(timeout));
-    }
-
     /// Installs a timeout/retry policy override for the named operation.
     pub fn set_op_policy(&self, op: &'static str, policy: OpPolicy) {
         self.exec.set_policy(op, policy);
@@ -278,9 +267,7 @@ impl Coordinator {
 
     /// The workers currently believed alive.
     pub fn alive_workers(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.alive.iter().copied().collect();
-        v.sort();
-        v
+        all_alive(&self.alive)
     }
 
     /// Current per-node suspicion (consecutive failed RPCs since the
@@ -338,7 +325,7 @@ impl Coordinator {
     /// alive does not answer in time.
     pub fn flush(&self) -> Result<(), StcamError> {
         self.sender.drain(self.exec.endpoint())?;
-        self.call(FlushOp)
+        self.tell("flush", &self.alive_workers(), |_| Request::Ping)
     }
 
     /// Pushes every alive worker its slice of the current routing plan
@@ -347,9 +334,18 @@ impl Coordinator {
     /// worker that misses an update keeps its previous (older-epoch)
     /// route and simply NACKs less precisely until the next broadcast.
     pub fn broadcast_routes(&self) {
-        let op = RouteUpdateOp::from_plan(self.plane.epoch(), &self.partition);
-        for (_, result) in self.exec.run(&op, &self.partition, &self.alive) {
-            let _ = result;
+        let _ = self.tell("route_update", &self.alive_workers(), |to| {
+            self.route_of(to)
+        });
+    }
+
+    /// `to`'s slice of the published plan: its epoch and the cells `to`
+    /// owns under it.
+    fn route_of(&self, to: NodeId) -> Request {
+        Request::RouteUpdate {
+            epoch: self.plane.epoch(),
+            grid: GridSpecMsg::from(*self.partition.grid()),
+            cells: self.partition.packed_cells_of(to),
         }
     }
 
@@ -371,16 +367,24 @@ impl Coordinator {
     /// Propagates worker failures.
     pub fn evict_before(&self, cutoff: Timestamp) -> Result<(), StcamError> {
         let epoch = self.plane.epoch();
-        self.call(EvictOp { cutoff, epoch })
+        let sweep = |_| Request::EvictBefore { cutoff, epoch };
+        self.tell("evict", &self.alive_workers(), sweep)
     }
 
     // ------------------------------------------------------------------
     // Moving a cell's primary copy
     // ------------------------------------------------------------------
 
-    /// Runs a control operation against the current map and alive set.
-    fn call<O: DistributedOp>(&self, op: O) -> Result<O::Output, StcamError> {
-        self.exec.execute(op, &self.partition, &self.alive)
+    /// Sends the control message `name` to each of `targets` and waits
+    /// for every ack; the first failed target's error wins.
+    fn tell(
+        &self,
+        name: &'static str,
+        targets: &[NodeId],
+        request: impl FnMut(NodeId) -> Request,
+    ) -> Result<(), StcamError> {
+        let answers = self.exec.ask(name, targets, request, want_ack);
+        answers.into_iter().try_for_each(|(_, answer)| answer)
     }
 
     /// Overwrites `target`'s copy of packed cell `cell` held for
@@ -395,24 +399,21 @@ impl Coordinator {
         cell: u32,
         contents: &[Observation],
     ) -> Result<(), StcamError> {
-        let mut chunks = contents.chunks(repair::STREAM_CHUNK);
-        let mut batch = chunks.next().unwrap_or(&[]);
-        let mut truncate = true;
-        loop {
-            self.call(RepairOp {
-                target,
+        // Nothing to write still sends the one truncating message.
+        let nothing = contents.is_empty().then_some(contents);
+        let batches = nothing
+            .into_iter()
+            .chain(contents.chunks(repair::STREAM_CHUNK));
+        for (i, batch) in batches.enumerate() {
+            self.tell("repair", &[target], |_| Request::Repair {
                 primary,
                 grid: GridSpecMsg::from(*self.partition.grid()),
                 cell,
-                truncate,
+                truncate: i == 0,
                 batch: batch.to_vec(),
             })?;
-            truncate = false;
-            match chunks.next() {
-                Some(next) => batch = next,
-                None => return Ok(()),
-            }
         }
+        Ok(())
     }
 
     /// Exports `m.from`'s copy of the cell — minus the segments
@@ -427,11 +428,16 @@ impl Coordinator {
     /// unsealed here and travel as rows, which pass `m.to`'s id filter.
     /// Export reads, install dedups: every message may be re-sent.
     fn ship(&self, m: &mut CellMove, whole: bool) -> Result<usize, StcamError> {
-        let (mut frames, mut head) = self.call(ExportSegmentsOp {
-            target: m.from,
+        let export = |_| Request::ExportSegments {
             region: repair::cell_region(self.partition.grid(), m.cell),
             skip: m.installed.clone(),
-        })?;
+        };
+        let want = |response| match response {
+            Response::Segments { frames, head } => Ok((frames, head)),
+            other => Err(unexpected("segments", other)),
+        };
+        let (mut frames, mut head) =
+            only(self.exec.ask("export_segments", &[m.from], export, want))?;
         if whole {
             m.installed
                 .extend(frames.iter().map(|f| SegmentDigestEntry {
@@ -445,19 +451,12 @@ impl Coordinator {
             }
         }
         let shipped = frames.iter().map(|f| f.count as usize).sum::<usize>() + head.len();
-        let mut chunks = head.chunks(repair::STREAM_CHUNK);
-        let first = chunks.next().unwrap_or(&[]).to_vec();
-        if !frames.is_empty() || !first.is_empty() {
-            self.call(InstallSegmentsOp {
-                target: m.to,
-                frames,
-                head: first,
-            })?;
-        }
-        for chunk in chunks {
-            self.call(InstallSegmentsOp {
-                target: m.to,
-                frames: Vec::new(),
+        // The frames ride with the first chunk of rows (alone, if there
+        // are no rows).
+        let rowless = (head.is_empty() && !frames.is_empty()).then_some(&head[..]);
+        for chunk in rowless.into_iter().chain(head.chunks(repair::STREAM_CHUNK)) {
+            self.tell("install_segments", &[m.to], |_| Request::InstallSegments {
+                frames: std::mem::take(&mut frames),
                 head: chunk.to_vec(),
             })?;
         }
@@ -480,13 +479,10 @@ impl Coordinator {
         if moves.is_empty() {
             return Vec::new();
         }
-        let mut route = RouteUpdateOp::from_plan(self.plane.epoch(), &self.partition);
         let mut confirmed: HashMap<NodeId, Result<(), StcamError>> = HashMap::new();
         for m in moves.iter() {
-            confirmed.entry(m.from).or_insert_with(|| {
-                route.only = Some(m.from);
-                self.call(route.clone())
-            });
+            let resend = || self.tell("route_update", &[m.from], |to| self.route_of(to));
+            confirmed.entry(m.from).or_insert_with(resend);
         }
         let digests = self.sweep_digests(&self.partition);
         moves
@@ -582,9 +578,7 @@ impl Coordinator {
         // 4. Cover phase: bring every moved cell's replica chain up to
         // the configured factor *under the target map* before any old
         // copy is dropped.
-        if self.replication > 0 {
-            self.repair_against(&target, RepairBudget::default(), false);
-        }
+        self.repair_against(&target, RepairBudget::default(), false);
         // 5. Cutover: swap in the new map and publish it.
         self.partition = target;
         self.publish_plan();
@@ -597,9 +591,7 @@ impl Coordinator {
         // overlapping workers, and re-converge replica coverage for the
         // straggler drain.
         self.reregister(None);
-        if self.replication > 0 {
-            self.repair();
-        }
+        self.repair();
         let imbalance_after = self.partition.imbalance(&loads);
         Ok(RebalanceReport {
             cells_moved: moves.len(),
@@ -660,10 +652,8 @@ impl Coordinator {
                 // and faithfully re-append it every round without ever
                 // converging. Post-cutover repair reclaims these logs
                 // together with the stray primary copies.
-                let cols = grid.cols();
-                plan.deficits.retain(|d| {
-                    partition.owner_of_cell(CellId::new(d.cell % cols, d.cell / cols)) == d.owner
-                });
+                plan.deficits
+                    .retain(|d| partition.owner_of_packed(d.cell) == d.owner);
             }
             if first_sweep {
                 report.under_replicated_before = plan.under_replicated_cells;
@@ -689,8 +679,13 @@ impl Coordinator {
                     installed: held
                         .entry(s.owner)
                         .or_insert_with(|| {
-                            let digests = self.call(SegmentDigestOp { target: s.owner });
-                            digests.unwrap_or_default()
+                            let ask = |_| Request::SegmentDigest;
+                            let held = |response| match response {
+                                Response::SegmentDigests(digests) => Ok(digests),
+                                other => Err(unexpected("segment digests", other)),
+                            };
+                            only(self.exec.ask("segment_digest", &[s.owner], ask, held))
+                                .unwrap_or_default()
                         })
                         .clone(),
                 })
@@ -722,11 +717,17 @@ impl Coordinator {
                 if budget_left == 0 {
                     break 'groups;
                 }
-                let region = repair::cell_region(&grid, cell);
-                let Ok(contents) = self.call(CopyRegionOp {
-                    target: owner,
-                    region,
-                }) else {
+                // The copy side of replica-log repair: a plain range read.
+                let copy = |_| Request::Range {
+                    region: repair::cell_region(&grid, cell),
+                    window: TimeInterval::ALL,
+                    limit: 0,
+                    projection: PROJ_FULL,
+                };
+                let copied = self
+                    .exec
+                    .ask("copy_region", &[owner], copy, want_observations);
+                let Ok(contents) = only(copied) else {
                     continue; // owner unreachable this round: re-planned next round
                 };
                 for holder in holders {
@@ -759,11 +760,14 @@ impl Coordinator {
     /// simply contribute nothing (the planner treats their copies as
     /// missing and retries next round).
     fn sweep_digests(&self, partition: &PartitionMap) -> Vec<(NodeId, DigestReport)> {
-        let op = CellDigestOp {
-            grid: GridSpecMsg::from(*partition.grid()),
+        let grid = GridSpecMsg::from(*partition.grid());
+        let want = |response| match response {
+            Response::Digests(report) => Ok(report),
+            other => Err(unexpected("digests", other)),
         };
+        let sweep = |_| Request::CellDigest { grid };
         self.exec
-            .run(&op, partition, &self.alive)
+            .ask("cell_digest", &self.alive_workers(), sweep, want)
             .into_iter()
             .filter_map(|(w, r)| r.ok().map(|d| (w, d)))
             .collect()
@@ -798,13 +802,7 @@ impl Coordinator {
     ) -> Result<ContinuousQueryId, StcamError> {
         let id = ContinuousQueryId(self.next_query_id);
         self.next_query_id += 1;
-        let notify = self.exec.endpoint().id();
-        self.call(RegisterContinuousOp {
-            id,
-            predicate,
-            notify,
-            only: None,
-        })?;
+        self.register(id, predicate, None)?;
         self.registrations.insert(id, predicate);
         Ok(id)
     }
@@ -816,7 +814,28 @@ impl Coordinator {
     /// Fails when a shard worker cannot be reached.
     pub fn unregister_continuous(&mut self, id: ContinuousQueryId) -> Result<(), StcamError> {
         self.registrations.remove(&id);
-        self.call(UnregisterContinuousOp { id })
+        let remove = |_| Request::UnregisterContinuous(id);
+        self.tell("unregister_continuous", &self.alive_workers(), remove)
+    }
+
+    /// Installs a standing query at the alive workers its region
+    /// overlaps (of those, only at `only` when set).
+    fn register(
+        &self,
+        id: ContinuousQueryId,
+        predicate: Predicate,
+        only: Option<NodeId>,
+    ) -> Result<(), StcamError> {
+        let mut targets = region_targets(&self.partition, &self.alive, predicate.region);
+        targets.retain(|w| only.is_none_or(|o| o == *w));
+        let notify = self.exec.endpoint().id();
+        self.tell("register_continuous", &targets, |_| {
+            Request::RegisterContinuous {
+                id,
+                predicate,
+                notify,
+            }
+        })
     }
 
     /// Drains match notifications that have arrived since the last poll,
@@ -864,12 +883,9 @@ impl Coordinator {
     /// successors the new plan points them at. Returns the newly failed
     /// workers.
     pub fn check_and_recover(&mut self) -> Vec<NodeId> {
-        let failed: Vec<NodeId> = self
-            .exec
-            .run(&ProbeOp, &self.partition, &self.alive)
-            .into_iter()
-            .filter_map(|(worker, result)| result.is_err().then_some(worker))
-            .collect();
+        let mut failed = self.alive_workers();
+        let answered = self.responders(&self.alive);
+        failed.retain(|worker| !answered.contains(worker));
         for &worker in &failed {
             self.alive.remove(&worker);
         }
@@ -884,7 +900,7 @@ impl Coordinator {
             self.broadcast_routes();
         }
         let rejoined = self.try_rejoin();
-        if (!failed.is_empty() || !rejoined.is_empty()) && self.replication > 0 {
+        if !failed.is_empty() || !rejoined.is_empty() {
             self.repair();
         }
         failed
@@ -901,19 +917,8 @@ impl Coordinator {
         // Absorb the replica log; data loss is bounded by in-flight
         // replication traffic at crash time. This runs even with
         // replication disabled, because hinted handoff parks acked
-        // batches for a dead owner in its successor's replica log. A
-        // failed promotion is counted, not swallowed: the executor has
-        // already booked the failure into the "promote" telemetry and the
-        // successor's suspicion, and the unabsorbed log is re-streamed by
-        // the next anti-entropy pass.
-        let promoted = self.call(PromoteOp {
-            target: successor,
-            failed,
-            epoch: self.plane.epoch(),
-        });
-        if promoted.is_err() {
-            self.promotion_failures += 1;
-        }
+        // batches for a dead owner in its successor's replica log.
+        self.promote(successor, failed, self.plane.epoch());
         // Standing queries whose region now overlaps the successor's
         // enlarged shard must be present there.
         self.reregister(Some(successor));
@@ -924,46 +929,44 @@ impl Coordinator {
     /// no-op). A failure is counted, not fatal: the next membership
     /// change or rebalance re-sends the registration.
     fn reregister(&mut self, only: Option<NodeId>) {
-        let notify = self.exec.endpoint().id();
         for (id, predicate) in self.registrations() {
-            let op = RegisterContinuousOp {
-                id,
-                predicate,
-                notify,
-                only,
-            };
-            if self.call(op).is_err() {
+            if self.register(id, predicate, only).is_err() {
                 self.registration_failures += 1;
             }
         }
+    }
+
+    /// Tells `target` to absorb its replica log of `failed` into its
+    /// primary shard. A failure is counted, not swallowed: the executor
+    /// has already booked it into the "promote" telemetry and `target`'s
+    /// suspicion, and the next anti-entropy pass re-streams the log.
+    fn promote(&mut self, target: NodeId, failed: NodeId, epoch: u64) {
+        let absorb = |_| Request::Promote { failed, epoch };
+        if self.tell("promote", &[target], absorb).is_err() {
+            self.promotion_failures += 1;
+        }
+    }
+
+    /// Pings `nodes` under the "probe" policy (single-attempt by default:
+    /// a timeout *is* the signal) and returns who answered, in id order.
+    fn responders(&self, nodes: &HashSet<NodeId>) -> Vec<NodeId> {
+        let ping = |_| Request::Ping;
+        let answers = self.exec.ask("probe", &all_alive(nodes), ping, want_ack);
+        let answered = answers.into_iter().filter(|(_, answer)| answer.is_ok());
+        answered.map(|(worker, _)| worker).collect()
     }
 
     /// Probes every known-but-dead worker and readmits the ones that
     /// answer (a restart brings the transport back with empty state).
     /// Returns the workers that completed the rejoin handshake.
     fn try_rejoin(&mut self) -> Vec<NodeId> {
-        let dead: HashSet<NodeId> = self
-            .known
-            .iter()
-            .copied()
-            .filter(|w| !self.alive.contains(w))
-            .collect();
+        let dead: HashSet<NodeId> = self.known.difference(&self.alive).copied().collect();
         if dead.is_empty() {
             return Vec::new();
         }
-        let responders: Vec<NodeId> = self
-            .exec
-            .run(&ProbeOp, &self.partition, &dead)
-            .into_iter()
-            .filter_map(|(worker, result)| result.is_ok().then_some(worker))
-            .collect();
-        let mut rejoined = Vec::new();
-        for worker in responders {
-            if self.rejoin(worker).is_ok() {
-                rejoined.push(worker);
-            }
-        }
-        rejoined
+        let responders = self.responders(&dead);
+        let rejoined = responders.into_iter().filter(|&w| self.rejoin(w).is_ok());
+        rejoined.collect()
     }
 
     /// The rejoin handshake for one restarted worker: reset it, bulk-sync
@@ -974,7 +977,6 @@ impl Coordinator {
     /// absorbed by the trailing anti-entropy pass.
     fn rejoin(&mut self, worker: NodeId) -> Result<(), StcamError> {
         let grid = *self.partition.grid();
-        let cols = grid.cols();
         // 1. Target map: minimal-churn admission — the rejoiner is
         // granted a fair share of the measured load carved from the most
         // loaded veterans, and every other assignment is preserved. A
@@ -986,15 +988,10 @@ impl Coordinator {
             .cell_loads(&QueryOpts::BEST_EFFORT)
             .unwrap_or_else(|_| vec![1; grid.cell_count() as usize]);
         let target = self.partition.admit(worker, &loads);
-        let cells: Vec<u32> = target
-            .cells_of(worker)
-            .into_iter()
-            .map(|c| c.row * cols + c.col)
-            .collect();
+        let cells = target.packed_cells_of(worker);
         // 2. Handshake: reset the restarted worker's state and install
         // its route, stamped with the epoch the cutover below publishes.
-        self.call(RejoinOp {
-            target: worker,
+        self.tell("rejoin", &[worker], |_| Request::Rejoin {
             epoch: self.plane.epoch() + 1,
             grid: GridSpecMsg::from(grid),
             cells: cells.clone(),
@@ -1005,9 +1002,7 @@ impl Coordinator {
             .iter()
             .map(|&cell| CellMove {
                 cell,
-                from: self
-                    .partition
-                    .owner_of_cell(CellId::new(cell % cols, cell / cols)),
+                from: self.partition.owner_of_packed(cell),
                 to: worker,
                 installed: Vec::new(),
             })
@@ -1027,9 +1022,7 @@ impl Coordinator {
         // map (readmitting a worker shifts ring successors broadly), so
         // it runs under the bulk budget: one digest sweep and one copy
         // fetch per cell instead of a fresh sweep every 8 k rows.
-        if self.replication > 0 {
-            self.repair_against(&target, RepairBudget::bulk(), false);
-        }
+        self.repair_against(&target, RepairBudget::bulk(), false);
         // 6. Cutover: one publication atomically re-enters the worker.
         self.partition = target;
         self.publish_plan();
@@ -1094,20 +1087,19 @@ impl Coordinator {
         // 1. Probe: the roster starts from who answers, not from any
         // remembered membership.
         let pool: HashSet<NodeId> = candidates.iter().copied().collect();
-        let responders: HashSet<NodeId> = self
-            .exec
-            .run(&ProbeOp, &self.partition, &pool)
-            .into_iter()
-            .filter_map(|(worker, result)| result.is_ok().then_some(worker))
-            .collect();
+        let responders: HashSet<NodeId> = self.responders(&pool).into_iter().collect();
         if responders.is_empty() {
             return Err(StcamError::NoQuorum);
         }
         // 2. Census (single round: the op is idempotent and a non-answer
         // just narrows the evidence this rebuild works from).
+        let want = |response| match response {
+            Response::Census(report) => Ok(report),
+            other => Err(unexpected("census", other)),
+        };
         let reports: Vec<(NodeId, CensusReport)> = self
             .exec
-            .run(&CensusOp, &self.partition, &responders)
+            .ask("census", &all_alive(&responders), |_| Request::Census, want)
             .into_iter()
             .filter_map(|(worker, result)| result.ok().map(|r| (worker, r)))
             .collect();
@@ -1147,9 +1139,7 @@ impl Coordinator {
         }
         let claimed_cells = best.iter().filter(|c| c.is_some()).count();
         let claimed: Vec<Option<NodeId>> = best.iter().map(|c| c.map(|(_, n)| n)).collect();
-        let mut members: Vec<NodeId> = responders.iter().copied().collect();
-        members.sort();
-        let partition = PartitionMap::from_claims(grid, members, &claimed);
+        let partition = PartitionMap::from_claims(grid, all_alive(&responders), &claimed);
         // The known roster keeps census-reported replica-log sources even
         // when they are down right now: they remain probe-able for rejoin.
         let mut known = responders.clone();
@@ -1189,27 +1179,16 @@ impl Coordinator {
                 .map(|(w, _)| *w)
                 .collect();
             for target in holders {
-                let promoted = self.call(PromoteOp {
-                    target,
-                    failed,
-                    epoch: adopted,
-                });
-                if promoted.is_err() {
-                    self.promotion_failures += 1;
-                }
+                self.promote(target, failed, adopted);
             }
         }
         self.plane
             .publish_at(adopted, self.partition.clone(), self.alive.clone());
         self.broadcast_routes();
         self.reregister(None);
-        if self.replication > 0 {
-            self.repair_against(&self.partition, RepairBudget::bulk(), true);
-        }
-        let mut responders: Vec<NodeId> = responders.into_iter().collect();
-        responders.sort();
+        self.repair_against(&self.partition, RepairBudget::bulk(), true);
         Ok(ReconstructReport {
-            responders,
+            responders: all_alive(&responders),
             adopted_epoch: adopted,
             claimed_cells,
             recovered_registrations: self.registrations.len(),
@@ -1224,7 +1203,16 @@ impl Coordinator {
     ///
     /// Fails when a worker believed alive does not answer.
     pub fn stats(&self) -> Result<ClusterStats, StcamError> {
-        let workers = self.call(StatsOp)?;
+        let want = |response| match response {
+            Response::Stats(stats) => Ok(stats),
+            other => Err(unexpected("stats", other)),
+        };
+        let workers = self
+            .exec
+            .ask("stats", &self.alive_workers(), |_| Request::Stats, want)
+            .into_iter()
+            .map(|(worker, stats)| stats.map(|s| (worker, s)))
+            .collect::<Result<_, _>>()?;
         Ok(ClusterStats {
             workers,
             ops: self.exec.op_stats(),

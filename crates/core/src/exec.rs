@@ -1,25 +1,32 @@
 //! The typed scatter/gather execution layer.
 //!
-//! Every distributed operation the coordinator performs — queries,
-//! barriers, migrations, probes — is one implementation of
-//! [`DistributedOp`]: a small value that knows which workers to contact,
-//! what [`Request`] to send each one, how to check/decode each worker's
-//! [`Response`] into a typed partial result, and how to merge the
-//! partials into the operation's output. The [`Executor`] owns everything
-//! those implementations share: parallel fan-out over scoped threads,
-//! per-operation timeout/retry policy ([`OpPolicy`]), and per-operation
-//! telemetry ([`OpStats`]) with wire-byte accounting from the fabric's
-//! counters.
+//! The coordinator talks to workers in one shape — scatter a message,
+//! gather the answers — and the [`Executor`] holds that shape once: one
+//! loop starts every target's first exchange, waits in target order,
+//! retries timeouts under the operation's [`OpPolicy`], and books
+//! per-operation telemetry ([`OpStats`], wire bytes counted at each send
+//! and receive). Two entries sit on it:
+//!
+//! * A **read** is a [`DistributedOp`]: a small value that knows which
+//!   workers to contact, what [`Request`] to send each one, how to decode
+//!   each worker's [`Response`] into a typed partial, and how to merge the
+//!   partials. [`Executor::execute_degraded`] runs it and, for a shard
+//!   whose primary is unreachable, walks the shard's alive ring successors
+//!   with [`Request::ReplicaRead`].
+//! * A **control message** — barrier, probe, route install, cell move,
+//!   repair stream — is a named [`Request`] handed to [`Executor::ask`]
+//!   with its targets and the decoder for the one [`Response`] it
+//!   expects. It never fails over: the per-target errors are the answer.
 //!
 //! # Retry semantics
 //!
 //! RPCs are at-most-once: a timed-out sub-query may or may not have been
 //! executed by the worker. The executor retries it anyway, because the
 //! protocol keeps one invariant instead of a per-op flag: **every
-//! request a [`DistributedOp`] sends is safe to apply twice.** Reads are
+//! request the executor sends is safe to apply twice.** Reads are
 //! pure; writes either overwrite (route install, truncate-then-stream
 //! repair), remove their input before acting (promote), or pass the
-//! worker's id/digest dedup (segment install). A new operation must keep
+//! worker's id/digest dedup (segment install). A new message must keep
 //! that invariant — there is no opt-out short of a single-attempt
 //! [`OpPolicy::no_retry`]. Retries are deterministic: a fixed attempt
 //! budget with linear backoff, counted in [`OpStats::retries`].
@@ -28,14 +35,14 @@
 //!
 //! 1. Add the `Request`/`Response` message pair in `protocol.rs` and a
 //!    `match` arm in the worker's `handle_request`.
-//! 2. Implement [`DistributedOp`] (targets / request / decode / merge).
-//! 3. A control operation is called through [`Executor::execute`] from
-//!    the coordinator; a read is marked [`ReadOp`] and asked through
-//!    [`Cluster::query`](crate::Cluster::query) — no facade to add.
-//!
-//! The executor itself needs no changes — see [`TopCellsOp`] for a
-//! complete example (it reuses the heat-map message, so it skips step
-//! 1 too).
+//! 2. A read implements [`DistributedOp`] (targets / request / decode /
+//!    merge), is marked [`ReadOp`] and is asked through
+//!    [`Cluster::query`](crate::Cluster::query) — no facade to add; see
+//!    [`TopCellsOp`] for a complete example (it reuses the heat-map
+//!    message, so it skips step 1 too).
+//! 3. A control message needs no type: the coordinator spells the
+//!    `Request` and passes it to [`Executor::ask`] under the name that
+//!    keys its policy and telemetry.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -45,19 +52,16 @@ use std::time::{Duration as StdDuration, Instant};
 use parking_lot::Mutex;
 use stcam_camnet::Observation;
 use stcam_codec::{decode_from_slice, encode_to_vec};
-use stcam_geo::{BBox, CellId, GridSpec, Point, TimeInterval, Timestamp};
-use stcam_net::{Endpoint, NetError, NodeId, PendingCall};
+use stcam_geo::{BBox, CellId, GridSpec, Point, TimeInterval};
+use stcam_net::{Endpoint, NetError, NodeId};
 use stcam_world::EntityClass;
 
 use crate::admission::{Deadline, ShedReason};
-use crate::continuous::{ContinuousQueryId, Predicate};
 use crate::error::StcamError;
 use crate::health::HealthView;
 use crate::paging;
 use crate::partition::PartitionMap;
-use crate::protocol::{
-    DigestReport, GridSpecMsg, Request, Response, SegmentDigestEntry, WorkerStatsMsg, PROJ_FULL,
-};
+use crate::protocol::{Request, Response, PROJ_FULL};
 
 // ----------------------------------------------------------------------
 // Policy and telemetry
@@ -328,15 +332,16 @@ pub struct Degraded<T> {
 }
 
 // ----------------------------------------------------------------------
-// The operation abstraction
+// The read abstraction
 // ----------------------------------------------------------------------
 
-/// One distributed operation: scatter targets, per-worker request,
-/// response decoding, and partial-result merging.
+/// One distributed read: scatter targets, per-worker request, response
+/// decoding, and partial-result merging.
 ///
-/// Implementations are plain values consumed by [`Executor::execute`]
-/// (or borrowed by [`Executor::run`] when the caller wants the raw
-/// per-worker results, e.g. liveness probing).
+/// Implementations are plain values consumed by
+/// [`Executor::execute_degraded`]. Every sub-query of one is a pure
+/// per-shard read, so a shard whose primary is unreachable may be
+/// answered from a ring successor's replica log.
 pub trait DistributedOp: Sync {
     /// What one worker contributes.
     type Partial: Send;
@@ -346,13 +351,6 @@ pub trait DistributedOp: Sync {
     /// Stable operation name — the key for policy overrides and
     /// [`OpStats`] aggregation.
     fn name(&self) -> &'static str;
-
-    /// Whether a shard's sub-query may be answered from a ring
-    /// successor's replica log when the primary is unreachable (the
-    /// degraded read path). Only pure per-shard reads qualify.
-    fn replica_readable(&self) -> bool {
-        false
-    }
 
     /// Whether merging fewer shards than targeted still yields a subset
     /// of the complete answer. True for unions and per-bucket sums;
@@ -376,11 +374,10 @@ pub trait DistributedOp: Sync {
     fn merge(self, partials: Vec<(NodeId, Self::Partial)>) -> Self::Output;
 }
 
-/// Marks the [`DistributedOp`]s that only read shard state — the ops
-/// [`Cluster::query`](crate::Cluster::query) accepts as a query value.
-/// Mutating ops stay behind the control plane, which fences them by
-/// epoch. An evaluation baseline that scatters its own read implements
-/// this for its op and needs no facade.
+/// Marks the [`DistributedOp`]s [`Cluster::query`](crate::Cluster::query)
+/// accepts as a query value on their own (the two kNN phases only run
+/// composed, as [`Knn`](crate::Knn)). An evaluation baseline that
+/// scatters its own read implements this for its op and needs no facade.
 pub trait ReadOp: DistributedOp {}
 
 impl ReadOp for RangeOp {}
@@ -425,33 +422,44 @@ impl ExecShared {
     }
 }
 
-/// Per-scatter wire-byte accumulator. Bytes are counted at each call
-/// site (payload + envelope overhead) instead of diffing endpoint
+/// What one scatter counted. Wire bytes are counted at each send and
+/// receive (payload + envelope overhead) instead of diffing endpoint
 /// counters, so concurrent operations sharing an endpoint never
 /// attribute each other's traffic.
-#[derive(Default)]
-struct WireTally {
-    sent: AtomicU64,
-    received: AtomicU64,
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    sent: u64,
+    received: u64,
+    /// Same-target re-sends after a timeout.
+    retries: u64,
+    /// Replica reads issued after a primary failed.
+    failovers: u64,
 }
 
-impl WireTally {
-    fn sent(&self, payload_len: usize) {
-        self.sent.fetch_add(
-            payload_len as u64 + stcam_net::WIRE_OVERHEAD,
-            Ordering::Relaxed,
-        );
+impl Tally {
+    fn sent(&mut self, payload_len: usize) {
+        self.sent += payload_len as u64 + stcam_net::WIRE_OVERHEAD;
     }
-    fn received(&self, payload_len: usize) {
-        self.received.fetch_add(
-            payload_len as u64 + stcam_net::WIRE_OVERHEAD,
-            Ordering::Relaxed,
-        );
+    fn received(&mut self, payload_len: usize) {
+        self.received += payload_len as u64 + stcam_net::WIRE_OVERHEAD;
     }
 }
 
-/// Owns scatter/gather fan-out, retry policy, and per-op telemetry for
-/// every [`DistributedOp`].
+/// One target's outcome of a scatter.
+struct ShardOutcome<P> {
+    /// The worker the sub-query was addressed to (a read's shard
+    /// primary).
+    shard: NodeId,
+    /// The decoded partial, or the *primary's* error when neither the
+    /// primary nor any replica answered.
+    result: Result<P, StcamError>,
+    /// The replica that answered, when the primary did not.
+    via: Option<NodeId>,
+}
+
+/// Owns the scatter/gather loop, retry policy, and per-op telemetry for
+/// every read ([`execute_degraded`](Self::execute_degraded)) and every
+/// control message ([`ask`](Self::ask)).
 #[derive(Debug)]
 pub struct Executor {
     endpoint: Endpoint,
@@ -553,171 +561,39 @@ impl Executor {
             .unwrap_or_default()
     }
 
-    /// Runs the full operation: scatter, gather, merge. Any sub-query
-    /// failure (after retries) fails the whole operation.
+    /// Sends one control message to each of `targets` and returns every
+    /// target's decoded answer, in target order. `name` keys the
+    /// message's [`OpPolicy`] and [`OpStats`]; `request` is called once
+    /// per target, so a broadcast returns the same frame each time and a
+    /// per-worker message (a routing slice) builds each worker's own;
+    /// `want` decodes the one [`Response`] the message expects.
     ///
-    /// # Errors
-    ///
-    /// Propagates the first failed sub-query's error.
-    pub fn execute<O: DistributedOp>(
+    /// A timed-out target is retried under the policy and never failed
+    /// over: its error is part of the answer, which is what a liveness
+    /// probe reads. A caller that needs every target to succeed takes
+    /// the first `Err`.
+    pub fn ask<T>(
         &self,
-        op: O,
-        partition: &PartitionMap,
-        alive: &HashSet<NodeId>,
-    ) -> Result<O::Output, StcamError> {
-        let name = op.name();
-        let results = self.run(&op, partition, alive);
-        let mut partials = Vec::with_capacity(results.len());
-        for (worker, result) in results {
-            partials.push((worker, result?));
-        }
-        let started = Instant::now();
-        let output = op.merge(partials);
-        let merge_micros = started.elapsed().as_micros() as u64;
-        self.shared
-            .stats
-            .lock()
-            .entry(name)
-            .or_default()
-            .merge_micros += merge_micros;
-        Ok(output)
-    }
-
-    /// Scatters the operation and returns the raw per-worker outcomes in
-    /// target order, without failing on individual errors and without
-    /// merging. Used when failures are data (liveness probes).
-    pub fn run<O: DistributedOp>(
-        &self,
-        op: &O,
-        partition: &PartitionMap,
-        alive: &HashSet<NodeId>,
-    ) -> Vec<(NodeId, Result<O::Partial, StcamError>)> {
-        let targets = op.targets(partition, alive);
-        let policy = self.policy_for(op.name());
-        let tally = WireTally::default();
-        let retries = AtomicU64::new(0);
-        let started = Instant::now();
-        let results: Vec<(NodeId, Result<O::Partial, StcamError>)> = if targets.is_empty() {
-            Vec::new()
-        } else if targets.len() == 1 {
-            // Single-target fast path: plain blocking call.
-            let worker = targets[0];
-            vec![(worker, self.attempt(op, worker, &policy, &retries, &tally))]
-        } else {
-            self.pipelined_firsts(op, &targets, &tally)
-                .into_iter()
-                .map(|(worker, payload, call)| {
-                    let first = call.and_then(|c| self.endpoint.call_wait(c, policy.timeout));
-                    (
-                        worker,
-                        self.attempt_tail(op, worker, &policy, &retries, &tally, payload, first),
-                    )
-                })
-                .collect()
-        };
-        let scatter_micros = started.elapsed().as_micros() as u64;
-        let retries = retries.into_inner();
-        let failures = results.iter().filter(|(_, r)| r.is_err()).count() as u64;
-        let mut stats = self.shared.stats.lock();
-        let entry = stats.entry(op.name()).or_default();
-        entry.invocations += 1;
-        entry.sub_queries += targets.len() as u64 + retries;
-        entry.retries += retries;
-        entry.failures += failures;
-        entry.bytes_sent += tally.sent.into_inner();
-        entry.bytes_received += tally.received.into_inner();
-        entry.scatter_micros += scatter_micros;
-        entry.latency.record(scatter_micros);
-        results
-    }
-
-    /// One sub-query with the retry loop.
-    fn attempt<O: DistributedOp>(
-        &self,
-        op: &O,
-        worker: NodeId,
-        policy: &OpPolicy,
-        retries: &AtomicU64,
-        tally: &WireTally,
-    ) -> Result<O::Partial, StcamError> {
-        let payload = encode_to_vec(&op.request(worker));
-        tally.sent(payload.len());
-        let first = self.endpoint.call(worker, payload.clone(), policy.timeout);
-        self.attempt_tail(op, worker, policy, retries, tally, payload, first)
-    }
-
-    /// Finishes a sub-query whose first wire exchange has already
-    /// resolved (the pipelined scatter starts every exchange before
-    /// waiting on any): decode, page pulls, and the retry loop on
-    /// timeout.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt_tail<O: DistributedOp>(
-        &self,
-        op: &O,
-        worker: NodeId,
-        policy: &OpPolicy,
-        retries: &AtomicU64,
-        tally: &WireTally,
-        payload: Vec<u8>,
-        first: Result<Vec<u8>, NetError>,
-    ) -> Result<O::Partial, StcamError> {
-        let mut raw = first;
-        let mut attempt = 1u32;
-        loop {
-            let outcome = raw
-                .map_err(StcamError::from)
-                .and_then(|bytes| {
-                    tally.received(bytes.len());
-                    decode_from_slice::<Response>(&bytes).map_err(StcamError::from)
-                })
-                .and_then(|response| self.collect_pages(worker, response, policy, tally))
-                .and_then(|response| op.decode(response));
-            match outcome {
-                Err(StcamError::Net(NetError::Timeout)) if attempt < policy.max_attempts => {
-                    retries.fetch_add(1, Ordering::Relaxed);
-                    if !policy.backoff.is_zero() {
-                        std::thread::sleep(policy.backoff * attempt);
-                    }
-                    attempt += 1;
-                    tally.sent(payload.len());
-                    raw = self.endpoint.call(worker, payload.clone(), policy.timeout);
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Starts the first wire exchange of every target's sub-query before
-    /// waiting on any of them, then resolves each in target order. One
-    /// thread overlaps all the round trips; only the (rare) retry and
-    /// failover tails serialise.
-    fn pipelined_firsts<O: DistributedOp>(
-        &self,
-        op: &O,
+        name: &'static str,
         targets: &[NodeId],
-        tally: &WireTally,
-    ) -> Vec<(NodeId, Vec<u8>, Result<PendingCall, NetError>)> {
-        targets
-            .iter()
-            .map(|&worker| {
-                let payload = encode_to_vec(&op.request(worker));
-                tally.sent(payload.len());
-                let call = self.endpoint.call_start(worker, payload.clone());
-                (worker, payload, call)
-            })
-            .collect()
+        request: impl FnMut(NodeId) -> Request,
+        want: impl Fn(Response) -> Result<T, StcamError>,
+    ) -> Vec<(NodeId, Result<T, StcamError>)> {
+        let policy = self.policy_for(name);
+        let (outcomes, _) = self.scatter(name, targets, &policy, request, want, None);
+        outcomes.into_iter().map(|o| (o.shard, o.result)).collect()
     }
 
-    /// Runs a replica-failover scatter/gather and reports how complete
-    /// the merged answer is, instead of failing on lost shards.
+    /// Runs a read's replica-failover scatter/gather and reports how
+    /// complete the merged answer is, instead of failing on lost shards.
     ///
     /// Per shard: the primary is attempted first (with the operation's
-    /// normal retry policy); if it fails with a transport error and the
-    /// operation is replica-readable, the shard's sub-query is re-issued
-    /// to its ring successors — healthiest first, per the
-    /// [`HealthView`] — wrapped in [`Request::ReplicaRead`]. A shard is
-    /// declared missing only after the primary and every candidate
-    /// replica failed. The merge then runs over whatever survived.
+    /// normal retry policy); if it fails with a transport error, the
+    /// shard's sub-query is re-issued to its ring successors —
+    /// healthiest first, per the [`HealthView`] — wrapped in
+    /// [`Request::ReplicaRead`]. A shard is declared missing only after
+    /// the primary and every candidate replica failed. The merge then
+    /// runs over whatever survived.
     ///
     /// The per-call tenancy context is optional: a `deadline` clamps
     /// every sub-query timeout to the remaining budget (a mid-flight
@@ -735,11 +611,24 @@ impl Executor {
         bytes_out: Option<&AtomicU64>,
     ) -> Degraded<O::Output> {
         let name = op.name();
-        let (outcomes, retries) =
-            self.scatter_with_failover(&op, partition, alive, deadline, bytes_out);
+        let mut policy = self.policy_for(name);
+        if let Some(d) = deadline {
+            policy = policy.clamped_to(d.remaining());
+        }
+        let (outcomes, tally) = self.scatter(
+            name,
+            &op.targets(partition, alive),
+            &policy,
+            |to| op.request(to),
+            |response| op.decode(response),
+            Some((partition, alive)),
+        );
+        if let Some(acc) = bytes_out {
+            acc.fetch_add(tally.sent + tally.received, Ordering::Relaxed);
+        }
         let mut completeness = Completeness {
             shards_total: outcomes.len(),
-            retries,
+            retries: tally.retries,
             subset: true,
             ..Completeness::default()
         };
@@ -781,141 +670,136 @@ impl Executor {
         }
     }
 
-    /// The degraded-path scatter: per-shard outcomes (in target order)
-    /// with the replica that served each failed-over shard, plus the
-    /// same-target retry count.
-    fn scatter_with_failover<O: DistributedOp>(
+    /// The one scatter loop, under both entries: starts the first wire
+    /// exchange of every target's sub-query before waiting on any (one
+    /// thread overlaps all the round trips; only the rare retry and
+    /// failover tails serialise), resolves each in target order with
+    /// the retry loop, and — when the caller supplies the plan to
+    /// `failover` in — re-issues a transport-failed sub-query to the
+    /// shard's replicas. Books the whole scatter into `name`'s
+    /// [`OpStats`] and returns the per-target outcomes with what it
+    /// counted.
+    fn scatter<P>(
         &self,
-        op: &O,
-        partition: &PartitionMap,
-        alive: &HashSet<NodeId>,
-        deadline: Option<Deadline>,
-        bytes_out: Option<&AtomicU64>,
-    ) -> (Vec<ShardOutcome<O::Partial>>, u64) {
-        let targets = op.targets(partition, alive);
-        let mut policy = self.policy_for(op.name());
-        if let Some(d) = deadline {
-            policy = policy.clamped_to(d.remaining());
-        }
-        let tally = WireTally::default();
-        let retries = AtomicU64::new(0);
-        let failovers = AtomicU64::new(0);
+        name: &'static str,
+        targets: &[NodeId],
+        policy: &OpPolicy,
+        mut request: impl FnMut(NodeId) -> Request,
+        decode: impl Fn(Response) -> Result<P, StcamError>,
+        failover: Option<(&PartitionMap, &HashSet<NodeId>)>,
+    ) -> (Vec<ShardOutcome<P>>, Tally) {
+        let mut tally = Tally::default();
         let started = Instant::now();
-        let outcomes: Vec<ShardOutcome<O::Partial>> = if targets.is_empty() {
-            Vec::new()
-        } else if targets.len() == 1 {
-            vec![self.attempt_with_failover(
-                op, targets[0], partition, alive, &policy, &retries, &failovers, &tally,
-            )]
-        } else {
-            self.pipelined_firsts(op, &targets, &tally)
-                .into_iter()
-                .map(|(shard, payload, call)| {
-                    let first = call.and_then(|c| self.endpoint.call_wait(c, policy.timeout));
-                    let primary =
-                        self.attempt_tail(op, shard, &policy, &retries, &tally, payload, first);
-                    self.failover_tail(
-                        op, shard, primary, partition, alive, &policy, &failovers, &tally,
-                    )
-                })
-                .collect()
-        };
+        let firsts: Vec<_> = targets
+            .iter()
+            .map(|&shard| {
+                let mut kept = Some(encode_to_vec(&request(shard)));
+                let payload = next_send(&mut kept, 1, policy, &mut tally);
+                (shard, kept, self.endpoint.call_start(shard, payload))
+            })
+            .collect();
+        let outcomes: Vec<ShardOutcome<P>> = firsts
+            .into_iter()
+            .map(|(shard, kept, call)| {
+                let first = call.and_then(|c| self.endpoint.call_wait(c, policy.timeout));
+                let primary = self.finish(shard, policy, kept, first, &decode, &mut tally);
+                match (primary, failover) {
+                    // Only transport failures justify failover: an
+                    // application-level error from a reachable primary
+                    // would repeat at any replica.
+                    (Err(err @ StcamError::Net(_)), Some((partition, alive))) => {
+                        let replicas = partition.alive_successors(
+                            shard,
+                            self.shared.replication.load(Ordering::Relaxed),
+                            alive,
+                        );
+                        let inner = || request(shard);
+                        self.fail_over(shard, err, replicas, inner, policy, &decode, &mut tally)
+                    }
+                    (result, _) => ShardOutcome {
+                        shard,
+                        result,
+                        via: None,
+                    },
+                }
+            })
+            .collect();
         let scatter_micros = started.elapsed().as_micros() as u64;
-        let retries = retries.into_inner();
-        let failovers = failovers.into_inner();
-        let failures = outcomes.iter().filter(|o| o.result.is_err()).count() as u64;
-        let sent = tally.sent.into_inner();
-        let received = tally.received.into_inner();
-        if let Some(acc) = bytes_out {
-            acc.fetch_add(sent + received, Ordering::Relaxed);
-        }
         let mut stats = self.shared.stats.lock();
-        let entry = stats.entry(op.name()).or_default();
+        let entry = stats.entry(name).or_default();
         entry.invocations += 1;
-        entry.sub_queries += targets.len() as u64 + retries + failovers;
-        entry.retries += retries;
-        entry.failures += failures;
-        entry.failovers += failovers;
-        entry.bytes_sent += sent;
-        entry.bytes_received += received;
+        entry.sub_queries += targets.len() as u64 + tally.retries + tally.failovers;
+        entry.retries += tally.retries;
+        entry.failures += outcomes.iter().filter(|o| o.result.is_err()).count() as u64;
+        entry.failovers += tally.failovers;
+        entry.bytes_sent += tally.sent;
+        entry.bytes_received += tally.received;
         entry.scatter_micros += scatter_micros;
         entry.latency.record(scatter_micros);
-        (outcomes, retries)
+        (outcomes, tally)
     }
 
-    /// One shard's sub-query on the degraded path: primary first, then —
-    /// on a transport failure — each alive ring successor, healthiest
-    /// first, until one answers from its replica log.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt_with_failover<O: DistributedOp>(
+    /// Finishes a sub-query whose first wire exchange has already
+    /// resolved: decode, page pulls, and the retry loop on timeout.
+    /// `kept` is the encoded request while a retry may still need it.
+    fn finish<P>(
         &self,
-        op: &O,
-        shard: NodeId,
-        partition: &PartitionMap,
-        alive: &HashSet<NodeId>,
+        worker: NodeId,
         policy: &OpPolicy,
-        retries: &AtomicU64,
-        failovers: &AtomicU64,
-        tally: &WireTally,
-    ) -> ShardOutcome<O::Partial> {
-        let primary = self.attempt(op, shard, policy, retries, tally);
-        self.failover_tail(
-            op, shard, primary, partition, alive, policy, failovers, tally,
-        )
+        mut kept: Option<Vec<u8>>,
+        first: Result<Vec<u8>, NetError>,
+        decode: &impl Fn(Response) -> Result<P, StcamError>,
+        tally: &mut Tally,
+    ) -> Result<P, StcamError> {
+        let mut raw = first;
+        let mut attempt = 1u32;
+        loop {
+            match self.receive(worker, raw, policy, decode, tally) {
+                Err(StcamError::Net(NetError::Timeout)) if attempt < policy.max_attempts => {
+                    tally.retries += 1;
+                    if !policy.backoff.is_zero() {
+                        std::thread::sleep(policy.backoff * attempt);
+                    }
+                    attempt += 1;
+                    let payload = next_send(&mut kept, attempt, policy, tally);
+                    raw = self.endpoint.call(worker, payload, policy.timeout);
+                }
+                other => return other,
+            }
+        }
     }
 
-    /// The failover half of a shard's degraded sub-query: given the
-    /// primary's resolved outcome, walks the alive ring successors
-    /// (healthiest first) until one answers from its replica log.
+    /// The failover half of a read's sub-query, entered when the primary
+    /// failed at the transport with `err`: asks `replicas` — the same
+    /// ring-walked set the acked write path certifies and the repair
+    /// planner restores — healthiest first, one attempt each, until one
+    /// answers `inner` from its replica log of `shard`.
     #[allow(clippy::too_many_arguments)]
-    fn failover_tail<O: DistributedOp>(
+    fn fail_over<P>(
         &self,
-        op: &O,
         shard: NodeId,
-        primary: Result<O::Partial, StcamError>,
-        partition: &PartitionMap,
-        alive: &HashSet<NodeId>,
+        err: StcamError,
+        mut replicas: Vec<NodeId>,
+        mut inner: impl FnMut() -> Request,
         policy: &OpPolicy,
-        failovers: &AtomicU64,
-        tally: &WireTally,
-    ) -> ShardOutcome<O::Partial> {
-        let err = match primary {
-            Ok(partial) => {
+        decode: &impl Fn(Response) -> Result<P, StcamError>,
+        tally: &mut Tally,
+    ) -> ShardOutcome<P> {
+        self.shared.health.rank(&mut replicas);
+        for replica in replicas {
+            tally.failovers += 1;
+            let payload = encode_to_vec(&Request::ReplicaRead {
+                of: shard,
+                inner: Box::new(inner()),
+            });
+            tally.sent(payload.len());
+            let raw = self.endpoint.call(replica, payload, policy.timeout);
+            if let Ok(partial) = self.receive(replica, raw, policy, decode, tally) {
                 return ShardOutcome {
                     shard,
                     result: Ok(partial),
-                    via: None,
-                }
-            }
-            Err(e) => e,
-        };
-        let replication = self.shared.replication.load(Ordering::Relaxed);
-        // Only transport failures justify failover: an application-level
-        // error from a reachable primary would repeat at any replica.
-        if !matches!(err, StcamError::Net(_)) || !op.replica_readable() || replication == 0 {
-            return ShardOutcome {
-                shard,
-                result: Err(err),
-                via: None,
-            };
-        }
-        // The same ring-walking rule the acked write path certifies and
-        // the repair planner restores: the first `replication` *alive*
-        // successors, walking past dead ring members. Reads consult
-        // exactly the set writes covered and repair maintains.
-        let mut candidates: Vec<NodeId> = partition.alive_successors(shard, replication, alive);
-        self.shared.health.rank(&mut candidates);
-        for replica in candidates {
-            failovers.fetch_add(1, Ordering::Relaxed);
-            match self.replica_attempt(op, shard, replica, policy, tally) {
-                Ok(partial) => {
-                    return ShardOutcome {
-                        shard,
-                        result: Ok(partial),
-                        via: Some(replica),
-                    }
-                }
-                Err(_) => continue,
+                    via: Some(replica),
+                };
             }
         }
         ShardOutcome {
@@ -925,30 +809,20 @@ impl Executor {
         }
     }
 
-    /// A single (no-retry) replica-read attempt for `shard`'s sub-query
-    /// against `replica`.
-    fn replica_attempt<O: DistributedOp>(
+    /// Turns one resolved wire exchange with `node` into the decoded
+    /// partial, pulling the remaining pages of a paged answer first.
+    fn receive<P>(
         &self,
-        op: &O,
-        shard: NodeId,
-        replica: NodeId,
+        node: NodeId,
+        raw: Result<Vec<u8>, NetError>,
         policy: &OpPolicy,
-        tally: &WireTally,
-    ) -> Result<O::Partial, StcamError> {
-        let payload = encode_to_vec(&Request::ReplicaRead {
-            of: shard,
-            inner: Box::new(op.request(shard)),
-        });
-        tally.sent(payload.len());
-        self.endpoint
-            .call(replica, payload, policy.timeout)
-            .map_err(StcamError::from)
-            .and_then(|bytes| {
-                tally.received(bytes.len());
-                decode_from_slice::<Response>(&bytes).map_err(StcamError::from)
-            })
-            .and_then(|response| self.collect_pages(replica, response, policy, tally))
-            .and_then(|response| op.decode(response))
+        decode: &impl Fn(Response) -> Result<P, StcamError>,
+        tally: &mut Tally,
+    ) -> Result<P, StcamError> {
+        let bytes = raw?;
+        tally.received(bytes.len());
+        let response = decode_from_slice::<Response>(&bytes)?;
+        decode(self.collect_pages(node, response, policy, tally)?)
     }
 
     /// When a sub-query answered with the first frame of a paged result,
@@ -965,7 +839,7 @@ impl Executor {
         node: NodeId,
         response: Response,
         policy: &OpPolicy,
-        tally: &WireTally,
+        tally: &mut Tally,
     ) -> Result<Response, StcamError> {
         let Response::ResultPage {
             cursor,
@@ -1013,98 +887,83 @@ impl Executor {
     }
 }
 
-/// One shard's outcome on the degraded scatter path.
-struct ShardOutcome<P> {
-    /// The shard primary the sub-query was for.
-    shard: NodeId,
-    /// The decoded partial, or the *primary's* error when neither the
-    /// primary nor any replica answered.
-    result: Result<P, StcamError>,
-    /// The replica that answered, when the primary did not.
-    via: Option<NodeId>,
+// ----------------------------------------------------------------------
+// Send bookkeeping, decoders and target helpers
+// ----------------------------------------------------------------------
+
+/// The bytes of send number `attempt` of one sub-query, booked into
+/// `tally`: a copy of `kept` while the policy allows an attempt after
+/// this one, the buffer itself on the last — a single-attempt policy
+/// (probes) or a final retry never copies a frame it cannot re-send.
+fn next_send(
+    kept: &mut Option<Vec<u8>>,
+    attempt: u32,
+    policy: &OpPolicy,
+    tally: &mut Tally,
+) -> Vec<u8> {
+    let payload = if attempt < policy.max_attempts {
+        kept.clone()
+    } else {
+        kept.take()
+    }
+    .expect("a sub-query is sent at most max_attempts times");
+    tally.sent(payload.len());
+    payload
 }
 
-// ----------------------------------------------------------------------
-// Partial decoders and target helpers shared by the operations
-// ----------------------------------------------------------------------
+/// The error for a response that is not the `wanted` variant: the
+/// worker's own message when it answered [`Response::Error`], else a
+/// description of the surprise.
+pub(crate) fn unexpected(wanted: &str, response: Response) -> StcamError {
+    match response {
+        Response::Error(msg) => StcamError::Remote(msg),
+        other => StcamError::Remote(format!("expected {wanted}, got {other:?}")),
+    }
+}
 
-fn want_ack(response: Response) -> Result<(), StcamError> {
+pub(crate) fn want_ack(response: Response) -> Result<(), StcamError> {
     match response {
         Response::Ack => Ok(()),
-        Response::Error(msg) => Err(StcamError::Remote(msg)),
-        other => Err(StcamError::Remote(format!("expected ack, got {other:?}"))),
+        other => Err(unexpected("ack", other)),
     }
 }
 
-fn want_observations(response: Response) -> Result<Vec<Observation>, StcamError> {
+pub(crate) fn want_observations(response: Response) -> Result<Vec<Observation>, StcamError> {
     match response {
         Response::Observations(obs) => Ok(obs),
-        Response::Error(msg) => Err(StcamError::Remote(msg)),
-        other => Err(StcamError::Remote(format!(
-            "expected observations, got {other:?}"
-        ))),
+        other => Err(unexpected("observations", other)),
     }
 }
 
-fn want_stats(response: Response) -> Result<WorkerStatsMsg, StcamError> {
-    match response {
-        Response::Stats(stats) => Ok(stats),
-        Response::Error(msg) => Err(StcamError::Remote(msg)),
-        other => Err(StcamError::Remote(format!("expected stats, got {other:?}"))),
+/// Decodes a sparse heat-map partial, rejecting bucket indices outside
+/// `buckets` so the merges can index without checking.
+fn want_buckets(response: Response, buckets: &GridSpec) -> Result<Vec<(u32, u64)>, StcamError> {
+    let cells = match response {
+        Response::CellCounts(cells) => cells,
+        other => return Err(unexpected("cell counts", other)),
+    };
+    if cells
+        .iter()
+        .any(|&(idx, _)| u64::from(idx) >= buckets.cell_count())
+    {
+        return Err(StcamError::Remote("bucket index out of range".into()));
     }
-}
-
-fn want_cell_counts(response: Response) -> Result<Vec<(u32, u64)>, StcamError> {
-    match response {
-        Response::CellCounts(cells) => Ok(cells),
-        Response::Error(msg) => Err(StcamError::Remote(msg)),
-        other => Err(StcamError::Remote(format!(
-            "expected cell counts, got {other:?}"
-        ))),
-    }
-}
-
-fn want_digests(response: Response) -> Result<DigestReport, StcamError> {
-    match response {
-        Response::Digests(report) => Ok(report),
-        Response::Error(msg) => Err(StcamError::Remote(msg)),
-        other => Err(StcamError::Remote(format!(
-            "expected digests, got {other:?}"
-        ))),
-    }
-}
-
-fn want_segment_digests(response: Response) -> Result<Vec<SegmentDigestEntry>, StcamError> {
-    match response {
-        Response::SegmentDigests(digests) => Ok(digests),
-        Response::Error(msg) => Err(StcamError::Remote(msg)),
-        other => Err(StcamError::Remote(format!(
-            "expected segment digests, got {other:?}"
-        ))),
-    }
-}
-
-fn want_segments(
-    response: Response,
-) -> Result<(Vec<stcam_codec::SegmentFrame>, Vec<Observation>), StcamError> {
-    match response {
-        Response::Segments { frames, head } => Ok((frames, head)),
-        Response::Error(msg) => Err(StcamError::Remote(msg)),
-        other => Err(StcamError::Remote(format!(
-            "expected segments, got {other:?}"
-        ))),
-    }
+    Ok(cells)
 }
 
 /// Every alive worker, in id order.
-fn all_alive(alive: &HashSet<NodeId>) -> Vec<NodeId> {
+pub(crate) fn all_alive(alive: &HashSet<NodeId>) -> Vec<NodeId> {
     let mut v: Vec<NodeId> = alive.iter().copied().collect();
     v.sort();
     v
 }
 
 /// The alive owners of cells overlapping `region`.
-fn region_targets(partition: &PartitionMap, alive: &HashSet<NodeId>, region: BBox) -> Vec<NodeId> {
+pub(crate) fn region_targets(
+    partition: &PartitionMap,
+    alive: &HashSet<NodeId>,
+    region: BBox,
+) -> Vec<NodeId> {
     partition
         .workers_for_region(region)
         .into_iter()
@@ -1126,57 +985,6 @@ pub(crate) fn sort_knn(observations: &mut [Observation], at: Point) {
 // ----------------------------------------------------------------------
 // The operations
 // ----------------------------------------------------------------------
-
-/// Ingest barrier: a Ping round-trip to every alive worker. Per-link
-/// FIFO guarantees all previously sent ingest traffic drained first; the
-/// barrier survives retries because a retried ping is sent even later.
-#[derive(Debug, Clone, Copy)]
-pub struct FlushOp;
-
-impl DistributedOp for FlushOp {
-    type Partial = ();
-    type Output = ();
-    fn name(&self) -> &'static str {
-        "flush"
-    }
-    fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        all_alive(alive)
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::Ping
-    }
-    fn decode(&self, response: Response) -> Result<(), StcamError> {
-        want_ack(response)
-    }
-    fn merge(self, _partials: Vec<(NodeId, ())>) {}
-}
-
-/// Liveness probe: a Ping whose timeout *is* the failure signal, so it
-/// carries its own policy key ("probe", single attempt by default) and
-/// is consumed through [`Executor::run`] rather than `execute`.
-/// Idempotent (a ping has no effect), so deployments running over lossy
-/// links can install a multi-attempt "probe" policy to keep single lost
-/// datagrams from masquerading as worker deaths.
-#[derive(Debug, Clone, Copy)]
-pub struct ProbeOp;
-
-impl DistributedOp for ProbeOp {
-    type Partial = ();
-    type Output = ();
-    fn name(&self) -> &'static str {
-        "probe"
-    }
-    fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        all_alive(alive)
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::Ping
-    }
-    fn decode(&self, response: Response) -> Result<(), StcamError> {
-        want_ack(response)
-    }
-    fn merge(self, _partials: Vec<(NodeId, ())>) {}
-}
 
 /// Spatio-temporal range query over the shards overlapping `region`,
 /// with optional entity-class, result-size and column pushdown.
@@ -1222,9 +1030,6 @@ impl DistributedOp for RangeOp {
             None => "range",
             Some(_) => "range_filtered",
         }
-    }
-    fn replica_readable(&self) -> bool {
-        true
     }
     fn targets(&self, partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
         region_targets(partition, alive, self.region)
@@ -1286,9 +1091,6 @@ impl DistributedOp for KnnPhase1Op {
     fn name(&self) -> &'static str {
         "knn_phase1"
     }
-    fn replica_readable(&self) -> bool {
-        true
-    }
     fn subset_on_loss(&self) -> bool {
         false
     }
@@ -1338,9 +1140,6 @@ impl DistributedOp for KnnPhase2Op {
     type Output = Vec<Observation>;
     fn name(&self) -> &'static str {
         "knn_phase2"
-    }
-    fn replica_readable(&self) -> bool {
-        true
     }
     fn subset_on_loss(&self) -> bool {
         false
@@ -1392,9 +1191,6 @@ impl DistributedOp for KnnBroadcastOp {
     fn name(&self) -> &'static str {
         "knn_broadcast"
     }
-    fn replica_readable(&self) -> bool {
-        true
-    }
     fn subset_on_loss(&self) -> bool {
         false
     }
@@ -1432,27 +1228,11 @@ pub struct HeatmapOp {
     pub window: TimeInterval,
 }
 
-/// Decodes a sparse heat-map partial, rejecting bucket indices outside
-/// `buckets` so the merges can index without checking.
-fn want_buckets(response: Response, buckets: &GridSpec) -> Result<Vec<(u32, u64)>, StcamError> {
-    let cells = want_cell_counts(response)?;
-    if cells
-        .iter()
-        .any(|&(idx, _)| u64::from(idx) >= buckets.cell_count())
-    {
-        return Err(StcamError::Remote("bucket index out of range".into()));
-    }
-    Ok(cells)
-}
-
 impl DistributedOp for HeatmapOp {
     type Partial = Vec<(u32, u64)>;
     type Output = Vec<u64>;
     fn name(&self) -> &'static str {
         "heatmap"
-    }
-    fn replica_readable(&self) -> bool {
-        true
     }
     fn targets(&self, partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
         region_targets(partition, alive, self.buckets.extent())
@@ -1497,9 +1277,6 @@ impl DistributedOp for TopCellsOp {
     fn name(&self) -> &'static str {
         "top_cells"
     }
-    fn replica_readable(&self) -> bool {
-        true
-    }
     fn subset_on_loss(&self) -> bool {
         false
     }
@@ -1533,541 +1310,11 @@ impl DistributedOp for TopCellsOp {
     }
 }
 
-/// Cluster-wide retention sweep. Idempotent: evicting before the same
-/// cutoff twice is a no-op. Carries the issuer's routing-plan epoch so
-/// workers can fence sweeps from a stale control plane.
-#[derive(Debug, Clone, Copy)]
-pub struct EvictOp {
-    /// Observations strictly older than this are dropped.
-    pub cutoff: Timestamp,
-    /// The issuer's routing-plan epoch.
-    pub epoch: u64,
-}
-
-impl DistributedOp for EvictOp {
-    type Partial = ();
-    type Output = ();
-    fn name(&self) -> &'static str {
-        "evict"
-    }
-    fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        all_alive(alive)
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::EvictBefore {
-            cutoff: self.cutoff,
-            epoch: self.epoch,
-        }
-    }
-    fn decode(&self, response: Response) -> Result<(), StcamError> {
-        want_ack(response)
-    }
-    fn merge(self, _partials: Vec<(NodeId, ())>) {}
-}
-
-/// Control-plane census sweep: collects every alive worker's
-/// [`CensusReport`](crate::CensusReport) — installed route epoch, owned
-/// cells, replica-log keys, and standing registrations. Consumed via [`Executor::run`] so a
-/// reconstructing coordinator can use whatever subset of the roster
-/// answers.
-#[derive(Debug, Clone, Copy)]
-pub struct CensusOp;
-
-impl DistributedOp for CensusOp {
-    type Partial = crate::protocol::CensusReport;
-    type Output = Vec<(NodeId, crate::protocol::CensusReport)>;
-    fn name(&self) -> &'static str {
-        "census"
-    }
-    fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        all_alive(alive)
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::Census
-    }
-    fn decode(&self, response: Response) -> Result<crate::protocol::CensusReport, StcamError> {
-        match response {
-            Response::Census(report) => Ok(report),
-            Response::Error(msg) => Err(StcamError::Remote(msg)),
-            other => Err(StcamError::Remote(format!(
-                "unexpected census response: {other:?}"
-            ))),
-        }
-    }
-    fn merge(
-        self,
-        mut partials: Vec<(NodeId, crate::protocol::CensusReport)>,
-    ) -> Vec<(NodeId, crate::protocol::CensusReport)> {
-        partials.sort_by_key(|(w, _)| *w);
-        partials
-    }
-}
-
-/// Statistics collection from every alive worker.
-#[derive(Debug, Clone, Copy)]
-pub struct StatsOp;
-
-impl DistributedOp for StatsOp {
-    type Partial = WorkerStatsMsg;
-    type Output = Vec<(NodeId, WorkerStatsMsg)>;
-    fn name(&self) -> &'static str {
-        "stats"
-    }
-    fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        all_alive(alive)
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::Stats
-    }
-    fn decode(&self, response: Response) -> Result<WorkerStatsMsg, StcamError> {
-        want_stats(response)
-    }
-    fn merge(self, mut partials: Vec<(NodeId, WorkerStatsMsg)>) -> Vec<(NodeId, WorkerStatsMsg)> {
-        partials.sort_by_key(|(w, _)| *w);
-        partials
-    }
-}
-
-/// Installs a standing query at the workers overlapping its region
-/// (optionally restricted to one worker, for failover re-registration).
-/// Idempotent: re-inserting the same registration is a no-op.
-#[derive(Debug, Clone, Copy)]
-pub struct RegisterContinuousOp {
-    /// Query id.
-    pub id: ContinuousQueryId,
-    /// Match predicate.
-    pub predicate: Predicate,
-    /// Node notified on match.
-    pub notify: NodeId,
-    /// When set, register only at this worker (it must overlap).
-    pub only: Option<NodeId>,
-}
-
-impl DistributedOp for RegisterContinuousOp {
-    type Partial = ();
-    type Output = ();
-    fn name(&self) -> &'static str {
-        "register_continuous"
-    }
-    fn targets(&self, partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        region_targets(partition, alive, self.predicate.region)
-            .into_iter()
-            .filter(|w| self.only.is_none_or(|o| o == *w))
-            .collect()
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::RegisterContinuous {
-            id: self.id,
-            predicate: self.predicate,
-            notify: self.notify,
-        }
-    }
-    fn decode(&self, response: Response) -> Result<(), StcamError> {
-        want_ack(response)
-    }
-    fn merge(self, _partials: Vec<(NodeId, ())>) {}
-}
-
-/// Removes a standing query everywhere. Idempotent.
-#[derive(Debug, Clone, Copy)]
-pub struct UnregisterContinuousOp {
-    /// Query id.
-    pub id: ContinuousQueryId,
-}
-
-impl DistributedOp for UnregisterContinuousOp {
-    type Partial = ();
-    type Output = ();
-    fn name(&self) -> &'static str {
-        "unregister_continuous"
-    }
-    fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        all_alive(alive)
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::UnregisterContinuous(self.id)
-    }
-    fn decode(&self, response: Response) -> Result<(), StcamError> {
-        want_ack(response)
-    }
-    fn merge(self, _partials: Vec<(NodeId, ())>) {}
-}
-
-/// Failover: tell a successor to absorb its replica log of `failed`.
-/// Idempotent: promotion removes the log before absorbing it, and the
-/// worker inserts through an id filter, so a retried promote after a
-/// lost ack finds an empty log and is a no-op. Retrying matters — a
-/// promote lost to the loss model would otherwise strand the replica
-/// data outside the primary index until a second failover.
-#[derive(Debug, Clone, Copy)]
-pub struct PromoteOp {
-    /// The successor absorbing the shard.
-    pub target: NodeId,
-    /// The failed primary.
-    pub failed: NodeId,
-    /// The issuer's routing-plan epoch (split-brain fencing).
-    pub epoch: u64,
-}
-
-impl DistributedOp for PromoteOp {
-    type Partial = ();
-    type Output = ();
-    fn name(&self) -> &'static str {
-        "promote"
-    }
-    fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        vec![self.target]
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::Promote {
-            failed: self.failed,
-            epoch: self.epoch,
-        }
-    }
-    fn decode(&self, response: Response) -> Result<(), StcamError> {
-        want_ack(response)
-    }
-    fn merge(self, _partials: Vec<(NodeId, ())>) {}
-}
-
-/// Installs every worker's slice of the routing plan (epoch + owned
-/// macro cells). Broadcast after each plan publication and pushed to
-/// restarted workers so a stale node cannot keep acknowledging sequenced
-/// ingest for cells it no longer owns. Idempotent: installing the same
-/// epoch twice is a no-op, and workers ignore older epochs.
-#[derive(Debug, Clone)]
-pub struct RouteUpdateOp {
-    /// The plan epoch being installed.
-    pub epoch: u64,
-    /// The macro grid the packed cell indices refer to.
-    pub grid: GridSpecMsg,
-    /// Per-worker owned cells, packed `row * cols + col`. Workers absent
-    /// from the map receive an *empty* cell set — which is the point for
-    /// failed-out nodes: an empty route makes them NACK every sequenced
-    /// batch, steering stale senders to refresh.
-    pub cells: HashMap<NodeId, Vec<u32>>,
-    /// When set, send only to this worker (restart push).
-    pub only: Option<NodeId>,
-}
-
-impl RouteUpdateOp {
-    /// Builds the broadcast for `partition` at `epoch`.
-    pub fn from_plan(epoch: u64, partition: &PartitionMap) -> Self {
-        let cols = partition.grid().cols();
-        let cells = partition
-            .workers()
-            .iter()
-            .map(|&w| {
-                let packed = partition
-                    .cells_of(w)
-                    .into_iter()
-                    .map(|c| c.row * cols + c.col)
-                    .collect();
-                (w, packed)
-            })
-            .collect();
-        RouteUpdateOp {
-            epoch,
-            grid: GridSpecMsg::from(*partition.grid()),
-            cells,
-            only: None,
-        }
-    }
-}
-
-impl DistributedOp for RouteUpdateOp {
-    type Partial = ();
-    type Output = ();
-    fn name(&self) -> &'static str {
-        "route_update"
-    }
-    fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        match self.only {
-            Some(worker) => vec![worker],
-            None => all_alive(alive),
-        }
-    }
-    fn request(&self, to: NodeId) -> Request {
-        Request::RouteUpdate {
-            epoch: self.epoch,
-            grid: self.grid,
-            cells: self.cells.get(&to).cloned().unwrap_or_default(),
-        }
-    }
-    fn decode(&self, response: Response) -> Result<(), StcamError> {
-        want_ack(response)
-    }
-    fn merge(self, _partials: Vec<(NodeId, ())>) {}
-}
-
-/// Anti-entropy digest sweep: collect every worker's per-cell
-/// count/checksum summaries (primary shard plus held replica logs).
-/// Idempotent — digests are pure reads. The merge keeps each report tied
-/// to its worker, because the repair planner compares copies by node.
-#[derive(Debug, Clone, Copy)]
-pub struct CellDigestOp {
-    /// The macro grid to bucket by (the partition grid of the sweep).
-    pub grid: GridSpecMsg,
-}
-
-impl DistributedOp for CellDigestOp {
-    type Partial = DigestReport;
-    type Output = Vec<(NodeId, DigestReport)>;
-    fn name(&self) -> &'static str {
-        "cell_digest"
-    }
-    fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        all_alive(alive)
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::CellDigest { grid: self.grid }
-    }
-    fn decode(&self, response: Response) -> Result<DigestReport, StcamError> {
-        want_digests(response)
-    }
-    fn merge(self, mut partials: Vec<(NodeId, DigestReport)>) -> Vec<(NodeId, DigestReport)> {
-        partials.sort_by_key(|(w, _)| *w);
-        partials
-    }
-}
-
-/// One chunk of a repair stream into `target`: overwrite (or append to)
-/// the cell's copy held for `primary` — the replica log when `primary`
-/// differs from the target, the primary shard itself when they are equal
-/// (the rejoin/rebalance bulk-sync path). Idempotent: the first chunk
-/// truncates before writing and every append passes the holder's id
-/// filter, so a retransmitted chunk changes nothing.
-#[derive(Debug, Clone)]
-pub struct RepairOp {
-    /// The worker whose copy is being repaired.
-    pub target: NodeId,
-    /// The primary the copy belongs to.
-    pub primary: NodeId,
-    /// The macro grid `cell` refers to.
-    pub grid: GridSpecMsg,
-    /// Packed macro-cell index being overwritten.
-    pub cell: u32,
-    /// Whether to drop the cell's current contents first (set on the
-    /// first chunk of a stream, and on pure cleanups with no batch).
-    pub truncate: bool,
-    /// The observations of this chunk.
-    pub batch: Vec<Observation>,
-}
-
-impl DistributedOp for RepairOp {
-    type Partial = ();
-    type Output = ();
-    fn name(&self) -> &'static str {
-        "repair"
-    }
-    fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        vec![self.target]
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::Repair {
-            primary: self.primary,
-            grid: self.grid,
-            cell: self.cell,
-            truncate: self.truncate,
-            batch: self.batch.clone(),
-        }
-    }
-    fn decode(&self, response: Response) -> Result<(), StcamError> {
-        want_ack(response)
-    }
-    fn merge(self, _partials: Vec<(NodeId, ())>) {}
-}
-
-/// Readmission handshake sent to a restarted worker: reset all local
-/// state and install the epoch-stamped routing slice it will own once
-/// the coordinator publishes the readmitting plan. Idempotent — resetting
-/// an already-empty worker and reinstalling the same route are no-ops.
-#[derive(Debug, Clone)]
-pub struct RejoinOp {
-    /// The rejoining worker.
-    pub target: NodeId,
-    /// The plan epoch the worker will re-enter under.
-    pub epoch: u64,
-    /// The macro grid the packed cells refer to.
-    pub grid: GridSpecMsg,
-    /// The cells the worker will own, packed `row * cols + col`.
-    pub cells: Vec<u32>,
-}
-
-impl DistributedOp for RejoinOp {
-    type Partial = ();
-    type Output = ();
-    fn name(&self) -> &'static str {
-        "rejoin"
-    }
-    fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        vec![self.target]
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::Rejoin {
-            epoch: self.epoch,
-            grid: self.grid,
-            cells: self.cells.clone(),
-        }
-    }
-    fn decode(&self, response: Response) -> Result<(), StcamError> {
-        want_ack(response)
-    }
-    fn merge(self, _partials: Vec<(NodeId, ())>) {}
-}
-
-/// Collects one worker's sealed-segment digests — the compare step of
-/// segment-granular bulk sync. Idempotent pure read.
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentDigestOp {
-    /// The worker whose archive is summarised.
-    pub target: NodeId,
-}
-
-impl DistributedOp for SegmentDigestOp {
-    type Partial = Vec<SegmentDigestEntry>;
-    type Output = Vec<SegmentDigestEntry>;
-    fn name(&self) -> &'static str {
-        "segment_digest"
-    }
-    fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        vec![self.target]
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::SegmentDigest
-    }
-    fn decode(&self, response: Response) -> Result<Vec<SegmentDigestEntry>, StcamError> {
-        want_segment_digests(response)
-    }
-    fn merge(self, partials: Vec<(NodeId, Vec<SegmentDigestEntry>)>) -> Vec<SegmentDigestEntry> {
-        partials.into_iter().flat_map(|(_, d)| d).collect()
-    }
-}
-
-/// Reads a region's contents from one worker as whole sealed segment
-/// frames plus loose head rows, skipping segments the requester already
-/// holds. Non-destructive and deterministic (retried exports produce
-/// digest-identical frames), so the op is idempotent over lossy links.
-#[derive(Debug, Clone)]
-pub struct ExportSegmentsOp {
-    /// The worker to export from.
-    pub target: NodeId,
-    /// The region whose contents move.
-    pub region: BBox,
-    /// Segment digests the destination already holds.
-    pub skip: Vec<SegmentDigestEntry>,
-}
-
-impl DistributedOp for ExportSegmentsOp {
-    type Partial = (Vec<stcam_codec::SegmentFrame>, Vec<Observation>);
-    type Output = (Vec<stcam_codec::SegmentFrame>, Vec<Observation>);
-    fn name(&self) -> &'static str {
-        "export_segments"
-    }
-    fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        vec![self.target]
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::ExportSegments {
-            region: self.region,
-            skip: self.skip.clone(),
-        }
-    }
-    fn decode(
-        &self,
-        response: Response,
-    ) -> Result<(Vec<stcam_codec::SegmentFrame>, Vec<Observation>), StcamError> {
-        want_segments(response)
-    }
-    fn merge(
-        self,
-        partials: Vec<(NodeId, (Vec<stcam_codec::SegmentFrame>, Vec<Observation>))>,
-    ) -> (Vec<stcam_codec::SegmentFrame>, Vec<Observation>) {
-        let mut frames = Vec::new();
-        let mut head = Vec::new();
-        for (_, (f, h)) in partials {
-            frames.extend(f);
-            head.extend(h);
-        }
-        (frames, head)
-    }
-}
-
-/// Installs exported segments whole into one worker's archive tier, and
-/// the loose head rows through deduplicated ingest. Idempotent: the
-/// receiver drops frames whose digest it already holds and rows it has
-/// already seen, so a retry after a lost ack changes nothing.
-#[derive(Debug, Clone)]
-pub struct InstallSegmentsOp {
-    /// The worker receiving the segments.
-    pub target: NodeId,
-    /// Sealed segment frames to archive.
-    pub frames: Vec<stcam_codec::SegmentFrame>,
-    /// Loose mutable-head rows to ingest.
-    pub head: Vec<Observation>,
-}
-
-impl DistributedOp for InstallSegmentsOp {
-    type Partial = ();
-    type Output = ();
-    fn name(&self) -> &'static str {
-        "install_segments"
-    }
-    fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        vec![self.target]
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::InstallSegments {
-            frames: self.frames.clone(),
-            head: self.head.clone(),
-        }
-    }
-    fn decode(&self, response: Response) -> Result<(), StcamError> {
-        want_ack(response)
-    }
-    fn merge(self, _partials: Vec<(NodeId, ())>) {}
-}
-
-/// Non-destructive read of a region's contents from one worker — the
-/// copy side of replica-log repair. A plain range read over all time, so
-/// safe to retry over lossy links.
-#[derive(Debug, Clone, Copy)]
-pub struct CopyRegionOp {
-    /// The worker to read from.
-    pub target: NodeId,
-    /// The region to copy.
-    pub region: BBox,
-}
-
-impl DistributedOp for CopyRegionOp {
-    type Partial = Vec<Observation>;
-    type Output = Vec<Observation>;
-    fn name(&self) -> &'static str {
-        "copy_region"
-    }
-    fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        vec![self.target]
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::Range {
-            region: self.region,
-            window: TimeInterval::ALL,
-            limit: 0,
-            projection: crate::protocol::PROJ_FULL,
-        }
-    }
-    fn decode(&self, response: Response) -> Result<Vec<Observation>, StcamError> {
-        want_observations(response)
-    }
-    fn merge(self, partials: Vec<(NodeId, Vec<Observation>)>) -> Vec<Observation> {
-        partials.into_iter().flat_map(|(_, obs)| obs).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use stcam_camnet::{CameraId, ObservationId, Signature};
+    use stcam_geo::Timestamp;
     use stcam_net::{Fabric, LinkModel};
     use stcam_world::{EntityClass, EntityId};
 
@@ -2146,7 +1393,15 @@ mod tests {
             range.decode(Response::Ack),
             Err(StcamError::Remote(_))
         ));
-        assert!(matches!(FlushOp.decode(Response::Ack), Ok(())));
+        assert!(matches!(want_ack(Response::Ack), Ok(())));
+        assert!(matches!(
+            want_ack(Response::Error("boom".into())),
+            Err(StcamError::Remote(msg)) if msg == "boom"
+        ));
+        assert!(matches!(
+            want_ack(Response::Observations(vec![])),
+            Err(StcamError::Remote(msg)) if msg.starts_with("expected ack")
+        ));
         let heat = HeatmapOp {
             buckets: GridSpec::new(Point::new(0.0, 0.0), 10.0, 2, 2),
             window: window(),
@@ -2231,18 +1486,24 @@ mod tests {
             }
         });
         let (partition, alive) = one_worker_world();
-        let result = exec.execute(
+        let result = exec.execute_degraded(
             RangeOp::new(
                 BBox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0)),
                 window(),
             ),
             &partition,
             &alive,
+            None,
+            None,
         );
         stop.store(true, Ordering::Relaxed);
         flaky.join().unwrap();
-        let hits = result.expect("retry should have recovered the query");
-        assert_eq!(hits.len(), 1);
+        assert!(
+            result.completeness.is_full(),
+            "retry should have recovered the query"
+        );
+        assert_eq!(result.completeness.retries, 1);
+        assert_eq!(result.value.len(), 1);
         let stats = exec.stats_for("range");
         assert_eq!(stats.invocations, 1);
         assert_eq!(stats.retries, 1);
@@ -2258,7 +1519,7 @@ mod tests {
         // mutation gets the full attempt budget like any read; a caller
         // that wants exactly one attempt says so with `no_retry`.
         let fabric = Fabric::new(LinkModel::instant());
-        let _worker_ep = fabric.register(NodeId(1));
+        let worker_ep = fabric.register(NodeId(1));
         let exec = Executor::new(
             fabric.register(NodeId(0)),
             OpPolicy {
@@ -2267,26 +1528,43 @@ mod tests {
                 backoff: StdDuration::ZERO,
             },
         );
-        let (partition, alive) = one_worker_world();
-        let install = || InstallSegmentsOp {
-            target: NodeId(1),
-            frames: vec![],
-            head: vec![obs(0, 1.0)],
+        // What the silent worker's inbox collected since the last look.
+        let arrived = || -> Vec<Vec<u8>> {
+            std::iter::from_fn(|| worker_ep.try_recv())
+                .map(|envelope| envelope.payload)
+                .collect()
         };
-        let result = exec.execute(install(), &partition, &alive);
-        assert!(matches!(result, Err(StcamError::Net(NetError::Timeout))));
+        let install = || {
+            let request = |_| Request::InstallSegments {
+                frames: vec![],
+                head: vec![obs(0, 1.0)],
+            };
+            let mut answers = exec.ask("install_segments", &[NodeId(1)], request, want_ack);
+            assert_eq!(answers.len(), 1);
+            answers.pop().unwrap()
+        };
+        assert!(matches!(
+            install(),
+            (NodeId(1), Err(StcamError::Net(NetError::Timeout)))
+        ));
         let stats = exec.stats_for("install_segments");
         assert_eq!(
             (stats.retries, stats.sub_queries, stats.failures),
             (2, 3, 1)
         );
+        // One encoding served all three sends, the last of which took the
+        // buffer itself.
+        let frames = arrived();
+        assert_eq!(frames.len(), 3);
+        assert!(frames.iter().all(|f| !f.is_empty() && *f == frames[0]));
         exec.set_policy(
             "install_segments",
             OpPolicy::no_retry(StdDuration::from_millis(30)),
         );
-        assert!(exec.execute(install(), &partition, &alive).is_err());
+        assert!(install().1.is_err());
         let once = exec.stats_for("install_segments").since(&stats);
         assert_eq!((once.retries, once.sub_queries, once.failures), (0, 1, 1));
+        assert_eq!(arrived(), frames[..1]);
     }
 
     #[test]
@@ -2335,7 +1613,7 @@ mod tests {
         let grid = GridSpec::new(Point::new(0.0, 0.0), 1.0, 1, 1);
         // Unions and per-bucket sums lose rows monotonically.
         let range = RangeOp::new(region, window());
-        assert!(range.replica_readable() && range.subset_on_loss());
+        assert!(range.subset_on_loss());
         // A class filter changes the frame and the stats key, nothing else.
         let filtered = RangeOp {
             class: Some(EntityClass::Car),
@@ -2351,23 +1629,20 @@ mod tests {
             buckets: grid,
             window: window(),
         };
-        assert!(heat.replica_readable() && heat.subset_on_loss());
+        assert!(heat.subset_on_loss());
         // Top-k shapes can promote wrong items when a shard is lost.
         let knn = KnnBroadcastOp {
             at: Point::ORIGIN,
             window: window(),
             k: 3,
         };
-        assert!(knn.replica_readable() && !knn.subset_on_loss());
+        assert!(!knn.subset_on_loss());
         let top = TopCellsOp {
             buckets: grid,
             window: window(),
             k: 3,
         };
-        assert!(top.replica_readable() && !top.subset_on_loss());
-        // Writes and probes never read replicas.
-        assert!(!FlushOp.replica_readable());
-        assert!(!ProbeOp.replica_readable());
+        assert!(!top.subset_on_loss());
     }
 
     #[test]
@@ -2413,17 +1688,17 @@ mod tests {
         );
         let (partition, _) = one_worker_world();
         let alive = HashSet::new(); // nobody alive
-        let hits = exec
-            .execute(
-                RangeOp::new(
-                    BBox::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)),
-                    window(),
-                ),
-                &partition,
-                &alive,
-            )
-            .unwrap();
-        assert!(hits.is_empty());
+        let d = exec.execute_degraded(
+            RangeOp::new(
+                BBox::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)),
+                window(),
+            ),
+            &partition,
+            &alive,
+            None,
+            None,
+        );
+        assert!(d.value.is_empty() && d.completeness.is_full());
         let stats = exec.stats_for("range");
         assert_eq!(stats.invocations, 1);
         assert_eq!(stats.sub_queries, 0);

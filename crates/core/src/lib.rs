@@ -24,13 +24,15 @@
 //!   primary shard through `IngestSeq` (clients) or `InstallSegments`
 //!   (control plane), a replica log through `ReplicateSeq` or `Repair`,
 //!   and nothing else; replication is the sender's job.
-//! * [`exec`] — the typed scatter/gather layer. Every distributed
-//!   operation is a [`exec::DistributedOp`] (targets / request / decode /
-//!   merge); the [`exec::Executor`] owns parallel fan-out, per-operation
-//!   timeout/retry policy ([`OpPolicy`] — any timed-out sub-query is
-//!   retried deterministically, because every request is safe to apply
-//!   twice), and per-operation telemetry ([`OpStats`]: sub-queries, retries, wire
-//!   bytes, scatter/merge latency split).
+//! * [`exec`] — the typed scatter/gather layer. The [`exec::Executor`]
+//!   holds one scatter loop: start every target's exchange, wait in
+//!   target order, retry timeouts under the per-operation [`OpPolicy`]
+//!   (deterministically, because every request is safe to apply twice),
+//!   book per-operation telemetry ([`OpStats`]: sub-queries, retries,
+//!   wire bytes, scatter/merge latency split). A read is a
+//!   [`exec::DistributedOp`] (targets / request / decode / merge) and
+//!   may fail over to replicas; a control message is a named [`Request`]
+//!   handed to [`exec::Executor::ask`].
 //! * [`Coordinator`] — the mutex-guarded **control plane**: routes
 //!   ingest batches, moves a cell's primary copy between workers by one
 //!   routine (copy → cut over → drain → drop) for rebalance, rejoin and

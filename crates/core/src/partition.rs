@@ -230,6 +230,16 @@ impl PartitionMap {
         self.workers[self.assignment[slot] as usize]
     }
 
+    /// The worker owning the cell packed `row * cols + col` — how digests,
+    /// routing slices and repair plans name a macro cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `cell` is outside the macro grid.
+    pub fn owner_of_packed(&self, cell: u32) -> NodeId {
+        self.workers[self.assignment[cell as usize] as usize]
+    }
+
     /// The distinct workers whose shards overlap `region`, in ring order.
     pub fn workers_for_region(&self, region: BBox) -> Vec<NodeId> {
         let mut present = vec![false; self.workers.len()];
@@ -256,6 +266,18 @@ impl PartitionMap {
                 let slot = c.row as usize * self.grid.cols() as usize + c.col as usize;
                 self.assignment[slot] == widx as u32
             })
+            .collect()
+    }
+
+    /// [`cells_of`](Self::cells_of) as the wire spells a routing slice:
+    /// each cell packed `row * cols + col`. Empty for a node outside the
+    /// map — the route that makes a failed-out worker NACK every
+    /// sequenced batch, steering stale senders to refresh.
+    pub fn packed_cells_of(&self, worker: NodeId) -> Vec<u32> {
+        let cols = self.grid.cols();
+        self.cells_of(worker)
+            .into_iter()
+            .map(|c| c.row * cols + c.col)
             .collect()
     }
 

@@ -43,7 +43,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use stcam_camnet::Observation;
-use stcam_geo::{BBox, CellId, GridSpec};
+use stcam_geo::{BBox, GridSpec};
 use stcam_net::NodeId;
 
 use crate::partition::PartitionMap;
@@ -240,7 +240,6 @@ pub(crate) fn plan(
         return out;
     }
     let mut under: HashSet<(NodeId, u32)> = HashSet::new();
-    let cols = partition.grid().cols();
     for &owner in partition.workers() {
         if !alive.contains(&owner) {
             continue;
@@ -254,7 +253,7 @@ pub(crate) fn plan(
         let truth: BTreeMap<u32, (u32, u64)> = report
             .primary
             .iter()
-            .filter(|e| partition.owner_of_cell(CellId::new(e.cell % cols, e.cell / cols)) == owner)
+            .filter(|e| partition.owner_of_packed(e.cell) == owner)
             .map(|e| (e.cell, (e.count, e.checksum)))
             .collect();
         for holder in partition.alive_successors(owner, replication, alive) {
@@ -319,7 +318,7 @@ pub(crate) fn plan(
     // still be missing before the stale copy is truncated.
     for (&holder, report) in &by_node {
         for e in &report.primary {
-            let owner = partition.owner_of_cell(CellId::new(e.cell % cols, e.cell / cols));
+            let owner = partition.owner_of_packed(e.cell);
             if owner != holder && alive.contains(&owner) {
                 out.strays.push(Deficit {
                     owner,
@@ -341,7 +340,7 @@ mod tests {
     use super::*;
     use crate::protocol::{DigestEntry, ReplicaDigestEntry};
     use stcam_camnet::{CameraId, ObservationId, Signature};
-    use stcam_geo::{Point, Timestamp};
+    use stcam_geo::{CellId, Point, Timestamp};
     use stcam_world::{EntityClass, EntityId};
 
     fn obs(seq: u64, t_ms: u64, x: f64, y: f64) -> Observation {

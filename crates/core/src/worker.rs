@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 use stcam_camnet::{Observation, ObservationId, Signature, SIGNATURE_DIM};
 use stcam_codec::{decode_from_slice, encode_to_vec};
 use stcam_geo::{BBox, GridSpec};
-use stcam_index::{IndexConfig, ReadView, StIndex};
+use stcam_index::{slice_number, IndexConfig, ReadView, StIndex};
 use stcam_net::{Endpoint, Envelope, MessageKind, NodeId, Waker};
 
 use crate::continuous::{InterestIndex, Notification};
@@ -975,8 +975,20 @@ impl Worker {
             return rejected;
         }
         self.index.evict_before(cutoff);
-        for log in self.replica_logs.values_mut() {
-            log.retain(|o| o.time >= cutoff);
+        // Both copies evict by slice: a replica row goes iff the primary
+        // dropped its slice, and its dedup id goes with it, so the copies
+        // keep matching digests and a later repair stream can re-add it.
+        let slice_len = self.config.index.slice_len;
+        for (primary, log) in &mut self.replica_logs {
+            let ids = self.replica_seen.entry(*primary).or_default();
+            log.retain(|o| {
+                let slice_end = (slice_number(o.time, slice_len) + 1) * slice_len.as_millis();
+                let stale = slice_end <= cutoff.as_millis();
+                if stale {
+                    ids.remove(&o.id);
+                }
+                !stale
+            });
         }
         Response::Ack
     }
@@ -1292,20 +1304,33 @@ mod tests {
     }
 
     #[test]
-    fn eviction_trims_index_and_replica_logs() {
+    fn eviction_trims_index_and_replica_logs_by_slice() {
         let (_fabric, mut worker) = lone_worker();
-        worker.handle_request(ingest_req(vec![obs(0, 1_000, 1.0, 1.0)]));
-        worker.handle_request(replicate_req(
-            NodeId(9),
-            vec![obs(1, 1_000, 2.0, 2.0), obs(2, 90_000, 2.0, 2.0)],
-        ));
-        worker.handle_request(Request::EvictBefore {
-            cutoff: Timestamp::from_secs(60),
-            epoch: 0,
-        });
-        let stats = worker.stats();
-        assert_eq!(stats.primary_observations, 0);
-        assert_eq!(stats.replica_observations, 1);
+        worker.handle_request(ingest_req(vec![
+            obs(0, 1_000, 1.0, 1.0),
+            obs(3, 52_000, 1.0, 1.0),
+        ]));
+        let replica = |seq, t_ms| replicate_req(NodeId(9), vec![obs(seq, t_ms, 2.0, 2.0)]);
+        for (seq, t_ms) in [(1, 1_000), (4, 52_000), (5, 57_000), (2, 90_000)] {
+            worker.handle_request(replica(seq, t_ms));
+        }
+        let evict = |worker: &mut Worker, secs| {
+            worker.handle_request(Request::EvictBefore {
+                cutoff: Timestamp::from_secs(secs),
+                epoch: 0,
+            });
+            worker.stats().primary_observations
+        };
+        // A cutoff inside the 50–60 s slice spares that slice whole, in
+        // both copies.
+        assert_eq!(evict(&mut worker, 55), 1);
+        assert_eq!(log_seqs(&worker, NodeId(9)), vec![2, 4, 5]);
+        // At its boundary the slice goes — and its dedup ids with it, so
+        // a repair stream can put an evicted row back.
+        assert_eq!(evict(&mut worker, 60), 0);
+        assert_eq!(log_seqs(&worker, NodeId(9)), vec![2]);
+        worker.handle_request(replica(4, 52_000));
+        assert_eq!(log_seqs(&worker, NodeId(9)), vec![2, 4]);
     }
 
     #[test]

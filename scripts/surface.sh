@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Prints the surface numbers every CHANGES.md line counts (ROADMAP item 4's
 # gate): protocol variants, DistributedOp impls, public methods of the two
-# facades, and the size of crates/core/src.
+# facades, the size of crates/core/src and of the four files the gate names.
 # Usage: scripts/surface.sh            print "name value" lines
 #        scripts/surface.sh --check    also fail when a value exceeds its
 #                                      ceiling in scripts/surface.ceilings
@@ -38,7 +38,9 @@ surface() {
     echo "cluster_pub_fns $(pub_fns Cluster "$src/cluster.rs")"
     echo "coordinator_pub_fns $(pub_fns Coordinator "$src/coordinator.rs")"
     echo "core_src_lines $(cat "$src"/*.rs | wc -l)"
-    echo "coordinator_lines $(wc -l < "$src/coordinator.rs")"
+    for file in coordinator exec worker protocol; do
+        echo "${file}_lines $(wc -l < "$src/$file.rs")"
+    done
 }
 
 surface

@@ -4,10 +4,12 @@
 
 use std::time::Duration as StdDuration;
 
-use stcam::{Cluster, ClusterConfig, KnnBroadcastOp, OpPolicy, QueryOpts, TopCellsOp};
+use stcam::{
+    Cluster, ClusterConfig, KnnBroadcastOp, OpPolicy, OpStats, QueryOpts, StcamError, TopCellsOp,
+};
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
-use stcam_net::LinkModel;
+use stcam_net::{LinkModel, NodeId};
 use stcam_world::{EntityClass, EntityId};
 
 fn extent() -> BBox {
@@ -238,5 +240,78 @@ fn per_op_policy_is_isolated_from_other_ops() {
             &QueryOpts::STRICT
         )
         .is_err());
+    cluster.shutdown();
+}
+
+/// The named op's cumulative telemetry (zeros when never invoked).
+fn op(cluster: &Cluster, name: &str) -> OpStats {
+    let all = cluster.op_stats();
+    let found = all.iter().find(|(op, _)| *op == name);
+    found.map(|(_, s)| *s).unwrap_or_default()
+}
+
+#[test]
+fn control_message_to_a_crashed_worker_never_fails_over() {
+    // Replication 1, so a *read* of worker 2's shard would fail over to
+    // its ring successor. A control message must not: the crashed
+    // worker's error is the answer (for a probe, the whole point).
+    let cluster = Cluster::launch(
+        ClusterConfig::new(extent(), 4)
+            .with_replication(1)
+            .with_link(LinkModel::instant())
+            .with_rpc_timeout(StdDuration::from_millis(300)),
+    )
+    .unwrap();
+    let batch: Vec<Observation> = (0..200)
+        .map(|i| obs(i, (i as f64 * 37.0) % 1600.0, (i as f64 * 53.0) % 1600.0))
+        .collect();
+    cluster.ingest(batch).unwrap();
+    cluster.flush().unwrap();
+    let before = op(&cluster, "flush");
+    cluster.kill_worker(NodeId(2));
+    assert!(matches!(cluster.flush(), Err(StcamError::Net(_))));
+    let flush = op(&cluster, "flush").since(&before);
+    assert_eq!((flush.invocations, flush.failures), (1, 1));
+    assert_eq!(flush.failovers, 0);
+    assert_eq!(flush.sub_queries, 4 + flush.retries);
+    // Recovery is control traffic too (probe, promote, route install,
+    // digests, repair streams): no survivor ever served a replica read.
+    assert_eq!(cluster.check_and_recover(), vec![NodeId(2)]);
+    let stats = cluster.stats().unwrap();
+    assert_eq!(stats.workers.len(), 3);
+    for (worker, served) in &stats.workers {
+        assert_eq!(served.served_count("replica_read"), 0, "at {worker:?}");
+    }
+    assert!(stats.ops.iter().all(|(_, s)| s.failovers == 0));
+    cluster.shutdown();
+}
+
+#[test]
+fn one_target_and_four_book_the_same_per_sub_query() {
+    // The single-target scatter has no code of its own: it books exactly
+    // what each of four targets books.
+    let cluster =
+        Cluster::launch(ClusterConfig::new(extent(), 4).with_link(LinkModel::instant())).unwrap();
+    cluster.flush().unwrap();
+    let scatter = |region| {
+        let before = op(&cluster, "range");
+        assert!(cluster
+            .range_query(region, window_all())
+            .unwrap()
+            .is_empty());
+        op(&cluster, "range").since(&before)
+    };
+    // A corner of one worker's quadrant, then every shard.
+    let one = scatter(BBox::around(Point::new(100.0, 100.0), 50.0));
+    let four = scatter(extent());
+    assert_eq!((one.invocations, one.sub_queries), (1, 1));
+    assert_eq!((four.invocations, four.sub_queries), (1, 4));
+    assert!(one.bytes_sent > 0 && one.bytes_received > 0);
+    assert_eq!(four.bytes_sent, 4 * one.bytes_sent);
+    assert_eq!(four.bytes_received, 4 * one.bytes_received);
+    for stats in [one, four] {
+        assert_eq!((stats.retries, stats.failures, stats.failovers), (0, 0, 0));
+        assert_eq!(stats.latency.count(), 1);
+    }
     cluster.shutdown();
 }

@@ -411,3 +411,46 @@ fn retention_sweeper_bounds_the_archive() {
     }
     cluster.shutdown();
 }
+
+#[test]
+fn retention_sweep_keeps_replicas_in_step() {
+    // A cutoff inside a slice (what `enable_retention`'s `newest −
+    // horizon` nearly always is): both copies of every cell must drop
+    // the same rows, or anti-entropy sees a divergence it cannot mend.
+    let cluster = Cluster::launch(config(4, 1)).unwrap();
+    let batch: Vec<Observation> = (0..4_000u64)
+        .map(|i| {
+            obs(
+                i,
+                i * 10,
+                (i as f64 * 41.0) % 1600.0,
+                (i as f64 * 59.0) % 1600.0,
+            )
+        })
+        .collect();
+    cluster.ingest(batch.clone()).unwrap();
+    cluster.flush().unwrap();
+    assert_eq!(cluster.under_replicated_cells(), 0);
+    // Default slices are 10 s: 15 s straddles the 10–20 s slice.
+    cluster.evict_before(Timestamp::from_secs(15)).unwrap();
+    assert_eq!(
+        cluster.under_replicated_cells(),
+        0,
+        "eviction left primary and replica copies disagreeing"
+    );
+    let report = cluster.repair();
+    assert!(
+        report.converged && report.observations_streamed == 0,
+        "nothing to repair after a sweep, got {report:?}"
+    );
+    // Eviction is slice-granular: the straddling slice survives whole.
+    let mut expected: Vec<ObservationId> = batch
+        .iter()
+        .filter(|o| o.time >= Timestamp::from_secs(10))
+        .map(|o| o.id)
+        .collect();
+    expected.sort();
+    let held = cluster.range_query(extent(), window_all()).unwrap();
+    assert_eq!(held.iter().map(|o| o.id).collect::<Vec<_>>(), expected);
+    cluster.shutdown();
+}
