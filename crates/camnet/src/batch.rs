@@ -561,7 +561,7 @@ mod tests {
             position: Point::new(x, y),
             class: EntityClass::ALL[(seq % 4) as usize],
             signature: Signature::latent_for_entity(seq),
-            truth: (seq % 3 != 0).then_some(EntityId(seq)),
+            truth: (!seq.is_multiple_of(3)).then_some(EntityId(seq)),
         }
     }
 

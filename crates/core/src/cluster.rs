@@ -343,7 +343,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// See [`Coordinator::flush`].
+    /// See [`Ingestor::flush`].
     pub fn flush(&self) -> Result<(), StcamError> {
         self.coordinator.lock().flush()
     }
@@ -359,12 +359,7 @@ impl Cluster {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         );
         let endpoint = self.fabric.register(id);
-        Ingestor::new(
-            endpoint,
-            self.query_plane(),
-            self.config.replication,
-            self.config.rpc_timeout,
-        )
+        Ingestor::new(endpoint, self.query_plane(), self.config.replication)
     }
 
     /// The one way to ask a read. `q` is a typed query value whose

@@ -207,10 +207,16 @@ impl Coordinator {
         let exec = Executor::new(endpoint, OpPolicy::new(rpc_timeout));
         exec.set_replication(replication);
         // Probes are single-attempt: a timeout *is* the liveness signal.
-        exec.set_policy(
-            "probe",
-            OpPolicy::no_retry(rpc_timeout.min(StdDuration::from_millis(250))),
-        );
+        let probe = OpPolicy::no_retry(rpc_timeout.min(StdDuration::from_millis(250)));
+        exec.set_policy("probe", probe);
+        // Acked writes: five attempts of the whole timeout, 3 ms apart.
+        let write = OpPolicy {
+            timeout: rpc_timeout,
+            max_attempts: 5,
+            backoff: StdDuration::from_millis(3),
+        };
+        exec.set_policy("ingest_seq", write);
+        exec.set_policy("replicate_seq", write);
         // Pooled executors share the coordinator executor's account:
         // one telemetry registry, one policy table, one health view.
         let shared = exec.shared();
@@ -219,7 +225,7 @@ impl Coordinator {
             .map(|ep| Executor::with_shared(ep, Arc::clone(&shared)))
             .collect();
         let plane = Arc::new(QueryPlane::new(pool, partition.clone(), alive.clone()));
-        let sender = ReliableSender::new(Arc::clone(&plane), replication, rpc_timeout);
+        let sender = ReliableSender::new(Arc::clone(&plane), replication);
         Coordinator {
             exec,
             plane,
@@ -295,37 +301,31 @@ impl Coordinator {
     // Ingest path
     // ------------------------------------------------------------------
 
-    /// Acknowledged ingest: routes each observation to its owning worker
-    /// and that worker's alive ring replicas, retries lost traffic with
-    /// backoff, and hands unacked batches off to ring successors when an
-    /// owner stops answering. Returns the number of observations durably
-    /// **accepted** — not merely routed; anything unaccepted is parked
-    /// and re-driven by [`flush`](Self::flush).
+    /// Acknowledged ingest through the coordinator's own endpoint: the
+    /// path and contract of [`Ingestor::ingest`](crate::Ingestor::ingest).
+    /// Returns the number of observations durably **accepted** — not
+    /// merely routed; anything unaccepted is parked and re-driven by
+    /// [`flush`](Self::flush).
     ///
     /// # Errors
     ///
-    /// Fails on local problems (codec errors, fabric shutdown);
-    /// unreachable workers park observations instead of erroring.
+    /// [`StcamError::NoQuorum`] when no worker is alive; unreachable
+    /// workers park observations instead of erroring.
     pub fn ingest(&mut self, batch: Vec<Observation>) -> Result<usize, StcamError> {
-        // The coordinator's own plan is authoritative (it publishes
-        // after every mutation), so sync the sender's snapshot first.
+        // This plan is the authoritative one: sync the snapshot first.
         self.sender.refresh_plan();
-        self.sender.ingest(self.exec.endpoint(), batch)
+        self.sender.ingest(&self.exec, batch)
     }
 
-    /// Write barrier: first drains the acked sender's parked window
-    /// (re-delivering unacknowledged observations under fresh routing),
-    /// then confirms every alive worker has drained all previously sent
-    /// ingest traffic (per-link FIFO + a Ping round trip).
+    /// Write barrier, shared with [`Ingestor::flush`](crate::Ingestor::flush):
+    /// drains the parked window (re-delivering under fresh routing), then
+    /// pings every alive worker behind all previously sent traffic.
     ///
     /// # Errors
     ///
-    /// [`StcamError::PartialFailure`] when parked observations still
-    /// cannot be acknowledged; transport errors when a worker believed
-    /// alive does not answer in time.
+    /// As [`Ingestor::flush`](crate::Ingestor::flush).
     pub fn flush(&self) -> Result<(), StcamError> {
-        self.sender.drain(self.exec.endpoint())?;
-        self.tell("flush", &self.alive_workers(), |_| Request::Ping)
+        self.sender.flush(&self.exec)
     }
 
     /// Pushes every alive worker its slice of the current routing plan

@@ -1,7 +1,7 @@
 //! The typed scatter/gather execution layer.
 //!
-//! The coordinator talks to workers in one shape — scatter a message,
-//! gather the answers — and the [`Executor`] holds that shape once: one
+//! Coordinator and ingestors talk to workers in one shape — scatter a
+//! message, gather the answers — and only the [`Executor`] does it: one
 //! loop starts every target's first exchange, waits in target order,
 //! retries timeouts under the operation's [`OpPolicy`], and books
 //! per-operation telemetry ([`OpStats`], wire bytes counted at each send
@@ -14,9 +14,10 @@
 //!   whose primary is unreachable, walks the shard's alive ring successors
 //!   with [`Request::ReplicaRead`].
 //! * A **control message** — barrier, probe, route install, cell move,
-//!   repair stream — is a named [`Request`] handed to [`Executor::ask`]
-//!   with its targets and the decoder for the one [`Response`] it
-//!   expects. It never fails over: the per-target errors are the answer.
+//!   repair stream, and each of the two rounds of an acked write — is a
+//!   named [`Request`] handed to [`Executor::ask`] with its targets and
+//!   the decoder for the one [`Response`] it expects. It never fails
+//!   over: the per-target errors are the answer.
 //!
 //! # Retry semantics
 //!
@@ -342,9 +343,9 @@ pub struct Degraded<T> {
 /// [`Executor::execute_degraded`]. Every sub-query of one is a pure
 /// per-shard read, so a shard whose primary is unreachable may be
 /// answered from a ring successor's replica log.
-pub trait DistributedOp: Sync {
+pub trait DistributedOp {
     /// What one worker contributes.
-    type Partial: Send;
+    type Partial;
     /// What the whole operation yields.
     type Output;
 
@@ -459,7 +460,7 @@ struct ShardOutcome<P> {
 
 /// Owns the scatter/gather loop, retry policy, and per-op telemetry for
 /// every read ([`execute_degraded`](Self::execute_degraded)) and every
-/// control message ([`ask`](Self::ask)).
+/// write and control message ([`ask`](Self::ask)).
 #[derive(Debug)]
 pub struct Executor {
     endpoint: Endpoint,
@@ -497,8 +498,7 @@ impl Executor {
         Arc::clone(&self.shared)
     }
 
-    /// The underlying fabric endpoint (also used for one-way traffic
-    /// such as ingest routing and notification polling).
+    /// The underlying fabric endpoint (its id names this sender).
     pub fn endpoint(&self) -> &Endpoint {
         &self.endpoint
     }
@@ -564,9 +564,9 @@ impl Executor {
     /// Sends one control message to each of `targets` and returns every
     /// target's decoded answer, in target order. `name` keys the
     /// message's [`OpPolicy`] and [`OpStats`]; `request` is called once
-    /// per target, so a broadcast returns the same frame each time and a
-    /// per-worker message (a routing slice) builds each worker's own;
-    /// `want` decodes the one [`Response`] the message expects.
+    /// per entry of `targets`, in order, so a broadcast returns the same
+    /// frame each time and a worker listed twice gets one sub-query per
+    /// entry; `want` decodes the one [`Response`] the message expects.
     ///
     /// A timed-out target is retried under the policy and never failed
     /// over: its error is part of the answer, which is what a liveness

@@ -11,24 +11,27 @@
 //! # Write-path reliability
 //!
 //! The default [`Ingestor::ingest`] (and `Coordinator::ingest`) is
-//! *acknowledged*: batches carry per-sender sequence numbers, workers
-//! reply `IngestAck`/`IngestNack`, and the sender retries lost traffic
-//! with exponential backoff and deterministic jitter. A batch group is
-//! only counted as accepted once its owner **and** a full replica set —
-//! the first `replication` ring successors the plan calls alive — have
-//! confirmed it. That set is exactly where failover reads look and what
-//! a later promotion absorbs, so the returned count certifies both
-//! durability *and* strict-read visibility under the configured
-//! replication factor; a shortfall parks the group instead of acking.
-//! When the owner is unreachable, the sender performs hinted handoff:
-//! the batch is written to those same successors as replica-log
-//! entries, which replica reads serve while the owner is down and a
-//! later failover promotion absorbs into the successor's primary shard. Hints alone never produce an ack, though: the sender
-//! cannot tell a dead owner from a partitioned one, and a partitioned
-//! owner will return and answer strict reads from a primary that never
-//! saw the batch. Hinted batches therefore stay *parked* and re-deliver
-//! (idempotently) once recovery fails the owner out or the link heals —
-//! acks stall during the grey window instead of lying.
+//! *acknowledged*: batches carry per-sender sequence numbers and workers
+//! reply `IngestAck`/`IngestNack`. A wave of per-owner groups is
+//! delivered in two [`Executor::ask`] rounds — `"ingest_seq"` to every
+//! owner at once, then `"replicate_seq"` of what each owner kept to all
+//! their successors at once — so the one scatter loop in `exec.rs`
+//! retransmits lost frames, under the two [`OpPolicy`](crate::OpPolicy)
+//! entries of those names (the only retry knob of the write path), and
+//! books every send into [`OpStats`](crate::OpStats) beside the reads.
+//!
+//! A batch group is only counted as accepted once its owner **and** a
+//! full replica set — the first `replication` ring successors the plan
+//! calls alive — have confirmed it. That set is exactly where failover
+//! reads look and what a later promotion absorbs, so the returned count
+//! certifies both durability *and* strict-read visibility under the
+//! configured replication factor; a shortfall parks the group instead of
+//! acking. When the owner is unreachable, the sender performs hinted
+//! handoff: the batch is written to those same successors as replica-log
+//! entries. Hints alone never produce an ack, though: hinted batches
+//! stay *parked* and re-deliver (idempotently) once recovery fails the
+//! owner out or the link heals — acks stall during the grey window
+//! instead of lying (see `ReliableSender::deliver_wave` for why).
 //!
 //! Ingestors are self-healing: a stale routing snapshot is refreshed
 //! from the coordinator's published [`QueryPlan`] whenever a worker
@@ -40,65 +43,61 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration as StdDuration;
 
 use parking_lot::Mutex;
 use stcam_camnet::{Observation, ObservationId};
-use stcam_codec::{decode_from_slice, encode_to_vec};
-use stcam_net::{Endpoint, NetError, NodeId};
+use stcam_net::{Endpoint, NodeId};
 
 use crate::error::StcamError;
+use crate::exec::{all_alive, unexpected, want_ack, Executor};
 use crate::plane::{QueryPlan, QueryPlane};
 use crate::protocol::{Request, Response};
 
 /// Max per-destination batch groups a single `ingest` call keeps in
 /// flight concurrently (the backpressure window).
 const INFLIGHT_WINDOW: usize = 8;
-/// RPC attempts per destination before the sender gives up on it and
-/// re-routes under a refreshed plan.
-const MAX_ATTEMPTS: u32 = 5;
 /// Routing rounds (deliver, refresh plan, re-route leftovers) per call.
 const MAX_ROUNDS: usize = 4;
-/// Backoff base: attempt `k` waits `BACKOFF_BASE_MS << k` milliseconds
-/// plus jitter of up to the same amount.
-const BACKOFF_BASE_MS: u64 = 3;
 
-/// SplitMix64 finaliser, used for deterministic retry jitter so
-/// concurrent senders desynchronise without any global randomness.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+/// One owner's share of a wave on its way into round two.
+struct Group {
+    /// The worker the plan routes `rows` to.
+    primary: NodeId,
+    /// What the owner kept of its share — or, when it did not answer,
+    /// the whole share, which round two then writes as a hint.
+    rows: Vec<Observation>,
+    /// Whether everyone asked so far confirmed `rows`: the owner in
+    /// round one, then each of its successors in round two.
+    acked: bool,
 }
 
-/// Exponential backoff with deterministic jitter derived from
-/// `(sender, seq, attempt)`.
-fn backoff(sender: NodeId, seq: u64, attempt: u32) -> StdDuration {
-    let base = (BACKOFF_BASE_MS << attempt.min(5)).max(1);
-    let jitter = mix(u64::from(sender.0) ^ seq.rotate_left(17) ^ u64::from(attempt)) % base;
-    StdDuration::from_millis(base + jitter)
+/// The owner's answer to `IngestSeq`: the ids it refuses to own (none
+/// when it acked the whole batch).
+fn want_misrouted(response: Response) -> Result<HashSet<ObservationId>, StcamError> {
+    match response {
+        Response::IngestAck { .. } => Ok(HashSet::new()),
+        Response::IngestNack { misrouted, .. } => Ok(misrouted.into_iter().collect()),
+        other => Err(unexpected("ingest ack", other)),
+    }
 }
 
-/// Result of trying to deliver one per-owner batch group.
-struct GroupOutcome {
-    /// Observations durably acknowledged (owner + alive replicas).
-    accepted: usize,
-    /// Observations to re-route under a refreshed plan this call.
-    redo: Vec<Observation>,
-    /// Observations that cannot be acknowledged under the current plan
-    /// (owner unreachable or confirmed dead); hinted for durability and
-    /// waiting in the pending window for `flush` to re-drive them.
-    parked: Vec<Observation>,
+/// A successor's answer to `ReplicateSeq`.
+fn want_copied(response: Response) -> Result<(), StcamError> {
+    match response {
+        Response::IngestAck { .. } => Ok(()),
+        other => Err(unexpected("ingest ack", other)),
+    }
 }
 
 /// The acked-write engine shared by [`Ingestor`] and the coordinator:
-/// per-sender sequence numbers, bounded-window delivery, retry with
-/// backoff, NACK-driven plan refresh, hinted handoff, and the parked
-/// window that [`drain`](Self::drain) empties for `flush`.
+/// per-sender sequence numbers, bounded-window delivery, NACK-driven
+/// plan refresh, hinted handoff, and the parked window that
+/// [`flush`](Self::flush) empties.
 ///
-/// The engine does not own an endpoint — callers pass theirs in — so the
-/// coordinator can drive it over its existing control-plane endpoint.
+/// The engine owns no endpoint and no retry loop: callers pass the
+/// [`Executor`] to send through, and the `"ingest_seq"` and
+/// `"replicate_seq"` policies of its account say how long and how often
+/// to retransmit.
 #[derive(Debug)]
 pub(crate) struct ReliableSender {
     plane: Arc<QueryPlane>,
@@ -106,24 +105,18 @@ pub(crate) struct ReliableSender {
     /// so a stale sender heals itself instead of needing recreation.
     plan: Mutex<Arc<QueryPlan>>,
     replication: usize,
-    rpc_timeout: StdDuration,
     next_ingest_seq: AtomicU64,
     next_replicate_seq: AtomicU64,
     pending: Mutex<Vec<Observation>>,
 }
 
 impl ReliableSender {
-    pub(crate) fn new(
-        plane: Arc<QueryPlane>,
-        replication: usize,
-        rpc_timeout: StdDuration,
-    ) -> Self {
+    pub(crate) fn new(plane: Arc<QueryPlane>, replication: usize) -> Self {
         let plan = Mutex::new(plane.plan());
         ReliableSender {
             plane,
             plan,
             replication,
-            rpc_timeout,
             next_ingest_seq: AtomicU64::new(0),
             next_replicate_seq: AtomicU64::new(0),
             pending: Mutex::new(Vec::new()),
@@ -131,7 +124,7 @@ impl ReliableSender {
     }
 
     /// The cached routing snapshot (possibly stale).
-    pub(crate) fn snapshot(&self) -> Arc<QueryPlan> {
+    fn snapshot(&self) -> Arc<QueryPlan> {
         Arc::clone(&self.plan.lock())
     }
 
@@ -142,26 +135,25 @@ impl ReliableSender {
         fresh
     }
 
-    /// Observations accepted by no one yet (awaiting `drain`).
+    /// Observations accepted by no one yet (awaiting `flush`).
     pub(crate) fn pending_count(&self) -> usize {
         self.pending.lock().len()
     }
 
     /// Delivers `batch` with acknowledgement: groups by owner, sends at
-    /// most [`INFLIGHT_WINDOW`] groups concurrently, retries with
-    /// backoff, refreshes the plan and re-routes on NACK or exhaustion.
-    /// Returns the number of observations durably accepted; the rest are
-    /// parked for [`drain`](Self::drain).
+    /// most [`INFLIGHT_WINDOW`] groups per wave, refreshes the plan and
+    /// re-routes on NACK or exhaustion. Returns the number of
+    /// observations durably accepted; the rest are parked for
+    /// [`flush`](Self::flush).
     ///
     /// # Errors
     ///
     /// [`StcamError::NoQuorum`] when no worker is alive at all (ring
-    /// membership is monotonic, so parking could never drain); otherwise
-    /// fails only on local/protocol problems (codec errors, fabric
-    /// shutdown) — unreachable workers park observations instead.
+    /// membership is monotonic, so parking could never drain).
+    /// Unreachable workers park observations instead of erroring.
     pub(crate) fn ingest(
         &self,
-        endpoint: &Endpoint,
+        exec: &Executor,
         batch: Vec<Observation>,
     ) -> Result<usize, StcamError> {
         if self.snapshot().alive.is_empty() && self.refresh_plan().alive.is_empty() {
@@ -194,292 +186,176 @@ impl ReliableSender {
                 if wave.is_empty() {
                     break;
                 }
-                let outcomes: Vec<GroupOutcome> = if wave.len() == 1 {
-                    let Some((owner, obs)) = wave.into_iter().next() else {
-                        break;
-                    };
-                    vec![self.deliver_group(endpoint, &plan, owner, obs)]
-                } else {
-                    let mut panicked = false;
-                    let collected: Vec<GroupOutcome> = std::thread::scope(|scope| {
-                        let handles: Vec<_> = wave
-                            .into_iter()
-                            .map(|(owner, obs)| {
-                                let plan = &plan;
-                                scope.spawn(move || self.deliver_group(endpoint, plan, owner, obs))
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .filter_map(|h| match h.join() {
-                                Ok(outcome) => Some(outcome),
-                                Err(_) => {
-                                    panicked = true;
-                                    None
-                                }
-                            })
-                            .collect()
-                    });
-                    if panicked {
-                        // A delivery thread died mid-wave. Sequenced
-                        // ingest is idempotent, so surfacing a typed,
-                        // retryable error (instead of propagating the
-                        // panic into the caller) lets the client simply
-                        // re-deliver the batch.
-                        return Err(StcamError::Remote(
-                            "ingest delivery thread panicked; re-deliver the batch".into(),
-                        ));
-                    }
-                    collected
-                };
-                for outcome in outcomes {
-                    accepted += outcome.accepted;
-                    work.extend(outcome.redo);
-                    if !outcome.parked.is_empty() {
-                        self.pending.lock().extend(outcome.parked);
-                    }
-                }
+                accepted += self.deliver_wave(exec, &plan, wave, &mut work);
             }
         }
-        if !work.is_empty() {
-            // Re-routing did not converge within the round budget; park
-            // the rest for the flush barrier to re-drive.
-            self.pending.lock().extend(work);
-        }
+        // Whatever re-routing did not settle within the round budget
+        // waits for the flush barrier to re-drive it.
+        self.pending.lock().extend(work);
         Ok(accepted)
     }
 
-    /// Routes one per-owner group. Suspicion alone never diverts a
-    /// write (a falsely suspected owner would strand the hint copy in a
-    /// replica log that is never promoted); only the plan's own alive
-    /// set, or direct retry exhaustion inside
-    /// [`deliver_primary`](Self::deliver_primary), triggers hinting.
-    fn deliver_group(
-        &self,
-        endpoint: &Endpoint,
-        plan: &QueryPlan,
-        owner: NodeId,
-        obs: Vec<Observation>,
-    ) -> GroupOutcome {
-        if plan.alive.contains(&owner) {
-            self.deliver_primary(endpoint, plan, owner, obs)
-        } else {
-            // The plan itself calls the owner dead yet still routes its
-            // cells there (no alive successor was available to reassign
-            // to at recovery time): hint for durability and park.
-            self.hint_and_park(endpoint, plan, owner, obs)
-        }
-    }
-
-    /// Normal path: `IngestSeq` to the owner, then `ReplicateSeq` of the
-    /// accepted subset to the first `replication` plan-alive ring
-    /// successors. The group counts as acknowledged only once every one
-    /// of those successors confirmed.
-    fn deliver_primary(
-        &self,
-        endpoint: &Endpoint,
-        plan: &QueryPlan,
-        owner: NodeId,
-        obs: Vec<Observation>,
-    ) -> GroupOutcome {
-        let seq = self.next_ingest_seq.fetch_add(1, Ordering::Relaxed);
-        let request = Request::IngestSeq {
-            sender: endpoint.id(),
-            seq,
-            epoch: plan.epoch,
-            batch: obs.clone(),
-        };
-        let (kept, redo) = match self.call_with_retry(endpoint, owner, seq, &request) {
-            Ok(Response::IngestAck { .. }) => (obs, Vec::new()),
-            Ok(Response::IngestNack { misrouted, .. }) => {
-                // The owner applied what it owns; the rest re-routes
-                // under a refreshed plan (its NACK epoch tells us ours
-                // is stale).
-                let misrouted: HashSet<ObservationId> = misrouted.into_iter().collect();
-                let (redo, kept): (Vec<Observation>, Vec<Observation>) =
-                    obs.into_iter().partition(|o| misrouted.contains(&o.id));
-                (kept, redo)
-            }
-            // The owner would not answer despite full retransmission.
-            _ => {
-                return if self.plane.epoch() > plan.epoch {
-                    // A newer plan has been published since we routed:
-                    // recovery probably reassigned these cells, so let
-                    // the next round re-route under the fresh plan
-                    // (retransmission is idempotent at the workers).
-                    GroupOutcome {
-                        accepted: 0,
-                        redo: obs,
-                        parked: Vec::new(),
-                    }
-                } else {
-                    // Our plan is current: the owner is unreachable and
-                    // recovery has not noticed yet. We cannot tell a
-                    // dead owner from a partitioned one, and a
-                    // partitioned owner will come back and serve strict
-                    // reads from a primary that never saw this batch —
-                    // so acking on replica-log copies alone would break
-                    // read-your-acked-writes. Hint and park instead.
-                    self.hint_and_park(endpoint, plan, owner, obs)
-                };
-            }
-        };
-        if !kept.is_empty() {
-            let (targets, acks) =
-                self.replicate_to_successors(endpoint, plan, owner, &kept, self.replication);
-            if acks < targets {
-                // A replica the plan calls alive would not confirm, so
-                // durability is short of the contract. The owner holds
-                // the batch and the copies that did land stand as hints;
-                // park and re-deliver once the plan reflects whatever
-                // failed (worker id dedup absorbs the duplicates).
-                return GroupOutcome {
-                    accepted: 0,
-                    redo,
-                    parked: kept,
-                };
-            }
-        }
-        GroupOutcome {
-            accepted: kept.len(),
-            redo,
-            parked: Vec::new(),
-        }
-    }
-
-    /// Sends `batch` as replica-log entries for `primary` to its first
-    /// `want` *alive* ring successors — walking the ring past dead
-    /// members ([`PartitionMap::alive_successors`]), so a shard keeps
-    /// `want` certified copies as long as that many other nodes are
-    /// alive. This is exactly the set a failover read consults and the
-    /// repair planner maintains, which is what lets an ack certify
-    /// visibility: writes cover, reads consult, and anti-entropy restores
-    /// one and the same walked set. Unresponsive members of the set are
-    /// still attempted so partial copies land as hints. Returns
-    /// `(targets, acks)`.
+    /// Delivers one wave of per-owner groups in two scatters and returns
+    /// how many observations it got acknowledged. Rows an owner refused
+    /// (or that a newer plan routes elsewhere) go to `redo`; rows that
+    /// cannot be acknowledged under `plan` are parked.
+    ///
+    /// **Round one** sends `IngestSeq` to every owner `plan` calls alive.
+    /// Suspicion alone never diverts a write (a falsely suspected owner
+    /// would strand the hint copy in a replica log that is never
+    /// promoted); only the plan's own alive set, or an owner that stays
+    /// silent through the whole `"ingest_seq"` retry budget, does.
+    ///
+    /// **Round two** sends `ReplicateSeq` of what each owner kept to its
+    /// first `replication` *alive* ring successors — walking the ring
+    /// past dead members ([`PartitionMap::alive_successors`]), the same
+    /// set a failover read consults and the repair planner maintains,
+    /// which is what lets an ack certify visibility. A group counts as
+    /// acknowledged only once every one of them confirmed; on a
+    /// shortfall the owner holds the batch, the copies that landed stand
+    /// as hints, and the group is parked to be re-delivered once the plan
+    /// reflects whatever failed (worker id dedup absorbs the duplicates).
+    ///
+    /// The same round carries the **hinted handoff** of a group whose
+    /// owner is dead in `plan` (yet still routed to: no alive successor
+    /// could take its cells at recovery time) or did not answer while
+    /// `plan` is current. The hints make the batch crash-durable —
+    /// replica reads serve them while the owner is down, a failover
+    /// promotion absorbs them into the successor's primary — but cannot
+    /// certify an ack: the sender cannot tell a dead owner from a
+    /// partitioned one, and a partitioned owner will return and answer
+    /// strict reads from a primary that never saw the batch. Such a
+    /// group is always parked.
     ///
     /// [`PartitionMap::alive_successors`]: crate::PartitionMap::alive_successors
-    fn replicate_to_successors(
+    fn deliver_wave(
         &self,
-        endpoint: &Endpoint,
+        exec: &Executor,
         plan: &QueryPlan,
-        primary: NodeId,
-        batch: &[Observation],
-        want: usize,
-    ) -> (usize, usize) {
-        let targets: Vec<NodeId> = plan.partition.alive_successors(primary, want, &plan.alive);
-        let total = targets.len();
-        let mut acks = 0usize;
-        for target in targets {
-            let rseq = self.next_replicate_seq.fetch_add(1, Ordering::Relaxed);
-            let request = Request::ReplicateSeq {
-                sender: endpoint.id(),
-                seq: rseq,
-                primary,
-                batch: batch.to_vec(),
+        wave: Vec<(NodeId, Vec<Observation>)>,
+        redo: &mut Vec<Observation>,
+    ) -> usize {
+        let sender = exec.endpoint().id();
+        let (live, dead): (Vec<_>, Vec<_>) = wave
+            .into_iter()
+            .partition(|(owner, _)| plan.alive.contains(owner));
+        let owners: Vec<NodeId> = live.iter().map(|(owner, _)| *owner).collect();
+        let mut shares = live.iter();
+        let ingest = |_| {
+            let (_, share) = shares.next().expect("one request per owner, in order");
+            Request::IngestSeq {
+                sender,
+                seq: self.next_ingest_seq.fetch_add(1, Ordering::Relaxed),
+                epoch: plan.epoch,
+                batch: share.clone(),
+            }
+        };
+        let answers = exec.ask("ingest_seq", &owners, ingest, want_misrouted);
+        let hinted = |(primary, rows)| Group {
+            primary,
+            rows,
+            acked: false,
+        };
+        let mut groups: Vec<Group> = dead.into_iter().map(hinted).collect();
+        for ((primary, share), (_, answer)) in live.into_iter().zip(answers) {
+            match answer {
+                // The owner applied what it owns; the rest re-routes
+                // under a refreshed plan (its NACK says ours is stale).
+                Ok(misrouted) => {
+                    let (back, rows): (Vec<_>, Vec<_>) =
+                        share.into_iter().partition(|o| misrouted.contains(&o.id));
+                    redo.extend(back);
+                    groups.push(Group {
+                        primary,
+                        rows,
+                        acked: true,
+                    });
+                }
+                // A newer plan has been published since we routed:
+                // recovery probably reassigned these cells, so the next
+                // round re-routes (retransmission is idempotent at the
+                // workers).
+                Err(_) if self.plane.epoch() > plan.epoch => redo.extend(share),
+                // Our plan is current: the owner is unreachable and
+                // recovery has not noticed yet.
+                Err(_) => groups.push(hinted((primary, share))),
+            }
+        }
+        groups.retain(|g| !g.rows.is_empty());
+        // One entry per (group, successor) copy; a worker that succeeds
+        // several owners is listed once for each.
+        let mut copies: Vec<(usize, NodeId)> = Vec::new();
+        for (i, group) in groups.iter().enumerate() {
+            let want = if group.acked {
+                self.replication
+            } else {
+                self.replication.max(1)
             };
-            if matches!(
-                self.call_with_retry(endpoint, target, rseq, &request),
-                Ok(Response::IngestAck { .. })
-            ) {
-                acks += 1;
+            let successors = plan
+                .partition
+                .alive_successors(group.primary, want, &plan.alive);
+            copies.extend(successors.into_iter().map(|successor| (i, successor)));
+        }
+        let successors: Vec<NodeId> = copies.iter().map(|&(_, successor)| successor).collect();
+        let mut order = copies.iter();
+        let replicate = |_| {
+            let &(i, _) = order.next().expect("one request per copy, in order");
+            Request::ReplicateSeq {
+                sender,
+                seq: self.next_replicate_seq.fetch_add(1, Ordering::Relaxed),
+                primary: groups[i].primary,
+                batch: groups[i].rows.clone(),
+            }
+        };
+        let answers = exec.ask("replicate_seq", &successors, replicate, want_copied);
+        for (&(i, _), (_, answer)) in copies.iter().zip(answers) {
+            groups[i].acked &= answer.is_ok();
+        }
+        let mut accepted = 0usize;
+        for group in groups {
+            if group.acked {
+                accepted += group.rows.len();
+            } else {
+                self.pending.lock().extend(group.rows);
             }
         }
-        (total, acks)
+        accepted
     }
 
-    /// Hinted handoff: best-effort `ReplicateSeq` copies of the batch to
-    /// the owner's first plan-alive ring successors, then park. The
-    /// hints make the batch crash-durable — replica reads serve them
-    /// while the owner is down, and a failover promotion absorbs them
-    /// into the successor's primary — but they cannot certify an ack: a
-    /// merely-partitioned owner will return and answer strict reads from
-    /// a primary that never saw the batch. Only re-delivery (driven by
-    /// `flush` or a later `ingest` round under a refreshed plan) can
-    /// complete the acked contract; worker-side id dedup absorbs the
-    /// duplicate copies this leaves behind.
-    fn hint_and_park(
-        &self,
-        endpoint: &Endpoint,
-        plan: &QueryPlan,
-        owner: NodeId,
-        obs: Vec<Observation>,
-    ) -> GroupOutcome {
-        let _ = self.replicate_to_successors(endpoint, plan, owner, &obs, self.replication.max(1));
-        GroupOutcome {
-            accepted: 0,
-            redo: Vec::new(),
-            parked: obs,
-        }
-    }
-
-    /// One sequenced call with bounded retransmission: up to
-    /// [`MAX_ATTEMPTS`] attempts, exponential backoff with deterministic
-    /// jitter between them. Feeds the shared health view so routing
-    /// diverts around nodes that stop answering.
-    fn call_with_retry(
-        &self,
-        endpoint: &Endpoint,
-        dest: NodeId,
-        seq: u64,
-        request: &Request,
-    ) -> Result<Response, StcamError> {
-        let payload = encode_to_vec(request);
-        let health = self.plane.health();
-        for attempt in 0..MAX_ATTEMPTS {
-            if attempt > 0 {
-                std::thread::sleep(backoff(endpoint.id(), seq, attempt));
-            }
-            match endpoint.call(dest, payload.clone(), self.rpc_timeout) {
-                Ok(bytes) => {
-                    let response = decode_from_slice::<Response>(&bytes)?;
-                    health.record_success(dest);
-                    if let Response::Error(message) = response {
-                        return Err(StcamError::Remote(message));
-                    }
-                    return Ok(response);
-                }
-                Err(NetError::Timeout) => continue,
-                Err(err) => {
-                    health.record_failure(dest);
-                    return Err(err.into());
-                }
-            }
-        }
-        health.record_failure(dest);
-        Err(StcamError::Net(NetError::Timeout))
-    }
-
-    /// Re-drives the parked window under fresh routing until it is
-    /// empty — the write-barrier half of `flush`. Returns how many
-    /// parked observations were accepted.
+    /// Write barrier: re-drives the parked window under fresh routing
+    /// until it is empty, then confirms every alive worker has processed
+    /// previously sent traffic (per-link FIFO + a ping round trip under
+    /// the `"flush"` policy).
     ///
     /// # Errors
     ///
     /// [`StcamError::PartialFailure`] naming the owners of observations
-    /// that still cannot be acknowledged after the round budget.
-    pub(crate) fn drain(&self, endpoint: &Endpoint) -> Result<usize, StcamError> {
-        let mut drained = 0usize;
+    /// that still cannot be acknowledged after the round budget;
+    /// transport errors when an alive worker does not answer the ping.
+    pub(crate) fn flush(&self, exec: &Executor) -> Result<(), StcamError> {
         for _ in 0..MAX_ROUNDS {
             let parked = std::mem::take(&mut *self.pending.lock());
             if parked.is_empty() {
-                return Ok(drained);
+                break;
             }
             self.refresh_plan();
-            drained += self.ingest(endpoint, parked)?;
+            self.ingest(exec, parked)?;
         }
-        let leftover = self.pending.lock();
-        if leftover.is_empty() {
-            return Ok(drained);
-        }
-        let plan = self.snapshot();
-        let mut missing: Vec<NodeId> = leftover
+        let plan = self.refresh_plan();
+        let mut missing: Vec<NodeId> = self
+            .pending
+            .lock()
             .iter()
             .map(|o| plan.partition.owner_of(o.position))
             .collect();
-        missing.sort();
-        missing.dedup();
-        Err(StcamError::PartialFailure { missing })
+        if !missing.is_empty() {
+            missing.sort();
+            missing.dedup();
+            return Err(StcamError::PartialFailure { missing });
+        }
+        let alive = all_alive(&plan.alive);
+        let answers = exec.ask("flush", &alive, |_| Request::Ping, want_ack);
+        answers.into_iter().try_for_each(|(_, answer)| answer)
     }
 }
 
@@ -488,26 +364,25 @@ impl ReliableSender {
 /// acknowledged-write contract.
 #[derive(Debug)]
 pub struct Ingestor {
-    endpoint: Endpoint,
+    exec: Executor,
     sender: ReliableSender,
 }
 
 impl Ingestor {
-    pub(crate) fn new(
-        endpoint: Endpoint,
-        plane: Arc<QueryPlane>,
-        replication: usize,
-        rpc_timeout: StdDuration,
-    ) -> Self {
+    /// An ingestor sending through `endpoint` on the plane's shared
+    /// executor account: its writes book into the same
+    /// [`OpStats`](crate::OpStats) registry, obey the same policy table
+    /// and feed the same health view as the coordinator's.
+    pub(crate) fn new(endpoint: Endpoint, plane: Arc<QueryPlane>, replication: usize) -> Self {
         Ingestor {
-            endpoint,
-            sender: ReliableSender::new(plane, replication, rpc_timeout),
+            exec: Executor::with_shared(endpoint, plane.exec_shared()),
+            sender: ReliableSender::new(plane, replication),
         }
     }
 
     /// This ingestor's node id on the fabric.
     pub fn id(&self) -> NodeId {
-        self.endpoint.id()
+        self.exec.endpoint().id()
     }
 
     /// Observations this handle could not get acknowledged yet; they are
@@ -526,16 +401,17 @@ impl Ingestor {
     ///
     /// # Errors
     ///
-    /// Fails on local problems (codec errors, fabric shutdown);
-    /// unreachable workers park observations instead of erroring.
+    /// [`StcamError::NoQuorum`] when no worker is alive; unreachable
+    /// workers park observations instead of erroring.
     pub fn ingest(&self, batch: Vec<Observation>) -> Result<usize, StcamError> {
-        self.sender.ingest(&self.endpoint, batch)
+        self.sender.ingest(&self.exec, batch)
     }
 
     /// Write barrier: first drains this handle's parked window (re-
     /// delivering under fresh routing), then confirms every alive worker
     /// has processed previously sent traffic (per-link FIFO + a ping
-    /// round trip).
+    /// round trip, retried under the `"flush"` policy like
+    /// [`Coordinator::flush`](crate::Coordinator::flush)).
     ///
     /// # Errors
     ///
@@ -543,20 +419,7 @@ impl Ingestor {
     /// cannot be acknowledged; transport errors when an alive worker
     /// does not answer the ping in time.
     pub fn flush(&self) -> Result<(), StcamError> {
-        self.sender.drain(&self.endpoint)?;
-        let plan = self.sender.refresh_plan();
-        for &worker in plan.partition.workers() {
-            if !plan.alive.contains(&worker) {
-                continue;
-            }
-            let bytes = self.endpoint.call(
-                worker,
-                encode_to_vec(&Request::Ping),
-                self.sender.rpc_timeout,
-            )?;
-            let _ = decode_from_slice::<Response>(&bytes)?;
-        }
-        Ok(())
+        self.sender.flush(&self.exec)
     }
 }
 
@@ -568,6 +431,7 @@ mod tests {
     use stcam_geo::{BBox, Point, TimeInterval, Timestamp};
     use stcam_net::LinkModel;
     use stcam_world::{EntityClass, EntityId};
+    use std::time::Duration as StdDuration;
 
     fn obs(seq: u64, x: f64, y: f64) -> Observation {
         Observation {

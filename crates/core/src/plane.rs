@@ -41,8 +41,8 @@ use stcam_net::NodeId;
 use crate::admission::{AdmissionControl, AdmissionTicket, Deadline, QueryCtx};
 use crate::error::StcamError;
 use crate::exec::{
-    Completeness, Degraded, DistributedOp, Executor, KnnPhase1Op, KnnPhase2Op, OpStats, QueryMode,
-    ReadOp,
+    Completeness, Degraded, DistributedOp, ExecShared, Executor, KnnPhase1Op, KnnPhase2Op, OpStats,
+    QueryMode, ReadOp,
 };
 use crate::health::HealthView;
 use crate::partition::PartitionMap;
@@ -173,6 +173,13 @@ impl QueryPlane {
     fn executor(&self) -> &Executor {
         let n = self.next.fetch_add(1, Ordering::Relaxed);
         &self.pool[n % self.pool.len()]
+    }
+
+    /// The executor account every pooled endpoint and the control plane
+    /// share; an [`Ingestor`](crate::Ingestor) joins it so writes book
+    /// beside reads.
+    pub(crate) fn exec_shared(&self) -> Arc<ExecShared> {
+        self.pool[0].shared()
     }
 
     /// Shared per-node suspicion view (common to every pooled endpoint

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Prints the surface numbers every CHANGES.md line counts (ROADMAP item 4's
 # gate): protocol variants, DistributedOp impls, public methods of the two
-# facades, the size of crates/core/src and of the four files the gate names.
+# facades, the size of crates/core/src and of the five files the gate names,
+# and the worker calls made outside the one scatter loop.
 # Usage: scripts/surface.sh            print "name value" lines
 #        scripts/surface.sh --check    also fail when a value exceeds its
 #                                      ceiling in scripts/surface.ceilings
@@ -30,6 +31,14 @@ pub_fns() {
 
 count() { cat "$src"/*.rs | grep -c "$1" || true; }
 
+# `.call(` / `.call_start(` sites outside exec.rs, each file read up to its
+# `#[cfg(test)]` module: only exec.rs may call a worker.
+worker_calls_outside_exec() {
+    for file in "$src"/*.rs; do
+        [ "$file" = "$src/exec.rs" ] || awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file"
+    done | grep -cE '\.call(_start)?\(' || true
+}
+
 surface() {
     echo "request_variants $(variants Request)"
     echo "response_variants $(variants Response)"
@@ -38,9 +47,10 @@ surface() {
     echo "cluster_pub_fns $(pub_fns Cluster "$src/cluster.rs")"
     echo "coordinator_pub_fns $(pub_fns Coordinator "$src/coordinator.rs")"
     echo "core_src_lines $(cat "$src"/*.rs | wc -l)"
-    for file in coordinator exec worker protocol; do
+    for file in coordinator exec worker protocol ingest; do
         echo "${file}_lines $(wc -l < "$src/$file.rs")"
     done
+    echo "worker_calls_outside_exec $(worker_calls_outside_exec)"
 }
 
 surface
