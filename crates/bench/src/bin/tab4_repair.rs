@@ -87,7 +87,6 @@ fn main() {
                 OpPolicy {
                     timeout: std::time::Duration::from_millis(250),
                     max_attempts: 4,
-                    backoff: std::time::Duration::from_millis(10),
                 },
             );
             let mut stream = synthetic_stream(stream_len, extent, 600, 71);

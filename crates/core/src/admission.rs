@@ -32,10 +32,9 @@
 //!
 //! Deadlines compose with the gate: a query whose [`Deadline`] already
 //! expired is rejected before any traffic; a live deadline is threaded
-//! into the executor, which clamps every sub-query timeout to the
-//! remaining budget, so a mid-flight expiry surfaces as missing shards
-//! in the answer's `Completeness` (tagged [`ShedReason::Deadline`]) —
-//! never as a silent overrun.
+//! into the executor, where no sub-query waits past it, so a mid-flight
+//! expiry surfaces as missing shards in the answer's `Completeness`
+//! (tagged [`ShedReason::Deadline`]) — never as an overrun.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -108,8 +107,8 @@ pub enum ShedReason {
     /// The tenant was in byte debt; bulk work was admitted degraded
     /// instead of rejected.
     OverBudget,
-    /// The query's deadline expired mid-flight and the clamped
-    /// sub-query timeouts left shards unanswered.
+    /// The query's deadline expired mid-flight and cut the waits for
+    /// some shards off, leaving them unanswered.
     Deadline,
 }
 

@@ -209,11 +209,10 @@ impl Coordinator {
         // Probes are single-attempt: a timeout *is* the liveness signal.
         let probe = OpPolicy::no_retry(rpc_timeout.min(StdDuration::from_millis(250)));
         exec.set_policy("probe", probe);
-        // Acked writes: five attempts of the whole timeout, 3 ms apart.
+        // Acked writes: up to five sends, five whole timeouts of patience.
         let write = OpPolicy {
             timeout: rpc_timeout,
             max_attempts: 5,
-            backoff: StdDuration::from_millis(3),
         };
         exec.set_policy("ingest_seq", write);
         exec.set_policy("replicate_seq", write);

@@ -3,7 +3,7 @@
 //! Coordinator and ingestors talk to workers in one shape — scatter a
 //! message, gather the answers — and only the [`Executor`] does it: one
 //! loop starts every target's first exchange, waits in target order,
-//! retries timeouts under the operation's [`OpPolicy`], and books
+//! re-sends what is overdue under the operation's [`OpPolicy`], and books
 //! per-operation telemetry ([`OpStats`], wire bytes counted at each send
 //! and receive). Two entries sit on it:
 //!
@@ -21,16 +21,31 @@
 //!
 //! # Retry semantics
 //!
-//! RPCs are at-most-once: a timed-out sub-query may or may not have been
-//! executed by the worker. The executor retries it anyway, because the
-//! protocol keeps one invariant instead of a per-op flag: **every
-//! request the executor sends is safe to apply twice.** Reads are
-//! pure; writes either overwrite (route install, truncate-then-stream
-//! repair), remove their input before acting (promote), or pass the
-//! worker's id/digest dedup (segment install). A new message must keep
-//! that invariant — there is no opt-out short of a single-attempt
-//! [`OpPolicy::no_retry`]. Retries are deterministic: a fixed attempt
-//! budget with linear backoff, counted in [`OpStats::retries`].
+//! *When to send again* and *when to give up* are separate. A sub-query
+//! is sent again when the retransmission timeout of its **(operation,
+//! worker)** pair runs out — `SRTT + 4·RTTVAR` over the pair's answered
+//! exchanges ([`stcam_net::RtoTable`]: sampled only from exchanges
+//! answered before any re-send, never under [`stcam_net::MIN_RTO`],
+//! doubling per re-send, capped at [`OpPolicy::timeout`], and equal to it
+//! until the pair has a sample) — at most [`OpPolicy::max_attempts`]
+//! times in all. It fails only `timeout × max_attempts` after its first
+//! send, or at the read's deadline. So a lost frame costs about a round
+//! trip, a silent worker is given up on exactly as late as before, and a
+//! probe ([`OpPolicy::no_retry`]) is still one send and one timeout.
+//!
+//! A re-send is the same bytes under the same correlation
+//! ([`Endpoint::call_wait`]): the frame is never rebuilt, whichever
+//! answer arrives first resolves the exchange, and a worker's fabric
+//! drops a copy of a request the worker still holds — re-sending ahead
+//! of a slow answer costs one request frame, not a second execution.
+//! The worker *can* still see a request twice (its reply was lost, or
+//! left just before the copy arrived), so the protocol keeps one
+//! invariant instead of a per-op flag: **every request the executor
+//! sends is safe to apply twice.** Reads are pure; writes either
+//! overwrite (route install, truncate-then-stream repair), remove their
+//! input before acting (promote), or pass the worker's id/digest dedup
+//! (segment install). A new message must keep that invariant. Each
+//! re-send counts in [`OpStats::retries`].
 //!
 //! # Adding a new operation
 //!
@@ -54,7 +69,7 @@ use parking_lot::Mutex;
 use stcam_camnet::Observation;
 use stcam_codec::{decode_from_slice, encode_to_vec};
 use stcam_geo::{BBox, CellId, GridSpec, Point, TimeInterval};
-use stcam_net::{Endpoint, NetError, NodeId};
+use stcam_net::{Endpoint, NetError, NodeId, PendingCall, Resend, RtoTable};
 use stcam_world::EntityClass;
 
 use crate::admission::{Deadline, ShedReason};
@@ -68,30 +83,26 @@ use crate::protocol::{Request, Response, PROJ_FULL};
 // Policy and telemetry
 // ----------------------------------------------------------------------
 
-/// Timeout/retry policy of one operation class.
+/// Timeout/retry policy of one operation class: wait at most `timeout`
+/// before re-sending, send at most `max_attempts` times, give up
+/// `timeout × max_attempts` after the first send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpPolicy {
-    /// Per-sub-query RPC timeout.
+    /// Longest wait before a sub-query is sent again; the measured
+    /// retransmission timeout of its (operation, worker) pair is shorter.
     pub timeout: StdDuration,
-    /// Total attempts per sub-query (1 = no retry).
+    /// Total sends per sub-query (1 = no retry).
     pub max_attempts: u32,
-    /// Base backoff between attempts; attempt `n` sleeps `n × backoff`
-    /// (linear, deterministic).
-    pub backoff: StdDuration,
 }
 
 impl OpPolicy {
-    /// The standard policy: the caller's total timeout budget split
-    /// across up to three attempts with 10 ms linear backoff. Splitting
-    /// (rather than multiplying) keeps the worst-case latency against a
-    /// genuinely dead worker at ≈ `timeout`, the same bound a
-    /// non-retrying caller would see, while still recovering from
-    /// transiently lost messages well before that bound.
+    /// The standard policy: up to three sends within the caller's total
+    /// `timeout`, so the worst case against a genuinely dead worker is
+    /// the bound a non-retrying caller would see.
     pub fn new(timeout: StdDuration) -> Self {
         OpPolicy {
             timeout: timeout / 3,
             max_attempts: 3,
-            backoff: StdDuration::from_millis(10),
         }
     }
 
@@ -101,20 +112,6 @@ impl OpPolicy {
         OpPolicy {
             timeout,
             max_attempts: 1,
-            backoff: StdDuration::ZERO,
-        }
-    }
-
-    /// This policy with its per-attempt timeout shrunk to the remaining
-    /// deadline budget (floored at 1 ms so an expiring deadline fails
-    /// fast as a timeout instead of zero-waiting into undefined
-    /// territory). Retry structure is preserved: attempts just stop
-    /// waiting longer than the caller can.
-    pub fn clamped_to(self, remaining: StdDuration) -> OpPolicy {
-        let floor = StdDuration::from_millis(1);
-        OpPolicy {
-            timeout: self.timeout.min(remaining.max(floor)),
-            ..self
         }
     }
 }
@@ -193,8 +190,8 @@ pub struct OpStats {
     pub invocations: u64,
     /// Sub-query attempts issued (fan-out × invocations, plus retries).
     pub sub_queries: u64,
-    /// Sub-query attempts that were deterministic retries after a
-    /// timeout.
+    /// Sub-query frames sent again to the same worker because its
+    /// answer was overdue.
     pub retries: u64,
     /// Sub-queries whose final attempt failed.
     pub failures: u64,
@@ -273,7 +270,7 @@ pub struct Completeness {
     /// `(failed primary, serving replica)` pairs for shards answered via
     /// failover.
     pub replicas_used: Vec<(NodeId, NodeId)>,
-    /// Sub-query attempts that were deterministic same-target retries.
+    /// Sub-query frames sent again to the same worker.
     pub retries: u64,
     /// Whether the value is guaranteed to be a subset of the complete
     /// answer. Always true when nothing is missing; under loss it is
@@ -409,6 +406,8 @@ pub(crate) struct ExecShared {
     health: Arc<HealthView>,
     /// Replication factor of the ring (0 disables replica failover).
     replication: AtomicUsize,
+    /// Measured retransmission timeout per (operation, worker).
+    rtos: RtoTable,
 }
 
 impl ExecShared {
@@ -419,6 +418,7 @@ impl ExecShared {
             stats: Mutex::new(BTreeMap::new()),
             health: Arc::new(HealthView::new()),
             replication: AtomicUsize::new(0),
+            rtos: RtoTable::default(),
         }
     }
 }
@@ -431,7 +431,7 @@ impl ExecShared {
 struct Tally {
     sent: u64,
     received: u64,
-    /// Same-target re-sends after a timeout.
+    /// Same-target re-sends after a retransmission timeout.
     retries: u64,
     /// Replica reads issued after a primary failed.
     failovers: u64,
@@ -579,8 +579,7 @@ impl Executor {
         request: impl FnMut(NodeId) -> Request,
         want: impl Fn(Response) -> Result<T, StcamError>,
     ) -> Vec<(NodeId, Result<T, StcamError>)> {
-        let policy = self.policy_for(name);
-        let (outcomes, _) = self.scatter(name, targets, &policy, request, want, None);
+        let (outcomes, _) = self.scatter(&self.resend(name, None), targets, request, want, None);
         outcomes.into_iter().map(|o| (o.shard, o.result)).collect()
     }
 
@@ -595,10 +594,9 @@ impl Executor {
     /// the primary and every candidate replica failed. The merge then
     /// runs over whatever survived.
     ///
-    /// The per-call tenancy context is optional: a `deadline` clamps
-    /// every sub-query timeout to the remaining budget (a mid-flight
-    /// expiry surfaces as missing shards tagged
-    /// [`ShedReason::Deadline`] — truthful, never a silent overrun), and
+    /// The per-call tenancy context is optional: no sub-query waits past
+    /// a `deadline` (a mid-flight expiry surfaces as missing shards
+    /// tagged [`ShedReason::Deadline`] — truthful, never an overrun), and
     /// a `bytes_out` accumulator receives this call's wire bytes (sent +
     /// received, the same tally booked into [`OpStats`]) so the caller
     /// can attribute them to a tenant.
@@ -611,14 +609,9 @@ impl Executor {
         bytes_out: Option<&AtomicU64>,
     ) -> Degraded<O::Output> {
         let name = op.name();
-        let mut policy = self.policy_for(name);
-        if let Some(d) = deadline {
-            policy = policy.clamped_to(d.remaining());
-        }
         let (outcomes, tally) = self.scatter(
-            name,
+            &self.resend(name, deadline),
             &op.targets(partition, alive),
-            &policy,
             |to| op.request(to),
             |response| op.decode(response),
             Some((partition, alive)),
@@ -650,8 +643,8 @@ impl Executor {
         }
         completeness.subset = completeness.missing.is_empty() || op.subset_on_loss();
         // Shards lost while the deadline was running out are attributed
-        // to the deadline, not to infrastructure: the clamped timeouts
-        // are what cut them off.
+        // to the deadline, not to infrastructure: it is what cut their
+        // waits off.
         if !completeness.missing.is_empty() && deadline.is_some_and(|d| d.expired()) {
             completeness.shed = completeness.shed.or(Some(ShedReason::Deadline));
         }
@@ -670,20 +663,31 @@ impl Executor {
         }
     }
 
+    /// How `name`'s sub-queries wait: its policy, this client's measured
+    /// retransmission timeouts, and no longer than `deadline`.
+    fn resend(&self, name: &'static str, deadline: Option<Deadline>) -> Resend<'_> {
+        let policy = self.policy_for(name);
+        Resend {
+            class: name,
+            rtos: Some(&self.shared.rtos),
+            timeout: policy.timeout,
+            max_sends: policy.max_attempts,
+            deadline: deadline.map(|d| Instant::now() + d.remaining()),
+        }
+    }
+
     /// The one scatter loop, under both entries: starts the first wire
     /// exchange of every target's sub-query before waiting on any (one
-    /// thread overlaps all the round trips; only the rare retry and
-    /// failover tails serialise), resolves each in target order with
-    /// the retry loop, and — when the caller supplies the plan to
-    /// `failover` in — re-issues a transport-failed sub-query to the
-    /// shard's replicas. Books the whole scatter into `name`'s
-    /// [`OpStats`] and returns the per-target outcomes with what it
-    /// counted.
+    /// thread overlaps all the round trips; only the rare re-send and
+    /// failover tails serialise), resolves each in target order, and —
+    /// when the caller supplies the plan to `failover` in — re-issues a
+    /// transport-failed sub-query to the shard's replicas. Books the
+    /// whole scatter into the [`OpStats`] of `resend.class` and returns
+    /// the per-target outcomes with what it counted.
     fn scatter<P>(
         &self,
-        name: &'static str,
+        resend: &Resend<'_>,
         targets: &[NodeId],
-        policy: &OpPolicy,
         mut request: impl FnMut(NodeId) -> Request,
         decode: impl Fn(Response) -> Result<P, StcamError>,
         failover: Option<(&PartitionMap, &HashSet<NodeId>)>,
@@ -693,16 +697,15 @@ impl Executor {
         let firsts: Vec<_> = targets
             .iter()
             .map(|&shard| {
-                let mut kept = Some(encode_to_vec(&request(shard)));
-                let payload = next_send(&mut kept, 1, policy, &mut tally);
-                (shard, kept, self.endpoint.call_start(shard, payload))
+                let frame = encode_to_vec(&request(shard));
+                let call = self.start(shard, &frame, &mut tally);
+                (shard, frame, call)
             })
             .collect();
         let outcomes: Vec<ShardOutcome<P>> = firsts
             .into_iter()
-            .map(|(shard, kept, call)| {
-                let first = call.and_then(|c| self.endpoint.call_wait(c, policy.timeout));
-                let primary = self.finish(shard, policy, kept, first, &decode, &mut tally);
+            .map(|(shard, frame, call)| {
+                let primary = self.finish(shard, resend, &frame, call, &decode, &mut tally);
                 match (primary, failover) {
                     // Only transport failures justify failover: an
                     // application-level error from a reachable primary
@@ -714,7 +717,7 @@ impl Executor {
                             alive,
                         );
                         let inner = || request(shard);
-                        self.fail_over(shard, err, replicas, inner, policy, &decode, &mut tally)
+                        self.fail_over(shard, err, replicas, inner, resend, &decode, &mut tally)
                     }
                     (result, _) => ShardOutcome {
                         shard,
@@ -726,7 +729,7 @@ impl Executor {
             .collect();
         let scatter_micros = started.elapsed().as_micros() as u64;
         let mut stats = self.shared.stats.lock();
-        let entry = stats.entry(name).or_default();
+        let entry = stats.entry(resend.class).or_default();
         entry.invocations += 1;
         entry.sub_queries += targets.len() as u64 + tally.retries + tally.failovers;
         entry.retries += tally.retries;
@@ -739,32 +742,35 @@ impl Executor {
         (outcomes, tally)
     }
 
-    /// Finishes a sub-query whose first wire exchange has already
-    /// resolved: decode, page pulls, and the retry loop on timeout.
-    /// `kept` is the encoded request while a retry may still need it.
+    /// Puts `frame` on the wire for `to` and books the send.
+    fn start(&self, to: NodeId, frame: &[u8], tally: &mut Tally) -> Result<PendingCall, NetError> {
+        tally.sent(frame.len());
+        self.endpoint.call_start(to, frame)
+    }
+
+    /// Finishes the sub-query whose first exchange `call` started: the
+    /// wait (which re-sends `frame`), decode, and page pulls. Asks again
+    /// — a new exchange, the same frame — only when the worker no longer
+    /// holds the pages it parked.
     fn finish<P>(
         &self,
         worker: NodeId,
-        policy: &OpPolicy,
-        mut kept: Option<Vec<u8>>,
-        first: Result<Vec<u8>, NetError>,
+        resend: &Resend<'_>,
+        frame: &[u8],
+        mut call: Result<PendingCall, NetError>,
         decode: &impl Fn(Response) -> Result<P, StcamError>,
         tally: &mut Tally,
     ) -> Result<P, StcamError> {
-        let mut raw = first;
-        let mut attempt = 1u32;
+        let mut asked = 1;
         loop {
-            match self.receive(worker, raw, policy, decode, tally) {
-                Err(StcamError::Net(NetError::Timeout)) if attempt < policy.max_attempts => {
+            match self.receive(worker, call, frame, resend, decode, tally)? {
+                Some(partial) => return Ok(partial),
+                None if asked < resend.max_sends => {
+                    asked += 1;
                     tally.retries += 1;
-                    if !policy.backoff.is_zero() {
-                        std::thread::sleep(policy.backoff * attempt);
-                    }
-                    attempt += 1;
-                    let payload = next_send(&mut kept, attempt, policy, tally);
-                    raw = self.endpoint.call(worker, payload, policy.timeout);
+                    call = self.start(worker, frame, tally);
                 }
-                other => return other,
+                None => return Err(StcamError::Net(NetError::Timeout)),
             }
         }
     }
@@ -772,8 +778,8 @@ impl Executor {
     /// The failover half of a read's sub-query, entered when the primary
     /// failed at the transport with `err`: asks `replicas` — the same
     /// ring-walked set the acked write path certifies and the repair
-    /// planner restores — healthiest first, one attempt each, until one
-    /// answers `inner` from its replica log of `shard`.
+    /// planner restores — healthiest first, until one answers `inner`
+    /// from its replica log of `shard`.
     #[allow(clippy::too_many_arguments)]
     fn fail_over<P>(
         &self,
@@ -781,20 +787,19 @@ impl Executor {
         err: StcamError,
         mut replicas: Vec<NodeId>,
         mut inner: impl FnMut() -> Request,
-        policy: &OpPolicy,
+        resend: &Resend<'_>,
         decode: &impl Fn(Response) -> Result<P, StcamError>,
         tally: &mut Tally,
     ) -> ShardOutcome<P> {
         self.shared.health.rank(&mut replicas);
         for replica in replicas {
             tally.failovers += 1;
-            let payload = encode_to_vec(&Request::ReplicaRead {
+            let frame = encode_to_vec(&Request::ReplicaRead {
                 of: shard,
                 inner: Box::new(inner()),
             });
-            tally.sent(payload.len());
-            let raw = self.endpoint.call(replica, payload, policy.timeout);
-            if let Ok(partial) = self.receive(replica, raw, policy, decode, tally) {
+            let call = self.start(replica, &frame, tally);
+            if let Ok(Some(partial)) = self.receive(replica, call, &frame, resend, decode, tally) {
                 return ShardOutcome {
                     shard,
                     result: Ok(partial),
@@ -809,38 +814,62 @@ impl Executor {
         }
     }
 
-    /// Turns one resolved wire exchange with `node` into the decoded
-    /// partial, pulling the remaining pages of a paged answer first.
+    /// Waits out one started exchange, re-sending `frame` whenever the
+    /// pair's retransmission timeout runs out (each re-send is a retry
+    /// on the books), and returns the answer's bytes.
+    fn wait(
+        &self,
+        call: Result<PendingCall, NetError>,
+        frame: &[u8],
+        resend: &Resend<'_>,
+        tally: &mut Tally,
+    ) -> Result<Vec<u8>, NetError> {
+        let (raw, sends) = self.endpoint.call_wait(call?, frame, resend);
+        for _ in 1..sends {
+            tally.retries += 1;
+            tally.sent(frame.len());
+        }
+        let bytes = raw?;
+        tally.received(bytes.len());
+        Ok(bytes)
+    }
+
+    /// Turns one started exchange with `node` into the decoded partial,
+    /// pulling the remaining pages of a paged answer first. `None` when
+    /// the pages are gone and the sub-query must be asked again.
     fn receive<P>(
         &self,
         node: NodeId,
-        raw: Result<Vec<u8>, NetError>,
-        policy: &OpPolicy,
+        call: Result<PendingCall, NetError>,
+        frame: &[u8],
+        resend: &Resend<'_>,
         decode: &impl Fn(Response) -> Result<P, StcamError>,
         tally: &mut Tally,
-    ) -> Result<P, StcamError> {
-        let bytes = raw?;
-        tally.received(bytes.len());
+    ) -> Result<Option<P>, StcamError> {
+        let bytes = self.wait(call, frame, resend, tally)?;
         let response = decode_from_slice::<Response>(&bytes)?;
-        decode(self.collect_pages(node, response, policy, tally)?)
+        self.collect_pages(node, response, resend, tally)?
+            .map(decode)
+            .transpose()
     }
 
     /// When a sub-query answered with the first frame of a paged result,
     /// pulls the remaining pages from the same node and reassembles the
     /// unpaged response; any other response passes through untouched.
     ///
-    /// A pull that fails surfaces as the transport error it is, so the
-    /// retry loop re-issues the whole sub-query —
-    /// the worker's page store keeps every page (page 0 included) parked
-    /// under the cursor, and re-parking under a fresh cursor on retry is
-    /// harmless.
+    /// Each pull is an exchange of its own class, `"fetch_page"` (a pull
+    /// answers in a fraction of the time its range does), re-sent like
+    /// any other; one that fails surfaces as the transport error it is.
+    /// `None` when the worker answered a pull with an error, which it
+    /// does only when the cursor was evicted under churn — the result is
+    /// gone, not wrong, and asking the sub-query again parks a fresh one.
     fn collect_pages(
         &self,
         node: NodeId,
         response: Response,
-        policy: &OpPolicy,
+        resend: &Resend<'_>,
         tally: &mut Tally,
-    ) -> Result<Response, StcamError> {
+    ) -> Result<Option<Response>, StcamError> {
         let Response::ResultPage {
             cursor,
             page: 0,
@@ -849,18 +878,18 @@ impl Executor {
             payload,
         } = response
         else {
-            return Ok(response);
+            return Ok(Some(response));
+        };
+        let pull = Resend {
+            class: "fetch_page",
+            ..*resend
         };
         let mut payloads = Vec::with_capacity(pages as usize);
         payloads.push(payload);
         for page in 1..pages {
-            let request = encode_to_vec(&Request::FetchPage { cursor, page });
-            tally.sent(request.len());
-            let bytes = self
-                .endpoint
-                .call(node, request, policy.timeout)
-                .map_err(StcamError::from)?;
-            tally.received(bytes.len());
+            let frame = encode_to_vec(&Request::FetchPage { cursor, page });
+            let call = self.start(node, &frame, tally);
+            let bytes = self.wait(call, &frame, &pull, tally)?;
             match decode_from_slice::<Response>(&bytes)? {
                 Response::ResultPage {
                     cursor: c,
@@ -869,13 +898,7 @@ impl Executor {
                     payload,
                     ..
                 } if c == cursor && p == page && k == kind => payloads.push(payload),
-                // A worker answers FetchPage with an error only when the
-                // cursor was evicted under churn (or the page index is
-                // stale) — the result is gone, not wrong. Surface it as
-                // a timeout-class transport failure so the retry loop
-                // re-issues the whole sub-query, which parks
-                // a fresh cursor, instead of failing the read outright.
-                Response::Error(_) => return Err(StcamError::Net(NetError::Timeout)),
+                Response::Error(_) => return Ok(None),
                 other => {
                     return Err(StcamError::Remote(format!(
                         "expected page {page} of cursor {cursor}, got {other:?}"
@@ -883,33 +906,13 @@ impl Executor {
                 }
             }
         }
-        paging::reassemble(kind, &payloads).map_err(StcamError::from)
+        Ok(Some(paging::reassemble(kind, &payloads)?))
     }
 }
 
 // ----------------------------------------------------------------------
-// Send bookkeeping, decoders and target helpers
+// Decoders and target helpers
 // ----------------------------------------------------------------------
-
-/// The bytes of send number `attempt` of one sub-query, booked into
-/// `tally`: a copy of `kept` while the policy allows an attempt after
-/// this one, the buffer itself on the last — a single-attempt policy
-/// (probes) or a final retry never copies a frame it cannot re-send.
-fn next_send(
-    kept: &mut Option<Vec<u8>>,
-    attempt: u32,
-    policy: &OpPolicy,
-    tally: &mut Tally,
-) -> Vec<u8> {
-    let payload = if attempt < policy.max_attempts {
-        kept.clone()
-    } else {
-        kept.take()
-    }
-    .expect("a sub-query is sent at most max_attempts times");
-    tally.sent(payload.len());
-    payload
-}
 
 /// The error for a response that is not the `wanted` variant: the
 /// worker's own message when it answered [`Response::Error`], else a
@@ -1450,121 +1453,6 @@ mod tests {
         assert_eq!(top[0], (CellId::new(0, 0), 5));
         assert_eq!(top[1], (CellId::new(1, 0), 4));
         assert_eq!(top[2], (CellId::new(1, 1), 4)); // index 5 = col 1, row 1
-    }
-
-    #[test]
-    fn read_is_retried_after_a_lost_request() {
-        // A worker that swallows the first request it sees and serves
-        // every later one: the seed coordinator would surface a timeout;
-        // the executor retries and succeeds, with the retry on record.
-        let fabric = Fabric::new(LinkModel::instant());
-        let worker_ep = fabric.register(NodeId(1));
-        let exec = Executor::new(
-            fabric.register(NodeId(0)),
-            OpPolicy {
-                timeout: StdDuration::from_millis(100),
-                max_attempts: 3,
-                backoff: StdDuration::from_millis(1),
-            },
-        );
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop_worker = std::sync::Arc::clone(&stop);
-        let flaky = std::thread::spawn(move || {
-            let mut dropped = false;
-            while !stop_worker.load(Ordering::Relaxed) {
-                let Some(env) = worker_ep.recv_timeout(StdDuration::from_millis(10)) else {
-                    continue;
-                };
-                if !dropped {
-                    dropped = true; // swallow the first attempt
-                    continue;
-                }
-                let _ = worker_ep.reply(
-                    &env,
-                    encode_to_vec(&Response::Observations(vec![obs(7, 1.0)])),
-                );
-            }
-        });
-        let (partition, alive) = one_worker_world();
-        let result = exec.execute_degraded(
-            RangeOp::new(
-                BBox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0)),
-                window(),
-            ),
-            &partition,
-            &alive,
-            None,
-            None,
-        );
-        stop.store(true, Ordering::Relaxed);
-        flaky.join().unwrap();
-        assert!(
-            result.completeness.is_full(),
-            "retry should have recovered the query"
-        );
-        assert_eq!(result.completeness.retries, 1);
-        assert_eq!(result.value.len(), 1);
-        let stats = exec.stats_for("range");
-        assert_eq!(stats.invocations, 1);
-        assert_eq!(stats.retries, 1);
-        assert_eq!(stats.sub_queries, 2); // original + retry
-        assert_eq!(stats.failures, 0);
-        assert!(stats.bytes_sent > 0);
-        assert!(stats.bytes_received > 0);
-    }
-
-    #[test]
-    fn timed_out_control_op_retries_up_to_max_attempts_and_no_retry_sends_once() {
-        // Nobody serves NodeId(1): every attempt times out. A control
-        // mutation gets the full attempt budget like any read; a caller
-        // that wants exactly one attempt says so with `no_retry`.
-        let fabric = Fabric::new(LinkModel::instant());
-        let worker_ep = fabric.register(NodeId(1));
-        let exec = Executor::new(
-            fabric.register(NodeId(0)),
-            OpPolicy {
-                timeout: StdDuration::from_millis(30),
-                max_attempts: 3,
-                backoff: StdDuration::ZERO,
-            },
-        );
-        // What the silent worker's inbox collected since the last look.
-        let arrived = || -> Vec<Vec<u8>> {
-            std::iter::from_fn(|| worker_ep.try_recv())
-                .map(|envelope| envelope.payload)
-                .collect()
-        };
-        let install = || {
-            let request = |_| Request::InstallSegments {
-                frames: vec![],
-                head: vec![obs(0, 1.0)],
-            };
-            let mut answers = exec.ask("install_segments", &[NodeId(1)], request, want_ack);
-            assert_eq!(answers.len(), 1);
-            answers.pop().unwrap()
-        };
-        assert!(matches!(
-            install(),
-            (NodeId(1), Err(StcamError::Net(NetError::Timeout)))
-        ));
-        let stats = exec.stats_for("install_segments");
-        assert_eq!(
-            (stats.retries, stats.sub_queries, stats.failures),
-            (2, 3, 1)
-        );
-        // One encoding served all three sends, the last of which took the
-        // buffer itself.
-        let frames = arrived();
-        assert_eq!(frames.len(), 3);
-        assert!(frames.iter().all(|f| !f.is_empty() && *f == frames[0]));
-        exec.set_policy(
-            "install_segments",
-            OpPolicy::no_retry(StdDuration::from_millis(30)),
-        );
-        assert!(install().1.is_err());
-        let once = exec.stats_for("install_segments").since(&stats);
-        assert_eq!((once.retries, once.sub_queries, once.failures), (0, 1, 1));
-        assert_eq!(arrived(), frames[..1]);
     }
 
     #[test]

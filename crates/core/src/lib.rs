@@ -26,9 +26,9 @@
 //!   and nothing else; replication is the sender's job.
 //! * [`exec`] — the typed scatter/gather layer. The [`exec::Executor`]
 //!   holds one scatter loop: start every target's exchange, wait in
-//!   target order, retry timeouts under the per-operation [`OpPolicy`]
-//!   (deterministically, because every request is safe to apply twice),
-//!   book per-operation telemetry ([`OpStats`]: sub-queries, retries,
+//!   target order, re-send what is overdue by the measured round trip
+//!   and give up by the per-operation [`OpPolicy`] (every request is
+//!   safe to apply twice), book per-operation telemetry ([`OpStats`]: sub-queries, retries,
 //!   wire bytes, scatter/merge latency split). A read is a
 //!   [`exec::DistributedOp`] (targets / request / decode / merge) and
 //!   may fail over to replicas; a control message is a named [`Request`]

@@ -201,8 +201,8 @@ impl QueryPlane {
     /// `opts.ctx: None` is the single-tenant path and never consults the
     /// admission gate. With `Some(ctx)` the query is admitted first
     /// (possibly shed: downgraded to best-effort with the reason in
-    /// [`Completeness::shed`]), runs with the tenant's deadline clamped
-    /// into every sub-query timeout, and has its wire bytes charged to
+    /// [`Completeness::shed`]), runs with no sub-query waiting past the
+    /// tenant's deadline, and has its wire bytes charged to
     /// the tenant afterwards — one ticket across all of a composite
     /// query's phases. Scatter width is reserved as the alive set, the
     /// upper bound every broadcast-shaped read obeys.
@@ -259,7 +259,7 @@ pub struct QueryOpts {
     /// Strict (exact or [`StcamError::PartialFailure`]) or best-effort
     /// (a truthful [`Completeness`] account of what is missing).
     pub mode: QueryMode,
-    /// The tenant context to admit, deadline-clamp and meter under;
+    /// The tenant context to admit, bound by a deadline and meter under;
     /// `None` bypasses the admission gate entirely.
     pub ctx: Option<QueryCtx>,
 }

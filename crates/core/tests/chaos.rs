@@ -396,7 +396,6 @@ fn execute_plan(seed: u64, plan: &ChaosPlan, lossy: bool) {
             OpPolicy {
                 timeout: StdDuration::from_millis(250),
                 max_attempts: 6,
-                backoff: StdDuration::from_millis(10),
             },
         );
     }
@@ -741,7 +740,6 @@ fn reconstruction_survives_degraded_coordinator_links() {
             OpPolicy {
                 timeout: StdDuration::from_millis(250),
                 max_attempts: 6,
-                backoff: StdDuration::from_millis(10),
             },
         );
     }

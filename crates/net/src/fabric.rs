@@ -1,15 +1,16 @@
 //! The message fabric: registration, delivery, RPC, failure injection.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Mutex, RwLock};
 
 use crate::envelope::{Envelope, MessageKind};
 use crate::link::{DetRng, LinkModel};
+use crate::rto::Resend;
 use crate::stats::{FabricStats, NodeCounters, NodeStats, StatsRegistry};
 use crate::{NetError, NodeId};
 
@@ -49,10 +50,19 @@ struct FabricInner {
     link_clock: Mutex<HashMap<(NodeId, NodeId), Instant>>,
 }
 
+/// Where a caller waits for its answer: the response's bytes and the
+/// instant the fabric delivered them (a caller that claims answers in
+/// turn must not book the wait for its turn as round-trip time).
+type Answers = Arc<Mutex<HashMap<u64, Sender<(Instant, Vec<u8>)>>>>;
+
 #[derive(Debug, Clone)]
 struct NodeState {
     inbox_tx: Sender<Envelope>,
-    pending: Arc<Mutex<HashMap<u64, Sender<Vec<u8>>>>>,
+    pending: Answers,
+    /// `(caller, correlation)` of every request handed to this node and
+    /// not yet replied to. A re-sent copy of one of them is dropped at
+    /// delivery: the node is still working on the first.
+    serving: Arc<Mutex<HashSet<(NodeId, u64)>>>,
     alive: Arc<AtomicBool>,
     counters: Arc<NodeCounters>,
 }
@@ -123,6 +133,7 @@ impl Fabric {
         let state = NodeState {
             inbox_tx,
             pending: Arc::new(Mutex::new(HashMap::new())),
+            serving: Arc::new(Mutex::new(HashSet::new())),
             alive: Arc::new(AtomicBool::new(true)),
             counters: Arc::clone(&counters),
         };
@@ -134,6 +145,7 @@ impl Fabric {
             .write()
             .insert(node, Arc::clone(&counters));
         let pending = Arc::clone(&state.pending);
+        let serving = Arc::clone(&state.serving);
         let alive = Arc::clone(&state.alive);
         nodes.insert(node, state);
         Endpoint {
@@ -141,6 +153,7 @@ impl Fabric {
             inner: Arc::clone(&self.inner),
             inbox_rx,
             pending,
+            serving,
             alive,
             counters,
             observer: Mutex::new(None),
@@ -159,9 +172,12 @@ impl Fabric {
     }
 
     /// Reverses [`crash`](Fabric::crash); the node resumes with an empty
-    /// inbox history (messages dropped while down stay dropped).
+    /// inbox history (messages dropped while down stay dropped) and no
+    /// memory of the requests it was serving, so a re-sent copy of one
+    /// reaches the new incarnation.
     pub fn restart(&self, node: NodeId) {
         if let Some(state) = self.inner.nodes.read().get(&node) {
+            state.serving.lock().clear();
             state.alive.store(true, Ordering::SeqCst);
         }
     }
@@ -340,12 +356,21 @@ impl FabricInner {
             MessageKind::Response => {
                 let sender = dst_state.pending.lock().remove(&env.correlation);
                 if let Some(tx) = sender {
-                    let _ = tx.send(env.payload);
+                    let _ = tx.send((Instant::now(), env.payload));
                 }
-                // Late responses after caller timeout are silently dropped,
-                // matching at-most-once RPC semantics.
+                // A response nobody waits for — the caller gave up, or an
+                // earlier answer to a re-sent request already resolved
+                // the call — is silently dropped.
             }
-            MessageKind::OneWay | MessageKind::Request => {
+            MessageKind::Request => {
+                // A copy of a request this node still holds is the
+                // caller's retransmission timeout running ahead of a slow
+                // answer, not a new request.
+                if dst_state.serving.lock().insert((env.src, env.correlation)) {
+                    let _ = dst_state.inbox_tx.send(env);
+                }
+            }
+            MessageKind::OneWay => {
                 let _ = dst_state.inbox_tx.send(env);
             }
         }
@@ -394,9 +419,8 @@ fn delivery_loop(rx: Receiver<Scheduled>, inner: std::sync::Weak<FabricInner>) {
     }
 }
 
-/// Observer of per-destination RPC outcomes: invoked after every
-/// [`Endpoint::call`] with the destination and whether a response arrived
-/// in time. This is the transport's suspicion hook — failure detectors
+/// Observer of per-destination RPC outcomes: invoked once after every
+/// call with the destination and whether a response arrived in time. This is the transport's suspicion hook — failure detectors
 /// layered above the fabric (e.g. a coordinator health view) subscribe
 /// here instead of re-deriving outcomes from error plumbing.
 pub type CallObserver = Arc<dyn Fn(NodeId, bool) + Send + Sync>;
@@ -412,7 +436,8 @@ pub struct Endpoint {
     node: NodeId,
     inner: Arc<FabricInner>,
     inbox_rx: Receiver<Envelope>,
-    pending: Arc<Mutex<HashMap<u64, Sender<Vec<u8>>>>>,
+    pending: Answers,
+    serving: Arc<Mutex<HashSet<(NodeId, u64)>>>,
     alive: Arc<AtomicBool>,
     counters: Arc<NodeCounters>,
     observer: Mutex<Option<CallObserver>>,
@@ -453,7 +478,7 @@ impl Endpoint {
     }
 
     /// Sends a request and blocks until its response arrives or `timeout`
-    /// elapses.
+    /// elapses. One send: a lost frame costs the whole timeout.
     ///
     /// # Errors
     ///
@@ -466,71 +491,136 @@ impl Endpoint {
         payload: Vec<u8>,
         timeout: Duration,
     ) -> Result<Vec<u8>, NetError> {
-        let call = self.call_start(to, payload)?;
-        self.call_wait(call, timeout)
+        let call = self.start(to, payload)?;
+        self.call_wait(call, &[], &Resend::once(timeout)).0
     }
 
-    /// Puts a request on the wire and returns without waiting: the
-    /// response is claimed later by [`call_wait`](Self::call_wait). This
-    /// is how a scatter overlaps its round trips on one thread — start
-    /// every sub-query first, then wait for each in turn.
+    /// Puts a copy of `frame` on the wire as a request and returns
+    /// without waiting: the response is claimed later by
+    /// [`call_wait`](Self::call_wait), which also sends the frame again
+    /// when the answer is overdue. This is how a scatter overlaps its
+    /// round trips on one thread — start every sub-query first, then wait
+    /// for each in turn. The call's patience runs from here, not from
+    /// when its turn to be waited for comes.
     ///
-    /// A started call whose response is never waited for leaks its
-    /// correlation entry only until the response (or nothing — a lost
-    /// frame's entry is reclaimed on [`call_wait`](Self::call_wait) timeout) arrives.
+    /// A started call that is never waited for leaks its correlation
+    /// entry only until the response arrives.
     ///
     /// # Errors
     ///
     /// As for [`send`](Self::send). Submission errors are local (own node
     /// down, unknown peer, shutdown) — not evidence about the
     /// destination's health, so the call observer is not invoked.
-    pub fn call_start(&self, to: NodeId, payload: Vec<u8>) -> Result<PendingCall, NetError> {
+    pub fn call_start(&self, to: NodeId, frame: &[u8]) -> Result<PendingCall, NetError> {
+        self.start(to, frame.to_vec())
+    }
+
+    fn start(&self, to: NodeId, payload: Vec<u8>) -> Result<PendingCall, NetError> {
         let correlation = self.inner.next_correlation.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = channel::bounded(1);
         self.pending.lock().insert(correlation, tx);
-        let submitted = self.inner.submit(Envelope {
-            src: self.node,
-            dst: to,
-            kind: MessageKind::Request,
-            correlation,
-            payload,
-        });
-        if let Err(e) = submitted {
-            self.pending.lock().remove(&correlation);
-            return Err(e);
-        }
-        Ok(PendingCall {
+        let call = PendingCall {
             to,
             correlation,
             rx,
+            started: Instant::now(),
+        };
+        match self.submit_request(&call, payload) {
+            Ok(()) => Ok(call),
+            Err(e) => {
+                self.pending.lock().remove(&correlation);
+                Err(e)
+            }
+        }
+    }
+
+    fn submit_request(&self, call: &PendingCall, payload: Vec<u8>) -> Result<(), NetError> {
+        self.inner.submit(Envelope {
+            src: self.node,
+            dst: call.to,
+            kind: MessageKind::Request,
+            correlation: call.correlation,
+            payload,
         })
     }
 
-    /// Blocks until a started call's response arrives or `timeout`
-    /// elapses, and reports the outcome to the call observer.
+    /// Blocks until a started call's response arrives or its patience
+    /// runs out, and reports the outcome to the call observer — once per
+    /// call, however many sends it took. Returns the outcome and the
+    /// number of times the request went on the wire.
+    ///
+    /// `frame` must be the bytes the call was started with. Whenever the
+    /// retransmission timeout of `resend` runs out it is sent again
+    /// **under the same correlation**: whichever answer arrives first
+    /// resolves the call, a later one is dropped like any late response,
+    /// and the destination's fabric drops a copy of a request the node
+    /// still holds, so a re-send that overtakes a slow answer costs one
+    /// request frame and no second execution. The frame is never rebuilt
+    /// — a request that drew a sequence number keeps it. An answer to the
+    /// first send alone is a sample for `resend.rtos`.
     ///
     /// # Errors
     ///
-    /// [`NetError::Timeout`] when no response arrives in time (the
-    /// request or response may have been lost, or the peer crashed).
-    pub fn call_wait(&self, call: PendingCall, timeout: Duration) -> Result<Vec<u8>, NetError> {
-        let result = match call.rx.recv_timeout(timeout) {
-            Ok(response) => Ok(response),
-            Err(_) => {
-                self.pending.lock().remove(&call.correlation);
-                Err(NetError::Timeout)
+    /// [`NetError::Timeout`] when no response arrived by `timeout ×
+    /// max_sends` after [`call_start`](Self::call_start) or by
+    /// `resend.deadline` (requests or responses may have been lost, or
+    /// the peer crashed); a submission error as for [`send`](Self::send)
+    /// when this node went down between sends.
+    pub fn call_wait(
+        &self,
+        call: PendingCall,
+        frame: &[u8],
+        resend: &Resend<'_>,
+    ) -> (Result<Vec<u8>, NetError>, u32) {
+        let patience = call.started + resend.timeout * resend.max_sends;
+        let give_up = resend.deadline.map_or(patience, |d| d.min(patience));
+        let mut rto = resend.rtos.map_or(resend.timeout, |table| {
+            table.rto(resend.class, call.to, resend.timeout)
+        });
+        let mut next_send = call.started + rto;
+        let mut sends = 1u32;
+        let result = loop {
+            let until = if sends < resend.max_sends {
+                next_send.min(give_up)
+            } else {
+                give_up
+            };
+            let wait = until.saturating_duration_since(Instant::now());
+            match call.rx.recv_timeout(wait) {
+                Ok((arrived, response)) => {
+                    if let Some(table) = resend.rtos {
+                        let rtt = arrived.saturating_duration_since(call.started);
+                        table.sample(resend.class, call.to, rtt, sends);
+                    }
+                    break Ok(response);
+                }
+                Err(RecvTimeoutError::Timeout) if until < give_up => {
+                    if let Err(local) = self.submit_request(&call, frame.to_vec()) {
+                        self.pending.lock().remove(&call.correlation);
+                        return (Err(local), sends);
+                    }
+                    sends += 1;
+                    rto = (rto * 2).min(resend.timeout);
+                    next_send = Instant::now() + rto;
+                }
+                // Out of patience — or this node crashed, which drops
+                // the channel so its callers fail at once.
+                Err(_) => break Err(NetError::Timeout),
             }
         };
+        if result.is_err() {
+            self.pending.lock().remove(&call.correlation);
+        }
         let observer = self.observer.lock().clone();
         if let Some(observer) = observer {
             observer(call.to, result.is_ok());
         }
-        result
+        (result, sends)
     }
 
-    /// Installs the per-node suspicion hook: `observer` runs after every
-    /// [`call`](Self::call) that reached the wire, with the destination
-    /// and whether a response arrived in time. Local submission failures
+    /// Installs the per-node suspicion hook: `observer` runs once after
+    /// every call that reached the wire (however often it was re-sent),
+    /// with the destination and whether a response arrived in time. Local submission failures
     /// (own node crashed, unknown peer) do not trigger it. Replaces any
     /// previously installed observer.
     pub fn set_call_observer(&self, observer: CallObserver) {
@@ -548,6 +638,11 @@ impl Endpoint {
     /// Panics in debug builds when `request` is not a request envelope.
     pub fn reply(&self, request: &Envelope, payload: Vec<u8>) -> Result<(), NetError> {
         debug_assert!(request.kind == MessageKind::Request, "reply to non-request");
+        // From here on a copy of the request is a new delivery: the
+        // caller re-sends it when this reply is lost.
+        self.serving
+            .lock()
+            .remove(&(request.src, request.correlation));
         self.inner.submit(Envelope {
             src: self.node,
             dst: request.src,
@@ -613,7 +708,10 @@ impl Endpoint {
 pub struct PendingCall {
     to: NodeId,
     correlation: u64,
-    rx: Receiver<Vec<u8>>,
+    rx: Receiver<(Instant, Vec<u8>)>,
+    /// When the first send went on the wire: round trips and patience
+    /// are measured from here.
+    started: Instant,
 }
 
 /// Correlation value marking a local wake envelope (never produced by
@@ -901,6 +999,154 @@ mod tests {
         // Local submission errors (unknown peer) must not blame the peer.
         let _ = client.call(NodeId(9), vec![], Duration::from_millis(30));
         assert_eq!(*seen.lock(), vec![(NodeId(1), true), (NodeId(1), false)]);
+    }
+
+    /// A table whose `("t", NodeId(1))` pair has settled on [`MIN_RTO`].
+    fn warm_table() -> crate::RtoTable {
+        let table = crate::RtoTable::default();
+        for _ in 0..20 {
+            table.sample("t", NodeId(1), Duration::from_micros(300), 1);
+        }
+        assert_eq!(
+            table.rto("t", NodeId(1), Duration::from_secs(1)),
+            crate::MIN_RTO
+        );
+        table
+    }
+
+    fn resend(table: &crate::RtoTable, timeout_ms: u64, max_sends: u32) -> Resend<'_> {
+        Resend {
+            class: "t",
+            rtos: Some(table),
+            timeout: Duration::from_millis(timeout_ms),
+            max_sends,
+            deadline: None,
+        }
+    }
+
+    /// Installs an observer on `client` and returns what it has seen.
+    fn observed(client: &Endpoint) -> Arc<Mutex<Vec<(NodeId, bool)>>> {
+        let seen: Arc<Mutex<Vec<(NodeId, bool)>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        client.set_call_observer(Arc::new(move |node, ok| sink.lock().push((node, ok))));
+        seen
+    }
+
+    #[test]
+    fn a_re_sent_call_resolves_on_the_first_reply_and_the_second_is_dropped() {
+        // 30 ms each way and a 10 ms RTO: the copy sent at 10 ms reaches
+        // the server at 40, after it answered the first at 30, so it is
+        // served again and two replies come back, at 60 and 70 ms.
+        let link = LinkModel {
+            base_latency: Duration::from_millis(30),
+            bandwidth_bytes_per_sec: f64::INFINITY,
+            jitter: Duration::ZERO,
+            drop_probability: 0.0,
+        };
+        let f = Fabric::new(link);
+        let client = f.register(NodeId(0));
+        let server = f.register(NodeId(1));
+        let seen = observed(&client);
+        let server_thread = std::thread::spawn(move || {
+            for n in 1..=3u8 {
+                let req = server.recv_timeout(Duration::from_secs(5)).unwrap();
+                server.reply(&req, vec![n]).unwrap();
+            }
+        });
+        let table = warm_table();
+        let call = client.call_start(NodeId(1), b"ask").unwrap();
+        let (answer, sends) = client.call_wait(call, b"ask", &resend(&table, 500, 2));
+        assert_eq!((answer, sends), (Ok(vec![1]), 2));
+        assert_eq!(client.pending.lock().len(), 0);
+        // The second reply arrives at the node and resolves nothing — not
+        // even the next call, which gets the answer to its own request.
+        let next = client.call(NodeId(1), b"next".to_vec(), Duration::from_secs(5));
+        assert_eq!(next, Ok(vec![3]));
+        server_thread.join().unwrap();
+        assert_eq!(client.stats().msgs_received, 3);
+        assert_eq!(*seen.lock(), vec![(NodeId(1), true), (NodeId(1), true)]);
+        // Karn: the re-sent exchange left the estimate alone.
+        assert_eq!(
+            table.rto("t", NodeId(1), Duration::from_secs(1)),
+            crate::MIN_RTO
+        );
+    }
+
+    #[test]
+    fn a_held_request_is_delivered_once_and_a_copy_after_the_reply_again() {
+        let f = instant_fabric();
+        let client = f.register(NodeId(0));
+        let server = f.register(NodeId(1));
+        let seen = observed(&client);
+        let table = warm_table();
+        std::thread::scope(|scope| {
+            // Sends at 0, 10 and 30 ms; the server holds the request.
+            let waiting = scope.spawn(|| {
+                let call = client.call_start(NodeId(1), b"slow").unwrap();
+                client.call_wait(call, b"slow", &resend(&table, 500, 3))
+            });
+            let req = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert!(server.recv_timeout(Duration::from_millis(80)).is_none());
+            assert_eq!(client.stats().msgs_sent, 3);
+            assert_eq!(server.stats().msgs_received, 3);
+            server.reply(&req, b"done".to_vec()).unwrap();
+            assert_eq!(waiting.join().unwrap(), (Ok(b"done".to_vec()), 3));
+
+            // The reply is lost: the copy that follows is a new delivery.
+            f.set_link_drop_probability(NodeId(1), NodeId(0), 1.0);
+            let waiting = scope.spawn(|| {
+                let call = client.call_start(NodeId(1), b"again").unwrap();
+                client.call_wait(call, b"again", &resend(&table, 500, 3))
+            });
+            let first = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            server.reply(&first, b"lost".to_vec()).unwrap();
+            let copy = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(
+                (copy.correlation, &copy.payload),
+                (first.correlation, &first.payload)
+            );
+            f.clear_link_drop_probability(NodeId(1), NodeId(0));
+            server.reply(&copy, b"found".to_vec()).unwrap();
+            assert_eq!(waiting.join().unwrap(), (Ok(b"found".to_vec()), 2));
+        });
+        // One observation per exchange, the final outcome.
+        assert_eq!(*seen.lock(), vec![(NodeId(1), true), (NodeId(1), true)]);
+        assert!(server.serving.lock().is_empty());
+    }
+
+    #[test]
+    fn giving_up_reclaims_the_entry_and_restart_forgets_held_requests() {
+        let f = instant_fabric();
+        let client = f.register(NodeId(0));
+        let server = f.register(NodeId(1));
+        let seen = observed(&client);
+        let table = warm_table();
+        // Re-sends at 10 and 30 ms, gives up at 3 × 40 ms and not before.
+        let started = Instant::now();
+        let call = client.call_start(NodeId(1), b"void").unwrap();
+        let (answer, sends) = client.call_wait(call, b"void", &resend(&table, 40, 3));
+        assert_eq!((answer, sends), (Err(NetError::Timeout), 3));
+        assert!(started.elapsed() >= Duration::from_millis(120));
+        assert_eq!(client.pending.lock().len(), 0);
+        assert_eq!(*seen.lock(), vec![(NodeId(1), false)]);
+        // A deadline ends the wait before the patience does.
+        let started = Instant::now();
+        let hurried = Resend {
+            deadline: Some(started + Duration::from_millis(20)),
+            ..resend(&table, 1_000, 3)
+        };
+        let call = client.call_start(NodeId(1), b"void").unwrap();
+        assert_eq!(
+            client.call_wait(call, b"void", &hurried).0,
+            Err(NetError::Timeout)
+        );
+        assert!(started.elapsed() < Duration::from_millis(500));
+        // The server was handed each request once and still holds both;
+        // a restarted node holds nothing.
+        assert_eq!(server.serving.lock().len(), 2);
+        f.crash(NodeId(1));
+        f.restart(NodeId(1));
+        assert!(server.serving.lock().is_empty());
     }
 
     #[test]

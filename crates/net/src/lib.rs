@@ -39,12 +39,14 @@ mod envelope;
 mod error;
 mod fabric;
 mod link;
+mod rto;
 mod stats;
 
 pub use envelope::{Envelope, MessageKind, WIRE_OVERHEAD};
 pub use error::NetError;
 pub use fabric::{CallObserver, Endpoint, Fabric, PendingCall, Waker};
 pub use link::LinkModel;
+pub use rto::{Resend, RtoTable, MIN_RTO};
 pub use stats::{FabricStats, NodeStats};
 
 /// Identifier of a cluster node.

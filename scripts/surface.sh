@@ -31,12 +31,13 @@ pub_fns() {
 
 count() { cat "$src"/*.rs | grep -c "$1" || true; }
 
-# `.call(` / `.call_start(` sites outside exec.rs, each file read up to its
-# `#[cfg(test)]` module: only exec.rs may call a worker.
+# `.call(` / `.call_start(` / `.call_wait(` sites outside exec.rs (every way
+# to put a request on the wire, the re-sending wait included), each file
+# read up to its `#[cfg(test)]` module: only exec.rs may call a worker.
 worker_calls_outside_exec() {
     for file in "$src"/*.rs; do
         [ "$file" = "$src/exec.rs" ] || awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file"
-    done | grep -cE '\.call(_start)?\(' || true
+    done | grep -cE '\.call(_start|_wait)?\(' || true
 }
 
 surface() {

@@ -168,7 +168,6 @@ fn lossy_link_read_succeeds_via_retry_where_single_shot_fails() {
         OpPolicy {
             timeout: StdDuration::from_millis(200),
             max_attempts: 10,
-            backoff: StdDuration::from_millis(2),
         },
     );
 

@@ -263,6 +263,44 @@ fn an_unreplicated_dead_shard_is_an_error_or_a_truthful_account() {
 }
 
 #[test]
+fn a_deadline_is_met_with_a_dead_shard_left_to_wait_for() {
+    // Two workers, one dead and unreplicated, three seconds of patience:
+    // the read gives the dead shard up when the deadline passes, not
+    // three clamped attempts and their back-offs later.
+    let cluster = Cluster::launch(
+        ClusterConfig::new(extent(), 2)
+            .with_replication(0)
+            .with_link(LinkModel::instant())
+            .with_rpc_timeout(StdDuration::from_secs(3)),
+    )
+    .unwrap();
+    cluster.ingest(stream()).unwrap();
+    cluster.flush().unwrap();
+    let victim = NodeId(2);
+    cluster.kill_worker(victim);
+    for budget in [50, 200].map(StdDuration::from_millis) {
+        let started = std::time::Instant::now();
+        let opts = QueryOpts {
+            mode: QueryMode::BestEffort,
+            ctx: Some(QueryCtx::new(TENANT).deadline_within(budget)),
+        };
+        let d = cluster
+            .query(RangeOp::new(extent(), window()), &opts)
+            .unwrap();
+        let took = started.elapsed();
+        assert!(took >= budget, "{budget:?}: gave up early, at {took:?}");
+        assert!(
+            took < budget + StdDuration::from_millis(50),
+            "{budget:?} overrun: {took:?}"
+        );
+        assert_eq!(d.completeness.missing, vec![victim]);
+        assert_eq!(d.completeness.shed, Some(ShedReason::Deadline));
+        assert!(!d.value.is_empty(), "the live shard answered");
+    }
+    cluster.shutdown();
+}
+
+#[test]
 fn an_expired_deadline_is_rejected_for_every_kind() {
     let (cluster, oracle) = loaded(1, StdDuration::from_secs(5));
     let ctx = Some(QueryCtx::new(TENANT).with_deadline(Deadline::within(StdDuration::ZERO)));

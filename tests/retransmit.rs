@@ -1,0 +1,280 @@
+//! Retransmit early, give up late: the executor re-sends a sub-query when
+//! the measured retransmission timeout of its (operation, worker) pair
+//! runs out, and fails it only when the policy's whole patience
+//! (`timeout × max_attempts`) has passed — so a lost frame costs
+//! milliseconds, and nothing fails that did not fail before.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread;
+use std::time::{Duration, Instant};
+
+use stcam::{Executor, OpPolicy, Request, Response, StcamError, Worker, WorkerConfig};
+use stcam_codec::{decode_from_slice, encode_to_vec};
+use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
+use stcam_index::IndexConfig;
+use stcam_net::{Endpoint, Fabric, LinkModel, NetError, NodeId, MIN_RTO, WIRE_OVERHEAD};
+
+const CLIENT: NodeId = NodeId(0);
+const SERVER: NodeId = NodeId(1);
+
+fn want_ack(response: Response) -> Result<(), StcamError> {
+    match response {
+        Response::Ack => Ok(()),
+        other => Err(StcamError::Remote(format!("{other:?}"))),
+    }
+}
+
+/// Answers every request with `Ack` until `stop`, and returns what it was
+/// handed: `(correlation, payload)` per delivery, in order.
+fn serve_acks(server: Endpoint, stop: &AtomicBool) -> Vec<(u64, Vec<u8>)> {
+    let mut handed = Vec::new();
+    while !stop.load(Ordering::Relaxed) {
+        if let Some(envelope) = server.recv_timeout(Duration::from_millis(5)) {
+            let _ = server.reply(&envelope, encode_to_vec(&Response::Ack));
+            handed.push((envelope.correlation, envelope.payload));
+        }
+    }
+    handed
+}
+
+fn policy(timeout_ms: u64, max_attempts: u32) -> OpPolicy {
+    OpPolicy {
+        timeout: Duration::from_millis(timeout_ms),
+        max_attempts,
+    }
+}
+
+#[test]
+fn a_silent_worker_gets_max_attempts_identical_frames_and_the_whole_patience() {
+    let fabric = Fabric::new(LinkModel::instant());
+    let silent = fabric.register(SERVER);
+    let exec = Executor::new(fabric.register(CLIENT), policy(30, 3));
+    let install = || {
+        let started = Instant::now();
+        let request = |_| Request::EvictBefore {
+            cutoff: Timestamp::from_secs(40),
+            epoch: 7,
+        };
+        let mut answers = exec.ask("evict", &[SERVER], request, want_ack);
+        assert_eq!(answers.len(), 1);
+        (answers.pop().unwrap(), started.elapsed())
+    };
+
+    // No sample for the pair, so sends at 0, T and 2T; failure at 3T.
+    let (answer, took) = install();
+    assert!(matches!(
+        answer,
+        (SERVER, Err(StcamError::Net(NetError::Timeout)))
+    ));
+    assert!(took >= Duration::from_millis(90), "gave up after {took:?}");
+    let stats = exec.stats_for("evict");
+    assert_eq!(
+        (stats.retries, stats.sub_queries, stats.failures),
+        (2, 3, 1)
+    );
+    // Three frames of one size left the client; the worker's fabric
+    // handed it one and dropped the copies of what it still holds.
+    let frame = silent.try_recv().expect("the first send").payload;
+    assert!(silent.try_recv().is_none());
+    let sent = exec.endpoint().stats();
+    assert_eq!(sent.msgs_sent, 3);
+    assert_eq!(sent.bytes_sent, 3 * (frame.len() as u64 + WIRE_OVERHEAD));
+    assert_eq!(stats.bytes_sent, sent.bytes_sent);
+
+    exec.set_policy("evict", OpPolicy::no_retry(Duration::from_millis(30)));
+    let (answer, took) = install();
+    assert!(answer.1.is_err() && took >= Duration::from_millis(30));
+    let once = exec.stats_for("evict").since(&stats);
+    assert_eq!((once.retries, once.sub_queries, once.failures), (0, 1, 1));
+    assert_eq!(exec.endpoint().stats().since(&sent).msgs_sent, 1);
+}
+
+#[test]
+fn a_lost_frame_costs_an_rto_not_a_timeout() {
+    // The regression gate. A scripted link loses the first copy of every
+    // tenth request; at 200 ms of timeout that was 20 × 200 ms.
+    let fabric = Fabric::new(LinkModel::instant());
+    let server = fabric.register(SERVER);
+    let exec = Executor::new(fabric.register(CLIENT), policy(200, 3));
+    let stop = AtomicBool::new(false);
+    thread::scope(|scope| {
+        scope.spawn(|| serve_acks(server, &stop));
+        // The link: armed by the client below, it heals as soon as it
+        // has eaten one frame.
+        scope.spawn(|| {
+            let mut eaten = 0;
+            while !stop.load(Ordering::Relaxed) {
+                let dropped = fabric.stats().per_node[&CLIENT].msgs_dropped;
+                if dropped > eaten {
+                    eaten = dropped;
+                    fabric.clear_link_drop_probability(CLIENT, SERVER);
+                }
+                thread::sleep(Duration::from_micros(500));
+            }
+        });
+        let started = Instant::now();
+        for n in 1..=200 {
+            if n % 10 == 0 {
+                fabric.set_link_drop_probability(CLIENT, SERVER, 1.0);
+            }
+            let answers = exec.ask("ping", &[SERVER], |_| Request::Ping, want_ack);
+            assert!(answers[0].1.is_ok(), "exchange {n}: {:?}", answers[0].1);
+        }
+        let took = started.elapsed();
+        stop.store(true, Ordering::Relaxed);
+        let stats = exec.stats_for("ping");
+        assert_eq!(stats.failures, 0);
+        assert!(stats.retries >= 20, "{} retries", stats.retries);
+        assert_eq!(fabric.stats().per_node[&CLIENT].msgs_dropped, 20);
+        assert!(
+            took < Duration::from_millis(1_500),
+            "200 asks took {took:?}"
+        );
+    });
+}
+
+#[test]
+fn a_re_send_repeats_the_frame_and_never_rebuilds_it() {
+    // `ask`'s request closure draws sequence numbers: under 5 % loss it
+    // must still run once per target, and every copy of a request that a
+    // worker is handed must be the bytes of the first.
+    let fabric = Fabric::with_seed(LinkModel::instant(), 23);
+    let servers: Vec<NodeId> = (1..=4).map(NodeId).collect();
+    let endpoints: Vec<Endpoint> = servers.iter().map(|&n| fabric.register(n)).collect();
+    let exec = Executor::new(fabric.register(CLIENT), policy(100, 6));
+    let stop = AtomicBool::new(false);
+    let rounds = 150u64;
+    thread::scope(|scope| {
+        let serving: Vec<_> = endpoints
+            .into_iter()
+            .map(|endpoint| scope.spawn(|| serve_acks(endpoint, &stop)))
+            .collect();
+        fabric.set_drop_probability(0.05);
+        let mut next_seq = 0u64;
+        for _ in 0..rounds {
+            let request = |_| {
+                next_seq += 1;
+                Request::IngestSeq {
+                    sender: CLIENT,
+                    seq: next_seq,
+                    epoch: 1,
+                    batch: vec![],
+                }
+            };
+            for (_, answer) in exec.ask("ingest_seq", &servers, request, want_ack) {
+                answer.expect("six sends at 5 % loss");
+            }
+        }
+        fabric.set_drop_probability(0.0);
+        stop.store(true, Ordering::Relaxed);
+        assert_eq!(next_seq, rounds * 4, "one seq per sub-query");
+        let stats = exec.stats_for("ingest_seq");
+        assert!(stats.retries > 0, "5 % loss and nothing was re-sent");
+        let mut seqs = Vec::new();
+        let mut redelivered = 0;
+        for handle in serving {
+            let mut first_copy: HashMap<u64, Vec<u8>> = HashMap::new();
+            for (correlation, payload) in handle.join().unwrap() {
+                match first_copy.get(&correlation) {
+                    Some(first) => {
+                        assert_eq!(*first, payload, "a re-send changed the frame");
+                        redelivered += 1;
+                    }
+                    None => {
+                        let Ok(Request::IngestSeq { seq, .. }) = decode_from_slice(&payload) else {
+                            panic!("not the request that was sent");
+                        };
+                        seqs.push(seq);
+                        first_copy.insert(correlation, payload);
+                    }
+                }
+            }
+        }
+        // A lost reply makes the copy a second delivery; a lost request
+        // does not.
+        assert!(redelivered > 0, "no reply was lost in {} sends", rounds * 4);
+        seqs.sort_unstable();
+        assert_eq!(seqs, (1..=rounds * 4).collect::<Vec<u64>>());
+    });
+}
+
+/// How often `worker` has served `op`.
+fn served(exec: &Executor, worker: NodeId, op: &str) -> u64 {
+    let want = |response| match response {
+        Response::Stats(stats) => Ok(stats.served_count(op)),
+        other => Err(StcamError::Remote(format!("{other:?}"))),
+    };
+    let mut answers = exec.ask("stats", &[worker], |_| Request::Stats, want);
+    answers.pop().unwrap().1.unwrap()
+}
+
+/// A worker that takes many retransmission timeouts to reach a request —
+/// it is busy, not gone — answers it once, inside the patience, however
+/// many copies the client sent meanwhile. `read_threads` picks the lane
+/// that serves `request`: the read pool, or (0) the control lane.
+fn a_busy_worker_executes_once(read_threads: usize, name: &'static str, request: Request) {
+    let fabric = Fabric::new(LinkModel::instant());
+    let extent = BBox::new(Point::new(0.0, 0.0), Point::new(400.0, 400.0));
+    let config = WorkerConfig {
+        index: IndexConfig::new(extent, 50.0, stcam_geo::Duration::from_secs(10)),
+        read_threads,
+    };
+    let worker = Worker::spawn(fabric.register(SERVER), config);
+    let exec = Executor::new(fabric.register(CLIENT), policy(5_000, 3));
+    let other = fabric.register(NodeId(9));
+    let ask = || {
+        let started = Instant::now();
+        let mut answers = exec.ask(name, &[SERVER], |_| request.clone(), Ok);
+        answers.pop().unwrap().1.map(|_| started.elapsed())
+    };
+    // Quick answers settle the pair's RTO on the floor.
+    for _ in 0..20 {
+        ask().unwrap();
+    }
+    // Work for the same lane, sized to keep it busy for 12 × the RTO: a
+    // heat-map over four million buckets, as often as it takes.
+    let busywork = encode_to_vec(&Request::Heatmap {
+        buckets: GridSpec::new(Point::new(0.0, 0.0), 1.0, 2_000, 2_000).into(),
+        window: TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(1)),
+    });
+    let started = Instant::now();
+    other
+        .call(SERVER, busywork.clone(), Duration::from_secs(60))
+        .unwrap();
+    let one = started.elapsed();
+    let copies = (12 * MIN_RTO).as_micros() / one.as_micros().max(1) + 1;
+    for _ in 0..copies {
+        other.send(SERVER, busywork.clone()).unwrap();
+    }
+    let before = exec.stats_for(name);
+    let took = ask().expect("late, but inside the patience");
+    assert!(took >= 6 * MIN_RTO, "answered after {took:?}: not busy");
+    let during = exec.stats_for(name).since(&before);
+    assert_eq!(
+        (during.retries, during.failures),
+        (2, 0),
+        "sends at 0, 10, 30 ms"
+    );
+    assert_eq!(served(&exec, SERVER, name), 21, "the copies were executed");
+    worker.shutdown();
+}
+
+#[test]
+fn a_busy_read_pool_executes_a_re_sent_range_once() {
+    let request = Request::Range {
+        region: BBox::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)),
+        window: TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(1)),
+        limit: 0,
+        projection: stcam::PROJ_FULL,
+    };
+    a_busy_worker_executes_once(1, "range", request);
+}
+
+#[test]
+fn a_busy_control_lane_executes_a_re_sent_cell_digest_once() {
+    let request = Request::CellDigest {
+        grid: GridSpec::new(Point::new(0.0, 0.0), 100.0, 4, 4).into(),
+    };
+    a_busy_worker_executes_once(0, "cell_digest", request);
+}

@@ -151,7 +151,6 @@ fn ingestor_flush_retries_under_the_flush_policy() {
         OpPolicy {
             timeout: StdDuration::from_millis(50),
             max_attempts: 8,
-            backoff: StdDuration::from_millis(1),
         },
     );
     cluster.set_drop_probability(0.05);
