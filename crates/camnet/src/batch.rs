@@ -33,7 +33,7 @@
 //! elides the whole column and the decoder refills zeros.
 
 use bytes::{Buf, BufMut};
-use stcam_codec::{varint, DecodeError, Wire, MAX_SEQ_LEN};
+use stcam_codec::{varint, DecodeError, Wire, WireAs, MAX_SEQ_LEN};
 use stcam_geo::{Point, Timestamp};
 use stcam_world::{EntityClass, EntityId};
 
@@ -545,6 +545,20 @@ impl Wire for ObservationBatch {
     }
     fn size_hint(&self) -> usize {
         batch_size_hint(&self.0)
+    }
+}
+
+/// As the `as ObservationBatch` of a declared message field: a plain row
+/// list that travels as one columnar frame.
+impl WireAs<Vec<Observation>> for ObservationBatch {
+    fn encode<B: BufMut>(rows: &Vec<Observation>, buf: &mut B) {
+        encode_batch(rows, buf);
+    }
+    fn decode<B: Buf>(buf: &mut B) -> Result<Vec<Observation>, DecodeError> {
+        decode_batch(buf)
+    }
+    fn size_hint(rows: &Vec<Observation>) -> usize {
+        batch_size_hint(rows)
     }
 }
 

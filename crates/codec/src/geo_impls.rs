@@ -5,7 +5,7 @@
 //! the `Wire` trait.
 
 use bytes::{Buf, BufMut};
-use stcam_geo::{BBox, CellId, Duration, GeoPoint, Point, TimeInterval, Timestamp};
+use stcam_geo::{BBox, CellId, Duration, GeoPoint, GridSpec, Point, TimeInterval, Timestamp};
 
 use crate::{DecodeError, Wire};
 
@@ -106,6 +106,31 @@ impl Wire for TimeInterval {
     }
 }
 
+impl Wire for GridSpec {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
+        self.origin().encode(buf);
+        self.cell_size().encode(buf);
+        self.cols().encode(buf);
+        self.rows().encode(buf);
+    }
+    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
+        let origin = Point::decode(buf)?;
+        let cell_size = f64::decode(buf)?;
+        let cols = u32::decode(buf)?;
+        let rows = u32::decode(buf)?;
+        // `GridSpec::new` panics on these; bytes off the wire must not.
+        if cell_size <= 0.0 || !cell_size.is_finite() || cols == 0 || rows == 0 {
+            return Err(DecodeError::InvalidValue {
+                reason: "degenerate grid spec",
+            });
+        }
+        Ok(GridSpec::new(origin, cell_size, cols, rows))
+    }
+    fn size_hint(&self) -> usize {
+        24 + self.cols().size_hint() + self.rows().size_hint()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,6 +153,31 @@ mod tests {
             Timestamp::from_secs(1),
             Timestamp::from_secs(2),
         ));
+        round_trip(GridSpec::new(Point::new(5.0, 5.0), 25.0, 4, 300));
+    }
+
+    #[test]
+    fn degenerate_grid_rejected() {
+        // A grid cannot be built degenerate, so hand-build the wire images.
+        let grid = |cell_size: f64, cols: u32, rows: u32| {
+            encode_to_vec(&(Point::ORIGIN, cell_size, cols, rows))
+        };
+        assert!(decode_from_slice::<GridSpec>(&grid(1.0, 4, 4)).is_ok());
+        for bytes in [
+            grid(0.0, 4, 4),
+            grid(-1.0, 4, 4),
+            grid(f64::NAN, 4, 4),
+            grid(f64::INFINITY, 4, 4),
+            grid(1.0, 0, 4),
+            grid(1.0, 4, 0),
+        ] {
+            assert_eq!(
+                decode_from_slice::<GridSpec>(&bytes),
+                Err(DecodeError::InvalidValue {
+                    reason: "degenerate grid spec"
+                })
+            );
+        }
     }
 
     #[test]

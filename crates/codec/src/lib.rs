@@ -8,6 +8,10 @@
 //!
 //! * [`Wire`] — the encode/decode trait, implemented for all primitives,
 //!   `String`, `Vec<T>`, `Option<T>`, tuples, and the `stcam-geo` types.
+//! * [`declare`] — [`wire_struct!`] and [`wire_enum!`]: one declaration of
+//!   a message's tag, name and fields generates the type, its `encode`,
+//!   `decode` and `size_hint`, and an enum's tag table. Every protocol
+//!   message of `stcam` is stated through them.
 //! * [`varint`] — LEB128 variable-length integers with ZigZag for signed
 //!   values; small ids and counts dominate the traffic, so this roughly
 //!   halves message sizes compared to fixed-width encoding.
@@ -31,6 +35,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod declare;
 mod error;
 pub mod frame;
 mod geo_impls;
@@ -38,6 +43,11 @@ pub mod segment;
 pub mod varint;
 mod wire;
 
+/// `Buf`/`BufMut` for the code the declaration macros expand to, so a crate
+/// that declares a message need not depend on `bytes` itself.
+#[doc(hidden)]
+pub use bytes as __bytes;
+pub use declare::{assert_tags_distinct, Plain, WireAs};
 pub use error::DecodeError;
 pub use frame::{read_frame, write_frame, FrameHeader, MAX_FRAME_LEN};
 pub use segment::{SegmentBlock, SegmentFrame, SEGMENT_MAGIC, SEGMENT_VERSION};

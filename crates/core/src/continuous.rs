@@ -16,10 +16,12 @@ use std::collections::HashMap;
 
 use bytes::{Buf, BufMut};
 use stcam_camnet::Observation;
-use stcam_codec::{DecodeError, Wire};
+use stcam_codec::{wire_struct, DecodeError, Wire};
 use stcam_geo::{BBox, GridSpec};
 use stcam_net::NodeId;
 use stcam_world::EntityClass;
+
+use crate::protocol::Bare;
 
 /// Cluster-unique identifier of a standing query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -73,27 +75,22 @@ impl Wire for Predicate {
         };
         Ok(Predicate { region, class })
     }
-}
-
-/// A batch of matches delivered to a subscriber.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Notification {
-    /// The standing query that matched.
-    pub query: ContinuousQueryId,
-    /// The matching observations (from one ingest batch at one worker).
-    pub matches: Vec<Observation>,
-}
-
-impl Wire for Notification {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.query.0.encode(buf);
-        self.matches.encode(buf);
+    fn size_hint(&self) -> usize {
+        // The class travels as `Option<u8>`: a presence byte and the class.
+        self.region.size_hint() + 2
     }
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        Ok(Notification {
-            query: ContinuousQueryId(u64::decode(buf)?),
-            matches: Vec::decode(buf)?,
-        })
+}
+
+wire_struct! {
+    /// A batch of matches delivered to a subscriber.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Notification {
+        /// The standing query that matched.
+        pub query: ContinuousQueryId as Bare,
+        /// The matching observations (from one ingest batch at one worker),
+        /// row by row: a notification is a handful of rows, below the size
+        /// at which the columnar batch layout pays.
+        pub matches: Vec<Observation>,
     }
 }
 

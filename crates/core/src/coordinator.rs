@@ -17,7 +17,7 @@ use std::time::Duration as StdDuration;
 use stcam_camnet::Observation;
 use stcam_codec::decode_from_slice;
 use stcam_geo::{TimeInterval, Timestamp};
-use stcam_index::SealedSegment;
+use stcam_index::{SealedSegment, SegmentDigest};
 use stcam_net::{Endpoint, NodeId};
 
 use crate::continuous::{ContinuousQueryId, Notification, Predicate};
@@ -29,10 +29,7 @@ use crate::exec::{
 use crate::ingest::ReliableSender;
 use crate::partition::PartitionMap;
 use crate::plane::{QueryOpts, QueryPlane};
-use crate::protocol::{
-    CensusReport, DigestReport, GridSpecMsg, Request, Response, SegmentDigestEntry, WorkerStatsMsg,
-    PROJ_FULL,
-};
+use crate::protocol::{CensusReport, DigestReport, Request, Response, WorkerStatsMsg, PROJ_FULL};
 use crate::repair::{self, RepairBudget, RepairReport};
 
 /// Aggregated statistics across the cluster.
@@ -138,7 +135,7 @@ struct CellMove {
     to: NodeId,
     /// Digests of the segments `to` holds whole — what the copy phase
     /// installed, and so what the drain need not export again.
-    installed: Vec<SegmentDigestEntry>,
+    installed: Vec<SegmentDigest>,
 }
 
 /// What `node`'s primary shard holds of packed cell `cell` per one digest
@@ -343,7 +340,7 @@ impl Coordinator {
     fn route_of(&self, to: NodeId) -> Request {
         Request::RouteUpdate {
             epoch: self.plane.epoch(),
-            grid: GridSpecMsg::from(*self.partition.grid()),
+            grid: *self.partition.grid(),
             cells: self.partition.packed_cells_of(to),
         }
     }
@@ -406,7 +403,7 @@ impl Coordinator {
         for (i, batch) in batches.enumerate() {
             self.tell("repair", &[target], |_| Request::Repair {
                 primary,
-                grid: GridSpecMsg::from(*self.partition.grid()),
+                grid: *self.partition.grid(),
                 cell,
                 truncate: i == 0,
                 batch: batch.to_vec(),
@@ -438,12 +435,11 @@ impl Coordinator {
         let (mut frames, mut head) =
             only(self.exec.ask("export_segments", &[m.from], export, want))?;
         if whole {
-            m.installed
-                .extend(frames.iter().map(|f| SegmentDigestEntry {
-                    number: f.number,
-                    count: f.count,
-                    checksum: f.checksum,
-                }));
+            m.installed.extend(frames.iter().map(|f| SegmentDigest {
+                number: f.number,
+                count: f.count,
+                checksum: f.checksum,
+            }));
         } else {
             for frame in frames.drain(..) {
                 head.extend(SealedSegment::from_frame(frame)?.unseal());
@@ -667,7 +663,7 @@ impl Coordinator {
             let traffic_before = self.repair_traffic();
             // Stray primary copies of ceded cells: finish their move.
             // Segments the owner already holds whole need not travel.
-            let mut held: HashMap<NodeId, Vec<SegmentDigestEntry>> = HashMap::new();
+            let mut held: HashMap<NodeId, Vec<SegmentDigest>> = HashMap::new();
             let mut strays: Vec<CellMove> = plan
                 .strays
                 .iter()
@@ -759,7 +755,7 @@ impl Coordinator {
     /// simply contribute nothing (the planner treats their copies as
     /// missing and retries next round).
     fn sweep_digests(&self, partition: &PartitionMap) -> Vec<(NodeId, DigestReport)> {
-        let grid = GridSpecMsg::from(*partition.grid());
+        let grid = *partition.grid();
         let want = |response| match response {
             Response::Digests(report) => Ok(report),
             other => Err(unexpected("digests", other)),
@@ -992,7 +988,7 @@ impl Coordinator {
         // its route, stamped with the epoch the cutover below publishes.
         self.tell("rejoin", &[worker], |_| Request::Rejoin {
             epoch: self.plane.epoch() + 1,
-            grid: GridSpecMsg::from(grid),
+            grid,
             cells: cells.clone(),
         })?;
         // 3. Bulk-sync: copy every assigned cell from its current owner
@@ -1114,13 +1110,12 @@ impl Coordinator {
             .iter()
             .filter_map(|(_, r)| r.grid.map(|g| (r.epoch, g)))
             .max_by_key(|(epoch, _)| *epoch)
-            .map(|(_, g)| g.to_grid())
+            .map(|(_, g)| g)
             .unwrap_or(*self.partition.grid());
-        let gmsg = GridSpecMsg::from(grid);
         let cell_count = grid.cell_count() as usize;
         let mut best: Vec<Option<(u64, NodeId)>> = vec![None; cell_count];
         for (worker, report) in &reports {
-            if report.grid != Some(gmsg) {
+            if report.grid != Some(grid) {
                 continue;
             }
             for &packed in &report.cells {

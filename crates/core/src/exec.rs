@@ -1242,7 +1242,7 @@ impl DistributedOp for HeatmapOp {
     }
     fn request(&self, _to: NodeId) -> Request {
         Request::Heatmap {
-            buckets: self.buckets.into(),
+            buckets: self.buckets,
             window: self.window,
         }
     }
@@ -1288,7 +1288,7 @@ impl DistributedOp for TopCellsOp {
     }
     fn request(&self, _to: NodeId) -> Request {
         Request::Heatmap {
-            buckets: self.buckets.into(),
+            buckets: self.buckets,
             window: self.window,
         }
     }

@@ -117,8 +117,8 @@ pub use ingest::Ingestor;
 pub use partition::{PartitionMap, PartitionPolicy};
 pub use plane::{Knn, Query, QueryOpts, QueryPlan, QueryPlane, Scatter};
 pub use protocol::{
-    CensusRegistration, CensusReport, DigestEntry, DigestReport, GridSpecMsg, ReplicaDigestEntry,
-    Request, Response, SegmentDigestEntry, WorkerStatsMsg, PROJ_FULL, PROJ_THIN,
+    CensusRegistration, CensusReport, DigestEntry, DigestReport, ReplicaDigestEntry, Request,
+    Response, WorkerStatsMsg, PROJ_FULL, PROJ_THIN,
 };
 pub use repair::RepairReport;
 pub use worker::{Worker, WorkerConfig, WorkerHandle, STALE_EPOCH_ERROR};

@@ -27,14 +27,12 @@ use parking_lot::Mutex;
 use stcam_camnet::{Observation, ObservationId, Signature, SIGNATURE_DIM};
 use stcam_codec::{decode_from_slice, encode_to_vec};
 use stcam_geo::{BBox, GridSpec};
-use stcam_index::{slice_number, IndexConfig, ReadView, StIndex};
+use stcam_index::{slice_number, IndexConfig, ReadView, SegmentDigest, StIndex};
 use stcam_net::{Endpoint, Envelope, MessageKind, NodeId, Waker};
 
 use crate::continuous::{InterestIndex, Notification};
 use crate::paging;
-use crate::protocol::{
-    GridSpecMsg, Request, Response, SegmentDigestEntry, WorkerStatsMsg, PROJ_THIN,
-};
+use crate::protocol::{Request, Response, WorkerStatsMsg, PROJ_THIN};
 
 /// Per-sender sequence numbers remembered for retransmission dedup;
 /// lowest are evicted beyond this. 256 far exceeds any sender's in-flight
@@ -273,7 +271,7 @@ fn execute_read(view: &ReadView, shared: &ReadShared, request: Request) -> Respo
             Response::Observations(hits)
         }
         Request::Heatmap { buckets, window } => {
-            Response::CellCounts(sparse_counts(view.heatmap(&buckets.to_grid(), window)))
+            Response::CellCounts(sparse_counts(view.heatmap(&buckets, window)))
         }
         Request::FetchPage { cursor, page } => shared.fetch_page(cursor, page),
         other => Response::Error(format!("{} is not pool-servable", other.op_name())),
@@ -566,22 +564,16 @@ impl Worker {
             Request::Promote { failed, epoch } => self.serve_promote(failed, epoch),
             Request::Census => self.serve_census(),
             Request::ReplicaRead { of, inner } => self.serve_replica_read(of, *inner),
-            Request::CellDigest { grid } => self.serve_cell_digest(grid.to_grid()),
+            Request::CellDigest { grid } => self.serve_cell_digest(grid),
             Request::Repair {
                 primary,
                 grid,
                 cell,
                 truncate,
                 batch,
-            } => self.serve_repair(primary, grid.to_grid(), cell, truncate, batch),
+            } => self.serve_repair(primary, grid, cell, truncate, batch),
             Request::Rejoin { epoch, grid, cells } => self.serve_rejoin(epoch, grid, cells),
-            Request::SegmentDigest => Response::SegmentDigests(
-                self.index
-                    .segment_digests()
-                    .into_iter()
-                    .map(Into::into)
-                    .collect(),
-            ),
+            Request::SegmentDigest => Response::SegmentDigests(self.index.segment_digests()),
             Request::ExportSegments { region, skip } => self.serve_export_segments(region, skip),
             Request::InstallSegments { frames, head } => self.serve_install_segments(frames, head),
         }
@@ -680,13 +672,13 @@ impl Worker {
         }
     }
 
-    fn serve_route_update(&mut self, epoch: u64, grid: GridSpecMsg, cells: Vec<u32>) -> Response {
+    fn serve_route_update(&mut self, epoch: u64, grid: GridSpec, cells: Vec<u32>) -> Response {
         if let Some(rejected) = self.fence(epoch) {
             return rejected;
         }
         self.route = Some(RouteInfo {
             epoch,
-            grid: grid.to_grid(),
+            grid,
             cells: cells.into_iter().collect(),
         });
         Response::Ack
@@ -801,7 +793,7 @@ impl Worker {
     /// queries before publishing the plan that re-admits this node. Idempotent:
     /// re-clearing an empty worker and re-installing the same route are
     /// no-ops.
-    fn serve_rejoin(&mut self, epoch: u64, grid: GridSpecMsg, cells: Vec<u32>) -> Response {
+    fn serve_rejoin(&mut self, epoch: u64, grid: GridSpec, cells: Vec<u32>) -> Response {
         // Fence *before* the reset: a stale coordinator's rejoin handshake
         // must not wipe a live worker's shard.
         if let Some(rejected) = self.fence(epoch) {
@@ -816,7 +808,7 @@ impl Worker {
         self.replicate_seqs = SeqMemory::default();
         self.route = Some(RouteInfo {
             epoch,
-            grid: grid.to_grid(),
+            grid,
             cells: cells.into_iter().collect(),
         });
         Response::Ack
@@ -827,11 +819,7 @@ impl Worker {
     /// requester already holds) plus the loose mutable-head rows. The
     /// export reads without mutating, so it is safe to retry and the
     /// deterministic split keeps retried frames digest-identical.
-    fn serve_export_segments(&mut self, region: BBox, skip: Vec<SegmentDigestEntry>) -> Response {
-        let skip: Vec<stcam_index::SegmentDigest> = skip
-            .into_iter()
-            .map(SegmentDigestEntry::to_digest)
-            .collect();
+    fn serve_export_segments(&mut self, region: BBox, skip: Vec<SegmentDigest>) -> Response {
         let (frames, head) = self.index.export_segments(region, &skip);
         Response::Segments { frames, head }
     }
@@ -944,9 +932,9 @@ impl Worker {
                 }
                 Response::Observations(hits)
             }
-            Request::Heatmap { buckets, window } => Response::CellCounts(sparse_counts(
-                Self::log_heatmap(log, &buckets.to_grid(), window),
-            )),
+            Request::Heatmap { buckets, window } => {
+                Response::CellCounts(sparse_counts(Self::log_heatmap(log, &buckets, window)))
+            }
             other => Response::Error(format!("{} is not replica-readable", other.op_name())),
         }
     }
@@ -1003,11 +991,7 @@ impl Worker {
             Some(r) => {
                 let mut cells: Vec<u32> = r.cells.iter().copied().collect();
                 cells.sort_unstable();
-                (
-                    r.epoch,
-                    Some(crate::protocol::GridSpecMsg::from(r.grid)),
-                    cells,
-                )
+                (r.epoch, Some(r.grid), cells)
             }
             None => (0, None, Vec::new()),
         };
@@ -1441,7 +1425,7 @@ mod tests {
         assert!(frames.is_empty(), "skip list ignored");
         // The clamped row travelled, and is in scope of the border cell
         // it routes to — the one region rule every cell move exports by.
-        let corner = crate::repair::cell_region(&grid_2x2().to_grid(), 2);
+        let corner = crate::repair::cell_region(&grid_2x2(), 2);
         let Response::Segments { frames, head } = target.handle_request(Request::ExportSegments {
             region: corner,
             skip: vec![],
@@ -1518,17 +1502,11 @@ mod tests {
 
     #[test]
     fn nack_names_the_misrouted_observations_and_the_epoch() {
-        use crate::protocol::GridSpecMsg;
         let (_fabric, mut worker) = lone_worker();
         // Own only cell 0 of a 2×1 macro grid splitting x at 500.
         worker.handle_request(Request::RouteUpdate {
             epoch: 7,
-            grid: GridSpecMsg {
-                origin: Point::ORIGIN,
-                cell_size: 500.0,
-                cols: 2,
-                rows: 1,
-            },
+            grid: GridSpec::new(Point::ORIGIN, 500.0, 2, 1),
             cells: vec![0],
         });
         let mine = obs(0, 500, 100.0, 100.0);
@@ -1555,14 +1533,8 @@ mod tests {
 
     #[test]
     fn route_update_ignores_older_epoch() {
-        use crate::protocol::GridSpecMsg;
         let (_fabric, mut worker) = lone_worker();
-        let grid = GridSpecMsg {
-            origin: Point::ORIGIN,
-            cell_size: 500.0,
-            cols: 2,
-            rows: 1,
-        };
+        let grid = GridSpec::new(Point::ORIGIN, 500.0, 2, 1);
         worker.handle_request(Request::RouteUpdate {
             epoch: 9,
             grid,
@@ -1588,14 +1560,8 @@ mod tests {
 
     #[test]
     fn stale_epoch_control_mutations_are_fenced() {
-        use crate::protocol::GridSpecMsg;
         let (_fabric, mut worker) = lone_worker();
-        let grid = GridSpecMsg {
-            origin: Point::ORIGIN,
-            cell_size: 500.0,
-            cols: 2,
-            rows: 1,
-        };
+        let grid = GridSpec::new(Point::ORIGIN, 500.0, 2, 1);
         worker.handle_request(Request::RouteUpdate {
             epoch: 9,
             grid,
@@ -1655,17 +1621,12 @@ mod tests {
 
     #[test]
     fn census_reports_route_replicas_and_registrations() {
-        use crate::protocol::{CensusRegistration, CensusReport, GridSpecMsg};
+        use crate::protocol::{CensusRegistration, CensusReport};
         let (_fabric, mut worker) = lone_worker();
         // No route yet: an empty report at epoch 0.
         let resp = worker.handle_request(Request::Census);
         assert_eq!(resp, Response::Census(CensusReport::default()));
-        let grid = GridSpecMsg {
-            origin: Point::ORIGIN,
-            cell_size: 500.0,
-            cols: 2,
-            rows: 1,
-        };
+        let grid = GridSpec::new(Point::ORIGIN, 500.0, 2, 1);
         worker.handle_request(Request::RouteUpdate {
             epoch: 5,
             grid,
@@ -1701,19 +1662,13 @@ mod tests {
 
     #[test]
     fn newer_sender_epoch_is_accepted_permissively() {
-        use crate::protocol::GridSpecMsg;
         let (_fabric, mut worker) = lone_worker();
         // Installed slice (epoch 7) owns only cell 0 — but the sender
         // writes under epoch 9, so its plan post-dates this worker's and
         // the out-of-slice observation must be accepted, not NACKed.
         worker.handle_request(Request::RouteUpdate {
             epoch: 7,
-            grid: GridSpecMsg {
-                origin: Point::ORIGIN,
-                cell_size: 500.0,
-                cols: 2,
-                rows: 1,
-            },
+            grid: GridSpec::new(Point::ORIGIN, 500.0, 2, 1),
             cells: vec![0],
         });
         let resp = worker.handle_request(Request::IngestSeq {
@@ -1795,7 +1750,6 @@ mod tests {
 
     #[test]
     fn replica_read_answers_from_the_replica_log() {
-        use crate::protocol::GridSpecMsg;
         let (_fabric, mut worker) = lone_worker();
         // Primary data must NOT leak into replica reads.
         worker.handle_request(ingest_req(vec![obs(90, 0, 500.0, 500.0)]));
@@ -1850,12 +1804,7 @@ mod tests {
             }
             other => panic!("unexpected response {other:?}"),
         }
-        let buckets = GridSpecMsg {
-            origin: Point::new(0.0, 0.0),
-            cell_size: 100.0,
-            cols: 10,
-            rows: 10,
-        };
+        let buckets = GridSpec::new(Point::new(0.0, 0.0), 100.0, 10, 10);
         match worker.handle_request(replica_read(Request::Heatmap {
             buckets,
             window: window_all(),
@@ -1909,19 +1858,13 @@ mod tests {
 
     #[test]
     fn heatmap_reports_sparse_nonzero_buckets() {
-        use crate::protocol::GridSpecMsg;
         let (_fabric, mut worker) = lone_worker();
         worker.handle_request(ingest_req(vec![
             obs(0, 0, 10.0, 10.0),   // cell (0, 0)
             obs(1, 0, 10.0, 15.0),   // cell (0, 0)
             obs(2, 0, 910.0, 910.0), // cell (9, 9)
         ]));
-        let buckets = GridSpecMsg {
-            origin: Point::new(0.0, 0.0),
-            cell_size: 100.0,
-            cols: 10,
-            rows: 10,
-        };
+        let buckets = GridSpec::new(Point::new(0.0, 0.0), 100.0, 10, 10);
         match worker.handle_request(Request::Heatmap {
             buckets,
             window: window_all(),
@@ -1933,13 +1876,8 @@ mod tests {
         }
     }
 
-    fn grid_2x2() -> crate::protocol::GridSpecMsg {
-        crate::protocol::GridSpecMsg {
-            origin: Point::ORIGIN,
-            cell_size: 500.0,
-            cols: 2,
-            rows: 2,
-        }
+    fn grid_2x2() -> GridSpec {
+        GridSpec::new(Point::ORIGIN, 500.0, 2, 2)
     }
 
     #[test]
@@ -2099,7 +2037,7 @@ mod tests {
         // too, whatever the cell index.
         let mut other_grid = drop_cell(1);
         if let Request::Repair { grid, .. } = &mut other_grid {
-            grid.cell_size = 250.0;
+            *grid = GridSpec::new(Point::ORIGIN, 250.0, 2, 2);
         }
         assert!(matches!(
             worker.handle_request(other_grid),

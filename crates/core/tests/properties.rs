@@ -5,12 +5,13 @@
 
 use proptest::prelude::*;
 use stcam::{
-    CensusRegistration, CensusReport, DigestEntry, DigestReport, GridSpecMsg, PartitionMap,
-    Predicate, ReplicaDigestEntry, Request, Response, SegmentDigestEntry, WorkerStatsMsg,
+    CensusRegistration, CensusReport, DigestEntry, DigestReport, PartitionMap, Predicate,
+    ReplicaDigestEntry, Request, Response, WorkerStatsMsg,
 };
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_codec::{decode_from_slice, encode_to_vec};
-use stcam_geo::{BBox, Point, TimeInterval, Timestamp};
+use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
+use stcam_index::SegmentDigest;
 use stcam_net::NodeId;
 use stcam_world::{EntityClass, EntityId};
 
@@ -51,7 +52,7 @@ fn arb_observation() -> impl Strategy<Value = Observation> {
         })
 }
 
-fn arb_buckets() -> impl Strategy<Value = GridSpecMsg> {
+fn arb_buckets() -> impl Strategy<Value = GridSpec> {
     (
         0.0..1000.0f64,
         0.0..1000.0f64,
@@ -59,12 +60,17 @@ fn arb_buckets() -> impl Strategy<Value = GridSpecMsg> {
         1u32..64,
         1u32..64,
     )
-        .prop_map(|(x, y, cell_size, cols, rows)| GridSpecMsg {
-            origin: Point::new(x, y),
-            cell_size,
-            cols,
-            rows,
+        .prop_map(|(x, y, cell_size, cols, rows)| {
+            GridSpec::new(Point::new(x, y), cell_size, cols, rows)
         })
+}
+
+/// `(tag, name)` pairs as a set, to hold a list of values against the
+/// `VARIANTS` its declaration generates.
+fn sorted(mut variants: Vec<(u8, &'static str)>) -> Vec<(u8, &'static str)> {
+    variants.sort_unstable();
+    variants.dedup();
+    variants
 }
 
 proptest! {
@@ -139,20 +145,20 @@ proptest! {
             Request::SegmentDigest,
             Request::ExportSegments {
                 region,
-                skip: vec![SegmentDigestEntry { number: seq, count: k as u64, checksum: epoch }],
+                skip: vec![SegmentDigest { number: seq, count: k as u64, checksum: epoch }],
             },
             Request::InstallSegments { frames: vec![], head: batch.clone() },
             Request::FetchPage { cursor: seq, page: k },
             Request::Census,
         ];
-        // Each round-trips exactly, and dispatch names stay unique.
-        let mut names = std::collections::HashSet::new();
+        // Each round-trips exactly, and the list is the declaration's.
+        let mut seen = Vec::new();
         for request in requests {
             let bytes = encode_to_vec(&request);
-            prop_assert!(names.insert(request.op_name()), "duplicate op name {}", request.op_name());
+            seen.push((bytes[0], request.op_name()));
             prop_assert_eq!(decode_from_slice::<Request>(&bytes).unwrap(), request);
         }
-        prop_assert_eq!(names.len(), 22);
+        prop_assert_eq!(sorted(seen), sorted(Request::VARIANTS.to_vec()), "a Request variant is not listed");
     }
 
     #[test]
@@ -218,7 +224,7 @@ proptest! {
             Response::SegmentDigests(
                 cells
                     .iter()
-                    .map(|&(cell, checksum)| SegmentDigestEntry {
+                    .map(|&(cell, checksum)| SegmentDigest {
                         number: cell as u64,
                         count: cell as u64,
                         checksum,
@@ -246,10 +252,13 @@ proptest! {
                 }],
             }),
         ];
+        let mut seen = Vec::new();
         for response in responses {
             let bytes = encode_to_vec(&response);
+            seen.push((bytes[0], response.op_name()));
             prop_assert_eq!(decode_from_slice::<Response>(&bytes).unwrap(), response);
         }
+        prop_assert_eq!(sorted(seen), sorted(Response::VARIANTS.to_vec()), "a Response variant is not listed");
     }
 
     #[test]

@@ -80,17 +80,20 @@ pub fn cell_scope(grid: &GridSpec, cell: u32) -> BBox {
     BBox::new(min, max)
 }
 
-/// Identity and content digest of one sealed segment: the unit the
-/// repair/rejoin plane compares. Equal digests certify equal contents up
-/// to the collision probability of [`observation_checksum`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SegmentDigest {
-    /// Time-slice number the segment covers.
-    pub number: u64,
-    /// Observations stored.
-    pub count: u64,
-    /// XOR fold of [`observation_checksum`] over every stored row.
-    pub checksum: u64,
+stcam_codec::wire_struct! {
+    /// Identity and content digest of one sealed segment: the unit the
+    /// repair/rejoin plane compares, and ships between workers as it is
+    /// declared here. Equal digests certify equal contents up to the
+    /// collision probability of [`observation_checksum`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub struct SegmentDigest {
+        /// Time-slice number the segment covers.
+        pub number: u64,
+        /// Observations stored.
+        pub count: u64,
+        /// XOR fold of [`observation_checksum`] over every stored row.
+        pub checksum: u64,
+    }
 }
 
 /// Where a segment's payload bytes live.

@@ -2,7 +2,8 @@
 # Prints the surface numbers every CHANGES.md line counts (ROADMAP item 4's
 # gate): protocol variants, DistributedOp impls, public methods of the two
 # facades, the size of crates/core/src and of the five files the gate names,
-# and the worker calls made outside the one scatter loop.
+# the worker calls made outside the one scatter loop, and the message
+# layouts still written by hand.
 # Usage: scripts/surface.sh            print "name value" lines
 #        scripts/surface.sh --check    also fail when a value exceeds its
 #                                      ceiling in scripts/surface.ceilings
@@ -11,12 +12,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 src=crates/core/src
 
-# Variants of `pub enum $1` in protocol.rs (one per 4-space-indented name).
+# Variants of `pub enum $1` in protocol.rs, counted from its `wire_enum!`
+# declaration: one `Name = tag "op_name"` line each, up to the invocation's
+# closing brace.
 variants() {
-    awk -v head="^pub enum $1 \\\\{" '
+    awk -v head="pub enum $1 \\\\{" '
         $0 ~ head { on = 1; next }
         on && /^}/ { on = 0 }
-        on && /^    [A-Z]/ { n++ }
+        on && /^ +[A-Z][A-Za-z]* = [0-9A-Z_]+ "[a-z_]+"/ { n++ }
         END { print n + 0 }' "$src/protocol.rs"
 }
 
@@ -31,13 +34,12 @@ pub_fns() {
 
 count() { cat "$src"/*.rs | grep -c "$1" || true; }
 
-# `.call(` / `.call_start(` / `.call_wait(` sites outside exec.rs (every way
-# to put a request on the wire, the re-sending wait included), each file
-# read up to its `#[cfg(test)]` module: only exec.rs may call a worker.
-worker_calls_outside_exec() {
+# $1 is a grep -E pattern; counts matching lines of every file of
+# crates/core/src, each read up to its `#[cfg(test)]` module.
+count_non_test() {
     for file in "$src"/*.rs; do
-        [ "$file" = "$src/exec.rs" ] || awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file"
-    done | grep -cE '\.call(_start|_wait)?\(' || true
+        [ "$file" = "${2:-}" ] || awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file"
+    done | grep -cE "$1" || true
 }
 
 surface() {
@@ -51,7 +53,13 @@ surface() {
     for file in coordinator exec worker protocol ingest; do
         echo "${file}_lines $(wc -l < "$src/$file.rs")"
     done
-    echo "worker_calls_outside_exec $(worker_calls_outside_exec)"
+    # `.call(` / `.call_start(` / `.call_wait(` sites outside exec.rs (every
+    # way to put a request on the wire, the re-sending wait included): only
+    # exec.rs may call a worker.
+    echo "worker_calls_outside_exec $(count_non_test '\.call(_start|_wait)?\(' "$src/exec.rs")"
+    # Message layouts written by hand instead of declared (`wire_struct!` /
+    # `wire_enum!`): `Predicate`, for its class check.
+    echo "core_hand_written_wire_impls $(count_non_test '^impl Wire for')"
 }
 
 surface

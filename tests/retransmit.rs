@@ -235,7 +235,7 @@ fn a_busy_worker_executes_once(read_threads: usize, name: &'static str, request:
     // Work for the same lane, sized to keep it busy for 12 × the RTO: a
     // heat-map over four million buckets, as often as it takes.
     let busywork = encode_to_vec(&Request::Heatmap {
-        buckets: GridSpec::new(Point::new(0.0, 0.0), 1.0, 2_000, 2_000).into(),
+        buckets: GridSpec::new(Point::new(0.0, 0.0), 1.0, 2_000, 2_000),
         window: TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(1)),
     });
     let started = Instant::now();
@@ -274,7 +274,7 @@ fn a_busy_read_pool_executes_a_re_sent_range_once() {
 #[test]
 fn a_busy_control_lane_executes_a_re_sent_cell_digest_once() {
     let request = Request::CellDigest {
-        grid: GridSpec::new(Point::new(0.0, 0.0), 100.0, 4, 4).into(),
+        grid: GridSpec::new(Point::new(0.0, 0.0), 100.0, 4, 4),
     };
     a_busy_worker_executes_once(0, "cell_digest", request);
 }

@@ -14,6 +14,8 @@ struct Golden {
     kind: &'static str,
     /// The variant's op name, without the `+` marker.
     name: &'static str,
+    /// No `+`: every sequence in the value has at most one element.
+    short: bool,
     bytes: Vec<u8>,
 }
 
@@ -36,51 +38,94 @@ fn golden() -> Vec<Golden> {
             Golden {
                 kind,
                 name: label.trim_end_matches('+'),
+                short: !label.ends_with('+'),
                 bytes,
             }
         })
         .collect()
 }
 
-/// Decodes `frame` as a `T`, re-encodes it, and requires the same bytes.
-fn reencode<T: Wire>(frame: &Golden) -> T {
-    let value: T = decode_from_slice(&frame.bytes)
-        .unwrap_or_else(|e| panic!("{} {}: {e}", frame.kind, frame.name));
-    assert_eq!(
-        encode_to_vec(&value),
-        frame.bytes,
-        "{} {} re-encodes differently",
-        frame.kind,
-        frame.name
-    );
-    value
+/// What one decode yields, with the type erased: the value's name, its
+/// re-encoding and its size hint — or nothing, for a typed decode error.
+type Decoded = Option<(&'static str, Vec<u8>, usize)>;
+
+fn decoded<T: Wire>(bytes: &[u8], name: fn(&T) -> &'static str) -> Decoded {
+    let value: T = decode_from_slice(bytes).ok()?;
+    Some((name(&value), encode_to_vec(&value), value.size_hint()))
+}
+
+impl Golden {
+    /// Decodes `bytes` as the type this frame's kind names.
+    fn decode(&self, bytes: &[u8]) -> Decoded {
+        match self.kind {
+            "request" => decoded(bytes, Request::op_name),
+            "response" => decoded(bytes, Response::op_name),
+            "notification" => decoded::<Notification>(bytes, |_| "notification"),
+            other => panic!("unknown kind {other:?}"),
+        }
+    }
 }
 
 #[test]
 fn every_golden_frame_decodes_and_re_encodes_byte_identically() {
-    let mut requests = BTreeSet::new();
-    let mut response_tags = BTreeSet::new();
+    let frames = golden();
+    for frame in &frames {
+        let (name, bytes, _) = frame
+            .decode(&frame.bytes)
+            .unwrap_or_else(|| panic!("{} {} does not decode", frame.kind, frame.name));
+        assert_eq!(name, frame.name);
+        assert_eq!(
+            bytes, frame.bytes,
+            "{} {name} re-encodes differently",
+            frame.kind
+        );
+    }
+    // The declarations say which variants exist; each needs a frame here.
+    for (kind, variants) in [
+        ("request", Request::VARIANTS),
+        ("response", Response::VARIANTS),
+    ] {
+        let pinned: BTreeSet<(u8, &str)> = frames
+            .iter()
+            .filter(|frame| frame.kind == kind)
+            .map(|frame| (frame.bytes[0], frame.name))
+            .collect();
+        let declared: BTreeSet<(u8, &str)> = variants.iter().copied().collect();
+        assert_eq!(pinned, declared, "a {kind} variant has no golden frame");
+    }
+}
+
+#[test]
+fn size_hints_cover_frames_whose_sequences_are_short() {
+    // `encode_to_vec` reserves `size_hint()` bytes: a hint below the
+    // encoded length costs the hot frames a second allocation.
+    for frame in golden().iter().filter(|frame| frame.short) {
+        let (name, bytes, hint) = frame.decode(&frame.bytes).expect("golden frame");
+        assert!(
+            hint >= bytes.len(),
+            "{} {name}: hint {hint} < {} bytes",
+            frame.kind,
+            bytes.len()
+        );
+    }
+}
+
+#[test]
+fn a_mutated_golden_frame_never_panics_the_decoder() {
+    // Valid frames cut at every length and with every byte altered reach
+    // decoder states random bytes do not: each must end in a value or a
+    // typed `DecodeError` (`decoded` maps it to `None`), never a panic.
     for frame in golden() {
-        match frame.kind {
-            "request" => {
-                let request: Request = reencode(&frame);
-                assert_eq!(request.op_name(), frame.name);
-                requests.insert(frame.name);
+        for cut in 0..frame.bytes.len() {
+            frame.decode(&frame.bytes[..cut]);
+        }
+        let mut bytes = frame.bytes.clone();
+        for i in 0..bytes.len() {
+            for flip in [0x01, 0x80, 0xFF] {
+                bytes[i] ^= flip;
+                frame.decode(&bytes);
+                bytes[i] ^= flip;
             }
-            "response" => {
-                reencode::<Response>(&frame);
-                response_tags.insert(frame.bytes[0]);
-            }
-            "notification" => {
-                reencode::<Notification>(&frame);
-            }
-            other => panic!("unknown kind {other:?}"),
         }
     }
-    assert_eq!(requests.len(), 22, "a Request variant has no golden frame");
-    assert_eq!(
-        response_tags.len(),
-        12,
-        "a Response variant has no golden frame"
-    );
 }
