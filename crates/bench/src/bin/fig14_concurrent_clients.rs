@@ -28,7 +28,7 @@
 //! `FIG14_ARCHIVE` (default 20000), `FIG14_OPS` (per-thread op count,
 //! default 40), `FIG14_MAX_THREADS` (default 16), `FIG14_READ_THREADS`
 //! (read-executor pool size per worker, default 4, 0 disables the
-//! pool), and `FIG14_NO_ASSERT=1` to report without the scaling gate.
+//! pool).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -121,7 +121,6 @@ fn main() {
     let ops = env_usize("FIG14_OPS", 40);
     let max_threads = env_usize("FIG14_MAX_THREADS", 16).max(1);
     let read_threads = env_usize("FIG14_READ_THREADS", 4);
-    let gate = std::env::var("FIG14_NO_ASSERT").map_or(true, |v| v != "1");
 
     let extent = square_extent(EXTENT_M);
     let cluster = launch(
@@ -243,13 +242,11 @@ fn main() {
     report.emit();
     cluster.shutdown();
 
-    if gate {
-        if let Some(&s8) = speedup_at.get(&8) {
-            assert!(
-                s8 >= 6.0,
-                "read-path scaling regression: {s8:.2}x at 8 threads (< 6x)"
-            );
-            println!("scaling gate passed: {s8:.2}x at 8 threads (>= 6x)");
-        }
+    if let Some(&s8) = speedup_at.get(&8) {
+        assert!(
+            s8 >= 6.0,
+            "read-path scaling regression: {s8:.2}x at 8 threads (< 6x)"
+        );
+        println!("scaling gate passed: {s8:.2}x at 8 threads (>= 6x)");
     }
 }

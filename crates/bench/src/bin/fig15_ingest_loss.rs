@@ -29,9 +29,9 @@
 //! ```
 //!
 //! Environment knobs (for CI smoke runs): `FIG15_STREAM` (default
-//! 20000), `FIG15_CHUNK` (ingest batch size, default 500), and
-//! `FIG15_NO_ASSERT=1` to report without the gates: durability, and a
-//! stall of at most [`MAX_STALL_MS_PER_DROP`] per dropped frame at 1 %.
+//! 20000) and `FIG15_CHUNK` (ingest batch size, default 500). The run
+//! asserts its gates: durability, and a stall of at most
+//! [`MAX_STALL_MS_PER_DROP`] per dropped frame at 1 %.
 
 use stcam_bench::report::{obj, Report, Value};
 use stcam_bench::{
@@ -60,7 +60,6 @@ fn env_usize(key: &str, default: usize) -> usize {
 fn main() {
     let stream_len = env_usize("FIG15_STREAM", 20_000);
     let chunk = env_usize("FIG15_CHUNK", 500);
-    let gate = std::env::var("FIG15_NO_ASSERT").map_or(true, |v| v != "1");
 
     let extent = square_extent(EXTENT_M);
     println!(
@@ -172,21 +171,19 @@ fn main() {
             ("acked_lost", Value::from(acked_lost)),
         ]));
 
-        if gate {
-            assert_eq!(
-                acked_lost, 0,
-                "acked-ingest contract violated at drop={drop}: {acked_lost} acked observations lost"
-            );
-            assert_eq!(
-                held, stream_len,
-                "convergence violated at drop={drop}: {held}/{stream_len} held after heal+flush"
-            );
-            assert!(
-                drop != 0.01 || rpc_timeout.is_none() || stall_ms_per_drop <= MAX_STALL_MS_PER_DROP,
-                "a dropped frame stalled its batch {stall_ms_per_drop:.1} ms at drop={drop}: \
-                 the write path is waiting out timeouts again"
-            );
-        }
+        assert_eq!(
+            acked_lost, 0,
+            "acked-ingest contract violated at drop={drop}: {acked_lost} acked observations lost"
+        );
+        assert_eq!(
+            held, stream_len,
+            "convergence violated at drop={drop}: {held}/{stream_len} held after heal+flush"
+        );
+        assert!(
+            drop != 0.01 || rpc_timeout.is_none() || stall_ms_per_drop <= MAX_STALL_MS_PER_DROP,
+            "a dropped frame stalled its batch {stall_ms_per_drop:.1} ms at drop={drop}: \
+             the write path is waiting out timeouts again"
+        );
         cluster.shutdown();
     }
     table.print();
@@ -205,7 +202,5 @@ fn main() {
         .set("stream", stream_len)
         .set("rows", rows);
     report.emit();
-    if gate {
-        println!("gates passed: zero acked loss at every drop rate, stall per drop within bound");
-    }
+    println!("gates passed: zero acked loss at every drop rate, stall per drop within bound");
 }

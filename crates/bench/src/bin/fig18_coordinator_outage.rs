@@ -18,7 +18,7 @@
 //! and republish routes. The bench times that whole sequence and audits
 //! the result.
 //!
-//! In-run gates (disable with `FIG18_NO_ASSERT=1`):
+//! In-run gates:
 //!
 //! * reads never stop: during a clean outage, strict availability is
 //!   100% and mean best-effort completeness is 1.0;
@@ -34,7 +34,7 @@
 //! ```
 //!
 //! Environment knobs (for CI smoke runs): `FIG18_ARCHIVE` (default
-//! 40000), `FIG18_PROBE_ROUNDS` (default 4), `FIG18_NO_ASSERT=1`.
+//! 40000), `FIG18_PROBE_ROUNDS` (default 4).
 
 use std::time::Duration;
 
@@ -179,7 +179,6 @@ fn run(workers: usize, kill_mid_outage: bool, archive: usize, rounds: usize) -> 
 fn main() {
     let archive = env_usize("FIG18_ARCHIVE", 40_000);
     let rounds = env_usize("FIG18_PROBE_ROUNDS", 4).max(1);
-    let gate = std::env::var("FIG18_NO_ASSERT").map_or(true, |v| v != "1");
 
     println!(
         "Figure 18: coordinator outage — read availability and reconstruction \
@@ -255,39 +254,37 @@ fn main() {
         );
     report.emit();
 
-    if gate {
-        for o in &outcomes {
-            let tag = format!("{} workers, {} killed", o.workers, o.killed);
-            if o.killed == 0 {
-                assert!(
-                    (o.strict_avail - 1.0).abs() < f64::EPSILON,
-                    "{tag}: reads stopped serving during a clean coordinator outage \
-                     (strict availability {:.2})",
-                    o.strict_avail
-                );
-                assert!(
-                    (o.mean_completeness - 1.0).abs() < 1e-9,
-                    "{tag}: best-effort completeness degraded during a clean outage \
-                     ({:.3})",
-                    o.mean_completeness
-                );
-            }
-            assert_eq!(
-                o.responders,
-                o.workers - o.killed,
-                "{tag}: census missed a surviving worker"
-            );
-            assert_eq!(o.lost, 0, "{tag}: lost {} acked observations", o.lost);
-            assert_eq!(o.registrations, 1, "{tag}: standing query lost in recovery");
+    for o in &outcomes {
+        let tag = format!("{} workers, {} killed", o.workers, o.killed);
+        if o.killed == 0 {
             assert!(
-                o.reconstruct_s < RECONSTRUCT_BUDGET_S,
-                "{tag}: reconstruction took {:.2} s (> {RECONSTRUCT_BUDGET_S} s budget)",
-                o.reconstruct_s
+                (o.strict_avail - 1.0).abs() < f64::EPSILON,
+                "{tag}: reads stopped serving during a clean coordinator outage \
+                 (strict availability {:.2})",
+                o.strict_avail
+            );
+            assert!(
+                (o.mean_completeness - 1.0).abs() < 1e-9,
+                "{tag}: best-effort completeness degraded during a clean outage \
+                 ({:.3})",
+                o.mean_completeness
             );
         }
-        println!(
-            "\noutage gate passed: reads served through every outage, census reached \
-             every survivor, 0 observations lost, reconstruction < {RECONSTRUCT_BUDGET_S} s"
+        assert_eq!(
+            o.responders,
+            o.workers - o.killed,
+            "{tag}: census missed a surviving worker"
+        );
+        assert_eq!(o.lost, 0, "{tag}: lost {} acked observations", o.lost);
+        assert_eq!(o.registrations, 1, "{tag}: standing query lost in recovery");
+        assert!(
+            o.reconstruct_s < RECONSTRUCT_BUDGET_S,
+            "{tag}: reconstruction took {:.2} s (> {RECONSTRUCT_BUDGET_S} s budget)",
+            o.reconstruct_s
         );
     }
+    println!(
+        "\noutage gate passed: reads served through every outage, census reached \
+         every survivor, 0 observations lost, reconstruction < {RECONSTRUCT_BUDGET_S} s"
+    );
 }

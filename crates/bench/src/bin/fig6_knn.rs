@@ -15,7 +15,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stcam::{KnnBroadcastOp, QueryOpts};
+use stcam::{KnnOp, QueryOpts};
 use stcam_bench::{
     fmt_count, ingest_chunked, lan_config, launch, op_stats, square_extent, synthetic_stream,
     window_secs, LatencyStats, Table,
@@ -73,7 +73,7 @@ fn main() {
         for &at in &points {
             let t0 = std::time::Instant::now();
             let result = cluster
-                .query(KnnBroadcastOp { at, window, k }, &QueryOpts::STRICT)
+                .query(KnnOp::broadcast(at, window, k), &QueryOpts::STRICT)
                 .expect("knn");
             bcast_samples.push(t0.elapsed().as_secs_f64());
             assert_eq!(result.value.len(), k.min(ARCHIVE));

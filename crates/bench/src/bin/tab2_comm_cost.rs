@@ -6,10 +6,10 @@
 //! per-operation telemetry, which additionally splits query traffic into
 //! request bytes up and result bytes down.
 //!
-//! One regression gate rides on the accounting (skip with
-//! `TAB2_NO_ASSERT=1`): no single response frame — page pulls included —
-//! may exceed the paging bound. Environment knobs for CI smoke runs:
-//! `TAB2_ARCHIVE` (default 200000) and `TAB2_OPS` (default 50).
+//! One regression gate rides on the accounting: no single response
+//! frame — page pulls included — may exceed the paging bound.
+//! Environment knobs for CI smoke runs: `TAB2_ARCHIVE` (default 200000)
+//! and `TAB2_OPS` (default 50).
 //!
 //! ```text
 //! cargo run -p stcam-bench --release --bin tab2_comm_cost
@@ -18,7 +18,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stcam::exec::LatencyHistogram;
-use stcam::{Cluster, KnnBroadcastOp, Predicate, QueryOpts, TopCellsOp};
+use stcam::{Cluster, KnnOp, Predicate, QueryOpts, TopCellsOp};
 use stcam_bench::report::{obj, Report, Value};
 use stcam_bench::{
     fmt_count, lan_config, launch, op_stats, square_extent, synthetic_stream, window_secs, Table,
@@ -50,7 +50,6 @@ struct Row {
 fn main() {
     let archive = env_usize("TAB2_ARCHIVE", 200_000);
     let ops_n = env_usize("TAB2_OPS", 50).max(1);
-    let gate = std::env::var("TAB2_NO_ASSERT").map_or(true, |v| v != "1");
     let extent = square_extent(EXTENT_M);
     println!(
         "Table 2: communication cost per operation ({WORKERS} workers, {} archive, mean of {ops_n} ops)\n",
@@ -146,11 +145,7 @@ fn main() {
             ops_n,
             &mut || {
                 for &p in &points {
-                    let broadcast = KnnBroadcastOp {
-                        at: p,
-                        window,
-                        k: 16,
-                    };
+                    let broadcast = KnnOp::broadcast(p, window, 16);
                     cluster.query(broadcast, &QueryOpts::STRICT).expect("knn");
                 }
             },
@@ -282,15 +277,13 @@ fn main() {
         .set("replication_2", json_rows(&r2));
     report.emit();
 
-    if gate {
-        // Paging must bound every response frame, page pulls included.
-        assert!(
-            max_resp <= stcam::paging::PAGE_MAX_BYTES as u64,
-            "a {max_resp}-byte response frame escaped paging"
-        );
-        println!(
-            "comm gate passed: max response frame {max_resp} B (<= {})",
-            stcam::paging::PAGE_MAX_BYTES
-        );
-    }
+    // Paging must bound every response frame, page pulls included.
+    assert!(
+        max_resp <= stcam::paging::PAGE_MAX_BYTES as u64,
+        "a {max_resp}-byte response frame escaped paging"
+    );
+    println!(
+        "comm gate passed: max response frame {max_resp} B (<= {})",
+        stcam::paging::PAGE_MAX_BYTES
+    );
 }

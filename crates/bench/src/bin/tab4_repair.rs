@@ -26,8 +26,7 @@
 //! ```
 //!
 //! Environment knobs (for CI smoke runs): `TAB4_STREAM` (default
-//! 20000), `TAB4_CHUNK` (ingest batch size, default 1000), and
-//! `TAB4_NO_ASSERT=1` to report without the convergence gate.
+//! 20000) and `TAB4_CHUNK` (ingest batch size, default 1000).
 
 use stcam::{Cluster, OpPolicy};
 use stcam_bench::report::{obj, Report, Value};
@@ -51,7 +50,6 @@ fn env_usize(key: &str, default: usize) -> usize {
 fn main() {
     let stream_len = env_usize("TAB4_STREAM", 20_000);
     let chunk = env_usize("TAB4_CHUNK", 1_000);
-    let gate = std::env::var("TAB4_NO_ASSERT").map_or(true, |v| v != "1");
 
     let extent = square_extent(EXTENT_M);
     println!(
@@ -161,16 +159,14 @@ fn main() {
                 ("lost", Value::from(lost)),
             ]));
 
-            if gate {
-                assert_eq!(
-                    under_after, 0,
-                    "repair did not converge to zero at r={replication} drop={drop}"
-                );
-                assert_eq!(
-                    lost, 0,
-                    "data lost through kill/heal/rejoin at r={replication} drop={drop}"
-                );
-            }
+            assert_eq!(
+                under_after, 0,
+                "repair did not converge to zero at r={replication} drop={drop}"
+            );
+            assert_eq!(
+                lost, 0,
+                "data lost through kill/heal/rejoin at r={replication} drop={drop}"
+            );
             cluster.shutdown();
         }
     }
@@ -188,9 +184,7 @@ fn main() {
         .set("stream", stream_len)
         .set("rows", rows);
     report.emit();
-    if gate {
-        println!("convergence gate passed: zero under-replicated cells, zero loss");
-    }
+    println!("convergence gate passed: zero under-replicated cells, zero loss");
 }
 
 /// Re-invokes [`Cluster::repair`] until the planner reports convergence

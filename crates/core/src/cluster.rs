@@ -367,7 +367,7 @@ impl Cluster {
     /// class-filtered, limited, projected), [`Knn`], [`HeatmapOp`],
     /// [`TopCellsOp`](crate::TopCellsOp), or any other
     /// [`ReadOp`](crate::ReadOp) such as the
-    /// [`KnnBroadcastOp`](crate::KnnBroadcastOp) baseline — and
+    /// [`KnnOp::broadcast`](crate::KnnOp::broadcast) baseline — and
     /// `opts` says how to treat lost shards and on whose account to run
     /// (see [`QueryPlane::query`]). Lock-free: never touches the
     /// coordinator mutex.
@@ -802,11 +802,7 @@ mod tests {
             let fast = cluster.knn_query(at, window_all(), k).unwrap();
             let slow = cluster
                 .query(
-                    crate::exec::KnnBroadcastOp {
-                        at,
-                        window: window_all(),
-                        k,
-                    },
+                    crate::exec::KnnOp::broadcast(at, window_all(), k),
                     &QueryOpts::STRICT,
                 )
                 .unwrap()

@@ -601,11 +601,11 @@ impl Coordinator {
     // ------------------------------------------------------------------
 
     /// One anti-entropy repair pass under the default budget: sweeps
-    /// per-cell digests from every alive worker, compares each
-    /// owner's primary against the replica copies at its required ring
-    /// successors, and streams the missing/diverged cells until the
-    /// configured replication factor holds everywhere (or the budget runs
-    /// out — re-invoke to continue; the sweep is idempotent).
+    /// per-cell digests from every alive worker, drains stray primary
+    /// copies (at any factor, 0 included), compares each owner's primary
+    /// against the copies at its required ring successors, and streams the
+    /// missing/diverged cells until the configured factor holds everywhere
+    /// (or the budget runs out — re-invoke; the sweep is idempotent).
     ///
     /// Individual worker failures during a pass are tolerated: the next
     /// round re-plans from fresh digests. The pass itself never fails.
@@ -629,8 +629,8 @@ impl Coordinator {
         drain_strays: bool,
     ) -> RepairReport {
         let mut report = RepairReport::default();
-        if self.replication == 0 {
-            report.converged = true;
+        if self.replication == 0 && !drain_strays {
+            report.converged = true; // no copies to cover, no strays wanted
             return report;
         }
         let grid = *partition.grid();
@@ -873,10 +873,10 @@ impl Coordinator {
     /// reset, its target shard bulk-synced from the current owners, its
     /// epoch-stamped route and standing-query registrations re-installed,
     /// and the whole re-entry made visible by a single plan publication.
-    /// Any membership change with replication enabled ends with an
-    /// anti-entropy pass, so strict reads can rely on the ring-walked
-    /// successors the new plan points them at. Returns the newly failed
-    /// workers.
+    /// Any membership change ends with an anti-entropy pass, so strict
+    /// reads can rely on the ring-walked successors the new plan points
+    /// them at and no ceded copy outlives a failed drain. Returns the
+    /// newly failed workers.
     pub fn check_and_recover(&mut self) -> Vec<NodeId> {
         let mut failed = self.alive_workers();
         let answered = self.responders(&self.alive);

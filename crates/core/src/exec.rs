@@ -373,13 +373,14 @@ pub trait DistributedOp {
 }
 
 /// Marks the [`DistributedOp`]s [`Cluster::query`](crate::Cluster::query)
-/// accepts as a query value on their own (the two kNN phases only run
-/// composed, as [`Knn`](crate::Knn)). An evaluation baseline that
-/// scatters its own read implements this for its op and needs no facade.
+/// accepts as a query value on their own ([`Knn`](crate::Knn) composes
+/// two [`KnnOp`]s; [`KnnOp::broadcast`] alone is the unpruned baseline).
+/// An evaluation baseline that scatters its own read implements this for
+/// its op and needs no facade.
 pub trait ReadOp: DistributedOp {}
 
 impl ReadOp for RangeOp {}
-impl ReadOp for KnnBroadcastOp {}
+impl ReadOp for KnnOp {}
 impl ReadOp for HeatmapOp {}
 impl ReadOp for TopCellsOp {}
 
@@ -938,22 +939,6 @@ pub(crate) fn want_observations(response: Response) -> Result<Vec<Observation>, 
     }
 }
 
-/// Decodes a sparse heat-map partial, rejecting bucket indices outside
-/// `buckets` so the merges can index without checking.
-fn want_buckets(response: Response, buckets: &GridSpec) -> Result<Vec<(u32, u64)>, StcamError> {
-    let cells = match response {
-        Response::CellCounts(cells) => cells,
-        other => return Err(unexpected("cell counts", other)),
-    };
-    if cells
-        .iter()
-        .any(|&(idx, _)| u64::from(idx) >= buckets.cell_count())
-    {
-        return Err(StcamError::Remote("bucket index out of range".into()));
-    }
-    Ok(cells)
-}
-
 /// Every alive worker, in id order.
 pub(crate) fn all_alive(alive: &HashSet<NodeId>) -> Vec<NodeId> {
     let mut v: Vec<NodeId> = alive.iter().copied().collect();
@@ -1074,88 +1059,85 @@ impl DistributedOp for RangeOp {
     }
 }
 
-/// Phase one of the pruned kNN: ask only the owner of the query point's
-/// cell; its k-th distance bounds phase two.
-#[derive(Debug, Clone, Copy)]
-pub struct KnnPhase1Op {
-    /// The (alive) owner of the query point's cell.
-    pub owner: NodeId,
+/// Which workers a [`KnnOp`] asks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KnnTargets {
+    /// The (alive) owner of the query point's cell: `"knn_phase1"`.
+    Owner(NodeId),
+    /// The shards intersecting the bounding disk (every alive worker when
+    /// there is no bound), minus this one, which already answered:
+    /// `"knn_phase2"`.
+    DiskExcept(NodeId),
+    /// Every alive worker — the naive baseline: `"knn_broadcast"`.
+    AllAlive,
+}
+
+/// One kNN scatter: ask the workers `to` names for their `k` nearest rows
+/// within `bound`, and keep the `k` nearest of their answers and `seed`.
+/// [`Knn`](crate::Knn) composes two — the owner's answer bounds and
+/// seeds the rest; [`broadcast`](Self::broadcast), the unpruned baseline,
+/// is the one form built outside this crate.
+#[derive(Debug, Clone)]
+pub struct KnnOp {
     /// Query point.
     pub at: Point,
     /// Temporal predicate.
     pub window: TimeInterval,
     /// Result size.
     pub k: usize,
+    /// Prune radius pushed down to the workers (None = no bound).
+    pub(crate) bound: Option<f64>,
+    /// Rows already found, folded into the merge.
+    pub(crate) seed: Vec<Observation>,
+    /// The workers asked.
+    pub(crate) to: KnnTargets,
 }
 
-impl DistributedOp for KnnPhase1Op {
-    type Partial = Vec<Observation>;
-    type Output = Vec<Observation>;
-    fn name(&self) -> &'static str {
-        "knn_phase1"
-    }
-    fn subset_on_loss(&self) -> bool {
-        false
-    }
-    fn targets(&self, _partition: &PartitionMap, _alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        vec![self.owner]
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::Knn {
-            at: self.at,
-            window: self.window,
-            k: self.k as u32,
-            max_distance: None,
+impl KnnOp {
+    /// An unbounded, unseeded scatter to `to`.
+    pub(crate) fn new(at: Point, window: TimeInterval, k: usize, to: KnnTargets) -> Self {
+        KnnOp {
+            at,
+            window,
+            k,
+            bound: None,
+            seed: Vec::new(),
+            to,
         }
     }
-    fn decode(&self, response: Response) -> Result<Vec<Observation>, StcamError> {
-        want_observations(response)
-    }
-    fn merge(self, partials: Vec<(NodeId, Vec<Observation>)>) -> Vec<Observation> {
-        let mut merged: Vec<Observation> = partials.into_iter().flat_map(|(_, obs)| obs).collect();
-        sort_knn(&mut merged, self.at);
-        merged.truncate(self.k);
-        merged
+
+    /// The naive kNN baseline: every alive worker, no bound.
+    pub fn broadcast(at: Point, window: TimeInterval, k: usize) -> Self {
+        Self::new(at, window, k, KnnTargets::AllAlive)
     }
 }
 
-/// Phase two of the pruned kNN: scatter to the other shards intersecting
-/// the bounding disk (or all others when phase one under-filled), then
-/// fold the phase-one seed into the final top-k.
-#[derive(Debug, Clone)]
-pub struct KnnPhase2Op {
-    /// Query point.
-    pub at: Point,
-    /// Temporal predicate.
-    pub window: TimeInterval,
-    /// Result size.
-    pub k: usize,
-    /// Prune radius from phase one (None = no bound established).
-    pub bound: Option<f64>,
-    /// The phase-one worker, excluded from the scatter.
-    pub exclude: NodeId,
-    /// Phase-one results, folded into the merge.
-    pub seed: Vec<Observation>,
-}
-
-impl DistributedOp for KnnPhase2Op {
+impl DistributedOp for KnnOp {
     type Partial = Vec<Observation>;
     type Output = Vec<Observation>;
     fn name(&self) -> &'static str {
-        "knn_phase2"
+        match self.to {
+            KnnTargets::Owner(_) => "knn_phase1",
+            KnnTargets::DiskExcept(_) => "knn_phase2",
+            KnnTargets::AllAlive => "knn_broadcast",
+        }
     }
     fn subset_on_loss(&self) -> bool {
         false
     }
     fn targets(&self, partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        let candidates = match self.bound {
-            Some(radius) => partition.workers_for_region(BBox::around(self.at, radius)),
-            None => all_alive(alive),
-        };
-        candidates
-            .into_iter()
-            .filter(|w| *w != self.exclude && alive.contains(w))
-            .collect()
+        match self.to {
+            KnnTargets::Owner(owner) => vec![owner],
+            KnnTargets::AllAlive => all_alive(alive),
+            KnnTargets::DiskExcept(done) => {
+                let mut candidates = match self.bound {
+                    Some(radius) => partition.workers_for_region(BBox::around(self.at, radius)),
+                    None => all_alive(alive),
+                };
+                candidates.retain(|w| *w != done && alive.contains(w));
+                candidates
+            }
+        }
     }
     fn request(&self, _to: NodeId) -> Request {
         Request::Knn {
@@ -1171,48 +1153,6 @@ impl DistributedOp for KnnPhase2Op {
     fn merge(self, partials: Vec<(NodeId, Vec<Observation>)>) -> Vec<Observation> {
         let mut merged = self.seed;
         merged.extend(partials.into_iter().flat_map(|(_, obs)| obs));
-        sort_knn(&mut merged, self.at);
-        merged.truncate(self.k);
-        merged
-    }
-}
-
-/// The naive kNN baseline: broadcast to every alive worker, no bound.
-#[derive(Debug, Clone, Copy)]
-pub struct KnnBroadcastOp {
-    /// Query point.
-    pub at: Point,
-    /// Temporal predicate.
-    pub window: TimeInterval,
-    /// Result size.
-    pub k: usize,
-}
-
-impl DistributedOp for KnnBroadcastOp {
-    type Partial = Vec<Observation>;
-    type Output = Vec<Observation>;
-    fn name(&self) -> &'static str {
-        "knn_broadcast"
-    }
-    fn subset_on_loss(&self) -> bool {
-        false
-    }
-    fn targets(&self, _partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        all_alive(alive)
-    }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::Knn {
-            at: self.at,
-            window: self.window,
-            k: self.k as u32,
-            max_distance: None,
-        }
-    }
-    fn decode(&self, response: Response) -> Result<Vec<Observation>, StcamError> {
-        want_observations(response)
-    }
-    fn merge(self, partials: Vec<(NodeId, Vec<Observation>)>) -> Vec<Observation> {
-        let mut merged: Vec<Observation> = partials.into_iter().flat_map(|(_, obs)| obs).collect();
         sort_knn(&mut merged, self.at);
         merged.truncate(self.k);
         merged
@@ -1246,8 +1186,18 @@ impl DistributedOp for HeatmapOp {
             window: self.window,
         }
     }
+    /// Rejects bucket indices outside `buckets`, so the merges can index
+    /// without checking.
     fn decode(&self, response: Response) -> Result<Vec<(u32, u64)>, StcamError> {
-        want_buckets(response, &self.buckets)
+        let cells = match response {
+            Response::CellCounts(cells) => cells,
+            other => return Err(unexpected("cell counts", other)),
+        };
+        let count = self.buckets.cell_count();
+        if cells.iter().any(|&(idx, _)| u64::from(idx) >= count) {
+            return Err(StcamError::Remote("bucket index out of range".into()));
+        }
+        Ok(cells)
     }
     fn merge(self, partials: Vec<(NodeId, Vec<(u32, u64)>)>) -> Vec<u64> {
         let mut total = vec![0u64; self.buckets.cell_count() as usize];
@@ -1274,6 +1224,16 @@ pub struct TopCellsOp {
     pub k: usize,
 }
 
+impl TopCellsOp {
+    /// The heat-map whose buckets this ranks.
+    fn heatmap(&self) -> HeatmapOp {
+        HeatmapOp {
+            buckets: self.buckets,
+            window: self.window,
+        }
+    }
+}
+
 impl DistributedOp for TopCellsOp {
     type Partial = Vec<(u32, u64)>;
     type Output = Vec<(CellId, u64)>;
@@ -1284,25 +1244,17 @@ impl DistributedOp for TopCellsOp {
         false
     }
     fn targets(&self, partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        region_targets(partition, alive, self.buckets.extent())
+        self.heatmap().targets(partition, alive)
     }
-    fn request(&self, _to: NodeId) -> Request {
-        Request::Heatmap {
-            buckets: self.buckets,
-            window: self.window,
-        }
+    fn request(&self, to: NodeId) -> Request {
+        self.heatmap().request(to)
     }
     fn decode(&self, response: Response) -> Result<Vec<(u32, u64)>, StcamError> {
-        want_buckets(response, &self.buckets)
+        self.heatmap().decode(response)
     }
     fn merge(self, partials: Vec<(NodeId, Vec<(u32, u64)>)>) -> Vec<(CellId, u64)> {
-        let mut totals: HashMap<u32, u64> = HashMap::new();
-        for (_, cells) in partials {
-            for (idx, count) in cells {
-                *totals.entry(idx).or_insert(0) += count;
-            }
-        }
-        let mut ranked: Vec<(u32, u64)> = totals.into_iter().collect();
+        let totals = self.heatmap().merge(partials);
+        let mut ranked: Vec<(u32, u64)> = (0..).zip(totals).filter(|&(_, n)| n > 0).collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ranked.truncate(self.k);
         let cols = self.buckets.cols();
@@ -1519,18 +1471,61 @@ mod tests {
         };
         assert!(heat.subset_on_loss());
         // Top-k shapes can promote wrong items when a shard is lost.
-        let knn = KnnBroadcastOp {
-            at: Point::ORIGIN,
-            window: window(),
-            k: 3,
-        };
-        assert!(!knn.subset_on_loss());
+        assert!(!KnnOp::broadcast(Point::ORIGIN, window(), 3).subset_on_loss());
         let top = TopCellsOp {
             buckets: grid,
             window: window(),
             k: 3,
         };
         assert!(!top.subset_on_loss());
+    }
+
+    #[test]
+    fn knn_forms_differ_in_name_targets_and_bound_only() {
+        let extent = BBox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0));
+        let workers: Vec<NodeId> = (1..=4).map(NodeId).collect();
+        let partition = PartitionMap::uniform(extent, 250.0, workers.clone());
+        // Worker 4 is down: no form may target it.
+        let alive: HashSet<NodeId> = workers[..3].iter().copied().collect();
+        let at = Point::new(400.0, 10.0);
+        let owner = partition.owner_of(at);
+        let others: Vec<NodeId> = all_alive(&alive)
+            .into_iter()
+            .filter(|w| *w != owner)
+            .collect();
+        // The disk reaches one of the two other alive shards.
+        let mut in_disk = partition.workers_for_region(BBox::around(at, 200.0));
+        in_disk.retain(|w| others.contains(w));
+        assert_eq!(in_disk.len(), 1);
+        use KnnTargets::{AllAlive, DiskExcept, Owner};
+        let form = |to, bound| KnnOp {
+            bound,
+            seed: vec![obs(7, 420.0)],
+            ..KnnOp::new(at, window(), 3, to)
+        };
+        for (op, name, targets) in [
+            (form(Owner(owner), None), "knn_phase1", vec![owner]),
+            (form(DiskExcept(owner), Some(200.0)), "knn_phase2", in_disk),
+            (form(DiskExcept(owner), None), "knn_phase2", others),
+            (form(AllAlive, None), "knn_broadcast", all_alive(&alive)),
+        ] {
+            assert_eq!(op.name(), name);
+            assert_eq!(op.targets(&partition, &alive), targets, "{name}");
+            let frame = Request::Knn {
+                at,
+                window: window(),
+                k: 3,
+                max_distance: op.bound,
+            };
+            assert_eq!(op.request(owner), frame);
+            // One merge: the seed competes with the partials for the top k.
+            let partials = vec![
+                (NodeId(2), vec![obs(1, 430.0), obs(2, 900.0)]),
+                (NodeId(3), vec![obs(3, 415.0), obs(4, 0.0)]),
+            ];
+            let nearest: Vec<u64> = op.merge(partials).iter().map(|o| o.id.seq()).collect();
+            assert_eq!(nearest, vec![3, 7, 1]);
+        }
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //!   every request through one `match` (with per-op serve counters), and
 //!   evaluates continuous-query predicates at ingest. Rows enter its
 //!   primary shard through `IngestSeq` (clients) or `InstallSegments`
-//!   (control plane), a replica log through `ReplicateSeq` or `Repair`,
-//!   and nothing else; replication is the sender's job.
+//!   (control plane), a `ReplicaLog` per backed-up primary through
+//!   `ReplicateSeq` or `Repair`, and nothing else; replication is the
+//!   sender's job. One function evaluates a read, over shard or log.
 //! * [`exec`] — the typed scatter/gather layer. The [`exec::Executor`]
 //!   holds one scatter loop: start every target's exchange, wait in
 //!   target order, re-send what is overdue by the measured round trip
@@ -42,7 +43,7 @@
 //!   the query plane.
 //! * [`QueryPlane`] — the lock-free **read path**: one entry,
 //!   [`QueryPlane::query`], runs a typed [`Query`] value ([`RangeOp`],
-//!   [`Knn`] — [`exec::KnnPhase1Op`] feeding [`exec::KnnPhase2Op`] —
+//!   [`Knn`] — two [`KnnOp`]s, the owner's answer bounding the rest —
 //!   [`HeatmapOp`], [`TopCellsOp`], or any other [`ReadOp`]) against the
 //!   current published plan, on a pool of fabric endpoints picked
 //!   round-robin — N client threads scatter/gather concurrently with
@@ -95,6 +96,7 @@ mod partition;
 pub(crate) mod plane;
 mod protocol;
 pub mod repair;
+mod replica;
 pub mod snapshot;
 pub mod stitch;
 mod worker;
@@ -109,7 +111,7 @@ pub use continuous::{ContinuousQueryId, InterestIndex, Notification, Predicate};
 pub use coordinator::{ClusterStats, Coordinator, RebalanceReport, ReconstructReport};
 pub use error::StcamError;
 pub use exec::{
-    Completeness, Degraded, DistributedOp, Executor, HeatmapOp, KnnBroadcastOp, OpPolicy, OpStats,
+    Completeness, Degraded, DistributedOp, Executor, HeatmapOp, KnnOp, OpPolicy, OpStats,
     QueryMode, RangeOp, ReadOp, TopCellsOp,
 };
 pub use health::HealthView;

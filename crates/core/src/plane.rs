@@ -41,7 +41,7 @@ use stcam_net::NodeId;
 use crate::admission::{AdmissionControl, AdmissionTicket, Deadline, QueryCtx};
 use crate::error::StcamError;
 use crate::exec::{
-    Completeness, Degraded, DistributedOp, ExecShared, Executor, KnnPhase1Op, KnnPhase2Op, OpStats,
+    Completeness, Degraded, DistributedOp, ExecShared, Executor, KnnOp, KnnTargets, OpStats,
     QueryMode, ReadOp,
 };
 use crate::health::HealthView;
@@ -304,8 +304,7 @@ impl Scatter<'_> {
 /// A typed read with a statically known answer — the value
 /// [`Cluster::query`](crate::Cluster::query) takes. Every [`ReadOp`]
 /// ([`RangeOp`](crate::RangeOp), [`HeatmapOp`](crate::HeatmapOp),
-/// [`TopCellsOp`](crate::TopCellsOp),
-/// [`KnnBroadcastOp`](crate::KnnBroadcastOp)) is one; [`Knn`] composes
+/// [`TopCellsOp`](crate::TopCellsOp), [`KnnOp`]) is one; [`Knn`] composes
 /// two.
 pub trait Query {
     /// What the read answers with.
@@ -329,8 +328,8 @@ impl<O: ReadOp> Query for O {
 
 /// The `k` observations nearest to `at` within `window`, via two-phase
 /// pruned search: the owner of `at`'s cell answers first
-/// ([`KnnPhase1Op`]), its k-th distance bounds the disk phase two
-/// scatters to ([`KnnPhase2Op`]). Both phases run against one plan
+/// (`"knn_phase1"`), its k-th distance bounds the disk phase two scatters
+/// to (`"knn_phase2"`). Both phases are [`KnnOp`]s run against one plan
 /// snapshot, so an interleaved failover cannot split the query across
 /// two routing views, and their completeness accounts are folded
 /// together. A degraded kNN is *not* a subset of the true answer
@@ -368,26 +367,15 @@ impl Query for Knn {
             &on.plan.alive,
             on.exec.health(),
         )?;
-        let phase1 = on.run(KnnPhase1Op {
-            owner,
-            at,
-            window,
-            k,
-        });
+        let phase1 = on.run(KnnOp::new(at, window, k, KnnTargets::Owner(owner)));
         let mut completeness = phase1.completeness;
         let seed = phase1.value;
-        let bound = if seed.len() >= k {
-            seed.last().map(|o| at.distance(o.position))
-        } else {
-            None
-        };
-        let phase2 = on.run(KnnPhase2Op {
-            at,
-            window,
-            k,
+        // The k-th distance, when phase one filled up (`k > 0` here).
+        let bound = seed.get(k - 1).map(|o| at.distance(o.position));
+        let phase2 = on.run(KnnOp {
             bound,
-            exclude: owner,
             seed,
+            ..KnnOp::new(at, window, k, KnnTargets::DiskExcept(owner))
         });
         completeness.absorb(phase2.completeness);
         Ok(Degraded {

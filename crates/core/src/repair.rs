@@ -106,19 +106,6 @@ impl DigestAccumulator {
     }
 }
 
-/// Sparse per-cell digests (`(packed cell, count, checksum)`, sorted by
-/// cell) over a set of observations. See [`DigestAccumulator`].
-pub(crate) fn digest_observations<'a, I>(grid: &GridSpec, observations: I) -> Vec<(u32, u32, u64)>
-where
-    I: IntoIterator<Item = &'a Observation>,
-{
-    let mut acc = DigestAccumulator::new(grid);
-    for o in observations {
-        acc.add(o);
-    }
-    acc.finish()
-}
-
 /// Resource bounds for one `Coordinator::repair` invocation, so repair
 /// traffic never starves foreground queries.
 #[derive(Debug, Clone, Copy)]
@@ -236,8 +223,27 @@ pub(crate) fn plan(
 ) -> RepairPlan {
     let by_node: HashMap<NodeId, &DigestReport> = digests.iter().map(|(n, r)| (*n, r)).collect();
     let mut out = RepairPlan::default();
+    // Primary copies of cells the map assigns to somebody else: a ceded
+    // cell whose evict was lost. Planned at any replication factor — a
+    // stray double-counts in reads whether or not anything is replicated.
+    // Only flagged when the assigned owner is alive — the drain has
+    // somewhere safe to put rows the owner may still be missing before
+    // the stale copy is truncated.
+    for (&holder, report) in &by_node {
+        for e in &report.primary {
+            let owner = partition.owner_of_packed(e.cell);
+            if owner != holder && alive.contains(&owner) {
+                out.strays.push(Deficit {
+                    owner,
+                    holder,
+                    cell: e.cell,
+                });
+            }
+        }
+    }
+    out.strays.sort_by_key(|d| (d.owner, d.cell, d.holder));
     if replication == 0 {
-        return out;
+        return out; // no replica copies to judge
     }
     let mut under: HashSet<(NodeId, u32)> = HashSet::new();
     for &owner in partition.workers() {
@@ -312,25 +318,8 @@ pub(crate) fn plan(
             }
         }
     }
-    // Primary copies of cells the map assigns to somebody else: a ceded
-    // cell whose evict was lost. Only flagged when the assigned owner is
-    // alive — the drain has somewhere safe to put rows the owner may
-    // still be missing before the stale copy is truncated.
-    for (&holder, report) in &by_node {
-        for e in &report.primary {
-            let owner = partition.owner_of_packed(e.cell);
-            if owner != holder && alive.contains(&owner) {
-                out.strays.push(Deficit {
-                    owner,
-                    holder,
-                    cell: e.cell,
-                });
-            }
-        }
-    }
     out.deficits.sort_by_key(|d| (d.owner, d.cell, d.holder));
     out.garbage.sort_by_key(|d| (d.owner, d.cell, d.holder));
-    out.strays.sort_by_key(|d| (d.owner, d.cell, d.holder));
     out.under_replicated_cells = under.len();
     out
 }
@@ -378,7 +367,11 @@ mod tests {
         let inside = obs(1, 0, 100.0, 100.0); // cell 0
         let outside = obs(2, 0, -500.0, -500.0); // clamps to cell 0
         let far = obs(3, 0, 700.0, 700.0); // cell 3
-        let digests = digest_observations(&grid, [&inside, &outside, &far]);
+        let mut acc = DigestAccumulator::new(&grid);
+        [&inside, &outside, &far]
+            .into_iter()
+            .for_each(|o| acc.add(o));
+        let digests = acc.finish();
         assert_eq!(digests.len(), 2);
         assert_eq!((digests[0].0, digests[0].1), (0, 2));
         assert_eq!((digests[1].0, digests[1].1), (3, 1));
@@ -624,16 +617,26 @@ mod tests {
     }
 
     #[test]
-    fn replication_zero_plans_nothing() {
+    fn replication_zero_plans_only_strays() {
         let partition = PartitionMap::uniform(extent(), 400.0, workers(3));
         let alive: HashSet<NodeId> = partition.workers().iter().copied().collect();
-        let digests = vec![(
-            NodeId(1),
-            DigestReport {
-                primary: vec![entry(0, 9, 9)],
-                replicas: vec![replica(NodeId(2), 0, 1, 1)],
-            },
-        )];
+        let owner = partition.owner_of_cell(CellId::new(0, 0));
+        let report = DigestReport {
+            primary: vec![entry(0, 9, 9)],
+            replicas: vec![replica(NodeId(2), 0, 1, 1)],
+        };
+        // Held by its owner, cell 0 needs nothing: no copy is required.
+        let digests = vec![(owner, report.clone())];
         assert!(plan(&digests, &partition, &alive, 0).is_converged());
+        // Held by anybody else it is a stray, and still the only finding.
+        let holder = partition.alive_successors(owner, 1, &alive)[0];
+        let plan = plan(&[(holder, report)], &partition, &alive, 0);
+        let stray = Deficit {
+            owner,
+            holder,
+            cell: 0,
+        };
+        assert_eq!(plan.strays, vec![stray]);
+        assert!(plan.deficits.is_empty() && plan.garbage.is_empty());
     }
 }

@@ -13,6 +13,12 @@
 //!   tier plus a copy-on-write head) and are reused across consecutive
 //!   reads until the next mutating request invalidates them.
 //!
+//! Beside its own shard a worker holds a [`ReplicaLog`] per backed-up
+//! primary — unindexed rows, read only by a failover
+//! [`Request::ReplicaRead`] and the digest sweep. One function,
+//! `execute_read`, evaluates a read request, over a snapshot or over a
+//! log.
+//!
 //! Per-link FIFO delivery plus sequential dispatch on the control lane
 //! guarantee that a read observes every write the same client issued
 //! before it. Oversize read results never ship as one frame: replies go
@@ -27,12 +33,13 @@ use parking_lot::Mutex;
 use stcam_camnet::{Observation, ObservationId, Signature, SIGNATURE_DIM};
 use stcam_codec::{decode_from_slice, encode_to_vec};
 use stcam_geo::{BBox, GridSpec};
-use stcam_index::{slice_number, IndexConfig, ReadView, SegmentDigest, StIndex};
+use stcam_index::{IndexConfig, ReadView, SegmentDigest, StIndex};
 use stcam_net::{Endpoint, Envelope, MessageKind, NodeId, Waker};
 
 use crate::continuous::{InterestIndex, Notification};
 use crate::paging;
 use crate::protocol::{Request, Response, WorkerStatsMsg, PROJ_THIN};
+use crate::replica::{ReplicaLog, RowSource};
 
 /// Per-sender sequence numbers remembered for retransmission dedup;
 /// lowest are evicted beyond this. 256 far exceeds any sender's in-flight
@@ -195,20 +202,6 @@ fn reply_paged(endpoint: &Endpoint, shared: &ReadShared, envelope: &Envelope, re
     let _ = endpoint.reply(envelope, encode_to_vec(&response));
 }
 
-/// Sparsifies a dense heat-map into `(bucket, count)` pairs. Heat-map
-/// family partials always ship sparse: a shard's shard-local answer
-/// occupies only its own region's buckets, so the dense vector is mostly
-/// zeros and the sparse frame is both smaller and far cheaper to
-/// varint-decode on the client.
-fn sparse_counts(dense: Vec<u64>) -> Vec<(u32, u64)> {
-    dense
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, count)| count > 0)
-        .map(|(idx, count)| (idx as u32, count))
-        .collect()
-}
-
 /// Applies the `Range`-family pushdown tail to a result row set: the
 /// per-shard `limit` cutoff (lowest observation ids first, matching the
 /// client's global merge-and-truncate) and the column projection
@@ -228,18 +221,19 @@ fn finish_rows(mut rows: Vec<Observation>, limit: u32, projection: u8) -> Vec<Ob
     rows
 }
 
-/// Executes one read-only request against an immutable shard snapshot —
-/// the one place each read kind is evaluated against the index. Runs on
-/// pool threads (and on the control lane for pool-less workers); must
-/// not touch worker state beyond `shared`.
-fn execute_read(view: &ReadView, shared: &ReadShared, request: Request) -> Response {
+/// Executes one read-only request over `rows` — a shard snapshot, or the
+/// replica log a failover read addresses: the one place that decides
+/// what each read kind means, whichever copy answers. Runs on pool
+/// threads (and on the control lane for pool-less workers and replica
+/// reads); must not touch worker state beyond `shared`.
+fn execute_read(rows: &impl RowSource, shared: &ReadShared, request: Request) -> Response {
     match request {
         Request::Range {
             region,
             window,
             limit,
             projection,
-        } => Response::Observations(finish_rows(view.range(region, window), limit, projection)),
+        } => Response::Observations(finish_rows(rows.range(region, window), limit, projection)),
         Request::RangeFiltered {
             region,
             window,
@@ -248,12 +242,9 @@ fn execute_read(view: &ReadView, shared: &ReadShared, request: Request) -> Respo
             projection,
         } => match stcam_world::EntityClass::from_u8(class) {
             Some(class) => {
-                let rows = view
-                    .range(region, window)
-                    .into_iter()
-                    .filter(|o| o.class == class)
-                    .collect();
-                Response::Observations(finish_rows(rows, limit, projection))
+                let mut hits = rows.range(region, window);
+                hits.retain(|o| o.class == class);
+                Response::Observations(finish_rows(hits, limit, projection))
             }
             None => Response::Error(format!("invalid class {class}")),
         },
@@ -263,7 +254,7 @@ fn execute_read(view: &ReadView, shared: &ReadShared, request: Request) -> Respo
             k,
             max_distance,
         } => {
-            let mut hits = view.knn(at, window, k as usize);
+            let mut hits = rows.knn(at, window, k as usize);
             if let Some(limit) = max_distance {
                 hits.retain(|o| at.distance(o.position) <= limit);
             }
@@ -271,7 +262,12 @@ fn execute_read(view: &ReadView, shared: &ReadShared, request: Request) -> Respo
             Response::Observations(hits)
         }
         Request::Heatmap { buckets, window } => {
-            Response::CellCounts(sparse_counts(view.heatmap(&buckets, window)))
+            // Always sparse: a shard's answer occupies only its own
+            // region's buckets, so the dense vector is mostly zeros and the
+            // sparse frame is smaller and far cheaper to varint-decode.
+            let dense = rows.heatmap(&buckets, window);
+            let occupied = (0u32..).zip(dense).filter(|&(_, count)| count > 0);
+            Response::CellCounts(occupied.collect())
         }
         Request::FetchPage { cursor, page } => shared.fetch_page(cursor, page),
         other => Response::Error(format!("{} is not pool-servable", other.op_name())),
@@ -317,7 +313,7 @@ impl ReadPool {
                         while let Ok(job) = rx.recv() {
                             let started = std::time::Instant::now();
                             shared.count(job.request.op_name());
-                            let response = execute_read(&job.view, &shared, job.request);
+                            let response = execute_read(&*job.view, &shared, job.request);
                             shared.record_busy(started.elapsed());
                             reply_paged(&endpoint, &shared, &job.envelope, response);
                         }
@@ -350,7 +346,7 @@ impl Drop for ReadPool {
 /// A worker node: owns the local shard, answers sub-queries from the
 /// coordinator, and evaluates continuous-query predicates at ingest time.
 /// Rows enter the primary shard through [`Request::IngestSeq`] (clients)
-/// or [`Request::InstallSegments`] (control plane), a replica log through
+/// or [`Request::InstallSegments`] (control plane), a `ReplicaLog` through
 /// [`Request::ReplicateSeq`] or [`Request::Repair`], and nothing else —
 /// replication is the *sender's* job, never forwarded from here.
 ///
@@ -363,11 +359,8 @@ pub struct Worker {
     endpoint: Arc<Endpoint>,
     config: WorkerConfig,
     index: StIndex,
-    /// Append-only replica logs, one per primary this worker backs up.
-    replica_logs: HashMap<NodeId, Vec<Observation>>,
-    /// Ids present in each replica log, so sequenced replica writes and
-    /// repair streams never append the same observation twice.
-    replica_seen: HashMap<NodeId, HashSet<ObservationId>>,
+    /// One row log per primary this worker backs up.
+    replicas: HashMap<NodeId, ReplicaLog>,
     /// Standing-query registrations, bucketed by (coarse cell, class)
     /// so ingest-time matching is sub-linear in the registration count.
     continuous: InterestIndex,
@@ -404,8 +397,7 @@ impl Worker {
             endpoint: Arc::new(endpoint),
             config,
             index,
-            replica_logs: HashMap::new(),
-            replica_seen: HashMap::new(),
+            replicas: HashMap::new(),
             continuous,
             route: None,
             ingest_seqs: SeqMemory::default(),
@@ -442,10 +434,10 @@ impl Worker {
         }
     }
 
-    /// Whether a request is answerable from an immutable shard snapshot
-    /// and therefore eligible for the read executor pool. `ReplicaRead`
-    /// is not: it reads the replica logs, which only the control lane
-    /// owns — acceptable, since it is failover-only traffic.
+    /// Whether a request is one `execute_read` answers: eligible for the
+    /// read executor pool, and (a page pull aside) for wrapping in a
+    /// `ReplicaRead`. The `ReplicaRead` itself is not pooled: it reads the
+    /// replica logs, which only the control lane owns — failover-only traffic.
     fn pool_servable(request: &Request) -> bool {
         matches!(
             request,
@@ -563,7 +555,18 @@ impl Worker {
             Request::EvictBefore { cutoff, epoch } => self.serve_evict_before(cutoff, epoch),
             Request::Promote { failed, epoch } => self.serve_promote(failed, epoch),
             Request::Census => self.serve_census(),
-            Request::ReplicaRead { of, inner } => self.serve_replica_read(of, *inner),
+            // A read against the log held for an unreachable primary
+            // (none held reads as an empty log): same evaluation, and
+            // every scan is linear — acceptable while the primary is down.
+            Request::ReplicaRead { of, inner }
+                if Self::pool_servable(&inner) && !matches!(*inner, Request::FetchPage { .. }) =>
+            {
+                let log = self.replicas.get(&of);
+                execute_read(log.unwrap_or(&ReplicaLog::default()), &self.shared, *inner)
+            }
+            Request::ReplicaRead { inner, .. } => {
+                Response::Error(format!("{} is not replica-readable", inner.op_name()))
+            }
             Request::CellDigest { grid } => self.serve_cell_digest(grid),
             Request::Repair {
                 primary,
@@ -576,19 +579,6 @@ impl Worker {
             Request::SegmentDigest => Response::SegmentDigests(self.index.segment_digests()),
             Request::ExportSegments { region, skip } => self.serve_export_segments(region, skip),
             Request::InstallSegments { frames, head } => self.serve_install_segments(frames, head),
-        }
-    }
-
-    /// Appends `batch` to the replica log held for `primary`, skipping
-    /// observations already present (a sender re-routing after a
-    /// failover delivers the same data under a fresh sequence number).
-    fn append_replica(&mut self, primary: NodeId, batch: Vec<Observation>) {
-        let log = self.replica_logs.entry(primary).or_default();
-        let ids = self.replica_seen.entry(primary).or_default();
-        for obs in batch {
-            if ids.insert(obs.id) {
-                log.push(obs);
-            }
         }
     }
 
@@ -653,7 +643,7 @@ impl Worker {
             return answer;
         }
         let accepted = batch.len() as u32;
-        self.append_replica(primary, batch);
+        self.replicas.entry(primary).or_default().append(batch);
         let answer = Response::IngestAck { seq, accepted };
         self.replicate_seqs.remember(sender, seq, answer.clone());
         answer
@@ -703,19 +693,17 @@ impl Worker {
             })
             .collect();
         let mut replicas: Vec<crate::protocol::ReplicaDigestEntry> = Vec::new();
-        for (&of, log) in &self.replica_logs {
-            replicas.extend(
-                crate::repair::digest_observations(&grid, log.iter())
-                    .into_iter()
-                    .map(
-                        |(cell, count, checksum)| crate::protocol::ReplicaDigestEntry {
-                            primary: of,
-                            cell,
-                            count,
-                            checksum,
-                        },
-                    ),
-            );
+        for (&of, log) in &self.replicas {
+            let mut acc = crate::repair::DigestAccumulator::new(&grid);
+            log.digest_into(&mut acc);
+            replicas.extend(acc.finish().into_iter().map(|(cell, count, checksum)| {
+                crate::protocol::ReplicaDigestEntry {
+                    primary: of,
+                    cell,
+                    count,
+                    checksum,
+                }
+            }));
         }
         replicas.sort_by_key(|e| (e.primary, e.cell));
         Response::Digests(crate::protocol::DigestReport { primary, replicas })
@@ -759,27 +747,15 @@ impl Worker {
                 }
             }
         } else {
-            let log = self.replica_logs.entry(primary).or_default();
-            let ids = self.replica_seen.entry(primary).or_default();
+            let log = self.replicas.entry(primary).or_default();
             if truncate {
-                log.retain(|o| {
-                    let stale = region.contains(o.position);
-                    if stale {
-                        ids.remove(&o.id);
-                    }
-                    !stale
-                });
+                log.truncate(region);
             }
-            for o in batch {
-                if ids.insert(o.id) {
-                    log.push(o);
-                }
-            }
+            log.append(batch);
             // An emptied log reads as "nothing held for that primary",
             // matching a fresh worker.
-            if log.is_empty() {
-                self.replica_logs.remove(&primary);
-                self.replica_seen.remove(&primary);
+            if log.rows().is_empty() {
+                self.replicas.remove(&primary);
             }
         }
         Response::Ack
@@ -800,8 +776,7 @@ impl Worker {
             return rejected;
         }
         self.index = StIndex::new(self.config.index.clone());
-        self.replica_logs.clear();
-        self.replica_seen.clear();
+        self.replicas.clear();
         self.seen.clear();
         self.continuous.clear();
         self.ingest_seqs = SeqMemory::default();
@@ -861,8 +836,7 @@ impl Worker {
         if let Some(rejected) = self.fence(epoch) {
             return rejected;
         }
-        let log = self.replica_logs.remove(&failed).unwrap_or_default();
-        self.replica_seen.remove(&failed);
+        let log = self.replicas.remove(&failed).unwrap_or_default().take();
         // The same observations may already be primary here — a sender
         // whose ack from `failed` was lost retransmits to this worker
         // after failover. Promote through the seen-id filter so they
@@ -873,91 +847,6 @@ impl Worker {
         Response::Ack
     }
 
-    /// Answers a read against the replica log held for an unreachable
-    /// primary. The log is an unindexed append-only vector, so every
-    /// replica read is a scan — acceptable for the degraded path, which
-    /// only runs while the primary is down.
-    fn serve_replica_read(&mut self, of: NodeId, inner: Request) -> Response {
-        let log: &[Observation] = self.replica_logs.get(&of).map_or(&[], |v| v.as_slice());
-        match inner {
-            Request::Range {
-                region,
-                window,
-                limit,
-                projection,
-            } => {
-                let rows = log
-                    .iter()
-                    .filter(|o| region.contains(o.position) && window.contains(o.time))
-                    .cloned()
-                    .collect();
-                Response::Observations(finish_rows(rows, limit, projection))
-            }
-            Request::RangeFiltered {
-                region,
-                window,
-                class,
-                limit,
-                projection,
-            } => match stcam_world::EntityClass::from_u8(class) {
-                Some(class) => {
-                    let rows = log
-                        .iter()
-                        .filter(|o| {
-                            o.class == class
-                                && region.contains(o.position)
-                                && window.contains(o.time)
-                        })
-                        .cloned()
-                        .collect();
-                    Response::Observations(finish_rows(rows, limit, projection))
-                }
-                None => Response::Error(format!("invalid class {class}")),
-            },
-            Request::Knn {
-                at,
-                window,
-                k,
-                max_distance,
-            } => {
-                let mut hits: Vec<Observation> = log
-                    .iter()
-                    .filter(|o| window.contains(o.time))
-                    .cloned()
-                    .collect();
-                crate::exec::sort_knn(&mut hits, at);
-                hits.truncate(k as usize);
-                if let Some(limit) = max_distance {
-                    hits.retain(|o| at.distance(o.position) <= limit);
-                }
-                Response::Observations(hits)
-            }
-            Request::Heatmap { buckets, window } => {
-                Response::CellCounts(sparse_counts(Self::log_heatmap(log, &buckets, window)))
-            }
-            other => Response::Error(format!("{} is not replica-readable", other.op_name())),
-        }
-    }
-
-    /// Dense per-bucket counts over an unindexed replica log, matching the
-    /// bucket flattening of `StIndex::heatmap` (row-major).
-    fn log_heatmap(
-        log: &[Observation],
-        grid: &stcam_geo::GridSpec,
-        window: stcam_geo::TimeInterval,
-    ) -> Vec<u64> {
-        let mut counts = vec![0u64; grid.cell_count() as usize];
-        for o in log {
-            if !window.contains(o.time) {
-                continue;
-            }
-            if let Some(cell) = grid.cell_of(o.position) {
-                counts[cell.row as usize * grid.cols() as usize + cell.col as usize] += 1;
-            }
-        }
-        counts
-    }
-
     fn serve_evict_before(&mut self, cutoff: stcam_geo::Timestamp, epoch: u64) -> Response {
         if let Some(rejected) = self.fence(epoch) {
             return rejected;
@@ -966,17 +855,8 @@ impl Worker {
         // Both copies evict by slice: a replica row goes iff the primary
         // dropped its slice, and its dedup id goes with it, so the copies
         // keep matching digests and a later repair stream can re-add it.
-        let slice_len = self.config.index.slice_len;
-        for (primary, log) in &mut self.replica_logs {
-            let ids = self.replica_seen.entry(*primary).or_default();
-            log.retain(|o| {
-                let slice_end = (slice_number(o.time, slice_len) + 1) * slice_len.as_millis();
-                let stale = slice_end <= cutoff.as_millis();
-                if stale {
-                    ids.remove(&o.id);
-                }
-                !stale
-            });
+        for log in self.replicas.values_mut() {
+            log.evict_slices_before(cutoff, self.config.index.slice_len);
         }
         Response::Ack
     }
@@ -995,7 +875,7 @@ impl Worker {
             }
             None => (0, None, Vec::new()),
         };
-        let mut replica_of: Vec<NodeId> = self.replica_logs.keys().copied().collect();
+        let mut replica_of: Vec<NodeId> = self.replicas.keys().copied().collect();
         replica_of.sort_unstable_by_key(|n| n.0);
         let registrations = self
             .continuous
@@ -1051,7 +931,11 @@ impl Worker {
         let index_stats = self.index.stats();
         WorkerStatsMsg {
             primary_observations: self.index.len() as u64,
-            replica_observations: self.replica_logs.values().map(|v| v.len() as u64).sum(),
+            replica_observations: self
+                .replicas
+                .values()
+                .map(|log| log.rows().len() as u64)
+                .sum(),
             ingested_total: self.ingested_total,
             notifications_sent: self.notifications_sent,
             continuous_queries: self.continuous.len() as u64,
@@ -1170,8 +1054,11 @@ mod tests {
 
     /// Sorted sequence numbers of the replica log held for `primary`.
     fn log_seqs(worker: &Worker, primary: NodeId) -> Vec<u64> {
-        let log = worker.replica_logs.get(&primary);
-        let mut seqs: Vec<u64> = log.into_iter().flatten().map(|o| o.id.seq()).collect();
+        let rows = worker
+            .replicas
+            .get(&primary)
+            .map_or(&[][..], |log| log.rows());
+        let mut seqs: Vec<u64> = rows.iter().map(|o| o.id.seq()).collect();
         seqs.sort_unstable();
         seqs
     }
@@ -1748,100 +1635,195 @@ mod tests {
         assert_eq!(stats.replica_observations, 0);
     }
 
-    #[test]
-    fn replica_read_answers_from_the_replica_log() {
-        let (_fabric, mut worker) = lone_worker();
-        // Primary data must NOT leak into replica reads.
-        worker.handle_request(ingest_req(vec![obs(90, 0, 500.0, 500.0)]));
-        let mut truck = obs(1, 0, 20.0, 20.0);
-        truck.class = EntityClass::Truck;
-        worker.handle_request(replicate_req(
-            NodeId(7),
-            vec![obs(0, 0, 10.0, 10.0), truck, obs(2, 80_000, 30.0, 30.0)],
-        ));
-        let region = BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
-        let replica_read = |inner: Request| Request::ReplicaRead {
-            of: NodeId(7),
-            inner: Box::new(inner),
+    /// What `inner` means over `rows`, worked out the slow way; a range in
+    /// id order, as the client's merge leaves it.
+    fn reference_answer(rows: &[Observation], inner: &Request) -> Response {
+        let select = |region: &BBox, window: &TimeInterval, class: Option<_>, limit, thin| {
+            let mut hits: Vec<Observation> = rows
+                .iter()
+                .filter(|o| region.contains(o.position) && window.contains(o.time))
+                .filter(|o| class.is_none_or(|c| o.class == c))
+                .cloned()
+                .collect();
+            hits.sort_by_key(|o| o.id);
+            hits.truncate(if limit == 0 {
+                usize::MAX
+            } else {
+                limit as usize
+            });
+            if thin {
+                for o in &mut hits {
+                    o.signature = Signature::new([0.0; SIGNATURE_DIM]);
+                    o.truth = None;
+                }
+            }
+            Response::Observations(hits)
         };
-        match worker.handle_request(replica_read(Request::Range {
-            region,
-            window: window_all(),
-            limit: 0,
-            projection: PROJ_FULL,
-        })) {
-            Response::Observations(hits) => {
-                let mut seqs: Vec<u64> = hits.iter().map(|o| o.id.seq()).collect();
-                seqs.sort_unstable();
-                assert_eq!(seqs, vec![0, 1, 2]);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
-        // Time window and class filters apply on the log scan too.
-        match worker.handle_request(replica_read(Request::RangeFiltered {
-            region,
-            window: TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(60)),
-            class: EntityClass::Truck.as_u8(),
-            limit: 0,
-            projection: PROJ_FULL,
-        })) {
-            Response::Observations(hits) => {
-                assert_eq!(hits.len(), 1);
-                assert_eq!(hits[0].id.seq(), 1);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
-        match worker.handle_request(replica_read(Request::Knn {
-            at: Point::new(0.0, 0.0),
-            window: window_all(),
-            k: 2,
-            max_distance: None,
-        })) {
-            Response::Observations(hits) => {
-                assert_eq!(hits.len(), 2);
-                assert_eq!(hits[0].id.seq(), 0);
-                assert_eq!(hits[1].id.seq(), 1);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
-        let buckets = GridSpec::new(Point::new(0.0, 0.0), 100.0, 10, 10);
-        match worker.handle_request(replica_read(Request::Heatmap {
-            buckets,
-            window: window_all(),
-        })) {
-            Response::CellCounts(cells) => {
-                assert_eq!(cells, vec![(0, 3)]);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
-        // An unknown primary reads as an empty log, not an error.
-        match worker.handle_request(Request::ReplicaRead {
-            of: NodeId(42),
-            inner: Box::new(Request::Range {
+        match inner {
+            Request::Range {
                 region,
-                window: window_all(),
-                limit: 0,
-                projection: PROJ_FULL,
-            }),
-        }) {
-            Response::Observations(hits) => assert!(hits.is_empty()),
-            other => panic!("unexpected response {other:?}"),
+                window,
+                limit,
+                projection,
+            } => select(region, window, None, *limit, *projection == PROJ_THIN),
+            Request::RangeFiltered {
+                region,
+                window,
+                class,
+                limit,
+                projection,
+            } => match EntityClass::from_u8(*class) {
+                Some(c) => select(region, window, Some(c), *limit, *projection == PROJ_THIN),
+                None => Response::Error(format!("invalid class {class}")),
+            },
+            Request::Knn {
+                at,
+                window,
+                k,
+                max_distance,
+            } => {
+                let reach = max_distance.unwrap_or(f64::INFINITY);
+                let mut hits: Vec<(f64, Observation)> = rows
+                    .iter()
+                    .filter(|o| window.contains(o.time))
+                    .map(|o| (at.distance(o.position), o.clone()))
+                    .filter(|(d, _)| *d <= reach)
+                    .collect();
+                hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id)));
+                hits.truncate(*k as usize);
+                Response::Observations(hits.into_iter().map(|(_, o)| o).collect())
+            }
+            Request::Heatmap { buckets, window } => {
+                let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
+                for o in rows.iter().filter(|o| window.contains(o.time)) {
+                    if let Some(cell) = buckets.cell_of(o.position) {
+                        *counts
+                            .entry(cell.row * buckets.cols() + cell.col)
+                            .or_default() += 1;
+                    }
+                }
+                Response::CellCounts(counts.into_iter().collect())
+            }
+            other => panic!("{} is not a shard read", other.op_name()),
         }
     }
 
+    /// One function decides what a read means, whichever copy answers:
+    /// the same rows as a primary shard and as a replica log give the
+    /// reference answer to every read, pushdowns included.
     #[test]
-    fn non_read_requests_are_not_replica_readable() {
-        let (_fabric, mut worker) = lone_worker();
-        match worker.handle_request(Request::ReplicaRead {
-            of: NodeId(7),
-            inner: Box::new(Request::EvictBefore {
-                cutoff: Timestamp::ZERO,
-                epoch: 0,
-            }),
-        }) {
-            Response::Error(msg) => assert!(msg.contains("not replica-readable")),
-            other => panic!("unexpected response {other:?}"),
+    fn replica_read_answers_from_the_replica_log() {
+        let fabric = Fabric::new(LinkModel::instant());
+        let mut primary = Worker::new(fabric.register(NodeId(7)), config(0));
+        let mut holder = Worker::new(fabric.register(NodeId(1)), config(0));
+        // 30 rows over 87 s (nine 10 s slices, so the shard seals some),
+        // cars and trucks alternating, spread over the extent.
+        let rows: Vec<Observation> = (0..30u64)
+            .map(|i| {
+                let (x, y) = ((i * 97 % 1000) as f64, (i * 53 % 1000) as f64);
+                let mut o = obs(i, i * 3_000, x, y);
+                if i % 2 == 1 {
+                    o.class = EntityClass::Truck;
+                }
+                o
+            })
+            .collect();
+        primary.handle_request(ingest_req(rows.clone()));
+        // The log fills newest first, and the holder's own shard must not
+        // leak into replica reads.
+        holder.handle_request(replicate_req(
+            NodeId(7),
+            rows.iter().rev().cloned().collect(),
+        ));
+        holder.handle_request(ingest_req(vec![obs(90, 0, 500.0, 500.0)]));
+
+        let region = BBox::new(Point::new(0.0, 0.0), Point::new(600.0, 1000.0));
+        let minute = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(60));
+        let range = |limit, projection| Request::Range {
+            region,
+            window: minute,
+            limit,
+            projection,
+        };
+        let filtered = |class: u8| Request::RangeFiltered {
+            region,
+            window: minute,
+            class,
+            limit: 0,
+            projection: PROJ_FULL,
+        };
+        let knn = |k, max_distance| Request::Knn {
+            at: Point::new(300.0, 300.0),
+            window: minute,
+            k,
+            max_distance,
+        };
+        let heatmap = |cell_size, side| Request::Heatmap {
+            buckets: GridSpec::new(Point::ORIGIN, cell_size, side, side),
+            window: minute,
+        };
+        let (truck, bicycle) = (EntityClass::Truck.as_u8(), EntityClass::Bicycle.as_u8());
+        // Each read, and the least its answer must hold (rows, or counted
+        // observations), so no line passes on empty answers.
+        let table = [
+            ("range", range(0, PROJ_FULL), 6),
+            ("range limit", range(5, PROJ_FULL), 5),
+            ("range thin", range(0, PROJ_THIN), 6),
+            ("class held", filtered(truck), 1),
+            ("class absent", filtered(bicycle), 0),
+            ("class invalid", filtered(200), 0),
+            ("knn", knn(4, None), 4),
+            ("knn within 250 m", knn(20, Some(250.0)), 1),
+            ("knn k above population", knn(50, None), 20),
+            // The index grid is 50 m: buckets coarser and finer than it.
+            ("heatmap coarse", heatmap(250.0, 4), 20),
+            ("heatmap fine", heatmap(10.0, 100), 20),
+        ];
+        let size = |response: &Response| match response {
+            Response::Observations(rows) => rows.len(),
+            Response::CellCounts(cells) => cells.iter().map(|c| c.1 as usize).sum(),
+            _ => 0,
+        };
+        // The client's merge sorts a range by id; the log keeps arrival
+        // order. kNN answers are ordered by the worker either way.
+        let merged = |mut response: Response, inner: &Request| {
+            if let (Response::Observations(v), false) =
+                (&mut response, matches!(inner, Request::Knn { .. }))
+            {
+                v.sort_by_key(|o| o.id);
+            }
+            response
+        };
+        let replica_read = |of, inner: &Request| Request::ReplicaRead {
+            of,
+            inner: Box::new(inner.clone()),
+        };
+        for (name, inner, at_least) in &table {
+            let want = reference_answer(&rows, inner);
+            assert!(size(&want) >= *at_least, "{name} is vacuous");
+            let direct = primary.handle_request(inner.clone());
+            assert_eq!(merged(direct, inner), want, "{name}, primary");
+            let failover = holder.handle_request(replica_read(NodeId(7), inner));
+            assert_eq!(merged(failover, inner), want, "{name}, replica");
+            // A primary nothing is held for reads as an empty shard, not
+            // as an error.
+            let unknown = holder.handle_request(replica_read(NodeId(42), inner));
+            assert_eq!(unknown, reference_answer(&[], inner), "{name}, unknown");
         }
+        // Only shard reads may be wrapped: no mutation, and no page pull.
+        let evict = Request::EvictBefore {
+            cutoff: Timestamp::ZERO,
+            epoch: 0,
+        };
+        let pull = Request::FetchPage { cursor: 1, page: 1 };
+        for refused in [evict, pull] {
+            match holder.handle_request(replica_read(NodeId(7), &refused)) {
+                Response::Error(msg) => assert!(msg.contains("not replica-readable")),
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+        let held = holder.stats().replica_observations;
+        assert_eq!(held, 30, "a read mutated the log");
     }
 
     #[test]

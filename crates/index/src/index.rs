@@ -24,10 +24,6 @@ pub struct IndexConfig {
     pub cell_size: f64,
     /// Temporal slice length.
     pub slice_len: Duration,
-    /// Retention budget in observations; `0` means unbounded. When
-    /// exceeded, whole oldest slices are evicted (the open slice is never
-    /// evicted).
-    pub max_observations: usize,
     /// Number of most-recent slice numbers kept in the mutable head;
     /// older slices are sealed into immutable columnar segments when the
     /// maximum slice number advances. `usize::MAX` disables sealing
@@ -43,7 +39,7 @@ pub struct IndexConfig {
 pub const DEFAULT_HEAD_SLICES: usize = 2;
 
 impl IndexConfig {
-    /// Creates an unbounded config with the default head depth.
+    /// Creates a config with the default head depth.
     ///
     /// # Panics
     ///
@@ -57,16 +53,9 @@ impl IndexConfig {
             extent,
             cell_size,
             slice_len,
-            max_observations: 0,
             head_slices: DEFAULT_HEAD_SLICES,
             spill_dir: None,
         }
-    }
-
-    /// Replaces the retention budget.
-    pub fn with_max_observations(mut self, max: usize) -> Self {
-        self.max_observations = max;
-        self
     }
 
     /// Replaces the head depth (`usize::MAX` disables sealing).
@@ -240,7 +229,6 @@ impl StIndex {
             self.max_number = Some(number);
             self.seal_closed();
         }
-        self.enforce_budget();
     }
 
     /// Bulk insertion.
@@ -279,18 +267,15 @@ impl StIndex {
         let slice = Arc::try_unwrap(slice).unwrap_or_else(|shared| (*shared).clone());
         let window = slice.window();
         let mut buckets = slice.into_buckets();
-        let existing = self.sealed.take_number(number);
-        if existing.is_empty() && buckets.iter().all(Vec::is_empty) {
-            return;
-        }
-        for segment in existing {
+        for segment in self.sealed.take_number(number) {
             for obs in segment.unseal() {
                 let cell = self.grid.cell_of_clamped(obs.position);
                 buckets[(cell.row * self.grid.cols() + cell.col) as usize].push(obs);
             }
         }
-        self.sealed
-            .add(SealedSegment::seal(number, window, &buckets));
+        if let Some(segment) = SealedSegment::seal(number, window, &buckets) {
+            self.sealed.add(segment);
+        }
     }
 
     /// Forces every head slice — the open one included — into the
@@ -301,25 +286,6 @@ impl StIndex {
         let numbers: Vec<u64> = self.head.keys().copied().collect();
         for number in numbers {
             self.seal_number(number);
-        }
-    }
-
-    fn enforce_budget(&mut self) {
-        if self.config.max_observations == 0 {
-            return;
-        }
-        while self.len > self.config.max_observations && self.slice_count() > 1 {
-            let oldest = [self.head.keys().next().copied(), self.sealed.first_number()]
-                .into_iter()
-                .flatten()
-                .min()
-                .expect("non-empty");
-            if let Some(slice) = self.head.remove(&oldest) {
-                self.len -= slice.len();
-            }
-            for segment in self.sealed.take_number(oldest) {
-                self.len -= segment.len();
-            }
         }
     }
 
@@ -561,7 +527,6 @@ impl StIndex {
         }
         self.len += segment.len();
         self.sealed.add(segment);
-        self.enforce_budget();
         true
     }
 }
@@ -932,37 +897,6 @@ mod tests {
         index.evict_before(Timestamp::from_secs(1_000));
         assert!(index.is_empty());
         assert_eq!(index.stats().sealed_segments, 0);
-    }
-
-    #[test]
-    fn memory_budget_evicts_oldest_slices() {
-        let cfg = config().with_max_observations(100);
-        let mut index = StIndex::new(cfg);
-        for i in 0..300u64 {
-            index.insert(obs(i, i * 200, 500.0, 500.0)); // 50 obs per 10 s slice
-        }
-        assert!(index.len() <= 100, "len {}", index.len());
-        // Newest observations retained.
-        let newest = index
-            .range(
-                BBox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0)),
-                window(0, 10_000_000),
-            )
-            .last()
-            .unwrap()
-            .id
-            .seq();
-        assert_eq!(newest, 299);
-    }
-
-    #[test]
-    fn budget_never_evicts_the_only_slice() {
-        let cfg = config().with_max_observations(10);
-        let mut index = StIndex::new(cfg);
-        for i in 0..50u64 {
-            index.insert(obs(i, 1_000, 500.0, 500.0)); // all in one slice
-        }
-        assert_eq!(index.len(), 50);
     }
 
     #[test]

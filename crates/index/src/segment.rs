@@ -182,44 +182,17 @@ impl Drop for SealedSegment {
 impl SealedSegment {
     /// Seals cell buckets (dense, indexed by packed cell) into a segment.
     /// Rows inside each bucket keep their stored order; empty buckets
-    /// produce no block.
+    /// produce no block, and no rows at all no segment.
     pub(crate) fn seal(
         number: u64,
         window: TimeInterval,
         buckets: &[Vec<Observation>],
-    ) -> SealedSegment {
-        let mut payload = Vec::new();
-        let mut directory = Vec::new();
-        let mut count = 0u64;
-        let mut checksum = 0u64;
+    ) -> Option<SealedSegment> {
+        let mut builder = SegmentBuilder::new(number, window);
         for (cell, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let offset = payload.len() as u32;
-            encode_batch(bucket, &mut payload);
-            let block_checksum = bucket
-                .iter()
-                .fold(0u64, |acc, o| acc ^ observation_checksum(o));
-            directory.push(SegmentBlock {
-                cell: cell as u32,
-                offset,
-                len: payload.len() as u32 - offset,
-                count: bucket.len() as u32,
-                checksum: block_checksum,
-            });
-            count += bucket.len() as u64;
-            checksum ^= block_checksum;
+            builder.push_rows(cell as u32, bucket);
         }
-        SealedSegment {
-            number,
-            window,
-            count,
-            checksum,
-            directory,
-            data: SegmentData::Resident(payload),
-            memo: HeatmapMemo::default(),
-        }
+        builder.finish()
     }
 
     /// Time-slice number this segment covers.

@@ -2,8 +2,8 @@
 # Prints the surface numbers every CHANGES.md line counts (ROADMAP item 4's
 # gate): protocol variants, DistributedOp impls, public methods of the two
 # facades, the size of crates/core/src and of the five files the gate names,
-# the worker calls made outside the one scatter loop, and the message
-# layouts still written by hand.
+# the worker calls made outside the one scatter loop, the message layouts
+# still written by hand, and the worker's replica maps and read evaluators.
 # Usage: scripts/surface.sh            print "name value" lines
 #        scripts/surface.sh --check    also fail when a value exceeds its
 #                                      ceiling in scripts/surface.ceilings
@@ -60,6 +60,13 @@ surface() {
     # Message layouts written by hand instead of declared (`wire_struct!` /
     # `wire_enum!`): `Predicate`, for its class check.
     echo "core_hand_written_wire_impls $(count_non_test '^impl Wire for')"
+    # Maps of replica state keyed by primary: one, of `ReplicaLog`s. A second
+    # is a parallel structure some call site must keep in step by hand.
+    echo "worker_replica_maps $(count_non_test '^ +replica[a-z_]*: HashMap<NodeId, ')"
+    # Call sites of the Range pushdown tail (limit, projection): the plain
+    # and the class-filtered arm of `execute_read`. More means a second
+    # function evaluates reads.
+    echo "worker_finish_rows_calls $(count_non_test '(^|[^n] |[^ ])finish_rows\(')"
 }
 
 surface

@@ -4,9 +4,7 @@
 
 use std::time::Duration as StdDuration;
 
-use stcam::{
-    Cluster, ClusterConfig, KnnBroadcastOp, OpPolicy, OpStats, QueryOpts, StcamError, TopCellsOp,
-};
+use stcam::{Cluster, ClusterConfig, KnnOp, OpPolicy, OpStats, QueryOpts, StcamError, TopCellsOp};
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
 use stcam_net::{LinkModel, NodeId};
@@ -231,11 +229,7 @@ fn per_op_policy_is_isolated_from_other_ops() {
     // The strangled op itself does time out.
     assert!(cluster
         .query(
-            KnnBroadcastOp {
-                at: Point::new(800.0, 800.0),
-                window: window_all(),
-                k: 1
-            },
+            KnnOp::broadcast(Point::new(800.0, 800.0), window_all(), 1),
             &QueryOpts::STRICT
         )
         .is_err());

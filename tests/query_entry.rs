@@ -6,9 +6,9 @@
 use std::time::Duration as StdDuration;
 
 use stcam::{
-    CentralizedStore, Cluster, ClusterConfig, Deadline, Degraded, HeatmapOp, Knn, KnnBroadcastOp,
-    Priority, Query, QueryCtx, QueryMode, QueryOpts, RangeOp, ShedReason, StcamError, TenantBudget,
-    TenantId, TenantUsage, TopCellsOp, PROJ_THIN,
+    CentralizedStore, Cluster, ClusterConfig, Deadline, Degraded, HeatmapOp, Knn, KnnOp, Priority,
+    Query, QueryCtx, QueryMode, QueryOpts, RangeOp, ShedReason, StcamError, TenantBudget, TenantId,
+    TenantUsage, TopCellsOp, PROJ_THIN,
 };
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
@@ -75,7 +75,7 @@ struct Kind {
     subset_on_loss: bool,
 }
 
-fn kind<Q: Query + Copy + 'static>(
+fn kind<Q: Query + Clone + 'static>(
     name: &'static str,
     q: Q,
     print: fn(Q::Output) -> Vec<u64>,
@@ -85,7 +85,7 @@ fn kind<Q: Query + Copy + 'static>(
     Kind {
         name,
         ask: Box::new(move |cluster, opts| {
-            let d = cluster.query(q, opts)?;
+            let d = cluster.query(q.clone(), opts)?;
             Ok(Degraded {
                 value: print(d.value),
                 completeness: d.completeness,
@@ -146,7 +146,7 @@ fn kinds(oracle: &CentralizedStore, at: Point) -> Vec<Kind> {
         kind("knn", Knn { at, window, k: K }, ids, nearest.clone(), false),
         kind(
             "knn broadcast",
-            KnnBroadcastOp { at, window, k: K },
+            KnnOp::broadcast(at, window, K),
             ids,
             nearest,
             false,

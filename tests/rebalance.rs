@@ -1,9 +1,14 @@
 //! Online rebalancing and filtered queries, end to end.
 
-use stcam::{Cluster, ClusterConfig, OpPolicy, PartitionPolicy, Predicate, QueryOpts, RangeOp};
+use std::collections::HashSet;
+
+use stcam::{
+    Cluster, ClusterConfig, DistributedOp, OpPolicy, PartitionMap, PartitionPolicy, Predicate,
+    QueryOpts, RangeOp, ReadOp, Request, Response, StcamError,
+};
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, Point, TimeInterval, Timestamp};
-use stcam_net::LinkModel;
+use stcam_net::{LinkModel, NodeId};
 use stcam_world::{EntityClass, EntityId};
 
 fn extent() -> BBox {
@@ -196,6 +201,77 @@ fn repeated_rebalances_with_shifting_hotspots_lose_nothing() {
             "epoch {round}: rebalance lost observations"
         );
     }
+    cluster.shutdown();
+}
+
+/// Puts `rows` into `holder`'s primary shard through the door a cell
+/// copy uses — what a move leaves at the old owner when its drain fails.
+struct InstallAt {
+    holder: NodeId,
+    rows: Vec<Observation>,
+}
+
+impl DistributedOp for InstallAt {
+    type Partial = ();
+    type Output = usize;
+    fn name(&self) -> &'static str {
+        "install_segments"
+    }
+    fn targets(&self, _: &PartitionMap, _: &HashSet<NodeId>) -> Vec<NodeId> {
+        vec![self.holder]
+    }
+    fn request(&self, _to: NodeId) -> Request {
+        Request::InstallSegments {
+            frames: Vec::new(),
+            head: self.rows.clone(),
+        }
+    }
+    fn decode(&self, response: Response) -> Result<(), StcamError> {
+        match response {
+            Response::Ack => Ok(()),
+            other => Err(StcamError::Remote(format!("{other:?}"))),
+        }
+    }
+    fn merge(self, partials: Vec<(NodeId, ())>) -> usize {
+        partials.len()
+    }
+}
+
+impl ReadOp for InstallAt {}
+
+/// Regression: at replication 0 `repair` used to return before looking,
+/// so a primary copy a failed drain left behind stayed for ever, and a
+/// range touching both holders returned its rows twice.
+#[test]
+fn repair_collects_stray_primary_copies_at_replication_zero() {
+    let cluster = Cluster::launch(config(4)).unwrap();
+    let batch = hotspot_batch(2_000);
+    cluster.ingest(batch.clone()).unwrap();
+    cluster.flush().unwrap();
+    let held = || -> Vec<_> {
+        let rows = cluster.range_query(extent(), window_all()).unwrap();
+        rows.iter().map(|o| o.id).collect()
+    };
+    let before = held();
+    assert_eq!(before.len(), 2_000);
+    // The hotspot's rows, copied into the shard of a worker that does not
+    // own their cells.
+    let partition = cluster.partition();
+    let owner = partition.owner_of(Point::new(100.0, 100.0));
+    let holder = *partition.workers().iter().find(|w| **w != owner).unwrap();
+    let rows: Vec<Observation> = batch
+        .into_iter()
+        .filter(|o| partition.owner_of(o.position) == owner)
+        .collect();
+    let strays = rows.len();
+    assert!(strays > 0);
+    let installed = cluster.query(InstallAt { holder, rows }, &QueryOpts::STRICT);
+    assert_eq!(installed.unwrap().value, 1);
+    assert_eq!(held().len(), before.len() + strays, "no stray was planted");
+
+    assert!(cluster.repair().converged);
+    // Exactly the original rows again: every id once.
+    assert!(held() == before, "a stray survived the repair");
     cluster.shutdown();
 }
 
