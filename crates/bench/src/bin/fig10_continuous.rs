@@ -18,30 +18,36 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stcam::Predicate;
 use stcam_bench::{
-    fmt_count, ingest_chunked, lan_config, launch, square_extent, synthetic_stream, Table,
+    cells, ingest_chunked, lan_config, launch, square_extent, synthetic_stream, timed, Figure, Fmt,
 };
 use stcam_geo::{BBox, Point};
 
 const EXTENT_M: f64 = 8_000.0;
 const WORKERS: usize = 8;
-const STREAM_LEN: usize = 50_000;
 const FENCE_RADIUS: f64 = 250.0;
 
 fn main() {
-    let extent = square_extent(EXTENT_M);
-    let stream = synthetic_stream(STREAM_LEN, extent, 600, 41);
-    println!(
-        "Figure 10: continuous-query cost vs standing queries ({} observations, {WORKERS} workers, {:.0} m geo-fences)\n",
-        fmt_count(STREAM_LEN as f64),
-        FENCE_RADIUS
+    let mut fig = Figure::new(
+        env!("CARGO_BIN_NAME"),
+        "Figure 10: continuous-query cost vs standing queries",
     );
-    let mut table = Table::new(&[
-        "queries",
-        "ingest busy µs/obs",
-        "notifications",
-        "matches",
-        "queries/worker",
-    ]);
+    let stream_len = fig.scale().pick(50_000, 10_000);
+    fig.param("observations", stream_len);
+    fig.param("workers", WORKERS);
+    fig.param("fence_radius_m", FENCE_RADIUS);
+    let extent = square_extent(EXTENT_M);
+    let stream = synthetic_stream(stream_len, extent, 600, 41);
+    fig.table("rows")
+        .col("queries", "queries", Fmt::Plain)
+        .col("ingest wall s", "ingest_wall_s", Fmt::Fixed(2))
+        .col(
+            "ingest busy µs/obs",
+            "ingest_busy_us_per_obs",
+            Fmt::Fixed(2),
+        )
+        .col("notifications", "notifications", Fmt::Plain)
+        .col("matches", "matches", Fmt::Count)
+        .col("queries/worker", "queries_per_worker", Fmt::Fixed(1));
 
     for count in [0usize, 10, 100, 1_000, 5_000] {
         let cluster = launch(lan_config(extent, WORKERS, 0));
@@ -55,49 +61,31 @@ fn main() {
                 })
                 .expect("register");
         }
-        // Per-worker registration count: predicates register only at
-        // workers whose shard overlaps the fence.
-        let per_worker: f64 = {
-            let stats = cluster.stats().expect("stats");
-            stats
-                .workers
-                .iter()
-                .map(|(_, s)| s.continuous_queries as f64)
-                .sum::<f64>()
-                / stats.workers.len() as f64
+        // Predicates register only at workers whose shard overlaps the
+        // fence; busy time is summed over workers, per observation.
+        let before = cluster.stats().expect("stats");
+        let registered = before.workers.iter().map(|(_, s)| s.continuous_queries);
+        let per_worker = registered.sum::<u64>() as f64 / before.workers.len() as f64;
+        let busy = |stats: &stcam::ClusterStats| -> u64 {
+            stats.workers.iter().map(|(_, s)| s.busy_micros).sum()
         };
-
-        let busy_before: u64 = cluster
-            .stats()
-            .expect("stats")
-            .workers
-            .iter()
-            .map(|(_, s)| s.busy_micros)
-            .sum();
-        ingest_chunked(&cluster, &stream, 500);
-        let stats = cluster.stats().expect("stats");
-        let busy_after: u64 = stats.workers.iter().map(|(_, s)| s.busy_micros).sum();
-        let notifications_sent: u64 = stats
-            .workers
-            .iter()
-            .map(|(_, s)| s.notifications_sent)
-            .sum();
+        let ((), wall) = timed(|| ingest_chunked(&cluster, &stream, 500));
+        let after = cluster.stats().expect("stats");
+        let notifications = after.workers.iter().map(|(_, s)| s.notifications_sent);
         let matches: usize = cluster
             .poll_notifications(StdDuration::from_millis(500))
             .iter()
             .map(|n| n.matches.len())
             .sum();
-        table.row(&[
-            count.to_string(),
-            format!(
-                "{:.2}",
-                (busy_after - busy_before) as f64 / STREAM_LEN as f64
-            ),
-            notifications_sent.to_string(),
-            fmt_count(matches as f64),
-            format!("{per_worker:.1}"),
+        fig.row(cells![
+            count,
+            wall,
+            (busy(&after) - busy(&before)) as f64 / stream_len as f64,
+            notifications.sum::<u64>(),
+            matches,
+            per_worker,
         ]);
         cluster.shutdown();
     }
-    table.print();
+    fig.finish();
 }

@@ -14,24 +14,32 @@
 //! ```
 
 use stcam_bench::{
-    city_stream, fmt_count, lan_config, launch, max_shard_busy_secs, square_extent, Table,
+    cells, city_stream, lan_config, launch, max_shard_busy_secs, square_extent, timed, Figure, Fmt,
 };
 
 const WORKERS: usize = 8;
-const SECONDS: u64 = 20;
 
 fn main() {
-    println!(
-        "Figure 11: deployment scale-up, {WORKERS}-worker cluster, {SECONDS} s of city time per point\n"
+    let mut fig = Figure::new(
+        env!("CARGO_BIN_NAME"),
+        "Figure 11: deployment scale-up at a fixed cluster size",
     );
-    let mut table = Table::new(&[
-        "cameras",
-        "entities",
-        "observations",
-        "generated obs/s",
-        "sustained obs/s (crit path)",
-        "headroom",
-    ]);
+    let seconds: u64 = fig.scale().pick(20, 4);
+    fig.param("workers", WORKERS);
+    fig.param("city_seconds_per_point", seconds);
+    fig.table("rows")
+        .col("cameras", "cameras", Fmt::Plain)
+        .col("entities", "entities", Fmt::Count)
+        .col("observations", "observations", Fmt::Count)
+        .col("generated obs/s", "generated_obs_per_s", Fmt::Count)
+        .col("ingest wall s", "ingest_wall_s", Fmt::Fixed(2))
+        .col("max-shard busy s", "max_shard_busy_s", Fmt::Fixed(3))
+        .col(
+            "sustained obs/s (crit path)",
+            "sustained_obs_per_s",
+            Fmt::Count,
+        )
+        .col("headroom", "headroom", Fmt::Times(0));
 
     for (cameras, entities, extent_m) in [
         (250usize, 2_500usize, 4_000.0),
@@ -40,30 +48,34 @@ fn main() {
         (2_000, 20_000, 11_200.0),
         (4_000, 40_000, 16_000.0),
     ] {
-        let stream = city_stream(extent_m, cameras, entities, SECONDS, 61);
+        let stream = city_stream(extent_m, cameras, entities, seconds, 61);
         let n = stream.observations.len();
-        let generated_rate = n as f64 / SECONDS as f64;
+        let generated_rate = n as f64 / seconds as f64;
 
         let cluster = launch(lan_config(square_extent(extent_m), WORKERS, 1));
         let ingestor = cluster.create_ingestor();
-        for chunk in stream.observations.chunks(1000) {
-            ingestor.ingest(chunk.to_vec()).expect("ingest");
-        }
-        ingestor.flush().expect("flush");
+        let ((), wall) = timed(|| {
+            for chunk in stream.observations.chunks(1000) {
+                ingestor.ingest(chunk.to_vec()).expect("ingest");
+            }
+            ingestor.flush().expect("flush");
+        });
         let stats = cluster.stats().expect("stats");
         assert_eq!(stats.total_primary() as usize, n, "observations lost");
         let max_busy_s = max_shard_busy_secs(&stats);
         let sustained_rate = n as f64 / max_busy_s.max(1e-9);
-        table.row(&[
-            cameras.to_string(),
-            fmt_count(entities as f64),
-            fmt_count(n as f64),
-            fmt_count(generated_rate),
-            fmt_count(sustained_rate),
-            format!("{:.0}x", sustained_rate / generated_rate),
+        fig.row(cells![
+            cameras,
+            entities,
+            n,
+            generated_rate,
+            wall,
+            max_busy_s,
+            sustained_rate,
+            sustained_rate / generated_rate,
         ]);
         cluster.shutdown();
     }
-    table.print();
-    println!("\n(headroom = sustained ÷ generated; the cluster saturates where it crosses 1x)");
+    fig.note("(headroom = sustained ÷ generated; the cluster saturates where it crosses 1x)");
+    fig.finish();
 }

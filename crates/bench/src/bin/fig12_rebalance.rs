@@ -13,62 +13,42 @@
 //! ```
 
 use stcam_bench::{
-    fmt_count, ingest_chunked, lan_config, launch, skewed_stream, square_extent, synthetic_stream,
-    window_secs, Table,
+    cells, ingest_chunked, lan_config, launch, skewed_stream, square_extent, synthetic_stream,
+    window_secs, Figure, Fmt,
 };
 use stcam_geo::Point;
 
 const EXTENT_M: f64 = 8_000.0;
 const WORKERS: usize = 8;
-const EPOCH_LEN: usize = 100_000;
 
 fn main() {
-    let extent = square_extent(EXTENT_M);
-    println!(
-        "Figure 12 (ablation): online rebalancing under traffic drift ({WORKERS} workers, {} obs/epoch)\n",
-        fmt_count(EPOCH_LEN as f64)
+    let mut fig = Figure::new(
+        env!("CARGO_BIN_NAME"),
+        "Figure 12 (ablation): online rebalancing under traffic drift",
     );
+    let epoch_len = fig.scale().pick(100_000, 10_000);
+    fig.param("workers", WORKERS);
+    fig.param("obs_per_epoch", epoch_len);
+    let extent = square_extent(EXTENT_M);
+    let hotspot = |seed, at| skewed_stream(epoch_len, extent, 600, seed, at, 400.0, 0.7);
     let epochs = [
-        ("uniform", synthetic_stream(EPOCH_LEN, extent, 600, 71)),
-        (
-            "hotspot SW",
-            skewed_stream(
-                EPOCH_LEN,
-                extent,
-                600,
-                72,
-                Point::new(1500.0, 1500.0),
-                400.0,
-                0.7,
-            ),
-        ),
-        (
-            "hotspot NE",
-            skewed_stream(
-                EPOCH_LEN,
-                extent,
-                600,
-                73,
-                Point::new(6500.0, 6500.0),
-                400.0,
-                0.7,
-            ),
-        ),
+        ("uniform", synthetic_stream(epoch_len, extent, 600, 71)),
+        ("hotspot SW", hotspot(72, Point::new(1500.0, 1500.0))),
+        ("hotspot NE", hotspot(73, Point::new(6500.0, 6500.0))),
     ];
 
     // Static cluster (never rebalances) for the ablation column.
     let static_cluster = launch(lan_config(extent, WORKERS, 0));
     let adaptive = launch(lan_config(extent, WORKERS, 0).with_macro_cell_size(EXTENT_M / 32.0));
 
-    let mut table = Table::new(&[
-        "epoch",
-        "static imbalance",
-        "adaptive before",
-        "adaptive after",
-        "cells moved",
-        "obs moved",
-        "MB moved",
-    ]);
+    fig.table("rows")
+        .col("epoch", "epoch", Fmt::Plain)
+        .col("static imbalance", "static_imbalance", Fmt::Fixed(2))
+        .col("adaptive before", "adaptive_before", Fmt::Fixed(2))
+        .col("adaptive after", "adaptive_after", Fmt::Fixed(2))
+        .col("cells moved", "cells_moved", Fmt::Plain)
+        .col("obs moved", "obs_moved", Fmt::Count)
+        .col("MB moved", "mb_moved", Fmt::Fixed(1));
 
     for (label, stream) in &epochs {
         for cluster in [&static_cluster, &adaptive] {
@@ -77,31 +57,30 @@ fn main() {
         let static_imbalance = static_cluster.stats().expect("stats").imbalance();
         let traffic_before = adaptive.fabric_stats().total_bytes;
         let report = adaptive.rebalance().expect("rebalance");
-        let moved_mb =
-            (adaptive.fabric_stats().total_bytes - traffic_before) as f64 / (1024.0 * 1024.0);
-        table.row(&[
-            label.to_string(),
-            format!("{static_imbalance:.2}"),
-            format!("{:.2}", report.imbalance_before),
-            format!("{:.2}", report.imbalance_after),
-            report.cells_moved.to_string(),
-            fmt_count(report.observations_moved as f64),
-            format!("{moved_mb:.1}"),
+        let moved = adaptive.fabric_stats().total_bytes - traffic_before;
+        fig.row(cells![
+            *label,
+            static_imbalance,
+            report.imbalance_before,
+            report.imbalance_after,
+            report.cells_moved,
+            report.observations_moved,
+            moved as f64 / (1024.0 * 1024.0),
         ]);
     }
-    table.print();
     // Sanity: nothing lost across three epochs of migration.
     let held = adaptive
         .range_query(extent, window_secs(10_000))
         .expect("audit")
         .len();
-    println!(
-        "\naudit: adaptive cluster holds {held} of {} ingested observations",
-        3 * EPOCH_LEN
-    );
+    fig.note(format!(
+        "audit: adaptive cluster holds {held} of {} ingested observations",
+        3 * epoch_len
+    ));
+    fig.finish();
     assert_eq!(
         held,
-        3 * EPOCH_LEN,
+        3 * epoch_len,
         "rebalance migrations must conserve every observation"
     );
     static_cluster.shutdown();

@@ -19,14 +19,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stcam_bench::report::{obj, Report, Value};
-use stcam_bench::{square_extent, synthetic_stream, timed, window_secs, Table};
+use stcam_bench::{cells, square_extent, synthetic_stream, timed, window_secs, Figure, Fmt};
 use stcam_geo::{BBox, Duration, Point, TimeInterval, Timestamp};
 use stcam_index::{IndexConfig, StIndex};
 
 const EXTENT_M: f64 = 8_000.0;
-const ARCHIVE: usize = 500_000;
-const QUERIES: usize = 200;
 
 /// Per-tier measurements of one (cell, slice) configuration.
 struct TierRun {
@@ -37,7 +34,12 @@ struct TierRun {
     resident_mb: f64,
 }
 
-fn measure(config: IndexConfig, stream: &[stcam_camnet::Observation], seed: u64) -> TierRun {
+fn measure(
+    config: IndexConfig,
+    stream: &[stcam_camnet::Observation],
+    queries: usize,
+    seed: u64,
+) -> TierRun {
     let (index, insert_s) = timed(|| {
         let mut index = StIndex::new(config);
         index.insert_batch(stream.iter().cloned());
@@ -45,7 +47,7 @@ fn measure(config: IndexConfig, stream: &[stcam_camnet::Observation], seed: u64)
     });
 
     let mut rng = StdRng::seed_from_u64(seed);
-    let points: Vec<Point> = (0..QUERIES)
+    let points: Vec<Point> = (0..queries)
         .map(|_| Point::new(rng.gen_range(0.0..EXTENT_M), rng.gen_range(0.0..EXTENT_M)))
         .collect();
     let full_window = window_secs(600);
@@ -76,72 +78,55 @@ fn measure(config: IndexConfig, stream: &[stcam_camnet::Observation], seed: u64)
         total
     });
     TierRun {
-        insert_mobs: ARCHIVE as f64 / insert_s / 1e6,
-        range_ms: range_s * 1e3 / QUERIES as f64,
-        trange_ms: trange_s * 1e3 / QUERIES as f64,
-        knn_ms: knn_s * 1e3 / QUERIES as f64,
+        insert_mobs: stream.len() as f64 / insert_s / 1e6,
+        range_ms: range_s * 1e3 / queries as f64,
+        trange_ms: trange_s * 1e3 / queries as f64,
+        knn_ms: knn_s * 1e3 / queries as f64,
         resident_mb: index.stats().resident_bytes as f64 / (1 << 20) as f64,
     }
 }
 
 fn main() {
+    let mut fig = Figure::new(
+        env!("CARGO_BIN_NAME"),
+        "Figure 13 (ablation): index cell size × slice length × tier\n\
+         each measured cell: all-mutable / sealed-segment store",
+    );
+    let archive = fig.scale().pick(500_000, 50_000);
+    let queries = fig.scale().pick(200usize, 50);
+    fig.param("archive", archive);
+    fig.param("queries", queries);
     let extent = square_extent(EXTENT_M);
-    let mut stream = synthetic_stream(ARCHIVE, extent, 600, 83);
+    let mut stream = synthetic_stream(archive, extent, 600, 83);
     // Live ingest delivers observations in arrival ≈ timestamp order;
     // slice-close events (which drive sealing) depend on it.
     stream.sort_by_key(|o| o.time);
-    println!(
-        "Figure 13 (ablation): index cell size × slice length × tier (500k archive)\n\
-         each latency cell: all-mutable / sealed-segment store\n"
-    );
-    let mut table = Table::new(&[
-        "cell m",
-        "slice s",
-        "insert Mobs/s",
-        "range 500 m ms",
-        "count 30 s ms",
-        "knn16 ms",
-        "resident MB",
-    ]);
+    fig.table("rows")
+        .col("cell m", "cell_m", Fmt::Plain)
+        .col("slice s", "slice_secs", Fmt::Plain)
+        .col("insert Mobs/s", "insert_mobs_per_sec", Fmt::Fixed(2))
+        .col("range 500 m ms", "range_ms", Fmt::Fixed(3))
+        .col("count 30 s ms", "count_30s_ms", Fmt::Fixed(3))
+        .col("knn16 ms", "knn_ms", Fmt::Fixed(3))
+        .col("resident MB", "resident_mb", Fmt::Fixed(1));
 
-    let mut report = Report::new("fig13_index_ablation");
-    report.set("archive", ARCHIVE);
-    report.set("queries", QUERIES);
-    let mut rows: Vec<Value> = Vec::new();
     for cell_size in [25.0f64, 100.0, 400.0, 1600.0] {
         for slice_secs in [1u64, 10, 100] {
             let seed = (cell_size as u64) ^ slice_secs;
             let config = IndexConfig::new(extent, cell_size, Duration::from_secs(slice_secs));
-            let mutable = measure(config.clone().without_sealing(), &stream, seed);
-            let sealed = measure(config, &stream, seed);
-            table.row(&[
-                format!("{cell_size:.0}"),
-                slice_secs.to_string(),
-                format!("{:.2}/{:.2}", mutable.insert_mobs, sealed.insert_mobs),
-                format!("{:.3}/{:.3}", mutable.range_ms, sealed.range_ms),
-                format!("{:.3}/{:.3}", mutable.trange_ms, sealed.trange_ms),
-                format!("{:.3}/{:.3}", mutable.knn_ms, sealed.knn_ms),
-                format!("{:.1}/{:.1}", mutable.resident_mb, sealed.resident_mb),
+            let mutable = measure(config.clone().without_sealing(), &stream, queries, seed);
+            let sealed = measure(config, &stream, queries, seed);
+            fig.row(cells![
+                cell_size,
+                slice_secs,
+                [mutable.insert_mobs, sealed.insert_mobs],
+                [mutable.range_ms, sealed.range_ms],
+                [mutable.trange_ms, sealed.trange_ms],
+                [mutable.knn_ms, sealed.knn_ms],
+                [mutable.resident_mb, sealed.resident_mb],
             ]);
-            let tier = |r: &TierRun| {
-                obj(vec![
-                    ("insert_mobs_per_sec", Value::from(r.insert_mobs)),
-                    ("range_ms", Value::from(r.range_ms)),
-                    ("count_30s_ms", Value::from(r.trange_ms)),
-                    ("knn_ms", Value::from(r.knn_ms)),
-                    ("resident_mb", Value::from(r.resident_mb)),
-                ])
-            };
-            rows.push(obj(vec![
-                ("cell_m", Value::from(cell_size)),
-                ("slice_secs", Value::from(slice_secs)),
-                ("mutable", tier(&mutable)),
-                ("sealed", tier(&sealed)),
-            ]));
         }
     }
-    table.print();
-    report.set("rows", rows);
-    report.emit();
-    println!("\n(framework default: cell = extent/80 = 100 m, slice = 10 s)");
+    fig.note("(framework default: cell = extent/80 = 100 m, slice = 10 s)");
+    fig.finish();
 }

@@ -23,12 +23,6 @@
 //! ```text
 //! cargo run -p stcam-bench --release --bin fig14_concurrent_clients
 //! ```
-//!
-//! Environment knobs (for CI smoke runs):
-//! `FIG14_ARCHIVE` (default 20000), `FIG14_OPS` (per-thread op count,
-//! default 40), `FIG14_MAX_THREADS` (default 16), `FIG14_READ_THREADS`
-//! (read-executor pool size per worker, default 4, 0 disables the
-//! pool).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,23 +30,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stcam::exec::LatencyHistogram;
 use stcam::{Cluster, HeatmapOp, Knn, QueryOpts, RangeOp};
-use stcam_bench::report::{obj, Report, Value};
 use stcam_bench::{
-    fmt_count, ingest_chunked, launch, op_stats, square_extent, synthetic_stream, timed,
-    window_secs, Table,
+    cells, ingest_chunked, launch, op_stats, percentiles_ms, square_extent, synthetic_stream,
+    timed, window_secs, Figure, Fmt,
 };
 use stcam_geo::{BBox, GridSpec, Point};
 use stcam_net::LinkModel;
 
 const EXTENT_M: f64 = 8_000.0;
 const WORKERS: usize = 8;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Elementwise sum of histograms — the mixed workload's combined
 /// latency distribution for one sweep point.
@@ -64,15 +50,6 @@ fn merge_latency(hists: &[LatencyHistogram]) -> LatencyHistogram {
         }
     }
     out
-}
-
-fn render_percentiles_ms(h: &LatencyHistogram) -> String {
-    format!(
-        "{:.1}/{:.1}/{:.1}",
-        h.p50_micros() as f64 / 1e3,
-        h.p95_micros() as f64 / 1e3,
-        h.p99_micros() as f64 / 1e3
-    )
 }
 
 /// The per-thread workload: `ops` queries cycling range → kNN →
@@ -117,43 +94,40 @@ fn client(cluster: &Cluster, thread: usize, ops: usize, issued: &[AtomicU64; 3])
 }
 
 fn main() {
-    let archive = env_usize("FIG14_ARCHIVE", 20_000);
-    let ops = env_usize("FIG14_OPS", 40);
-    let max_threads = env_usize("FIG14_MAX_THREADS", 16).max(1);
-    let read_threads = env_usize("FIG14_READ_THREADS", 4);
+    let mut fig = Figure::new(
+        env!("CARGO_BIN_NAME"),
+        "Figure 14: concurrent query clients (mixed range / kNN / heat-map reads)",
+    );
+    let archive = fig.scale().pick(20_000, 4_000);
+    let ops = fig.scale().pick(40usize, 12);
+    let sweep: &[usize] = fig.scale().pick(&[1, 2, 4, 8, 16], &[1, 2, 4, 8]);
+    fig.param("workers", WORKERS);
+    fig.param("archive", archive);
+    fig.param("ops_per_thread", ops);
 
     let extent = square_extent(EXTENT_M);
     let cluster = launch(
         stcam::ClusterConfig::new(extent, WORKERS)
             .with_replication(1)
-            .with_read_concurrency(read_threads)
             .with_link(LinkModel::metro()),
     );
     let stream = synthetic_stream(archive, extent, 600, 41);
     ingest_chunked(&cluster, &stream, 1_000);
 
-    println!(
-        "Figure 14: concurrent query clients ({WORKERS} workers, {} archive, {ops} mixed ops/thread)\n",
-        fmt_count(archive as f64)
-    );
-
-    let mut table = Table::new(&[
-        "threads",
-        "ops",
-        "wall s",
-        "ops/s",
-        "speedup",
-        "p50/p95/p99 ms",
-    ]);
-    let mut rows: Vec<Value> = Vec::new();
+    fig.table("rows")
+        .col("threads", "threads", Fmt::Plain)
+        .col("ops", "ops", Fmt::Plain)
+        .col("wall s", "wall_s", Fmt::Fixed(2))
+        .col("ops/s", "ops_per_s", Fmt::Fixed(0))
+        .col("speedup", "speedup_vs_1", Fmt::Times(2))
+        .col("p50/p95/p99 ms", "latency_mixed_ms", Fmt::Fixed(1))
+        .col("range ms", "latency_range_ms", Fmt::Fixed(1))
+        .col("kNN phase 1 ms", "latency_knn_phase1_ms", Fmt::Fixed(1))
+        .col("heat-map ms", "latency_heatmap_ms", Fmt::Fixed(1));
     let mut baseline_ops_s = 0.0;
-    let sweep: Vec<usize> = [1usize, 2, 4, 8, 16]
-        .into_iter()
-        .filter(|&t| t <= max_threads)
-        .collect();
-    let mut speedup_at = std::collections::BTreeMap::new();
+    let mut speedup_at_8 = 0.0;
 
-    for &threads in &sweep {
+    for &threads in sweep {
         let issued: [AtomicU64; 3] = Default::default();
         let before = [
             op_stats(&cluster, "range"),
@@ -187,66 +161,37 @@ fn main() {
             );
             assert_eq!(d.failures, 0, "{kind} failures at {threads} threads");
         }
-        let total_ops = (threads * ops) as f64;
-        let ops_s = total_ops / wall;
+        let ops_s = (threads * ops) as f64 / wall;
         if threads == 1 {
             baseline_ops_s = ops_s;
         }
-        let speedup = ops_s / baseline_ops_s;
-        speedup_at.insert(threads, speedup);
-        let mixed = merge_latency(&[deltas[0].latency, deltas[1].latency, deltas[2].latency]);
-        table.row(&[
-            format!("{threads}"),
-            format!("{total_ops:.0}"),
-            format!("{wall:.2}"),
-            format!("{ops_s:.0}"),
-            format!("{speedup:.2}x"),
-            render_percentiles_ms(&mixed),
+        if threads == 8 {
+            speedup_at_8 = ops_s / baseline_ops_s;
+        }
+        let latency = deltas.map(|d| d.latency);
+        fig.row(cells![
+            threads,
+            threads * ops,
+            wall,
+            ops_s,
+            ops_s / baseline_ops_s,
+            percentiles_ms(&merge_latency(&latency)),
+            percentiles_ms(&latency[0]),
+            percentiles_ms(&latency[1]),
+            percentiles_ms(&latency[2]),
         ]);
-        let latency_obj = |h: &LatencyHistogram| {
-            obj(vec![
-                ("p50_us", Value::from(h.p50_micros())),
-                ("p95_us", Value::from(h.p95_micros())),
-                ("p99_us", Value::from(h.p99_micros())),
-            ])
-        };
-        rows.push(obj(vec![
-            ("threads", Value::from(threads)),
-            ("ops", Value::from(threads * ops)),
-            ("wall_s", Value::from(wall)),
-            ("ops_per_s", Value::from(ops_s)),
-            ("speedup_vs_1", Value::from(speedup)),
-            ("latency_mixed", latency_obj(&mixed)),
-            ("latency_range", latency_obj(&deltas[0].latency)),
-            ("latency_knn_phase1", latency_obj(&deltas[1].latency)),
-            ("latency_heatmap", latency_obj(&deltas[2].latency)),
-        ]));
     }
-    table.print();
-    println!(
-        "\n(shared cluster, metro link model, {read_threads} read-executor threads/worker;\n\
-         speedup is aggregate ops/s vs the single-client run — the pre-query-plane\n\
-         architecture pinned this at ~1x, the pre-read-pool worker at ~3.8x)"
-    );
-
-    let mut report = Report::new("fig14_concurrent_clients");
-    report
-        .set("workers", WORKERS)
-        .set("archive", archive)
-        .set("ops_per_thread", ops)
-        .set("read_threads", read_threads)
-        .set("rows", rows);
-    if let Some(&s8) = speedup_at.get(&8) {
-        report.set("speedup_at_8", s8);
-    }
-    report.emit();
     cluster.shutdown();
+    fig.note(
+        "(shared cluster, metro link model; speedup is aggregate ops/s vs the\n\
+         single-client run — the pre-query-plane architecture pinned this at ~1x,\n\
+         the pre-read-pool worker at ~3.8x)",
+    );
+    fig.finish();
 
-    if let Some(&s8) = speedup_at.get(&8) {
-        assert!(
-            s8 >= 6.0,
-            "read-path scaling regression: {s8:.2}x at 8 threads (< 6x)"
-        );
-        println!("scaling gate passed: {s8:.2}x at 8 threads (>= 6x)");
-    }
+    assert!(
+        speedup_at_8 >= 6.0,
+        "read-path scaling regression: {speedup_at_8:.2}x at 8 threads (< 6x)"
+    );
+    println!("gates: {speedup_at_8:.2}x at 8 threads (>= 6x) — ok");
 }

@@ -28,14 +28,11 @@
 //! cargo run -p stcam-bench --release --bin fig15_ingest_loss
 //! ```
 //!
-//! Environment knobs (for CI smoke runs): `FIG15_STREAM` (default
-//! 20000) and `FIG15_CHUNK` (ingest batch size, default 500). The run
-//! asserts its gates: durability, and a stall of at most
+//! The run asserts its gates: durability, and a stall of at most
 //! [`MAX_STALL_MS_PER_DROP`] per dropped frame at 1 %.
 
-use stcam_bench::report::{obj, Report, Value};
 use stcam_bench::{
-    fmt_count, lan_config, launch, square_extent, synthetic_stream, timed, window_secs, Table,
+    cells, lan_config, launch, square_extent, synthetic_stream, timed, window_secs, Figure, Fmt,
 };
 
 use std::time::Duration;
@@ -50,35 +47,31 @@ const WARM_CHUNKS: usize = 10;
 /// retransmission timeout 10–15 ms.
 const MAX_STALL_MS_PER_DROP: f64 = 40.0;
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let stream_len = env_usize("FIG15_STREAM", 20_000);
-    let chunk = env_usize("FIG15_CHUNK", 500);
+    let mut fig = Figure::new(
+        env!("CARGO_BIN_NAME"),
+        "Figure 15: acked ingest under lossy links",
+    );
+    let stream_len = fig.scale().pick(20_000, 5_000);
+    let chunk = fig.scale().pick(500, 250);
+    fig.param("workers", WORKERS);
+    fig.param("replication", REPLICATION);
+    fig.param("observations", stream_len);
+    fig.param("batch", chunk);
 
     let extent = square_extent(EXTENT_M);
-    println!(
-        "Figure 15: acked ingest under lossy links ({WORKERS} workers, r={REPLICATION}, {} observations)\n",
-        fmt_count(stream_len as f64)
-    );
-    let mut table = Table::new(&[
-        "drop",
-        "timeout",
-        "acked inline",
-        "wall s",
-        "obs/s",
-        "retransmits",
-        "stall ms/drop",
-        "bytes x",
-        "held after heal",
-        "acked lost",
-    ]);
-    let mut rows: Vec<Value> = Vec::new();
+    fig.table("rows")
+        .col("drop", "drop", Fmt::Percent(0))
+        .col("timeout ms", "rpc_timeout_ms", Fmt::Plain)
+        .col("acked inline", "acked_inline", Fmt::Count)
+        .col("wall s", "wall_s", Fmt::Fixed(2))
+        .col("obs/s", "obs_per_s", Fmt::Fixed(0))
+        .col("dropped", "dropped_frames", Fmt::Plain)
+        .col("retransmits", "retransmits", Fmt::Plain)
+        .col("stall ms/drop", "stall_ms_per_drop", Fmt::Fixed(1))
+        .col("bytes x", "bytes_ratio", Fmt::Times(2))
+        .col("held after heal", "held_after_heal", Fmt::Count)
+        .col("acked lost", "acked_lost", Fmt::Plain);
     let mut baseline_bytes = 0.0;
     let mut lossless_wall = 0.0;
     let warm_len = WARM_CHUNKS * chunk;
@@ -145,31 +138,19 @@ fn main() {
         } else {
             (wall - lossless_wall).max(0.0) * 1e3 / dropped as f64
         };
-        table.row(&[
-            format!("{:.0}%", drop * 100.0),
-            format!("{timeout_ms} ms"),
-            fmt_count(acked_inline as f64),
-            format!("{wall:.2}"),
-            format!("{:.0}", acked_inline as f64 / wall),
-            retransmits.to_string(),
-            format!("{stall_ms_per_drop:.1}"),
-            format!("{bytes_x:.2}x"),
-            fmt_count(held as f64),
-            acked_lost.to_string(),
+        fig.row(cells![
+            drop,
+            timeout_ms,
+            acked_inline,
+            wall,
+            acked_inline as f64 / wall,
+            dropped,
+            retransmits,
+            stall_ms_per_drop,
+            bytes_x,
+            held,
+            acked_lost,
         ]);
-        rows.push(obj(vec![
-            ("drop", Value::from(drop)),
-            ("rpc_timeout_ms", Value::from(timeout_ms)),
-            ("acked_inline", Value::from(acked_inline)),
-            ("wall_s", Value::from(wall)),
-            ("obs_per_s", Value::from(acked_inline as f64 / wall)),
-            ("dropped_frames", Value::from(dropped)),
-            ("retransmits", Value::from(retransmits)),
-            ("stall_ms_per_drop", Value::from(stall_ms_per_drop)),
-            ("bytes_ratio", Value::from(bytes_x)),
-            ("held_after_heal", Value::from(held)),
-            ("acked_lost", Value::from(acked_lost)),
-        ]));
 
         assert_eq!(
             acked_lost, 0,
@@ -186,21 +167,13 @@ fn main() {
         );
         cluster.shutdown();
     }
-    table.print();
-    println!(
-        "\n(uniform drop probability on every link while ingesting, after a loss-free\n\
+    fig.note(format!(
+        "(uniform drop probability on every link while ingesting, after a loss-free\n\
          warm-up; `acked inline` is what the sender was told is durable before the\n\
          links healed; `stall ms/drop` is (wall - lossless wall) / dropped frames;\n\
          the gates are zero acked loss, full convergence once the links heal, and\n\
          at most {MAX_STALL_MS_PER_DROP} ms of stall per dropped frame at 1%)"
-    );
-
-    let mut report = Report::new("fig15_ingest_loss");
-    report
-        .set("workers", WORKERS)
-        .set("replication", REPLICATION)
-        .set("stream", stream_len)
-        .set("rows", rows);
-    report.emit();
-    println!("gates passed: zero acked loss at every drop rate, stall per drop within bound");
+    ));
+    fig.finish();
+    println!("gates: zero acked loss at every drop rate, stall per drop within bound — ok");
 }

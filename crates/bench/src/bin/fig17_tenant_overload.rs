@@ -25,10 +25,6 @@
 //! ```text
 //! cargo run -p stcam-bench --release --bin fig17_tenant_overload
 //! ```
-//!
-//! Environment knobs (for CI smoke runs): `FIG17_ARCHIVE` (default
-//! 10000), `FIG17_OPS` (VIP queries per phase, default 120),
-//! `FIG17_FLOODERS` (bulk threads, default 8).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -39,9 +35,8 @@ use stcam::{
     Cluster, Deadline, Priority, QueryCtx, QueryMode, QueryOpts, RangeOp, ShedReason, StcamError,
     TenantBudget, TenantId,
 };
-use stcam_bench::report::{obj, Report, Value};
 use stcam_bench::{
-    fmt_count, ingest_chunked, launch, square_extent, synthetic_stream, timed, window_secs, Table,
+    cells, ingest_chunked, launch, square_extent, synthetic_stream, timed, window_secs, Figure, Fmt,
 };
 use stcam_geo::{BBox, Point};
 use stcam_net::LinkModel;
@@ -53,13 +48,8 @@ const BULK: TenantId = TenantId(2);
 /// In-flight scatter width at which the gate saturates: two concurrent
 /// 8-wide tenant queries. Low so the flood actually triggers shedding.
 const SATURATION_WIDTH: usize = 2 * WORKERS;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Closed-loop bulk threads.
+const FLOODERS: usize = 12;
 
 /// Exact percentile from raw wall-clock samples (seconds).
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -174,28 +164,27 @@ fn bulk_flooder(cluster: &Cluster, seed: u64, stop: &AtomicBool, tally: &Tally) 
 }
 
 fn main() {
-    let archive = env_usize("FIG17_ARCHIVE", 10_000);
-    let ops = env_usize("FIG17_OPS", 120).max(10);
-    let flooders = env_usize("FIG17_FLOODERS", 12).max(1);
+    let mut fig = Figure::new(env!("CARGO_BIN_NAME"), "Figure 17: multi-tenant overload");
+    let archive = fig.scale().pick(10_000, 4_000);
+    let ops = fig.scale().pick(120usize, 60);
+    fig.param("workers", WORKERS);
+    fig.param("archive", archive);
+    fig.param("vip_ops_per_phase", ops);
+    fig.param("bulk_flooders", FLOODERS);
+    fig.param("saturation_width", SATURATION_WIDTH);
 
     let extent = square_extent(EXTENT_M);
     let cluster = launch(
         stcam::ClusterConfig::new(extent, WORKERS)
             .with_replication(1)
-            .with_read_concurrency(4)
-            .with_saturation_width(SATURATION_WIDTH)
             .with_link(LinkModel::metro()),
     );
+    let plane = cluster.query_plane();
+    plane.admission().set_saturation_width(SATURATION_WIDTH);
     let stream = synthetic_stream(archive, extent, 600, 41);
     ingest_chunked(&cluster, &stream, 1_000);
 
     cluster.register_tenant(VIP, TenantBudget::unlimited());
-
-    println!(
-        "Figure 17: multi-tenant overload ({WORKERS} workers, {} archive, {ops} VIP ops/phase, \
-         {flooders} bulk flooders)\n",
-        fmt_count(archive as f64)
-    );
 
     // Warmup: populate index snapshots, fault in code paths, settle the
     // scheduler — discarded, so a cold-start tail cannot skew the
@@ -208,14 +197,14 @@ fn main() {
     baseline.sort_by(f64::total_cmp);
     let baseline_p99 = percentile(&baseline, 0.99);
 
-    // Capacity calibration: `flooders` concurrent unmetered VIP-class
+    // Capacity calibration: `FLOODERS` concurrent unmetered VIP-class
     // clients — the cluster's saturated query throughput, which phase B's
     // offered bulk load must exceed 4×.
     let cal_tally = Tally::default();
     let cal_ops = (ops / 4).max(5);
     let ((), cal_wall) = timed(|| {
         std::thread::scope(|scope| {
-            for t in 0..flooders {
+            for t in 0..FLOODERS {
                 let (cluster, cal_tally) = (&cluster, &cal_tally);
                 scope.spawn(move || {
                     vip_phase(cluster, cal_ops, 100 + t as u64, cal_tally);
@@ -223,7 +212,7 @@ fn main() {
             }
         });
     });
-    let capacity = (flooders * cal_ops) as f64 / cal_wall;
+    let capacity = (FLOODERS * cal_ops) as f64 / cal_wall;
 
     // The bulk budget admits about a quarter of measured capacity as
     // real work; everything above it is rejected fast at the token
@@ -238,7 +227,7 @@ fn main() {
     let bulk_tally = Tally::default();
     let stop = AtomicBool::new(false);
     let (mut loaded, loaded_wall) = std::thread::scope(|scope| {
-        for t in 0..flooders {
+        for t in 0..FLOODERS {
             let (cluster, stop, bulk_tally) = (&cluster, &stop, &bulk_tally);
             scope.spawn(move || bulk_flooder(cluster, 200 + t as u64, stop, bulk_tally));
         }
@@ -251,71 +240,64 @@ fn main() {
     let offered = bulk_tally.total() as f64 / loaded_wall;
     let usage = cluster.tenant_usage(BULK);
 
-    let mut table = Table::new(&["phase", "ops", "wall s", "p50 ms", "p95 ms", "p99 ms"]);
+    fig.table("phases")
+        .col("phase", "phase", Fmt::Plain)
+        .col("ops", "ops", Fmt::Plain)
+        .col("wall s", "wall_s", Fmt::Fixed(2))
+        .col("p50 ms", "p50_ms", Fmt::Fixed(1))
+        .col("p95 ms", "p95_ms", Fmt::Fixed(1))
+        .col("p99 ms", "p99_ms", Fmt::Fixed(1));
     for (name, samples, wall) in [
         ("baseline", &baseline, baseline_wall),
         ("overload", &loaded, loaded_wall),
     ] {
-        table.row(&[
-            name.to_string(),
-            format!("{}", samples.len()),
-            format!("{wall:.2}"),
-            format!("{:.1}", percentile(samples, 0.50) * 1e3),
-            format!("{:.1}", percentile(samples, 0.95) * 1e3),
-            format!("{:.1}", percentile(samples, 0.99) * 1e3),
+        fig.row(cells![
+            name,
+            samples.len(),
+            wall,
+            percentile(samples, 0.50) * 1e3,
+            percentile(samples, 0.95) * 1e3,
+            percentile(samples, 0.99) * 1e3,
         ]);
     }
-    table.print();
-    println!(
-        "\ncapacity {capacity:.0} q/s, bulk offered {offered:.0} q/s ({:.1}x); \
-         bulk outcomes: {} full, {} shed, {} rejected, {} typed errors, {} silent;\n\
-         VIP loaded p99 {:.1} ms vs baseline {:.1} ms ({:.2}x); bulk bytes charged {}",
-        offered / capacity.max(1e-9),
-        bulk_tally.ok_full.load(Ordering::Relaxed),
-        bulk_tally.ok_shed.load(Ordering::Relaxed),
-        bulk_tally.rejected.load(Ordering::Relaxed),
-        bulk_tally.typed_errors.load(Ordering::Relaxed),
-        bulk_tally.silent.load(Ordering::Relaxed),
-        loaded_p99 * 1e3,
-        baseline_p99 * 1e3,
-        loaded_p99 / baseline_p99.max(1e-9),
-        fmt_count(usage.bytes_charged as f64),
-    );
-
-    let tally_obj = |t: &Tally| {
-        obj(vec![
-            ("ok_full", Value::from(t.ok_full.load(Ordering::Relaxed))),
-            ("ok_shed", Value::from(t.ok_shed.load(Ordering::Relaxed))),
-            ("rejected", Value::from(t.rejected.load(Ordering::Relaxed))),
-            (
-                "typed_errors",
-                Value::from(t.typed_errors.load(Ordering::Relaxed)),
-            ),
-            ("silent", Value::from(t.silent.load(Ordering::Relaxed))),
-        ])
-    };
-    let mut report = Report::new("fig17_tenant_overload");
-    report
-        .set("workers", WORKERS)
-        .set("archive", archive)
-        .set("vip_ops_per_phase", ops)
-        .set("flooders", flooders)
-        .set("saturation_width", SATURATION_WIDTH)
-        .set("capacity_qps", capacity)
-        .set("bulk_offered_qps", offered)
-        .set("overload_factor", offered / capacity.max(1e-9))
-        .set("baseline_p50_s", percentile(&baseline, 0.50))
-        .set("baseline_p95_s", percentile(&baseline, 0.95))
-        .set("baseline_p99_s", baseline_p99)
-        .set("loaded_p50_s", percentile(&loaded, 0.50))
-        .set("loaded_p95_s", percentile(&loaded, 0.95))
-        .set("loaded_p99_s", loaded_p99)
-        .set("p99_ratio", loaded_p99 / baseline_p99.max(1e-9))
-        .set("bulk_bytes_charged", usage.bytes_charged)
-        .set("vip", tally_obj(&vip_tally))
-        .set("bulk", tally_obj(&bulk_tally))
-        .set("baseline", tally_obj(&baseline_tally));
-    report.emit();
+    fig.table("outcomes")
+        .col("tenant", "tenant", Fmt::Plain)
+        .col("full", "ok_full", Fmt::Plain)
+        .col("shed", "ok_shed", Fmt::Plain)
+        .col("rejected", "rejected", Fmt::Plain)
+        .col("typed errors", "typed_errors", Fmt::Plain)
+        .col("silent", "silent", Fmt::Plain);
+    for (who, t) in [
+        ("baseline VIP", &baseline_tally),
+        ("loaded VIP", &vip_tally),
+        ("bulk", &bulk_tally),
+    ] {
+        let [full, shed, rejected, typed, silent] = [
+            &t.ok_full,
+            &t.ok_shed,
+            &t.rejected,
+            &t.typed_errors,
+            &t.silent,
+        ]
+        .map(|n| n.load(Ordering::Relaxed));
+        fig.row(cells![who, full, shed, rejected, typed, silent]);
+    }
+    let overload_factor = offered / capacity.max(1e-9);
+    let p99_ratio = loaded_p99 / baseline_p99.max(1e-9);
+    fig.table("overload")
+        .col("capacity q/s", "capacity_qps", Fmt::Fixed(0))
+        .col("bulk offered q/s", "bulk_offered_qps", Fmt::Fixed(0))
+        .col("offered/capacity", "overload_factor", Fmt::Times(1))
+        .col("VIP p99 loaded/baseline", "p99_ratio", Fmt::Times(2))
+        .col("bulk bytes charged", "bulk_bytes_charged", Fmt::Count);
+    fig.row(cells![
+        capacity,
+        offered,
+        overload_factor,
+        p99_ratio,
+        usage.bytes_charged,
+    ]);
+    fig.finish();
     cluster.shutdown();
 
     assert!(
@@ -349,9 +331,7 @@ fn main() {
         baseline_p99 * 1e3
     );
     println!(
-        "\noverload gate passed: offered {:.1}x capacity, VIP p99 {:.2}x baseline, \
-         0 silent timeouts",
-        offered / capacity.max(1e-9),
-        loaded_p99 / baseline_p99.max(1e-9)
+        "gates: offered {overload_factor:.1}x capacity (>= 4x), VIP p99 {p99_ratio:.2}x \
+         baseline (<= 2x or +2 ms), 0 silent timeouts — ok"
     );
 }

@@ -32,17 +32,13 @@
 //! ```text
 //! cargo run -p stcam-bench --release --bin fig18_coordinator_outage
 //! ```
-//!
-//! Environment knobs (for CI smoke runs): `FIG18_ARCHIVE` (default
-//! 40000), `FIG18_PROBE_ROUNDS` (default 4).
 
 use std::time::Duration;
 
 use stcam::{Cluster, HeatmapOp, Knn, OpPolicy, Predicate, QueryOpts, RangeOp};
-use stcam_bench::report::{obj, Report, Value};
 use stcam_bench::{
-    fmt_count, ingest_chunked, lan_config, launch, square_extent, synthetic_stream, timed,
-    window_secs, Table,
+    cells, ingest_chunked, lan_config, launch, square_extent, synthetic_stream, timed, window_secs,
+    Figure, Fmt,
 };
 use stcam_geo::{BBox, GridSpec, Point};
 use stcam_net::NodeId;
@@ -50,13 +46,6 @@ use stcam_net::NodeId;
 const EXTENT_M: f64 = 8_000.0;
 const WORKER_COUNTS: [usize; 3] = [4, 8, 16];
 const RECONSTRUCT_BUDGET_S: f64 = 10.0;
-
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// One row of the experiment: availability probed during the outage and
 /// the reconstruction audit after it.
@@ -177,82 +166,53 @@ fn run(workers: usize, kill_mid_outage: bool, archive: usize, rounds: usize) -> 
 }
 
 fn main() {
-    let archive = env_usize("FIG18_ARCHIVE", 40_000);
-    let rounds = env_usize("FIG18_PROBE_ROUNDS", 4).max(1);
-
-    println!(
-        "Figure 18: coordinator outage — read availability and reconstruction \
-         ({} observations, replication 1)\n",
-        fmt_count(archive as f64)
+    let mut fig = Figure::new(
+        env!("CARGO_BIN_NAME"),
+        "Figure 18: coordinator outage — read availability and reconstruction",
     );
-    let mut table = Table::new(&[
-        "workers",
-        "killed",
-        "strict avail",
-        "BE compl",
-        "census",
-        "epoch",
-        "reconstruct s",
-        "held",
-        "lost",
-        "queries kept",
-    ]);
+    let archive = fig.scale().pick(40_000, 8_000);
+    let rounds = fig.scale().pick(4usize, 2);
+    fig.param("observations", archive);
+    fig.param("replication", 1usize);
+    fig.param("probe_rounds", rounds);
+    fig.table("runs")
+        .col("workers", "workers", Fmt::Plain)
+        .col("killed", "killed_mid_outage", Fmt::Plain)
+        .col("strict avail", "strict_availability", Fmt::Percent(0))
+        .col("BE compl", "mean_completeness", Fmt::Fixed(3))
+        .col("census", "census_of_survivors", Fmt::Plain)
+        .col("epoch", "adopted_epoch", Fmt::Plain)
+        .col("reconstruct s", "reconstruct_s", Fmt::Fixed(3))
+        .col("held", "held", Fmt::Count)
+        .col("lost", "lost", Fmt::Plain)
+        .col("queries kept", "registrations_recovered", Fmt::Plain);
 
     let mut outcomes = Vec::new();
     for workers in WORKER_COUNTS {
         for kill in [false, true] {
             let o = run(workers, kill, archive, rounds);
-            table.row(&[
-                o.workers.to_string(),
-                o.killed.to_string(),
-                format!("{:.0}%", o.strict_avail * 100.0),
-                format!("{:.3}", o.mean_completeness),
-                format!("{}/{}", o.responders, o.workers - o.killed),
-                o.adopted_epoch.to_string(),
-                format!("{:.3}", o.reconstruct_s),
-                fmt_count(o.held as f64),
-                o.lost.to_string(),
-                o.registrations.to_string(),
+            fig.row(cells![
+                o.workers,
+                o.killed,
+                o.strict_avail,
+                o.mean_completeness,
+                [o.responders, o.workers - o.killed],
+                o.adopted_epoch,
+                o.reconstruct_s,
+                o.held,
+                o.lost,
+                o.registrations,
             ]);
             outcomes.push(o);
         }
     }
-    table.print();
-    println!(
-        "\n(the query plane serves reads against the last published plan on its own\n\
+    fig.note(
+        "(the query plane serves reads against the last published plan on its own\n\
          endpoints, so a coordinator crash cannot interrupt them; reconstruction\n\
          rebuilds the control plane from worker censuses and promotes the replica\n\
-         logs of anything that died while nobody was watching)"
+         logs of anything that died while nobody was watching)",
     );
-
-    let mut report = Report::new("fig18_coordinator_outage");
-    report
-        .set("archive", archive)
-        .set("probe_rounds", rounds)
-        .set("replication", 1usize)
-        .set(
-            "runs",
-            Value::List(
-                outcomes
-                    .iter()
-                    .map(|o| {
-                        obj(vec![
-                            ("workers", Value::from(o.workers)),
-                            ("killed_mid_outage", Value::from(o.killed)),
-                            ("strict_availability", Value::from(o.strict_avail)),
-                            ("mean_completeness", Value::from(o.mean_completeness)),
-                            ("census_responders", Value::from(o.responders)),
-                            ("adopted_epoch", Value::from(o.adopted_epoch)),
-                            ("reconstruct_s", Value::from(o.reconstruct_s)),
-                            ("held", Value::from(o.held)),
-                            ("lost", Value::from(o.lost)),
-                            ("registrations_recovered", Value::from(o.registrations)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
-    report.emit();
+    fig.finish();
 
     for o in &outcomes {
         let tag = format!("{} workers, {} killed", o.workers, o.killed);
@@ -284,7 +244,7 @@ fn main() {
         );
     }
     println!(
-        "\noutage gate passed: reads served through every outage, census reached \
-         every survivor, 0 observations lost, reconstruction < {RECONSTRUCT_BUDGET_S} s"
+        "gates: reads served through every outage, census reached every survivor, \
+         0 observations lost, reconstruction < {RECONSTRUCT_BUDGET_S} s — ok"
     );
 }

@@ -22,32 +22,34 @@
 
 use stcam::CentralizedStore;
 use stcam_bench::{
-    fmt_count, lan_config, launch, max_shard_busy_secs, square_extent, synthetic_stream, timed,
-    Table,
+    cells, lan_config, launch, max_shard_busy_secs, square_extent, synthetic_stream, timed, Figure,
+    Fmt,
 };
 use stcam_geo::Duration;
 use stcam_index::IndexConfig;
 
-const STREAM_LEN: usize = 400_000;
 const BATCH: usize = 500;
 const SOURCES: usize = 4;
 const EXTENT_M: f64 = 8_000.0;
 
 fn main() {
-    let extent = square_extent(EXTENT_M);
-    let stream = synthetic_stream(STREAM_LEN, extent, 600, 7);
-    println!(
-        "Figure 4: ingest throughput vs workers ({} observations, {SOURCES} edge sources, batches of {BATCH})\n",
-        fmt_count(STREAM_LEN as f64)
+    let mut fig = Figure::new(
+        env!("CARGO_BIN_NAME"),
+        "Figure 4: ingest throughput vs workers",
     );
-    let mut table = Table::new(&[
-        "system",
-        "workers",
-        "wall s",
-        "max-shard busy s",
-        "critical-path obs/s",
-        "scale-up",
-    ]);
+    let stream_len = fig.scale().pick(400_000, 40_000);
+    fig.param("observations", stream_len);
+    fig.param("edge_sources", SOURCES);
+    fig.param("batch", BATCH);
+    let extent = square_extent(EXTENT_M);
+    let stream = synthetic_stream(stream_len, extent, 600, 7);
+    fig.table("rows")
+        .col("system", "system", Fmt::Plain)
+        .col("workers", "workers", Fmt::Plain)
+        .col("wall s", "wall_s", Fmt::Fixed(2))
+        .col("max-shard busy s", "max_shard_busy_s", Fmt::Fixed(2))
+        .col("critical-path obs/s", "critical_path_obs_per_s", Fmt::Count)
+        .col("scale-up", "scale_up", Fmt::Times(2));
 
     // Centralized baseline: same index, no network, one thread. Its busy
     // time IS its wall time.
@@ -59,13 +61,14 @@ fn main() {
         }
         store
     });
-    table.row(&[
-        "centralized".into(),
-        "1".into(),
-        format!("{base_busy:.2}"),
-        format!("{base_busy:.2}"),
-        fmt_count(STREAM_LEN as f64 / base_busy),
-        "1.00x".into(),
+    let base_rate = stream_len as f64 / base_busy;
+    fig.row(cells![
+        "centralized",
+        1usize,
+        base_busy,
+        base_busy,
+        base_rate,
+        1.0
     ]);
 
     // Split the stream across the edge sources once, up front.
@@ -91,25 +94,25 @@ fn main() {
         let stats = cluster.stats().expect("stats");
         assert_eq!(
             stats.total_primary(),
-            STREAM_LEN as u64,
+            stream_len as u64,
             "observations lost"
         );
         let max_busy = max_shard_busy_secs(&stats);
-        let critical_rate = STREAM_LEN as f64 / max_busy.max(1e-9);
-        table.row(&[
-            "distributed".into(),
-            workers.to_string(),
-            format!("{wall:.2}"),
-            format!("{max_busy:.2}"),
-            fmt_count(critical_rate),
-            format!("{:.2}x", critical_rate / (STREAM_LEN as f64 / base_busy)),
+        let critical_rate = stream_len as f64 / max_busy.max(1e-9);
+        fig.row(cells![
+            "distributed",
+            workers,
+            wall,
+            max_busy,
+            critical_rate,
+            critical_rate / base_rate,
         ]);
         cluster.shutdown();
     }
-    table.print();
-    println!(
-        "\nnotes: critical path = busiest shard's busy time (the throughput bound when\n\
+    fig.note(
+        "notes: critical path = busiest shard's busy time (the throughput bound when\n\
          each worker is its own machine); wall-clock on this host is core-limited.\n\
-         replication 0; see tab3_recovery for the replication cost."
+         replication 0; see tab3_recovery for the replication cost.",
     );
+    fig.finish();
 }

@@ -23,25 +23,29 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stcam::CentralizedStore;
 use stcam_bench::{
-    fmt_count, ingest_chunked, lan_config, launch, op_stats, square_extent, synthetic_stream,
-    window_secs, LatencyStats, Table,
+    cells, ingest_chunked, lan_config, launch, max_shard_busy_secs, op_stats, square_extent,
+    synthetic_stream, timed, window_secs, Figure, Fmt, LatencyStats,
 };
 use stcam_geo::{BBox, Duration, Point};
 use stcam_index::IndexConfig;
 
-const ARCHIVE: usize = 1_000_000;
 const EXTENT_M: f64 = 8_000.0;
-const QUERIES_PER_POINT: usize = 60;
+const WORKERS: usize = 8;
 
 fn main() {
-    let extent = square_extent(EXTENT_M);
-    let stream = synthetic_stream(ARCHIVE, extent, 600, 11);
-    println!(
-        "Figure 5: range-query latency vs region size ({} observation archive)\n",
-        fmt_count(ARCHIVE as f64)
+    let mut fig = Figure::new(
+        env!("CARGO_BIN_NAME"),
+        "Figure 5: range-query latency vs region size",
     );
+    let archive = fig.scale().pick(1_000_000, 100_000);
+    let queries_per_point = fig.scale().pick(60usize, 10);
+    fig.param("archive", archive);
+    fig.param("workers", WORKERS);
+    fig.param("queries_per_point", queries_per_point);
+    let extent = square_extent(EXTENT_M);
+    let stream = synthetic_stream(archive, extent, 600, 11);
 
-    let cluster = launch(lan_config(extent, 8, 0));
+    let cluster = launch(lan_config(extent, WORKERS, 0));
     ingest_chunked(&cluster, &stream, 2000);
 
     let mut indexed =
@@ -51,21 +55,28 @@ fn main() {
     flat.ingest(stream);
 
     let window = window_secs(600);
-    let mut table = Table::new(&[
-        "area %",
-        "side m",
-        "hits",
-        "cluster wall ms (m/p50/p95)",
-        "scatter/merge ms",
-        "cluster crit-path ms",
-        "central-idx ms",
-        "flat-scan ms",
-    ]);
+    fig.table("rows")
+        .col("area %", "area_pct", Fmt::Plain)
+        .col("side m", "side_m", Fmt::Fixed(0))
+        .col("hits", "hits", Fmt::Count)
+        .col(
+            "cluster wall ms (m/p50/p95)",
+            "cluster_wall_ms",
+            Fmt::Fixed(2),
+        )
+        .col("scatter/merge ms", "scatter_merge_ms", Fmt::Fixed(2))
+        .col(
+            "cluster crit-path ms",
+            "cluster_crit_path_ms",
+            Fmt::Fixed(2),
+        )
+        .col("central-idx ms", "central_idx_ms", Fmt::Fixed(2))
+        .col("flat-scan ms", "flat_scan_ms", Fmt::Fixed(2));
 
     for area_pct in [0.01, 0.1, 1.0, 5.0, 25.0] {
         let side = EXTENT_M * (area_pct / 100.0f64).sqrt();
         let mut rng = StdRng::seed_from_u64(area_pct.to_bits());
-        let regions: Vec<BBox> = (0..QUERIES_PER_POINT)
+        let regions: Vec<BBox> = (0..queries_per_point)
             .map(|_| {
                 let x = rng.gen_range(0.0..EXTENT_M - side);
                 let y = rng.gen_range(0.0..EXTENT_M - side);
@@ -77,62 +88,34 @@ fn main() {
         let mut samples_cluster = Vec::new();
         let mut samples_indexed = Vec::new();
         let mut samples_flat = Vec::new();
-        let busy_before: u64 = cluster
-            .stats()
-            .expect("stats")
-            .workers
-            .iter()
-            .map(|(_, s)| s.busy_micros)
-            .max()
-            .unwrap_or(0);
+        let busy_before = max_shard_busy_secs(&cluster.stats().expect("stats"));
         let exec_before = op_stats(&cluster, "range");
         for region in &regions {
-            let t0 = std::time::Instant::now();
-            hits += cluster.range_query(*region, window).expect("query").len();
-            samples_cluster.push(t0.elapsed().as_secs_f64());
-
-            let t0 = std::time::Instant::now();
-            let _ = indexed.range_query(*region, window);
-            samples_indexed.push(t0.elapsed().as_secs_f64());
-
-            let t0 = std::time::Instant::now();
-            let _ = flat.range_query(*region, window);
-            samples_flat.push(t0.elapsed().as_secs_f64());
+            let (found, secs) = timed(|| cluster.range_query(*region, window).expect("query"));
+            hits += found.len();
+            samples_cluster.push(secs);
+            samples_indexed.push(timed(|| indexed.range_query(*region, window)).1);
+            samples_flat.push(timed(|| flat.range_query(*region, window)).1);
         }
-        let busy_after: u64 = cluster
-            .stats()
-            .expect("stats")
-            .workers
-            .iter()
-            .map(|(_, s)| s.busy_micros)
-            .max()
-            .unwrap_or(0);
-        let crit_path_ms = (busy_after - busy_before) as f64 / 1e3 / regions.len() as f64;
+        let busy_after = max_shard_busy_secs(&cluster.stats().expect("stats"));
         // The executor's latency split over the same queries: scatter
         // (fan-out through gather) vs merge (combining the partials).
         let exec = op_stats(&cluster, "range").since(&exec_before);
         let q = regions.len() as f64;
-        table.row(&[
-            format!("{area_pct}"),
-            format!("{side:.0}"),
-            fmt_count(hits as f64 / regions.len() as f64),
-            LatencyStats::from_samples(&samples_cluster).render_ms(),
-            format!(
-                "{:.2}/{:.2}",
+        fig.row(cells![
+            area_pct,
+            side,
+            hits as f64 / q,
+            LatencyStats::from_samples(&samples_cluster).ms(),
+            [
                 exec.scatter_micros as f64 / 1e3 / q,
                 exec.merge_micros as f64 / 1e3 / q
-            ),
-            format!("{crit_path_ms:.2}"),
-            format!(
-                "{:.2}",
-                LatencyStats::from_samples(&samples_indexed).mean * 1e3
-            ),
-            format!(
-                "{:.2}",
-                LatencyStats::from_samples(&samples_flat).mean * 1e3
-            ),
+            ],
+            (busy_after - busy_before) * 1e3 / q,
+            LatencyStats::from_samples(&samples_indexed).mean * 1e3,
+            LatencyStats::from_samples(&samples_flat).mean * 1e3,
         ]);
     }
-    table.print();
     cluster.shutdown();
+    fig.finish();
 }

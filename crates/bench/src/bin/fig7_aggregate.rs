@@ -13,8 +13,8 @@
 //! ```
 
 use stcam_bench::{
-    fmt_count, ingest_chunked, lan_config, launch, square_extent, synthetic_stream, timed,
-    window_secs, Table,
+    cells, ingest_chunked, lan_config, launch, square_extent, synthetic_stream, timed, window_secs,
+    Figure, Fmt,
 };
 use stcam_geo::GridSpec;
 
@@ -23,22 +23,28 @@ const WORKERS: usize = 8;
 const REPEATS: usize = 10;
 
 fn main() {
-    let extent = square_extent(EXTENT_M);
-    println!(
-        "Figure 7: heat-map aggregation, partial vs ship-all ({WORKERS} workers, 64×64 buckets)\n"
+    let mut fig = Figure::new(
+        env!("CARGO_BIN_NAME"),
+        "Figure 7: heat-map aggregation, partial vs ship-all (64×64 buckets)",
     );
+    let archives = fig.scale().pick(
+        [100_000usize, 400_000, 1_600_000],
+        [25_000, 50_000, 100_000],
+    );
+    fig.param("workers", WORKERS);
+    fig.param("repeats", REPEATS);
+    let extent = square_extent(EXTENT_M);
     let buckets = GridSpec::covering(extent, EXTENT_M / 64.0);
     let window = window_secs(600);
-    let mut table = Table::new(&[
-        "archive",
-        "partial ms",
-        "partial KB/q",
-        "ship-all ms",
-        "ship-all KB/q",
-        "traffic ratio",
-    ]);
+    fig.table("rows")
+        .col("archive", "archive", Fmt::Count)
+        .col("partial ms", "partial_ms", Fmt::Fixed(2))
+        .col("partial KB/q", "partial_kb_per_q", Fmt::Fixed(1))
+        .col("ship-all ms", "ship_all_ms", Fmt::Fixed(2))
+        .col("ship-all KB/q", "ship_all_kb_per_q", Fmt::Fixed(1))
+        .col("traffic ratio", "traffic_ratio", Fmt::Times(0));
 
-    for archive in [100_000usize, 400_000, 1_600_000] {
+    for archive in archives {
         let cluster = launch(lan_config(extent, WORKERS, 0));
         let stream = synthetic_stream(archive, extent, 600, 17);
         ingest_chunked(&cluster, &stream, 2000);
@@ -70,15 +76,15 @@ fn main() {
 
         let partial_kb = mid.since(&before).total_bytes as f64 / 1024.0 / REPEATS as f64;
         let shipall_kb = after.since(&mid).total_bytes as f64 / 1024.0 / REPEATS as f64;
-        table.row(&[
-            fmt_count(archive as f64),
-            format!("{:.2}", partial_s * 1e3 / REPEATS as f64),
-            format!("{partial_kb:.1}"),
-            format!("{:.2}", shipall_s * 1e3 / REPEATS as f64),
-            format!("{shipall_kb:.1}"),
-            format!("{:.0}x", shipall_kb / partial_kb),
+        fig.row(cells![
+            archive,
+            partial_s * 1e3 / REPEATS as f64,
+            partial_kb,
+            shipall_s * 1e3 / REPEATS as f64,
+            shipall_kb,
+            shipall_kb / partial_kb,
         ]);
         cluster.shutdown();
     }
-    table.print();
+    fig.finish();
 }

@@ -13,31 +13,39 @@
 //! ```
 
 use stcam::PartitionPolicy;
-use stcam_bench::{ingest_chunked, lan_config, launch, skewed_stream, square_extent, Table};
+use stcam_bench::{
+    cells, ingest_chunked, lan_config, launch, skewed_stream, square_extent, Figure, Fmt,
+};
 use stcam_geo::Point;
 
 const EXTENT_M: f64 = 8_000.0;
 const WORKERS: usize = 8;
-const STREAM_LEN: usize = 200_000;
 
 fn main() {
+    let mut fig = Figure::new(
+        env!("CARGO_BIN_NAME"),
+        "Figure 8: load imbalance vs hotspot intensity",
+    );
+    let stream_len = fig.scale().pick(200_000, 20_000);
+    fig.param("workers", WORKERS);
+    fig.param("observations", stream_len);
     let extent = square_extent(EXTENT_M);
     let center = Point::new(EXTENT_M / 2.0, EXTENT_M / 2.0);
-    println!(
-        "Figure 8: load imbalance vs hotspot intensity ({WORKERS} workers, {STREAM_LEN} observations)\n"
-    );
-    let mut table = Table::new(&[
-        "hotspot fraction",
-        "uniform imbalance",
-        "load-aware imbalance",
-        "improvement",
-    ]);
+    fig.table("rows")
+        .col("hotspot fraction", "hotspot_fraction", Fmt::Percent(0))
+        .col("uniform imbalance", "uniform_imbalance", Fmt::Fixed(2))
+        .col(
+            "load-aware imbalance",
+            "load_aware_imbalance",
+            Fmt::Fixed(2),
+        )
+        .col("improvement", "improvement", Fmt::Percent(1));
 
     for fraction in [0.0, 0.2, 0.4, 0.6, 0.8] {
-        let stream = skewed_stream(STREAM_LEN, extent, 600, 23, center, 400.0, fraction);
+        let stream = skewed_stream(stream_len, extent, 600, 23, center, 400.0, fraction);
         // Profiling prefix: the first 10% of the stream feeds the load
         // model, exactly as a rebalance epoch would in deployment.
-        let profile_len = STREAM_LEN / 10;
+        let profile_len = stream_len / 10;
         let mut imbalances = Vec::new();
         for policy in [PartitionPolicy::UniformHash, PartitionPolicy::LoadAware] {
             let mut config = lan_config(extent, WORKERS, 0)
@@ -55,17 +63,17 @@ fn main() {
             let cluster = launch(config);
             ingest_chunked(&cluster, &stream, 2000);
             let stats = cluster.stats().expect("stats");
-            assert_eq!(stats.total_primary() as usize, STREAM_LEN);
+            assert_eq!(stats.total_primary() as usize, stream_len);
             imbalances.push(stats.imbalance());
             cluster.shutdown();
         }
-        table.row(&[
-            format!("{:.0}%", fraction * 100.0),
-            format!("{:.2}", imbalances[0]),
-            format!("{:.2}", imbalances[1]),
-            format!("{:.1}%", (1.0 - imbalances[1] / imbalances[0]) * 100.0),
+        fig.row(cells![
+            fraction,
+            imbalances[0],
+            imbalances[1],
+            1.0 - imbalances[1] / imbalances[0],
         ]);
     }
-    table.print();
-    println!("\n(imbalance 1.00 = perfect balance; hotspot σ = 400 m at the city centre)");
+    fig.note("(imbalance 1.00 = perfect balance; hotspot σ = 400 m at the city centre)");
+    fig.finish();
 }

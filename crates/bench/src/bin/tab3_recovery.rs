@@ -23,50 +23,65 @@
 //! cargo run -p stcam-bench --release --bin tab3_recovery
 //! ```
 
+use std::time::Duration;
+
 use stcam::{Cluster, HeatmapOp, Knn, OpPolicy, QueryOpts, RangeOp};
 use stcam_bench::{
-    fmt_count, ingest_chunked, lan_config, launch, op_stats, square_extent, synthetic_stream,
-    timed, window_secs, Table,
+    cells, ingest_chunked, lan_config, launch, op_stats, square_extent, synthetic_stream, timed,
+    window_secs, Figure, Fmt,
 };
 use stcam_geo::{BBox, GridSpec, Point};
 use stcam_net::NodeId;
 
 const EXTENT_M: f64 = 8_000.0;
 const WORKERS: usize = 8;
-const STREAM_LEN: usize = 200_000;
 
 fn main() {
-    let extent = square_extent(EXTENT_M);
-    println!(
-        "Table 3: data loss and recovery vs replication factor ({WORKERS} workers, {} observations)\n",
-        fmt_count(STREAM_LEN as f64)
+    let mut fig = Figure::new(
+        env!("CARGO_BIN_NAME"),
+        "Table 3: data loss and recovery vs replication factor",
     );
-    let mut table = Table::new(&[
-        "r",
-        "failures",
-        "probe fails",
-        "strict avail",
-        "BE compl",
-        "survivors hold",
-        "lost",
-        "loss %",
-        "detect+failover s",
-        "ingest overhead",
-    ]);
+    let stream_len = fig.scale().pick(200_000, 20_000);
+    // How long a crash-window read waits on a dead worker before it
+    // fails over (or fails); the modelled LAN answers in under 1 ms.
+    let read_timeout = Duration::from_millis(fig.scale().pick(600, 100));
+    fig.param("workers", WORKERS);
+    fig.param("observations", stream_len);
+    fig.param(
+        "crash_window_read_timeout_ms",
+        read_timeout.as_millis() as u64,
+    );
+    let extent = square_extent(EXTENT_M);
+    fig.table("rows")
+        .col("r", "replication", Fmt::Plain)
+        .col("failures", "failures", Fmt::Plain)
+        .col("probe fails", "probe_failures", Fmt::Plain)
+        .col("strict avail", "strict_availability", Fmt::Percent(0))
+        .col("BE compl", "best_effort_completeness", Fmt::Fixed(3))
+        .col("survivors hold", "held", Fmt::Count)
+        .col("lost", "lost", Fmt::Plain)
+        .col("loss", "loss_fraction", Fmt::Percent(3))
+        .col("detect+failover s", "detect_failover_s", Fmt::Fixed(2))
+        .col("ingest overhead", "ingest_overhead", Fmt::Times(2));
 
     // Ingest bytes at r=0 for the overhead column.
     let base_ingest_bytes = ingest_bytes(extent, 0);
 
     for replication in [0usize, 1, 2] {
+        let overhead = match replication {
+            0 => 1.0,
+            r => ingest_bytes(extent, r) / base_ingest_bytes,
+        };
         for victims in [vec![NodeId(3)], vec![NodeId(3), NodeId(4)]] {
             let cluster = launch(lan_config(extent, WORKERS, replication));
-            let stream = synthetic_stream(STREAM_LEN, extent, 600, 53);
+            let stream = synthetic_stream(stream_len, extent, 600, 53);
             ingest_chunked(&cluster, &stream, 1000);
 
             for &victim in &victims {
                 cluster.kill_worker(victim);
             }
-            let (strict_avail, mean_completeness) = crash_window_availability(&cluster, extent);
+            let (strict_avail, mean_completeness) =
+                crash_window_availability(&cluster, extent, read_timeout);
             let (failed, recovery_s) = timed(|| cluster.check_and_recover());
             assert_eq!(failed.len(), victims.len(), "missed a failure");
             // The executor books each dead worker as one failed probe
@@ -77,48 +92,40 @@ fn main() {
                 .range_query(extent.inflated(100.0), window_secs(10_000))
                 .expect("audit")
                 .len();
-            let lost = STREAM_LEN.saturating_sub(held);
-            let overhead = if replication == 0 {
-                "1.00x".to_string()
-            } else {
-                format!(
-                    "{:.2}x",
-                    ingest_bytes(extent, replication) / base_ingest_bytes
-                )
-            };
-            table.row(&[
-                replication.to_string(),
-                victims.len().to_string(),
-                probe_fails.to_string(),
-                format!("{:.0}%", strict_avail * 100.0),
-                format!("{mean_completeness:.3}"),
-                fmt_count(held as f64),
-                lost.to_string(),
-                format!("{:.3}%", lost as f64 * 100.0 / STREAM_LEN as f64),
-                format!("{recovery_s:.2}"),
+            let lost = stream_len.saturating_sub(held);
+            fig.row(cells![
+                replication,
+                victims.len(),
+                probe_fails,
+                strict_avail,
+                mean_completeness,
+                held,
+                lost,
+                lost as f64 / stream_len as f64,
+                recovery_s,
                 overhead,
             ]);
             cluster.shutdown();
         }
     }
-    table.print();
-    println!(
-        "\n(failures are ring-adjacent — the worst case; acked ingest replicates\n\
+    fig.note(
+        "(failures are ring-adjacent — the worst case; acked ingest replicates\n\
          synchronously before acknowledging, so loss under r ≥ failures is exactly 0;\n\
          availability columns are measured before the recovery tick, when only\n\
-         replica-failover reads can answer for the dead shards)"
+         replica-failover reads can answer for the dead shards)",
     );
+    fig.finish();
 }
 
 /// Probes the crash window: strict and best-effort range/kNN/heat-map
 /// queries against a cluster whose victims are dead but not yet failed
 /// out. Returns (fraction of strict queries answered, mean best-effort
 /// completeness fraction).
-fn crash_window_availability(cluster: &Cluster, extent: BBox) -> (f64, f64) {
+fn crash_window_availability(cluster: &Cluster, extent: BBox, timeout: Duration) -> (f64, f64) {
     // Short read policies so each dead-primary sub-query fails over (or
     // fails) quickly instead of burning the default RPC budget.
     for op in ["range", "knn_phase1", "knn_phase2", "heatmap"] {
-        cluster.set_op_policy(op, OpPolicy::new(std::time::Duration::from_millis(600)));
+        cluster.set_op_policy(op, OpPolicy::new(timeout));
     }
     let window = window_secs(10_000);
     let buckets = GridSpec::covering(extent, extent.width() / 16.0);

@@ -24,15 +24,11 @@
 //! ```text
 //! cargo run -p stcam-bench --release --bin tab4_repair
 //! ```
-//!
-//! Environment knobs (for CI smoke runs): `TAB4_STREAM` (default
-//! 20000) and `TAB4_CHUNK` (ingest batch size, default 1000).
 
 use stcam::{Cluster, OpPolicy};
-use stcam_bench::report::{obj, Report, Value};
 use stcam_bench::{
-    fmt_count, ingest_chunked, lan_config, launch, op_stats, square_extent, synthetic_stream,
-    timed, window_secs, Table,
+    cells, ingest_chunked, lan_config, launch, op_stats, square_extent, synthetic_stream, timed,
+    window_secs, Figure, Fmt,
 };
 use stcam_net::NodeId;
 
@@ -40,34 +36,28 @@ const EXTENT_M: f64 = 8_000.0;
 const WORKERS: usize = 8;
 const VICTIM: NodeId = NodeId(3);
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
-    let stream_len = env_usize("TAB4_STREAM", 20_000);
-    let chunk = env_usize("TAB4_CHUNK", 1_000);
+    let mut fig = Figure::new(
+        env!("CARGO_BIN_NAME"),
+        "Table 4: repair and rejoin after a worker loss",
+    );
+    let stream_len = fig.scale().pick(20_000, 5_000);
+    let chunk = fig.scale().pick(1_000, 500);
+    fig.param("workers", WORKERS);
+    fig.param("observations", stream_len);
+    fig.param("batch", chunk);
 
     let extent = square_extent(EXTENT_M);
-    println!(
-        "Table 4: repair and rejoin after a worker loss ({WORKERS} workers, {} observations)\n",
-        fmt_count(stream_len as f64)
-    );
-    let mut table = Table::new(&[
-        "r",
-        "drop",
-        "under-repl at kill",
-        "heal s",
-        "repair rounds",
-        "repair KiB",
-        "rejoin s",
-        "under-repl after",
-        "lost",
-    ]);
-    let mut rows: Vec<Value> = Vec::new();
+    fig.table("rows")
+        .col("r", "replication", Fmt::Plain)
+        .col("drop", "drop", Fmt::Percent(0))
+        .col("under-repl at kill", "under_replicated_at_kill", Fmt::Plain)
+        .col("heal s", "heal_s", Fmt::Fixed(2))
+        .col("repair rounds", "repair_rounds", Fmt::Plain)
+        .col("repair KiB", "repair_kib", Fmt::Fixed(0))
+        .col("rejoin s", "rejoin_s", Fmt::Fixed(2))
+        .col("under-repl after", "under_replicated_after", Fmt::Plain)
+        .col("lost", "lost", Fmt::Plain);
 
     for replication in [2usize, 3] {
         for drop in [0.0f64, 0.05] {
@@ -136,28 +126,17 @@ fn main() {
                 .len();
             let lost = stream_len.saturating_sub(held);
 
-            table.row(&[
-                replication.to_string(),
-                format!("{:.0}%", drop * 100.0),
-                under_at_kill.to_string(),
-                format!("{heal_s:.2}"),
-                repair.repair_rounds.to_string(),
-                format!("{:.0}", repair.repair_bytes as f64 / 1024.0),
-                format!("{rejoin_s:.2}"),
-                under_after.to_string(),
-                lost.to_string(),
+            fig.row(cells![
+                replication,
+                drop,
+                under_at_kill,
+                heal_s,
+                repair.repair_rounds,
+                repair.repair_bytes as f64 / 1024.0,
+                rejoin_s,
+                under_after,
+                lost,
             ]);
-            rows.push(obj(vec![
-                ("replication", Value::from(replication)),
-                ("drop", Value::from(drop)),
-                ("under_replicated_at_kill", Value::from(under_at_kill)),
-                ("heal_s", Value::from(heal_s)),
-                ("repair_rounds", Value::from(repair.repair_rounds)),
-                ("repair_bytes", Value::from(repair.repair_bytes)),
-                ("rejoin_s", Value::from(rejoin_s)),
-                ("under_replicated_after", Value::from(under_after)),
-                ("lost", Value::from(lost)),
-            ]));
 
             assert_eq!(
                 under_after, 0,
@@ -170,21 +149,14 @@ fn main() {
             cluster.shutdown();
         }
     }
-    table.print();
-    println!(
-        "\n(`heal s` spans detection, replica promotion, and anti-entropy repair to\n\
+    fig.note(
+        "(`heal s` spans detection, replica promotion, and anti-entropy repair to\n\
          convergence; `rejoin s` spans re-detection of the restarted worker through\n\
          bulk-sync and repair; the gate is zero under-replicated cells and a strict\n\
-         full-range audit equal to the stream, at every factor and drop rate)"
+         full-range audit equal to the stream, at every factor and drop rate)",
     );
-
-    let mut report = Report::new("tab4_repair");
-    report
-        .set("workers", WORKERS)
-        .set("stream", stream_len)
-        .set("rows", rows);
-    report.emit();
-    println!("convergence gate passed: zero under-replicated cells, zero loss");
+    fig.finish();
+    println!("gates: zero under-replicated cells, zero loss — ok");
 }
 
 /// Re-invokes [`Cluster::repair`] until the planner reports convergence

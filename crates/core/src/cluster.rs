@@ -56,13 +56,6 @@ pub struct ClusterConfig {
     /// Per-macro-cell load estimates for
     /// [`PartitionPolicy::LoadAware`] (row-major over the macro grid).
     pub load_profile: Option<Vec<u64>>,
-    /// Read-executor threads per worker (0 serves every read on the
-    /// worker's sequential control lane).
-    pub read_concurrency: usize,
-    /// Cluster-wide in-flight scatter width past which the admission
-    /// gate sheds non-high-priority tenant queries (0 = auto: one full
-    /// fan-out per query-plane endpoint, `workers × 8`).
-    pub saturation_width: usize,
 }
 
 impl ClusterConfig {
@@ -88,8 +81,6 @@ impl ClusterConfig {
             link: LinkModel::lan(),
             rpc_timeout: StdDuration::from_secs(5),
             load_profile: None,
-            read_concurrency: 4,
-            saturation_width: 0,
         }
     }
 
@@ -128,20 +119,6 @@ impl ClusterConfig {
     /// tests lower this so dead-node sub-queries fail fast.
     pub fn with_rpc_timeout(mut self, timeout: StdDuration) -> Self {
         self.rpc_timeout = timeout;
-        self
-    }
-
-    /// Replaces the per-worker read-executor pool size (0 disables the
-    /// pool and serves reads on the control lane).
-    pub fn with_read_concurrency(mut self, threads: usize) -> Self {
-        self.read_concurrency = threads;
-        self
-    }
-
-    /// Replaces the admission gate's saturation width (0 = auto-derive
-    /// from the worker count and the query-plane pool size at launch).
-    pub fn with_saturation_width(mut self, width: usize) -> Self {
-        self.saturation_width = width;
         self
     }
 
@@ -248,6 +225,9 @@ impl Drop for MonitorHandle {
 /// bounds contention, not parallelism.
 const QUERY_ENDPOINTS: u32 = 8;
 
+/// Read-executor threads per worker.
+const READ_THREADS: usize = 4;
+
 impl Cluster {
     /// Boots a cluster per `config`.
     ///
@@ -273,7 +253,7 @@ impl Cluster {
                 fabric.register(id),
                 WorkerConfig {
                     index: index_config.clone(),
-                    read_threads: config.read_concurrency,
+                    read_threads: READ_THREADS,
                 },
             ));
         }
@@ -297,13 +277,10 @@ impl Cluster {
         coordinator.broadcast_routes();
         let plane = coordinator.query_plane();
         // Arm the admission gate's saturation threshold: one full
-        // fan-out per query-plane endpoint unless the config pins it.
-        let saturation = if config.saturation_width > 0 {
-            config.saturation_width
-        } else {
-            config.workers * QUERY_ENDPOINTS as usize
-        };
-        plane.admission().set_saturation_width(saturation);
+        // fan-out per query-plane endpoint.
+        plane
+            .admission()
+            .set_saturation_width(config.workers * QUERY_ENDPOINTS as usize);
         Ok(Cluster {
             fabric,
             coordinator: std::sync::Arc::new(Mutex::new(coordinator)),

@@ -159,8 +159,13 @@ impl ReliableSender {
         if self.snapshot().alive.is_empty() && self.refresh_plan().alive.is_empty() {
             return Err(StcamError::NoQuorum);
         }
+        Ok(self.drive(exec, batch))
+    }
+
+    /// [`ingest`](Self::ingest) past its quorum check: it cannot fail,
+    /// so every row handed in ends up accepted or parked.
+    fn drive(&self, exec: &Executor, mut work: Vec<Observation>) -> usize {
         let mut accepted = 0usize;
-        let mut work = batch;
         for round in 0..MAX_ROUNDS {
             if work.is_empty() {
                 break;
@@ -174,25 +179,19 @@ impl ReliableSender {
             };
             let mut groups: HashMap<NodeId, Vec<Observation>> = HashMap::new();
             for obs in work.drain(..) {
-                groups
-                    .entry(plan.partition.owner_of(obs.position))
-                    .or_default()
-                    .push(obs);
+                let owner = plan.partition.owner_of(obs.position);
+                groups.entry(owner).or_default().push(obs);
             }
-            let mut queue = groups.into_iter();
-            loop {
-                let wave: Vec<(NodeId, Vec<Observation>)> =
-                    queue.by_ref().take(INFLIGHT_WINDOW).collect();
-                if wave.is_empty() {
-                    break;
-                }
+            let mut queue = groups.into_iter().peekable();
+            while queue.peek().is_some() {
+                let wave = queue.by_ref().take(INFLIGHT_WINDOW).collect();
                 accepted += self.deliver_wave(exec, &plan, wave, &mut work);
             }
         }
         // Whatever re-routing did not settle within the round budget
         // waits for the flush barrier to re-drive it.
         self.pending.lock().extend(work);
-        Ok(accepted)
+        accepted
     }
 
     /// Delivers one wave of per-owner groups in two scatters and returns
@@ -286,11 +285,8 @@ impl ReliableSender {
         // several owners is listed once for each.
         let mut copies: Vec<(usize, NodeId)> = Vec::new();
         for (i, group) in groups.iter().enumerate() {
-            let want = if group.acked {
-                self.replication
-            } else {
-                self.replication.max(1)
-            };
+            // A hint needs at least one copy, whatever the factor.
+            let want = self.replication.max(usize::from(!group.acked));
             let successors = plan
                 .partition
                 .alive_successors(group.primary, want, &plan.alive);
@@ -330,16 +326,20 @@ impl ReliableSender {
     /// # Errors
     ///
     /// [`StcamError::PartialFailure`] naming the owners of observations
-    /// that still cannot be acknowledged after the round budget;
-    /// transport errors when an alive worker does not answer the ping.
+    /// that cannot be acknowledged within the round budget, or
+    /// [`StcamError::NoQuorum`] with no worker alive: the window stays
+    /// parked. Transport errors when an alive worker misses the ping.
     pub(crate) fn flush(&self, exec: &Executor) -> Result<(), StcamError> {
         for _ in 0..MAX_ROUNDS {
-            let parked = std::mem::take(&mut *self.pending.lock());
-            if parked.is_empty() {
+            if self.pending.lock().is_empty() {
                 break;
             }
-            self.refresh_plan();
-            self.ingest(exec, parked)?;
+            // Before the window is taken: on error the rows stay parked.
+            if self.refresh_plan().alive.is_empty() {
+                return Err(StcamError::NoQuorum);
+            }
+            let parked = std::mem::take(&mut *self.pending.lock());
+            self.drive(exec, parked);
         }
         let plan = self.refresh_plan();
         let mut missing: Vec<NodeId> = self
@@ -415,9 +415,9 @@ impl Ingestor {
     ///
     /// # Errors
     ///
-    /// [`StcamError::PartialFailure`] when parked observations still
-    /// cannot be acknowledged; transport errors when an alive worker
-    /// does not answer the ping in time.
+    /// [`StcamError::PartialFailure`] (or [`StcamError::NoQuorum`]) when
+    /// parked observations cannot be acknowledged — they stay parked;
+    /// transport errors when an alive worker does not answer the ping.
     pub fn flush(&self) -> Result<(), StcamError> {
         self.sender.flush(&self.exec)
     }

@@ -78,7 +78,6 @@ fn config() -> ClusterConfig {
     ClusterConfig::new(extent(), WORKERS as usize)
         .with_replication(REPLICATION)
         .with_link(LinkModel::instant())
-        .with_saturation_width(SATURATION_WIDTH)
         // Short timeout so sub-queries to dead nodes fail over fast.
         .with_rpc_timeout(StdDuration::from_millis(250))
 }
@@ -113,6 +112,8 @@ fn settle_replication(cluster: &Cluster) {
 /// only diverge while a lossy plan has writes in limbo.
 fn launch_with_data() -> (Cluster, CentralizedStore, CentralizedStore) {
     let cluster = Cluster::launch(config()).expect("launch");
+    let plane = cluster.query_plane();
+    plane.admission().set_saturation_width(SATURATION_WIDTH);
     let batch: Vec<Observation> = (0..OBSERVATIONS).map(obs).collect();
     let mut oracle = CentralizedStore::flat();
     oracle.ingest(batch.clone());
@@ -599,7 +600,7 @@ fn drop_permille() -> u16 {
     }
 }
 
-/// The acceptance criterion for reliable ingest: with a uniform message
+/// The acceptance test for reliable ingest: with a uniform message
 /// drop probability on **every** link (default 5%, `CHAOS_DROP`
 /// permille to override), faults and acked writes interleaved, no
 /// observation the cluster acknowledged is ever missing from a

@@ -190,7 +190,6 @@ fn paged_pushdown_reads_match_oracle_with_pool() {
     let cluster = Cluster::launch(
         ClusterConfig::new(extent(), 4)
             .with_replication(1)
-            .with_read_concurrency(4)
             .with_link(LinkModel::instant()),
     )
     .unwrap();

@@ -562,10 +562,12 @@ impl Endpoint {
     /// # Errors
     ///
     /// [`NetError::Timeout`] when no response arrived by `timeout ×
-    /// max_sends` after [`call_start`](Self::call_start) or by
-    /// `resend.deadline` (requests or responses may have been lost, or
-    /// the peer crashed); a submission error as for [`send`](Self::send)
-    /// when this node went down between sends.
+    /// max_sends` after [`call_start`](Self::call_start) — or, for a
+    /// wait begun so late that sends were still owed, a retransmission
+    /// timeout after the last of them — or by `resend.deadline` (requests
+    /// or responses may have been lost, or the peer crashed); a
+    /// submission error as for [`send`](Self::send) when this node went
+    /// down between sends.
     pub fn call_wait(
         &self,
         call: PendingCall,
@@ -573,18 +575,26 @@ impl Endpoint {
         resend: &Resend<'_>,
     ) -> (Result<Vec<u8>, NetError>, u32) {
         let patience = call.started + resend.timeout * resend.max_sends;
-        let give_up = resend.deadline.map_or(patience, |d| d.min(patience));
         let mut rto = resend.rtos.map_or(resend.timeout, |table| {
             table.rto(resend.class, call.to, resend.timeout)
         });
         let mut next_send = call.started + rto;
         let mut sends = 1u32;
         let result = loop {
-            let until = if sends < resend.max_sends {
-                next_send.min(give_up)
+            // Every send gets its retransmission timeout to be answered,
+            // the last one the rest of the patience too. A scatter starts
+            // all its calls and waits on them one after another, so a
+            // dead peer waited on first uses up the patience of the calls
+            // behind it: counted from the first send alone, a frame lost
+            // on the way to a live peer would never be sent again and the
+            // peer would read as dead.
+            let last = sends >= resend.max_sends;
+            let until = if last {
+                patience.max(next_send)
             } else {
-                give_up
+                next_send
             };
+            let until = resend.deadline.map_or(until, |d| until.min(d));
             let wait = until.saturating_duration_since(Instant::now());
             match call.rx.recv_timeout(wait) {
                 Ok((arrived, response)) => {
@@ -594,7 +604,9 @@ impl Endpoint {
                     }
                     break Ok(response);
                 }
-                Err(RecvTimeoutError::Timeout) if until < give_up => {
+                Err(RecvTimeoutError::Timeout)
+                    if !last && resend.deadline.is_none_or(|d| until < d) =>
+                {
                     if let Err(local) = self.submit_request(&call, frame.to_vec()) {
                         self.pending.lock().remove(&call.correlation);
                         return (Err(local), sends);
@@ -1147,6 +1159,33 @@ mod tests {
         f.crash(NodeId(1));
         f.restart(NodeId(1));
         assert!(server.serving.lock().is_empty());
+    }
+
+    #[test]
+    fn a_call_waited_on_after_its_patience_ran_out_is_still_re_sent() {
+        let f = instant_fabric();
+        let client = f.register(NodeId(0));
+        let _dead = f.register(NodeId(1));
+        let live = f.register(NodeId(2));
+        let table = warm_table();
+        table.sample("t", NodeId(2), Duration::from_micros(300), 1);
+        // Both calls start together; the live peer's first frame is lost.
+        f.set_link_drop_probability(NodeId(0), NodeId(2), 1.0);
+        let to_dead = client.call_start(NodeId(1), b"ping").unwrap();
+        let to_live = client.call_start(NodeId(2), b"ping").unwrap();
+        f.clear_link_drop_probability(NodeId(0), NodeId(2));
+        let server = std::thread::spawn(move || {
+            let req = live.recv_timeout(Duration::from_secs(5)).unwrap();
+            live.reply(&req, b"pong".to_vec()).unwrap();
+        });
+        // Waiting on the silent peer takes the whole 2 × 40 ms ...
+        let patient = resend(&table, 40, 2);
+        let (answer, _) = client.call_wait(to_dead, b"ping", &patient);
+        assert_eq!(answer, Err(NetError::Timeout));
+        // ... which is also all the patience the other call had.
+        let (answer, sends) = client.call_wait(to_live, b"ping", &patient);
+        assert_eq!((answer, sends), (Ok(b"pong".to_vec()), 2));
+        server.join().unwrap();
     }
 
     #[test]

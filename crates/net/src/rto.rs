@@ -81,7 +81,8 @@ impl RtoTable {
 /// doubles after every re-send, up to `timeout` — for at most `max_sends`
 /// sends in all, and the call fails only `timeout × max_sends` after its
 /// first send (or at `deadline`, when that comes first). Re-sending early
-/// never shortens that patience.
+/// never shortens that patience, and a wait begun too late for it still
+/// makes every send and gives the last one its retransmission timeout.
 #[derive(Debug, Clone, Copy)]
 pub struct Resend<'a> {
     /// The request class, which with the destination keys the estimate.

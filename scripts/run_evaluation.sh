@@ -1,17 +1,40 @@
 #!/usr/bin/env bash
-# Regenerates every table and figure of the evaluation into results/.
-# Usage: scripts/run_evaluation.sh
+# Regenerates every table and figure of the evaluation. results/ ends up
+# holding exactly what this run wrote: <bin>.txt and BENCH_<bin>.json for
+# every bin under crates/bench/src/bin/, plus STAMP.json (what was run,
+# where, at which size).
+# Usage: scripts/run_evaluation.sh            the sizes EXPERIMENTS.md quotes
+#        scripts/run_evaluation.sh --quick    every bin in seconds (what CI runs)
+#        scripts/run_evaluation.sh --list     print the bins, run nothing
 set -euo pipefail
 cd "$(dirname "$0")/.."
+bins=$(for src in crates/bench/src/bin/*.rs; do basename "$src" .rs; done)
+case "${1:-}" in
+    --list) echo "$bins"; exit 0 ;;
+    --quick) size=quick ;;
+    "") size=full ;;
+    *) echo "usage: $0 [--quick|--list]" >&2; exit 2 ;;
+esac
 cargo build -p stcam-bench --release --bins
-for bin in tab1_workload fig4_ingest_scaling fig5_range_latency fig6_knn \
-           fig7_aggregate fig8_load_balance fig9_stitching fig10_continuous \
-           tab2_comm_cost tab3_recovery fig11_camera_scale fig12_rebalance \
-           fig13_index_ablation fig14_concurrent_clients fig15_ingest_loss \
-           tab4_repair fig16_archive_scale fig17_tenant_overload \
-           fig18_coordinator_outage; do
+rm -rf results
+mkdir results
+export BENCH_RESULTS_DIR=results
+start=$(date +%s)
+for bin in $bins; do
     echo "=== $bin ==="
-    cargo run -p stcam-bench --release --bin "$bin" 2>/dev/null | tee "results/$bin.txt"
+    target/release/"$bin" "$@" | tee "results/$bin.txt"
     echo
 done
+dirty=false
+git diff --quiet HEAD -- . ':!results' || dirty=true
+cat > results/STAMP.json <<EOF
+{
+  "git_sha": "$(git rev-parse HEAD)",
+  "dirty": $dirty,
+  "size": "$size",
+  "nproc": $(nproc),
+  "rustc": "$(rustc --version)",
+  "wall_seconds": $(($(date +%s) - start))
+}
+EOF
 echo "all experiment outputs written to results/"

@@ -3,7 +3,8 @@
 # gate): protocol variants, DistributedOp impls, public methods of the two
 # facades, the size of crates/core/src and of the five files the gate names,
 # the worker calls made outside the one scatter loop, the message layouts
-# still written by hand, and the worker's replica maps and read evaluators.
+# still written by hand, the worker's replica maps and read evaluators, and
+# the options and size of the figure harness (crates/bench).
 # Usage: scripts/surface.sh            print "name value" lines
 #        scripts/surface.sh --check    also fail when a value exceeds its
 #                                      ceiling in scripts/surface.ceilings
@@ -11,6 +12,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 src=crates/core/src
+bench=crates/bench/src
 
 # Variants of `pub enum $1` in protocol.rs, counted from its `wire_enum!`
 # declaration: one `Name = tag "op_name"` line each, up to the invocation's
@@ -67,6 +69,16 @@ surface() {
     # and the class-filtered arm of `execute_read`. More means a second
     # function evaluates reads.
     echo "worker_finish_rows_calls $(count_non_test '(^|[^n] |[^ ])finish_rows\(')"
+    # Independently settable values: fields of `ClusterConfig`, and
+    # environment variables the figure harness reads (one: the directory
+    # reports go to; sizes come from `--quick`, never from the caller).
+    echo "cluster_config_fields $(awk '/^pub struct ClusterConfig \{/ { on = 1; next }
+        on && /^}/ { exit } on && /^    pub [a-z_]+:/ { n++ } END { print n + 0 }' "$src/cluster.rs")"
+    echo "bench_env_knobs $(grep -rhoE 'env::var(_os)?\("[A-Z0-9_]+"' "$bench" | sort -u | wc -l)"
+    # Figure bins that do not report through `Figure` (text and JSON from
+    # one set of rows), and the size of the harness.
+    echo "bench_bins_without_json $(grep -L 'Figure::new(' "$bench"/bin/*.rs | wc -l)"
+    echo "bench_lines $(cat "$bench/lib.rs" "$bench"/bin/*.rs | wc -l)"
 }
 
 surface

@@ -6,7 +6,7 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Duration as StdDuration;
 
-use stcam::{Cluster, ClusterConfig, OpPolicy, OpStats, QueryOpts, RangeOp};
+use stcam::{Cluster, ClusterConfig, OpPolicy, OpStats, QueryOpts, RangeOp, StcamError};
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, Point, TimeInterval, Timestamp};
 use stcam_net::{LinkModel, NodeId};
@@ -207,5 +207,29 @@ fn dead_owner_is_hinted_and_parked_until_recovery() {
     ingestor.flush().unwrap();
     assert_eq!(ingestor.pending(), 0);
     assert_each_once(&cluster, 20);
+    cluster.shutdown();
+}
+
+#[test]
+fn flush_without_quorum_fails_and_keeps_the_window_parked() {
+    let cluster = Cluster::launch(
+        ClusterConfig::new(extent(), 1)
+            .with_replication(0)
+            .with_link(LinkModel::instant())
+            .with_rpc_timeout(StdDuration::from_millis(100)),
+    )
+    .unwrap();
+    let ingestor = cluster.create_ingestor();
+    cluster.kill_worker(NodeId(1));
+    // The plan still routes to the dead worker: the rows park.
+    assert_eq!(ingestor.ingest(spread(0, 20)).unwrap(), 0);
+    assert_eq!(ingestor.pending(), 20);
+    // Recovery empties the alive set; the barrier must now fail — every
+    // time — without dropping what it could not deliver.
+    assert_eq!(cluster.check_and_recover(), vec![NodeId(1)]);
+    for _ in 0..2 {
+        assert!(matches!(ingestor.flush(), Err(StcamError::NoQuorum)));
+        assert_eq!(ingestor.pending(), 20);
+    }
     cluster.shutdown();
 }
