@@ -10,8 +10,9 @@
 //! and r = 2 survives two adjacent failures.
 //! Recovery time is dominated by replica-log promotion, proportional to
 //! the dead shard's size. Failure detection itself is visible in the
-//! executor's telemetry: each dead worker shows up as exactly one failed
-//! (deliberately non-retried) probe.
+//! executor's telemetry: each dead worker shows up as exactly two failed
+//! (deliberately non-retried) probes — the liveness round that fails it
+//! out and the rejoin round that asks whether it is back.
 //!
 //! The availability columns measure the window between the crash and the
 //! recovery tick — when the dead workers are still in the ring and only
@@ -84,8 +85,9 @@ fn main() {
                 crash_window_availability(&cluster, extent, read_timeout);
             let (failed, recovery_s) = timed(|| cluster.check_and_recover());
             assert_eq!(failed.len(), victims.len(), "missed a failure");
-            // The executor books each dead worker as one failed probe
-            // sub-query; probes never retry, so the count is exact.
+            // The executor books each dead worker as two failed probe
+            // sub-queries (liveness round, rejoin round); probes never
+            // retry, so the count is exact.
             let probe_fails = op_stats(&cluster, "probe").failures;
 
             let held = cluster
