@@ -6,8 +6,9 @@
 //! per-operation telemetry, which additionally splits query traffic into
 //! request bytes up and result bytes down.
 //!
-//! One regression gate rides on the accounting: no single response
-//! frame — page pulls included — may exceed the paging bound.
+//! Two regression gates ride on the accounting: no single response
+//! frame — page pulls included — may exceed the paging bound, and the
+//! pages of an oversize answer come out at least 85 % full.
 //!
 //! ```text
 //! cargo run -p stcam-bench --release --bin tab2_comm_cost
@@ -16,10 +17,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stcam::exec::LatencyHistogram;
-use stcam::{Cluster, KnnOp, Predicate, QueryOpts, TopCellsOp};
+use stcam::{KnnOp, Predicate, QueryOpts, TopCellsOp};
 use stcam_bench::{
-    cells, lan_config, launch, op_stats, percentiles_ms, square_extent, synthetic_stream,
-    window_secs, Figure, Fmt,
+    cells, ingest_chunked, lan_config, launch, op_stats, percentiles_ms, square_extent,
+    synthetic_stream, window_secs, Figure, Fmt,
 };
 use stcam_geo::{BBox, GridSpec, Point};
 use stcam_net::FabricStats;
@@ -49,64 +50,52 @@ fn main() {
     fig.param("ops", ops_n);
     let extent = square_extent(EXTENT_M);
 
+    let stream = synthetic_stream(archive, extent, 600, 47);
     let run = |replication: usize| -> (Vec<Row>, u64) {
         let cluster = launch(lan_config(extent, WORKERS, replication));
-        let stream = synthetic_stream(archive, extent, 600, 47);
         let mut rows = Vec::new();
         let mut mark = cluster.fabric_stats();
-        let mut measure =
-            |label: &str, cluster: &Cluster, exec_ops: &[&str], ops: usize, f: &mut dyn FnMut()| {
-                let exec_before: Vec<_> = exec_ops
-                    .iter()
-                    .map(|name| op_stats(cluster, name))
-                    .collect();
-                f();
-                let now = cluster.fabric_stats();
-                let delta: FabricStats = now.since(&mark);
-                mark = now;
-                let mut latency = LatencyHistogram::default();
-                let (mut up, mut down) = (0u64, 0u64);
-                for (name, before) in exec_ops.iter().zip(&exec_before) {
-                    let d = op_stats(cluster, name).since(before);
-                    up += d.bytes_sent;
-                    down += d.bytes_received;
-                    for (acc, c) in latency.counts.iter_mut().zip(d.latency.counts.iter()) {
-                        *acc += c;
-                    }
+        let mut measure = |label: &str, exec_ops: &[&str], ops: usize, f: &mut dyn FnMut()| {
+            let exec_before: Vec<_> = exec_ops
+                .iter()
+                .map(|name| op_stats(&cluster, name))
+                .collect();
+            f();
+            let now = cluster.fabric_stats();
+            let delta: FabricStats = now.since(&mark);
+            mark = now;
+            let mut latency = LatencyHistogram::default();
+            let (mut up, mut down) = (0u64, 0u64);
+            for (name, before) in exec_ops.iter().zip(&exec_before) {
+                let d = op_stats(&cluster, name).since(before);
+                up += d.bytes_sent;
+                down += d.bytes_received;
+                for (acc, c) in latency.counts.iter_mut().zip(d.latency.counts.iter()) {
+                    *acc += c;
                 }
-                rows.push(Row {
-                    label: label.to_string(),
-                    msgs: delta.total_msgs as f64 / ops as f64,
-                    kb: delta.total_bytes as f64 / 1024.0 / ops as f64,
-                    exec_up_down: [up, down].map(|bytes| bytes as f64 / 1024.0 / ops as f64),
-                    latency,
-                });
-            };
+            }
+            rows.push(Row {
+                label: label.to_string(),
+                msgs: delta.total_msgs as f64 / ops as f64,
+                kb: delta.total_bytes as f64 / 1024.0 / ops as f64,
+                exec_up_down: [up, down].map(|bytes| bytes as f64 / 1024.0 / ops as f64),
+                latency,
+            });
+        };
 
         // An acked batch is two executor rounds: owners, then successors.
         measure(
             "ingest (batch of 500)",
-            &cluster,
             &["ingest_seq", "replicate_seq"],
             (archive / 500).max(1),
-            &mut || {
-                for chunk in stream.chunks(500) {
-                    cluster.ingest(chunk.to_vec()).expect("ingest");
-                }
-                cluster.flush().expect("flush");
-            },
+            &mut || ingest_chunked(&cluster, &stream, 500),
         );
 
         let window = window_secs(600);
         let mut rng = StdRng::seed_from_u64(3);
-        let mut points: Vec<Point> = Vec::new();
-        for _ in 0..ops_n {
-            points.push(Point::new(
-                rng.gen_range(0.0..EXTENT_M),
-                rng.gen_range(0.0..EXTENT_M),
-            ));
-        }
-        measure("range 500 m", &cluster, &["range"], ops_n, &mut || {
+        let mut coord = || rng.gen_range(0.0..EXTENT_M);
+        let points: Vec<Point> = (0..ops_n).map(|_| Point::new(coord(), coord())).collect();
+        measure("range 500 m", &["range"], ops_n, &mut || {
             for &p in &points {
                 cluster
                     .range_query(BBox::around(p, 500.0), window)
@@ -115,7 +104,6 @@ fn main() {
         });
         measure(
             "kNN k=16 (pruned)",
-            &cluster,
             &["knn_phase1", "knn_phase2"],
             ops_n,
             &mut || {
@@ -126,7 +114,6 @@ fn main() {
         );
         measure(
             "kNN k=16 (broadcast)",
-            &cluster,
             &["knn_broadcast"],
             ops_n,
             &mut || {
@@ -137,40 +124,27 @@ fn main() {
             },
         );
         let buckets = GridSpec::covering(extent, EXTENT_M / 64.0);
-        measure(
-            "heatmap 64×64 (partial)",
-            &cluster,
-            &["heatmap"],
-            ops_n,
-            &mut || {
-                for _ in 0..ops_n {
-                    cluster.heatmap(&buckets, window).expect("heatmap");
-                }
-            },
-        );
-        measure(
-            "top-cells 64×64 k=16",
-            &cluster,
-            &["top_cells"],
-            ops_n,
-            &mut || {
-                for _ in 0..ops_n {
-                    cluster
-                        .query(
-                            TopCellsOp {
-                                buckets,
-                                window,
-                                k: 16,
-                            },
-                            &QueryOpts::STRICT,
-                        )
-                        .expect("top_cells");
-                }
-            },
-        );
+        measure("heatmap 64×64 (partial)", &["heatmap"], ops_n, &mut || {
+            for _ in 0..ops_n {
+                cluster.heatmap(&buckets, window).expect("heatmap");
+            }
+        });
+        measure("top-cells 64×64 k=16", &["top_cells"], ops_n, &mut || {
+            for _ in 0..ops_n {
+                cluster
+                    .query(
+                        TopCellsOp {
+                            buckets,
+                            window,
+                            k: 16,
+                        },
+                        &QueryOpts::STRICT,
+                    )
+                    .expect("top_cells");
+            }
+        });
         measure(
             "register continuous",
-            &cluster,
             &["register_continuous"],
             ops_n,
             &mut || {
@@ -210,12 +184,31 @@ fn main() {
             b.kb,
         ]);
     }
-    let max_resp = max_resp_r0.max(max_resp_r2);
+    // Paging: whole-extent full-row ranges over ever longer windows, on
+    // one worker, so answers run from three pages to the whole archive.
+    let cluster = launch(lan_config(extent, 1, 0));
+    ingest_chunked(&cluster, &stream, 500);
+    for i in 1..=ops_n as u64 {
+        let window = window_secs(600 * i / ops_n as u64);
+        cluster.range_query(extent, window).expect("range");
+    }
+    let pulls = cluster.stats().expect("stats").workers[0]
+        .1
+        .served_count("fetch_page");
+    let pages = (pulls + ops_n as u64) as f64;
+    let page_bytes = op_stats(&cluster, "range").bytes_received as f64 / pages;
+    let fill = page_bytes / stcam::paging::PAGE_TARGET_BYTES as f64;
+    let max_resp = max_resp_r0
+        .max(max_resp_r2)
+        .max(cluster.fabric_stats().max_response_bytes);
+    cluster.shutdown();
     let page_max = stcam::paging::PAGE_MAX_BYTES as u64;
     fig.table("paging")
         .col("max response frame B", "max_response_bytes", Fmt::Plain)
-        .col("page bound B", "page_max_bytes", Fmt::Plain);
-    fig.row(cells![max_resp, page_max]);
+        .col("page bound B", "page_max_bytes", Fmt::Plain)
+        .col("pages per range", "pages_per_range", Fmt::Fixed(1))
+        .col("mean page fill", "mean_page_fill", Fmt::Fixed(3));
+    fig.row(cells![max_resp, page_max, pages / ops_n as f64, fill]);
     fig.note(
         "(r = replication factor; replication multiplies ingest traffic only.\n\
          KB up/down is the executor's request/result split — fabric totals also\n\
@@ -228,5 +221,8 @@ fn main() {
         max_resp <= page_max,
         "a {max_resp}-byte response frame escaped paging"
     );
-    println!("gates: max response frame {max_resp} B (<= {page_max}) — ok");
+    // Cutting by halving fills 50–100 % by luck of the size; one pass
+    // sized from the bytes per row behind it fills every page but the last.
+    assert!(fill >= 0.85, "pages are {fill:.3} full");
+    println!("gates: max response frame {max_resp} B (<= {page_max}), page fill {fill:.3} (>= 0.85) — ok");
 }

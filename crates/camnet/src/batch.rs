@@ -530,6 +530,17 @@ pub fn batch_size_hint(batch: &[Observation]) -> usize {
     16 + batch.len() * (4 + 16 + 4 * SIGNATURE_DIM + 4)
 }
 
+/// A true lower bound on the encoded size of `batch` — every row costs an
+/// id, a time and two coordinates of at least a byte each, and, unless
+/// all of them are elided, its signature — for callers that must not
+/// encode a batch just to learn it is too large for a frame.
+pub fn batch_size_floor(batch: &[Observation]) -> usize {
+    let signatures = batch
+        .iter()
+        .any(|o| o.signature.values().iter().any(|v| v.to_bits() != 0));
+    batch.len() * (4 + if signatures { 4 * SIGNATURE_DIM } else { 0 })
+}
+
 /// A `Vec<Observation>` newtype whose [`Wire`] form is the columnar
 /// frame, for callers that want the batch layout through the generic
 /// codec entry points.

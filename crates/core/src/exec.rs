@@ -60,7 +60,7 @@
 //!    `Request` and passes it to [`Executor::ask`] under the name that
 //!    keys its policy and telemetry.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration as StdDuration, Instant};
@@ -424,6 +424,12 @@ impl ExecShared {
     }
 }
 
+/// `FetchPage` exchanges one paged answer keeps in flight. Four 64 KiB
+/// pages per ≈ 300 µs round trip stay under `LinkModel::lan()`'s 1 GB/s,
+/// which the fabric does not serialise per link: more would be bandwidth
+/// the model does not have.
+const PULL_WINDOW: u32 = 4;
+
 /// What one scatter counted. Wire bytes are counted at each send and
 /// receive (payload + envelope overhead) instead of diffing endpoint
 /// counters, so concurrent operations sharing an endpoint never
@@ -679,12 +685,11 @@ impl Executor {
 
     /// The one scatter loop, under both entries: starts the first wire
     /// exchange of every target's sub-query before waiting on any (one
-    /// thread overlaps all the round trips; only the rare re-send and
-    /// failover tails serialise), resolves each in target order, and —
-    /// when the caller supplies the plan to `failover` in — re-issues a
-    /// transport-failed sub-query to the shard's replicas. Books the
-    /// whole scatter into the [`OpStats`] of `resend.class` and returns
-    /// the per-target outcomes with what it counted.
+    /// thread overlaps the round trips; page pulls, re-sends and failover
+    /// follow per target), resolves each in target order, and — given
+    /// the plan to `failover` in — re-issues a transport-failed sub-query
+    /// to the shard's replicas. Books the whole scatter into the
+    /// [`OpStats`] of `resend.class` and returns what it counted.
     fn scatter<P>(
         &self,
         resend: &Resend<'_>,
@@ -706,7 +711,7 @@ impl Executor {
         let outcomes: Vec<ShardOutcome<P>> = firsts
             .into_iter()
             .map(|(shard, frame, call)| {
-                let primary = self.finish(shard, resend, &frame, call, &decode, &mut tally);
+                let primary = self.receive(shard, call, &frame, resend, &decode, &mut tally);
                 match (primary, failover) {
                     // Only transport failures justify failover: an
                     // application-level error from a reachable primary
@@ -749,33 +754,6 @@ impl Executor {
         self.endpoint.call_start(to, frame)
     }
 
-    /// Finishes the sub-query whose first exchange `call` started: the
-    /// wait (which re-sends `frame`), decode, and page pulls. Asks again
-    /// — a new exchange, the same frame — only when the worker no longer
-    /// holds the pages it parked.
-    fn finish<P>(
-        &self,
-        worker: NodeId,
-        resend: &Resend<'_>,
-        frame: &[u8],
-        mut call: Result<PendingCall, NetError>,
-        decode: &impl Fn(Response) -> Result<P, StcamError>,
-        tally: &mut Tally,
-    ) -> Result<P, StcamError> {
-        let mut asked = 1;
-        loop {
-            match self.receive(worker, call, frame, resend, decode, tally)? {
-                Some(partial) => return Ok(partial),
-                None if asked < resend.max_sends => {
-                    asked += 1;
-                    tally.retries += 1;
-                    call = self.start(worker, frame, tally);
-                }
-                None => return Err(StcamError::Net(NetError::Timeout)),
-            }
-        }
-    }
-
     /// The failover half of a read's sub-query, entered when the primary
     /// failed at the transport with `err`: asks `replicas` — the same
     /// ring-walked set the acked write path certifies and the repair
@@ -800,7 +778,7 @@ impl Executor {
                 inner: Box::new(inner()),
             });
             let call = self.start(replica, &frame, tally);
-            if let Ok(Some(partial)) = self.receive(replica, call, &frame, resend, decode, tally) {
+            if let Ok(partial) = self.receive(replica, call, &frame, resend, decode, tally) {
                 return ShardOutcome {
                     shard,
                     result: Ok(partial),
@@ -835,28 +813,38 @@ impl Executor {
         Ok(bytes)
     }
 
-    /// Turns one started exchange with `node` into the decoded partial,
-    /// pulling the remaining pages of a paged answer first. `None` when
-    /// the pages are gone and the sub-query must be asked again.
+    /// Turns the exchange `call` started with `node` into the decoded
+    /// partial: the wait (which re-sends `frame`), decode, and page pulls.
+    /// Asks again — a new exchange, the same frame — only when the node no
+    /// longer holds the pages it parked.
     fn receive<P>(
         &self,
         node: NodeId,
-        call: Result<PendingCall, NetError>,
+        mut call: Result<PendingCall, NetError>,
         frame: &[u8],
         resend: &Resend<'_>,
         decode: &impl Fn(Response) -> Result<P, StcamError>,
         tally: &mut Tally,
-    ) -> Result<Option<P>, StcamError> {
-        let bytes = self.wait(call, frame, resend, tally)?;
-        let response = decode_from_slice::<Response>(&bytes)?;
-        self.collect_pages(node, response, resend, tally)?
-            .map(decode)
-            .transpose()
+    ) -> Result<P, StcamError> {
+        for asked in 1.. {
+            let bytes = self.wait(call, frame, resend, tally)?;
+            let response = decode_from_slice::<Response>(&bytes)?;
+            if let Some(whole) = self.collect_pages(node, response, resend, tally)? {
+                return decode(whole);
+            }
+            if asked >= resend.max_sends {
+                break;
+            }
+            tally.retries += 1;
+            call = self.start(node, frame, tally);
+        }
+        Err(StcamError::Net(NetError::Timeout))
     }
 
     /// When a sub-query answered with the first frame of a paged result,
-    /// pulls the remaining pages from the same node and reassembles the
-    /// unpaged response; any other response passes through untouched.
+    /// pulls the remaining pages from the same node, [`PULL_WINDOW`] at a
+    /// time and waited on in page order, decoding each onto the answer
+    /// while those behind it travel; any other response passes through.
     ///
     /// Each pull is an exchange of its own class, `"fetch_page"` (a pull
     /// answers in a fraction of the time its range does), re-sent like
@@ -885,12 +873,22 @@ impl Executor {
             class: "fetch_page",
             ..*resend
         };
-        let mut payloads = Vec::with_capacity(pages as usize);
-        payloads.push(payload);
-        for page in 1..pages {
+        let pull_page = |page: u32, tally: &mut Tally| {
             let frame = encode_to_vec(&Request::FetchPage { cursor, page });
             let call = self.start(node, &frame, tally);
+            (frame, call)
+        };
+        let mut window: VecDeque<_> = (1..pages.min(1 + PULL_WINDOW))
+            .map(|page| pull_page(page, tally))
+            .collect();
+        let mut answer = paging::empty_answer(kind)?;
+        paging::append_page(&mut answer, &payload)?;
+        for page in 1..pages {
+            let (frame, call) = window.pop_front().expect("a pull per page still owed");
             let bytes = self.wait(call, &frame, &pull, tally)?;
+            if pages - page > PULL_WINDOW {
+                window.push_back(pull_page(page + PULL_WINDOW, tally));
+            }
             match decode_from_slice::<Response>(&bytes)? {
                 Response::ResultPage {
                     cursor: c,
@@ -898,7 +896,9 @@ impl Executor {
                     kind: k,
                     payload,
                     ..
-                } if c == cursor && p == page && k == kind => payloads.push(payload),
+                } if c == cursor && p == page && k == kind => {
+                    paging::append_page(&mut answer, &payload)?
+                }
                 Response::Error(_) => return Ok(None),
                 other => {
                     return Err(StcamError::Remote(format!(
@@ -907,7 +907,7 @@ impl Executor {
                 }
             }
         }
-        Ok(Some(paging::reassemble(kind, &payloads)?))
+        Ok(Some(answer))
     }
 }
 

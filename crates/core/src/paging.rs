@@ -1,11 +1,12 @@
 //! Paged result streaming for oversize responses.
 //!
 //! A worker whose read produces a result larger than
-//! [`PAGE_TARGET_BYTES`] does not ship it as one frame. Instead it splits
-//! the rows into pages ([`pages_for`]), parks pages `1..` under a cursor,
-//! and answers with [`Response::ResultPage`] page 0. The client pulls the
+//! [`PAGE_TARGET_BYTES`] does not ship it as one frame. Instead it cuts
+//! the rows into pages ([`encode_reply`]), parks them under a cursor, and
+//! answers with [`Response::ResultPage`] page 0. The client pulls the
 //! remaining pages with [`Request::FetchPage`](crate::Request::FetchPage)
-//! and reassembles ([`reassemble`]). Invariants:
+//! and decodes each into the answer as it arrives ([`append_page`]).
+//! Invariants:
 //!
 //! * **Bounded frames.** Every page's encoded payload is at most
 //!   [`PAGE_TARGET_BYTES`] (or holds a single row that alone exceeds it);
@@ -19,10 +20,14 @@
 //!   special case.
 //! * **Order-preserving.** Concatenating the pages' rows in page order
 //!   reproduces the original response exactly.
+//! * **Encoded once.** A response that fits one frame is encoded exactly
+//!   once. A larger one is cut in one forward pass, each chunk sized from
+//!   the bytes per row of the one before, so rows are encoded again only
+//!   where that guess misses, and every page but the last is 85 % full.
 
 use bytes::Buf;
-use stcam_camnet::{batch, Observation};
-use stcam_codec::{decode_from_slice, DecodeError};
+use stcam_camnet::batch::{self, batch_size_hint};
+use stcam_codec::{decode_from_slice, encode_to_vec, DecodeError, Wire};
 
 use crate::protocol::Response;
 
@@ -34,103 +39,139 @@ pub const PAGE_TARGET_BYTES: usize = 56 * 1024;
 /// plus response header and fabric envelope overhead stays under this.
 pub const PAGE_MAX_BYTES: usize = 64 * 1024;
 
-/// Page kind: the payload is a `stcam-camnet` batch frame of
-/// observations.
+/// A chunk that fits is taken as a page once it is this full (85 %), is
+/// all that is left, or would overflow with one more row.
+const PAGE_FILL_BYTES: usize = (PAGE_TARGET_BYTES * 85).div_ceil(100);
+
+/// What the next chunk is sized for (94 %): the slack absorbs the drift in
+/// bytes per row between chunks, so encoding one again stays the exception.
+const PAGE_AIM_BYTES: usize = PAGE_TARGET_BYTES * 94 / 100;
+
+/// Page kind: the payload is a `stcam-camnet` observation batch frame.
 pub const PAGE_OBSERVATIONS: u8 = 0;
 
 /// Page kind: the payload is a sparse `(bucket index, count)` pair list.
 pub const PAGE_CELL_COUNTS: u8 = 1;
 
-/// Splits `resp` into pages when it is a pageable kind whose rows do not
-/// fit a single page. Returns `None` when the response should ship as a
-/// plain frame: non-row-carrying kinds, and row sets that encode within
-/// [`PAGE_TARGET_BYTES`].
-pub fn pages_for(resp: &Response) -> Option<(u8, Vec<Vec<u8>>)> {
-    let (kind, pages) = match resp {
+/// A response as the worker ships it.
+#[derive(Debug, PartialEq)]
+pub enum Reply {
+    /// The whole response, encoded: non-row-carrying kinds, and row sets
+    /// that encode within [`PAGE_TARGET_BYTES`].
+    Frame(Vec<u8>),
+    /// Rows that do not fit one page: the page kind, and at least two
+    /// standalone page payloads in row order.
+    Pages(u8, Vec<Vec<u8>>),
+}
+
+/// Encodes `resp` for the wire, each row once: as its one frame when
+/// that fits, else cut into pages.
+pub fn encode_reply(resp: &Response) -> Reply {
+    let pairs = |chunk: &[(u32, u64)]| encode_to_vec(&chunk.to_vec());
+    match resp {
         Response::Observations(rows) => {
-            let mut pages = Vec::new();
-            chunk_observations(rows, &mut pages);
-            (PAGE_OBSERVATIONS, pages)
+            let floor = batch::batch_size_floor(rows);
+            cut(resp, PAGE_OBSERVATIONS, rows, floor, |chunk| {
+                let mut page = Vec::with_capacity(batch_size_hint(chunk).min(PAGE_TARGET_BYTES));
+                batch::encode_batch(chunk, &mut page);
+                page
+            })
         }
-        Response::CellCounts(cells) => {
-            let mut pages = Vec::new();
-            chunk_cells(cells, &mut pages);
-            (PAGE_CELL_COUNTS, pages)
-        }
-        _ => return None,
-    };
-    if pages.len() <= 1 {
-        return None;
+        // A pair is two varints: never under two bytes.
+        Response::CellCounts(cells) => cut(resp, PAGE_CELL_COUNTS, cells, 2 * cells.len(), pairs),
+        _ => Reply::Frame(encode_to_vec(resp)),
     }
-    Some((kind, pages))
 }
 
-/// Reconstructs the unpaged response from all of a result's page
-/// payloads, in page order.
-pub fn reassemble(kind: u8, payloads: &[Vec<u8>]) -> Result<Response, DecodeError> {
+/// Decodes one page of `kind`'s rows onto the end of `answer`, requiring
+/// full consumption. `answer` starts as [`empty_answer`] and is the
+/// unpaged response once every page, in page order, is appended.
+pub fn append_page(answer: &mut Response, payload: &[u8]) -> Result<(), DecodeError> {
+    match answer {
+        Response::Observations(rows) => {
+            let mut buf = payload;
+            batch::decode_batch_into(&mut buf, rows)?;
+            if buf.has_remaining() {
+                return Err(DecodeError::InvalidValue {
+                    reason: "trailing bytes after page",
+                });
+            }
+        }
+        Response::CellCounts(cells) => cells.extend(decode_from_slice::<Vec<(u32, u64)>>(payload)?),
+        _ => return unknown_kind(),
+    }
+    Ok(())
+}
+
+/// The response pages of `kind` are appended to.
+pub fn empty_answer(kind: u8) -> Result<Response, DecodeError> {
     match kind {
-        PAGE_OBSERVATIONS => {
-            let mut rows = Vec::new();
-            for payload in payloads {
-                rows.extend(decode_observation_page(payload)?);
-            }
-            Ok(Response::Observations(rows))
+        PAGE_OBSERVATIONS => Ok(Response::Observations(Vec::new())),
+        PAGE_CELL_COUNTS => Ok(Response::CellCounts(Vec::new())),
+        _ => unknown_kind(),
+    }
+}
+
+fn unknown_kind<T>() -> Result<T, DecodeError> {
+    Err(DecodeError::InvalidValue {
+        reason: "unknown page kind",
+    })
+}
+
+/// Ships `resp` — whose `rows` encode to at least `floor` bytes — as one
+/// frame when they fit one page, else cuts them into pages with `encode`,
+/// front to back. Every size is that of an actual encoding, so the bound
+/// is exact under variable-width rows; a prefix never encodes larger than
+/// a longer one, so a chunk is sought between a count that fits and one
+/// that does not.
+fn cut<T>(
+    resp: &Response,
+    kind: u8,
+    rows: &[T],
+    floor: usize,
+    encode: impl Fn(&[T]) -> Vec<u8>,
+) -> Reply {
+    // Rows to try next: from the size hint, then the last bytes per row.
+    let mut take = rows.len() * PAGE_TARGET_BYTES / resp.size_hint();
+    if floor <= PAGE_TARGET_BYTES {
+        // The tag byte aside, the frame is the one page holding every row.
+        let frame = encode_to_vec(resp);
+        if frame.len() - 1 <= PAGE_TARGET_BYTES || rows.len() == 1 {
+            return Reply::Frame(frame);
         }
-        PAGE_CELL_COUNTS => {
-            let mut cells = Vec::new();
-            for payload in payloads {
-                cells.extend(decode_from_slice::<Vec<(u32, u64)>>(payload)?);
+        take = rows.len() * PAGE_AIM_BYTES / frame.len();
+    }
+    let mut pages = Vec::new();
+    let mut rest = rows;
+    while !rest.is_empty() {
+        // `under` rows fit, as `page`; `over` rows do not.
+        let (mut under, mut over, mut page) = (0, rest.len() + 1, Vec::new());
+        while under + 1 < over && page.len() < PAGE_FILL_BYTES {
+            // A guess a measured bound contradicts is a jump in row width:
+            // halve. (`over` is measured once it is a count `rest` has.)
+            let n = if take <= under || (over <= take && over <= rest.len()) {
+                (under + over) / 2
+            } else {
+                take.min(over - 1)
+            };
+            let bytes = encode(&rest[..n]);
+            take = n * PAGE_AIM_BYTES / bytes.len();
+            if bytes.len() > PAGE_TARGET_BYTES && n > 1 {
+                over = n;
+            } else {
+                (under, page) = (n, bytes);
             }
-            Ok(Response::CellCounts(cells))
         }
-        _ => Err(DecodeError::InvalidValue {
-            reason: "unknown page kind",
-        }),
+        pages.push(page);
+        rest = &rest[under..];
     }
-}
-
-/// Decodes one observation page, requiring full consumption.
-pub fn decode_observation_page(payload: &[u8]) -> Result<Vec<Observation>, DecodeError> {
-    let mut buf = payload;
-    let rows = batch::decode_batch(&mut buf)?;
-    if buf.has_remaining() {
-        return Err(DecodeError::InvalidValue {
-            reason: "trailing bytes after page",
-        });
-    }
-    Ok(rows)
-}
-
-/// Splits rows by recursive halving until each half's *actual* encoding
-/// fits the page target — exact under variable-width encodings, and only
-/// log-deep re-encoding work on the oversize path.
-fn chunk_observations(rows: &[Observation], out: &mut Vec<Vec<u8>>) {
-    let mut page = Vec::with_capacity(batch::batch_size_hint(rows));
-    batch::encode_batch(rows, &mut page);
-    if page.len() <= PAGE_TARGET_BYTES || rows.len() <= 1 {
-        out.push(page);
-    } else {
-        let mid = rows.len() / 2;
-        chunk_observations(&rows[..mid], out);
-        chunk_observations(&rows[mid..], out);
-    }
-}
-
-fn chunk_cells(cells: &[(u32, u64)], out: &mut Vec<Vec<u8>>) {
-    let page = stcam_codec::encode_to_vec(&cells.to_vec());
-    if page.len() <= PAGE_TARGET_BYTES || cells.len() <= 1 {
-        out.push(page);
-    } else {
-        let mid = cells.len() / 2;
-        chunk_cells(&cells[..mid], out);
-        chunk_cells(&cells[mid..], out);
-    }
+    Reply::Pages(kind, pages)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stcam_camnet::{CameraId, ObservationId, Signature};
+    use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
     use stcam_geo::{Point, Timestamp};
     use stcam_world::{EntityClass, EntityId};
 
@@ -146,69 +187,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn small_results_ship_unpaged() {
-        let rows: Vec<_> = (0..10).map(obs).collect();
-        assert!(pages_for(&Response::Observations(rows)).is_none());
-        assert!(pages_for(&Response::CellCounts(vec![(3, 9), (8, 2)])).is_none());
-        assert!(pages_for(&Response::Ack).is_none());
-    }
+    // Bound, fill, order and the one-frame rule: `tests/properties.rs`.
 
     #[test]
-    fn large_observation_result_pages_and_reassembles() {
-        // ~100 bytes/row encoded → well past several pages.
-        let rows: Vec<_> = (0..4000).map(obs).collect();
-        let original = Response::Observations(rows);
-        let (kind, pages) = pages_for(&original).expect("oversize result must page");
-        assert_eq!(kind, PAGE_OBSERVATIONS);
-        assert!(pages.len() > 1);
-        for page in &pages {
-            assert!(!page.is_empty());
-            assert!(
-                page.len() <= PAGE_TARGET_BYTES,
-                "page of {} bytes exceeds target",
-                page.len()
-            );
+    fn small_results_ship_as_their_own_frame() {
+        for resp in [
+            Response::Observations((0..10).map(obs).collect()),
+            Response::Observations(vec![]),
+            Response::CellCounts(vec![(3, 9), (8, 2)]),
+            Response::Ack,
+        ] {
+            assert_eq!(encode_reply(&resp), Reply::Frame(encode_to_vec(&resp)));
         }
-        assert_eq!(reassemble(kind, &pages).unwrap(), original);
-    }
-
-    #[test]
-    fn large_cell_count_result_pages_and_reassembles() {
-        let cells: Vec<(u32, u64)> = (0..40_000).map(|i| (i, u64::from(i) * 31 + 1)).collect();
-        let original = Response::CellCounts(cells);
-        let (kind, pages) = pages_for(&original).expect("oversize result must page");
-        assert_eq!(kind, PAGE_CELL_COUNTS);
-        assert!(pages.len() > 1);
-        for page in &pages {
-            assert!(page.len() <= PAGE_TARGET_BYTES);
-        }
-        assert_eq!(reassemble(kind, &pages).unwrap(), original);
-    }
-
-    #[test]
-    fn page_order_is_row_order() {
-        let rows: Vec<_> = (0..4000).map(obs).collect();
-        let (_, pages) = pages_for(&Response::Observations(rows.clone())).unwrap();
-        let mut seen = Vec::new();
-        for page in &pages {
-            seen.extend(decode_observation_page(page).unwrap());
-        }
-        assert_eq!(seen, rows);
     }
 
     #[test]
     fn bad_pages_rejected() {
-        assert!(reassemble(9, &[vec![]]).is_err());
+        assert!(empty_answer(9).is_err());
+        assert!(append_page(&mut Response::Ack, &[]).is_err());
         // An observation page with trailing junk.
         let mut page = Vec::new();
         batch::encode_batch(&[obs(1)], &mut page);
         page.push(0xFF);
-        assert!(matches!(
-            decode_observation_page(&page),
+        assert_eq!(
+            append_page(&mut empty_answer(PAGE_OBSERVATIONS).unwrap(), &page),
             Err(DecodeError::InvalidValue {
                 reason: "trailing bytes after page"
             })
-        ));
+        );
     }
 }

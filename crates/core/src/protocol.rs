@@ -427,11 +427,11 @@ wire_struct! {
         /// Occupied (cell, class) buckets in the worker's continuous-query
         /// interest index — a size signal for the sub-linear matcher.
         pub interest_buckets: u64,
-        /// Cumulative microseconds this worker has spent executing requests
-        /// (its "busy time"). On a single-core host, wall-clock numbers do
-        /// not show parallel speedup; the evaluation instead reports the
-        /// critical path — the busiest shard's busy time — which is what a
-        /// multi-machine deployment's latency would track.
+        /// Cumulative microseconds this worker has spent executing requests,
+        /// reply encoding included (its "busy time"). On a single-core host
+        /// wall-clock numbers do not show parallel speedup; the evaluation
+        /// instead reports the critical path — the busiest shard's busy time —
+        /// which is what a multi-machine deployment's latency would track.
         pub busy_micros: u64,
         /// Approximate bytes the primary shard keeps in memory: mutable-head
         /// rows plus resident (non-spilled) sealed-segment payloads and
@@ -556,7 +556,7 @@ wire_enum! {
         },
         /// One page of a result too large for a single frame. Page 0 arrives
         /// in place of the plain response; the client pulls pages `1..pages`
-        /// with [`Request::FetchPage`] and reassembles (see
+        /// with [`Request::FetchPage`] and decodes each as it lands (see
         /// [`paging`](crate::paging)). Every page's `payload` is a standalone
         /// encoding of its rows, so pages decode independently and a lost
         /// pull retries harmlessly.

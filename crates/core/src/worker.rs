@@ -110,10 +110,28 @@ pub struct WorkerConfig {
 
 /// One parked paged result: the page payloads (page 0 included, so a
 /// re-pull after a lost reply is answerable) and their encoding kind.
+/// Shared, so a pull copies its page outside the store's lock.
 #[derive(Debug)]
 struct ParkedPages {
     kind: u8,
     pages: Vec<Vec<u8>>,
+}
+
+impl ParkedPages {
+    /// The reply carrying page `page`; an application error when there is
+    /// no such page (the client retries the sub-query).
+    fn page(&self, cursor: u64, page: u32) -> Response {
+        match self.pages.get(page as usize) {
+            Some(payload) => Response::ResultPage {
+                cursor,
+                page,
+                pages: self.pages.len() as u32,
+                kind: self.kind,
+                payload: payload.clone(),
+            },
+            None => Response::Error(format!("page {page} out of range for cursor {cursor}")),
+        }
+    }
 }
 
 /// State shared between the control lane and the read executor pool:
@@ -122,11 +140,12 @@ struct ParkedPages {
 struct ReadShared {
     /// Requests served, keyed by operation name (both lanes).
     served: Mutex<HashMap<&'static str, u64>>,
-    /// Cumulative request execution time across both lanes, microseconds.
+    /// Cumulative time across both lanes from taking a request up to
+    /// handing its encoded (or cut and parked) reply to the endpoint, µs.
     busy_micros: AtomicU64,
     /// Parked pages of oversize results, keyed by cursor (cursors are
     /// allocated in increasing order, so the smallest key is the oldest).
-    pages: Mutex<BTreeMap<u64, ParkedPages>>,
+    pages: Mutex<BTreeMap<u64, Arc<ParkedPages>>>,
     /// Cursor allocator; the first issued cursor is 1.
     next_cursor: AtomicU64,
 }
@@ -141,48 +160,26 @@ impl ReadShared {
             .fetch_add(elapsed.as_micros() as u64, Ordering::Relaxed);
     }
 
-    /// Parks a paged result and returns its page-0 reply. A pathological
-    /// zero-page result answers with an application error instead of
-    /// panicking the serving loop (the client retries the sub-query).
+    /// Parks a paged result and returns its page-0 reply.
     fn park(&self, kind: u8, pages: Vec<Vec<u8>>) -> Response {
-        let Some(first) = pages.first().cloned() else {
-            return Response::Error("paged result produced no pages".into());
-        };
         let cursor = self.next_cursor.fetch_add(1, Ordering::Relaxed) + 1;
-        let total = pages.len() as u32;
+        let parked = Arc::new(ParkedPages { kind, pages });
         let mut store = self.pages.lock();
-        store.insert(cursor, ParkedPages { kind, pages });
+        store.insert(cursor, Arc::clone(&parked));
         while store.len() > PAGE_CURSORS {
-            let Some(&oldest) = store.keys().next() else {
-                break;
-            };
-            store.remove(&oldest);
+            store.pop_first();
         }
-        Response::ResultPage {
-            cursor,
-            page: 0,
-            pages: total,
-            kind,
-            payload: first,
-        }
+        drop(store);
+        parked.page(cursor, 0)
     }
 
     /// Serves one page pull. Unknown cursors (evicted or invented) and
     /// out-of-range indices answer with an application error; the client
     /// treats it as a lost sub-query and retries the whole operation.
     fn fetch_page(&self, cursor: u64, page: u32) -> Response {
-        let store = self.pages.lock();
-        match store.get(&cursor) {
-            Some(parked) => match parked.pages.get(page as usize) {
-                Some(payload) => Response::ResultPage {
-                    cursor,
-                    page,
-                    pages: parked.pages.len() as u32,
-                    kind: parked.kind,
-                    payload: payload.clone(),
-                },
-                None => Response::Error(format!("page {page} out of range for cursor {cursor}")),
-            },
+        let parked = self.pages.lock().get(&cursor).cloned();
+        match parked {
+            Some(parked) => parked.page(cursor, page),
             None => Response::Error(format!("unknown page cursor {cursor}")),
         }
     }
@@ -195,11 +192,11 @@ fn reply_paged(endpoint: &Endpoint, shared: &ReadShared, envelope: &Envelope, re
     if envelope.kind != MessageKind::Request {
         return;
     }
-    let response = match paging::pages_for(&response) {
-        Some((kind, pages)) => shared.park(kind, pages),
-        None => response,
+    let frame = match paging::encode_reply(&response) {
+        paging::Reply::Frame(frame) => frame,
+        paging::Reply::Pages(kind, pages) => encode_to_vec(&shared.park(kind, pages)),
     };
-    let _ = endpoint.reply(envelope, encode_to_vec(&response));
+    let _ = endpoint.reply(envelope, frame);
 }
 
 /// Applies the `Range`-family pushdown tail to a result row set: the
@@ -314,8 +311,8 @@ impl ReadPool {
                             let started = std::time::Instant::now();
                             shared.count(job.request.op_name());
                             let response = execute_read(&*job.view, &shared, job.request);
-                            shared.record_busy(started.elapsed());
                             reply_paged(&endpoint, &shared, &job.envelope, response);
+                            shared.record_busy(started.elapsed());
                         }
                     })
                     .expect("spawn read executor thread")
@@ -501,8 +498,8 @@ impl Worker {
     fn dispatch_decoded(&mut self, envelope: Envelope, request: Request) {
         let started = std::time::Instant::now();
         let response = self.handle_request(request);
-        self.shared.record_busy(started.elapsed());
         reply_paged(&self.endpoint, &self.shared, &envelope, response);
+        self.shared.record_busy(started.elapsed());
     }
 
     /// Executes one request against local state and produces the response.
@@ -2269,18 +2266,19 @@ mod tests {
             "first frame of {} bytes exceeds the page bound",
             first.len()
         );
-        let (cursor, pages, kind, mut payloads) =
-            match decode_from_slice::<Response>(&first).unwrap() {
-                Response::ResultPage {
-                    cursor,
-                    page: 0,
-                    pages,
-                    kind,
-                    payload,
-                } => (cursor, pages, kind, vec![payload]),
-                other => panic!("oversize result did not page: {other:?}"),
-            };
+        let Response::ResultPage {
+            cursor,
+            page: 0,
+            pages,
+            kind,
+            payload,
+        } = decode_from_slice::<Response>(&first).unwrap()
+        else {
+            panic!("oversize result did not page");
+        };
         assert!(pages > 1);
+        let mut answer = crate::paging::empty_answer(kind).unwrap();
+        crate::paging::append_page(&mut answer, &payload).unwrap();
         for page in 1..pages {
             let bytes = client
                 .call(
@@ -2290,29 +2288,25 @@ mod tests {
                 )
                 .unwrap();
             assert!(bytes.len() <= crate::paging::PAGE_MAX_BYTES);
-            match decode_from_slice::<Response>(&bytes).unwrap() {
-                Response::ResultPage {
-                    cursor: c,
-                    page: p,
-                    kind: k,
-                    payload,
-                    ..
-                } => {
-                    assert_eq!((c, p, k), (cursor, page, kind));
-                    payloads.push(payload);
-                }
-                other => panic!("unexpected response {other:?}"),
-            }
+            let Response::ResultPage {
+                cursor: c,
+                page: p,
+                kind: k,
+                payload,
+                ..
+            } = decode_from_slice::<Response>(&bytes).unwrap()
+            else {
+                panic!("a pull answered with something else than a page");
+            };
+            assert_eq!((c, p, k), (cursor, page, kind));
+            crate::paging::append_page(&mut answer, &payload).unwrap();
         }
-        match crate::paging::reassemble(kind, &payloads).unwrap() {
-            Response::Observations(rows) => {
-                assert_eq!(rows.len(), 4_000);
-                let seqs: std::collections::HashSet<u64> =
-                    rows.iter().map(|o| o.id.seq()).collect();
-                assert_eq!(seqs.len(), 4_000, "paging duplicated or dropped rows");
-            }
-            other => panic!("unexpected reassembly {other:?}"),
-        }
+        let Response::Observations(rows) = answer else {
+            panic!("unexpected reassembly {answer:?}");
+        };
+        assert_eq!(rows.len(), 4_000);
+        let seqs: std::collections::HashSet<u64> = rows.iter().map(|o| o.id.seq()).collect();
+        assert_eq!(seqs.len(), 4_000, "paging duplicated or dropped rows");
         handle.shutdown();
     }
 

@@ -461,3 +461,197 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 }
+
+// ----------------------------------------------------------------------
+// The page cutter (`stcam::paging::encode_reply`)
+// ----------------------------------------------------------------------
+
+/// A splitmix64 step: row sets are built from one seed, not drawn row by
+/// row, so a 20 000-row case costs what its encodings do.
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let z = (*state ^ (*state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Row shapes the cutter must hold its bounds under. The first four are
+/// homogeneous (every row costs about what its neighbours do).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// Full rows, ids running up per camera as a stream's do.
+    FullClustered,
+    /// Full rows, ids anywhere in the id space.
+    FullScattered,
+    /// `PROJ_THIN` rows (blank signature, no truth), clustered ids.
+    ThinClustered,
+    /// `PROJ_THIN` rows, scattered ids.
+    ThinScattered,
+    /// Each row full or thin at random: one full row makes every row of
+    /// its chunk carry a signature.
+    Mixed,
+    /// Cheap rows first (thin, unit deltas), then full rows whose id and
+    /// time deltas take ten bytes each: bytes per row jump mid-set.
+    CheapThenWide,
+}
+
+const SHAPES: [Shape; 6] = [
+    Shape::FullClustered,
+    Shape::FullScattered,
+    Shape::ThinClustered,
+    Shape::ThinScattered,
+    Shape::Mixed,
+    Shape::CheapThenWide,
+];
+
+fn rows_of(shape: Shape, n: usize, seed: u64) -> Vec<Observation> {
+    let mut state = seed;
+    (0..n as u64)
+        .map(|i| {
+            let r = mix(&mut state);
+            let wide = shape == Shape::CheapThenWide && i >= n as u64 / 2;
+            let scattered = matches!(shape, Shape::FullScattered | Shape::ThinScattered);
+            let thin = match shape {
+                Shape::ThinClustered | Shape::ThinScattered => true,
+                Shape::Mixed => r & 1 == 0,
+                Shape::CheapThenWide => !wide,
+                _ => false,
+            };
+            let camera = CameraId(if scattered {
+                (r >> 40) as u32 % 1_000
+            } else {
+                (i / 64) as u32 % 8
+            });
+            // A wide row's id and time alternate between the ends of
+            // their ranges, so every delta is a ten-byte varint.
+            let (id, time) = if wide {
+                let end = if i % 2 == 0 {
+                    u64::MAX - (r >> 8)
+                } else {
+                    r >> 8
+                };
+                (ObservationId(end), Timestamp::from_millis(end))
+            } else if scattered {
+                (
+                    ObservationId::compose(camera, r >> 24),
+                    Timestamp::from_millis(r >> 44),
+                )
+            } else {
+                (
+                    ObservationId::compose(camera, i),
+                    Timestamp::from_millis(i * 3),
+                )
+            };
+            Observation {
+                id,
+                camera,
+                time,
+                position: Point::new(
+                    (r % 8_192_000) as f64 / 1024.0,
+                    ((r >> 23) % 8_192_000) as f64 / 1024.0,
+                ),
+                class: EntityClass::ALL[(r >> 60) as usize % 4],
+                signature: if thin {
+                    Signature::new([0.0; 16])
+                } else {
+                    Signature::latent_for_entity(r)
+                },
+                truth: (!thin).then_some(EntityId(r >> 32)),
+            }
+        })
+        .collect()
+}
+
+fn row_count(response: &Response) -> usize {
+    match response {
+        Response::Observations(rows) => rows.len(),
+        Response::CellCounts(cells) => cells.len(),
+        other => panic!("not a row-carrying response: {other:?}"),
+    }
+}
+
+/// Checks one cut against the invariants `paging`'s module docs state.
+fn check_cut(original: &Response, homogeneous: bool) -> Result<(), TestCaseError> {
+    use stcam::paging::{self, Reply, PAGE_TARGET_BYTES};
+    let frame = encode_to_vec(original);
+    let rows = row_count(original);
+    // The tag byte aside, the frame is the one page holding every row.
+    let fits = frame.len() - 1 <= PAGE_TARGET_BYTES;
+    match paging::encode_reply(original) {
+        Reply::Frame(shipped) => {
+            prop_assert!(
+                fits || rows == 1,
+                "{} bytes shipped as one frame",
+                shipped.len()
+            );
+            prop_assert_eq!(shipped, frame);
+        }
+        Reply::Pages(kind, pages) => {
+            prop_assert!(
+                !fits,
+                "a set that fits one page was cut into {}",
+                pages.len()
+            );
+            prop_assert!(pages.len() >= 2);
+            let mut answer = paging::empty_answer(kind).expect("kind");
+            for (i, page) in pages.iter().enumerate() {
+                let before = row_count(&answer);
+                paging::append_page(&mut answer, page).expect("page decodes");
+                let held = row_count(&answer) - before;
+                prop_assert!(held >= 1, "page {i} is empty");
+                prop_assert!(
+                    page.len() <= PAGE_TARGET_BYTES || held == 1,
+                    "page {i}: {} bytes for {held} rows",
+                    page.len()
+                );
+                if homogeneous && i + 1 < pages.len() {
+                    prop_assert!(
+                        page.len() * 100 >= PAGE_TARGET_BYTES * 85,
+                        "page {i} of {} is {} bytes, under 85 % full",
+                        pages.len(),
+                        page.len()
+                    );
+                }
+            }
+            prop_assert!(&answer == original, "decoded pages differ from the input");
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Observation sets of 0–20 000 rows in every shape: each page within
+    /// the bound unless it is one row, pages decode back to the input in
+    /// order, homogeneous sets fill every page but the last, and a set
+    /// that fits one page ships as its own frame. A quarter of the cases
+    /// are sized around the one-page threshold.
+    #[test]
+    fn observation_pages_hold_their_bounds(
+        n in 0usize..20_000,
+        near_threshold in 0u8..4,
+        shape in 0usize..SHAPES.len(),
+        seed in any::<u64>(),
+    ) {
+        let shape = SHAPES[shape];
+        let thin = matches!(shape, Shape::ThinClustered | Shape::ThinScattered);
+        let n = if near_threshold == 0 { n % if thin { 6_000 } else { 1_500 } } else { n };
+        let homogeneous = !matches!(shape, Shape::Mixed | Shape::CheapThenWide);
+        check_cut(&Response::Observations(rows_of(shape, n, seed)), homogeneous)?;
+    }
+
+    /// The same rule for sparse counts, dense and scattered indices.
+    #[test]
+    fn cell_count_pages_hold_their_bounds(
+        n in 0usize..60_000,
+        stride in 1u32..70_000,
+        seed in any::<u64>(),
+    ) {
+        let mut state = seed;
+        let cells = (0..n as u32)
+            .map(|i| (i.wrapping_mul(stride), mix(&mut state) >> (state % 64)))
+            .collect();
+        check_cut(&Response::CellCounts(cells), true)?;
+    }
+}

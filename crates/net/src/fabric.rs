@@ -503,8 +503,8 @@ impl Endpoint {
     /// for each in turn. The call's patience runs from here, not from
     /// when its turn to be waited for comes.
     ///
-    /// A started call that is never waited for leaks its correlation
-    /// entry only until the response arrives.
+    /// A started call that is dropped unwaited gives up its correlation
+    /// entry; a response that still arrives is dropped like any late one.
     ///
     /// # Errors
     ///
@@ -524,14 +524,9 @@ impl Endpoint {
             correlation,
             rx,
             started: Instant::now(),
+            pending: Arc::clone(&self.pending),
         };
-        match self.submit_request(&call, payload) {
-            Ok(()) => Ok(call),
-            Err(e) => {
-                self.pending.lock().remove(&correlation);
-                Err(e)
-            }
-        }
+        self.submit_request(&call, payload).map(|()| call)
     }
 
     fn submit_request(&self, call: &PendingCall, payload: Vec<u8>) -> Result<(), NetError> {
@@ -608,7 +603,6 @@ impl Endpoint {
                     if !last && resend.deadline.is_none_or(|d| until < d) =>
                 {
                     if let Err(local) = self.submit_request(&call, frame.to_vec()) {
-                        self.pending.lock().remove(&call.correlation);
                         return (Err(local), sends);
                     }
                     sends += 1;
@@ -620,9 +614,6 @@ impl Endpoint {
                 Err(_) => break Err(NetError::Timeout),
             }
         };
-        if result.is_err() {
-            self.pending.lock().remove(&call.correlation);
-        }
         let observer = self.observer.lock().clone();
         if let Some(observer) = observer {
             observer(call.to, result.is_ok());
@@ -724,6 +715,14 @@ pub struct PendingCall {
     /// When the first send went on the wire: round trips and patience
     /// are measured from here.
     started: Instant,
+    /// Where the answer is routed from; the entry is given up on drop.
+    pending: Answers,
+}
+
+impl Drop for PendingCall {
+    fn drop(&mut self) {
+        self.pending.lock().remove(&self.correlation);
+    }
 }
 
 /// Correlation value marking a local wake envelope (never produced by

@@ -5,6 +5,7 @@
 
 use std::time::Duration as StdDuration;
 
+use stcam::exec::OpPolicy;
 use stcam::{
     CentralizedStore, Cluster, ClusterConfig, Deadline, Degraded, HeatmapOp, Knn, KnnOp, Priority,
     Query, QueryCtx, QueryMode, QueryOpts, RangeOp, ShedReason, StcamError, TenantBudget, TenantId,
@@ -32,7 +33,11 @@ fn window() -> TimeInterval {
 }
 
 fn stream() -> Vec<Observation> {
-    (0..ROWS)
+    stream_of(ROWS)
+}
+
+fn stream_of(rows: u64) -> Vec<Observation> {
+    (0..rows)
         .map(|i| Observation {
             id: ObservationId::compose(CameraId(0), i),
             camera: CameraId(0),
@@ -376,5 +381,108 @@ fn one_ticket_meters_sheds_and_rejects_a_composite_query() {
     let usage = cluster.tenant_usage(TENANT);
     assert_eq!((usage.admitted, usage.shed, usage.rejected), (2, 1, 1));
     assert_eq!(usage.bytes_charged, knn_bytes(&cluster) - one);
+    cluster.shutdown();
+}
+
+/// Rows enough that each of `workers` answers a whole-extent range in at
+/// least eight pages (a page holds ≈ 650 full rows), the oracle's answer
+/// to that range, and how many page pulls the workers have served.
+fn paged(workers: usize, link: LinkModel) -> (Cluster, Vec<Observation>) {
+    let rows = stream_of(6_000 * workers as u64);
+    let config = ClusterConfig::new(extent(), workers)
+        .with_replication(0)
+        .with_link(link)
+        .with_rpc_timeout(StdDuration::from_secs(3));
+    let cluster = Cluster::launch(config).unwrap();
+    cluster.ingest(rows.clone()).unwrap();
+    cluster.flush().unwrap();
+    let mut oracle = CentralizedStore::flat();
+    oracle.ingest(rows);
+    (cluster, oracle.range_query(extent(), window()))
+}
+
+fn pulls_served(cluster: &Cluster) -> u64 {
+    let workers = cluster.stats().unwrap().workers;
+    workers
+        .iter()
+        .map(|(_, s)| s.served_count("fetch_page"))
+        .sum()
+}
+
+#[test]
+fn a_paged_range_under_loss_equals_the_oracle_row_for_row() {
+    let (cluster, want) = paged(2, LinkModel::instant());
+    let whole = RangeOp::new(extent(), window());
+    // Loss-free first: a pair with no answered exchange waits its whole
+    // timeout, and this settles the RTO of every (class, worker) pair.
+    assert_eq!(
+        cluster.query(whole, &QueryOpts::STRICT).unwrap().value,
+        want
+    );
+    let pulls = pulls_served(&cluster);
+    assert!(pulls >= 2 * 7, "{pulls} pulls: the answers did not page");
+    // Six sends an exchange: at 5 % a frame, none runs out of them.
+    cluster.set_op_policy(
+        "range",
+        OpPolicy {
+            timeout: StdDuration::from_millis(500),
+            max_attempts: 6,
+        },
+    );
+    cluster.set_drop_probability(0.05);
+    for round in 0..12 {
+        let d = cluster.query(whole, &QueryOpts::STRICT);
+        let d = d.unwrap_or_else(|e| panic!("round {round}: {e}"));
+        assert!(
+            d.value == want,
+            "round {round}: rows differ from the oracle"
+        );
+        assert!(d.completeness.is_full());
+    }
+    cluster.set_drop_probability(0.0);
+    let stats = cluster.op_stats();
+    let (_, range) = stats.iter().find(|(name, _)| *name == "range").unwrap();
+    assert!(range.retries > 0, "5 % loss and nothing was re-sent");
+    assert_eq!(range.failures, 0);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_deadline_that_expires_mid_pull_is_a_timeout_not_a_short_result() {
+    // 20 ms a hop: page 0 lands at 40 ms, pulls 1–4 at 80 ms, 5–8 at
+    // 120 ms. A 100 ms deadline runs out with half the pages decoded.
+    let hop = LinkModel {
+        base_latency: StdDuration::from_millis(20),
+        ..LinkModel::instant()
+    };
+    let (cluster, want) = paged(1, hop);
+    let whole = RangeOp::new(extent(), window());
+    assert_eq!(
+        cluster.query(whole, &QueryOpts::STRICT).unwrap().value,
+        want
+    );
+    assert!(pulls_served(&cluster) >= 8);
+    let ctx = Some(QueryCtx::new(TENANT).deadline_within(StdDuration::from_millis(100)));
+    let started = std::time::Instant::now();
+    let mode = QueryMode::BestEffort;
+    let d = cluster.query(whole, &QueryOpts { mode, ctx }).unwrap();
+    let took = started.elapsed();
+    assert!(
+        took >= StdDuration::from_millis(100) && took < StdDuration::from_millis(150),
+        "gave up at {took:?}"
+    );
+    assert_eq!(d.completeness.missing, vec![NodeId(1)]);
+    assert_eq!(d.completeness.shed, Some(ShedReason::Deadline));
+    assert!(
+        d.value.is_empty(),
+        "{} rows of a cut-off answer",
+        d.value.len()
+    );
+    let ctx = Some(QueryCtx::new(TENANT).deadline_within(StdDuration::from_millis(100)));
+    let mode = QueryMode::Strict;
+    match cluster.query(whole, &QueryOpts { mode, ctx }) {
+        Err(StcamError::PartialFailure { missing }) => assert_eq!(missing, vec![NodeId(1)]),
+        other => panic!("a cut-off strict read answered {other:?}"),
+    }
     cluster.shutdown();
 }

@@ -4,12 +4,13 @@
 //! (`timeout × max_attempts`) has passed — so a lost frame costs
 //! milliseconds, and nothing fails that did not fail before.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use stcam::{Executor, OpPolicy, Request, Response, StcamError, Worker, WorkerConfig};
+use stcam_camnet::{batch, CameraId, Observation, ObservationId, Signature};
 use stcam_codec::{decode_from_slice, encode_to_vec};
 use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
 use stcam_index::IndexConfig;
@@ -277,4 +278,146 @@ fn a_busy_control_lane_executes_a_re_sent_cell_digest_once() {
         grid: GridSpec::new(Point::new(0.0, 0.0), 100.0, 4, 4),
     };
     a_busy_worker_executes_once(0, "cell_digest", request);
+}
+
+fn row(n: u64) -> Observation {
+    Observation {
+        id: ObservationId::compose(CameraId(0), n),
+        camera: CameraId(0),
+        time: Timestamp::from_millis(n),
+        position: Point::new((n % 400) as f64, (n / 400) as f64),
+        class: stcam_world::EntityClass::Car,
+        signature: Signature::latent_for_entity(n),
+        truth: None,
+    }
+}
+
+fn whole_range() -> Request {
+    Request::Range {
+        region: BBox::new(Point::new(0.0, 0.0), Point::new(400.0, 400.0)),
+        window: TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(1_000)),
+        limit: 0,
+        projection: stcam::PROJ_FULL,
+    }
+}
+
+/// Asks `to` the whole range through the executor.
+fn range_rows(exec: &Executor, to: NodeId) -> Result<Vec<Observation>, StcamError> {
+    let want = |response| match response {
+        Response::Observations(rows) => Ok(rows),
+        other => Err(StcamError::Remote(format!("{other:?}"))),
+    };
+    let mut answers = exec.ask("range", &[to], |_| whole_range(), want);
+    answers.pop().unwrap().1
+}
+
+#[test]
+fn a_paged_answer_keeps_a_window_of_pulls_in_flight_and_no_more() {
+    // A scripted worker answers a range with page 0 of eleven one-row
+    // pages, then sits on the pulls it is sent until no more arrive:
+    // what it holds then is what the executor keeps in flight.
+    const PAGES: u32 = 11;
+    const WINDOW: usize = 4;
+    let fabric = Fabric::new(LinkModel::instant());
+    let server = fabric.register(SERVER);
+    let exec = Executor::new(fabric.register(CLIENT), policy(5_000, 3));
+    let page = |page: u32| {
+        let mut payload = Vec::new();
+        batch::encode_batch(&[row(u64::from(page))], &mut payload);
+        encode_to_vec(&Response::ResultPage {
+            cursor: 7,
+            page,
+            pages: PAGES,
+            kind: stcam::paging::PAGE_OBSERVATIONS,
+            payload,
+        })
+    };
+    thread::scope(|scope| {
+        scope.spawn(|| {
+            let ask = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            server.reply(&ask, page(0)).unwrap();
+            let mut held = VecDeque::new();
+            for owed in (1..PAGES as usize).rev() {
+                let patience = |held: &VecDeque<_>| match held.len() {
+                    0 => Duration::from_secs(5),
+                    _ => Duration::from_millis(30),
+                };
+                while let Some(pull) = server.recv_timeout(patience(&held)) {
+                    held.push_back(pull);
+                }
+                assert_eq!(held.len(), owed.min(WINDOW), "{owed} pages owed");
+                let pull = held.pop_front().unwrap();
+                let Ok(Request::FetchPage { cursor: 7, page: n }) =
+                    decode_from_slice(&pull.payload)
+                else {
+                    panic!("not a pull of cursor 7");
+                };
+                assert_eq!(n as usize, PAGES as usize - owed, "pulls out of page order");
+                server.reply(&pull, page(n)).unwrap();
+            }
+        });
+        let rows = range_rows(&exec, SERVER).unwrap();
+        assert_eq!(rows, (0..u64::from(PAGES)).map(row).collect::<Vec<_>>());
+    });
+    let stats = exec.stats_for("range");
+    assert_eq!((stats.retries, stats.failures), (0, 0));
+}
+
+#[test]
+fn a_cursor_evicted_mid_pull_makes_the_sub_query_ask_again() {
+    // A real worker behind a relay. Ahead of the pull of page 2 the relay
+    // parks 65 other paged reads at the worker — one more than it keeps
+    // cursors for — so that pull finds its cursor gone.
+    const PROXY: NodeId = NodeId(2);
+    let fabric = Fabric::new(LinkModel::instant());
+    let extent = BBox::new(Point::new(0.0, 0.0), Point::new(400.0, 400.0));
+    let config = WorkerConfig {
+        index: IndexConfig::new(extent, 50.0, stcam_geo::Duration::from_secs(10)),
+        read_threads: 2,
+    };
+    let worker = Worker::spawn(fabric.register(SERVER), config);
+    let proxy = fabric.register(PROXY);
+    let exec = Executor::new(fabric.register(CLIENT), policy(5_000, 3));
+    let rows: Vec<Observation> = (0..3_000).map(row).collect();
+    let load = |_| Request::IngestSeq {
+        sender: CLIENT,
+        seq: 1,
+        epoch: 0,
+        batch: rows.clone(),
+    };
+    exec.ask("ingest_seq", &[SERVER], load, Ok)[0]
+        .1
+        .as_ref()
+        .unwrap();
+    let stop = AtomicBool::new(false);
+    thread::scope(|scope| {
+        scope.spawn(|| {
+            let relay = |frame: Vec<u8>| proxy.call(SERVER, frame, Duration::from_secs(5));
+            let mut evicted = false;
+            while !stop.load(Ordering::Relaxed) {
+                let Some(envelope) = proxy.recv_timeout(Duration::from_millis(5)) else {
+                    continue;
+                };
+                let request = decode_from_slice::<Request>(&envelope.payload);
+                if !evicted && matches!(request, Ok(Request::FetchPage { page: 2, .. })) {
+                    evicted = true;
+                    for _ in 0..65 {
+                        relay(encode_to_vec(&whole_range())).unwrap();
+                    }
+                }
+                let answer = relay(envelope.payload.clone()).unwrap();
+                proxy.reply(&envelope, answer).unwrap();
+            }
+        });
+        let mut got = range_rows(&exec, PROXY).unwrap();
+        stop.store(true, Ordering::Relaxed);
+        got.sort_by_key(|o| o.id);
+        assert!(got == rows, "the answer asked for twice is not the rows");
+    });
+    let stats = exec.stats_for("range");
+    assert!(stats.retries >= 1 && stats.failures == 0, "{stats:?}");
+    assert_eq!(served(&exec, SERVER, "range"), 1 + 65 + 1);
+    // Four pulls of the first ask (three of them refused), then more.
+    assert!(served(&exec, SERVER, "fetch_page") > 4);
+    worker.shutdown();
 }
