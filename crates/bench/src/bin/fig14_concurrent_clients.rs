@@ -28,7 +28,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stcam::exec::LatencyHistogram;
 use stcam::{Cluster, HeatmapOp, Knn, QueryOpts, RangeOp};
 use stcam_bench::{
     cells, ingest_chunked, launch, op_stats, percentiles_ms, square_extent, synthetic_stream,
@@ -39,18 +38,6 @@ use stcam_net::LinkModel;
 
 const EXTENT_M: f64 = 8_000.0;
 const WORKERS: usize = 8;
-
-/// Elementwise sum of histograms — the mixed workload's combined
-/// latency distribution for one sweep point.
-fn merge_latency(hists: &[LatencyHistogram]) -> LatencyHistogram {
-    let mut out = LatencyHistogram::default();
-    for h in hists {
-        for (acc, c) in out.counts.iter_mut().zip(h.counts.iter()) {
-            *acc += c;
-        }
-    }
-    out
-}
 
 /// The per-thread workload: `ops` queries cycling range → kNN →
 /// heat-map, deterministic per thread index. Returns per-kind counts.
@@ -175,10 +162,10 @@ fn main() {
             wall,
             ops_s,
             ops_s / baseline_ops_s,
-            percentiles_ms(&merge_latency(&latency)),
-            percentiles_ms(&latency[0]),
-            percentiles_ms(&latency[1]),
-            percentiles_ms(&latency[2]),
+            percentiles_ms(&latency),
+            percentiles_ms([&latency[0]]),
+            percentiles_ms([&latency[1]]),
+            percentiles_ms([&latency[2]]),
         ]);
     }
     cluster.shutdown();

@@ -154,44 +154,27 @@ fn query(index: &StIndex, archive_secs: u64, seed: u64) -> QueryMix {
     };
     let recent_window = window(archive_secs.saturating_sub(60), 60);
 
-    let mut recent_s = Vec::with_capacity(QUERIES);
-    for &p in &points {
-        let (_, s) = timed(|| index.range(BBox::around(p, 250.0), recent_window).len());
-        recent_s.push(s);
-    }
-    let mut hits = 0usize;
-    let mut range_s = Vec::with_capacity(QUERIES);
-    for (&p, &t0) in points.iter().zip(&deep) {
-        let (n, s) = timed(|| {
-            index
-                .range(BBox::around(p, 250.0), window(t0, DEEP_WINDOW_SECS))
-                .len()
-        });
-        hits += n;
-        range_s.push(s);
-    }
-    let mut count_s = Vec::with_capacity(QUERIES);
-    for (zone, &t0) in zones.iter().zip(&aligned) {
-        let (_, s) = timed(|| index.range_count(*zone, window(t0, DEEP_WINDOW_SECS)));
-        count_s.push(s);
-    }
-    let mut knn_s = Vec::with_capacity(QUERIES);
-    for (&p, &t0) in points.iter().zip(&short) {
-        let (_, s) = timed(|| index.knn(p, window(t0, 60), 16).len());
-        knn_s.push(s);
-    }
+    // The latencies of QUERIES runs of `probe(i)`, and the rows they saw.
+    let time = |probe: &dyn Fn(usize) -> usize| {
+        let (rows, samples): (Vec<usize>, Vec<f64>) =
+            (0..QUERIES).map(|i| timed(|| probe(i))).unzip();
+        (rows.iter().sum(), LatencyStats::from_samples(&samples))
+    };
+    let around = |i: usize| BBox::around(points[i], 250.0);
+    let deep_window = |i: usize| window(deep[i], DEEP_WINDOW_SECS);
+    let aligned_window = |i: usize| window(aligned[i], DEEP_WINDOW_SECS);
     let buckets = GridSpec::covering(square_extent(EXTENT_M), HEAT_BUCKET_M);
-    let mut heat_s = Vec::with_capacity(QUERIES);
-    for &t0 in &aligned {
-        let (_, s) = timed(|| index.heatmap(&buckets, window(t0, DEEP_WINDOW_SECS)));
-        heat_s.push(s);
-    }
+    let (_, recent) = time(&|i| index.range(around(i), recent_window).len());
+    let (hits, range) = time(&|i| index.range(around(i), deep_window(i)).len());
+    let (_, count) = time(&|i| index.range_count(zones[i], aligned_window(i)));
+    let (_, knn) = time(&|i| index.knn(points[i], window(short[i], 60), 16).len());
+    let (_, heatmap) = time(&|i| index.heatmap(&buckets, aligned_window(i)).len());
     QueryMix {
-        recent: LatencyStats::from_samples(&recent_s),
-        range: LatencyStats::from_samples(&range_s),
-        count: LatencyStats::from_samples(&count_s),
-        knn: LatencyStats::from_samples(&knn_s),
-        heatmap: LatencyStats::from_samples(&heat_s),
+        recent,
+        range,
+        count,
+        knn,
+        heatmap,
         hits,
     }
 }

@@ -6,9 +6,10 @@
 //! per-operation telemetry, which additionally splits query traffic into
 //! request bytes up and result bytes down.
 //!
-//! Two regression gates ride on the accounting: no single response
-//! frame — page pulls included — may exceed the paging bound, and the
-//! pages of an oversize answer come out at least 85 % full.
+//! Three regression gates ride on the accounting: no response frame, page
+//! pulls included, exceeds the paging bound; pages come out ≥ 85 % full;
+//! a full page frame encodes and decodes within 8 plain copies of its
+//! bytes (moved as slices it takes ≈ 3, moved byte by byte hundreds).
 //!
 //! ```text
 //! cargo run -p stcam-bench --release --bin tab2_comm_cost
@@ -17,13 +18,16 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use stcam::exec::LatencyHistogram;
-use stcam::{KnnOp, Predicate, QueryOpts, TopCellsOp};
+use stcam::paging::{encode_reply, Reply};
+use stcam::{KnnOp, Predicate, QueryOpts, Response, TopCellsOp};
 use stcam_bench::{
     cells, ingest_chunked, lan_config, launch, op_stats, percentiles_ms, square_extent,
-    synthetic_stream, window_secs, Figure, Fmt,
+    synthetic_stream, timed, window_secs, Figure, Fmt,
 };
+use stcam_codec::{decode_from_slice, encode_to_vec};
 use stcam_geo::{BBox, GridSpec, Point};
 use stcam_net::FabricStats;
+use std::hint::black_box;
 
 const EXTENT_M: f64 = 8_000.0;
 const WORKERS: usize = 8;
@@ -35,7 +39,13 @@ struct Row {
     msgs: f64,
     kb: f64,
     exec_up_down: [f64; 2],
-    latency: LatencyHistogram,
+    latency: Vec<LatencyHistogram>,
+}
+
+/// Seconds per 100 calls of `f`: the fastest of 20 rounds.
+fn fastest<T>(f: impl Fn() -> T) -> f64 {
+    let round = || timed(|| (0..100).for_each(|_| drop(black_box(f())))).1;
+    (0..20).map(|_| round()).fold(f64::MAX, f64::min)
 }
 
 fn main() {
@@ -64,15 +74,13 @@ fn main() {
             let now = cluster.fabric_stats();
             let delta: FabricStats = now.since(&mark);
             mark = now;
-            let mut latency = LatencyHistogram::default();
+            let mut latency = Vec::new();
             let (mut up, mut down) = (0u64, 0u64);
             for (name, before) in exec_ops.iter().zip(&exec_before) {
                 let d = op_stats(&cluster, name).since(before);
                 up += d.bytes_sent;
                 down += d.bytes_received;
-                for (acc, c) in latency.counts.iter_mut().zip(d.latency.counts.iter()) {
-                    *acc += c;
-                }
+                latency.push(d.latency);
             }
             rows.push(Row {
                 label: label.to_string(),
@@ -203,12 +211,29 @@ fn main() {
         .max(cluster.fabric_stats().max_response_bytes);
     cluster.shutdown();
     let page_max = stcam::paging::PAGE_MAX_BYTES as u64;
+    // One full page frame, encoded then decoded, against a plain copy of it.
+    let rows = Response::Observations(stream[..4_000].to_vec());
+    let Reply::Pages(kind, payloads) = encode_reply(&rows) else {
+        panic!("4 000 full rows fill more than one page");
+    };
+    let page = Response::ResultPage {
+        cursor: 1,
+        page: 0,
+        pages: 2,
+        kind,
+        payload: payloads[0].clone(),
+    };
+    let frame = encode_to_vec(&page);
+    let codec_ratio = fastest(|| decode_from_slice::<Response>(&encode_to_vec(black_box(&page))))
+        / fastest(|| black_box(&frame).to_vec());
     fig.table("paging")
         .col("max response frame B", "max_response_bytes", Fmt::Plain)
         .col("page bound B", "page_max_bytes", Fmt::Plain)
         .col("pages per range", "pages_per_range", Fmt::Fixed(1))
-        .col("mean page fill", "mean_page_fill", Fmt::Fixed(3));
-    fig.row(cells![max_resp, page_max, pages / ops_n as f64, fill]);
+        .col("mean page fill", "mean_page_fill", Fmt::Fixed(3))
+        .col("page codec ÷ copy", "page_codec_over_copy", Fmt::Times(1));
+    let per_range = pages / ops_n as f64;
+    fig.row(cells![max_resp, page_max, per_range, fill, codec_ratio]);
     fig.note(
         "(r = replication factor; replication multiplies ingest traffic only.\n\
          KB up/down is the executor's request/result split — fabric totals also\n\
@@ -224,5 +249,6 @@ fn main() {
     // Cutting by halving fills 50–100 % by luck of the size; one pass
     // sized from the bytes per row behind it fills every page but the last.
     assert!(fill >= 0.85, "pages are {fill:.3} full");
-    println!("gates: max response frame {max_resp} B (<= {page_max}), page fill {fill:.3} (>= 0.85) — ok");
+    assert!(codec_ratio <= 8.0, "page codec {codec_ratio:.1}x a copy");
+    println!("gates: max response frame {max_resp} B (<= {page_max}), page fill {fill:.3} (>= 0.85), page codec {codec_ratio:.1}x a copy (<= 8) — ok");
 }

@@ -48,31 +48,22 @@ const FLAG_FIXED_POINT_POS: u8 = 0b0000_0001;
 /// Flag bit: every signature in the batch is all-zero (projected away),
 /// so the signature column is elided and decoders refill zeros.
 const FLAG_NO_SIGNATURES: u8 = 0b0000_0010;
+/// Bytes of one row's signature.
+const SIGNATURE_BYTES: usize = 4 * SIGNATURE_DIM;
 
-/// `v` scaled to fixed point, when that is exactly invertible.
-fn fixed_point(v: f64) -> Option<i64> {
+/// Whether `v` scaled to fixed point is an integer that converts back to
+/// `v` exactly.
+fn on_fixed_grid(v: f64) -> bool {
     let scaled = v * POS_SCALE;
     // `fract() == 0` rejects NaN/∞ too; the magnitude bound keeps the
     // integer exactly representable both as i64 and as f64.
-    if scaled.fract() == 0.0 && scaled.abs() <= (1i64 << 52) as f64 {
-        Some(scaled as i64)
-    } else {
-        None
-    }
-}
-
-fn need<B: Buf>(buf: &B, n: usize, context: &'static str) -> Result<(), DecodeError> {
-    if buf.remaining() < n {
-        Err(DecodeError::UnexpectedEnd { context })
-    } else {
-        Ok(())
-    }
+    scaled.fract() == 0.0 && scaled.abs() <= (1i64 << 52) as f64
 }
 
 /// Reads and validates the count + flags prefix of one batch frame.
 /// An empty frame (`n == 0`) has no flag byte; `flags` is 0 then.
-fn frame_header<B: Buf>(buf: &mut B) -> Result<(usize, u8), DecodeError> {
-    let n = varint::read_u64(buf)?;
+fn frame_header(rest: &mut &[u8]) -> Result<(usize, u8), DecodeError> {
+    let n = varint::read_u64(rest)?;
     if n > MAX_SEQ_LEN {
         return Err(DecodeError::LengthOverflow {
             declared: n,
@@ -83,8 +74,7 @@ fn frame_header<B: Buf>(buf: &mut B) -> Result<(usize, u8), DecodeError> {
     if n == 0 {
         return Ok((0, 0));
     }
-    need(buf, 1, "batch flags")?;
-    let flags = buf.get_u8();
+    let flags = take(rest, 1, "batch flags")?[0];
     if flags & !(FLAG_FIXED_POINT_POS | FLAG_NO_SIGNATURES) != 0 {
         return Err(DecodeError::InvalidValue {
             reason: "unknown batch flags",
@@ -93,22 +83,20 @@ fn frame_header<B: Buf>(buf: &mut B) -> Result<(usize, u8), DecodeError> {
     Ok((n, flags))
 }
 
-/// Appends the columnar wire form of `batch` to `buf`.
+/// Appends the columnar wire form of `batch` to `buf`. Allocates nothing
+/// beyond `buf`'s growth: the position layout is decided in one pass over
+/// the rows and written in another, and each signature goes out as one
+/// slice.
 pub fn encode_batch<B: BufMut>(batch: &[Observation], buf: &mut B) {
     varint::write_u64(buf, batch.len() as u64);
     if batch.is_empty() {
         return;
     }
 
-    let fixed: Option<Vec<(i64, i64)>> = batch
+    let fixed = batch
         .iter()
-        .map(|o| Some((fixed_point(o.position.x)?, fixed_point(o.position.y)?)))
-        .collect();
-    let mut flags = if fixed.is_some() {
-        FLAG_FIXED_POINT_POS
-    } else {
-        0
-    };
+        .all(|o| on_fixed_grid(o.position.x) && on_fixed_grid(o.position.y));
+    let mut flags = if fixed { FLAG_FIXED_POINT_POS } else { 0 };
     // Bit-for-bit zero check: `v == 0.0` would also accept -0.0, which
     // the zero refill on decode could not reproduce losslessly.
     let no_signatures = batch
@@ -156,28 +144,26 @@ pub fn encode_batch<B: BufMut>(batch: &[Observation], buf: &mut B) {
         buf.put_u8(byte);
     }
 
-    // positions.
-    match &fixed {
-        Some(points) => {
-            for &(x, y) in points {
-                varint::write_i64(buf, x);
-                varint::write_i64(buf, y);
-            }
-        }
-        None => {
-            for obs in batch {
-                buf.put_f64_le(obs.position.x);
-                buf.put_f64_le(obs.position.y);
-            }
+    // positions: fixed-point only when every coordinate is on the grid.
+    for obs in batch {
+        let Point { x, y } = obs.position;
+        if fixed {
+            varint::write_i64(buf, (x * POS_SCALE) as i64);
+            varint::write_i64(buf, (y * POS_SCALE) as i64);
+        } else {
+            buf.put_f64_le(x);
+            buf.put_f64_le(y);
         }
     }
 
     // signatures: raw, elided entirely when all-zero.
     if !no_signatures {
         for obs in batch {
-            for &v in obs.signature.values() {
-                buf.put_f32_le(v);
+            let mut raw = [0u8; SIGNATURE_BYTES];
+            for (bytes, v) in raw.chunks_exact_mut(4).zip(obs.signature.values()) {
+                bytes.copy_from_slice(&v.to_le_bytes());
             }
+            buf.put_slice(&raw);
         }
     }
 
@@ -211,172 +197,255 @@ pub fn decode_batch<B: Buf>(buf: &mut B) -> Result<Vec<Observation>, DecodeError
 }
 
 /// Like [`decode_batch`], but **appends** the decoded observations to
-/// `out` instead of allocating a fresh vector. Segment readers scanning
-/// many per-cell blocks into one result use this to reuse a single
-/// output allocation. On error, `out` may hold a partially decoded
-/// prefix of the failing block; callers that care should truncate back
-/// to the pre-call length.
+/// `out` instead of allocating a fresh vector: segment readers scanning
+/// many per-cell blocks and clients decoding pages into one answer reuse
+/// one output allocation, and a block that fits `out`'s spare capacity
+/// decodes without allocating. On error `out` keeps its length.
 pub fn decode_batch_into<B: Buf>(
     buf: &mut B,
     out: &mut Vec<Observation>,
 ) -> Result<(), DecodeError> {
-    let (n, flags) = frame_header(buf)?;
-    if n == 0 {
-        return Ok(());
-    }
+    decode_batch_filtered(buf, |_, _| true, out).map(drop)
+}
 
-    let ids = read_ids(buf, n)?;
-    let cameras = read_cameras(buf, n)?;
-    let times = read_times(buf, n)?;
-    let classes = read_classes(buf, n)?;
-    let positions = read_positions(buf, n, flags)?;
+/// Like [`decode_batch_into`], but keeps only rows for which
+/// `keep(time, position)` returns `true`; `keep` is called exactly once
+/// per row, in row order. The wide columns — signatures (`16 × f32` per
+/// row) and truth — are decoded **only for kept rows**; a dropped row
+/// costs a few varint steps. Sealed-segment readers use this to answer
+/// partially-covered blocks without paying full decode for rows outside
+/// the query region or window. Consumes exactly one frame; returns its
+/// total row count.
+///
+/// The frame is read in two passes over `buf.chunk()` (the whole of a
+/// buffer of the vendored `bytes`, which is contiguous): the first finds
+/// every column and checks its structure and length, then one cursor per
+/// column decodes the rows side by side, each kept row written into `out`
+/// once. No column is buffered on its own, and `out` grows by at most one
+/// row per byte of the ids column.
+///
+/// # Errors
+///
+/// As [`decode_batch`]; on error `out` keeps its length.
+pub fn decode_batch_filtered<B: Buf>(
+    buf: &mut B,
+    keep: impl FnMut(Timestamp, Point) -> bool,
+    out: &mut Vec<Observation>,
+) -> Result<usize, DecodeError> {
+    let bytes = buf.chunk();
+    let mut columns = Columns::locate(bytes)?;
+    let base = out.len();
+    out.reserve(columns.n);
+    decode_rows(&mut columns, keep, out).inspect_err(|_| out.truncate(base))?;
+    let (n, used) = (columns.n, columns.end(bytes));
+    buf.advance(used);
+    Ok(n)
+}
 
-    let mut signatures = Vec::with_capacity(n.min(1024));
-    if flags & FLAG_NO_SIGNATURES != 0 {
-        signatures.resize(n, Signature::new([0.0; SIGNATURE_DIM]));
-    } else {
-        need(buf, 4 * SIGNATURE_DIM * n, "signature column")?;
-        for _ in 0..n {
-            signatures.push(read_signature(buf));
+/// Decodes the rows of `columns` that pass `keep` onto `out`.
+fn decode_rows(
+    columns: &mut Columns<'_>,
+    mut keep: impl FnMut(Timestamp, Point) -> bool,
+    out: &mut Vec<Observation>,
+) -> Result<(), DecodeError> {
+    let (mut id, mut ms, mut run, mut camera) = (0u64, 0u64, 0, CameraId(0));
+    for i in 0..columns.n {
+        id = id.wrapping_add(next_delta(&mut columns.ids, i)?);
+        if run == 0 {
+            (run, camera) = camera_run(&mut columns.cameras, columns.n - i)?;
         }
-    }
-
-    let present = read_present(buf, n)?;
-
-    out.reserve(n.min(1024));
-    for i in 0..n {
-        let truth = if present[i] {
-            let delta = varint::read_i64(buf)?;
-            Some(EntityId(ids[i].seq().wrapping_add(delta as u64)))
+        run -= 1;
+        ms = ms.wrapping_add(next_delta(&mut columns.times, i)?);
+        let time = Timestamp::from_millis(ms);
+        let position = read_position(&mut columns.positions, columns.fixed)?;
+        let kept = keep(time, position);
+        let signature = match &mut columns.signatures {
+            Some(column) => {
+                let (raw, rest) = column.split_first_chunk::<SIGNATURE_BYTES>().ok_or(
+                    DecodeError::UnexpectedEnd {
+                        context: "signature column",
+                    },
+                )?;
+                *column = rest;
+                kept.then(|| signature_from(raw))
+            }
+            None => None,
+        };
+        let truth = if columns.present(i) {
+            Some(varint::read_i64(&mut columns.truth)?)
         } else {
             None
         };
+        if !kept {
+            continue;
+        }
+        let id = ObservationId(id);
+        let code = (columns.classes[i / 4] >> (2 * (i % 4))) & 0b11;
         out.push(Observation {
-            id: ids[i],
-            camera: cameras[i],
-            time: times[i],
-            position: positions[i],
-            class: classes[i],
-            signature: signatures[i],
-            truth,
+            id,
+            camera,
+            time,
+            position,
+            class: EntityClass::from_u8(code).ok_or(DecodeError::InvalidDiscriminant {
+                type_name: "EntityClass",
+                value: code as u64,
+            })?,
+            signature: signature.unwrap_or(Signature::new([0.0; SIGNATURE_DIM])),
+            truth: truth.map(|delta| EntityId(id.seq().wrapping_add(delta as u64))),
         });
     }
     Ok(())
 }
 
-// --- per-column readers and skippers ------------------------------------
-//
-// One implementation per column, shared by the full decoder and the
-// partial scanners below. Skippers still validate frame *structure*
-// (varint framing, run-length bounds) but not the skipped values.
-
-fn read_ids<B: Buf>(buf: &mut B, n: usize) -> Result<Vec<ObservationId>, DecodeError> {
-    let mut ids = Vec::with_capacity(n.min(1024));
-    let mut prev = varint::read_u64(buf)?;
-    ids.push(ObservationId(prev));
-    for _ in 1..n {
-        prev = prev.wrapping_add(varint::read_i64(buf)? as u64);
-        ids.push(ObservationId(prev));
-    }
-    Ok(ids)
+/// The columns of one frame, each a cursor at its first byte, found and
+/// checked by [`Columns::locate`]: the row decoders read them side by
+/// side, one row at a time, so no column is decoded into a buffer first.
+struct Columns<'a> {
+    n: usize,
+    /// Positions are fixed-point varints, not raw `f64` pairs.
+    fixed: bool,
+    ids: &'a [u8],
+    cameras: &'a [u8],
+    times: &'a [u8],
+    classes: &'a [u8],
+    positions: &'a [u8],
+    /// `None` when the frame elides the column (every signature zero).
+    signatures: Option<&'a [u8]>,
+    present: &'a [u8],
+    /// The truth deltas, then whatever follows the frame.
+    truth: &'a [u8],
 }
 
-fn skip_ids<B: Buf>(buf: &mut B, n: usize) -> Result<(), DecodeError> {
-    varint::read_u64(buf)?;
-    for _ in 1..n {
-        varint::read_i64(buf)?;
+impl<'a> Columns<'a> {
+    /// Steps over every column of the frame at the front of `bytes` up to
+    /// the truth deltas, checking the count and flags, the camera runs
+    /// (lengths summing to the count, ids in range) and the length of each
+    /// fixed-width column. The varint columns are only stepped over here;
+    /// the row pass reads and checks their values.
+    fn locate(bytes: &'a [u8]) -> Result<Self, DecodeError> {
+        let mut rest = bytes;
+        let (n, flags) = frame_header(&mut rest)?;
+        let ids = skip_varints(&mut rest, n)?;
+        let cameras = rest;
+        let mut seen = 0;
+        while seen < n {
+            seen += camera_run(&mut rest, n - seen)?.0;
+        }
+        let times = skip_varints(&mut rest, n)?;
+        let classes = take(&mut rest, n.div_ceil(4), "class column")?;
+        let fixed = flags & FLAG_FIXED_POINT_POS != 0;
+        let positions = if fixed {
+            skip_varints(&mut rest, 2 * n)?
+        } else {
+            take(&mut rest, 16 * n, "position column")?
+        };
+        let signatures = if flags & FLAG_NO_SIGNATURES == 0 {
+            Some(take(&mut rest, SIGNATURE_BYTES * n, "signature column")?)
+        } else {
+            None
+        };
+        let present = take(&mut rest, n.div_ceil(8), "truth bitmap")?;
+        Ok(Columns {
+            n,
+            fixed,
+            ids,
+            cameras,
+            times,
+            classes,
+            positions,
+            signatures,
+            present,
+            truth: rest,
+        })
     }
-    Ok(())
+
+    /// Whether row `i` has a truth delta.
+    fn present(&self, i: usize) -> bool {
+        (self.present[i / 8] >> (i % 8)) & 1 == 1
+    }
+
+    /// The length of the frame in `bytes`, once the truth cursor is past
+    /// its last delta.
+    fn end(&self, bytes: &[u8]) -> usize {
+        bytes.len() - self.truth.len()
+    }
 }
 
-fn read_cameras<B: Buf>(buf: &mut B, n: usize) -> Result<Vec<CameraId>, DecodeError> {
-    let mut cameras = Vec::with_capacity(n.min(1024));
-    while cameras.len() < n {
-        let (run, camera) = camera_run(buf, n - cameras.len())?;
-        cameras.extend(std::iter::repeat_n(camera, run));
-    }
-    Ok(cameras)
+// --- column readers ------------------------------------------------------
+
+/// The first `len` bytes of `rest`, which moves past them.
+fn take<'a>(
+    rest: &mut &'a [u8],
+    len: usize,
+    context: &'static str,
+) -> Result<&'a [u8], DecodeError> {
+    let (column, after) = rest
+        .split_at_checked(len)
+        .ok_or(DecodeError::UnexpectedEnd { context })?;
+    *rest = after;
+    Ok(column)
 }
 
-fn skip_cameras<B: Buf>(buf: &mut B, n: usize) -> Result<(), DecodeError> {
-    let mut seen = 0;
-    while seen < n {
-        seen += camera_run(buf, n - seen)?.0;
+/// Moves `rest` past `count` varints, counting their last bytes, and
+/// returns where they start.
+fn skip_varints<'a>(rest: &mut &'a [u8], count: usize) -> Result<&'a [u8], DecodeError> {
+    let start = *rest;
+    if count > 0 {
+        let mut left = count;
+        let last = rest
+            .iter()
+            .position(|&b| {
+                left -= usize::from(b < 0x80);
+                left == 0
+            })
+            .ok_or(DecodeError::UnexpectedEnd { context: "varint" })?;
+        *rest = &rest[last + 1..];
     }
-    Ok(())
+    Ok(start)
 }
 
-fn camera_run<B: Buf>(buf: &mut B, left: usize) -> Result<(usize, CameraId), DecodeError> {
-    let run = varint::read_u64(buf)?;
+/// Row `i`'s step in an id or time column: the first value is absolute,
+/// the rest are wrapping zigzag deltas from the one before.
+fn next_delta(column: &mut &[u8], i: usize) -> Result<u64, DecodeError> {
+    match i {
+        0 => varint::read_u64(column),
+        _ => varint::read_i64(column).map(|delta| delta as u64),
+    }
+}
+
+fn camera_run(column: &mut &[u8], left: usize) -> Result<(usize, CameraId), DecodeError> {
+    let run = varint::read_u64(column)?;
     if run == 0 || run > left as u64 {
         return Err(DecodeError::InvalidValue {
             reason: "camera run length out of bounds",
         });
     }
-    let camera = varint::read_u64(buf)?;
+    let camera = varint::read_u64(column)?;
     let camera = u32::try_from(camera).map_err(|_| DecodeError::InvalidValue {
         reason: "camera id out of range",
     })?;
     Ok((run as usize, CameraId(camera)))
 }
 
-fn read_times<B: Buf>(buf: &mut B, n: usize) -> Result<Vec<Timestamp>, DecodeError> {
-    let mut times = Vec::with_capacity(n.min(1024));
-    let mut prev_ms = varint::read_u64(buf)?;
-    times.push(Timestamp::from_millis(prev_ms));
-    for _ in 1..n {
-        prev_ms = prev_ms.wrapping_add(varint::read_i64(buf)? as u64);
-        times.push(Timestamp::from_millis(prev_ms));
-    }
-    Ok(times)
-}
-
-fn read_classes<B: Buf>(buf: &mut B, n: usize) -> Result<Vec<EntityClass>, DecodeError> {
-    let mut classes = Vec::with_capacity(n.min(1024));
-    need(buf, n.div_ceil(4), "class column")?;
-    while classes.len() < n {
-        let byte = buf.get_u8();
-        for slot in 0..4.min(n - classes.len()) {
-            let code = (byte >> (2 * slot)) & 0b11;
-            classes.push(
-                EntityClass::from_u8(code).ok_or(DecodeError::InvalidDiscriminant {
-                    type_name: "EntityClass",
-                    value: code as u64,
-                })?,
-            );
-        }
-    }
-    Ok(classes)
-}
-
-fn skip_classes<B: Buf>(buf: &mut B, n: usize) -> Result<(), DecodeError> {
-    need(buf, n.div_ceil(4), "class column")?;
-    buf.advance(n.div_ceil(4));
-    Ok(())
-}
-
-fn read_positions<B: Buf>(buf: &mut B, n: usize, flags: u8) -> Result<Vec<Point>, DecodeError> {
-    let mut positions = Vec::with_capacity(n.min(1024));
-    if flags & FLAG_FIXED_POINT_POS != 0 {
-        for _ in 0..n {
-            let x = varint::read_i64(buf)? as f64 / POS_SCALE;
-            let y = varint::read_i64(buf)? as f64 / POS_SCALE;
-            positions.push(Point::new(x, y));
-        }
+fn read_position(column: &mut &[u8], fixed: bool) -> Result<Point, DecodeError> {
+    if fixed {
+        let x = varint::read_i64(column)? as f64 / POS_SCALE;
+        let y = varint::read_i64(column)? as f64 / POS_SCALE;
+        Ok(Point::new(x, y))
     } else {
-        need(buf, 16 * n, "position column")?;
-        for _ in 0..n {
-            positions.push(Point::new(buf.get_f64_le(), buf.get_f64_le()));
-        }
+        let raw = take(column, 16, "position column")?;
+        let (x, y) = raw.split_at(8);
+        Ok(Point::new(f64_le(x), f64_le(y)))
     }
-    Ok(positions)
 }
 
-fn read_signature<B: Buf>(buf: &mut B) -> Signature {
-    // One bulk copy instead of 16 bounds-checked `get_f32_le` calls; the
-    // signature column dominates full-row decode cost.
-    let mut raw = [0u8; 4 * SIGNATURE_DIM];
-    buf.copy_to_slice(&mut raw);
+fn f64_le(bytes: &[u8]) -> f64 {
+    let mut raw = [0u8; 8];
+    raw.copy_from_slice(bytes);
+    f64::from_le_bytes(raw)
+}
+
+fn signature_from(raw: &[u8; SIGNATURE_BYTES]) -> Signature {
     let mut values = [0f32; SIGNATURE_DIM];
     for (v, c) in values.iter_mut().zip(raw.chunks_exact(4)) {
         *v = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
@@ -384,142 +453,37 @@ fn read_signature<B: Buf>(buf: &mut B) -> Signature {
     Signature::new(values)
 }
 
-fn read_present<B: Buf>(buf: &mut B, n: usize) -> Result<Vec<bool>, DecodeError> {
-    let mut present = Vec::with_capacity(n.min(1024));
-    need(buf, n.div_ceil(8), "truth bitmap")?;
-    while present.len() < n {
-        let byte = buf.get_u8();
-        for slot in 0..8.min(n - present.len()) {
-            present.push(byte & (1 << slot) != 0);
-        }
-    }
-    Ok(present)
-}
-
 /// Visits `(time, position)` for every row of one columnar batch frame
-/// without materialising observations: the id, camera, class, signature,
-/// and truth columns are stepped over, not decoded. Sealed-segment
-/// count and heatmap scans use this — the signature column alone is
-/// `16 × f32` per row, so a key-only visit costs a fraction of
-/// [`decode_batch_into`]. Consumes exactly one frame; returns its row
-/// count.
+/// without materialising observations: only the time and position
+/// columns are read, the others stepped over (their structure checked as
+/// for [`decode_batch_filtered`], their values not). Sealed-segment count
+/// and heatmap scans use this — the signature column alone is `16 × f32`
+/// per row, so a key-only visit costs a fraction of [`decode_batch_into`].
+/// Consumes exactly one frame; returns its row count.
 ///
 /// # Errors
 ///
 /// Returns a [`DecodeError`] on truncated input, a hostile length
-/// prefix, or malformed run-length structure. The skipped columns'
-/// *values* are not validated.
+/// prefix, or malformed run-length structure.
 pub fn scan_batch_keys<B: Buf>(
     buf: &mut B,
     mut f: impl FnMut(Timestamp, Point),
 ) -> Result<usize, DecodeError> {
-    let (n, flags) = frame_header(buf)?;
-    if n == 0 {
-        return Ok(0);
+    let bytes = buf.chunk();
+    let mut columns = Columns::locate(bytes)?;
+    let mut ms = 0u64;
+    for i in 0..columns.n {
+        ms = ms.wrapping_add(next_delta(&mut columns.times, i)?);
+        let position = read_position(&mut columns.positions, columns.fixed)?;
+        f(Timestamp::from_millis(ms), position);
     }
-    skip_ids(buf, n)?;
-    skip_cameras(buf, n)?;
-    let times = read_times(buf, n)?;
-    skip_classes(buf, n)?;
-    if flags & FLAG_FIXED_POINT_POS != 0 {
-        for &t in &times {
-            let x = varint::read_i64(buf)? as f64 / POS_SCALE;
-            let y = varint::read_i64(buf)? as f64 / POS_SCALE;
-            f(t, Point::new(x, y));
-        }
-    } else {
-        need(buf, 16 * n, "position column")?;
-        for &t in &times {
-            f(t, Point::new(buf.get_f64_le(), buf.get_f64_le()));
+    for i in 0..columns.n {
+        if columns.present(i) {
+            varint::read_i64(&mut columns.truth)?;
         }
     }
-    if flags & FLAG_NO_SIGNATURES == 0 {
-        need(buf, 4 * SIGNATURE_DIM * n, "signature column")?;
-        buf.advance(4 * SIGNATURE_DIM * n);
-    }
-    need(buf, n.div_ceil(8), "truth bitmap")?;
-    let mut with_truth = 0u32;
-    let mut left = n;
-    while left > 0 {
-        let bits = 8.min(left);
-        let mask = ((1u16 << bits) - 1) as u8;
-        with_truth += (buf.get_u8() & mask).count_ones();
-        left -= bits;
-    }
-    for _ in 0..with_truth {
-        varint::read_i64(buf)?;
-    }
-    Ok(n)
-}
-
-/// Like [`decode_batch_into`], but materialises only rows for which
-/// `keep(time, position)` returns `true`. The wide columns — signatures
-/// (`16 × f32` per row) and truth — are decoded **only for kept rows**;
-/// a dropped row costs a few varint steps. Sealed-segment readers use
-/// this to answer partially-covered blocks without paying full decode
-/// for rows outside the query region or window. Consumes exactly one
-/// frame; returns its total row count.
-pub fn decode_batch_filtered<B: Buf>(
-    buf: &mut B,
-    mut keep: impl FnMut(Timestamp, Point) -> bool,
-    out: &mut Vec<Observation>,
-) -> Result<usize, DecodeError> {
-    let (n, flags) = frame_header(buf)?;
-    if n == 0 {
-        return Ok(0);
-    }
-    let ids = read_ids(buf, n)?;
-    let cameras = read_cameras(buf, n)?;
-    let times = read_times(buf, n)?;
-    let classes = read_classes(buf, n)?;
-    let positions = read_positions(buf, n, flags)?;
-
-    let kept: Vec<u32> = (0..n)
-        .filter(|&i| keep(times[i], positions[i]))
-        .map(|i| i as u32)
-        .collect();
-
-    // Signature column: fixed-stride, so dropped rows are one `advance`.
-    let mut signatures = Vec::with_capacity(kept.len());
-    if flags & FLAG_NO_SIGNATURES != 0 {
-        signatures.resize(kept.len(), Signature::new([0.0; SIGNATURE_DIM]));
-    } else {
-        need(buf, 4 * SIGNATURE_DIM * n, "signature column")?;
-        let mut cursor = 0;
-        for &i in &kept {
-            let i = i as usize;
-            buf.advance(4 * SIGNATURE_DIM * (i - cursor));
-            signatures.push(read_signature(buf));
-            cursor = i + 1;
-        }
-        buf.advance(4 * SIGNATURE_DIM * (n - cursor));
-    }
-
-    let present = read_present(buf, n)?;
-    out.reserve(kept.len());
-    let mut signatures = signatures.into_iter();
-    let mut kept = kept.into_iter().peekable();
-    for i in 0..n {
-        let is_kept = kept.peek() == Some(&(i as u32));
-        let truth = if present[i] {
-            let delta = varint::read_i64(buf)?;
-            is_kept.then(|| EntityId(ids[i].seq().wrapping_add(delta as u64)))
-        } else {
-            None
-        };
-        if is_kept {
-            kept.next();
-            out.push(Observation {
-                id: ids[i],
-                camera: cameras[i],
-                time: times[i],
-                position: positions[i],
-                class: classes[i],
-                signature: signatures.next().expect("one signature per kept row"),
-                truth,
-            });
-        }
-    }
+    let (n, used) = (columns.n, columns.end(bytes));
+    buf.advance(used);
     Ok(n)
 }
 

@@ -7,7 +7,7 @@
 //!
 //! * `as Adapter` — the field travels in `Adapter`'s layout instead of
 //!   `Type`'s own ([`WireAs`]): an id newtype as its bare integer, a row
-//!   list as a columnar batch;
+//!   list as a columnar batch, a `Vec<u8>` as one slice ([`Bytes`]);
 //! * `where (condition) else "reason"` — decoding fails with
 //!   [`DecodeError::InvalidValue`] unless `condition` holds. The condition
 //!   sees this field and every field declared before it, by value.
@@ -54,7 +54,8 @@
 
 use bytes::{Buf, BufMut};
 
-use crate::{DecodeError, Wire};
+use crate::wire::decode_byte_string;
+use crate::{varint, DecodeError, Wire};
 
 /// A wire layout for values of type `T` other than `T`'s own [`Wire`]
 /// form — what the `as Adapter` of a declared field names.
@@ -87,6 +88,25 @@ impl<T: Wire> WireAs<T> for Plain {
     }
     fn size_hint(value: &T) -> usize {
         value.size_hint()
+    }
+}
+
+/// A byte string moved as one slice: the bytes of the plain `Vec<u8>`
+/// layout (varint length, then the bytes), written with one `put_slice`
+/// and read with one `copy_to_slice` instead of one call per byte.
+#[derive(Debug)]
+pub struct Bytes;
+
+impl WireAs<Vec<u8>> for Bytes {
+    fn encode<B: BufMut>(value: &Vec<u8>, buf: &mut B) {
+        varint::write_u64(buf, value.len() as u64);
+        buf.put_slice(value);
+    }
+    fn decode<B: Buf>(buf: &mut B) -> Result<Vec<u8>, DecodeError> {
+        decode_byte_string(buf, "byte string")
+    }
+    fn size_hint(value: &Vec<u8>) -> usize {
+        varint::len_u64(value.len() as u64) + value.len()
     }
 }
 
@@ -453,6 +473,41 @@ mod tests {
         ] {
             assert_eq!(value.size_hint(), encoded_len(&value));
         }
+    }
+
+    #[test]
+    fn bytes_layout_is_the_plain_vec_layout() {
+        for len in [0, 1, 127, 128, 16_383, 16_384, 57_344] {
+            let value: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+            let mut bytes = Vec::new();
+            <Bytes as WireAs<Vec<u8>>>::encode(&value, &mut bytes);
+            assert_eq!(bytes, encode_to_vec(&value), "length {len}");
+            assert_eq!(<Bytes as WireAs<Vec<u8>>>::size_hint(&value), bytes.len());
+            let mut slice = &bytes[..];
+            assert_eq!(<Bytes as WireAs<Vec<u8>>>::decode(&mut slice), Ok(value));
+            assert!(slice.is_empty());
+        }
+    }
+
+    #[test]
+    fn bytes_layout_rejects_lengths_it_cannot_hold() {
+        let decode = |mut bytes: &[u8]| <Bytes as WireAs<Vec<u8>>>::decode(&mut bytes);
+        // Three bytes declared, two present.
+        assert_eq!(
+            decode(&[3, 1, 2]),
+            Err(DecodeError::UnexpectedEnd {
+                context: "byte string"
+            })
+        );
+        let mut beyond = Vec::new();
+        varint::write_u64(&mut beyond, crate::MAX_SEQ_LEN + 1);
+        assert_eq!(
+            decode(&beyond),
+            Err(DecodeError::LengthOverflow {
+                declared: crate::MAX_SEQ_LEN + 1,
+                max: crate::MAX_SEQ_LEN
+            })
+        );
     }
 
     #[test]

@@ -47,7 +47,7 @@ mod wire;
 /// that declares a message need not depend on `bytes` itself.
 #[doc(hidden)]
 pub use bytes as __bytes;
-pub use declare::{assert_tags_distinct, Plain, WireAs};
+pub use declare::{assert_tags_distinct, Bytes, Plain, WireAs};
 pub use error::DecodeError;
 pub use frame::{read_frame, write_frame, FrameHeader, MAX_FRAME_LEN};
 pub use segment::{SegmentBlock, SegmentFrame, SEGMENT_MAGIC, SEGMENT_VERSION};

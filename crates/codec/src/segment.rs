@@ -20,8 +20,7 @@ use bytes::{Buf, BufMut};
 use stcam_geo::TimeInterval;
 
 use crate::varint;
-use crate::wire::MAX_SEQ_LEN;
-use crate::{DecodeError, Wire};
+use crate::{Bytes, DecodeError, Wire, WireAs};
 
 /// First byte of every encoded segment frame.
 pub const SEGMENT_MAGIC: u8 = 0xA7;
@@ -170,8 +169,7 @@ impl Wire for SegmentFrame {
         self.count.encode(buf);
         buf.put_slice(&self.checksum.to_le_bytes());
         self.directory.encode(buf);
-        varint::write_u64(buf, self.payload.len() as u64);
-        buf.put_slice(&self.payload);
+        Bytes::encode(&self.payload, buf);
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
@@ -204,21 +202,7 @@ impl Wire for SegmentFrame {
         buf.copy_to_slice(&mut raw);
         let checksum = u64::from_le_bytes(raw);
         let directory = Vec::decode(buf)?;
-        let payload_len = varint::read_u64(buf)?;
-        if payload_len > MAX_SEQ_LEN {
-            return Err(DecodeError::LengthOverflow {
-                declared: payload_len,
-                max: MAX_SEQ_LEN,
-            });
-        }
-        let payload_len = payload_len as usize;
-        if buf.remaining() < payload_len {
-            return Err(DecodeError::UnexpectedEnd {
-                context: "segment payload",
-            });
-        }
-        let mut payload = vec![0u8; payload_len];
-        buf.copy_to_slice(&mut payload);
+        let payload = Bytes::decode(buf)?;
         let frame = SegmentFrame {
             number,
             window,
@@ -238,8 +222,7 @@ impl Wire for SegmentFrame {
             + 8
             + varint::len_u64(self.directory.len() as u64)
             + self.directory.iter().map(Wire::size_hint).sum::<usize>()
-            + varint::len_u64(self.payload.len() as u64)
-            + self.payload.len()
+            + Bytes::size_hint(&self.payload)
     }
 }
 

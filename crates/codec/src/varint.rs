@@ -12,17 +12,17 @@ use crate::DecodeError;
 /// Maximum encoded width of a `u64` varint.
 pub const MAX_VARINT_LEN: usize = 10;
 
-/// Appends `v` to `buf` as a LEB128 varint.
+/// Appends `v` to `buf` as a LEB128 varint, in one `put_slice`.
 pub fn write_u64<B: BufMut>(buf: &mut B, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
+    let mut bytes = [0u8; MAX_VARINT_LEN];
+    let mut last = 0;
+    while v >= 0x80 {
+        bytes[last] = v as u8 | 0x80;
         v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
+        last += 1;
     }
+    bytes[last] = v as u8;
+    buf.put_slice(&bytes[..=last]);
 }
 
 /// Reads a LEB128 varint from `buf`.
@@ -33,25 +33,25 @@ pub fn write_u64<B: BufMut>(buf: &mut B, mut v: u64) {
 /// terminating byte, and [`DecodeError::VarintOverflow`] when the encoding
 /// exceeds [`MAX_VARINT_LEN`] bytes or overflows 64 bits.
 pub fn read_u64<B: Buf>(buf: &mut B) -> Result<u64, DecodeError> {
+    // Decoded from the front chunk in place, then consumed with one
+    // `advance`: the buffers of the vendored `bytes` are contiguous.
     let mut result = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(DecodeError::UnexpectedEnd { context: "varint" });
-        }
-        let byte = buf.get_u8();
+    let chunk = buf.chunk();
+    for (i, &byte) in chunk.iter().take(MAX_VARINT_LEN).enumerate() {
         let low = (byte & 0x7F) as u64;
-        if shift >= 63 && low > 1 {
+        if i == MAX_VARINT_LEN - 1 && low > 1 {
             return Err(DecodeError::VarintOverflow);
         }
-        result |= low << shift;
+        result |= low << (7 * i);
         if byte & 0x80 == 0 {
+            buf.advance(i + 1);
             return Ok(result);
         }
-        shift += 7;
-        if shift as usize >= MAX_VARINT_LEN * 7 {
-            return Err(DecodeError::VarintOverflow);
-        }
+    }
+    if chunk.len() >= MAX_VARINT_LEN {
+        Err(DecodeError::VarintOverflow)
+    } else {
+        Err(DecodeError::UnexpectedEnd { context: "varint" })
     }
 }
 

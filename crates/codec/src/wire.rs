@@ -99,6 +99,27 @@ fn need<B: Buf>(buf: &B, n: usize, context: &'static str) -> Result<(), DecodeEr
     }
 }
 
+/// Reads a varint length, at most [`MAX_SEQ_LEN`], then that many bytes
+/// in one copy: the body of a `String` and of the
+/// [`Bytes`](crate::Bytes) layout.
+pub(crate) fn decode_byte_string<B: Buf>(
+    buf: &mut B,
+    context: &'static str,
+) -> Result<Vec<u8>, DecodeError> {
+    let len = varint::read_u64(buf)?;
+    if len > MAX_SEQ_LEN {
+        return Err(DecodeError::LengthOverflow {
+            declared: len,
+            max: MAX_SEQ_LEN,
+        });
+    }
+    let len = len as usize;
+    need(buf, len, context)?;
+    let mut bytes = vec![0u8; len];
+    buf.copy_to_slice(&mut bytes);
+    Ok(bytes)
+}
+
 impl Wire for bool {
     fn encode<B: BufMut>(&self, buf: &mut B) {
         buf.put_u8(u8::from(*self));
@@ -206,17 +227,7 @@ impl Wire for String {
         buf.put_slice(self.as_bytes());
     }
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        let len = varint::read_u64(buf)?;
-        if len > MAX_SEQ_LEN {
-            return Err(DecodeError::LengthOverflow {
-                declared: len,
-                max: MAX_SEQ_LEN,
-            });
-        }
-        let len = len as usize;
-        need(buf, len, "string bytes")?;
-        let mut bytes = vec![0u8; len];
-        buf.copy_to_slice(&mut bytes);
+        let bytes = decode_byte_string(buf, "string bytes")?;
         String::from_utf8(bytes).map_err(|_| DecodeError::InvalidUtf8)
     }
     fn size_hint(&self) -> usize {

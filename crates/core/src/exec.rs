@@ -175,10 +175,7 @@ impl LatencyHistogram {
 
     /// Per-bucket difference against an earlier snapshot (saturating).
     pub fn since(&self, earlier: &LatencyHistogram) -> LatencyHistogram {
-        let mut counts = [0u64; 32];
-        for (i, slot) in counts.iter_mut().enumerate() {
-            *slot = self.counts[i].saturating_sub(earlier.counts[i]);
-        }
+        let counts = std::array::from_fn(|i| self.counts[i].saturating_sub(earlier.counts[i]));
         LatencyHistogram { counts }
     }
 }
@@ -964,9 +961,8 @@ pub(crate) fn region_targets(
 /// deterministically instead of poisoning the comparator.
 pub(crate) fn sort_knn(observations: &mut [Observation], at: Point) {
     observations.sort_by(|a, b| {
-        let da = at.distance_sq(a.position);
-        let db = at.distance_sq(b.position);
-        da.total_cmp(&db).then(a.id.cmp(&b.id))
+        let distance = |o: &Observation| at.distance_sq(o.position);
+        distance(a).total_cmp(&distance(b)).then(a.id.cmp(&b.id))
     });
 }
 
@@ -1050,7 +1046,11 @@ impl DistributedOp for RangeOp {
         want_observations(response)
     }
     fn merge(self, partials: Vec<(NodeId, Vec<Observation>)>) -> Vec<Observation> {
-        let mut merged: Vec<Observation> = partials.into_iter().flat_map(|(_, obs)| obs).collect();
+        let total = partials.iter().map(|(_, obs)| obs.len()).sum::<usize>();
+        let mut parts = partials.into_iter().map(|(_, obs)| obs);
+        let mut merged = parts.next().unwrap_or_default();
+        merged.reserve_exact(total - merged.len());
+        parts.for_each(|obs| merged.extend(obs));
         merged.sort_by_key(|o| o.id);
         if self.limit > 0 {
             merged.truncate(self.limit as usize);

@@ -12,7 +12,7 @@
 
 use bytes::{Buf, BufMut};
 use stcam_camnet::{Observation, ObservationBatch, ObservationId};
-use stcam_codec::{wire_enum, wire_struct, DecodeError, SegmentFrame, Wire, WireAs};
+use stcam_codec::{wire_enum, wire_struct, Bytes, DecodeError, SegmentFrame, Wire, WireAs};
 use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
 use stcam_index::SegmentDigest;
 use stcam_net::NodeId;
@@ -572,7 +572,7 @@ wire_enum! {
             /// [`paging`](crate::paging)).
             kind: u8,
             /// The page's standalone-encoded rows.
-            payload: Vec<u8>,
+            payload: Vec<u8> as Bytes,
         },
         /// Control-plane census (answer to [`Request::Census`]).
         Census = 12 "census" (report: CensusReport),
