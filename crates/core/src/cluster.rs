@@ -547,7 +547,8 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// [`StcamError::NoQuorum`] when no worker answers the probe.
+    /// [`StcamError::NoQuorum`] when no worker answers the probe; a worker
+    /// failure when the fenced plan could not be published.
     pub fn restart_coordinator(&self) -> Result<ReconstructReport, StcamError> {
         self.fabric.restart(NodeId(0));
         let candidates: Vec<NodeId> = (1..=self.config.workers as u32).map(NodeId).collect();
@@ -585,17 +586,9 @@ impl Cluster {
         self.plane.health().snapshot()
     }
 
-    /// Replica-log promotions that failed (after retries) during
-    /// failover. Non-zero means a dead shard's replica data could not be
-    /// absorbed and recovery fell to anti-entropy
-    /// [`repair`](Self::repair).
-    pub fn promotion_failures(&self) -> u64 {
-        self.coordinator.lock().promotion_failures()
-    }
-
-    /// Standing-query re-registrations that failed during failover or
-    /// rejoin; affected workers miss notifications until the next
-    /// recovery tick re-registers them.
+    /// Standing-query re-registrations that failed at a cutover
+    /// (failover, rejoin, rebalance); affected workers miss notifications
+    /// until the next cutover re-registers them.
     pub fn registration_failures(&self) -> u64 {
         self.coordinator.lock().registration_failures()
     }

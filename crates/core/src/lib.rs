@@ -95,6 +95,7 @@ pub mod paging;
 mod partition;
 pub(crate) mod plane;
 mod protocol;
+mod reconcile;
 pub mod repair;
 mod replica;
 pub mod snapshot;

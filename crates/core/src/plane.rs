@@ -122,26 +122,12 @@ impl QueryPlane {
     }
 
     /// Atomically replaces the published plan with `partition`/`alive`
-    /// at the next epoch. Called by the control plane after every
-    /// membership or partition mutation; in-flight queries keep their
-    /// old snapshot, subsequent queries observe this one.
-    pub(crate) fn publish(&self, partition: PartitionMap, alive: HashSet<NodeId>) -> u64 {
-        let mut slot = self.plan.write();
-        let epoch = slot.epoch + 1;
-        *slot = Arc::new(QueryPlan {
-            epoch,
-            partition,
-            alive,
-        });
-        epoch
-    }
-
-    /// Atomically replaces the published plan at an *explicit* epoch —
-    /// the coordinator-reconstruction path, where the adopted epoch comes
-    /// from the surviving workers' census (max reported + 1) rather than
-    /// from this instance's own (lost) counter. Refuses to move the plane
-    /// backwards: the published epoch is monotone even across a botched
-    /// reconstruction.
+    /// at `epoch` — one past the newest epoch the control plane has seen,
+    /// which after a coordinator reconstruction is the surviving workers'
+    /// census maximum rather than this instance's own counter. In-flight
+    /// queries keep their old snapshot, subsequent queries observe this
+    /// one. Refuses to move the plane backwards: the published epoch is
+    /// monotone even across a botched reconstruction.
     ///
     /// # Panics
     ///
@@ -155,7 +141,7 @@ impl QueryPlane {
         let mut slot = self.plan.write();
         assert!(
             epoch > slot.epoch,
-            "reconstructed epoch {} must exceed published epoch {}",
+            "epoch {} must exceed the published epoch {}",
             epoch,
             slot.epoch
         );
@@ -453,7 +439,7 @@ mod tests {
         let old = plane.plan();
         let (partition, mut alive) = plan_parts();
         alive.remove(&NodeId(3));
-        assert_eq!(plane.publish(partition, alive), 2);
+        assert_eq!(plane.publish_at(2, partition, alive), 2);
         assert_eq!(plane.epoch(), 2);
         // The old snapshot is unaffected; the new one reflects the edit.
         assert!(old.alive.contains(&NodeId(3)));
@@ -472,7 +458,7 @@ mod tests {
                         // Each published plan removes exactly one worker,
                         // a recognisable invariant for the readers.
                         alive.remove(&NodeId(1 + round % 4));
-                        plane.publish(partition, alive);
+                        plane.publish_at(u64::from(round) + 2, partition, alive);
                     }
                 })
             };

@@ -313,9 +313,8 @@ wire_enum! {
             cells: Vec<u32>,
         },
         /// Report the digests of every sealed segment held by the primary
-        /// shard ([`Response::SegmentDigests`]). The rejoin bulk-sync path
-        /// asks both sides for these and ships only the segments the receiver
-        /// lacks.
+        /// shard ([`Response::SegmentDigests`]). A cell move that ships rows
+        /// asks its receiver for these, and its `ExportSegments` skips them.
         SegmentDigest = 23 "segment_digest",
         /// Export the primary shard's contents overlapping `region` as whole
         /// sealed segments (split at cell boundaries against the segments'

@@ -775,8 +775,9 @@ fn reconstruction_survives_degraded_coordinator_links() {
 
 /// Satellite regression: a worker that died *before* the coordinator
 /// crashed must still be rejoinable afterwards. The rebuilt coordinator
-/// never saw it alive — it learns the dead member from census-reported
-/// replica-log keys, keeps probing it, and readmits it once it restarts.
+/// never saw it alive — it keeps the silent candidate on its roster
+/// (its replica logs were promoted at failover, so no census names it),
+/// keeps probing it, and readmits it once it restarts.
 #[test]
 fn worker_restart_after_coordinator_loss_still_rejoins() {
     let (cluster, oracle, _upper) = launch_with_data();
@@ -795,8 +796,8 @@ fn worker_restart_after_coordinator_loss_still_rejoins() {
         "census must reach every survivor"
     );
     // The dead member is nobody's primary under the rebuilt map, but the
-    // census kept it on the known roster: once it restarts, recovery
-    // ticks readmit it without any pre-crash memory.
+    // roster kept it: once it restarts, recovery ticks readmit it
+    // without any pre-crash memory.
     cluster.restart_worker(victim);
     let deadline = std::time::Instant::now() + StdDuration::from_secs(30);
     while cluster.partition().cells_of(victim).is_empty() {
@@ -1120,6 +1121,76 @@ fn stale_coordinator_instance_is_fenced_out() {
     for handle in handles {
         handle.shutdown();
     }
+}
+
+/// A reconstruction whose promotion never lands does not claim an epoch.
+/// The only survivor holds a dead primary's replica log and refuses every
+/// `Promote`. Publishing would route the dead primary's cells to a shard
+/// without its rows, so the control loop never cuts over, and
+/// `reconstruct` returns the refusal instead of an adopted epoch.
+#[test]
+fn reconstruction_fails_while_its_promotion_is_refused() {
+    use stcam::{CensusReport, Coordinator, DigestReport, PartitionMap, ReplicaDigestEntry};
+    use stcam::{Request, Response};
+    use stcam_codec::{decode_from_slice, encode_to_vec};
+    use stcam_net::{Fabric, Waker};
+
+    let fabric = Fabric::new(LinkModel::instant());
+    let holder = NodeId(1);
+    let dead = NodeId(2);
+    let grid = GridSpec::covering(extent(), 800.0);
+    let endpoint = fabric.register(holder);
+    let waker = endpoint.waker();
+    let survivor = std::thread::spawn(move || {
+        while let Some(envelope) = endpoint.recv() {
+            if Waker::is_wake(&envelope) {
+                break;
+            }
+            let answer = match decode_from_slice::<Request>(&envelope.payload) {
+                Ok(Request::Census) => Response::Census(CensusReport {
+                    epoch: 3,
+                    grid: Some(grid),
+                    replica_of: vec![dead],
+                    ..CensusReport::default()
+                }),
+                Ok(Request::CellDigest { .. }) => Response::Digests(DigestReport {
+                    primary: Vec::new(),
+                    replicas: vec![ReplicaDigestEntry {
+                        primary: dead,
+                        cell: 0,
+                        count: 1,
+                        checksum: 7,
+                    }],
+                }),
+                Ok(Request::Promote { .. }) => Response::Error("promotion refused".into()),
+                _ => Response::Ack,
+            };
+            let _ = endpoint.reply(&envelope, encode_to_vec(&answer));
+        }
+    });
+    let partition = PartitionMap::uniform(extent(), 800.0, vec![holder, dead]);
+    let mut coordinator = Coordinator::new(
+        fabric.register(NodeId(0)),
+        vec![fabric.register(NodeId(20_000))],
+        partition,
+        1,
+        StdDuration::from_millis(250),
+    );
+    let epoch = coordinator.query_plane().epoch();
+    let err = coordinator
+        .reconstruct(&[holder])
+        .expect_err("no epoch may be adopted while the promotion fails");
+    assert!(
+        matches!(&err, StcamError::Remote(msg) if msg.contains("promotion refused")),
+        "expected the refusal, got: {err}"
+    );
+    assert_eq!(
+        coordinator.query_plane().epoch(),
+        epoch,
+        "no plan published"
+    );
+    waker.wake();
+    survivor.join().expect("survivor thread");
 }
 
 /// A worker that crashed, was failed out of the ring, and later restarts

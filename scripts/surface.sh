@@ -2,9 +2,10 @@
 # Prints the surface numbers every CHANGES.md line counts (ROADMAP item 4's
 # gate): protocol variants, DistributedOp impls, public methods of the two
 # facades, the size of crates/core/src and of the five files the gate names,
-# the worker calls made outside the one scatter loop, the message layouts
-# still written by hand, the worker's replica maps and read evaluators, and
-# the options and size of the figure harness (crates/bench).
+# the coordinator's cutover sites, the worker calls made outside the one
+# scatter loop, the message layouts still written by hand, the worker's
+# replica maps and read evaluators, and the options and size of the figure
+# harness (crates/bench).
 # Usage: scripts/surface.sh            print "name value" lines
 #        scripts/surface.sh --check    also fail when a value exceeds its
 #                                      ceiling in scripts/surface.ceilings
@@ -55,6 +56,12 @@ surface() {
     for file in coordinator exec worker protocol ingest; do
         echo "${file}_lines $(wc -l < "$src/$file.rs")"
     done
+    # Plan publications in the coordinator, i.e. cutovers: the control
+    # loop's one `Publish` action. More means an entry point cuts over by
+    # hand again instead of setting the desired state.
+    echo "coordinator_cutover_sites $(awk '/^#\[cfg\(test\)\]/ { exit } { print }' \
+        "$src/coordinator.rs" | grep -v 'fn publish_plan' |
+        grep -cE 'publish_plan\(\)|publish_at\(' || true)"
     # `.call(` / `.call_start(` / `.call_wait(` sites outside exec.rs (every
     # way to put a request on the wire, the re-sending wait included): only
     # exec.rs may call a worker.
