@@ -3,7 +3,7 @@
 //! Coordinator and ingestors talk to workers in one shape — scatter a
 //! message, gather the answers — and only the [`Executor`] does it: one
 //! loop starts every target's first exchange, waits in target order,
-//! re-sends what is overdue under the operation's [`OpPolicy`], and books
+//! asks after what is overdue under the operation's [`OpPolicy`], and books
 //! per-operation telemetry ([`OpStats`], wire bytes counted at each send
 //! and receive). Two entries sit on it:
 //!
@@ -21,31 +21,30 @@
 //!
 //! # Retry semantics
 //!
-//! *When to send again* and *when to give up* are separate. A sub-query
-//! is sent again when the retransmission timeout of its **(operation,
+//! *When to ask again* and *when to give up* are separate. A sub-query
+//! is probed when the retransmission timeout of its **(operation,
 //! worker)** pair runs out — `SRTT + 4·RTTVAR` over the pair's answered
-//! exchanges ([`stcam_net::RtoTable`]: sampled only from exchanges
-//! answered before any re-send, never under [`stcam_net::MIN_RTO`],
-//! doubling per re-send, capped at [`OpPolicy::timeout`], and equal to it
-//! until the pair has a sample) — at most [`OpPolicy::max_attempts`]
-//! times in all. It fails only `timeout × max_attempts` after its first
-//! send, or at the read's deadline. So a lost frame costs about a round
-//! trip, a silent worker is given up on exactly as late as before, and a
-//! probe ([`OpPolicy::no_retry`]) is still one send and one timeout.
+//! exchanges ([`stcam_net::RtoTable`]: sampled from exchanges whose frame
+//! went out once, never under [`stcam_net::MIN_RTO`], doubling per
+//! probe, capped at [`OpPolicy::timeout`], and equal to it until the pair
+//! has a sample) — at most [`OpPolicy::max_attempts`] sends in all. It
+//! fails only `timeout × max_attempts` after its first send, or at the
+//! read's deadline. So a lost frame costs about a round trip, a silent
+//! worker is given up on exactly as late as before, and a liveness probe
+//! ([`OpPolicy::no_retry`]) is still one send and one timeout.
 //!
-//! A re-send is the same bytes under the same correlation
-//! ([`Endpoint::call_wait`]): the frame is never rebuilt, whichever
-//! answer arrives first resolves the exchange, and a worker's fabric
-//! drops a copy of a request the worker still holds — re-sending ahead
-//! of a slow answer costs one request frame, not a second execution.
-//! The worker *can* still see a request twice (its reply was lost, or
-//! left just before the copy arrived), so the protocol keeps one
+//! A timeout sends a header-only probe ([`Endpoint::call_wait`]): a
+//! worker that still holds the request drops it — a slow answer costs
+//! 16 bytes, not a copy and a second execution — and one that does not
+//! bounces it, upon which the same bytes go out again under the same
+//! correlation. The frame is never rebuilt. The worker *can* still see
+//! a request twice (its reply was lost), so the protocol keeps one
 //! invariant instead of a per-op flag: **every request the executor
 //! sends is safe to apply twice.** Reads are pure; writes either
 //! overwrite (route install, truncate-then-stream repair), remove their
 //! input before acting (promote), or pass the worker's id/digest dedup
-//! (segment install). A new message must keep that invariant. Each
-//! re-send counts in [`OpStats::retries`].
+//! (segment install). A new message must keep that invariant. A probe
+//! counts in [`OpStats::retries`] and books 16 bytes; a copy, the frame.
 //!
 //! # Adding a new operation
 //!
@@ -84,11 +83,11 @@ use crate::protocol::{Request, Response, PROJ_FULL};
 // ----------------------------------------------------------------------
 
 /// Timeout/retry policy of one operation class: wait at most `timeout`
-/// before re-sending, send at most `max_attempts` times, give up
+/// before probing, send at most `max_attempts` times, give up
 /// `timeout × max_attempts` after the first send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpPolicy {
-    /// Longest wait before a sub-query is sent again; the measured
+    /// Longest wait before a sub-query is probed; the measured
     /// retransmission timeout of its (operation, worker) pair is shorter.
     pub timeout: StdDuration,
     /// Total sends per sub-query (1 = no retry).
@@ -435,15 +434,15 @@ const PULL_WINDOW: u32 = 4;
 struct Tally {
     sent: u64,
     received: u64,
-    /// Same-target re-sends after a retransmission timeout.
+    /// Same-target probes after a retransmission timeout.
     retries: u64,
     /// Replica reads issued after a primary failed.
     failovers: u64,
 }
 
 impl Tally {
-    fn sent(&mut self, payload_len: usize) {
-        self.sent += payload_len as u64 + stcam_net::WIRE_OVERHEAD;
+    fn sent(&mut self, payload_len: usize, times: u32) {
+        self.sent += (payload_len as u64 + stcam_net::WIRE_OVERHEAD) * u64::from(times);
     }
     fn received(&mut self, payload_len: usize) {
         self.received += payload_len as u64 + stcam_net::WIRE_OVERHEAD;
@@ -682,7 +681,7 @@ impl Executor {
 
     /// The one scatter loop, under both entries: starts the first wire
     /// exchange of every target's sub-query before waiting on any (one
-    /// thread overlaps the round trips; page pulls, re-sends and failover
+    /// thread overlaps the round trips; page pulls, probes and failover
     /// follow per target), resolves each in target order, and — given
     /// the plan to `failover` in — re-issues a transport-failed sub-query
     /// to the shard's replicas. Books the whole scatter into the
@@ -747,7 +746,7 @@ impl Executor {
 
     /// Puts `frame` on the wire for `to` and books the send.
     fn start(&self, to: NodeId, frame: &[u8], tally: &mut Tally) -> Result<PendingCall, NetError> {
-        tally.sent(frame.len());
+        tally.sent(frame.len(), 1);
         self.endpoint.call_start(to, frame)
     }
 
@@ -790,9 +789,10 @@ impl Executor {
         }
     }
 
-    /// Waits out one started exchange, re-sending `frame` whenever the
-    /// pair's retransmission timeout runs out (each re-send is a retry
-    /// on the books), and returns the answer's bytes.
+    /// Waits out one started exchange, probing whenever the pair's
+    /// retransmission timeout runs out (each probe is a retry on the
+    /// books) and re-sending `frame` when the worker does not hold it,
+    /// and returns the answer's bytes.
     fn wait(
         &self,
         call: Result<PendingCall, NetError>,
@@ -801,17 +801,17 @@ impl Executor {
         tally: &mut Tally,
     ) -> Result<Vec<u8>, NetError> {
         let (raw, sends) = self.endpoint.call_wait(call?, frame, resend);
-        for _ in 1..sends {
-            tally.retries += 1;
-            tally.sent(frame.len());
-        }
+        tally.retries += u64::from(sends.probes);
+        tally.sent(0, sends.probes);
+        tally.sent(frame.len(), sends.frames - 1);
         let bytes = raw?;
         tally.received(bytes.len());
         Ok(bytes)
     }
 
     /// Turns the exchange `call` started with `node` into the decoded
-    /// partial: the wait (which re-sends `frame`), decode, and page pulls.
+    /// partial: the wait (which probes, and re-sends `frame` when it is
+    /// not held), decode, and page pulls.
     /// Asks again — a new exchange, the same frame — only when the node no
     /// longer holds the pages it parked.
     fn receive<P>(
@@ -844,7 +844,7 @@ impl Executor {
     /// while those behind it travel; any other response passes through.
     ///
     /// Each pull is an exchange of its own class, `"fetch_page"` (a pull
-    /// answers in a fraction of the time its range does), re-sent like
+    /// answers in a fraction of the time its range does), probed like
     /// any other; one that fails surfaces as the transport error it is.
     /// `None` when the worker answered a pull with an error, which it
     /// does only when the cursor was evicted under churn — the result is

@@ -27,7 +27,7 @@
 //!   sender's job. One function evaluates a read, over shard or log.
 //! * [`exec`] — the typed scatter/gather layer. The [`exec::Executor`]
 //!   holds one scatter loop: start every target's exchange, wait in
-//!   target order, re-send what is overdue by the measured round trip
+//!   target order, probe what is overdue by the measured round trip
 //!   and give up by the per-operation [`OpPolicy`] (every request is
 //!   safe to apply twice), book per-operation telemetry ([`OpStats`]: sub-queries, retries,
 //!   wire bytes, scatter/merge latency split). A read is a

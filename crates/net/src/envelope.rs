@@ -13,6 +13,17 @@ pub enum MessageKind {
     /// An RPC response; routed directly to the caller blocked in
     /// [`Endpoint::call`](crate::Endpoint::call) rather than the inbox.
     Response,
+    /// A caller's "do you still hold this request?", sent in place of a
+    /// copy when a retransmission timeout runs out. Header only: the
+    /// destination's fabric drops it when the node holds the request
+    /// and answers [`NotHeld`](Self::NotHeld) otherwise; it never reaches
+    /// the inbox.
+    Probe,
+    /// The bounce of a [`Probe`](Self::Probe) whose request the
+    /// destination does not hold (lost, or already answered). Header
+    /// only; routed to the waiting caller, which then sends the request
+    /// again in full.
+    NotHeld,
 }
 
 /// A message as delivered to a receiving endpoint.

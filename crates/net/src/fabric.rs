@@ -50,17 +50,27 @@ struct FabricInner {
     link_clock: Mutex<HashMap<(NodeId, NodeId), Instant>>,
 }
 
-/// Where a caller waits for its answer: the response's bytes and the
-/// instant the fabric delivered them (a caller that claims answers in
-/// turn must not book the wait for its turn as round-trip time).
-type Answers = Arc<Mutex<HashMap<u64, Sender<(Instant, Vec<u8>)>>>>;
+/// Where a caller waits for its answer. Unbounded, so the delivery
+/// thread never blocks on a caller that has not come round to waiting.
+type Answers = Arc<Mutex<HashMap<u64, Sender<Answer>>>>;
+
+/// What the fabric hands a waiting caller.
+enum Answer {
+    /// The response's bytes and the instant the fabric delivered them (a
+    /// caller that claims answers in turn must not book the wait for its
+    /// turn as round-trip time). Removes the call's entry.
+    Reply(Instant, Vec<u8>),
+    /// The destination bounced a probe: it does not hold the request.
+    /// Leaves the entry in place for the answer still to come.
+    NotHeld,
+}
 
 #[derive(Debug, Clone)]
 struct NodeState {
     inbox_tx: Sender<Envelope>,
     pending: Answers,
     /// `(caller, correlation)` of every request handed to this node and
-    /// not yet replied to. A re-sent copy of one of them is dropped at
+    /// not yet replied to. A copy or a probe of one of them is dropped at
     /// delivery: the node is still working on the first.
     serving: Arc<Mutex<HashSet<(NodeId, u64)>>>,
     alive: Arc<AtomicBool>,
@@ -173,8 +183,8 @@ impl Fabric {
 
     /// Reverses [`crash`](Fabric::crash); the node resumes with an empty
     /// inbox history (messages dropped while down stay dropped) and no
-    /// memory of the requests it was serving, so a re-sent copy of one
-    /// reaches the new incarnation.
+    /// memory of the requests it was serving, so a probe of one is
+    /// bounced and the copy that follows reaches the new incarnation.
     pub fn restart(&self, node: NodeId) {
         if let Some(state) = self.inner.nodes.read().get(&node) {
             state.serving.lock().clear();
@@ -287,10 +297,27 @@ impl FabricInner {
             .fetch_add(size, Ordering::Relaxed);
         self.stats.total_msgs.fetch_add(1, Ordering::Relaxed);
         self.stats.total_bytes.fetch_add(size, Ordering::Relaxed);
-        if env.kind == MessageKind::Response {
-            self.stats
-                .max_response_bytes
-                .fetch_max(size, Ordering::Relaxed);
+        match env.kind {
+            MessageKind::Response => {
+                self.stats
+                    .max_response_bytes
+                    .fetch_max(size, Ordering::Relaxed);
+            }
+            MessageKind::Probe => {
+                src_state
+                    .counters
+                    .probes_sent
+                    .fetch_add(1, Ordering::Relaxed);
+                self.stats.total_probes.fetch_add(1, Ordering::Relaxed);
+            }
+            MessageKind::NotHeld => {
+                src_state
+                    .counters
+                    .not_held_sent
+                    .fetch_add(1, Ordering::Relaxed);
+                self.stats.total_not_held.fetch_add(1, Ordering::Relaxed);
+            }
+            MessageKind::Request | MessageKind::OneWay => {}
         }
 
         // Loss, partition and dead-destination checks happen at send time;
@@ -356,24 +383,62 @@ impl FabricInner {
             MessageKind::Response => {
                 let sender = dst_state.pending.lock().remove(&env.correlation);
                 if let Some(tx) = sender {
-                    let _ = tx.send((Instant::now(), env.payload));
+                    let _ = tx.send(Answer::Reply(Instant::now(), env.payload));
                 }
                 // A response nobody waits for — the caller gave up, or an
                 // earlier answer to a re-sent request already resolved
                 // the call — is silently dropped.
             }
+            MessageKind::NotHeld => {
+                // Likewise a bounce behind the answer it raced: per-link
+                // FIFO delivered that answer first, and it took the entry.
+                if let Some(tx) = dst_state.pending.lock().get(&env.correlation) {
+                    let _ = tx.send(Answer::NotHeld);
+                }
+            }
             MessageKind::Request => {
-                // A copy of a request this node still holds is the
-                // caller's retransmission timeout running ahead of a slow
-                // answer, not a new request.
+                // A copy of a request this node still holds is not a new
+                // request: the node is working on the first.
                 if dst_state.serving.lock().insert((env.src, env.correlation)) {
                     let _ = dst_state.inbox_tx.send(env);
+                } else {
+                    self.held_dropped(dst_state);
                 }
+            }
+            MessageKind::Probe => {
+                if dst_state
+                    .serving
+                    .lock()
+                    .contains(&(env.src, env.correlation))
+                {
+                    self.held_dropped(dst_state);
+                    return;
+                }
+                // Not held: the request was lost, or answered already.
+                // The bounce takes the wire like any message — loss,
+                // latency, partitions, per-link FIFO behind that answer.
+                // `submit` reads `nodes` again; a second read guard here
+                // could wait forever behind a queued `register`.
+                drop(nodes);
+                let _ = self.submit(Envelope {
+                    src: env.dst,
+                    dst: env.src,
+                    kind: MessageKind::NotHeld,
+                    correlation: env.correlation,
+                    payload: Vec::new(),
+                });
             }
             MessageKind::OneWay => {
                 let _ = dst_state.inbox_tx.send(env);
             }
         }
+    }
+
+    fn held_dropped(&self, state: &NodeState) {
+        state.counters.held_dropped.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .total_held_dropped
+            .fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -497,7 +562,7 @@ impl Endpoint {
 
     /// Puts a copy of `frame` on the wire as a request and returns
     /// without waiting: the response is claimed later by
-    /// [`call_wait`](Self::call_wait), which also sends the frame again
+    /// [`call_wait`](Self::call_wait), which also probes for the request
     /// when the answer is overdue. This is how a scatter overlaps its
     /// round trips on one thread — start every sub-query first, then wait
     /// for each in turn. The call's patience runs from here, not from
@@ -517,7 +582,7 @@ impl Endpoint {
 
     fn start(&self, to: NodeId, payload: Vec<u8>) -> Result<PendingCall, NetError> {
         let correlation = self.inner.next_correlation.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = channel::bounded(1);
+        let (tx, rx) = channel::unbounded();
         self.pending.lock().insert(correlation, tx);
         let call = PendingCall {
             to,
@@ -526,14 +591,20 @@ impl Endpoint {
             started: Instant::now(),
             pending: Arc::clone(&self.pending),
         };
-        self.submit_request(&call, payload).map(|()| call)
+        self.submit_call(&call, MessageKind::Request, payload)
+            .map(|()| call)
     }
 
-    fn submit_request(&self, call: &PendingCall, payload: Vec<u8>) -> Result<(), NetError> {
+    fn submit_call(
+        &self,
+        call: &PendingCall,
+        kind: MessageKind,
+        payload: Vec<u8>,
+    ) -> Result<(), NetError> {
         self.inner.submit(Envelope {
             src: self.node,
             dst: call.to,
-            kind: MessageKind::Request,
+            kind,
             correlation: call.correlation,
             payload,
         })
@@ -541,24 +612,33 @@ impl Endpoint {
 
     /// Blocks until a started call's response arrives or its patience
     /// runs out, and reports the outcome to the call observer — once per
-    /// call, however many sends it took. Returns the outcome and the
-    /// number of times the request went on the wire.
+    /// call, however many sends it took. Returns the outcome and what
+    /// the call put on the wire.
     ///
-    /// `frame` must be the bytes the call was started with. Whenever the
-    /// retransmission timeout of `resend` runs out it is sent again
-    /// **under the same correlation**: whichever answer arrives first
-    /// resolves the call, a later one is dropped like any late response,
-    /// and the destination's fabric drops a copy of a request the node
-    /// still holds, so a re-send that overtakes a slow answer costs one
-    /// request frame and no second execution. The frame is never rebuilt
-    /// — a request that drew a sequence number keeps it. An answer to the
-    /// first send alone is a sample for `resend.rtos`.
+    /// Whenever the retransmission timeout of `resend` runs out, the
+    /// caller does not send the request again: it sends a
+    /// [`MessageKind::Probe`], a bare header under the call's correlation.
+    /// The destination's fabric drops a probe of a request the node still
+    /// holds — a slow answer costs 16 bytes, not a copy and a second
+    /// execution — and otherwise bounces [`MessageKind::NotHeld`], upon
+    /// which `frame`, the bytes the call was started with, goes out again
+    /// in full and at once, under the same correlation — once for all the
+    /// bounces of probes sent before it, which reached the peer ahead of
+    /// it and so say nothing about it. Whichever answer
+    /// arrives first resolves the call, and a later one is dropped like
+    /// any late response; a bounce that follows an answer on the same
+    /// link arrives after it and is dropped too. The frame is never
+    /// rebuilt — a request that drew a sequence number keeps it. A dead or
+    /// partitioned peer bounces nothing, so it is waited out exactly as
+    /// before. An exchange whose frame went on the wire once is a sample
+    /// for `resend.rtos` however many probes it took: its answer can only
+    /// be to that frame.
     ///
     /// # Errors
     ///
     /// [`NetError::Timeout`] when no response arrived by `timeout ×
     /// max_sends` after [`call_start`](Self::call_start) — or, for a
-    /// wait begun so late that sends were still owed, a retransmission
+    /// wait begun so late that probes were still owed, a retransmission
     /// timeout after the last of them — or by `resend.deadline` (requests
     /// or responses may have been lost, or the peer crashed); a
     /// submission error as for [`send`](Self::send) when this node went
@@ -568,46 +648,62 @@ impl Endpoint {
         call: PendingCall,
         frame: &[u8],
         resend: &Resend<'_>,
-    ) -> (Result<Vec<u8>, NetError>, u32) {
+    ) -> (Result<Vec<u8>, NetError>, Sends) {
         let patience = call.started + resend.timeout * resend.max_sends;
         let mut rto = resend.rtos.map_or(resend.timeout, |table| {
             table.rto(resend.class, call.to, resend.timeout)
         });
-        let mut next_send = call.started + rto;
-        let mut sends = 1u32;
+        let mut next_probe = call.started + rto;
+        let mut sends = Sends {
+            frames: 1,
+            probes: 0,
+        };
+        // Probes sent before the latest frame. Each reached the peer
+        // ahead of that frame (per-link FIFO), so the frame already
+        // answers its bounce.
+        let mut answered = 0;
         let result = loop {
             // Every send gets its retransmission timeout to be answered,
             // the last one the rest of the patience too. A scatter starts
             // all its calls and waits on them one after another, so a
             // dead peer waited on first uses up the patience of the calls
             // behind it: counted from the first send alone, a frame lost
-            // on the way to a live peer would never be sent again and the
+            // on the way to a live peer would never be asked after and the
             // peer would read as dead.
-            let last = sends >= resend.max_sends;
+            let last = 1 + sends.probes >= resend.max_sends;
             let until = if last {
-                patience.max(next_send)
+                patience.max(next_probe)
             } else {
-                next_send
+                next_probe
             };
             let until = resend.deadline.map_or(until, |d| until.min(d));
             let wait = until.saturating_duration_since(Instant::now());
             match call.rx.recv_timeout(wait) {
-                Ok((arrived, response)) => {
+                Ok(Answer::Reply(arrived, response)) => {
                     if let Some(table) = resend.rtos {
                         let rtt = arrived.saturating_duration_since(call.started);
-                        table.sample(resend.class, call.to, rtt, sends);
+                        table.sample(resend.class, call.to, rtt, sends.frames);
                     }
                     break Ok(response);
                 }
+                Ok(Answer::NotHeld) if sends.probes > answered => {
+                    answered = sends.probes;
+                    let copy = frame.to_vec();
+                    if let Err(local) = self.submit_call(&call, MessageKind::Request, copy) {
+                        return (Err(local), sends);
+                    }
+                    sends.frames += 1;
+                }
+                Ok(Answer::NotHeld) => {}
                 Err(RecvTimeoutError::Timeout)
                     if !last && resend.deadline.is_none_or(|d| until < d) =>
                 {
-                    if let Err(local) = self.submit_request(&call, frame.to_vec()) {
+                    if let Err(local) = self.submit_call(&call, MessageKind::Probe, Vec::new()) {
                         return (Err(local), sends);
                     }
-                    sends += 1;
+                    sends.probes += 1;
                     rto = (rto * 2).min(resend.timeout);
-                    next_send = Instant::now() + rto;
+                    next_probe = Instant::now() + rto;
                 }
                 // Out of patience — or this node crashed, which drops
                 // the channel so its callers fail at once.
@@ -641,18 +737,21 @@ impl Endpoint {
     /// Panics in debug builds when `request` is not a request envelope.
     pub fn reply(&self, request: &Envelope, payload: Vec<u8>) -> Result<(), NetError> {
         debug_assert!(request.kind == MessageKind::Request, "reply to non-request");
-        // From here on a copy of the request is a new delivery: the
-        // caller re-sends it when this reply is lost.
-        self.serving
-            .lock()
-            .remove(&(request.src, request.correlation));
-        self.inner.submit(Envelope {
+        let sent = self.inner.submit(Envelope {
             src: self.node,
             dst: request.src,
             kind: MessageKind::Response,
             correlation: request.correlation,
             payload,
-        })
+        });
+        // From here on a probe is bounced and a copy is a new delivery,
+        // which is how the caller recovers when this reply is lost. Only
+        // from here: a bounce submitted before the reply would overtake
+        // it on the link and cost a needless copy.
+        self.serving
+            .lock()
+            .remove(&(request.src, request.correlation));
+        sent
     }
 
     /// Receives the next inbound message, blocking up to `timeout`.
@@ -704,6 +803,17 @@ impl Endpoint {
     }
 }
 
+/// What one call put on the wire, as [`Endpoint::call_wait`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sends {
+    /// Times the request frame went out: the first send, plus one copy
+    /// per [`MessageKind::NotHeld`] bounce.
+    pub frames: u32,
+    /// Header-only probes, one per retransmission timeout that ran out;
+    /// each costs [`WIRE_OVERHEAD`](crate::WIRE_OVERHEAD) bytes.
+    pub probes: u32,
+}
+
 /// A request in flight: created by [`Endpoint::call_start`], resolved by
 /// [`Endpoint::call_wait`]. Holding one does not block anything — the
 /// response waits in a buffered channel until claimed.
@@ -711,7 +821,7 @@ impl Endpoint {
 pub struct PendingCall {
     to: NodeId,
     correlation: u64,
-    rx: Receiver<(Instant, Vec<u8>)>,
+    rx: Receiver<Answer>,
     /// When the first send went on the wire: round trips and patience
     /// are measured from here.
     started: Instant,
@@ -1012,16 +1122,26 @@ mod tests {
         assert_eq!(*seen.lock(), vec![(NodeId(1), true), (NodeId(1), false)]);
     }
 
-    /// A table whose `("t", NodeId(1))` pair has settled on [`MIN_RTO`].
+    const H: u64 = crate::WIRE_OVERHEAD;
+
+    /// The settled retransmission timeout of [`warm_table`]'s pair: wide
+    /// enough that a test thread acting between two probes is never
+    /// overtaken by one.
+    const RTO: Duration = Duration::from_millis(20);
+
+    fn settle(table: &crate::RtoTable, node: NodeId) {
+        for _ in 0..20 {
+            table.sample("t", node, RTO, 1);
+        }
+    }
+
+    /// A table whose `("t", NodeId(1))` pair probes ≈ [`RTO`] after the
+    /// first send and ≈ 2 × [`RTO`] after each probe.
     fn warm_table() -> crate::RtoTable {
         let table = crate::RtoTable::default();
-        for _ in 0..20 {
-            table.sample("t", NodeId(1), Duration::from_micros(300), 1);
-        }
-        assert_eq!(
-            table.rto("t", NodeId(1), Duration::from_secs(1)),
-            crate::MIN_RTO
-        );
+        settle(&table, NodeId(1));
+        let rto = table.rto("t", NodeId(1), Duration::from_secs(1));
+        assert!(rto >= RTO && rto < RTO + Duration::from_millis(1));
         table
     }
 
@@ -1035,6 +1155,20 @@ mod tests {
         }
     }
 
+    fn sends(frames: u32, probes: u32) -> Sends {
+        Sends { frames, probes }
+    }
+
+    /// Starts a call of `frame` to node 1 and waits it out.
+    fn ask(
+        client: &Endpoint,
+        frame: &[u8],
+        resend: &Resend<'_>,
+    ) -> (Result<Vec<u8>, NetError>, Sends) {
+        let call = client.call_start(NodeId(1), frame).unwrap();
+        client.call_wait(call, frame, resend)
+    }
+
     /// Installs an observer on `client` and returns what it has seen.
     fn observed(client: &Endpoint) -> Arc<Mutex<Vec<(NodeId, bool)>>> {
         let seen: Arc<Mutex<Vec<(NodeId, bool)>>> = Arc::new(Mutex::new(Vec::new()));
@@ -1045,42 +1179,48 @@ mod tests {
 
     #[test]
     fn a_re_sent_call_resolves_on_the_first_reply_and_the_second_is_dropped() {
-        // 30 ms each way and a 10 ms RTO: the copy sent at 10 ms reaches
-        // the server at 40, after it answered the first at 30, so it is
-        // served again and two replies come back, at 60 and 70 ms.
-        let link = LinkModel {
-            base_latency: Duration::from_millis(30),
-            bandwidth_bytes_per_sec: f64::INFINITY,
-            jitter: Duration::ZERO,
-            drop_probability: 0.0,
-        };
-        let f = Fabric::new(link);
+        // A restarted peer forgets what it held: it bounces the probe and
+        // is handed the copy, and both incarnations answer.
+        let f = instant_fabric();
         let client = f.register(NodeId(0));
         let server = f.register(NodeId(1));
         let seen = observed(&client);
-        let server_thread = std::thread::spawn(move || {
-            for n in 1..=3u8 {
-                let req = server.recv_timeout(Duration::from_secs(5)).unwrap();
-                server.reply(&req, vec![n]).unwrap();
-            }
-        });
         let table = warm_table();
-        let call = client.call_start(NodeId(1), b"ask").unwrap();
-        let (answer, sends) = client.call_wait(call, b"ask", &resend(&table, 500, 2));
-        assert_eq!((answer, sends), (Ok(vec![1]), 2));
+        let settled = table.rto("t", NodeId(1), Duration::from_secs(1));
+        std::thread::scope(|scope| {
+            let waiting = scope.spawn(|| ask(&client, b"ask", &resend(&table, 500, 3)));
+            let first = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            f.crash(NodeId(1));
+            f.restart(NodeId(1));
+            let copy = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(
+                (copy.correlation, &copy.payload),
+                (first.correlation, &first.payload)
+            );
+            server.reply(&first, vec![1]).unwrap();
+            server.reply(&copy, vec![2]).unwrap();
+            assert_eq!(waiting.join().unwrap(), (Ok(vec![1]), sends(2, 1)));
+        });
         assert_eq!(client.pending.lock().len(), 0);
         // The second reply arrives at the node and resolves nothing — not
         // even the next call, which gets the answer to its own request.
-        let next = client.call(NodeId(1), b"next".to_vec(), Duration::from_secs(5));
-        assert_eq!(next, Ok(vec![3]));
-        server_thread.join().unwrap();
-        assert_eq!(client.stats().msgs_received, 3);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let req = server.recv_timeout(Duration::from_secs(5)).unwrap();
+                server.reply(&req, vec![3]).unwrap();
+            });
+            let next = client.call(NodeId(1), b"next".to_vec(), Duration::from_secs(5));
+            assert_eq!(next, Ok(vec![3]));
+        });
+        let sent = client.stats();
+        assert_eq!((sent.msgs_sent, sent.probes_sent), (4, 1));
+        assert_eq!(sent.bytes_sent, 2 * (3 + H) + H + (4 + H));
+        // The bounce and three replies.
+        assert_eq!(sent.msgs_received, 4);
+        assert_eq!(server.stats().not_held_sent, 1);
         assert_eq!(*seen.lock(), vec![(NodeId(1), true), (NodeId(1), true)]);
-        // Karn: the re-sent exchange left the estimate alone.
-        assert_eq!(
-            table.rto("t", NodeId(1), Duration::from_secs(1)),
-            crate::MIN_RTO
-        );
+        // Karn: the frame went out twice, so the estimate is left alone.
+        assert_eq!(table.rto("t", NodeId(1), Duration::from_secs(1)), settled);
     }
 
     #[test]
@@ -1091,34 +1231,41 @@ mod tests {
         let seen = observed(&client);
         let table = warm_table();
         std::thread::scope(|scope| {
-            // Sends at 0, 10 and 30 ms; the server holds the request.
-            let waiting = scope.spawn(|| {
-                let call = client.call_start(NodeId(1), b"slow").unwrap();
-                client.call_wait(call, b"slow", &resend(&table, 500, 3))
-            });
+            // Probes at ≈ 20 and 60 ms find the request held and are
+            // dropped: 16 bytes each, and the server is handed it once.
+            let waiting = scope.spawn(|| ask(&client, b"slow", &resend(&table, 500, 3)));
             let req = server.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert!(server.recv_timeout(Duration::from_millis(80)).is_none());
-            assert_eq!(client.stats().msgs_sent, 3);
-            assert_eq!(server.stats().msgs_received, 3);
+            assert!(server.recv_timeout(Duration::from_millis(100)).is_none());
+            let (sent, handed) = (client.stats(), server.stats());
+            assert_eq!((sent.msgs_sent, sent.probes_sent), (3, 2));
+            assert_eq!(sent.bytes_sent, (4 + H) + 2 * H);
+            assert_eq!((handed.msgs_received, handed.held_dropped), (3, 2));
             server.reply(&req, b"done".to_vec()).unwrap();
-            assert_eq!(waiting.join().unwrap(), (Ok(b"done".to_vec()), 3));
+            assert_eq!(waiting.join().unwrap(), (Ok(b"done".to_vec()), sends(1, 2)));
 
-            // The reply is lost: the copy that follows is a new delivery.
+            // The reply is lost: the probe that follows is bounced and
+            // the copy it brings is a new delivery, executed again.
+            let before = (client.stats(), server.stats());
             f.set_link_drop_probability(NodeId(1), NodeId(0), 1.0);
-            let waiting = scope.spawn(|| {
-                let call = client.call_start(NodeId(1), b"again").unwrap();
-                client.call_wait(call, b"again", &resend(&table, 500, 3))
-            });
+            let waiting = scope.spawn(|| ask(&client, b"again", &resend(&table, 500, 3)));
             let first = server.recv_timeout(Duration::from_secs(5)).unwrap();
             server.reply(&first, b"lost".to_vec()).unwrap();
+            f.clear_link_drop_probability(NodeId(1), NodeId(0));
             let copy = server.recv_timeout(Duration::from_secs(5)).unwrap();
             assert_eq!(
                 (copy.correlation, &copy.payload),
                 (first.correlation, &first.payload)
             );
-            f.clear_link_drop_probability(NodeId(1), NodeId(0));
             server.reply(&copy, b"found".to_vec()).unwrap();
-            assert_eq!(waiting.join().unwrap(), (Ok(b"found".to_vec()), 2));
+            assert_eq!(
+                waiting.join().unwrap(),
+                (Ok(b"found".to_vec()), sends(2, 1))
+            );
+            assert!(server.try_recv().is_none(), "executed twice, not more");
+            let sent = client.stats().since(&before.0);
+            assert_eq!((sent.msgs_sent, sent.bytes_sent), (3, 2 * (5 + H) + H));
+            let answered = server.stats().since(&before.1);
+            assert_eq!((answered.msgs_sent, answered.not_held_sent), (3, 1));
         });
         // One observation per exchange, the final outcome.
         assert_eq!(*seen.lock(), vec![(NodeId(1), true), (NodeId(1), true)]);
@@ -1132,25 +1279,23 @@ mod tests {
         let server = f.register(NodeId(1));
         let seen = observed(&client);
         let table = warm_table();
-        // Re-sends at 10 and 30 ms, gives up at 3 × 40 ms and not before.
+        // Probes at ≈ 20 and 60 ms, gives up at 3 × 40 ms and not before.
         let started = Instant::now();
-        let call = client.call_start(NodeId(1), b"void").unwrap();
-        let (answer, sends) = client.call_wait(call, b"void", &resend(&table, 40, 3));
-        assert_eq!((answer, sends), (Err(NetError::Timeout), 3));
+        let (answer, sent) = ask(&client, b"void", &resend(&table, 40, 3));
+        assert_eq!((answer, sent), (Err(NetError::Timeout), sends(1, 2)));
         assert!(started.elapsed() >= Duration::from_millis(120));
         assert_eq!(client.pending.lock().len(), 0);
         assert_eq!(*seen.lock(), vec![(NodeId(1), false)]);
+        assert_eq!(client.stats().bytes_sent, (4 + H) + 2 * H);
+        assert_eq!(server.stats().held_dropped, 2);
         // A deadline ends the wait before the patience does.
         let started = Instant::now();
         let hurried = Resend {
-            deadline: Some(started + Duration::from_millis(20)),
+            deadline: Some(started + Duration::from_millis(10)),
             ..resend(&table, 1_000, 3)
         };
-        let call = client.call_start(NodeId(1), b"void").unwrap();
-        assert_eq!(
-            client.call_wait(call, b"void", &hurried).0,
-            Err(NetError::Timeout)
-        );
+        let (answer, sent) = ask(&client, b"void", &hurried);
+        assert_eq!((answer, sent), (Err(NetError::Timeout), sends(1, 0)));
         assert!(started.elapsed() < Duration::from_millis(500));
         // The server was handed each request once and still holds both;
         // a restarted node holds nothing.
@@ -1161,13 +1306,173 @@ mod tests {
     }
 
     #[test]
-    fn a_call_waited_on_after_its_patience_ran_out_is_still_re_sent() {
+    fn a_lost_request_is_bounced_and_sent_once_more() {
+        let f = instant_fabric();
+        let client = f.register(NodeId(0));
+        let server = f.register(NodeId(1));
+        let table = warm_table();
+        f.set_link_drop_probability(NodeId(0), NodeId(1), 1.0);
+        let call = client.call_start(NodeId(1), b"lost").unwrap();
+        f.clear_link_drop_probability(NodeId(0), NodeId(1));
+        std::thread::scope(|scope| {
+            let waiting = scope.spawn(|| client.call_wait(call, b"lost", &resend(&table, 500, 3)));
+            let copy = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(copy.payload, b"lost");
+            server.reply(&copy, b"found".to_vec()).unwrap();
+            assert_eq!(
+                waiting.join().unwrap(),
+                (Ok(b"found".to_vec()), sends(2, 1))
+            );
+        });
+        assert!(server.try_recv().is_none(), "executed once");
+        let sent = client.stats();
+        assert_eq!(
+            (sent.msgs_sent, sent.msgs_dropped, sent.probes_sent),
+            (3, 1, 1)
+        );
+        assert_eq!(sent.bytes_sent, 2 * (4 + H) + H);
+        let handed = server.stats();
+        assert_eq!((handed.msgs_received, handed.not_held_sent), (2, 1));
+    }
+
+    #[test]
+    fn a_crashed_peer_is_silent_and_waited_out_to_the_patience() {
+        let f = instant_fabric();
+        let client = f.register(NodeId(0));
+        let _server = f.register(NodeId(1));
+        let seen = observed(&client);
+        let table = warm_table();
+        f.crash(NodeId(1));
+        let started = Instant::now();
+        let (answer, sent) = ask(&client, b"void", &resend(&table, 40, 3));
+        assert_eq!((answer, sent), (Err(NetError::Timeout), sends(1, 2)));
+        assert!(started.elapsed() >= Duration::from_millis(120));
+        let stats = f.stats();
+        assert_eq!((stats.total_msgs, stats.total_dropped), (3, 3));
+        assert_eq!(stats.total_bytes, (4 + H) + 2 * H);
+        assert_eq!((stats.total_probes, stats.total_not_held), (2, 0));
+        assert_eq!(*seen.lock(), vec![(NodeId(1), false)]);
+    }
+
+    #[test]
+    fn a_partitioned_peer_is_silent() {
+        let f = instant_fabric();
+        let client = f.register(NodeId(0));
+        let server = f.register(NodeId(1));
+        let table = warm_table();
+        f.partition(&[&[NodeId(0)], &[NodeId(1)]]);
+        let started = Instant::now();
+        let (answer, sent) = ask(&client, b"void", &resend(&table, 40, 3));
+        assert_eq!((answer, sent), (Err(NetError::Timeout), sends(1, 2)));
+        assert!(started.elapsed() >= Duration::from_millis(120));
+        assert_eq!(server.stats(), NodeStats::default());
+        let stats = f.stats();
+        assert_eq!((stats.total_dropped, stats.total_not_held), (3, 0));
+    }
+
+    /// 30 ms each way, no jitter, no loss.
+    fn slow_link() -> LinkModel {
+        LinkModel {
+            base_latency: Duration::from_millis(30),
+            bandwidth_bytes_per_sec: f64::INFINITY,
+            jitter: Duration::ZERO,
+            drop_probability: 0.0,
+        }
+    }
+
+    #[test]
+    fn a_bounce_queued_behind_the_answer_is_ignored() {
+        // 30 ms each way: the probe sent at ≈ 20 ms reaches the server at
+        // 50, after it answered at 30, and is bounced; the answer arrives
+        // at 60 and the bounce behind it at 80.
+        let f = Fabric::new(slow_link());
+        let client = f.register(NodeId(0));
+        let server = f.register(NodeId(1));
+        let table = warm_table();
+        let server_thread = std::thread::spawn(move || {
+            for n in 1..=2u8 {
+                let req = server.recv_timeout(Duration::from_secs(5)).unwrap();
+                server.reply(&req, vec![n]).unwrap();
+            }
+            server
+        });
+        let (answer, sent) = ask(&client, b"ask", &resend(&table, 500, 2));
+        assert_eq!((answer, sent), (Ok(vec![1]), sends(1, 1)));
+        assert_eq!(client.pending.lock().len(), 0);
+        // The bounce lands while the next call waits, and leaves it be.
+        let next = client.call(NodeId(1), b"next".to_vec(), Duration::from_secs(5));
+        assert_eq!(next, Ok(vec![2]));
+        let server = server_thread.join().unwrap();
+        assert_eq!(server.stats().not_held_sent, 1);
+        assert_eq!(client.stats().msgs_received, 3);
+    }
+
+    #[test]
+    fn a_bounce_already_answered_by_a_copy_brings_no_second_copy() {
+        // 30 ms each way and the frame lost: probes at ≈ 20 and 60 ms
+        // reach the server at 50 and 90 and both bounce, landing at 80
+        // and 120. The first bounce brings the copy (server at 110); the
+        // second answers a probe sent before that copy and brings nothing.
+        let f = Fabric::new(slow_link());
+        let client = f.register(NodeId(0));
+        let server = f.register(NodeId(1));
+        let table = warm_table();
+        f.set_link_drop_probability(NodeId(0), NodeId(1), 1.0);
+        let call = client.call_start(NodeId(1), b"lost").unwrap();
+        f.clear_link_drop_probability(NodeId(0), NodeId(1));
+        std::thread::scope(|scope| {
+            let waiting = scope.spawn(|| client.call_wait(call, b"lost", &resend(&table, 500, 3)));
+            let copy = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            server.reply(&copy, b"found".to_vec()).unwrap();
+            assert_eq!(
+                waiting.join().unwrap(),
+                (Ok(b"found".to_vec()), sends(2, 2))
+            );
+        });
+        assert!(server.recv_timeout(Duration::from_millis(100)).is_none());
+        assert_eq!(server.stats().not_held_sent, 2);
+        assert_eq!(client.stats().bytes_sent, 2 * (4 + H) + 2 * H);
+    }
+
+    #[test]
+    fn karn_samples_an_exchange_whose_frame_went_out_once_however_often_probed() {
+        let f = instant_fabric();
+        let client = f.register(NodeId(0));
+        let server = f.register(NodeId(1));
+        let table = warm_table();
+        let rto = || table.rto("t", NodeId(1), Duration::from_secs(1));
+        let settled = rto();
+        std::thread::scope(|scope| {
+            // One frame and two probes, answered after ≈ 100 ms: a sample.
+            let waiting = scope.spawn(|| ask(&client, b"slow", &resend(&table, 500, 3)));
+            let req = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert!(server.recv_timeout(Duration::from_millis(100)).is_none());
+            server.reply(&req, vec![]).unwrap();
+            assert_eq!(waiting.join().unwrap().1, sends(1, 2));
+        });
+        let sampled = rto();
+        assert!(sampled > settled, "{sampled:?} after a 100 ms answer");
+        // Two frames, the first lost: no sample.
+        f.set_link_drop_probability(NodeId(0), NodeId(1), 1.0);
+        let call = client.call_start(NodeId(1), b"lost").unwrap();
+        f.clear_link_drop_probability(NodeId(0), NodeId(1));
+        std::thread::scope(|scope| {
+            let waiting = scope.spawn(|| client.call_wait(call, b"lost", &resend(&table, 500, 3)));
+            let copy = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            server.reply(&copy, vec![]).unwrap();
+            assert_eq!(waiting.join().unwrap().1, sends(2, 1));
+        });
+        assert_eq!(rto(), sampled);
+    }
+
+    #[test]
+    fn a_call_waited_on_after_its_patience_ran_out_is_still_probed() {
         let f = instant_fabric();
         let client = f.register(NodeId(0));
         let _dead = f.register(NodeId(1));
         let live = f.register(NodeId(2));
         let table = warm_table();
-        table.sample("t", NodeId(2), Duration::from_micros(300), 1);
+        settle(&table, NodeId(2));
         // Both calls start together; the live peer's first frame is lost.
         f.set_link_drop_probability(NodeId(0), NodeId(2), 1.0);
         let to_dead = client.call_start(NodeId(1), b"ping").unwrap();
@@ -1181,9 +1486,10 @@ mod tests {
         let patient = resend(&table, 40, 2);
         let (answer, _) = client.call_wait(to_dead, b"ping", &patient);
         assert_eq!(answer, Err(NetError::Timeout));
-        // ... which is also all the patience the other call had.
-        let (answer, sends) = client.call_wait(to_live, b"ping", &patient);
-        assert_eq!((answer, sends), (Ok(b"pong".to_vec()), 2));
+        // ... which is also all the patience the other call had: it is
+        // probed at once, bounced, and its frame sent again.
+        let (answer, sent) = client.call_wait(to_live, b"ping", &patient);
+        assert_eq!((answer, sent), (Ok(b"pong".to_vec()), sends(2, 1)));
         server.join().unwrap();
     }
 

@@ -44,7 +44,7 @@ mod stats;
 
 pub use envelope::{Envelope, MessageKind, WIRE_OVERHEAD};
 pub use error::NetError;
-pub use fabric::{CallObserver, Endpoint, Fabric, PendingCall, Waker};
+pub use fabric::{CallObserver, Endpoint, Fabric, PendingCall, Sends, Waker};
 pub use link::LinkModel;
 pub use rto::{Resend, RtoTable, MIN_RTO};
 pub use stats::{FabricStats, NodeStats};

@@ -1,4 +1,4 @@
-//! Retransmission timeouts: when to put a request on the wire again.
+//! Retransmission timeouts: when to ask after a request again.
 //!
 //! *When to send again* and *when to give up* are different questions. A
 //! caller's patience (its timeout × attempts) answers the second and is
@@ -18,13 +18,16 @@ use crate::NodeId;
 
 /// Floor of every measured retransmission timeout.
 ///
-/// A constant, not a setting: it is set by the host's scheduling tail,
-/// not by the workload. On a two-core host a few percent of sub-millisecond
-/// exchanges take over 2 ms, and every re-send that overtakes a reply
-/// which was merely late is answered a second time; at 10 ms such
-/// spurious re-sends cost under 0.1 % of the wire bytes (DESIGN §4.1 has
-/// the table for 2, 5, 10 and 20 ms).
-pub const MIN_RTO: Duration = Duration::from_millis(10);
+/// A constant, not a setting. What an early timeout costs is a probe: a
+/// 16-byte header that the peer drops while it holds the request, so a
+/// reply that was merely late — a few percent of sub-millisecond
+/// exchanges take over 2 ms on a two-core host — costs 16 bytes, not a
+/// second copy of the frame and a second execution. That makes a low
+/// floor cheap: no floor from 0.5 to 10 ms moves the wire bytes, and
+/// 0.5 ms buys nothing measurable over 1 ms, which stays ≈ 5× a clean
+/// fabric round trip and so a floor on a slower host too (DESIGN §4.1
+/// has the table for 0.5, 1, 2, 5 and 10 ms).
+pub const MIN_RTO: Duration = Duration::from_millis(1);
 
 /// Smoothed round trip and its mean deviation for one pair.
 #[derive(Debug, Clone, Copy)]
@@ -54,11 +57,13 @@ impl RtoTable {
         }
     }
 
-    /// Folds in one exchange that took `rtt` and put its request on the
-    /// wire `sends` times. An exchange that was re-sent is ignored (Karn's
-    /// rule): its answer cannot be matched to one of its sends.
-    pub fn sample(&self, class: &'static str, to: NodeId, rtt: Duration, sends: u32) {
-        if sends != 1 {
+    /// Folds in one exchange that took `rtt` and put its request frame
+    /// on the wire `frames` times. An exchange whose frame went out more
+    /// than once is ignored (Karn's rule): its answer cannot be matched
+    /// to one of its copies. Probes do not count — a probe is answered
+    /// by silence or a bounce, never by the response.
+    pub fn sample(&self, class: &'static str, to: NodeId, rtt: Duration, frames: u32) {
+        if frames != 1 {
             return;
         }
         self.pairs
@@ -76,11 +81,11 @@ impl RtoTable {
 }
 
 /// How [`Endpoint::call_wait`](crate::Endpoint::call_wait) waits for one
-/// answer: the request goes out again, unchanged and under the same
-/// correlation, each time the retransmission timeout runs out — which
-/// doubles after every re-send, up to `timeout` — for at most `max_sends`
-/// sends in all, and the call fails only `timeout × max_sends` after its
-/// first send (or at `deadline`, when that comes first). Re-sending early
+/// answer: a probe goes out under the call's correlation each time the
+/// retransmission timeout runs out — which doubles after every probe, up
+/// to `timeout` — for at most `max_sends` sends in all (the frame, then
+/// probes), and the call fails only `timeout × max_sends` after its
+/// first send (or at `deadline`, when that comes first). Probing early
 /// never shortens that patience, and a wait begun too late for it still
 /// makes every send and gives the last one its retransmission timeout.
 #[derive(Debug, Clone, Copy)]
@@ -94,7 +99,7 @@ pub struct Resend<'a> {
     /// The longest wait before a re-send, and the wait of a pair without
     /// a sample.
     pub timeout: Duration,
-    /// Sends in all (1 = never re-send).
+    /// Sends in all, the frame and its probes (1 = never probe).
     pub max_sends: u32,
     /// An instant after which the caller has no use for the answer.
     pub deadline: Option<Instant>,

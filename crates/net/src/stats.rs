@@ -15,6 +15,9 @@ pub struct NodeCounters {
     pub(crate) msgs_received: AtomicU64,
     pub(crate) bytes_received: AtomicU64,
     pub(crate) msgs_dropped: AtomicU64,
+    pub(crate) probes_sent: AtomicU64,
+    pub(crate) not_held_sent: AtomicU64,
+    pub(crate) held_dropped: AtomicU64,
 }
 
 /// A point-in-time snapshot of one node's traffic counters.
@@ -31,6 +34,15 @@ pub struct NodeStats {
     /// Messages addressed to or from this node that the fabric dropped
     /// (loss model, partitions, or crashed peers).
     pub msgs_dropped: u64,
+    /// Probes this node sent when a retransmission timeout ran out (part
+    /// of `msgs_sent`).
+    pub probes_sent: u64,
+    /// `NotHeld` bounces this node sent: probes of requests it did not
+    /// hold (part of `msgs_sent`).
+    pub not_held_sent: u64,
+    /// Request copies and probes delivered to this node while it still
+    /// held the request, and dropped there (part of `msgs_received`).
+    pub held_dropped: u64,
 }
 
 impl NodeStats {
@@ -44,6 +56,9 @@ impl NodeStats {
             msgs_received: self.msgs_received.saturating_sub(earlier.msgs_received),
             bytes_received: self.bytes_received.saturating_sub(earlier.bytes_received),
             msgs_dropped: self.msgs_dropped.saturating_sub(earlier.msgs_dropped),
+            probes_sent: self.probes_sent.saturating_sub(earlier.probes_sent),
+            not_held_sent: self.not_held_sent.saturating_sub(earlier.not_held_sent),
+            held_dropped: self.held_dropped.saturating_sub(earlier.held_dropped),
         }
     }
 }
@@ -56,6 +71,9 @@ impl NodeCounters {
             msgs_received: self.msgs_received.load(Ordering::Relaxed),
             bytes_received: self.bytes_received.load(Ordering::Relaxed),
             msgs_dropped: self.msgs_dropped.load(Ordering::Relaxed),
+            probes_sent: self.probes_sent.load(Ordering::Relaxed),
+            not_held_sent: self.not_held_sent.load(Ordering::Relaxed),
+            held_dropped: self.held_dropped.load(Ordering::Relaxed),
         }
     }
 }
@@ -69,6 +87,13 @@ pub struct FabricStats {
     pub total_bytes: u64,
     /// Total messages dropped by loss, partition, or crash.
     pub total_dropped: u64,
+    /// Probes sent in place of a request copy (part of `total_msgs`).
+    pub total_probes: u64,
+    /// `NotHeld` bounces of probes (part of `total_msgs`).
+    pub total_not_held: u64,
+    /// Request copies and probes dropped at delivery because their
+    /// destination still held the request.
+    pub total_held_dropped: u64,
     /// Largest single response frame (payload + envelope overhead) any
     /// node has sent — the high-water mark the paged-streaming protocol
     /// bounds. A high-water, not a counter: [`since`](Self::since)
@@ -82,24 +107,21 @@ impl FabricStats {
     /// Difference against an earlier snapshot: traffic that occurred in
     /// between. Per-node entries present only in `self` are kept as-is.
     pub fn since(&self, earlier: &FabricStats) -> FabricStats {
-        let mut per_node = HashMap::new();
-        for (node, now) in &self.per_node {
-            let then = earlier.per_node.get(node).copied().unwrap_or_default();
-            per_node.insert(
-                *node,
-                NodeStats {
-                    msgs_sent: now.msgs_sent - then.msgs_sent,
-                    bytes_sent: now.bytes_sent - then.bytes_sent,
-                    msgs_received: now.msgs_received - then.msgs_received,
-                    bytes_received: now.bytes_received - then.bytes_received,
-                    msgs_dropped: now.msgs_dropped - then.msgs_dropped,
-                },
-            );
-        }
+        let per_node = self
+            .per_node
+            .iter()
+            .map(|(node, now)| {
+                let then = earlier.per_node.get(node).copied().unwrap_or_default();
+                (*node, now.since(&then))
+            })
+            .collect();
         FabricStats {
             total_msgs: self.total_msgs - earlier.total_msgs,
             total_bytes: self.total_bytes - earlier.total_bytes,
             total_dropped: self.total_dropped - earlier.total_dropped,
+            total_probes: self.total_probes - earlier.total_probes,
+            total_not_held: self.total_not_held - earlier.total_not_held,
+            total_held_dropped: self.total_held_dropped - earlier.total_held_dropped,
             max_response_bytes: self.max_response_bytes,
             per_node,
         }
@@ -112,6 +134,9 @@ pub(crate) struct StatsRegistry {
     pub(crate) total_msgs: AtomicU64,
     pub(crate) total_bytes: AtomicU64,
     pub(crate) total_dropped: AtomicU64,
+    pub(crate) total_probes: AtomicU64,
+    pub(crate) total_not_held: AtomicU64,
+    pub(crate) total_held_dropped: AtomicU64,
     pub(crate) max_response_bytes: AtomicU64,
     pub(crate) nodes: RwLock<HashMap<NodeId, std::sync::Arc<NodeCounters>>>,
 }
@@ -122,6 +147,9 @@ impl StatsRegistry {
             total_msgs: self.total_msgs.load(Ordering::Relaxed),
             total_bytes: self.total_bytes.load(Ordering::Relaxed),
             total_dropped: self.total_dropped.load(Ordering::Relaxed),
+            total_probes: self.total_probes.load(Ordering::Relaxed),
+            total_not_held: self.total_not_held.load(Ordering::Relaxed),
+            total_held_dropped: self.total_held_dropped.load(Ordering::Relaxed),
             max_response_bytes: self.max_response_bytes.load(Ordering::Relaxed),
             per_node: self
                 .nodes
@@ -142,16 +170,22 @@ mod tests {
         let a = NodeStats {
             msgs_sent: 4,
             bytes_sent: 100,
+            probes_sent: 1,
+            held_dropped: 2,
             ..Default::default()
         };
         let b = NodeStats {
             msgs_sent: 9,
             bytes_sent: 350,
+            probes_sent: 3,
+            not_held_sent: 1,
+            held_dropped: 2,
             ..Default::default()
         };
         let d = b.since(&a);
         assert_eq!(d.msgs_sent, 5);
         assert_eq!(d.bytes_sent, 250);
+        assert_eq!((d.probes_sent, d.not_held_sent, d.held_dropped), (2, 1, 0));
         // Saturating: a mismatched baseline does not underflow.
         assert_eq!(a.since(&b).msgs_sent, 0);
     }
@@ -161,6 +195,8 @@ mod tests {
         let mut a = FabricStats {
             total_msgs: 10,
             total_bytes: 1000,
+            total_probes: 2,
+            total_held_dropped: 1,
             ..Default::default()
         };
         a.per_node.insert(
@@ -173,10 +209,17 @@ mod tests {
         let mut b = a.clone();
         b.total_msgs = 25;
         b.total_bytes = 2500;
+        b.total_probes = 7;
+        b.total_not_held = 3;
+        b.total_held_dropped = 4;
         b.per_node.get_mut(&NodeId(1)).unwrap().msgs_sent = 9;
         let d = b.since(&a);
         assert_eq!(d.total_msgs, 15);
         assert_eq!(d.total_bytes, 1500);
+        assert_eq!(
+            (d.total_probes, d.total_not_held, d.total_held_dropped),
+            (5, 3, 3)
+        );
         assert_eq!(d.per_node[&NodeId(1)].msgs_sent, 5);
     }
 }

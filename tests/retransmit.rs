@@ -1,8 +1,10 @@
-//! Retransmit early, give up late: the executor re-sends a sub-query when
-//! the measured retransmission timeout of its (operation, worker) pair
-//! runs out, and fails it only when the policy's whole patience
+//! Retransmit early, give up late: the executor probes for a sub-query
+//! when the measured retransmission timeout of its (operation, worker)
+//! pair runs out, sends its frame again when the worker does not hold
+//! it, and fails it only when the policy's whole patience
 //! (`timeout × max_attempts`) has passed — so a lost frame costs
-//! milliseconds, and nothing fails that did not fail before.
+//! milliseconds, a slow answer 16 bytes, and nothing fails that did not
+//! fail before.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -62,7 +64,8 @@ fn a_silent_worker_gets_max_attempts_identical_frames_and_the_whole_patience() {
         (answers.pop().unwrap(), started.elapsed())
     };
 
-    // No sample for the pair, so sends at 0, T and 2T; failure at 3T.
+    // No sample for the pair, so the frame at 0 and probes at T and 2T;
+    // failure at 3T.
     let (answer, took) = install();
     assert!(matches!(
         answer,
@@ -74,14 +77,20 @@ fn a_silent_worker_gets_max_attempts_identical_frames_and_the_whole_patience() {
         (stats.retries, stats.sub_queries, stats.failures),
         (2, 3, 1)
     );
-    // Three frames of one size left the client; the worker's fabric
-    // handed it one and dropped the copies of what it still holds.
+    // One frame and two 16-byte probes left the client; the worker's
+    // fabric handed it the frame and dropped the probes of what it
+    // still holds.
     let frame = silent.try_recv().expect("the first send").payload;
     assert!(silent.try_recv().is_none());
     let sent = exec.endpoint().stats();
-    assert_eq!(sent.msgs_sent, 3);
-    assert_eq!(sent.bytes_sent, 3 * (frame.len() as u64 + WIRE_OVERHEAD));
+    assert_eq!((sent.msgs_sent, sent.probes_sent), (3, 2));
+    assert_eq!(
+        sent.bytes_sent,
+        frame.len() as u64 + WIRE_OVERHEAD + 2 * WIRE_OVERHEAD
+    );
     assert_eq!(stats.bytes_sent, sent.bytes_sent);
+    let held = silent.stats();
+    assert_eq!((held.held_dropped, held.not_held_sent), (2, 0));
 
     exec.set_policy("evict", OpPolicy::no_retry(Duration::from_millis(30)));
     let (answer, took) = install();
@@ -127,7 +136,15 @@ fn a_lost_frame_costs_an_rto_not_a_timeout() {
         let stats = exec.stats_for("ping");
         assert_eq!(stats.failures, 0);
         assert!(stats.retries >= 20, "{} retries", stats.retries);
-        assert_eq!(fabric.stats().per_node[&CLIENT].msgs_dropped, 20);
+        // The link ate each armed exchange's frame, and any probe that
+        // left (one RTO, ≈ 1 ms, later) before it healed; each lost frame
+        // went out again exactly once, and every other send was a probe.
+        assert!(fabric.stats().per_node[&CLIENT].msgs_dropped >= 20);
+        let frame = encode_to_vec(&Request::Ping).len() as u64 + WIRE_OVERHEAD;
+        assert_eq!(
+            stats.bytes_sent,
+            (200 + 20) * frame + stats.retries * WIRE_OVERHEAD
+        );
         assert!(
             took < Duration::from_millis(1_500),
             "200 asks took {took:?}"
@@ -212,8 +229,9 @@ fn served(exec: &Executor, worker: NodeId, op: &str) -> u64 {
 
 /// A worker that takes many retransmission timeouts to reach a request —
 /// it is busy, not gone — answers it once, inside the patience, however
-/// many copies the client sent meanwhile. `read_threads` picks the lane
-/// that serves `request`: the read pool, or (0) the control lane.
+/// many probes the client sent meanwhile, and each probe costs 16 bytes.
+/// `read_threads` picks the lane that serves `request`: the read pool,
+/// or (0) the control lane.
 fn a_busy_worker_executes_once(read_threads: usize, name: &'static str, request: Request) {
     let fabric = Fabric::new(LinkModel::instant());
     let extent = BBox::new(Point::new(0.0, 0.0), Point::new(400.0, 400.0));
@@ -229,35 +247,50 @@ fn a_busy_worker_executes_once(read_threads: usize, name: &'static str, request:
         let mut answers = exec.ask(name, &[SERVER], |_| request.clone(), Ok);
         answers.pop().unwrap().1.map(|_| started.elapsed())
     };
-    // Quick answers settle the pair's RTO on the floor.
+    // Quick answers settle the pair's RTO near the floor.
     for _ in 0..20 {
         ask().unwrap();
     }
-    // Work for the same lane, sized to keep it busy for 12 × the RTO: a
-    // heat-map over four million buckets, as often as it takes.
+    // Work for the same lane, sized to keep it busy for 120 ms — a
+    // hundred times the floor, far past both probes: a heat-map over
+    // four million buckets, as often as it takes.
     let busywork = encode_to_vec(&Request::Heatmap {
         buckets: GridSpec::new(Point::new(0.0, 0.0), 1.0, 2_000, 2_000),
         window: TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(1)),
     });
+    let busy = 120 * MIN_RTO;
     let started = Instant::now();
     other
         .call(SERVER, busywork.clone(), Duration::from_secs(60))
         .unwrap();
     let one = started.elapsed();
-    let copies = (12 * MIN_RTO).as_micros() / one.as_micros().max(1) + 1;
+    let copies = busy.as_micros() / one.as_micros().max(1) + 1;
     for _ in 0..copies {
         other.send(SERVER, busywork.clone()).unwrap();
     }
-    let before = exec.stats_for(name);
+    let before = (exec.stats_for(name), fabric.stats());
     let took = ask().expect("late, but inside the patience");
-    assert!(took >= 6 * MIN_RTO, "answered after {took:?}: not busy");
-    let during = exec.stats_for(name).since(&before);
+    assert!(took >= busy / 2, "answered after {took:?}: not busy");
+    let during = exec.stats_for(name).since(&before.0);
     assert_eq!(
         (during.retries, during.failures),
         (2, 0),
-        "sends at 0, 10, 30 ms"
+        "the frame at 0, probes at one and three RTOs"
     );
-    assert_eq!(served(&exec, SERVER, name), 21, "the copies were executed");
+    // The worker held the request, so both probes were dropped at its
+    // door and the frame went out once.
+    let frame = encode_to_vec(&request).len() as u64 + WIRE_OVERHEAD;
+    assert_eq!(during.bytes_sent, frame + 2 * WIRE_OVERHEAD);
+    let wire = fabric.stats().since(&before.1);
+    assert_eq!(
+        (
+            wire.total_probes,
+            wire.total_held_dropped,
+            wire.total_not_held
+        ),
+        (2, 2, 0)
+    );
+    assert_eq!(served(&exec, SERVER, name), 21, "executed more than once");
     worker.shutdown();
 }
 
