@@ -15,8 +15,9 @@
 //! rate — when the measured retransmission timeout of an
 //! `IngestSeq`/`ReplicateSeq` exchange runs out, about a millisecond
 //! whatever the RPC timeout is (the last row runs at the default 5 s),
-//! the sender probes the worker, and a worker that does not hold the
-//! request bounces the probe (`not held`) and is sent the frame again.
+//! the sender probes; a worker the frame never reached bounces the probe
+//! (`not held`) and gets the frame again, one that answered it replays
+//! its stored answer (`replayed`).
 //! `stall ms/drop` is that cost, (wall − lossless wall) ÷ dropped
 //! frames. Bytes inflate by roughly the drop rate, and the audit column
 //! stays at exactly zero lost — the acked contract is
@@ -71,6 +72,7 @@ fn main() {
         .col("dropped", "dropped_frames", Fmt::Plain)
         .col("probes", "probes", Fmt::Plain)
         .col("not held", "not_held", Fmt::Plain)
+        .col("replayed", "replayed", Fmt::Plain)
         .col("stall ms/drop", "stall_ms_per_drop", Fmt::Fixed(1))
         .col("bytes x", "bytes_ratio", Fmt::Times(2))
         .col("held after heal", "held_after_heal", Fmt::Count)
@@ -128,11 +130,7 @@ fn main() {
             lossless_wall = wall;
         }
         let bytes_x = bytes / baseline_bytes;
-        let stall_ms_per_drop = if dropped == 0 {
-            0.0
-        } else {
-            (wall - lossless_wall).max(0.0) * 1e3 / dropped as f64
-        };
+        let stall_ms_per_drop = (wall - lossless_wall).max(0.0) * 1e3 / dropped.max(1) as f64;
         fig.row(cells![
             drop,
             timeout_ms,
@@ -142,6 +140,7 @@ fn main() {
             dropped,
             lossy.total_probes,
             lossy.total_not_held,
+            lossy.total_replayed,
             stall_ms_per_drop,
             bytes_x,
             held,
@@ -167,7 +166,8 @@ fn main() {
         "(uniform drop probability on every link while ingesting, after a loss-free\n\
          warm-up; `acked inline` is what the sender was told is durable before the\n\
          links healed; `probes` went out when a retransmission timeout ran out,\n\
-         `not held` bounced back and brought the frame again; `stall ms/drop` is\n\
+         `not held` bounced back and brought the frame again, `replayed` brought\n\
+         a lost answer again without executing it twice; `stall ms/drop` is\n\
          (wall - lossless wall) / dropped frames; the gates are zero acked loss,\n\
          full convergence once the links heal, and at most {MAX_STALL_MS_PER_DROP} ms\n\
          of stall per dropped frame at 1%)"

@@ -34,13 +34,13 @@
 //! ([`OpPolicy::no_retry`]) is still one send and one timeout.
 //!
 //! A timeout sends a header-only probe ([`Endpoint::call_wait`]): a
-//! worker that still holds the request drops it — a slow answer costs
-//! 16 bytes, not a copy and a second execution — and one that does not
-//! bounces it, upon which the same bytes go out again under the same
-//! correlation. The frame is never rebuilt. The worker *can* still see
-//! a request twice (its reply was lost), so the protocol keeps one
-//! invariant instead of a per-op flag: **every request the executor
-//! sends is safe to apply twice.** Reads are pure; writes either
+//! worker's fabric drops it while the worker holds the request — a slow
+//! answer costs 16 bytes, not a second execution — replays the stored
+//! reply once it answered, and otherwise bounces it, upon which the same
+//! bytes go out again under the same correlation. The worker *can* still
+//! see a request twice (its fabric forgot the reply), so the protocol
+//! keeps one invariant instead of a per-op flag: **every request the
+//! executor sends is safe to apply twice.** Reads are pure; writes either
 //! overwrite (route install, truncate-then-stream repair), remove their
 //! input before acting (promote), or pass the worker's id/digest dedup
 //! (segment install). A new message must keep that invariant. A probe

@@ -11,9 +11,9 @@
 //! # Write-path reliability
 //!
 //! The default [`Ingestor::ingest`] (and `Coordinator::ingest`) is
-//! *acknowledged*: batches carry per-sender sequence numbers and workers
-//! reply `IngestAck`/`IngestNack`. A wave of per-owner groups is
-//! delivered in two [`Executor::ask`] rounds — `"ingest_seq"` to every
+//! *acknowledged*: workers reply `Ack` or `IngestNack`, which the transport
+//! replays to a re-send. A wave of per-owner groups is delivered in two
+//! [`Executor::ask`] rounds — `"ingest_seq"` to every
 //! owner at once, then `"replicate_seq"` of what each owner kept to all
 //! their successors at once — so the one scatter loop in `exec.rs`
 //! retransmits lost frames, under the two [`OpPolicy`](crate::OpPolicy)
@@ -41,7 +41,6 @@
 //! the parked window before running the ping round.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -75,24 +74,15 @@ struct Group {
 /// when it acked the whole batch).
 fn want_misrouted(response: Response) -> Result<HashSet<ObservationId>, StcamError> {
     match response {
-        Response::IngestAck { .. } => Ok(HashSet::new()),
+        Response::Ack => Ok(HashSet::new()),
         Response::IngestNack { misrouted, .. } => Ok(misrouted.into_iter().collect()),
         other => Err(unexpected("ingest ack", other)),
     }
 }
 
-/// A successor's answer to `ReplicateSeq`.
-fn want_copied(response: Response) -> Result<(), StcamError> {
-    match response {
-        Response::IngestAck { .. } => Ok(()),
-        other => Err(unexpected("ingest ack", other)),
-    }
-}
-
 /// The acked-write engine shared by [`Ingestor`] and the coordinator:
-/// per-sender sequence numbers, bounded-window delivery, NACK-driven
-/// plan refresh, hinted handoff, and the parked window that
-/// [`flush`](Self::flush) empties.
+/// bounded-window delivery, NACK-driven plan refresh, hinted handoff, and
+/// the parked window that [`flush`](Self::flush) empties.
 ///
 /// The engine owns no endpoint and no retry loop: callers pass the
 /// [`Executor`] to send through, and the `"ingest_seq"` and
@@ -105,8 +95,6 @@ pub(crate) struct ReliableSender {
     /// so a stale sender heals itself instead of needing recreation.
     plan: Mutex<Arc<QueryPlan>>,
     replication: usize,
-    next_ingest_seq: AtomicU64,
-    next_replicate_seq: AtomicU64,
     pending: Mutex<Vec<Observation>>,
 }
 
@@ -117,8 +105,6 @@ impl ReliableSender {
             plane,
             plan,
             replication,
-            next_ingest_seq: AtomicU64::new(0),
-            next_replicate_seq: AtomicU64::new(0),
             pending: Mutex::new(Vec::new()),
         }
     }
@@ -213,7 +199,8 @@ impl ReliableSender {
     /// acknowledged only once every one of them confirmed; on a
     /// shortfall the owner holds the batch, the copies that landed stand
     /// as hints, and the group is parked to be re-delivered once the plan
-    /// reflects whatever failed (worker id dedup absorbs the duplicates).
+    /// reflects whatever failed. A re-driven group is a new request, so the
+    /// workers' id filters, not the transport, absorb the duplicates.
     ///
     /// The same round carries the **hinted handoff** of a group whose
     /// owner is dead in `plan` (yet still routed to: no alive successor
@@ -234,7 +221,6 @@ impl ReliableSender {
         wave: Vec<(NodeId, Vec<Observation>)>,
         redo: &mut Vec<Observation>,
     ) -> usize {
-        let sender = exec.endpoint().id();
         let (live, dead): (Vec<_>, Vec<_>) = wave
             .into_iter()
             .partition(|(owner, _)| plan.alive.contains(owner));
@@ -243,8 +229,6 @@ impl ReliableSender {
         let ingest = |_| {
             let (_, share) = shares.next().expect("one request per owner, in order");
             Request::IngestSeq {
-                sender,
-                seq: self.next_ingest_seq.fetch_add(1, Ordering::Relaxed),
                 epoch: plan.epoch,
                 batch: share.clone(),
             }
@@ -272,8 +256,8 @@ impl ReliableSender {
                 }
                 // A newer plan has been published since we routed:
                 // recovery probably reassigned these cells, so the next
-                // round re-routes (retransmission is idempotent at the
-                // workers).
+                // round re-routes (the workers' id filters drop a row
+                // that did land).
                 Err(_) if self.plane.epoch() > plan.epoch => redo.extend(share),
                 // Our plan is current: the owner is unreachable and
                 // recovery has not noticed yet.
@@ -297,13 +281,11 @@ impl ReliableSender {
         let replicate = |_| {
             let &(i, _) = order.next().expect("one request per copy, in order");
             Request::ReplicateSeq {
-                sender,
-                seq: self.next_replicate_seq.fetch_add(1, Ordering::Relaxed),
                 primary: groups[i].primary,
                 batch: groups[i].rows.clone(),
             }
         };
-        let answers = exec.ask("replicate_seq", &successors, replicate, want_copied);
+        let answers = exec.ask("replicate_seq", &successors, replicate, want_ack);
         for (&(i, _), (_, answer)) in copies.iter().zip(answers) {
             groups[i].acked &= answer.is_ok();
         }

@@ -272,7 +272,7 @@ impl PartitionMap {
     /// [`cells_of`](Self::cells_of) as the wire spells a routing slice:
     /// each cell packed `row * cols + col`. Empty for a node outside the
     /// map — the route that makes a failed-out worker NACK every
-    /// sequenced batch, steering stale senders to refresh.
+    /// ingest batch, steering stale senders to refresh.
     pub fn packed_cells_of(&self, worker: NodeId) -> Vec<u32> {
         let cols = self.grid.cols();
         self.cells_of(worker)

@@ -100,39 +100,30 @@ wire_enum! {
         retired [1, 2, 8, 9, 13, 15];
         /// Liveness probe.
         Ping = 0 "ping",
-        /// Sequenced, acknowledged ingest — the one door clients write a
-        /// primary shard through.
+        /// Acknowledged ingest — the one door clients write a primary
+        /// shard through, answered with [`Response::Ack`].
         ///
-        /// The `(sender, seq)` pair identifies the batch for retransmission
-        /// dedup: the worker remembers recent sequence numbers per sender and
-        /// answers a retransmitted batch from that memory without re-applying
-        /// it. `epoch` is the routing-plan epoch the sender routed under; a
+        /// A copy of the request is never applied twice while the
+        /// transport remembers the answer (`stcam_net`'s reply table), and
+        /// past that the worker's id filter drops rows it already holds.
+        /// `epoch` is the routing-plan epoch the sender routed under; a
         /// worker whose own plan disagrees about ownership answers with
         /// [`Response::IngestNack`] naming the misrouted observations. The
         /// worker does **not** replicate onward — the sender performs
         /// replication itself (via `ReplicateSeq`) so that an ack can certify
         /// durability.
         IngestSeq = 17 "ingest_seq" {
-            /// The ingesting endpoint (an ingestor or the coordinator).
-            sender: NodeId as Bare,
-            /// Per-sender monotonically increasing batch sequence number.
-            seq: u64,
             /// The routing-plan epoch the sender routed this batch under.
             epoch: u64,
             /// The observations, all believed owned by the addressee.
             batch: Vec<Observation> as ObservationBatch,
         },
-        /// Sequenced, acknowledged replica write, sent by the *ingesting*
-        /// endpoint (not the primary) to each ring successor of `primary`
-        /// before the batch is acknowledged.
-        /// Deduplicated by `(sender, seq)` exactly like `IngestSeq`, and
-        /// answered with [`Response::IngestAck`].
+        /// Acknowledged replica write, sent by the *ingesting* endpoint
+        /// (not the primary) to each ring successor of `primary` before
+        /// the batch is acknowledged, and answered with [`Response::Ack`].
+        /// Applied at most once like `IngestSeq`: the replica log's id
+        /// filter stands behind the transport's reply table.
         ReplicateSeq = 18 "replicate_seq" {
-            /// The ingesting endpoint performing sender-side replication.
-            sender: NodeId as Bare,
-            /// Per-sender monotonically increasing batch sequence number
-            /// (a namespace separate from `IngestSeq` sequence numbers).
-            seq: u64,
             /// The worker whose shard these observations belong to.
             primary: NodeId as Bare,
             /// The replicated observations.
@@ -502,9 +493,10 @@ wire_enum! {
     /// A worker's answer.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Response {
-        // `Counts`, the dense heat-map answer.
-        retired [2];
-        /// Success without data.
+        // `Counts`, the dense heat-map answer, and `IngestAck`.
+        retired [2, 6];
+        /// Success without data; for an `IngestSeq` or `ReplicateSeq`
+        /// batch, that the addressee applied (or already held) all of it.
         Ack = 0 "ack",
         /// Matching observations.
         Observations = 1 "observations" (rows: Vec<Observation> as ObservationBatch),
@@ -515,26 +507,12 @@ wire_enum! {
         /// Sparse per-bucket counts: `(bucket index, count)` for occupied
         /// buckets only (answer to [`Request::Heatmap`]).
         CellCounts = 5 "cell_counts" (counts: Vec<(u32, u64)>),
-        /// Positive acknowledgement of an `IngestSeq`/`ReplicateSeq` batch:
-        /// every observation in the batch is owned by the addressee and is
-        /// now applied (`accepted` counts them, including ones already
-        /// present from an earlier transmission of the same batch).
-        IngestAck = 6 "ingest_ack" {
-            /// Echo of the request's sequence number.
-            seq: u64,
-            /// Observations applied (or already present) at the addressee.
-            accepted: u32,
-        },
         /// Negative acknowledgement of an `IngestSeq` batch: the addressee
-        /// applied the observations it owns (`accepted` of them) but rejects
-        /// `misrouted` — observations its routing plan assigns elsewhere.
-        /// `epoch` is the addressee's plan epoch, so a stale sender can tell
-        /// whether *it* must refresh (its epoch is older) before re-routing.
+        /// applied the observations it owns but rejects `misrouted` —
+        /// observations its routing plan assigns elsewhere. `epoch` is the
+        /// addressee's plan epoch, so a stale sender can tell whether *it*
+        /// must refresh (its epoch is older) before re-routing.
         IngestNack = 7 "ingest_nack" {
-            /// Echo of the request's sequence number.
-            seq: u64,
-            /// Observations applied (or already present) at the addressee.
-            accepted: u32,
             /// The addressee's routing-plan epoch.
             epoch: u64,
             /// Ids of the observations the addressee refuses to own.
@@ -688,7 +666,7 @@ mod tests {
     fn retired_and_unassigned_tags_rejected() {
         // 200 was never assigned; a retired tag must stay dead.
         assert_eq!(Request::RETIRED, [1, 2, 8, 9, 13, 15]);
-        assert_eq!(Response::RETIRED, [2]);
+        assert_eq!(Response::RETIRED, [2, 6]);
         for &tag in Request::RETIRED.iter().chain(&[200]) {
             assert!(matches!(
                 decode_from_slice::<Request>(&[tag]),

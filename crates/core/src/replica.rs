@@ -50,15 +50,15 @@ impl RowSource for ReadView {
 #[derive(Debug, Default)]
 pub(crate) struct ReplicaLog {
     rows: Vec<Observation>,
-    /// The ids of `rows`, so sequenced replica writes and repair streams
-    /// never append the same observation twice.
+    /// The ids of `rows`, so replica writes and repair streams never
+    /// append the same observation twice.
     ids: HashSet<ObservationId>,
 }
 
 impl ReplicaLog {
     /// Appends `batch`, skipping observations already present (a sender
-    /// re-routing after a failover delivers the same data under a fresh
-    /// sequence number).
+    /// re-routing after a failover delivers the same data in a new
+    /// request).
     pub(crate) fn append(&mut self, batch: impl IntoIterator<Item = Observation>) {
         for obs in batch {
             if self.ids.insert(obs.id) {

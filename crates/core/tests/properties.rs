@@ -113,8 +113,8 @@ proptest! {
         // Every Request variant the protocol defines.
         let requests = [
             Request::Ping,
-            Request::IngestSeq { sender: NodeId(node), seq, epoch, batch: batch.clone() },
-            Request::ReplicateSeq { sender: NodeId(node), seq, primary: NodeId(node), batch: batch.clone() },
+            Request::IngestSeq { epoch, batch: batch.clone() },
+            Request::ReplicateSeq { primary: NodeId(node), batch: batch.clone() },
             Request::RouteUpdate { epoch, grid: buckets, cells: cells.clone() },
             Request::Range { region, window, limit, projection },
             Request::Knn { at: region.center(), window, k, max_distance },
@@ -218,8 +218,7 @@ proptest! {
             Response::Stats(stats),
             Response::Error(error),
             Response::CellCounts(cells.clone()),
-            Response::IngestAck { seq, accepted },
-            Response::IngestNack { seq, accepted, epoch, misrouted },
+            Response::IngestNack { epoch, misrouted },
             Response::Digests(digests),
             Response::SegmentDigests(
                 cells

@@ -13,17 +13,19 @@ pub enum MessageKind {
     /// An RPC response; routed directly to the caller blocked in
     /// [`Endpoint::call`](crate::Endpoint::call) rather than the inbox.
     Response,
-    /// A caller's "do you still hold this request?", sent in place of a
+    /// A caller's "what became of this request?", sent in place of a
     /// copy when a retransmission timeout runs out. Header only: the
-    /// destination's fabric drops it when the node holds the request
-    /// and answers [`NotHeld`](Self::NotHeld) otherwise; it never reaches
-    /// the inbox.
+    /// destination's fabric drops it while the node holds the request, and
+    /// answers [`Replay`](Self::Replay) or [`NotHeld`](Self::NotHeld).
     Probe,
     /// The bounce of a [`Probe`](Self::Probe) whose request the
-    /// destination does not hold (lost, or already answered). Header
-    /// only; routed to the waiting caller, which then sends the request
-    /// again in full.
+    /// destination does not know (lost, or its reply forgotten). Header
+    /// only; the waiting caller then sends the request again in full.
     NotHeld,
+    /// The destination's stored response to a request its node answered,
+    /// sent again to a probe or a copy. Resolves the call like a
+    /// [`Response`](Self::Response), but is never a round-trip sample.
+    Replay,
 }
 
 /// A message as delivered to a receiving endpoint.

@@ -1,6 +1,6 @@
 //! The message fabric: registration, delivery, RPC, failure injection.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -10,6 +10,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::envelope::{Envelope, MessageKind};
 use crate::link::{DetRng, LinkModel};
+use crate::replies::{Replies, Seen};
 use crate::rto::Resend;
 use crate::stats::{FabricStats, NodeCounters, NodeStats, StatsRegistry};
 use crate::{NetError, NodeId};
@@ -60,7 +61,10 @@ enum Answer {
     /// caller that claims answers in turn must not book the wait for its
     /// turn as round-trip time). Removes the call's entry.
     Reply(Instant, Vec<u8>),
-    /// The destination bounced a probe: it does not hold the request.
+    /// A stored response sent again: resolves the call, but a probe asked
+    /// for it, so it is no round-trip sample.
+    Replay(Vec<u8>),
+    /// The destination bounced a probe: it does not know the request.
     /// Leaves the entry in place for the answer still to come.
     NotHeld,
 }
@@ -69,10 +73,9 @@ enum Answer {
 struct NodeState {
     inbox_tx: Sender<Envelope>,
     pending: Answers,
-    /// `(caller, correlation)` of every request handed to this node and
-    /// not yet replied to. A copy or a probe of one of them is dropped at
-    /// delivery: the node is still working on the first.
-    serving: Arc<Mutex<HashSet<(NodeId, u64)>>>,
+    /// Every request handed to this node, held or replied: a copy or a
+    /// probe of one is answered at delivery and never reaches the node.
+    replies: Arc<Mutex<Replies>>,
     alive: Arc<AtomicBool>,
     counters: Arc<NodeCounters>,
 }
@@ -143,7 +146,7 @@ impl Fabric {
         let state = NodeState {
             inbox_tx,
             pending: Arc::new(Mutex::new(HashMap::new())),
-            serving: Arc::new(Mutex::new(HashSet::new())),
+            replies: Arc::default(),
             alive: Arc::new(AtomicBool::new(true)),
             counters: Arc::clone(&counters),
         };
@@ -155,7 +158,7 @@ impl Fabric {
             .write()
             .insert(node, Arc::clone(&counters));
         let pending = Arc::clone(&state.pending);
-        let serving = Arc::clone(&state.serving);
+        let replies = Arc::clone(&state.replies);
         let alive = Arc::clone(&state.alive);
         nodes.insert(node, state);
         Endpoint {
@@ -163,7 +166,7 @@ impl Fabric {
             inner: Arc::clone(&self.inner),
             inbox_rx,
             pending,
-            serving,
+            replies,
             alive,
             counters,
             observer: Mutex::new(None),
@@ -183,11 +186,11 @@ impl Fabric {
 
     /// Reverses [`crash`](Fabric::crash); the node resumes with an empty
     /// inbox history (messages dropped while down stay dropped) and no
-    /// memory of the requests it was serving, so a probe of one is
+    /// memory of the requests it held or answered, so a probe of one is
     /// bounced and the copy that follows reaches the new incarnation.
     pub fn restart(&self, node: NodeId) {
         if let Some(state) = self.inner.nodes.read().get(&node) {
-            state.serving.lock().clear();
+            *state.replies.lock() = Replies::default();
             state.alive.store(true, Ordering::SeqCst);
         }
     }
@@ -297,27 +300,22 @@ impl FabricInner {
             .fetch_add(size, Ordering::Relaxed);
         self.stats.total_msgs.fetch_add(1, Ordering::Relaxed);
         self.stats.total_bytes.fetch_add(size, Ordering::Relaxed);
-        match env.kind {
-            MessageKind::Response => {
-                self.stats
-                    .max_response_bytes
-                    .fetch_max(size, Ordering::Relaxed);
-            }
-            MessageKind::Probe => {
-                src_state
-                    .counters
-                    .probes_sent
-                    .fetch_add(1, Ordering::Relaxed);
-                self.stats.total_probes.fetch_add(1, Ordering::Relaxed);
-            }
-            MessageKind::NotHeld => {
-                src_state
-                    .counters
-                    .not_held_sent
-                    .fetch_add(1, Ordering::Relaxed);
-                self.stats.total_not_held.fetch_add(1, Ordering::Relaxed);
-            }
-            MessageKind::Request | MessageKind::OneWay => {}
+        if env.kind == MessageKind::Response {
+            self.stats
+                .max_response_bytes
+                .fetch_max(size, Ordering::Relaxed);
+        }
+        // What the fabric itself answers, or a probe: counted apart.
+        let (node, all) = (&src_state.counters, &self.stats);
+        let apart = match env.kind {
+            MessageKind::Probe => Some((&node.probes_sent, &all.total_probes)),
+            MessageKind::NotHeld => Some((&node.not_held_sent, &all.total_not_held)),
+            MessageKind::Replay => Some((&node.replayed_sent, &all.total_replayed)),
+            MessageKind::Request | MessageKind::Response | MessageKind::OneWay => None,
+        };
+        if let Some((sent, total)) = apart {
+            sent.fetch_add(1, Ordering::Relaxed);
+            total.fetch_add(1, Ordering::Relaxed);
         }
 
         // Loss, partition and dead-destination checks happen at send time;
@@ -380,10 +378,13 @@ impl FabricInner {
             .bytes_received
             .fetch_add(size, Ordering::Relaxed);
         match env.kind {
-            MessageKind::Response => {
+            MessageKind::Response | MessageKind::Replay => {
                 let sender = dst_state.pending.lock().remove(&env.correlation);
                 if let Some(tx) = sender {
-                    let _ = tx.send(Answer::Reply(Instant::now(), env.payload));
+                    let _ = tx.send(match env.kind {
+                        MessageKind::Replay => Answer::Replay(env.payload),
+                        _ => Answer::Reply(Instant::now(), env.payload),
+                    });
                 }
                 // A response nobody waits for — the caller gave up, or an
                 // earlier answer to a re-sent request already resolved
@@ -396,36 +397,37 @@ impl FabricInner {
                     let _ = tx.send(Answer::NotHeld);
                 }
             }
-            MessageKind::Request => {
-                // A copy of a request this node still holds is not a new
-                // request: the node is working on the first.
-                if dst_state.serving.lock().insert((env.src, env.correlation)) {
-                    let _ = dst_state.inbox_tx.send(env);
-                } else {
-                    self.held_dropped(dst_state);
-                }
-            }
-            MessageKind::Probe => {
-                if dst_state
-                    .serving
-                    .lock()
-                    .contains(&(env.src, env.correlation))
-                {
-                    self.held_dropped(dst_state);
-                    return;
-                }
-                // Not held: the request was lost, or answered already.
-                // The bounce takes the wire like any message — loss,
-                // latency, partitions, per-link FIFO behind that answer.
+            MessageKind::Request | MessageKind::Probe => {
+                // A copy or a probe of a request the node was handed never
+                // reaches it: dropped while held, answered once replied.
+                let call = (env.src, env.correlation);
+                let seen = match env.kind {
+                    MessageKind::Request => dst_state.replies.lock().admit(call),
+                    _ => dst_state.replies.lock().probe(call),
+                };
+                let (kind, payload) = match seen {
+                    Some(Seen::Held) => {
+                        self.held_dropped(dst_state);
+                        return;
+                    }
+                    Some(Seen::Replied(reply)) => (MessageKind::Replay, reply),
+                    None if env.kind == MessageKind::Request => {
+                        let _ = dst_state.inbox_tx.send(env);
+                        return;
+                    }
+                    None => (MessageKind::NotHeld, Vec::new()),
+                };
+                // The answer takes the wire like any message — loss,
+                // latency, partitions, per-link FIFO behind the reply.
                 // `submit` reads `nodes` again; a second read guard here
                 // could wait forever behind a queued `register`.
                 drop(nodes);
                 let _ = self.submit(Envelope {
                     src: env.dst,
                     dst: env.src,
-                    kind: MessageKind::NotHeld,
+                    kind,
                     correlation: env.correlation,
-                    payload: Vec::new(),
+                    payload,
                 });
             }
             MessageKind::OneWay => {
@@ -502,7 +504,7 @@ pub struct Endpoint {
     inner: Arc<FabricInner>,
     inbox_rx: Receiver<Envelope>,
     pending: Answers,
-    serving: Arc<Mutex<HashSet<(NodeId, u64)>>>,
+    replies: Arc<Mutex<Replies>>,
     alive: Arc<AtomicBool>,
     counters: Arc<NodeCounters>,
     observer: Mutex<Option<CallObserver>>,
@@ -619,20 +621,20 @@ impl Endpoint {
     /// caller does not send the request again: it sends a
     /// [`MessageKind::Probe`], a bare header under the call's correlation.
     /// The destination's fabric drops a probe of a request the node still
-    /// holds — a slow answer costs 16 bytes, not a copy and a second
-    /// execution — and otherwise bounces [`MessageKind::NotHeld`], upon
-    /// which `frame`, the bytes the call was started with, goes out again
-    /// in full and at once, under the same correlation — once for all the
-    /// bounces of probes sent before it, which reached the peer ahead of
-    /// it and so say nothing about it. Whichever answer
-    /// arrives first resolves the call, and a later one is dropped like
-    /// any late response; a bounce that follows an answer on the same
-    /// link arrives after it and is dropped too. The frame is never
-    /// rebuilt — a request that drew a sequence number keeps it. A dead or
-    /// partitioned peer bounces nothing, so it is waited out exactly as
-    /// before. An exchange whose frame went on the wire once is a sample
-    /// for `resend.rtos` however many probes it took: its answer can only
-    /// be to that frame.
+    /// holds (a slow answer costs 16 bytes, not a second execution),
+    /// answers one of a request the node answered with the stored reply,
+    /// a [`MessageKind::Replay`], and otherwise bounces
+    /// [`MessageKind::NotHeld`], upon which `frame`, the bytes the call
+    /// was started with, goes out again in full and at once, under the
+    /// same correlation — once for all the bounces of probes sent before
+    /// it, which reached the peer ahead of it and so say nothing about it.
+    /// Whichever answer arrives first resolves the call, and a later one,
+    /// or a bounce behind it on the same link, is dropped. The frame is
+    /// never rebuilt. A dead or partitioned peer answers nothing, so it is
+    /// waited out exactly as before. An exchange whose frame went on the
+    /// wire once and was answered by the response, not a replay, is a
+    /// sample for `resend.rtos` however many probes it took: that answer
+    /// can only be to that frame, and a replay's round trip holds an RTO.
     ///
     /// # Errors
     ///
@@ -686,6 +688,7 @@ impl Endpoint {
                     }
                     break Ok(response);
                 }
+                Ok(Answer::Replay(response)) => break Ok(response),
                 Ok(Answer::NotHeld) if sends.probes > answered => {
                     answered = sends.probes;
                     let copy = frame.to_vec();
@@ -727,6 +730,8 @@ impl Endpoint {
     }
 
     /// Replies to a previously received [`MessageKind::Request`] envelope.
+    /// The fabric keeps a copy of `payload`, and answers a later probe or
+    /// copy of the request with it until the node's reply table forgets it.
     ///
     /// # Errors
     ///
@@ -737,6 +742,7 @@ impl Endpoint {
     /// Panics in debug builds when `request` is not a request envelope.
     pub fn reply(&self, request: &Envelope, payload: Vec<u8>) -> Result<(), NetError> {
         debug_assert!(request.kind == MessageKind::Request, "reply to non-request");
+        let stored = payload.clone();
         let sent = self.inner.submit(Envelope {
             src: self.node,
             dst: request.src,
@@ -744,13 +750,10 @@ impl Endpoint {
             correlation: request.correlation,
             payload,
         });
-        // From here on a probe is bounced and a copy is a new delivery,
-        // which is how the caller recovers when this reply is lost. Only
-        // from here: a bounce submitted before the reply would overtake
-        // it on the link and cost a needless copy.
-        self.serving
-            .lock()
-            .remove(&(request.src, request.correlation));
+        // Only now: a probe that finds the request still held is dropped
+        // rather than bringing a second copy of the reply ahead of it.
+        let call = (request.src, request.correlation);
+        self.replies.lock().reply(call, stored);
         sent
     }
 
@@ -1224,7 +1227,7 @@ mod tests {
     }
 
     #[test]
-    fn a_held_request_is_delivered_once_and_a_copy_after_the_reply_again() {
+    fn a_held_request_is_delivered_once_and_a_lost_reply_replayed() {
         let f = instant_fabric();
         let client = f.register(NodeId(0));
         let server = f.register(NodeId(1));
@@ -1243,33 +1246,91 @@ mod tests {
             server.reply(&req, b"done".to_vec()).unwrap();
             assert_eq!(waiting.join().unwrap(), (Ok(b"done".to_vec()), sends(1, 2)));
 
-            // The reply is lost: the probe that follows is bounced and
-            // the copy it brings is a new delivery, executed again.
+            // The reply is lost: the probe that follows finds it stored
+            // and is answered with it again — one frame and one probe
+            // out, the request executed once.
             let before = (client.stats(), server.stats());
             f.set_link_drop_probability(NodeId(1), NodeId(0), 1.0);
             let waiting = scope.spawn(|| ask(&client, b"again", &resend(&table, 500, 3)));
             let first = server.recv_timeout(Duration::from_secs(5)).unwrap();
             server.reply(&first, b"lost".to_vec()).unwrap();
             f.clear_link_drop_probability(NodeId(1), NodeId(0));
-            let copy = server.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(
-                (copy.correlation, &copy.payload),
-                (first.correlation, &first.payload)
-            );
-            server.reply(&copy, b"found".to_vec()).unwrap();
-            assert_eq!(
-                waiting.join().unwrap(),
-                (Ok(b"found".to_vec()), sends(2, 1))
-            );
-            assert!(server.try_recv().is_none(), "executed twice, not more");
+            assert_eq!(waiting.join().unwrap(), (Ok(b"lost".to_vec()), sends(1, 1)));
+            assert!(server.try_recv().is_none(), "executed once");
             let sent = client.stats().since(&before.0);
-            assert_eq!((sent.msgs_sent, sent.bytes_sent), (3, 2 * (5 + H) + H));
+            assert_eq!((sent.msgs_sent, sent.bytes_sent), (2, (5 + H) + H));
             let answered = server.stats().since(&before.1);
-            assert_eq!((answered.msgs_sent, answered.not_held_sent), (3, 1));
+            assert_eq!(
+                (
+                    answered.msgs_sent,
+                    answered.replayed_sent,
+                    answered.not_held_sent
+                ),
+                (2, 1, 0)
+            );
+            assert_eq!(answered.bytes_sent, 2 * (4 + H));
         });
         // One observation per exchange, the final outcome.
         assert_eq!(*seen.lock(), vec![(NodeId(1), true), (NodeId(1), true)]);
-        assert!(server.serving.lock().is_empty());
+        assert_eq!(f.stats().total_replayed, 1);
+    }
+
+    #[test]
+    fn a_replayed_answer_is_not_a_round_trip_sample() {
+        // It answers a probe, so its round trip includes a timeout.
+        let f = instant_fabric();
+        let client = f.register(NodeId(0));
+        let server = f.register(NodeId(1));
+        let table = warm_table();
+        let settled = table.rto("t", NodeId(1), Duration::from_secs(1));
+        f.set_link_drop_probability(NodeId(1), NodeId(0), 1.0);
+        std::thread::scope(|scope| {
+            let waiting = scope.spawn(|| ask(&client, b"ask", &resend(&table, 500, 3)));
+            let req = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            server.reply(&req, vec![7]).unwrap();
+            f.clear_link_drop_probability(NodeId(1), NodeId(0));
+            assert_eq!(waiting.join().unwrap(), (Ok(vec![7]), sends(1, 1)));
+        });
+        assert_eq!(server.stats().replayed_sent, 1);
+        assert_eq!(table.rto("t", NodeId(1), Duration::from_secs(1)), settled);
+    }
+
+    #[test]
+    fn a_reply_past_the_bound_is_forgotten_and_its_copy_executed_again() {
+        let f = instant_fabric();
+        let client = f.register(NodeId(0));
+        let server = f.register(NodeId(1));
+        let table = warm_table();
+        let answer = |reply: Vec<u8>| {
+            let req = server.recv_timeout(Duration::from_secs(5)).unwrap();
+            server.reply(&req, reply).unwrap();
+            req.payload
+        };
+        // The first reply is lost, and the caller's next
+        // `REPLIES_PER_CALLER` answers push it out of the table.
+        f.set_link_drop_probability(NodeId(1), NodeId(0), 1.0);
+        let first = client.call_start(NodeId(1), b"first").unwrap();
+        answer(b"lost".to_vec());
+        f.clear_link_drop_probability(NodeId(1), NodeId(0));
+        let _later: Vec<PendingCall> = (0..crate::replies::REPLIES_PER_CALLER)
+            .map(|_| {
+                let call = client.call_start(NodeId(1), b"later").unwrap();
+                answer(Vec::new());
+                call
+            })
+            .collect();
+        // So the probe is bounced, and the copy executed again.
+        std::thread::scope(|scope| {
+            let waiting =
+                scope.spawn(|| client.call_wait(first, b"first", &resend(&table, 500, 3)));
+            assert_eq!(answer(b"again".to_vec()), b"first");
+            assert_eq!(
+                waiting.join().unwrap(),
+                (Ok(b"again".to_vec()), sends(2, 1))
+            );
+        });
+        let wire = f.stats();
+        assert_eq!((wire.total_not_held, wire.total_replayed), (1, 0));
     }
 
     #[test]
@@ -1299,10 +1360,17 @@ mod tests {
         assert!(started.elapsed() < Duration::from_millis(500));
         // The server was handed each request once and still holds both;
         // a restarted node holds nothing.
-        assert_eq!(server.serving.lock().len(), 2);
+        let handed: Vec<_> = std::iter::from_fn(|| server.try_recv())
+            .map(|request| (request.src, request.correlation))
+            .collect();
+        let seen = |call| server.replies.lock().probe(call);
+        assert_eq!(handed.len(), 2);
+        assert!(handed
+            .iter()
+            .all(|&call| matches!(seen(call), Some(Seen::Held))));
         f.crash(NodeId(1));
         f.restart(NodeId(1));
-        assert!(server.serving.lock().is_empty());
+        assert!(handed.iter().all(|&call| seen(call).is_none()));
     }
 
     #[test]
@@ -1381,10 +1449,10 @@ mod tests {
     }
 
     #[test]
-    fn a_bounce_queued_behind_the_answer_is_ignored() {
+    fn a_replay_queued_behind_the_answer_is_ignored() {
         // 30 ms each way: the probe sent at ≈ 20 ms reaches the server at
-        // 50, after it answered at 30, and is bounced; the answer arrives
-        // at 60 and the bounce behind it at 80.
+        // 50, after it answered at 30, and is answered with the stored
+        // reply; the answer arrives at 60 and the replay behind it at 80.
         let f = Fabric::new(slow_link());
         let client = f.register(NodeId(0));
         let server = f.register(NodeId(1));
@@ -1399,11 +1467,11 @@ mod tests {
         let (answer, sent) = ask(&client, b"ask", &resend(&table, 500, 2));
         assert_eq!((answer, sent), (Ok(vec![1]), sends(1, 1)));
         assert_eq!(client.pending.lock().len(), 0);
-        // The bounce lands while the next call waits, and leaves it be.
+        // The replay lands while the next call waits, and leaves it be.
         let next = client.call(NodeId(1), b"next".to_vec(), Duration::from_secs(5));
         assert_eq!(next, Ok(vec![2]));
         let server = server_thread.join().unwrap();
-        assert_eq!(server.stats().not_held_sent, 1);
+        assert_eq!(server.stats().replayed_sent, 1);
         assert_eq!(client.stats().msgs_received, 3);
     }
 

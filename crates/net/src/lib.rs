@@ -39,6 +39,7 @@ mod envelope;
 mod error;
 mod fabric;
 mod link;
+mod replies;
 mod rto;
 mod stats;
 

@@ -18,6 +18,7 @@ pub struct NodeCounters {
     pub(crate) probes_sent: AtomicU64,
     pub(crate) not_held_sent: AtomicU64,
     pub(crate) held_dropped: AtomicU64,
+    pub(crate) replayed_sent: AtomicU64,
 }
 
 /// A point-in-time snapshot of one node's traffic counters.
@@ -43,6 +44,8 @@ pub struct NodeStats {
     /// Request copies and probes delivered to this node while it still
     /// held the request, and dropped there (part of `msgs_received`).
     pub held_dropped: u64,
+    /// Stored replies sent again to probes and copies (part of `msgs_sent`).
+    pub replayed_sent: u64,
 }
 
 impl NodeStats {
@@ -59,6 +62,7 @@ impl NodeStats {
             probes_sent: self.probes_sent.saturating_sub(earlier.probes_sent),
             not_held_sent: self.not_held_sent.saturating_sub(earlier.not_held_sent),
             held_dropped: self.held_dropped.saturating_sub(earlier.held_dropped),
+            replayed_sent: self.replayed_sent.saturating_sub(earlier.replayed_sent),
         }
     }
 }
@@ -74,6 +78,7 @@ impl NodeCounters {
             probes_sent: self.probes_sent.load(Ordering::Relaxed),
             not_held_sent: self.not_held_sent.load(Ordering::Relaxed),
             held_dropped: self.held_dropped.load(Ordering::Relaxed),
+            replayed_sent: self.replayed_sent.load(Ordering::Relaxed),
         }
     }
 }
@@ -94,6 +99,8 @@ pub struct FabricStats {
     /// Request copies and probes dropped at delivery because their
     /// destination still held the request.
     pub total_held_dropped: u64,
+    /// Stored replies sent again to probes and copies (part of `total_msgs`).
+    pub total_replayed: u64,
     /// Largest single response frame (payload + envelope overhead) any
     /// node has sent — the high-water mark the paged-streaming protocol
     /// bounds. A high-water, not a counter: [`since`](Self::since)
@@ -122,6 +129,7 @@ impl FabricStats {
             total_probes: self.total_probes - earlier.total_probes,
             total_not_held: self.total_not_held - earlier.total_not_held,
             total_held_dropped: self.total_held_dropped - earlier.total_held_dropped,
+            total_replayed: self.total_replayed - earlier.total_replayed,
             max_response_bytes: self.max_response_bytes,
             per_node,
         }
@@ -137,6 +145,7 @@ pub(crate) struct StatsRegistry {
     pub(crate) total_probes: AtomicU64,
     pub(crate) total_not_held: AtomicU64,
     pub(crate) total_held_dropped: AtomicU64,
+    pub(crate) total_replayed: AtomicU64,
     pub(crate) max_response_bytes: AtomicU64,
     pub(crate) nodes: RwLock<HashMap<NodeId, std::sync::Arc<NodeCounters>>>,
 }
@@ -150,6 +159,7 @@ impl StatsRegistry {
             total_probes: self.total_probes.load(Ordering::Relaxed),
             total_not_held: self.total_not_held.load(Ordering::Relaxed),
             total_held_dropped: self.total_held_dropped.load(Ordering::Relaxed),
+            total_replayed: self.total_replayed.load(Ordering::Relaxed),
             max_response_bytes: self.max_response_bytes.load(Ordering::Relaxed),
             per_node: self
                 .nodes
@@ -180,12 +190,21 @@ mod tests {
             probes_sent: 3,
             not_held_sent: 1,
             held_dropped: 2,
+            replayed_sent: 4,
             ..Default::default()
         };
         let d = b.since(&a);
         assert_eq!(d.msgs_sent, 5);
         assert_eq!(d.bytes_sent, 250);
-        assert_eq!((d.probes_sent, d.not_held_sent, d.held_dropped), (2, 1, 0));
+        assert_eq!(
+            (
+                d.probes_sent,
+                d.not_held_sent,
+                d.held_dropped,
+                d.replayed_sent
+            ),
+            (2, 1, 0, 4)
+        );
         // Saturating: a mismatched baseline does not underflow.
         assert_eq!(a.since(&b).msgs_sent, 0);
     }
@@ -212,13 +231,19 @@ mod tests {
         b.total_probes = 7;
         b.total_not_held = 3;
         b.total_held_dropped = 4;
+        b.total_replayed = 2;
         b.per_node.get_mut(&NodeId(1)).unwrap().msgs_sent = 9;
         let d = b.since(&a);
         assert_eq!(d.total_msgs, 15);
         assert_eq!(d.total_bytes, 1500);
         assert_eq!(
-            (d.total_probes, d.total_not_held, d.total_held_dropped),
-            (5, 3, 3)
+            (
+                d.total_probes,
+                d.total_not_held,
+                d.total_held_dropped,
+                d.total_replayed
+            ),
+            (5, 3, 3, 2)
         );
         assert_eq!(d.per_node[&NodeId(1)].msgs_sent, 5);
     }

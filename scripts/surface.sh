@@ -4,8 +4,8 @@
 # facades, the size of crates/core/src and of the five files the gate names,
 # the coordinator's cutover sites, the worker calls made outside the one
 # scatter loop, the message layouts still written by hand, the worker's
-# replica maps and read evaluators, and the options and size of the figure
-# harness (crates/bench).
+# replica maps, answer memories and read evaluators, and the options and
+# size of the figure harness (crates/bench).
 # Usage: scripts/surface.sh            print "name value" lines
 #        scripts/surface.sh --check    also fail when a value exceeds its
 #                                      ceiling in scripts/surface.ceilings
@@ -72,6 +72,9 @@ surface() {
     # Maps of replica state keyed by primary: one, of `ReplicaLog`s. A second
     # is a parallel structure some call site must keep in step by hand.
     echo "worker_replica_maps $(count_non_test '^ +replica[a-z_]*: HashMap<NodeId, ')"
+    # Lines naming a worker-side memory of answered requests: none. Whether
+    # a request already ran is decided once, by the transport's reply table.
+    echo "worker_seq_memories $(count_non_test 'SeqMemory')"
     # Call sites of the Range pushdown tail (limit, projection): the plain
     # and the class-filtered arm of `execute_read`. More means a second
     # function evaluates reads.

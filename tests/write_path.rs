@@ -6,8 +6,9 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Duration as StdDuration;
 
-use stcam::{Cluster, ClusterConfig, OpPolicy, OpStats, QueryOpts, RangeOp, StcamError};
+use stcam::{Cluster, ClusterConfig, OpPolicy, OpStats, QueryOpts, RangeOp, Response, StcamError};
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
+use stcam_codec::encode_to_vec;
 use stcam_geo::{BBox, Point, TimeInterval, Timestamp};
 use stcam_net::{LinkModel, NodeId, WIRE_OVERHEAD};
 use stcam_world::{EntityClass, EntityId};
@@ -103,7 +104,8 @@ fn write_account_closes_against_the_fabric() {
     // One wave per batch; one sub-query per owner group, and with four
     // alive workers at r = 1 one copy per group. On a clean link a retry
     // can only be a probe that a busy host's timeout sent ahead of a late
-    // answer: dropped or bounced behind that answer, never a copy.
+    // answer: dropped while the worker held the request, or answered
+    // with the stored `Ack` behind that answer — never a copy.
     for stats in [ingest, replicate] {
         assert_eq!(stats.invocations, 10);
         assert_eq!(stats.sub_queries, groups + stats.retries);
@@ -112,10 +114,15 @@ fn write_account_closes_against_the_fabric() {
     }
     assert_eq!(wire.total_probes, ingest.retries + replicate.retries);
     // Nothing else was on the wire, and nothing of it is unaccounted: the
-    // executor books frames and probes, the fabric the workers' bounces.
+    // executor books frames, probes and the answers it took, the fabric
+    // the workers' bounces and the replays that arrived after an answer.
     let booked = |s: OpStats| s.bytes_sent + s.bytes_received;
+    let replayed = encode_to_vec(&Response::Ack).len() as u64 + WIRE_OVERHEAD;
     assert_eq!(
-        booked(ingest) + booked(replicate) + WIRE_OVERHEAD * wire.total_not_held,
+        booked(ingest)
+            + booked(replicate)
+            + WIRE_OVERHEAD * wire.total_not_held
+            + replayed * wire.total_replayed,
         wire.total_bytes
     );
     assert_eq!(ingestor.pending(), 0);
