@@ -329,12 +329,12 @@ fn main() {
             sealed / base,
         );
     }
-    // Deep materialising range pays full block decode for every
-    // matched row — the one decode-bound operation. Guarded against
-    // regression at a documented looser bound.
+    // Deep materialising range, the one decode-bound operation: 1.25 ×
+    // the ×4.06 it measured with its scan split over two threads; a serial
+    // scan measured ×3.9–6.8 (median ×5.8) and fails this in most runs.
     assert!(
-        range_ratio <= 6.0,
-        "sealed deep-range latency ×{range_ratio:.2} the all-mutable baseline (gate: 6×)"
+        range_ratio <= 5.1,
+        "sealed deep-range latency ×{range_ratio:.2} the all-mutable baseline (gate: 5.1×)"
     );
-    println!(", recent/count/knn/heatmap ratios ≤ 2.0, deep range ×{range_ratio:.2} ≤ 6.0 — ok");
+    println!(", recent/count/knn/heatmap ratios ≤ 2.0, deep range ×{range_ratio:.2} ≤ 5.1 — ok");
 }

@@ -107,7 +107,9 @@ const INTEREST_GRID_SIDE: u32 = 16;
 /// A cell/class-bucketed index of continuous-query registrations.
 ///
 /// Each registration is inserted into the buckets of every coarse grid
-/// cell its region overlaps, keyed by its class filter (or
+/// cell a matching observation can clamp to (its region's cells clamped
+/// into the extent, so a region outside the extent lands in the border
+/// cells), keyed by its class filter (or
 /// "any class"). Matching an observation consults exactly two buckets —
 /// `(cell, class)` and `(cell, any)` — then applies the exact
 /// [`Predicate`] to the candidates, so the cost per observation scales
@@ -122,10 +124,6 @@ pub struct InterestIndex {
     grid: GridSpec,
     entries: HashMap<ContinuousQueryId, (Predicate, NodeId)>,
     buckets: HashMap<(u32, u8), Vec<ContinuousQueryId>>,
-    /// Registrations whose region misses the grid extent entirely.
-    /// They can still match observations clamped in from outside the
-    /// extent, so they are scanned linearly — a rare, degenerate case.
-    unbucketed: Vec<ContinuousQueryId>,
 }
 
 impl InterestIndex {
@@ -139,7 +137,6 @@ impl InterestIndex {
             grid: GridSpec::new(extent.min, cell, cols, rows),
             entries: HashMap::new(),
             buckets: HashMap::new(),
-            unbucketed: Vec::new(),
         }
     }
 
@@ -188,14 +185,9 @@ impl InterestIndex {
     pub fn insert(&mut self, id: ContinuousQueryId, predicate: Predicate, target: NodeId) {
         self.remove(id);
         let key = Self::class_key(&predicate);
-        let mut bucketed = false;
-        for cell in self.grid.cells_overlapping(predicate.region) {
-            bucketed = true;
+        for cell in self.grid.cells_clamped(predicate.region) {
             let idx = self.cell_index(cell.col, cell.row);
             self.buckets.entry((idx, key)).or_default().push(id);
-        }
-        if !bucketed {
-            self.unbucketed.push(id);
         }
         self.entries.insert(id, (predicate, target));
     }
@@ -206,7 +198,7 @@ impl InterestIndex {
             return;
         };
         let key = Self::class_key(&predicate);
-        for cell in self.grid.cells_overlapping(predicate.region) {
+        for cell in self.grid.cells_clamped(predicate.region) {
             let idx = self.cell_index(cell.col, cell.row);
             if let Some(ids) = self.buckets.get_mut(&(idx, key)) {
                 ids.retain(|&q| q != id);
@@ -215,14 +207,12 @@ impl InterestIndex {
                 }
             }
         }
-        self.unbucketed.retain(|&q| q != id);
     }
 
     /// Drops every registration (rejoin resets).
     pub fn clear(&mut self) {
         self.entries.clear();
         self.buckets.clear();
-        self.unbucketed.clear();
     }
 
     /// Matches a whole ingest batch: for each standing query with at
@@ -247,12 +237,6 @@ impl InterestIndex {
                     if predicate.matches(obs) {
                         hits.entry(id).or_default().push(obs.clone());
                     }
-                }
-            }
-            for &id in &self.unbucketed {
-                let (predicate, _) = &self.entries[&id];
-                if predicate.matches(obs) {
-                    hits.entry(id).or_default().push(obs.clone());
                 }
             }
         }
@@ -403,17 +387,16 @@ mod tests {
 
     #[test]
     fn interest_index_catches_out_of_extent_registrations() {
-        // A predicate entirely outside the worker extent never overlaps a
-        // grid cell, but observations outside the extent clamp to edge
-        // cells — the unbucketed fallback must keep parity with a linear
-        // scan.
+        // A predicate entirely outside the worker extent overlaps no grid
+        // cell, but observations outside the extent clamp to border cells:
+        // it is bucketed in the cells its region clamps to.
         let mut index = InterestIndex::new(extent());
         let outside = Predicate {
             region: BBox::new(Point::new(2000.0, 2000.0), Point::new(2100.0, 2100.0)),
             class: None,
         };
         index.insert(ContinuousQueryId(9), outside, NodeId(3));
-        assert_eq!(index.bucket_count(), 0);
+        assert_eq!(index.bucket_count(), 1);
         let hits = index.matching(&[obs(2050.0, 2050.0, EntityClass::Car)]);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].0, ContinuousQueryId(9));

@@ -240,10 +240,13 @@ impl PartitionMap {
         self.workers[self.assignment[cell as usize] as usize]
     }
 
-    /// The distinct workers whose shards overlap `region`, in ring order.
+    /// The distinct workers whose shards can hold a row inside `region`,
+    /// in ring order: the owners of its cells clamped into the extent, so
+    /// a region outside the extent asks the owners of the border cells
+    /// its rows are routed to.
     pub fn workers_for_region(&self, region: BBox) -> Vec<NodeId> {
         let mut present = vec![false; self.workers.len()];
-        for cell in self.grid.cells_overlapping(region) {
+        for cell in self.grid.cells_clamped(region) {
             let slot = cell.row as usize * self.grid.cols() as usize + cell.col as usize;
             present[self.assignment[slot] as usize] = true;
         }

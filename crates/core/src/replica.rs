@@ -19,15 +19,15 @@ use std::collections::HashSet;
 
 use stcam_camnet::{Observation, ObservationId};
 use stcam_geo::{BBox, Duration, GridSpec, Point, TimeInterval, Timestamp};
-use stcam_index::{slice_number, ReadView};
+use stcam_index::{slice_number, sort_by_id, ReadView};
 
 use crate::repair::DigestAccumulator;
 
 /// The scans a shard read is evaluated over, with [`ReadView`]'s
 /// signatures and contracts: `range` returns every row inside `region` ×
-/// `window`; `knn` the `k` rows of `window` nearest `at`, by (distance,
-/// id); `heatmap` dense row-major counts per cell of `buckets`, skipping
-/// rows outside the bucket grid.
+/// `window`, sorted by id; `knn` the `k` rows of `window` nearest `at`,
+/// by (distance, id); `heatmap` dense row-major counts per cell of
+/// `buckets`, skipping rows outside the bucket grid.
 pub(crate) trait RowSource {
     fn range(&self, region: BBox, window: TimeInterval) -> Vec<Observation>;
     fn knn(&self, at: Point, window: TimeInterval, k: usize) -> Vec<Observation>;
@@ -117,7 +117,9 @@ impl ReplicaLog {
 impl RowSource for ReplicaLog {
     fn range(&self, region: BBox, window: TimeInterval) -> Vec<Observation> {
         let hit = |o: &&Observation| region.contains(o.position) && window.contains(o.time);
-        self.rows.iter().filter(hit).cloned().collect()
+        let mut hits: Vec<Observation> = self.rows.iter().filter(hit).cloned().collect();
+        sort_by_id(&mut hits);
+        hits
     }
 
     fn knn(&self, at: Point, window: TimeInterval, k: usize) -> Vec<Observation> {

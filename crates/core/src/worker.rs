@@ -178,14 +178,14 @@ fn reply_paged(endpoint: &Endpoint, shared: &ReadShared, envelope: &Envelope, re
     let _ = endpoint.reply(envelope, frame);
 }
 
-/// Applies the `Range`-family pushdown tail to a result row set: the
-/// per-shard `limit` cutoff (lowest observation ids first, matching the
-/// client's global merge-and-truncate) and the column projection
-/// (blanking the signature and truth columns lets the batch codec elide
-/// the signature bytes from the frame).
+/// Applies the `Range`-family pushdown tail to an id-sorted result row
+/// set (every [`RowSource::range`] answers sorted): the per-shard `limit`
+/// cutoff (lowest observation ids first, matching the client's global
+/// merge-and-truncate) and the column projection (blanking the signature
+/// and truth columns lets the batch codec elide the signature bytes from
+/// the frame).
 fn finish_rows(mut rows: Vec<Observation>, limit: u32, projection: u8) -> Vec<Observation> {
-    if limit != 0 && rows.len() > limit as usize {
-        rows.sort_unstable_by_key(|o| o.id);
+    if limit != 0 {
         rows.truncate(limit as usize);
     }
     if projection == PROJ_THIN {
@@ -1608,16 +1608,6 @@ mod tests {
             Response::CellCounts(cells) => cells.iter().map(|c| c.1 as usize).sum(),
             _ => 0,
         };
-        // The client's merge sorts a range by id; the log keeps arrival
-        // order. kNN answers are ordered by the worker either way.
-        let merged = |mut response: Response, inner: &Request| {
-            if let (Response::Observations(v), false) =
-                (&mut response, matches!(inner, Request::Knn { .. }))
-            {
-                v.sort_by_key(|o| o.id);
-            }
-            response
-        };
         let replica_read = |of, inner: &Request| Request::ReplicaRead {
             of,
             inner: Box::new(inner.clone()),
@@ -1626,9 +1616,9 @@ mod tests {
             let want = reference_answer(&rows, inner);
             assert!(size(&want) >= *at_least, "{name} is vacuous");
             let direct = primary.handle_request(inner.clone());
-            assert_eq!(merged(direct, inner), want, "{name}, primary");
+            assert_eq!(direct, want, "{name}, primary");
             let failover = holder.handle_request(replica_read(NodeId(7), inner));
-            assert_eq!(merged(failover, inner), want, "{name}, replica");
+            assert_eq!(failover, want, "{name}, replica");
             // A primary nothing is held for reads as an empty shard, not
             // as an error.
             let unknown = holder.handle_request(replica_read(NodeId(42), inner));

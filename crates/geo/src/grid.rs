@@ -220,6 +220,29 @@ impl GridSpec {
         }
     }
 
+    /// Iterates over the cells that can hold a point of `query` under
+    /// [`cell_of_clamped`](Self::cell_of_clamped): the cells of `query`
+    /// clamped into the extent. Equals
+    /// [`cells_overlapping`](Self::cells_overlapping) when `query`
+    /// intersects the extent; a query wholly outside it yields the border
+    /// cells its points clamp to instead of nothing. Empty only for an
+    /// empty query.
+    pub fn cells_clamped(&self, query: BBox) -> CellIter {
+        if query.is_empty() {
+            return CellIter::empty();
+        }
+        // `cell_of_clamped` is monotone in each coordinate, so every
+        // point of `query` lands between the cells of its two corners.
+        let c0 = self.cell_of_clamped(query.min);
+        let c1 = self.cell_of_clamped(query.max);
+        CellIter {
+            col0: c0.col,
+            col1: c1.col,
+            row1: c1.row,
+            next: Some(c0),
+        }
+    }
+
     /// Iterates over every cell of the grid in row-major order.
     pub fn all_cells(&self) -> CellIter {
         CellIter {
@@ -400,6 +423,32 @@ mod tests {
                 .count(),
             48
         );
+    }
+
+    #[test]
+    fn clamped_cells_hold_every_point_of_the_query() {
+        let g = grid();
+        // Inside or crossing the extent: the same cells as overlapping.
+        for q in [
+            BBox::new(Point::new(11.0, 11.0), Point::new(29.0, 19.0)),
+            BBox::new(Point::new(-5.0, -5.0), Point::new(500.0, 500.0)),
+            BBox::new(Point::new(70.0, 20.0), Point::new(90.0, 30.0)),
+        ] {
+            let clamped: Vec<_> = g.cells_clamped(q).collect();
+            assert_eq!(clamped, g.cells_overlapping(q).collect::<Vec<_>>());
+        }
+        // Wholly west of the extent: the west border cells of its rows.
+        let west = BBox::new(Point::new(-30.0, 12.0), Point::new(-10.0, 25.0));
+        assert_eq!(g.cells_overlapping(west).count(), 0);
+        let cells: Vec<_> = g.cells_clamped(west).collect();
+        assert_eq!(cells, vec![CellId::new(0, 1), CellId::new(0, 2)]);
+        // Off a corner: the corner cell.
+        let corner = BBox::new(Point::new(200.0, 200.0), Point::new(210.0, 210.0));
+        assert_eq!(
+            g.cells_clamped(corner).collect::<Vec<_>>(),
+            vec![CellId::new(7, 5)]
+        );
+        assert_eq!(g.cells_clamped(BBox::EMPTY).count(), 0);
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl FlatIndex {
             .iter()
             .filter(|o| window.contains(o.time) && region.contains(o.position))
             .collect();
-        out.sort_by_key(|o| o.id);
+        crate::sort_by_id(&mut out);
         out
     }
 

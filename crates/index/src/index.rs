@@ -1,12 +1,12 @@
 //! The tiered time-sliced grid index: mutable head + sealed archive.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use stcam_camnet::Observation;
 use stcam_codec::SegmentFrame;
-use stcam_geo::{BBox, CellId, Duration, GridSpec, Point, TimeInterval, Timestamp};
+use stcam_geo::{BBox, Duration, GridSpec, Point, TimeInterval, Timestamp};
 
 use crate::segment::{ScanScratch, SealedSegment, SegmentDigest};
 use crate::slice::{slice_number, Slice};
@@ -323,7 +323,7 @@ impl StIndex {
         for (_, slice) in self.head.range(lo..=hi) {
             total += slice.count_cells(
                 &self.grid,
-                self.grid.cells_overlapping(region),
+                self.grid.cells_clamped(region),
                 &region,
                 &window,
             );
@@ -331,7 +331,7 @@ impl StIndex {
         let cells = view::packed_cells(&self.grid, &region);
         let mut scratch = ScanScratch::default();
         for segment in self.sealed.overlapping(lo, hi) {
-            total += segment.count_cells(&self.grid, &cells, Some(&region), &window, &mut scratch);
+            total += segment.count_cells(&self.grid, &cells, &region, &window, &mut scratch);
         }
         total
     }
@@ -398,27 +398,6 @@ impl StIndex {
         self.len -= self.sealed.evict_before(cutoff);
     }
 
-    /// Candidate cells for a removal/extraction region: every cell the
-    /// clipped region overlaps, plus — when the region pokes outside the
-    /// extent — the border cells, which hold clamped observations whose
-    /// true position may lie inside `region`.
-    fn extraction_cells(&self, region: &BBox) -> Vec<CellId> {
-        let mut cells: Vec<CellId> = self.grid.cells_overlapping(*region).collect();
-        if !self.grid.extent().contains_bbox(region) {
-            let have: HashSet<(u32, u32)> = cells.iter().map(|c| (c.col, c.row)).collect();
-            for c in self.grid.all_cells() {
-                let border = c.col == 0
-                    || c.row == 0
-                    || c.col == self.grid.cols() - 1
-                    || c.row == self.grid.rows() - 1;
-                if border && !have.contains(&(c.col, c.row)) {
-                    cells.push(c);
-                }
-            }
-        }
-        cells
-    }
-
     /// Removes and returns every observation whose position lies inside
     /// `region` (all retained time). Used for shard migration during
     /// online rebalancing: the old owner extracts the moving cells'
@@ -432,18 +411,17 @@ impl StIndex {
     /// [`range`](Self::range) semantics.
     pub fn extract_range(&mut self, region: BBox) -> Vec<Observation> {
         let mut out = Vec::new();
-        let cells = self.extraction_cells(&region);
         for slice in self.head.values_mut() {
             Arc::make_mut(slice).extract_cells(
                 &self.grid,
-                cells.iter().copied(),
+                self.grid.cells_clamped(region),
                 &region,
                 &mut out,
             );
         }
         self.sealed.extract_region(&self.grid, &region, &mut out);
         self.len -= out.len();
-        out.sort_by_key(|o| o.id);
+        view::sort_by_id(&mut out);
         out
     }
 
@@ -500,17 +478,16 @@ impl StIndex {
             frames.push(sub.to_frame());
         }
         let mut head_rows = Vec::new();
-        let cells = self.extraction_cells(&region);
         for slice in self.head.values() {
             slice.scan_cells(
                 &self.grid,
-                cells.iter().copied(),
+                self.grid.cells_clamped(region),
                 &region,
                 &TimeInterval::ALL,
                 &mut head_rows,
             );
         }
-        head_rows.sort_by_key(|o| o.id);
+        view::sort_by_id(&mut head_rows);
         (frames, head_rows)
     }
 

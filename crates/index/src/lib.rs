@@ -71,4 +71,4 @@ pub use flat::FlatIndex;
 pub use index::{IndexConfig, IndexStats, StIndex, DEFAULT_HEAD_SLICES};
 pub use segment::{cell_scope, observation_checksum, SealedSegment, SegmentDigest};
 pub use slice::slice_number;
-pub use view::ReadView;
+pub use view::{sort_by_id, ReadView, SPLIT_SCAN_ROWS};

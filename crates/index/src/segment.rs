@@ -286,21 +286,63 @@ impl SealedSegment {
         }
     }
 
-    /// Directory indices of the blocks for `cells` (sorted packed cells),
-    /// grouped into runs of adjacent directory entries so spilled reads
-    /// coalesce.
-    fn block_runs(&self, cells: &[u32]) -> Vec<(usize, usize)> {
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        for &cell in cells {
-            if let Ok(i) = self.directory.binary_search_by_key(&cell, |b| b.cell) {
-                match runs.last_mut() {
-                    Some((_, last)) if *last + 1 == i => *last = i,
-                    Some((_, last)) if *last == i => {}
-                    _ => runs.push((i, i)),
-                }
+    /// Hands `emit` the directory indices `(first, last)` of the blocks
+    /// for `cells` (ascending packed cells, duplicates allowed), grouped
+    /// into runs of adjacent directory entries so spilled reads coalesce.
+    ///
+    /// The cells of a box are row-major bands of consecutive packed cells,
+    /// so the directory is searched once per band, not once per cell: the
+    /// band's first block is found by a gallop from the previous band's
+    /// end and a `partition_point`, and the blocks of the rest of the band
+    /// follow it.
+    pub(crate) fn block_runs(&self, cells: &[u32], mut emit: impl FnMut(usize, usize)) {
+        let mut run: Option<(usize, usize)> = None;
+        let mut rest = cells;
+        // Every block before `floor` lies before the next band.
+        let mut floor = 0;
+        while let Some(&lo) = rest.first() {
+            let mut len = 1;
+            while len < rest.len() && rest[len] <= rest[len - 1] + 1 {
+                len += 1;
             }
+            let hi = rest[len - 1];
+            rest = &rest[len..];
+            // Gallop from `floor`, then search the last stride: the next
+            // band's blocks are usually a grid row on, a few cache lines
+            // away, where a search of the whole directory would touch a
+            // dozen lines spread over it.
+            let (mut probe, mut stride) = (floor, 1);
+            while probe < self.directory.len() && self.directory[probe].cell < lo {
+                floor = probe + 1;
+                probe += stride;
+                stride *= 2;
+            }
+            let end = probe.min(self.directory.len());
+            let mut i = floor + self.directory[floor..end].partition_point(|b| b.cell < lo);
+            while i < self.directory.len() && self.directory[i].cell <= hi {
+                match &mut run {
+                    Some((_, last)) if *last + 1 == i => *last = i,
+                    _ => {
+                        if let Some((first, last)) = run.replace((i, i)) {
+                            emit(first, last);
+                        }
+                    }
+                }
+                i += 1;
+            }
+            floor = i;
         }
-        runs
+        if let Some((first, last)) = run {
+            emit(first, last);
+        }
+    }
+
+    /// Rows stored in directory entries `first..=last`, from the footer.
+    pub(crate) fn rows_in(&self, first: usize, last: usize) -> usize {
+        self.directory[first..=last]
+            .iter()
+            .map(|b| b.count as usize)
+            .sum()
     }
 
     /// Whether every row of block `i` matches `region`/`window` without
@@ -310,64 +352,60 @@ impl SealedSegment {
         &self,
         grid: &GridSpec,
         i: usize,
-        region: Option<&BBox>,
+        region: &BBox,
         window: &TimeInterval,
     ) -> bool {
         let covers_time = window.contains(self.window.start()) && window.end() >= self.window.end();
-        covers_time
-            && match region {
-                None => true,
-                Some(r) => r.contains_bbox(&cell_scope(grid, self.directory[i].cell)),
-            }
+        covers_time && region.contains_bbox(&cell_scope(grid, self.directory[i].cell))
     }
 
-    /// Appends every stored observation matching `region` (when given)
-    /// and `window` within `cells` (sorted packed cells) to `out`.
-    /// Blocks that provably match whole are decoded straight into `out`;
-    /// partial blocks decode into `scratch` and filter per row.
-    pub(crate) fn scan_cells(
+    /// Appends every stored observation of directory entries
+    /// `first..=last` (a run from [`block_runs`](Self::block_runs))
+    /// matching `region` and `window` to `out`. Blocks that provably
+    /// match whole are decoded straight into `out`; partial blocks filter
+    /// per row as they decode.
+    pub(crate) fn scan_run(
         &self,
         grid: &GridSpec,
-        cells: &[u32],
-        region: Option<&BBox>,
+        (first, last): (usize, usize),
+        region: &BBox,
         window: &TimeInterval,
         out: &mut Vec<Observation>,
         scratch: &mut ScanScratch,
     ) {
-        for (first, last) in self.block_runs(cells) {
-            let base = self.directory[first].offset as usize;
-            let bytes = self.run_bytes(first, last, &mut scratch.bytes);
-            for i in first..=last {
-                let block = self.directory[i];
-                let mut slice = &bytes
-                    [block.offset as usize - base..(block.offset + block.len) as usize - base];
-                if self.block_fully_matches(grid, i, region, window) {
-                    decode_batch_into(&mut slice, out).expect("sealed block decodes");
-                } else {
-                    decode_batch_filtered(
-                        &mut slice,
-                        |t, p| window.contains(t) && region.is_none_or(|r| r.contains(p)),
-                        out,
-                    )
-                    .expect("sealed block decodes");
-                }
+        let base = self.directory[first].offset as usize;
+        let bytes = self.run_bytes(first, last, &mut scratch.bytes);
+        for i in first..=last {
+            let block = self.directory[i];
+            let mut slice =
+                &bytes[block.offset as usize - base..(block.offset + block.len) as usize - base];
+            if self.block_fully_matches(grid, i, region, window) {
+                decode_batch_into(&mut slice, out).expect("sealed block decodes");
+            } else {
+                decode_batch_filtered(
+                    &mut slice,
+                    |t, p| window.contains(t) && region.contains(p),
+                    out,
+                )
+                .expect("sealed block decodes");
             }
         }
     }
 
-    /// Counts matches like [`scan_cells`](Self::scan_cells) without
-    /// materialising them: fully-covered blocks contribute their footer
-    /// count with no decode; only partial blocks decode (into `scratch`).
+    /// Counts the matches of `region` and `window` within `cells`
+    /// (ascending packed cells) without materialising them:
+    /// fully-covered blocks contribute their footer count with no decode;
+    /// only partial blocks are key-scanned (reading into `scratch`).
     pub(crate) fn count_cells(
         &self,
         grid: &GridSpec,
         cells: &[u32],
-        region: Option<&BBox>,
+        region: &BBox,
         window: &TimeInterval,
         scratch: &mut ScanScratch,
     ) -> usize {
         let mut total = 0usize;
-        for (first, last) in self.block_runs(cells) {
+        self.block_runs(cells, |first, last| {
             // Footer pass: covered blocks contribute their count with no
             // read; the rest group into sub-runs so reads touch only them.
             let mut subruns: Vec<(usize, usize)> = Vec::new();
@@ -390,7 +428,7 @@ impl SealedSegment {
                         [block.offset as usize - base..(block.offset + block.len) as usize - base];
                     let mut matched = 0;
                     scan_batch_keys(&mut slice, |t, p| {
-                        if window.contains(t) && region.is_none_or(|r| r.contains(p)) {
+                        if window.contains(t) && region.contains(p) {
                             matched += 1;
                         }
                     })
@@ -398,7 +436,7 @@ impl SealedSegment {
                     total += matched;
                 }
             }
-        }
+        });
         total
     }
 
@@ -763,5 +801,92 @@ impl SegmentBuilder {
             data: SegmentData::Resident(self.payload),
             memo: HeatmapMemo::default(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A segment whose directory lists `cells` (ascending, distinct) and
+    /// nothing else: `block_runs` reads only the directory.
+    fn directory_of(cells: &[u32]) -> SealedSegment {
+        let directory = (0u32..)
+            .zip(cells)
+            .map(|(i, &cell)| SegmentBlock {
+                cell,
+                offset: i,
+                len: 1,
+                count: 1,
+                checksum: 0,
+            })
+            .collect();
+        SealedSegment {
+            number: 0,
+            window: TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(10)),
+            count: cells.len() as u64,
+            checksum: 0,
+            directory,
+            data: SegmentData::Resident(Vec::new()),
+            memo: HeatmapMemo::default(),
+        }
+    }
+
+    /// The lookup `block_runs` replaced: one binary search per cell.
+    fn per_cell_runs(segment: &SealedSegment, cells: &[u32]) -> Vec<(usize, usize)> {
+        let mut runs: Vec<(usize, usize)> = Vec::new();
+        for &cell in cells {
+            if let Ok(i) = segment.directory.binary_search_by_key(&cell, |b| b.cell) {
+                match runs.last_mut() {
+                    Some((_, last)) if *last + 1 == i => *last = i,
+                    Some((_, last)) if *last == i => {}
+                    _ => runs.push((i, i)),
+                }
+            }
+        }
+        runs
+    }
+
+    fn band_runs(segment: &SealedSegment, cells: &[u32]) -> Vec<(usize, usize)> {
+        let mut runs = Vec::new();
+        segment.block_runs(cells, |first, last| runs.push((first, last)));
+        runs
+    }
+
+    #[test]
+    fn band_lookup_corner_cases() {
+        let empty = directory_of(&[]);
+        assert!(band_runs(&empty, &[0, 1, 2]).is_empty());
+        let segment = directory_of(&[2, 3, 7, 8, 9, 20]);
+        assert!(band_runs(&segment, &[]).is_empty());
+        // Past the last block, and a single cell.
+        assert!(band_runs(&segment, &[21, 22, 40]).is_empty());
+        assert_eq!(band_runs(&segment, &[8]), vec![(3, 3)]);
+        // Duplicates, and two bands whose blocks are adjacent entries.
+        assert_eq!(band_runs(&segment, &[3, 3, 4, 7, 7]), vec![(1, 2)]);
+        assert_eq!(
+            band_runs(&segment, &[0, 1, 2, 5, 6, 9, 10]),
+            vec![(0, 0), (4, 4)]
+        );
+    }
+
+    proptest! {
+        /// One search per band of consecutive cells finds exactly the runs
+        /// one search per cell found, for any directory and any ascending
+        /// cell list, duplicates and cells past the last block included.
+        #[test]
+        fn band_lookup_matches_the_per_cell_search(
+            stored in prop::collection::vec(0u32..64, 0..40),
+            cells in prop::collection::vec(0u32..80, 0..48),
+        ) {
+            let mut stored = stored;
+            stored.sort_unstable();
+            stored.dedup();
+            let mut cells = cells;
+            cells.sort_unstable();
+            let segment = directory_of(&stored);
+            prop_assert_eq!(band_runs(&segment, &cells), per_cell_runs(&segment, &cells));
+        }
     }
 }

@@ -8,9 +8,10 @@
 //! control lane keeps mutating the live index (copy-on-write head —
 //! mutation clones the touched slice, never the snapshot's).
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
-use stcam_camnet::Observation;
+use stcam_camnet::{Observation, ObservationId};
 use stcam_geo::{BBox, Duration, GridSpec, Point, TimeInterval, Timestamp};
 
 use crate::segment::{ScanScratch, SealedSegment};
@@ -29,15 +30,104 @@ pub(crate) fn number_range(window: TimeInterval, slice_len: Duration) -> Option<
     Some((lo, slice_number(hi_ts, slice_len)))
 }
 
-/// Packed candidate cells for `region`, ascending (row-major).
+/// Packed candidate cells for `region`, ascending (row-major): every
+/// cell a row inside `region` can be stored in, clamped ones included.
 pub(crate) fn packed_cells(grid: &GridSpec, region: &BBox) -> Vec<u32> {
-    grid.cells_overlapping(*region)
+    grid.cells_clamped(*region)
         .map(|c| c.row * grid.cols() + c.col)
         .collect()
 }
 
+/// Sorts rows by id, keeping the input order of equal ids — the result
+/// of a stable `sort_by_key(|o| o.id)`, reached by moving each row once.
+///
+/// Returns at once when the rows are already sorted. Otherwise it sorts
+/// `(id, slot)` keys, where `slot` is the row's input position, and moves
+/// every row straight to its place along the cycles of that permutation:
+/// an `Observation` is 120 bytes, and a stable sort moves each of them
+/// many times. The rows are permuted in place because gathering them into
+/// a second buffer of the same size costs more than the sort (a fresh
+/// allocation of megabytes faults in every page).
+pub fn sort_by_id<T: Borrow<Observation> + Clone>(rows: &mut [T]) {
+    if rows.is_sorted_by_key(|o| o.borrow().id) {
+        return;
+    }
+    let mut keys: Vec<(ObservationId, u32)> = (0u32..)
+        .zip(rows.iter())
+        .map(|(slot, o)| (o.borrow().id, slot))
+        .collect();
+    keys.sort_unstable();
+    // `keys[at].1` is the slot of the row that belongs at `at`; a visited
+    // place is marked by pointing at itself.
+    for start in 0..rows.len() {
+        if keys[start].1 as usize == start {
+            continue;
+        }
+        let parked = rows[start].clone();
+        let mut at = start;
+        loop {
+            let from = std::mem::replace(&mut keys[at].1, at as u32) as usize;
+            if from == start {
+                rows[at] = parked;
+                break;
+            }
+            rows[at] = rows[from].clone();
+            at = from;
+        }
+    }
+}
+
+/// Sealed candidate rows (footer counts of the blocks a range selects)
+/// from which [`range_over`] scans the second half of them on a second
+/// thread. On a two-core x86-64 host a scoped thread's spawn and join
+/// cost 20–40 µs when a core is free, and the sealed scan 130–250 ns per
+/// candidate row, so from here (≥ 1 ms of scan) the spawn is under 5 % of
+/// the scan. A point read selects a few hundred rows and stays far below.
+pub const SPLIT_SCAN_ROWS: usize = 8_192;
+
+/// One directory run of one segment, as [`SealedSegment::block_runs`]
+/// finds it: the blocks `first..=last`.
+type Run<'a> = (&'a SealedSegment, (usize, usize));
+
+/// The directory runs `cells` (ascending packed cells) select in
+/// `segments`, in list order, and the rows their blocks hold — the
+/// footer's upper bound on what the sealed scan decodes.
+fn sealed_runs<'a>(segments: &[&'a SealedSegment], cells: &[u32]) -> (Vec<Run<'a>>, usize) {
+    let mut runs = Vec::new();
+    let mut rows = 0;
+    for &segment in segments {
+        segment.block_runs(cells, |first, last| {
+            rows += segment.rows_in(first, last);
+            runs.push((segment, (first, last)));
+        });
+    }
+    (runs, rows)
+}
+
+/// Scans `runs` in order into `out`.
+fn scan_runs(
+    grid: &GridSpec,
+    runs: &[Run<'_>],
+    region: &BBox,
+    window: &TimeInterval,
+    out: &mut Vec<Observation>,
+) {
+    let mut scratch = ScanScratch::default();
+    for &(segment, run) in runs {
+        segment.scan_run(grid, run, region, window, out, &mut scratch);
+    }
+}
+
 /// All observations with `region.contains(position)` and
 /// `window.contains(time)` across both tiers, sorted by id.
+///
+/// The footers are read first: every directory run the candidate cells
+/// select, segment by segment, and the rows those blocks hold. At
+/// [`SPLIT_SCAN_ROWS`] or more, the runs holding the second half of the
+/// rows are scanned on a scoped thread while this one scans the head and
+/// the first half. Either way the rows arrive in serial scan order (head
+/// slices, then segments in list order), so the key sort returns exactly
+/// the serial answer.
 pub(crate) fn range_over(
     grid: &GridSpec,
     slices: &[&Slice],
@@ -45,22 +135,37 @@ pub(crate) fn range_over(
     region: BBox,
     window: TimeInterval,
 ) -> Vec<Observation> {
-    let mut out = Vec::new();
+    let (runs, sealed_rows) = sealed_runs(segments, &packed_cells(grid, &region));
+    let mut out = Vec::with_capacity(sealed_rows);
     for slice in slices {
-        slice.scan_cells(
-            grid,
-            grid.cells_overlapping(region),
-            &region,
-            &window,
-            &mut out,
-        );
+        slice.scan_cells(grid, grid.cells_clamped(region), &region, &window, &mut out);
     }
-    let cells = packed_cells(grid, &region);
-    let mut scratch = ScanScratch::default();
-    for segment in segments {
-        segment.scan_cells(grid, &cells, Some(&region), &window, &mut out, &mut scratch);
+    if sealed_rows < SPLIT_SCAN_ROWS {
+        scan_runs(grid, &runs, &region, &window, &mut out);
+    } else {
+        let mut first_half = 0;
+        let split = runs
+            .iter()
+            .position(|&(segment, (first, last))| {
+                first_half += segment.rows_in(first, last);
+                2 * first_half >= sealed_rows
+            })
+            .map_or(runs.len(), |last| last + 1);
+        let (first, second) = runs.split_at(split);
+        let second_rows = std::thread::scope(|scope| {
+            let helper = scope.spawn(|| {
+                let mut rows = Vec::with_capacity(sealed_rows - first_half);
+                scan_runs(grid, second, &region, &window, &mut rows);
+                rows
+            });
+            scan_runs(grid, first, &region, &window, &mut out);
+            helper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        out.extend(second_rows);
     }
-    out.sort_by_key(|o| o.id);
+    sort_by_id(&mut out);
     out
 }
 
@@ -273,6 +378,44 @@ mod tests {
 
     fn window(a_ms: u64, b_ms: u64) -> TimeInterval {
         TimeInterval::new(Timestamp::from_millis(a_ms), Timestamp::from_millis(b_ms))
+    }
+
+    #[test]
+    fn a_stream_clean_point_read_never_splits() {
+        // One worker of four under the stbench stream: 100 m cells over an
+        // 8 km extent, 10 s slices, 250 rows/s uniform over its 4 km
+        // quadrant; a point read is a 200 m box over 60 s of the newest
+        // 120 s.
+        let extent = BBox::new(Point::new(0.0, 0.0), Point::new(8000.0, 8000.0));
+        let mut index = StIndex::new(IndexConfig::new(extent, 100.0, Duration::from_secs(10)));
+        let mut state = 7u64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let seconds = 240;
+        for i in 0..seconds * 250 {
+            index.insert(obs(i, i * 4, unit() * 4000.0, unit() * 4000.0));
+        }
+        let view = index.read_view();
+        let mut worst = 0;
+        for _ in 0..100 {
+            let (x, y) = (unit() * 3800.0, unit() * 3800.0);
+            let region = BBox::new(Point::new(x, y), Point::new(x + 200.0, y + 200.0));
+            let t0 = (seconds - 120) * 1000 + (unit() * 60_000.0) as u64;
+            let (lo, hi) = super::number_range(window(t0, t0 + 60_000), view.slice_len).unwrap();
+            let (_, segments) = view.tiers(lo, hi);
+            let (_, rows) =
+                super::sealed_runs(&segments, &super::packed_cells(&view.grid, &region));
+            worst = worst.max(rows);
+        }
+        assert!(worst > 0, "the reads reach sealed segments");
+        assert!(
+            worst < super::SPLIT_SCAN_ROWS,
+            "a point read selects {worst} sealed rows"
+        );
     }
 
     #[test]

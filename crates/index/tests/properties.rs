@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, Duration, Point, TimeInterval, Timestamp};
-use stcam_index::{FlatIndex, IndexConfig, StIndex};
+use stcam_index::{sort_by_id, FlatIndex, IndexConfig, StIndex, SPLIT_SCAN_ROWS};
 use stcam_world::{EntityClass, EntityId};
 
 const EXTENT: f64 = 500.0;
@@ -58,6 +58,64 @@ fn build_both(raw: &[RawObs]) -> (StIndex, FlatIndex) {
 
 fn ids<T: std::borrow::Borrow<Observation>>(v: &[T]) -> Vec<ObservationId> {
     v.iter().map(|o| o.borrow().id).collect()
+}
+
+/// `rows` with a second row under the id of every `dup_every`-th one,
+/// inserted right after it: same position (so the same cell), another
+/// time and class, so the two are told apart. The twin lies `slices_on`
+/// slices later: with 0 it shares the original's slice and so its tier,
+/// and keeps its relative order in either; with 1 the two sit in
+/// consecutive segments once sealed, scanned in slice order.
+fn with_duplicates(rows: Vec<Observation>, dup_every: usize, slices_on: u64) -> Vec<Observation> {
+    let mut out = Vec::with_capacity(rows.len() + rows.len() / dup_every);
+    for (i, o) in rows.into_iter().enumerate() {
+        let twin = i.is_multiple_of(dup_every).then(|| {
+            let t = o.time.as_millis();
+            let slice = t - t % SLICE_MS + slices_on * SLICE_MS;
+            Observation {
+                time: Timestamp::from_millis(slice + (t + 1) % SLICE_MS),
+                class: EntityClass::Truck,
+                ..o.clone()
+            }
+        });
+        out.push(o);
+        out.extend(twin);
+    }
+    out
+}
+
+/// The range oracle: a filter over the rows in insertion order, stably
+/// sorted by id.
+fn stable_oracle(rows: &[Observation], region: BBox, window: TimeInterval) -> Vec<Observation> {
+    let mut hits: Vec<Observation> = rows
+        .iter()
+        .filter(|o| region.contains(o.position) && window.contains(o.time))
+        .cloned()
+        .collect();
+    hits.sort_by_key(|o| o.id);
+    hits
+}
+
+/// A query region anywhere from well outside the extent to across it.
+fn arb_region() -> impl Strategy<Value = BBox> {
+    (
+        -300.0..700.0f64,
+        -300.0..700.0f64,
+        0.0..500.0f64,
+        0.0..500.0f64,
+    )
+        .prop_map(|(x, y, w, h)| BBox::new(Point::new(x, y), Point::new(x + w, y + h)))
+}
+
+/// Rows from `raw`, with positions up to 60 m outside the extent (they
+/// clamp into the border cells).
+fn spread(raw: &[RawObs]) -> Vec<Observation> {
+    let mut rows = materialize(raw);
+    for o in &mut rows {
+        let p = o.position;
+        o.position = Point::new(p.x * 1.24 - 60.0, p.y * 1.24 - 60.0);
+    }
+    rows
 }
 
 proptest! {
@@ -181,6 +239,52 @@ proptest! {
     }
 
     #[test]
+    fn sort_by_id_is_a_stable_sort_by_id(
+        keys in prop::collection::vec((0u64..12, 0u64..1_000), 0..200),
+    ) {
+        let rows: Vec<Observation> = keys
+            .iter()
+            .map(|&(id, t)| Observation {
+                id: ObservationId(id),
+                time: Timestamp::from_millis(t),
+                ..materialize(&[RawObs { t_ms: t, x: 1.0, y: 1.0 }])[0].clone()
+            })
+            .collect();
+        let mut stable = rows.clone();
+        stable.sort_by_key(|o| o.id);
+        let mut keyed = rows.clone();
+        sort_by_id(&mut keyed);
+        prop_assert_eq!(&keyed, &stable);
+        let mut refs: Vec<&Observation> = rows.iter().collect();
+        sort_by_id(&mut refs);
+        prop_assert!(refs.into_iter().eq(stable.iter()));
+    }
+
+    #[test]
+    fn range_matches_the_stable_sort_oracle(
+        raw in prop::collection::vec(raw_obs(), 0..300),
+        dup_every in 1usize..8,
+        region in arb_region(),
+        t0 in 0u64..70_000, dt in 0u64..60_000,
+        sealed in any::<bool>(),
+    ) {
+        // Head + sealed (two head slices) or fully sealed; ids repeat in
+        // both tiers; rows clamp in from outside the extent; regions cross
+        // grid borders or lie wholly outside the extent.
+        let rows = with_duplicates(spread(&raw), dup_every, 0);
+        let mut index = StIndex::new(config());
+        index.insert_batch(rows.iter().cloned());
+        if sealed {
+            index.seal_all();
+        }
+        let window = TimeInterval::new(Timestamp::from_millis(t0), Timestamp::from_millis(t0 + dt));
+        let want = stable_oracle(&rows, region, window);
+        prop_assert_eq!(index.range_count(region, window), want.len());
+        prop_assert_eq!(index.read_view().range(region, window), want.clone());
+        prop_assert_eq!(index.range(region, window), want);
+    }
+
+    #[test]
     fn segment_frame_round_trips_through_the_wire(
         raw in prop::collection::vec(raw_obs(), 1..200),
     ) {
@@ -222,6 +326,50 @@ proptest! {
         // Everything still present is in a slice ending after the cutoff.
         if let Some(oldest) = stats.oldest {
             prop_assert!(oldest.as_millis() + SLICE_MS > cut_ms || index.is_empty());
+        }
+    }
+}
+
+proptest! {
+    // Each case builds a 25 000-row archive: run it in release.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn range_above_the_split_threshold_matches_the_stable_sort_oracle(
+        seed in 0u64..1_000_000,
+        dup_every in 1usize..64,
+        region in arb_region(),
+        dt in 0u64..70_000,
+    ) {
+        // A stream dense enough that a query over most of the extent
+        // selects more sealed rows than the split threshold. Twins one
+        // slice on put equal ids in consecutive segments, which the split
+        // may scan on different threads: only concatenation in serial
+        // order keeps the original ahead of its twin.
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let n = 3 * SPLIT_SCAN_ROWS as u64;
+        let raw: Vec<RawObs> = (0..n)
+            .map(|i| RawObs { t_ms: i * 60_000 / n, x: next() * EXTENT, y: next() * EXTENT })
+            .collect();
+        let rows = with_duplicates(spread(&raw), dup_every, 1);
+        let mut index = StIndex::new(config());
+        index.insert_batch(rows.iter().cloned());
+        index.seal_all();
+        let everything = TimeInterval::new(Timestamp::ZERO, Timestamp::from_millis(70_000));
+        let wide = BBox::new(Point::new(-100.0, -100.0), Point::new(450.0, 450.0));
+        prop_assert!(index.range_count(wide, everything) >= SPLIT_SCAN_ROWS, "the wide query splits");
+        for (region, window) in [
+            (wide, everything),
+            (wide, TimeInterval::new(Timestamp::from_millis(dt / 2), Timestamp::from_millis(dt))),
+            (region, TimeInterval::new(Timestamp::ZERO, Timestamp::from_millis(dt))),
+        ] {
+            let want = stable_oracle(&rows, region, window);
+            prop_assert_eq!(index.range(region, window), want.clone());
+            prop_assert_eq!(index.read_view().range(region, window), want);
         }
     }
 }

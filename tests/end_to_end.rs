@@ -252,3 +252,37 @@ fn notifications_do_not_interfere_with_queries() {
     }
     cluster.shutdown();
 }
+
+#[test]
+fn a_range_outside_the_extent_finds_the_rows_clamped_in_from_it() {
+    // Localisation noise puts a row 50 m west of the extent; routing and
+    // the worker's index clamp it into a border cell. A query box that
+    // lies wholly west of the extent must still find it, in the mutable
+    // head and once sealed.
+    use stcam_camnet::{CameraId, ObservationId, Signature};
+    use stcam_world::{EntityClass, EntityId};
+    let row = |seq: u64, t_s: u64, x: f64, y: f64| Observation {
+        id: ObservationId::compose(CameraId(3), seq),
+        camera: CameraId(3),
+        time: Timestamp::from_secs(t_s),
+        position: Point::new(x, y),
+        class: EntityClass::Pedestrian,
+        signature: Signature::latent_for_entity(seq),
+        truth: Some(EntityId(seq)),
+    };
+    let cluster = launch(4);
+    cluster
+        .ingest(vec![row(0, 1, -50.0, 500.0), row(1, 1, 40.0, 500.0)])
+        .unwrap();
+    cluster.flush().unwrap();
+    let west = BBox::new(Point::new(-100.0, 400.0), Point::new(-10.0, 600.0));
+    let window = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(1_000));
+    let seqs = |rows: Vec<Observation>| rows.iter().map(|o| o.id.seq()).collect::<Vec<_>>();
+    assert_eq!(seqs(cluster.range_query(west, window).unwrap()), vec![0]);
+    // A row far later in time, in the same macro cell, seals the first
+    // slice into a segment on the worker holding it.
+    cluster.ingest(vec![row(2, 500, 10.0, 510.0)]).unwrap();
+    cluster.flush().unwrap();
+    assert_eq!(seqs(cluster.range_query(west, window).unwrap()), vec![0]);
+    cluster.shutdown();
+}
