@@ -4,9 +4,10 @@ use std::time::Duration as StdDuration;
 
 use parking_lot::Mutex;
 use stcam_camnet::Observation;
+use stcam_codec::decode_from_slice;
 use stcam_geo::{BBox, Duration, GridSpec, Point, TimeInterval, Timestamp};
 use stcam_index::IndexConfig;
-use stcam_net::{Fabric, FabricStats, LinkModel, NodeId};
+use stcam_net::{Endpoint, Envelope, Fabric, FabricStats, LinkModel, NodeId};
 
 use crate::admission::{TenantBudget, TenantId, TenantUsage};
 use crate::continuous::{ContinuousQueryId, Notification, Predicate};
@@ -142,6 +143,9 @@ impl ClusterConfig {
 pub struct Cluster {
     fabric: Fabric,
     coordinator: std::sync::Arc<Mutex<Coordinator>>,
+    /// The coordinator's endpoint, where workers send standing-query
+    /// matches: drained without the coordinator mutex.
+    inbox: std::sync::Arc<Endpoint>,
     plane: std::sync::Arc<QueryPlane>,
     workers: Mutex<Option<Vec<WorkerHandle>>>,
     config: ClusterConfig,
@@ -257,7 +261,7 @@ impl Cluster {
                 },
             ));
         }
-        let coordinator_endpoint = fabric.register(NodeId(0));
+        let inbox = std::sync::Arc::new(fabric.register(NodeId(0)));
         // Query-plane endpoints live in their own id range (20 000+),
         // clear of workers (1..), the coordinator (0) and ingestors
         // (10 000+).
@@ -265,7 +269,7 @@ impl Cluster {
             .map(|k| fabric.register(NodeId(20_000 + k)))
             .collect();
         let coordinator = Coordinator::new(
-            coordinator_endpoint,
+            std::sync::Arc::clone(&inbox),
             query_endpoints,
             partition,
             config.replication,
@@ -284,6 +288,7 @@ impl Cluster {
         Ok(Cluster {
             fabric,
             coordinator: std::sync::Arc::new(Mutex::new(coordinator)),
+            inbox,
             plane,
             workers: Mutex::new(Some(handles)),
             config,
@@ -450,9 +455,22 @@ impl Cluster {
     }
 
     /// Drains pending continuous-query notifications, waiting up to
-    /// `timeout` for the first.
+    /// `timeout` for the first. Takes no coordinator lock, so control
+    /// actions and ingest run while a client waits here.
     pub fn poll_notifications(&self, timeout: StdDuration) -> Vec<Notification> {
-        self.coordinator.lock().poll_notifications(timeout)
+        let decode = |e: Envelope| decode_from_slice::<Notification>(&e.payload).ok();
+        let deadline = std::time::Instant::now() + timeout;
+        let mut out = Vec::new();
+        while out.is_empty() {
+            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+            let Some(envelope) = self.inbox.recv_timeout(remaining) else {
+                return out;
+            };
+            out.extend(decode(envelope));
+        }
+        // Drain whatever else is already queued, then return.
+        out.extend(std::iter::from_fn(|| self.inbox.try_recv()).filter_map(decode));
+        out
     }
 
     /// Ages out observations older than `cutoff`.
@@ -579,11 +597,11 @@ impl Cluster {
         self.coordinator.lock().under_replicated_cells()
     }
 
-    /// Per-node suspicion counters from the shared
-    /// [`HealthView`](crate::HealthView) (consecutive failed RPCs since
-    /// the node's last success), sorted by node id. Lock-free.
+    /// Per-node failure streaks from the shared
+    /// [`PeerTable`](stcam_net::PeerTable) (calls given up on since the
+    /// node's last answer), sorted by node id. Takes no coordinator lock.
     pub fn suspicions(&self) -> Vec<(NodeId, u32)> {
-        self.plane.health().snapshot()
+        self.plane.peers().snapshot()
     }
 
     /// Standing-query re-registrations that failed at a cutover
@@ -615,18 +633,18 @@ impl Cluster {
     }
 
     /// Starts a background retention sweeper: once immediately and then
-    /// every `interval` it reads the newest stored timestamp across the
-    /// cluster and evicts everything older than `horizon` before it; the
-    /// wait is interruptible like the recovery monitor's. Calling it
-    /// again replaces the previous sweeper.
+    /// every `interval` it reads the newest stored timestamp from the
+    /// workers' stats (no digest sweep) and evicts everything older than
+    /// `horizon` before it; the wait is interruptible like the recovery
+    /// monitor's. Calling it again replaces the previous sweeper.
     pub fn enable_retention(&self, horizon: Duration, interval: StdDuration) {
         let coordinator = std::sync::Arc::clone(&self.coordinator);
         let handle = MonitorHandle::spawn("stcam-retention-sweeper", interval, move || {
             let coordinator = coordinator.lock();
-            let Ok(stats) = coordinator.stats() else {
+            let Ok(workers) = coordinator.worker_stats() else {
                 return;
             };
-            let newest = stats.workers.iter().filter_map(|(_, s)| s.newest_ms).max();
+            let newest = workers.iter().filter_map(|(_, s)| s.newest_ms).max();
             if let Some(newest_ms) = newest {
                 let cutoff = Timestamp::from_millis(newest_ms).saturating_sub(horizon);
                 let _ = coordinator.evict_before(cutoff);
@@ -950,6 +968,58 @@ mod tests {
             cluster.range_query(extent(), window_all()).unwrap().len(),
             1
         );
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_waiting_poll_does_not_stall_ingest_or_recovery() {
+        let cluster = Cluster::launch(test_config(4)).unwrap();
+        // A standing query that matches nothing: the poll waits it out.
+        let nowhere = BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
+        let predicate = Predicate {
+            region: nowhere,
+            class: None,
+        };
+        cluster.register_continuous(predicate).unwrap();
+        std::thread::scope(|scope| {
+            let poll = scope.spawn(|| cluster.poll_notifications(StdDuration::from_secs(2)));
+            std::thread::sleep(StdDuration::from_millis(50));
+            let started = std::time::Instant::now();
+            cluster.ingest(vec![obs(0, 0, 800.0, 800.0)]).unwrap();
+            assert!(cluster.check_and_recover().is_empty());
+            let took = started.elapsed();
+            assert!(
+                took < StdDuration::from_millis(500),
+                "ingest and recovery waited {took:?} behind a poll"
+            );
+            assert!(poll.join().unwrap().is_empty());
+        });
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_retention_tick_sweeps_no_digests() {
+        let cluster = Cluster::launch(test_config(4).with_replication(1)).unwrap();
+        let batch: Vec<Observation> = (0..100)
+            .map(|i| obs(i, i * 1_000, (i as f64 * 37.0) % 1600.0, 800.0))
+            .collect();
+        cluster.ingest(batch).unwrap();
+        cluster.flush().unwrap();
+        let invocations = |name| {
+            let stats = cluster.op_stats().into_iter();
+            stats
+                .filter(|&(op, _)| op == name)
+                .map(|(_, s)| s.invocations)
+                .sum::<u64>()
+        };
+        // The first tick runs at once; its eviction ends it.
+        cluster.enable_retention(Duration::from_secs(50), StdDuration::from_secs(60));
+        let deadline = std::time::Instant::now() + StdDuration::from_secs(5);
+        while invocations("evict") == 0 {
+            assert!(std::time::Instant::now() < deadline, "no retention tick");
+            std::thread::sleep(StdDuration::from_millis(10));
+        }
+        assert_eq!(invocations("cell_digest"), 0);
         cluster.shutdown();
     }
 

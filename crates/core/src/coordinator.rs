@@ -19,11 +19,10 @@ use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
 use stcam_camnet::Observation;
-use stcam_codec::decode_from_slice;
 use stcam_geo::{TimeInterval, Timestamp};
-use stcam_net::{Endpoint, Envelope, NodeId};
+use stcam_net::{Endpoint, NodeId};
 
-use crate::continuous::{ContinuousQueryId, Notification, Predicate};
+use crate::continuous::{ContinuousQueryId, Predicate};
 use crate::error::StcamError;
 use crate::exec::OpStats;
 use crate::exec::{all_alive, region_targets, unexpected, want_ack, Executor, HeatmapOp, OpPolicy};
@@ -174,11 +173,11 @@ pub struct Coordinator {
 impl Coordinator {
     /// Creates a coordinator over an already-partitioned cluster.
     ///
-    /// `endpoint` carries control-plane traffic (ingest, probes,
-    /// migration, continuous-query notifications); `query_endpoints`
-    /// become the query plane's pool — at least one is required.
+    /// `endpoint` carries control-plane traffic (ingest, probes, migration)
+    /// and gets standing-query matches, which its other holder drains;
+    /// `query_endpoints` become the query plane's pool — at least one.
     pub fn new(
-        endpoint: Endpoint,
+        endpoint: impl Into<Arc<Endpoint>>,
         query_endpoints: Vec<Endpoint>,
         partition: PartitionMap,
         replication: usize,
@@ -198,7 +197,7 @@ impl Coordinator {
         exec.set_policy("ingest_seq", write);
         exec.set_policy("replicate_seq", write);
         // Pooled executors share the coordinator executor's account:
-        // one telemetry registry, one policy table, one health view.
+        // one telemetry registry, one policy table, one peer table.
         let shared = exec.shared();
         let pool: Vec<Executor> = query_endpoints
             .into_iter()
@@ -533,8 +532,9 @@ impl Coordinator {
     // Continuous queries
     // ------------------------------------------------------------------
 
-    /// Registers a standing query; matches will arrive via
-    /// [`poll_notifications`](Self::poll_notifications).
+    /// Registers a standing query; matches arrive at this coordinator's
+    /// endpoint, which [`Cluster::poll_notifications`](crate::Cluster::poll_notifications)
+    /// drains.
     ///
     /// # Errors
     ///
@@ -579,25 +579,6 @@ impl Coordinator {
                 notify,
             }
         })
-    }
-
-    /// Drains match notifications that have arrived since the last poll,
-    /// waiting up to `timeout` for the first one.
-    pub fn poll_notifications(&self, timeout: StdDuration) -> Vec<Notification> {
-        let endpoint = self.exec.endpoint();
-        let decode = |e: Envelope| decode_from_slice::<Notification>(&e.payload).ok();
-        let deadline = std::time::Instant::now() + timeout;
-        let mut out = Vec::new();
-        while out.is_empty() {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            let Some(envelope) = endpoint.recv_timeout(remaining) else {
-                return out;
-            };
-            out.extend(decode(envelope));
-        }
-        // Drain whatever else is already queued, then return.
-        out.extend(std::iter::from_fn(|| endpoint.try_recv()).filter_map(decode));
-        out
     }
 
     // ------------------------------------------------------------------
@@ -662,8 +643,8 @@ impl Coordinator {
             if tell(&self.exec, "rejoin", &[worker], handshake).is_ok() {
                 self.target = target;
                 self.alive.insert(worker);
-                // A fresh incarnation gets a fresh suspicion history.
-                self.exec.health().forget(worker);
+                // A fresh incarnation starts with no failure streak.
+                self.exec.peers().forget(worker);
             }
         }
     }
@@ -751,9 +732,9 @@ impl Coordinator {
         self.alive = responders;
         let census_max = reports.iter().map(|(_, r)| r.epoch).max().unwrap_or(0);
         self.fence = census_max.max(self.plane.epoch());
-        // A fresh incarnation starts with a fresh suspicion history.
+        // A fresh incarnation starts with no failure streaks.
         for &worker in &pool {
-            self.exec.health().forget(worker);
+            self.exec.peers().forget(worker);
         }
         let run = self.reconcile();
         if !self.desired().is_published(&self.plane.plan()) {
@@ -775,21 +756,27 @@ impl Coordinator {
     ///
     /// Fails when a worker believed alive does not answer.
     pub fn stats(&self) -> Result<ClusterStats, StcamError> {
+        Ok(ClusterStats {
+            workers: self.worker_stats()?,
+            ops: self.exec.op_stats(),
+            under_replicated_cells: self.under_replicated_cells(),
+        })
+    }
+
+    /// Every alive worker's own statistics: [`stats`](Self::stats)
+    /// without the digest sweep.
+    pub(crate) fn worker_stats(&self) -> Result<Vec<(NodeId, WorkerStatsMsg)>, StcamError> {
         let want = |response| match response {
             Response::Stats(stats) => Ok(stats),
             other => Err(unexpected("stats", other)),
         };
-        let workers = self
+        let answers = self
             .exec
-            .ask("stats", &self.alive_workers(), |_| Request::Stats, want)
+            .ask("stats", &self.alive_workers(), |_| Request::Stats, want);
+        answers
             .into_iter()
-            .map(|(worker, stats)| stats.map(|s| (worker, s)))
-            .collect::<Result<_, _>>()?;
-        Ok(ClusterStats {
-            workers,
-            ops: self.exec.op_stats(),
-            under_replicated_cells: self.under_replicated_cells(),
-        })
+            .map(|(to, s)| s.map(|s| (to, s)))
+            .collect()
     }
 }
 

@@ -24,7 +24,7 @@
 //! *When to ask again* and *when to give up* are separate. A sub-query
 //! is probed when the retransmission timeout of its **(operation,
 //! worker)** pair runs out — `SRTT + 4·RTTVAR` over the pair's answered
-//! exchanges ([`stcam_net::RtoTable`]: sampled from exchanges whose frame
+//! exchanges ([`stcam_net::PeerTable`]: sampled from exchanges whose frame
 //! went out once, never under [`stcam_net::MIN_RTO`], doubling per
 //! probe, capped at [`OpPolicy::timeout`], and equal to it until the pair
 //! has a sample) — at most [`OpPolicy::max_attempts`] sends in all. It
@@ -68,12 +68,11 @@ use parking_lot::Mutex;
 use stcam_camnet::Observation;
 use stcam_codec::{decode_from_slice, encode_to_vec};
 use stcam_geo::{BBox, CellId, GridSpec, Point, TimeInterval};
-use stcam_net::{Endpoint, NetError, NodeId, PendingCall, Resend, RtoTable};
+use stcam_net::{Endpoint, NetError, NodeId, PeerTable, PendingCall, Resend};
 use stcam_world::EntityClass;
 
 use crate::admission::{Deadline, ShedReason};
 use crate::error::StcamError;
-use crate::health::HealthView;
 use crate::paging;
 use crate::partition::PartitionMap;
 use crate::protocol::{Request, Response, PROJ_FULL};
@@ -385,7 +384,7 @@ impl ReadOp for TopCellsOp {}
 // ----------------------------------------------------------------------
 
 /// State shared by every [`Executor`] of one logical client: policy
-/// overrides, per-operation telemetry, the health view, and the
+/// overrides, per-operation telemetry, the peer table, and the
 /// replication factor.
 ///
 /// The coordinator's control-plane executor and the query plane's pooled
@@ -397,14 +396,12 @@ pub(crate) struct ExecShared {
     default_policy: OpPolicy,
     overrides: Mutex<HashMap<&'static str, OpPolicy>>,
     stats: Mutex<BTreeMap<&'static str, OpStats>>,
-    /// Per-node suspicion, fed by every member endpoint's call observer:
-    /// each RPC outcome — probe, flush, sub-query, failover attempt —
-    /// updates it.
-    health: Arc<HealthView>,
     /// Replication factor of the ring (0 disables replica failover).
     replication: AtomicUsize,
-    /// Measured retransmission timeout per (operation, worker).
-    rtos: RtoTable,
+    /// Retransmission timeout per (operation, worker) and failure streak
+    /// per worker, booked at the end of every call any member makes —
+    /// probe, write, sub-query, failover attempt.
+    peers: PeerTable,
 }
 
 impl ExecShared {
@@ -413,9 +410,8 @@ impl ExecShared {
             default_policy,
             overrides: Mutex::new(HashMap::new()),
             stats: Mutex::new(BTreeMap::new()),
-            health: Arc::new(HealthView::new()),
             replication: AtomicUsize::new(0),
-            rtos: RtoTable::default(),
+            peers: PeerTable::default(),
         }
     }
 }
@@ -466,36 +462,27 @@ struct ShardOutcome<P> {
 /// write and control message ([`ask`](Self::ask)).
 #[derive(Debug)]
 pub struct Executor {
-    endpoint: Endpoint,
+    endpoint: Arc<Endpoint>,
     shared: Arc<ExecShared>,
 }
 
 impl Executor {
     /// Creates an executor speaking through `endpoint` with
-    /// `default_policy` for operations without an override. The executor
-    /// installs the endpoint's call observer so every RPC outcome feeds
-    /// its [`HealthView`].
-    pub fn new(endpoint: Endpoint, default_policy: OpPolicy) -> Self {
+    /// `default_policy` for operations without an override.
+    pub fn new(endpoint: impl Into<Arc<Endpoint>>, default_policy: OpPolicy) -> Self {
         Self::with_shared(endpoint, Arc::new(ExecShared::new(default_policy)))
     }
 
     /// Creates an executor over `endpoint` that joins an existing shared
-    /// state — same policies, same telemetry registry, same health view.
+    /// state — same policies, same telemetry registry, same peer table.
     /// This is how the query plane's endpoint pool stays one logical
     /// client: N endpoints, one account.
-    pub(crate) fn with_shared(endpoint: Endpoint, shared: Arc<ExecShared>) -> Self {
-        let feed = Arc::clone(&shared.health);
-        endpoint.set_call_observer(Arc::new(move |node, ok| {
-            if ok {
-                feed.record_success(node);
-            } else {
-                feed.record_failure(node);
-            }
-        }));
+    pub(crate) fn with_shared(endpoint: impl Into<Arc<Endpoint>>, shared: Arc<ExecShared>) -> Self {
+        let endpoint = endpoint.into();
         Executor { endpoint, shared }
     }
 
-    /// The shared policy/telemetry/health state, for building further
+    /// The shared policy/telemetry/peer state, for building further
     /// executors that join this one's account.
     pub(crate) fn shared(&self) -> Arc<ExecShared> {
         Arc::clone(&self.shared)
@@ -506,9 +493,10 @@ impl Executor {
         &self.endpoint
     }
 
-    /// The live per-node suspicion view.
-    pub fn health(&self) -> &Arc<HealthView> {
-        &self.shared.health
+    /// What this client knows of each worker: round-trip estimates and
+    /// failure streaks.
+    pub(crate) fn peers(&self) -> &PeerTable {
+        &self.shared.peers
     }
 
     /// Sets the ring replication factor consulted by replica failover
@@ -592,7 +580,7 @@ impl Executor {
     /// Per shard: the primary is attempted first (with the operation's
     /// normal retry policy); if it fails with a transport error, the
     /// shard's sub-query is re-issued to its ring successors —
-    /// healthiest first, per the [`HealthView`] — wrapped in
+    /// unsuspected first, per the [`PeerTable`] — wrapped in
     /// [`Request::ReplicaRead`]. A shard is declared missing only after
     /// the primary and every candidate replica failed. The merge then
     /// runs over whatever survived.
@@ -672,7 +660,7 @@ impl Executor {
         let policy = self.policy_for(name);
         Resend {
             class: name,
-            rtos: Some(&self.shared.rtos),
+            peers: Some(&self.shared.peers),
             timeout: policy.timeout,
             max_sends: policy.max_attempts,
             deadline: deadline.map(|d| Instant::now() + d.remaining()),
@@ -753,7 +741,7 @@ impl Executor {
     /// The failover half of a read's sub-query, entered when the primary
     /// failed at the transport with `err`: asks `replicas` — the same
     /// ring-walked set the acked write path certifies and the repair
-    /// planner restores — healthiest first, until one answers `inner`
+    /// planner restores — unsuspected first, until one answers `inner`
     /// from its replica log of `shard`.
     #[allow(clippy::too_many_arguments)]
     fn fail_over<P>(
@@ -766,7 +754,7 @@ impl Executor {
         decode: &impl Fn(Response) -> Result<P, StcamError>,
         tally: &mut Tally,
     ) -> ShardOutcome<P> {
-        self.shared.health.rank(&mut replicas);
+        self.shared.peers.rank(&mut replicas);
         for replica in replicas {
             tally.failovers += 1;
             let frame = encode_to_vec(&Request::ReplicaRead {
@@ -1555,8 +1543,8 @@ mod tests {
         assert!(!d.completeness.is_full());
         assert_eq!(d.completeness.fraction(), 0.0);
         assert!(d.completeness.subset, "a lost range shard still subsets");
-        // The failed call also raised suspicion on the silent worker.
-        assert!(exec.health().is_suspect(NodeId(1)));
+        // The failed call also made the silent worker suspect.
+        assert!(exec.peers().is_suspect(NodeId(1)));
         let stats = exec.stats_for("range");
         assert_eq!(stats.failures, 1);
         assert_eq!(stats.failovers, 0, "no replicas configured");

@@ -354,7 +354,7 @@ impl Ingestor {
     /// An ingestor sending through `endpoint` on the plane's shared
     /// executor account: its writes book into the same
     /// [`OpStats`](crate::OpStats) registry, obey the same policy table
-    /// and feed the same health view as the coordinator's.
+    /// and book into the same peer table as the coordinator's.
     pub(crate) fn new(endpoint: Endpoint, plane: Arc<QueryPlane>, replication: usize) -> Self {
         Ingestor {
             exec: Executor::with_shared(endpoint, plane.exec_shared()),

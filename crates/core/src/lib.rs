@@ -53,8 +53,9 @@
 //!   [`Degraded`] value whose [`Completeness`] accounts for shards
 //!   answered, replicas used, and shards missing. Either way the
 //!   executor first tries replica failover — re-issuing a dead shard's
-//!   sub-query to its ring successors — guided by a [`HealthView`] of
-//!   per-node suspicion fed by every RPC outcome.
+//!   sub-query to its ring successors — unsuspected first, per the
+//!   failure streaks the transport's [`stcam_net::PeerTable`] books at
+//!   the end of every call, beside its round-trip estimates.
 //! * [`stitch`] — converts per-camera observations into tracklets and
 //!   associates them across adjacent cameras using appearance distance
 //!   gated by learned transition-time windows.
@@ -89,7 +90,6 @@ mod continuous;
 mod coordinator;
 mod error;
 pub mod exec;
-mod health;
 mod ingest;
 pub mod paging;
 mod partition;
@@ -115,7 +115,6 @@ pub use exec::{
     Completeness, Degraded, DistributedOp, Executor, HeatmapOp, KnnOp, OpPolicy, OpStats,
     QueryMode, RangeOp, ReadOp, TopCellsOp,
 };
-pub use health::HealthView;
 pub use ingest::Ingestor;
 pub use partition::{PartitionMap, PartitionPolicy};
 pub use plane::{Knn, Query, QueryOpts, QueryPlan, QueryPlane, Scatter};

@@ -26,8 +26,8 @@
 //!
 //! All pooled executors share one [`ExecShared`](crate::exec) account,
 //! so per-operation telemetry, policy overrides, and the
-//! [`HealthView`](crate::HealthView) are cluster-wide no matter which
-//! endpoint carried a given call.
+//! [`PeerTable`] are cluster-wide no matter which endpoint carried a
+//! given call.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -36,7 +36,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use stcam_camnet::Observation;
 use stcam_geo::{Point, TimeInterval};
-use stcam_net::NodeId;
+use stcam_net::{NodeId, PeerTable};
 
 use crate::admission::{AdmissionControl, AdmissionTicket, Deadline, QueryCtx};
 use crate::error::StcamError;
@@ -44,7 +44,6 @@ use crate::exec::{
     Completeness, Degraded, DistributedOp, ExecShared, Executor, KnnOp, KnnTargets, OpStats,
     QueryMode, ReadOp,
 };
-use crate::health::HealthView;
 use crate::partition::PartitionMap;
 
 /// An immutable routing snapshot: everything a read needs to scatter.
@@ -168,10 +167,9 @@ impl QueryPlane {
         self.pool[0].shared()
     }
 
-    /// Shared per-node suspicion view (common to every pooled endpoint
-    /// and the control plane).
-    pub fn health(&self) -> &Arc<HealthView> {
-        self.pool[0].health()
+    /// The peer table every pooled endpoint and the control plane share.
+    pub(crate) fn peers(&self) -> &PeerTable {
+        self.pool[0].peers()
     }
 
     /// Cluster-wide per-operation telemetry, sorted by operation name.
@@ -351,7 +349,7 @@ impl Query for Knn {
             on.plan.partition.owner_of(at),
             &on.plan.partition,
             &on.plan.alive,
-            on.exec.health(),
+            on.exec.peers(),
         )?;
         let phase1 = on.run(KnnOp::new(at, window, k, KnnTargets::Owner(owner)));
         let mut completeness = phase1.completeness;
@@ -373,7 +371,7 @@ impl Query for Knn {
 
 /// Resolves `owner` to the node that should actually receive its
 /// traffic, diverting along the ring when the owner is marked dead — or
-/// merely *suspected* dead by the [`HealthView`], so a crashed node
+/// merely *suspected* dead by the [`PeerTable`], so a crashed node
 /// stops receiving traffic after its first failed RPC instead of after
 /// the next recovery tick. Anchors kNN phase one.
 ///
@@ -384,16 +382,16 @@ fn route_owner(
     owner: NodeId,
     partition: &PartitionMap,
     alive: &HashSet<NodeId>,
-    health: &HealthView,
+    peers: &PeerTable,
 ) -> Result<NodeId, StcamError> {
-    if alive.contains(&owner) && !health.is_suspect(owner) {
+    if alive.contains(&owner) && !peers.is_suspect(owner) {
         return Ok(owner);
     }
     let successor = |require_healthy: bool| {
         partition
             .successors(owner, partition.workers().len() - 1)
             .into_iter()
-            .find(|&w| alive.contains(&w) && (!require_healthy || !health.is_suspect(w)))
+            .find(|&w| alive.contains(&w) && (!require_healthy || !peers.is_suspect(w)))
     };
     if let Some(w) = successor(true) {
         return Ok(w);
@@ -484,23 +482,75 @@ mod tests {
     #[test]
     fn route_owner_prefers_healthy_successors() {
         let (partition, mut alive) = plan_parts();
-        let health = HealthView::new();
+        let peers = PeerTable::default();
         let owner = partition.owner_of(Point::new(800.0, 800.0));
         // Healthy owner routes to itself.
         assert_eq!(
-            route_owner(owner, &partition, &alive, &health).unwrap(),
+            route_owner(owner, &partition, &alive, &peers).unwrap(),
             owner
         );
         // Dead owner diverts to an alive successor.
         alive.remove(&owner);
-        let diverted = route_owner(owner, &partition, &alive, &health).unwrap();
+        let diverted = route_owner(owner, &partition, &alive, &peers).unwrap();
         assert_ne!(diverted, owner);
         assert!(alive.contains(&diverted));
         // No quorum at all.
         let nobody: HashSet<NodeId> = HashSet::new();
         assert!(matches!(
-            route_owner(owner, &partition, &nobody, &health),
+            route_owner(owner, &partition, &nobody, &peers),
             Err(StcamError::NoQuorum)
         ));
+    }
+
+    /// Books one call to `node` given up on.
+    fn give_up(peers: &PeerTable, node: NodeId) {
+        peers.record("knn_phase1", node, false, None);
+    }
+
+    #[test]
+    fn route_owner_diverts_from_a_suspect_owner_to_the_first_healthy_successor() {
+        let (partition, alive) = plan_parts();
+        let peers = PeerTable::default();
+        let owner = partition.owner_of(Point::new(800.0, 800.0));
+        let ring = partition.successors(owner, 3);
+        give_up(&peers, owner);
+        assert_eq!(
+            route_owner(owner, &partition, &alive, &peers).unwrap(),
+            ring[0]
+        );
+        // A suspect first successor is passed over too.
+        give_up(&peers, ring[0]);
+        assert_eq!(
+            route_owner(owner, &partition, &alive, &peers).unwrap(),
+            ring[1]
+        );
+        // One answer clears the owner's streak, and it is its own anchor again.
+        peers.record("knn_phase1", owner, true, None);
+        assert_eq!(
+            route_owner(owner, &partition, &alive, &peers).unwrap(),
+            owner
+        );
+    }
+
+    #[test]
+    fn route_owner_keeps_an_alive_owner_when_everyone_is_suspect() {
+        let (partition, mut alive) = plan_parts();
+        let peers = PeerTable::default();
+        let owner = partition.owner_of(Point::new(800.0, 800.0));
+        for &worker in partition.workers() {
+            give_up(&peers, worker);
+        }
+        assert_eq!(
+            route_owner(owner, &partition, &alive, &peers).unwrap(),
+            owner
+        );
+        // With the owner dead as well, the first alive successor anchors.
+        let ring = partition.successors(owner, 3);
+        alive.remove(&owner);
+        alive.remove(&ring[0]);
+        assert_eq!(
+            route_owner(owner, &partition, &alive, &peers).unwrap(),
+            ring[1]
+        );
     }
 }

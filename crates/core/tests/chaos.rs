@@ -1021,7 +1021,7 @@ fn killed_worker_is_served_by_replicas_before_recovery() {
         .expect("strict range during crash window with replication 2");
     assert_eq!(strict.len(), OBSERVATIONS as usize);
 
-    // The health view noticed the dead node along the way.
+    // The peer table's failure streaks noticed the dead node on the way.
     assert!(
         cluster
             .suspicions()

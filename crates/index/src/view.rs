@@ -78,7 +78,7 @@ pub fn sort_by_id<T: Borrow<Observation> + Clone>(rows: &mut [T]) {
 }
 
 /// Sealed candidate rows (footer counts of the blocks a range selects)
-/// from which [`range_over`] scans the second half of them on a second
+/// from which `range_over` scans the second half of them on a second
 /// thread. On a two-core x86-64 host a scoped thread's spawn and join
 /// cost 20–40 µs when a core is free, and the sealed scan 130–250 ns per
 /// candidate row, so from here (≥ 1 ms of scan) the spawn is under 5 % of

@@ -10,8 +10,8 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::envelope::{Envelope, MessageKind};
 use crate::link::{DetRng, LinkModel};
+use crate::peers::Resend;
 use crate::replies::{Replies, Seen};
-use crate::rto::Resend;
 use crate::stats::{FabricStats, NodeCounters, NodeStats, StatsRegistry};
 use crate::{NetError, NodeId};
 
@@ -169,7 +169,6 @@ impl Fabric {
             replies,
             alive,
             counters,
-            observer: Mutex::new(None),
         }
     }
 
@@ -486,12 +485,6 @@ fn delivery_loop(rx: Receiver<Scheduled>, inner: std::sync::Weak<FabricInner>) {
     }
 }
 
-/// Observer of per-destination RPC outcomes: invoked once after every
-/// call with the destination and whether a response arrived in time. This is the transport's suspicion hook — failure detectors
-/// layered above the fabric (e.g. a coordinator health view) subscribe
-/// here instead of re-deriving outcomes from error plumbing.
-pub type CallObserver = Arc<dyn Fn(NodeId, bool) + Send + Sync>;
-
 /// A node's handle onto the fabric.
 ///
 /// Cheap to clone is *not* provided deliberately: each node owns exactly
@@ -507,14 +500,12 @@ pub struct Endpoint {
     replies: Arc<Mutex<Replies>>,
     alive: Arc<AtomicBool>,
     counters: Arc<NodeCounters>,
-    observer: Mutex<Option<CallObserver>>,
 }
 
 impl std::fmt::Debug for Endpoint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Endpoint")
             .field("node", &self.node)
-            .field("observer", &self.observer.lock().is_some())
             .finish_non_exhaustive()
     }
 }
@@ -577,7 +568,7 @@ impl Endpoint {
     ///
     /// As for [`send`](Self::send). Submission errors are local (own node
     /// down, unknown peer, shutdown) — not evidence about the
-    /// destination's health, so the call observer is not invoked.
+    /// destination's health, so no outcome is booked for them.
     pub fn call_start(&self, to: NodeId, frame: &[u8]) -> Result<PendingCall, NetError> {
         self.start(to, frame.to_vec())
     }
@@ -613,9 +604,10 @@ impl Endpoint {
     }
 
     /// Blocks until a started call's response arrives or its patience
-    /// runs out, and reports the outcome to the call observer — once per
-    /// call, however many sends it took. Returns the outcome and what
-    /// the call put on the wire.
+    /// runs out, and books the outcome in `resend.peers` — once per call,
+    /// however many sends it took: an answer (response or replay) clears
+    /// the destination's failure streak, giving up adds 1 to it. Returns
+    /// the outcome and what the call put on the wire.
     ///
     /// Whenever the retransmission timeout of `resend` runs out, the
     /// caller does not send the request again: it sends a
@@ -633,8 +625,8 @@ impl Endpoint {
     /// never rebuilt. A dead or partitioned peer answers nothing, so it is
     /// waited out exactly as before. An exchange whose frame went on the
     /// wire once and was answered by the response, not a replay, is a
-    /// sample for `resend.rtos` however many probes it took: that answer
-    /// can only be to that frame, and a replay's round trip holds an RTO.
+    /// round-trip sample however many probes it took: that answer can
+    /// only be to that frame, and a replay's round trip holds an RTO.
     ///
     /// # Errors
     ///
@@ -644,7 +636,7 @@ impl Endpoint {
     /// timeout after the last of them — or by `resend.deadline` (requests
     /// or responses may have been lost, or the peer crashed); a
     /// submission error as for [`send`](Self::send) when this node went
-    /// down between sends.
+    /// down between sends, which books nothing.
     pub fn call_wait(
         &self,
         call: PendingCall,
@@ -652,8 +644,8 @@ impl Endpoint {
         resend: &Resend<'_>,
     ) -> (Result<Vec<u8>, NetError>, Sends) {
         let patience = call.started + resend.timeout * resend.max_sends;
-        let mut rto = resend.rtos.map_or(resend.timeout, |table| {
-            table.rto(resend.class, call.to, resend.timeout)
+        let mut rto = resend.peers.map_or(resend.timeout, |peers| {
+            peers.rto(resend.class, call.to, resend.timeout)
         });
         let mut next_probe = call.started + rto;
         let mut sends = Sends {
@@ -682,13 +674,10 @@ impl Endpoint {
             let wait = until.saturating_duration_since(Instant::now());
             match call.rx.recv_timeout(wait) {
                 Ok(Answer::Reply(arrived, response)) => {
-                    if let Some(table) = resend.rtos {
-                        let rtt = arrived.saturating_duration_since(call.started);
-                        table.sample(resend.class, call.to, rtt, sends.frames);
-                    }
-                    break Ok(response);
+                    let rtt = arrived.saturating_duration_since(call.started);
+                    break Ok((response, (sends.frames == 1).then_some(rtt)));
                 }
-                Ok(Answer::Replay(response)) => break Ok(response),
+                Ok(Answer::Replay(response)) => break Ok((response, None)),
                 Ok(Answer::NotHeld) if sends.probes > answered => {
                     answered = sends.probes;
                     let copy = frame.to_vec();
@@ -713,20 +702,11 @@ impl Endpoint {
                 Err(_) => break Err(NetError::Timeout),
             }
         };
-        let observer = self.observer.lock().clone();
-        if let Some(observer) = observer {
-            observer(call.to, result.is_ok());
+        if let Some(peers) = resend.peers {
+            let sample = result.as_ref().ok().and_then(|&(_, rtt)| rtt);
+            peers.record(resend.class, call.to, result.is_ok(), sample);
         }
-        (result, sends)
-    }
-
-    /// Installs the per-node suspicion hook: `observer` runs once after
-    /// every call that reached the wire (however often it was re-sent),
-    /// with the destination and whether a response arrived in time. Local submission failures
-    /// (own node crashed, unknown peer) do not trigger it. Replaces any
-    /// previously installed observer.
-    pub fn set_call_observer(&self, observer: CallObserver) {
-        *self.observer.lock() = Some(observer);
+        (result.map(|(response, _)| response), sends)
     }
 
     /// Replies to a previously received [`MessageKind::Request`] envelope.
@@ -882,6 +862,7 @@ impl Waker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PeerTable;
 
     fn instant_fabric() -> Fabric {
         Fabric::new(LinkModel::instant())
@@ -1100,29 +1081,28 @@ mod tests {
     }
 
     #[test]
-    fn call_observer_sees_successes_and_timeouts() {
+    fn a_call_books_its_outcome_and_a_local_error_books_nothing() {
         let f = instant_fabric();
         let client = f.register(NodeId(0));
         let server = f.register(NodeId(1));
-        let seen: Arc<Mutex<Vec<(NodeId, bool)>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        client.set_call_observer(Arc::new(move |node, ok| sink.lock().push((node, ok))));
+        let table = PeerTable::default();
+        let once = |ms| Resend {
+            peers: Some(&table),
+            ..Resend::once(Duration::from_millis(ms))
+        };
         let server_thread = std::thread::spawn(move || {
             let req = server.recv_timeout(Duration::from_secs(5)).unwrap();
             server.reply(&req, b"ok".to_vec()).unwrap();
         });
-        client
-            .call(NodeId(1), b"hi".to_vec(), Duration::from_secs(5))
-            .unwrap();
+        assert_eq!(ask(&client, b"hi", &once(5_000)).0, Ok(b"ok".to_vec()));
         server_thread.join().unwrap();
+        assert_eq!(table.snapshot(), vec![(NodeId(1), 0)]);
         f.crash(NodeId(1));
-        let err = client
-            .call(NodeId(1), vec![], Duration::from_millis(30))
-            .unwrap_err();
-        assert_eq!(err, NetError::Timeout);
+        assert_eq!(ask(&client, b"", &once(30)).0, Err(NetError::Timeout));
+        assert_eq!(table.snapshot(), vec![(NodeId(1), 1)]);
         // Local submission errors (unknown peer) must not blame the peer.
-        let _ = client.call(NodeId(9), vec![], Duration::from_millis(30));
-        assert_eq!(*seen.lock(), vec![(NodeId(1), true), (NodeId(1), false)]);
+        assert!(client.call_start(NodeId(9), b"").is_err());
+        assert_eq!(table.snapshot(), vec![(NodeId(1), 1)]);
     }
 
     const H: u64 = crate::WIRE_OVERHEAD;
@@ -1132,26 +1112,26 @@ mod tests {
     /// overtaken by one.
     const RTO: Duration = Duration::from_millis(20);
 
-    fn settle(table: &crate::RtoTable, node: NodeId) {
+    fn settle(table: &PeerTable, node: NodeId) {
         for _ in 0..20 {
-            table.sample("t", node, RTO, 1);
+            table.record("t", node, true, Some(RTO));
         }
     }
 
     /// A table whose `("t", NodeId(1))` pair probes ≈ [`RTO`] after the
     /// first send and ≈ 2 × [`RTO`] after each probe.
-    fn warm_table() -> crate::RtoTable {
-        let table = crate::RtoTable::default();
+    fn warm_table() -> PeerTable {
+        let table = PeerTable::default();
         settle(&table, NodeId(1));
         let rto = table.rto("t", NodeId(1), Duration::from_secs(1));
         assert!(rto >= RTO && rto < RTO + Duration::from_millis(1));
         table
     }
 
-    fn resend(table: &crate::RtoTable, timeout_ms: u64, max_sends: u32) -> Resend<'_> {
+    fn resend(table: &PeerTable, timeout_ms: u64, max_sends: u32) -> Resend<'_> {
         Resend {
             class: "t",
-            rtos: Some(table),
+            peers: Some(table),
             timeout: Duration::from_millis(timeout_ms),
             max_sends,
             deadline: None,
@@ -1172,12 +1152,15 @@ mod tests {
         client.call_wait(call, frame, resend)
     }
 
-    /// Installs an observer on `client` and returns what it has seen.
-    fn observed(client: &Endpoint) -> Arc<Mutex<Vec<(NodeId, bool)>>> {
-        let seen: Arc<Mutex<Vec<(NodeId, bool)>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        client.set_call_observer(Arc::new(move |node, ok| sink.lock().push((node, ok))));
-        seen
+    /// Books a call to node 1 given up on, leaving its estimate alone.
+    fn suspect(table: &PeerTable) {
+        table.record("t", NodeId(1), false, None);
+    }
+
+    /// Node 1's failure streak in `table`.
+    fn streak(table: &PeerTable) -> u32 {
+        let mut peers = table.snapshot().into_iter();
+        peers.find(|&(n, _)| n == NodeId(1)).map_or(0, |(_, s)| s)
     }
 
     #[test]
@@ -1187,8 +1170,8 @@ mod tests {
         let f = instant_fabric();
         let client = f.register(NodeId(0));
         let server = f.register(NodeId(1));
-        let seen = observed(&client);
         let table = warm_table();
+        suspect(&table);
         let settled = table.rto("t", NodeId(1), Duration::from_secs(1));
         std::thread::scope(|scope| {
             let waiting = scope.spawn(|| ask(&client, b"ask", &resend(&table, 500, 3)));
@@ -1221,7 +1204,8 @@ mod tests {
         // The bounce and three replies.
         assert_eq!(sent.msgs_received, 4);
         assert_eq!(server.stats().not_held_sent, 1);
-        assert_eq!(*seen.lock(), vec![(NodeId(1), true), (NodeId(1), true)]);
+        // Answered after a probe and a copy: the streak is cleared.
+        assert_eq!(streak(&table), 0);
         // Karn: the frame went out twice, so the estimate is left alone.
         assert_eq!(table.rto("t", NodeId(1), Duration::from_secs(1)), settled);
     }
@@ -1231,8 +1215,8 @@ mod tests {
         let f = instant_fabric();
         let client = f.register(NodeId(0));
         let server = f.register(NodeId(1));
-        let seen = observed(&client);
         let table = warm_table();
+        suspect(&table);
         std::thread::scope(|scope| {
             // Probes at ≈ 20 and 60 ms find the request held and are
             // dropped: 16 bytes each, and the server is handed it once.
@@ -1245,6 +1229,8 @@ mod tests {
             assert_eq!((handed.msgs_received, handed.held_dropped), (3, 2));
             server.reply(&req, b"done".to_vec()).unwrap();
             assert_eq!(waiting.join().unwrap(), (Ok(b"done".to_vec()), sends(1, 2)));
+            assert_eq!(streak(&table), 0);
+            suspect(&table);
 
             // The reply is lost: the probe that follows finds it stored
             // and is answered with it again — one frame and one probe
@@ -1270,8 +1256,8 @@ mod tests {
             );
             assert_eq!(answered.bytes_sent, 2 * (4 + H));
         });
-        // One observation per exchange, the final outcome.
-        assert_eq!(*seen.lock(), vec![(NodeId(1), true), (NodeId(1), true)]);
+        // A replay is an answer too.
+        assert_eq!(streak(&table), 0);
         assert_eq!(f.stats().total_replayed, 1);
     }
 
@@ -1338,7 +1324,6 @@ mod tests {
         let f = instant_fabric();
         let client = f.register(NodeId(0));
         let server = f.register(NodeId(1));
-        let seen = observed(&client);
         let table = warm_table();
         // Probes at ≈ 20 and 60 ms, gives up at 3 × 40 ms and not before.
         let started = Instant::now();
@@ -1346,7 +1331,8 @@ mod tests {
         assert_eq!((answer, sent), (Err(NetError::Timeout), sends(1, 2)));
         assert!(started.elapsed() >= Duration::from_millis(120));
         assert_eq!(client.pending.lock().len(), 0);
-        assert_eq!(*seen.lock(), vec![(NodeId(1), false)]);
+        // Three sends, one call given up on.
+        assert_eq!(streak(&table), 1);
         assert_eq!(client.stats().bytes_sent, (4 + H) + 2 * H);
         assert_eq!(server.stats().held_dropped, 2);
         // A deadline ends the wait before the patience does.
@@ -1408,7 +1394,6 @@ mod tests {
         let f = instant_fabric();
         let client = f.register(NodeId(0));
         let _server = f.register(NodeId(1));
-        let seen = observed(&client);
         let table = warm_table();
         f.crash(NodeId(1));
         let started = Instant::now();
@@ -1419,7 +1404,7 @@ mod tests {
         assert_eq!((stats.total_msgs, stats.total_dropped), (3, 3));
         assert_eq!(stats.total_bytes, (4 + H) + 2 * H);
         assert_eq!((stats.total_probes, stats.total_not_held), (2, 0));
-        assert_eq!(*seen.lock(), vec![(NodeId(1), false)]);
+        assert_eq!(streak(&table), 1);
     }
 
     #[test]

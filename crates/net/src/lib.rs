@@ -39,15 +39,15 @@ mod envelope;
 mod error;
 mod fabric;
 mod link;
+mod peers;
 mod replies;
-mod rto;
 mod stats;
 
 pub use envelope::{Envelope, MessageKind, WIRE_OVERHEAD};
 pub use error::NetError;
-pub use fabric::{CallObserver, Endpoint, Fabric, PendingCall, Sends, Waker};
+pub use fabric::{Endpoint, Fabric, PendingCall, Sends, Waker};
 pub use link::LinkModel;
-pub use rto::{Resend, RtoTable, MIN_RTO};
+pub use peers::{PeerTable, Resend, MIN_RTO};
 pub use stats::{FabricStats, NodeStats};
 
 /// Identifier of a cluster node.

@@ -4,8 +4,9 @@
 # facades, the size of crates/core/src and of the five files the gate names,
 # the coordinator's cutover sites, the worker calls made outside the one
 # scatter loop, the message layouts still written by hand, the worker's
-# replica maps, answer memories and read evaluators, and the options and
-# size of the figure harness (crates/bench).
+# replica maps, answer memories and read evaluators, the per-peer
+# accounts beside the transport's peer table, and the options and size of
+# the figure harness (crates/bench).
 # Usage: scripts/surface.sh            print "name value" lines
 #        scripts/surface.sh --check    also fail when a value exceeds its
 #                                      ceiling in scripts/surface.ceilings
@@ -38,9 +39,10 @@ pub_fns() {
 count() { cat "$src"/*.rs | grep -c "$1" || true; }
 
 # $1 is a grep -E pattern; counts matching lines of every file of
-# crates/core/src, each read up to its `#[cfg(test)]` module.
+# crates/core/src (and of the directories in $3), each read up to its
+# `#[cfg(test)]` module, skipping the file $2.
 count_non_test() {
-    for file in "$src"/*.rs; do
+    for file in "$src"/*.rs ${3:+"$3"/*.rs}; do
         [ "$file" = "${2:-}" ] || awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file"
     done | grep -cE "$1" || true
 }
@@ -75,6 +77,10 @@ surface() {
     # Lines naming a worker-side memory of answered requests: none. Whether
     # a request already ran is decided once, by the transport's reply table.
     echo "worker_seq_memories $(count_non_test 'SeqMemory')"
+    # Lines naming a per-peer account beside the transport's peer table:
+    # none. A call's outcome is booked once, at the end of `call_wait`,
+    # into the table that holds the round-trip estimate.
+    echo "health_views $(count_non_test 'HealthView|CallObserver' '' crates/net/src)"
     # Call sites of the Range pushdown tail (limit, projection): the plain
     # and the class-filtered arm of `execute_read`. More means a second
     # function evaluates reads.
