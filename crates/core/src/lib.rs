@@ -35,12 +35,11 @@
 //!   may fail over to replicas; a control message is a named [`Request`]
 //!   handed to [`exec::Executor::ask`].
 //! * [`Coordinator`] — the mutex-guarded **control plane**: routes
-//!   ingest batches, moves a cell's primary copy between workers by one
-//!   routine (copy → cut over → drain → drop) for rebalance, rejoin and
-//!   stray repair, turns probe failures into failover, and keeps the
-//!   continuous-query registry. After every membership or partition mutation it
-//!   *publishes* an immutable, epoch-tagged [`QueryPlan`] snapshot to
-//!   the query plane.
+//!   ingest batches and keeps the continuous-query registry. Every
+//!   membership or partition change sets a desired state and runs one
+//!   control loop — digest sweep, pure diff, then ship, cover, drain,
+//!   truncate, promote — whose cutover *publishes* an immutable,
+//!   epoch-tagged [`QueryPlan`] snapshot to the query plane.
 //! * [`QueryPlane`] — the lock-free **read path**: one entry,
 //!   [`QueryPlane::query`], runs a typed [`Query`] value ([`RangeOp`],
 //!   [`Knn`] — two [`KnnOp`]s, the owner's answer bounding the rest —

@@ -19,18 +19,18 @@ use std::collections::HashSet;
 
 use stcam_camnet::{Observation, ObservationId};
 use stcam_geo::{BBox, Duration, GridSpec, Point, TimeInterval, Timestamp};
-use stcam_index::{slice_number, sort_by_id, ReadView};
+use stcam_index::{slice_number, sort_by_id, Nearest, ReadView};
 
 use crate::repair::DigestAccumulator;
 
 /// The scans a shard read is evaluated over, with [`ReadView`]'s
 /// signatures and contracts: `range` returns every row inside `region` ×
-/// `window`, sorted by id; `knn` the `k` rows of `window` nearest `at`,
-/// by (distance, id); `heatmap` dense row-major counts per cell of
-/// `buckets`, skipping rows outside the bucket grid.
+/// `window`, sorted by id; `knn` the `k` rows of `window` nearest `at`
+/// and at most `max` from it, by (distance, id); `heatmap` dense
+/// row-major counts per cell of `buckets`, skipping rows outside it.
 pub(crate) trait RowSource {
     fn range(&self, region: BBox, window: TimeInterval) -> Vec<Observation>;
-    fn knn(&self, at: Point, window: TimeInterval, k: usize) -> Vec<Observation>;
+    fn knn(&self, at: Point, window: TimeInterval, k: usize, max: Option<f64>) -> Vec<Observation>;
     fn heatmap(&self, buckets: &GridSpec, window: TimeInterval) -> Vec<u64>;
 }
 
@@ -38,8 +38,8 @@ impl RowSource for ReadView {
     fn range(&self, region: BBox, window: TimeInterval) -> Vec<Observation> {
         ReadView::range(self, region, window)
     }
-    fn knn(&self, at: Point, window: TimeInterval, k: usize) -> Vec<Observation> {
-        ReadView::knn(self, at, window, k)
+    fn knn(&self, at: Point, window: TimeInterval, k: usize, max: Option<f64>) -> Vec<Observation> {
+        ReadView::knn_within(self, at, window, k, max)
     }
     fn heatmap(&self, buckets: &GridSpec, window: TimeInterval) -> Vec<u64> {
         ReadView::heatmap(self, buckets, window)
@@ -122,12 +122,12 @@ impl RowSource for ReplicaLog {
         hits
     }
 
-    fn knn(&self, at: Point, window: TimeInterval, k: usize) -> Vec<Observation> {
-        let in_window = |o: &&Observation| window.contains(o.time);
-        let mut hits: Vec<Observation> = self.rows.iter().filter(in_window).cloned().collect();
-        crate::exec::sort_knn(&mut hits, at);
-        hits.truncate(k);
-        hits
+    fn knn(&self, at: Point, window: TimeInterval, k: usize, max: Option<f64>) -> Vec<Observation> {
+        // Selects before it clones: only the k survivors are copied.
+        let mut nearest = Nearest::new(at, k, max);
+        let in_window = self.rows.iter().filter(|o| window.contains(o.time));
+        in_window.for_each(|o| nearest.offer(o));
+        nearest.into_sorted()
     }
 
     fn heatmap(&self, buckets: &GridSpec, window: TimeInterval) -> Vec<u64> {

@@ -230,11 +230,10 @@ fn execute_read(rows: &impl RowSource, shared: &ReadShared, request: Request) ->
             k,
             max_distance,
         } => {
-            let mut hits = rows.knn(at, window, k as usize);
+            let mut hits = rows.knn(at, window, k as usize, max_distance);
             if let Some(limit) = max_distance {
                 hits.retain(|o| at.distance(o.position) <= limit);
             }
-            hits.truncate(k as usize);
             Response::Observations(hits)
         }
         Request::Heatmap { buckets, window } => {
@@ -1005,23 +1004,15 @@ mod tests {
     #[test]
     fn knn_respects_max_distance() {
         let (_fabric, mut worker) = lone_worker();
-        worker.handle_request(ingest_req(vec![
-            obs(0, 0, 10.0, 0.0),
-            obs(1, 0, 100.0, 0.0),
-        ]));
+        let near = obs(0, 0, 10.0, 0.0);
+        worker.handle_request(ingest_req(vec![near.clone(), obs(1, 0, 100.0, 0.0)]));
         let resp = worker.handle_request(Request::Knn {
             at: Point::new(0.0, 0.0),
             window: window_all(),
             k: 5,
             max_distance: Some(50.0),
         });
-        match resp {
-            Response::Observations(hits) => {
-                assert_eq!(hits.len(), 1);
-                assert_eq!(hits[0].id.seq(), 0);
-            }
-            other => panic!("unexpected response {other:?}"),
-        }
+        assert_eq!(resp, Response::Observations(vec![near]));
     }
 
     #[test]
@@ -1507,15 +1498,14 @@ mod tests {
                 max_distance,
             } => {
                 let reach = max_distance.unwrap_or(f64::INFINITY);
-                let mut hits: Vec<(f64, Observation)> = rows
+                let mut hits: Vec<Observation> = rows
                     .iter()
-                    .filter(|o| window.contains(o.time))
-                    .map(|o| (at.distance(o.position), o.clone()))
-                    .filter(|(d, _)| *d <= reach)
+                    .filter(|o| window.contains(o.time) && at.distance(o.position) <= reach)
+                    .cloned()
                     .collect();
-                hits.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.id.cmp(&b.1.id)));
+                crate::exec::sort_knn(&mut hits, *at);
                 hits.truncate(*k as usize);
-                Response::Observations(hits.into_iter().map(|(_, o)| o).collect())
+                Response::Observations(hits)
             }
             Request::Heatmap { buckets, window } => {
                 let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
@@ -1576,8 +1566,9 @@ mod tests {
             limit: 0,
             projection: PROJ_FULL,
         };
-        let knn = |k, max_distance| Request::Knn {
-            at: Point::new(300.0, 300.0),
+        let (centre, tie) = (Point::new(300.0, 300.0), Point::new(48.5, 26.5));
+        let knn = |at, k, max_distance| Request::Knn {
+            at,
             window: minute,
             k,
             max_distance,
@@ -1596,9 +1587,11 @@ mod tests {
             ("class held", filtered(truck), 1),
             ("class absent", filtered(bicycle), 0),
             ("class invalid", filtered(200), 0),
-            ("knn", knn(4, None), 4),
-            ("knn within 250 m", knn(20, Some(250.0)), 1),
-            ("knn k above population", knn(50, None), 20),
+            ("knn", knn(centre, 4, None), 4),
+            ("knn within 250 m", knn(centre, 20, Some(250.0)), 1),
+            ("knn, none within 100 m", knn(centre, 20, Some(100.0)), 0),
+            ("knn k above population", knn(centre, 50, None), 20),
+            ("knn, rows 0 and 1 tie, 0 wins", knn(tie, 1, None), 1),
             // The index grid is 50 m: buckets coarser and finer than it.
             ("heatmap coarse", heatmap(250.0, 4), 20),
             ("heatmap fine", heatmap(10.0, 100), 20),

@@ -282,18 +282,6 @@ impl GridSpec {
         }
         out
     }
-
-    /// Minimum distance from `p` to any point of the ring at `radius`
-    /// around the cell containing `p`; i.e. a lower bound on the distance
-    /// to observations stored in that ring. Used to decide when kNN
-    /// expansion may stop.
-    pub fn ring_min_distance(&self, radius: u32) -> f64 {
-        if radius == 0 {
-            0.0
-        } else {
-            (radius - 1) as f64 * self.cell_size
-        }
-    }
 }
 
 impl fmt::Display for GridSpec {
@@ -487,15 +475,6 @@ mod tests {
         let corner = CellId::new(0, 0);
         let r1c = g.ring(corner, 1);
         assert_eq!(r1c.len(), 3);
-    }
-
-    #[test]
-    fn ring_min_distance_monotone() {
-        let g = GridSpec::new(Point::ORIGIN, 10.0, 10, 10);
-        assert_eq!(g.ring_min_distance(0), 0.0);
-        assert_eq!(g.ring_min_distance(1), 0.0);
-        assert_eq!(g.ring_min_distance(2), 10.0);
-        assert_eq!(g.ring_min_distance(3), 20.0);
     }
 
     #[test]

@@ -153,31 +153,4 @@ proptest! {
             prop_assert!(poly.intersects_bbox(&bb));
         }
     }
-
-    #[test]
-    fn grid_ring_min_distance_is_a_true_lower_bound(
-        col in 0u32..20, row in 0u32..20,
-        radius in 0u32..10,
-        px_frac in 0.0..1.0f64, py_frac in 0.0..1.0f64,
-    ) {
-        // For any query point inside the center cell, every point of any
-        // ring cell is at least ring_min_distance away — the invariant
-        // the kNN early-termination rule rests on.
-        let g = GridSpec::new(Point::new(0.0, 0.0), 10.0, 20, 20);
-        let center = stcam_geo::CellId::new(col, row);
-        let cb = g.cell_bbox(center);
-        let p = Point::new(
-            cb.min.x + cb.width() * px_frac,
-            cb.min.y + cb.height() * py_frac,
-        );
-        let bound = g.ring_min_distance(radius);
-        for cell in g.ring(center, radius) {
-            let d = g.cell_bbox(cell).distance_to_point(p);
-            prop_assert!(
-                d >= bound - 1e-9,
-                "cell {} at distance {} < bound {}",
-                cell, d, bound
-            );
-        }
-    }
 }

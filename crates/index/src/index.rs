@@ -339,17 +339,18 @@ impl StIndex {
     /// The `k` observations within `window` nearest to `at`, ordered by
     /// (distance, id).
     ///
-    /// Expands square cell rings outward from the query point; a ring at
-    /// Chebyshev cell distance `r` can hold nothing closer than
-    /// `(r−1) × cell_size`, so expansion stops as soon as that lower bound
-    /// exceeds the current k-th best distance. Both tiers contribute
-    /// candidates per ring cell.
+    /// Expands square cell rings outward from the query point, reading
+    /// each ring's cells nearest first. Once `k` rows are held, the k-th
+    /// best distance bounds the search: a cell whose clamped scope lies
+    /// strictly farther is skipped in both tiers, the bound tightens after
+    /// every head slice and sealed block, and expansion ends at the first
+    /// ring with no cell inside the bound.
     pub fn knn(&self, at: Point, window: TimeInterval, k: usize) -> Vec<Observation> {
         let Some((lo, hi)) = self.number_range(window) else {
             return Vec::new();
         };
         let (slices, segments) = self.tiers(lo, hi);
-        view::knn_over(&self.grid, &slices, &segments, at, window, k)
+        view::knn_over(&self.grid, &slices, &segments, at, window, k, None)
     }
 
     /// Observation counts per cell of `buckets` for matches in `window`,

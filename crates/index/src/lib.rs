@@ -23,7 +23,8 @@
 //! * Range queries touch exactly the overlapping slices/segments ×
 //!   overlapping cells, merging both tiers.
 //! * k-nearest-neighbour queries expand cell rings outward from the query
-//!   point until the ring lower bound exceeds the current k-th distance.
+//!   point, skip every cell farther than the current k-th distance, and
+//!   stop at the first ring with no cell inside it.
 //! * Aggregate (heat-map) queries reduce per cell without materialising
 //!   matches, skipping per-row time checks for fully-covered slices.
 //! * Retention is slice-granular eviction across both tiers, so memory
@@ -71,4 +72,4 @@ pub use flat::FlatIndex;
 pub use index::{IndexConfig, IndexStats, StIndex, DEFAULT_HEAD_SLICES};
 pub use segment::{cell_scope, observation_checksum, SealedSegment, SegmentDigest};
 pub use slice::slice_number;
-pub use view::{sort_by_id, ReadView, SPLIT_SCAN_ROWS};
+pub use view::{sort_by_id, Nearest, ReadView, SPLIT_SCAN_ROWS};

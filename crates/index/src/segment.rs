@@ -645,9 +645,11 @@ impl SealedSegment {
     }
 
     /// The stored rows of one packed cell passing `keep(time, position)`,
-    /// appended to `out`. kNN ring expansion uses the predicate to fold
-    /// its window check and current k-th-distance bound into the scan, so
-    /// rows that cannot make the answer are never fully decoded.
+    /// appended to `out`. kNN ring expansion folds its window check and
+    /// the k-th-distance bound as it stands at this block into the
+    /// predicate, so rows that cannot make the answer are never fully
+    /// decoded; it calls this only for cells whose scope lies within that
+    /// bound, and stops calling it for a cell once the bound falls below.
     pub(crate) fn cell_filtered(
         &self,
         cell: u32,
@@ -655,11 +657,17 @@ impl SealedSegment {
         out: &mut Vec<Observation>,
         scratch: &mut ScanScratch,
     ) {
-        let Ok(i) = self.directory.binary_search_by_key(&cell, |b| b.cell) else {
-            return;
-        };
-        let mut slice = self.run_bytes(i, i, &mut scratch.bytes);
-        decode_batch_filtered(&mut slice, keep, out).expect("sealed block decodes");
+        #[cfg(test)]
+        let before = out.len();
+        if let Ok(i) = self.directory.binary_search_by_key(&cell, |b| b.cell) {
+            let mut slice = self.run_bytes(i, i, &mut scratch.bytes);
+            decode_batch_filtered(&mut slice, keep, out).expect("sealed block decodes");
+        }
+        #[cfg(test)]
+        CELL_READS.with(|reads| {
+            let (lookups, rows) = reads.get();
+            reads.set((lookups + 1, rows + out.len() - before));
+        });
     }
 
     /// The wire/at-rest frame of this segment (clones the payload;
@@ -723,6 +731,15 @@ impl SealedSegment {
             memo: HeatmapMemo::default(),
         })
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Directory searches made by [`SealedSegment::cell_filtered`] on this
+    /// thread, and the rows it decoded whole: what the kNN pruning test
+    /// counts.
+    pub(crate) static CELL_READS: std::cell::Cell<(usize, usize)> =
+        const { std::cell::Cell::new((0, 0)) };
 }
 
 /// Reusable decode buffers threaded through segment scans so repeated

@@ -7,14 +7,21 @@
 //! worker's read-executor pool can serve queries concurrently while the
 //! control lane keeps mutating the live index (copy-on-write head —
 //! mutation clones the touched slice, never the snapshot's).
+//!
+//! A kNN reads only the cells its k-th bound can reach: cells are read
+//! nearest first, a cell farther from the query point than the current
+//! k-th best distance is skipped, the bound tightens after every block,
+//! and the ring expansion stops at the first ring with no cell inside it.
 
 use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use stcam_camnet::{Observation, ObservationId};
-use stcam_geo::{BBox, Duration, GridSpec, Point, TimeInterval, Timestamp};
+use stcam_geo::{BBox, CellId, Duration, GridSpec, Point, TimeInterval, Timestamp};
 
-use crate::segment::{ScanScratch, SealedSegment};
+use crate::segment::{cell_scope, ScanScratch, SealedSegment};
 use crate::slice::{slice_number, Slice};
 
 /// The inclusive slice-number range `window` can touch, or `None` for an
@@ -169,9 +176,163 @@ pub(crate) fn range_over(
     out
 }
 
-/// The `k` observations within `window` nearest to `at`, ordered by
-/// (distance, id). See [`StIndex::knn`](crate::StIndex::knn) for the
-/// ring-expansion rationale.
+/// The best `k` rows offered so far, ranked by squared distance to `at`
+/// and then by id under `total_cmp` (the order of a kNN answer), with an
+/// optional `max_distance` no answer may exceed.
+///
+/// A bounded max-heap whose top is the k-th best, so a row is cloned only
+/// once it is known to enter the answer, and whose bound a scan may prune
+/// against. A row whose distance is NaN never enters.
+#[derive(Debug)]
+pub struct Nearest {
+    at: Point,
+    k: usize,
+    /// `max_distance`, or ∞ without one.
+    limit: f64,
+    /// `limit` squared and rounded up (−∞ for a negative or NaN limit):
+    /// a row passes `at.distance(p) <= limit` only if its exact distance
+    /// is below `limit.next_up()`, so its squared distance, a double below
+    /// that square, is at most the square rounded to nearest.
+    limit_sq: f64,
+    heap: BinaryHeap<Ranked>,
+}
+
+/// One held row and its squared distance, ordered by `(distance², id)`.
+#[derive(Debug)]
+struct Ranked {
+    distance_sq: f64,
+    row: Observation,
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.distance_sq
+            .total_cmp(&other.distance_sq)
+            .then(self.row.id.cmp(&other.row.id))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Ranked {}
+
+impl Nearest {
+    /// An empty selection of the `k` rows nearest to `at`, none of them
+    /// farther than `max_distance` when one is given.
+    pub fn new(at: Point, k: usize, max_distance: Option<f64>) -> Nearest {
+        let limit = max_distance.unwrap_or(f64::INFINITY);
+        let up = limit.next_up();
+        Nearest {
+            at,
+            k,
+            limit,
+            limit_sq: if limit >= 0.0 {
+                up * up
+            } else {
+                f64::NEG_INFINITY
+            },
+            heap: BinaryHeap::with_capacity(k),
+        }
+    }
+
+    /// The squared distance beyond which no row can still enter: the
+    /// k-th best's once `k` rows are held, the squared limit before.
+    pub(crate) fn bound(&self) -> f64 {
+        if self.heap.len() < self.k {
+            self.limit_sq
+        } else {
+            self.heap
+                .peek()
+                .map_or(f64::NEG_INFINITY, |top| top.distance_sq)
+        }
+    }
+
+    /// Whether a row at `distance_sq` with `id` enters the selection.
+    fn admits(&self, distance_sq: f64, id: ObservationId) -> bool {
+        if self.heap.len() < self.k {
+            // NaN compares false, so a row without a distance stays out.
+            distance_sq.sqrt() <= self.limit
+        } else {
+            // Ahead of the k-th best; NaN compares false here too.
+            let ahead = |top: &Ranked| (distance_sq, id) < (top.distance_sq, top.row.id);
+            self.heap.peek().is_some_and(ahead)
+        }
+    }
+
+    fn insert(&mut self, distance_sq: f64, row: Observation) {
+        let ranked = Ranked { distance_sq, row };
+        if self.heap.len() < self.k {
+            self.heap.push(ranked);
+        } else if let Some(mut top) = self.heap.peek_mut() {
+            *top = ranked;
+        }
+    }
+
+    /// Offers a borrowed row; it is cloned only if it enters.
+    pub fn offer(&mut self, row: &Observation) {
+        let distance_sq = self.at.distance_sq(row.position);
+        if self.admits(distance_sq, row.id) {
+            self.insert(distance_sq, row.clone());
+        }
+    }
+
+    /// Offers an owned row.
+    pub(crate) fn offer_owned(&mut self, row: Observation) {
+        let distance_sq = self.at.distance_sq(row.position);
+        if self.admits(distance_sq, row.id) {
+            self.insert(distance_sq, row);
+        }
+    }
+
+    /// The rows held, ordered by (distance, id).
+    pub fn into_sorted(self) -> Vec<Observation> {
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|ranked| ranked.row)
+            .collect()
+    }
+}
+
+/// Squared distance from `at` to the nearest point of packed cell
+/// `cell`'s clamped scope, [`cell_scope`]: the same subtract-and-square as
+/// [`Point::distance_sq`] on a point no farther from `at` on either axis
+/// than any position the cell stores, so it never exceeds the squared
+/// distance of a row in the cell.
+fn scope_distance_sq(grid: &GridSpec, cell: u32, at: Point) -> f64 {
+    let scope = cell_scope(grid, cell);
+    at.distance_sq(Point::new(
+        at.x.clamp(scope.min.x, scope.max.x),
+        at.y.clamp(scope.min.y, scope.max.y),
+    ))
+}
+
+/// The `k` observations within `window` nearest to `at`, none farther
+/// than `max_distance`, ordered by (distance, id).
+///
+/// Expands square cell rings outward from the query point's clamped cell
+/// and reads each ring's cells nearest first, pruning with the squared
+/// distance to each cell's clamped scope against the [`Nearest`] bound,
+/// which tightens after every head slice and sealed block:
+///
+/// * a cell strictly farther than the bound is skipped in every tier;
+/// * inside a cell, the walk over its segments stops as soon as the bound
+///   drops below the cell's distance;
+/// * each segment block is decoded with the bound as it stands then, so
+///   rows that cannot enter are never fully decoded;
+/// * the ring loop ends at the first ring with no cell inside the bound
+///   (or no cell at all). Any position in a farther ring is reached from
+///   `at` only through that ring, so none can be nearer.
 pub(crate) fn knn_over(
     grid: &GridSpec,
     slices: &[&Slice],
@@ -179,71 +340,61 @@ pub(crate) fn knn_over(
     at: Point,
     window: TimeInterval,
     k: usize,
+    max_distance: Option<f64>,
 ) -> Vec<Observation> {
     if k == 0 || (slices.is_empty() && segments.is_empty()) {
         return Vec::new();
     }
+    let mut nearest = Nearest::new(at, k, max_distance);
     let center = grid.cell_of_clamped(at);
-    let max_radius = grid.cols().max(grid.rows());
-    // (distance_sq, observation) current best k, ordered.
-    let mut best: Vec<(f64, Observation)> = Vec::with_capacity(k + 8);
     let mut scratch = ScanScratch::default();
     let mut cell_rows: Vec<Observation> = Vec::new();
-    for radius in 0..=max_radius {
-        // Distance of the current k-th best, valid for this whole ring
-        // (`best` is sorted and truncated at the end of the previous
-        // one). Sealed rows farther than this can never enter the
-        // answer, so the segment scan drops them before full decode.
-        let kth_sq = if best.len() >= k {
-            best.last().expect("k >= 1").0
-        } else {
-            f64::INFINITY
-        };
-        if best.len() >= k {
-            let bound = grid.ring_min_distance(radius);
-            if bound > kth_sq.sqrt() {
-                break;
-            }
-        }
-        let ring = grid.ring(center, radius);
-        if ring.is_empty() && radius > 0 {
-            // The clamped center can make early rings partially empty
-            // at borders, but a fully empty ring means we've left the
-            // grid entirely.
+    let mut ring: Vec<(f64, CellId)> = Vec::with_capacity(8);
+    for radius in 0..=grid.cols().max(grid.rows()) {
+        ring.clear();
+        ring.extend(grid.ring(center, radius).into_iter().map(|cell| {
+            let packed = cell.row * grid.cols() + cell.col;
+            (scope_distance_sq(grid, packed, at), cell)
+        }));
+        ring.sort_by(|a, b| a.0.total_cmp(&b.0));
+        if ring
+            .first()
+            .is_none_or(|&(cell_sq, _)| cell_sq > nearest.bound())
+        {
             break;
         }
-        for cell in ring {
+        for &(cell_sq, cell) in &ring {
+            // Nearest first, and the bound only tightens: once a cell is
+            // out of reach, so is the rest of the ring.
+            if cell_sq > nearest.bound() {
+                break;
+            }
             for slice in slices {
                 for obs in slice.cell_contents(grid, cell) {
-                    if !window.contains(obs.time) {
-                        continue;
+                    if window.contains(obs.time) {
+                        nearest.offer(obs);
                     }
-                    best.push((at.distance_sq(obs.position), obs.clone()));
                 }
             }
             let packed = cell.row * grid.cols() + cell.col;
             for segment in segments {
-                cell_rows.clear();
+                let bound = nearest.bound();
+                if cell_sq > bound {
+                    break;
+                }
                 segment.cell_filtered(
                     packed,
-                    |t, p| window.contains(t) && at.distance_sq(p) <= kth_sq,
+                    |t, p| window.contains(t) && at.distance_sq(p) <= bound,
                     &mut cell_rows,
                     &mut scratch,
                 );
                 for obs in cell_rows.drain(..) {
-                    best.push((at.distance_sq(obs.position), obs));
+                    nearest.offer_owned(obs);
                 }
             }
         }
-        // Keep only the best k, ordered.
-        best.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.id.cmp(&b.1.id))
-        });
-        best.truncate(k);
     }
-    best.into_iter().map(|(_, o)| o).collect()
+    nearest.into_sorted()
 }
 
 /// Observation counts per cell of `buckets` for matches in `window`, as
@@ -330,11 +481,24 @@ impl ReadView {
 
     /// kNN query over the snapshot; see [`StIndex::knn`](crate::StIndex::knn).
     pub fn knn(&self, at: Point, window: TimeInterval, k: usize) -> Vec<Observation> {
+        self.knn_within(at, window, k, None)
+    }
+
+    /// [`knn`](Self::knn) keeping only rows with
+    /// `at.distance(position) <= max_distance`. The limit also seeds the
+    /// search's bound, so cells beyond it are never read.
+    pub fn knn_within(
+        &self,
+        at: Point,
+        window: TimeInterval,
+        k: usize,
+        max_distance: Option<f64>,
+    ) -> Vec<Observation> {
         let Some((lo, hi)) = number_range(window, self.slice_len) else {
             return Vec::new();
         };
         let (slices, segments) = self.tiers(lo, hi);
-        knn_over(&self.grid, &slices, &segments, at, window, k)
+        knn_over(&self.grid, &slices, &segments, at, window, k, max_distance)
     }
 
     /// Heat-map query over the snapshot; see
@@ -354,6 +518,7 @@ mod tests {
     use stcam_geo::{BBox, Duration, Point, TimeInterval, Timestamp};
     use stcam_world::{EntityClass, EntityId};
 
+    use crate::segment::CELL_READS;
     use crate::{IndexConfig, StIndex};
 
     fn obs(seq: u64, t_ms: u64, x: f64, y: f64) -> stcam_camnet::Observation {
@@ -416,6 +581,99 @@ mod tests {
             worst < super::SPLIT_SCAN_ROWS,
             "a point read selects {worst} sealed rows"
         );
+    }
+
+    #[test]
+    fn a_knn_at_a_cell_centre_reads_at_most_two_cells_per_segment() {
+        // 20 × 20 cells of 50 m, 30 sealed 10 s slices, 4 uniform rows per
+        // cell and slice: the 16th-nearest row to a cell's centre is
+        // ≈ 10 m away, and every other cell's scope is 25 m or more.
+        let mut index = StIndex::new(config().with_head_slices(1));
+        let mut state = 11u64;
+        let mut unit = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (segments, per_slice) = (30u64, 4 * 400);
+        for i in 0..segments * per_slice {
+            index.insert(obs(
+                i,
+                i * 10_000 / per_slice,
+                unit() * 1000.0,
+                unit() * 1000.0,
+            ));
+        }
+        index.seal_all();
+        assert_eq!(index.stats().sealed_segments, segments as usize);
+        let at = Point::new(525.0, 525.0);
+        let everything = window(0, segments * 10_000);
+        let (lookups_before, rows_before) = CELL_READS.get();
+        let got = index.read_view().knn(at, everything, 16);
+        let (lookups, rows) = CELL_READS.get();
+        let (lookups, rows) = (lookups - lookups_before, rows - rows_before);
+        let mut want = index.range(
+            BBox::new(Point::new(-10.0, -10.0), Point::new(1010.0, 1010.0)),
+            everything,
+        );
+        want.sort_by(|a, b| {
+            let d = |o: &stcam_camnet::Observation| at.distance_sq(o.position);
+            d(a).total_cmp(&d(b)).then(a.id.cmp(&b.id))
+        });
+        want.truncate(16);
+        assert_eq!(got, want);
+        assert!(
+            lookups <= 2 * segments as usize,
+            "{lookups} block lookups over {segments} segments"
+        );
+        // The bound tightens block by block, so once 16 rows are held the
+        // centre cell's farther rows are no longer decoded.
+        let centre = index.range_count(
+            BBox::new(Point::new(500.0, 500.0), Point::new(550.0, 550.0)),
+            everything,
+        );
+        assert!(
+            3 * rows <= 2 * centre,
+            "{rows} rows decoded of the centre cell's {centre}"
+        );
+    }
+
+    #[test]
+    fn nearest_keeps_what_a_full_sort_and_truncate_keep() {
+        // 120 rows on 12 positions, ids a permutation of the offer order:
+        // most distances tie and the id decides.
+        let rows: Vec<_> = (0..120u64)
+            .map(|i| {
+                obs(
+                    i * 47 % 120,
+                    0,
+                    (i % 4) as f64 * 10.0,
+                    (i % 3) as f64 * 10.0,
+                )
+            })
+            .collect();
+        let d = |at: Point, o: &stcam_camnet::Observation| at.distance_sq(o.position);
+        for at in [
+            Point::new(10.0, 10.0),
+            Point::new(15.0, 5.0),
+            Point::new(-40.0, 70.0),
+        ] {
+            for k in [0, 1, 5, 16, 119, 200] {
+                for limit in [None, Some(10.0), Some(0.0), Some(-1.0)] {
+                    let mut want: Vec<_> = rows
+                        .iter()
+                        .filter(|o| limit.is_none_or(|l| at.distance(o.position) <= l))
+                        .cloned()
+                        .collect();
+                    want.sort_by(|a, b| d(at, a).total_cmp(&d(at, b)).then(a.id.cmp(&b.id)));
+                    want.truncate(k);
+                    let mut nearest = super::Nearest::new(at, k, limit);
+                    rows.iter().for_each(|o| nearest.offer(o));
+                    assert_eq!(nearest.into_sorted(), want, "{at} k {k} within {limit:?}");
+                }
+            }
+        }
     }
 
     #[test]

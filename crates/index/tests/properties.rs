@@ -118,6 +118,30 @@ fn spread(raw: &[RawObs]) -> Vec<Observation> {
     rows
 }
 
+/// The lattice step: half a cell, so lattice rows tie in distance and
+/// every second lattice line is a cell boundary.
+const STEP: f64 = 18.5;
+
+/// A row or query position: three times in four on the half-cell
+/// lattice over the corner from 55.5 m outside the extent to 111 m
+/// inside it (dense, so rows share positions, tie in distance and sit on
+/// the cell boundaries a query's bound reaches), else anywhere up to
+/// 60 m outside the extent. Rows outside clamp into the border cells.
+fn arb_position() -> impl Strategy<Value = Point> {
+    (
+        0u8..4,
+        (-3i32..7, -3i32..7),
+        (-60.0..EXTENT + 60.0, -60.0..EXTENT + 60.0),
+    )
+        .prop_map(|(pick, (i, j), (x, y))| {
+            if pick > 0 {
+                Point::new(i as f64 * STEP, j as f64 * STEP)
+            } else {
+                Point::new(x, y)
+            }
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -326,6 +350,68 @@ proptest! {
         // Everything still present is in a slice ending after the cutoff.
         if let Some(oldest) = stats.oldest {
             prop_assert!(oldest.as_millis() + SLICE_MS > cut_ms || index.is_empty());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn knn_matches_the_oracle_on_a_sealed_archive(
+        rows in prop::collection::vec((0u64..60_000, arb_position()), 0..250),
+        query in (arb_position(), (-1e6..1e6f64, -1e6..1e6f64), 0u8..8),
+        k in 0usize..12, above_count in 0u8..4,
+        limit in (0u8..4, 0u32..12, 0.0..300.0f64),
+        span in (any::<bool>(), 0u64..30_000, 1u64..60_000),
+    ) {
+        // Twelve sealed segments. Lattice rows share positions under
+        // different ids and tie in distance, and lattice queries sit on
+        // cell centres, edges and corners. One query in eight comes from
+        // up to 1 000 km outside the extent, one k in four exceeds the
+        // row count, one limit in four lands on the lattice and one in
+        // four anywhere, and half the windows cover every row.
+        let (near, (x, y), far_out) = query;
+        let at = if far_out == 0 { Point::new(x, y) } else { near };
+        let k = if above_count == 0 { k + 250 } else { k };
+        let max_distance = match limit {
+            (0, m, _) => Some(m as f64 * STEP),
+            (1, _, d) => Some(d),
+            _ => None,
+        };
+        let window = match span {
+            (true, _, _) => TimeInterval::new(Timestamp::ZERO, Timestamp::from_millis(60_000)),
+            (false, t0, dt) => {
+                TimeInterval::new(Timestamp::from_millis(t0), Timestamp::from_millis(t0 + dt))
+            }
+        };
+        let rows: Vec<Observation> = rows
+            .into_iter()
+            .enumerate()
+            .map(|(i, (t_ms, position))| Observation {
+                id: ObservationId::compose(CameraId(0), i as u64),
+                camera: CameraId(0),
+                time: Timestamp::from_millis(t_ms),
+                position,
+                class: EntityClass::Car,
+                signature: Signature::latent_for_entity(i as u64),
+                truth: None,
+            })
+            .collect();
+        let mut index = StIndex::new(config());
+        index.insert_batch(rows.iter().cloned());
+        index.seal_all();
+        let oracle: FlatIndex = rows.into_iter().collect();
+        let want: Vec<ObservationId> = oracle
+            .knn(at, window, usize::MAX)
+            .into_iter()
+            .filter(|o| max_distance.is_none_or(|limit| at.distance(o.position) <= limit))
+            .take(k)
+            .map(|o| o.id)
+            .collect();
+        prop_assert_eq!(ids(&index.read_view().knn_within(at, window, k, max_distance)), want.clone());
+        if max_distance.is_none() {
+            prop_assert_eq!(ids(&index.knn(at, window, k)), want);
         }
     }
 }
