@@ -136,9 +136,10 @@ impl ClusterConfig {
 /// All methods are `&self` (internally synchronised), so a `Cluster` can
 /// be shared across client threads. Reads ([`query`](Self::query) and
 /// its three strict shorthands, plus telemetry accessors) go straight to
-/// the lock-free [`QueryPlane`] and never touch the coordinator mutex;
-/// writes and control actions (ingest, flush, rebalance, recovery,
-/// continuous queries) serialise on the coordinator as before.
+/// the lock-free [`QueryPlane`], and writes ([`ingest`](Self::ingest),
+/// [`flush`](Self::flush)) through the cluster's own [`Ingestor`]: neither
+/// touches the coordinator mutex. Control actions (rebalance, recovery,
+/// continuous queries) serialise on the coordinator.
 #[derive(Debug)]
 pub struct Cluster {
     fabric: Fabric,
@@ -147,6 +148,9 @@ pub struct Cluster {
     /// matches: drained without the coordinator mutex.
     inbox: std::sync::Arc<Endpoint>,
     plane: std::sync::Arc<QueryPlane>,
+    /// The write path of [`ingest`](Self::ingest) and
+    /// [`flush`](Self::flush): one more ingestor, first in its id range.
+    writer: Ingestor,
     workers: Mutex<Option<Vec<WorkerHandle>>>,
     config: ClusterConfig,
     next_ingestor: std::sync::atomic::AtomicU32,
@@ -280,6 +284,11 @@ impl Cluster {
         // or rebalance instead of silently feeding old owners.
         coordinator.broadcast_routes();
         let plane = coordinator.query_plane();
+        let writer = Ingestor::new(
+            fabric.register(NodeId(10_000)),
+            std::sync::Arc::clone(&plane),
+            config.replication,
+        );
         // Arm the admission gate's saturation threshold: one full
         // fan-out per query-plane endpoint.
         plane
@@ -290,9 +299,10 @@ impl Cluster {
             coordinator: std::sync::Arc::new(Mutex::new(coordinator)),
             inbox,
             plane,
+            writer,
             workers: Mutex::new(Some(handles)),
             config,
-            next_ingestor: std::sync::atomic::AtomicU32::new(10_000),
+            next_ingestor: std::sync::atomic::AtomicU32::new(10_001),
             monitor: Mutex::new(None),
             retention: Mutex::new(None),
         })
@@ -310,31 +320,33 @@ impl Cluster {
         &self.config
     }
 
-    /// Acknowledged ingest: routes observations to their owning workers
-    /// and replicas, returning the number durably accepted (see
-    /// [`Coordinator::ingest`]).
+    /// Acknowledged ingest through the cluster's own [`Ingestor`]:
+    /// routes observations to their owning workers and replicas under
+    /// the published plan, returning the number durably accepted (see
+    /// [`Ingestor::ingest`]). Never takes the coordinator lock, so writes
+    /// proceed beside recovery ticks, rebalances and coordinator outages.
     ///
     /// # Errors
     ///
-    /// See [`Coordinator::ingest`].
+    /// See [`Ingestor::ingest`].
     pub fn ingest(&self, batch: Vec<Observation>) -> Result<usize, StcamError> {
-        self.coordinator.lock().ingest(batch)
+        self.writer.ingest(batch)
     }
 
-    /// Barrier: returns once all previously ingested traffic is indexed.
+    /// Barrier: drains the parked window of [`ingest`](Self::ingest) and
+    /// returns once all previously ingested traffic is indexed.
     ///
     /// # Errors
     ///
     /// See [`Ingestor::flush`].
     pub fn flush(&self) -> Result<(), StcamError> {
-        self.coordinator.lock().flush()
+        self.writer.flush()
     }
 
     /// Creates a direct-ingest handle with its own fabric endpoint (see
-    /// [`Ingestor`]); many may ingest concurrently. The handle caches a
-    /// routing snapshot and refreshes it by itself on NACKs and
-    /// timeouts, so it survives recoveries and rebalances without being
-    /// recreated.
+    /// [`Ingestor`]); many may ingest concurrently. The handle reads the
+    /// published plan at every call and re-routes on NACKs, so it
+    /// survives recoveries and rebalances without being recreated.
     pub fn create_ingestor(&self) -> Ingestor {
         let id = NodeId(
             self.next_ingestor
@@ -546,10 +558,10 @@ impl Cluster {
     }
 
     /// Failure injection: crashes the *coordinator's* control-plane
-    /// transport at the fabric level. Reads keep serving — the query
-    /// plane's pooled endpoints are separate nodes and its last published
-    /// plan stays valid — but ingest acknowledgements, recovery ticks and
-    /// other control actions fail until
+    /// transport at the fabric level. Reads and acked writes keep going —
+    /// the query plane's pooled endpoints and the ingestors are separate
+    /// nodes and the last published plan stays valid — but recovery ticks
+    /// and other control actions fail until
     /// [`restart_coordinator`](Self::restart_coordinator).
     pub fn crash_coordinator(&self) {
         self.fabric.crash(NodeId(0));

@@ -1,8 +1,10 @@
-//! The coordinator: the mutex-guarded **control plane** — ingest
-//! routing, membership, and continuous-query bookkeeping, plus one
-//! control loop that keeps the cluster at its desired state. Reads do not
-//! pass through here: they run on the lock-free
-//! [`QueryPlane`](crate::QueryPlane) this publishes plans to.
+//! The coordinator: the mutex-guarded **control plane** — routing,
+//! membership, and continuous-query bookkeeping, plus one control loop
+//! that keeps the cluster at its desired state. Neither reads nor writes
+//! pass through here: reads run on the lock-free
+//! [`QueryPlane`](crate::QueryPlane) this publishes plans to, and acked
+//! writes go through [`Ingestor`](crate::Ingestor)s, which read the same
+//! published plan and never take this lock.
 //!
 //! Every control message is a [`Request`] this module spells and hands
 //! to [`Executor::ask`] under the name that keys its policy and
@@ -18,7 +20,6 @@ use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration as StdDuration;
 
-use stcam_camnet::Observation;
 use stcam_geo::{TimeInterval, Timestamp};
 use stcam_net::{Endpoint, NodeId};
 
@@ -26,7 +27,6 @@ use crate::continuous::{ContinuousQueryId, Predicate};
 use crate::error::StcamError;
 use crate::exec::OpStats;
 use crate::exec::{all_alive, region_targets, unexpected, want_ack, Executor, HeatmapOp, OpPolicy};
-use crate::ingest::ReliableSender;
 use crate::partition::PartitionMap;
 use crate::plane::{QueryOpts, QueryPlane};
 use crate::protocol::{CensusReport, Request, Response, WorkerStatsMsg};
@@ -140,17 +140,16 @@ struct Run {
 
 /// The cluster's control plane and query router.
 ///
-/// The coordinator is driven synchronously by the client thread: ingest
-/// routing and failure recovery are plain method calls. Fan-out, retry,
-/// and telemetry live in the [`Executor`]; reads live in the
-/// [`QueryPlane`]. The control loop publishes a fresh
-/// [`QueryPlan`](crate::QueryPlan) at each cutover, so lock-free readers
-/// observe it.
+/// The coordinator is driven synchronously by the client thread: route
+/// publication and failure recovery are plain method calls. Fan-out,
+/// retry, and telemetry live in the [`Executor`]; reads live in the
+/// [`QueryPlane`], writes in [`Ingestor`](crate::Ingestor)s. The control
+/// loop publishes a fresh [`QueryPlan`](crate::QueryPlan) at each
+/// cutover, so lock-free readers and writers observe it.
 #[derive(Debug)]
 pub struct Coordinator {
     exec: Executor,
     plane: Arc<QueryPlane>,
-    sender: ReliableSender,
     /// The partition map the control loop drives the cluster to; the
     /// published one is the plane's.
     target: PartitionMap,
@@ -173,7 +172,7 @@ pub struct Coordinator {
 impl Coordinator {
     /// Creates a coordinator over an already-partitioned cluster.
     ///
-    /// `endpoint` carries control-plane traffic (ingest, probes, migration)
+    /// `endpoint` carries control-plane traffic (routes, probes, migration)
     /// and gets standing-query matches, which its other holder drains;
     /// `query_endpoints` become the query plane's pool — at least one.
     pub fn new(
@@ -189,7 +188,8 @@ impl Coordinator {
         // Probes are single-attempt: a timeout *is* the liveness signal.
         let probe = OpPolicy::no_retry(rpc_timeout.min(StdDuration::from_millis(250)));
         exec.set_policy("probe", probe);
-        // Acked writes: up to five sends, five whole timeouts of patience.
+        // Acked writes (every `Ingestor` asks under these names from the
+        // shared table): up to five sends, five whole timeouts of patience.
         let write = OpPolicy {
             timeout: rpc_timeout,
             max_attempts: 5,
@@ -204,11 +204,9 @@ impl Coordinator {
             .map(|ep| Executor::with_shared(ep, Arc::clone(&shared)))
             .collect();
         let plane = Arc::new(QueryPlane::new(pool, partition.clone(), alive.clone()));
-        let sender = ReliableSender::new(Arc::clone(&plane), replication);
         Coordinator {
             exec,
             plane,
-            sender,
             known: alive.clone(),
             target: partition,
             replication,
@@ -242,33 +240,6 @@ impl Coordinator {
     /// them.
     pub fn registration_failures(&self) -> u64 {
         self.registration_failures
-    }
-
-    /// Acknowledged ingest through the coordinator's own endpoint: the
-    /// path and contract of [`Ingestor::ingest`](crate::Ingestor::ingest).
-    /// Returns the number of observations durably **accepted** — not
-    /// merely routed; anything unaccepted is parked and re-driven by
-    /// [`flush`](Self::flush).
-    ///
-    /// # Errors
-    ///
-    /// [`StcamError::NoQuorum`] when no worker is alive; unreachable
-    /// workers park observations instead of erroring.
-    pub fn ingest(&mut self, batch: Vec<Observation>) -> Result<usize, StcamError> {
-        // This plan is the authoritative one: sync the snapshot first.
-        self.sender.refresh_plan();
-        self.sender.ingest(&self.exec, batch)
-    }
-
-    /// Write barrier, shared with [`Ingestor::flush`](crate::Ingestor::flush):
-    /// drains the parked window (re-delivering under fresh routing), then
-    /// pings every alive worker behind all previously sent traffic.
-    ///
-    /// # Errors
-    ///
-    /// As [`Ingestor::flush`](crate::Ingestor::flush).
-    pub fn flush(&self) -> Result<(), StcamError> {
-        self.sender.flush(&self.exec)
     }
 
     /// Pushes every alive worker its slice of the published plan (epoch

@@ -1,24 +1,26 @@
-//! Direct edge ingestion and the reliable (acknowledged) write path.
+//! The acknowledged write path: [`Ingestor`].
 //!
 //! Routing every observation through the coordinator would make it the
 //! ingest bottleneck. In a deployment, camera aggregation points hold a
 //! copy of the partition map and stream straight to the owning workers;
 //! the coordinator only manages membership and queries. An [`Ingestor`]
-//! is that aggregation-point handle: it has its own fabric endpoint and a
-//! cached snapshot of the routing plan, and many of them can ingest in
-//! parallel.
+//! is that aggregation-point handle: it has its own fabric endpoint,
+//! reads the published routing plan at the start of every call, and
+//! never takes the coordinator lock, so many of them can ingest in
+//! parallel beside any control action. `Cluster::ingest` is one more of
+//! them, owned by the cluster.
 //!
 //! # Write-path reliability
 //!
-//! The default [`Ingestor::ingest`] (and `Coordinator::ingest`) is
-//! *acknowledged*: workers reply `Ack` or `IngestNack`, which the transport
-//! replays to a re-send. A wave of per-owner groups is delivered in two
-//! [`Executor::ask`] rounds — `"ingest_seq"` to every
-//! owner at once, then `"replicate_seq"` of what each owner kept to all
-//! their successors at once — so the one scatter loop in `exec.rs`
-//! retransmits lost frames, under the two [`OpPolicy`](crate::OpPolicy)
-//! entries of those names (the only retry knob of the write path), and
-//! books every send into [`OpStats`](crate::OpStats) beside the reads.
+//! [`Ingestor::ingest`] is *acknowledged*: workers reply `Ack` or
+//! `IngestNack`, which the transport replays to a re-send. A wave of
+//! per-owner groups is delivered in two [`Executor::ask`] rounds —
+//! `"ingest_seq"` to every owner at once, then `"replicate_seq"` of what
+//! each owner kept to all their successors at once — so the one scatter
+//! loop in `exec.rs` retransmits lost frames, under the two
+//! [`OpPolicy`](crate::OpPolicy) entries of those names (the only retry
+//! knob of the write path), and books every send into
+//! [`OpStats`](crate::OpStats) beside the reads.
 //!
 //! A batch group is only counted as accepted once its owner **and** a
 //! full replica set — the first `replication` ring successors the plan
@@ -26,17 +28,17 @@
 //! reads look and what a later promotion absorbs, so the returned count
 //! certifies both durability *and* strict-read visibility under the
 //! configured replication factor; a shortfall parks the group instead of
-//! acking. When the owner is unreachable, the sender performs hinted
+//! acking. When the owner is unreachable, the ingestor performs hinted
 //! handoff: the batch is written to those same successors as replica-log
 //! entries. Hints alone never produce an ack, though: hinted batches
 //! stay *parked* and re-deliver (idempotently) once recovery fails the
 //! owner out or the link heals — acks stall during the grey window
-//! instead of lying (see `ReliableSender::deliver_wave` for why).
+//! instead of lying (see `Ingestor::deliver_wave` for why).
 //!
-//! Ingestors are self-healing: a stale routing snapshot is refreshed
-//! from the coordinator's published [`QueryPlan`] whenever a worker
-//! NACKs misrouted observations or stops answering — no recreation
-//! required. Parked observations are re-driven by
+//! A plan published while a call is under way is picked up by the next
+//! routing round: a worker NACKs misrouted observations, or a newer
+//! epoch explains a silent owner, and the leftovers re-route — no
+//! recreation required. Parked observations are re-driven by
 //! [`flush`](Ingestor::flush), which is a true write barrier: it drains
 //! the parked window before running the ping round.
 
@@ -55,7 +57,7 @@ use crate::protocol::{Request, Response};
 /// Max per-destination batch groups a single `ingest` call keeps in
 /// flight concurrently (the backpressure window).
 const INFLIGHT_WINDOW: usize = 8;
-/// Routing rounds (deliver, refresh plan, re-route leftovers) per call.
+/// Routing rounds (deliver, re-read the plan, re-route leftovers) per call.
 const MAX_ROUNDS: usize = 4;
 
 /// One owner's share of a wave on its way into round two.
@@ -80,89 +82,77 @@ fn want_misrouted(response: Response) -> Result<HashSet<ObservationId>, StcamErr
     }
 }
 
-/// The acked-write engine shared by [`Ingestor`] and the coordinator:
-/// bounded-window delivery, NACK-driven plan refresh, hinted handoff, and
-/// the parked window that [`flush`](Self::flush) empties.
-///
-/// The engine owns no endpoint and no retry loop: callers pass the
-/// [`Executor`] to send through, and the `"ingest_seq"` and
-/// `"replicate_seq"` policies of its account say how long and how often
-/// to retransmit.
+/// A parallel ingest handle with its own network endpoint; see the
+/// module documentation above for the routing model and the
+/// acknowledged-write contract. A handle is `Sync`: threads sharing one
+/// share its parked window too.
 #[derive(Debug)]
-pub(crate) struct ReliableSender {
+pub struct Ingestor {
+    exec: Executor,
     plane: Arc<QueryPlane>,
-    /// Cached routing snapshot; refreshed from `plane` on NACK/timeout,
-    /// so a stale sender heals itself instead of needing recreation.
-    plan: Mutex<Arc<QueryPlan>>,
     replication: usize,
+    /// Observations accepted by no one yet (awaiting `flush`).
     pending: Mutex<Vec<Observation>>,
+    /// Held for a whole [`flush`](Self::flush): a second barrier on a
+    /// shared handle waits until the window the first one took is
+    /// settled, instead of returning while it is still in flight.
+    barrier: Mutex<()>,
 }
 
-impl ReliableSender {
-    pub(crate) fn new(plane: Arc<QueryPlane>, replication: usize) -> Self {
-        let plan = Mutex::new(plane.plan());
-        ReliableSender {
+impl Ingestor {
+    /// An ingestor sending through `endpoint` on the plane's shared
+    /// executor account: its writes book into the same
+    /// [`OpStats`](crate::OpStats) registry, obey the same policy table
+    /// and book into the same peer table as the coordinator's.
+    pub(crate) fn new(endpoint: Endpoint, plane: Arc<QueryPlane>, replication: usize) -> Self {
+        Ingestor {
+            exec: Executor::with_shared(endpoint, plane.exec_shared()),
             plane,
-            plan,
             replication,
             pending: Mutex::new(Vec::new()),
+            barrier: Mutex::new(()),
         }
     }
 
-    /// The cached routing snapshot (possibly stale).
-    fn snapshot(&self) -> Arc<QueryPlan> {
-        Arc::clone(&self.plan.lock())
+    /// This ingestor's node id on the fabric.
+    pub fn id(&self) -> NodeId {
+        self.exec.endpoint().id()
     }
 
-    /// Re-reads the published plan into the cache and returns it.
-    pub(crate) fn refresh_plan(&self) -> Arc<QueryPlan> {
-        let fresh = self.plane.plan();
-        *self.plan.lock() = Arc::clone(&fresh);
-        fresh
-    }
-
-    /// Observations accepted by no one yet (awaiting `flush`).
-    pub(crate) fn pending_count(&self) -> usize {
+    /// Observations this handle could not get acknowledged yet; they are
+    /// parked and re-driven by [`flush`](Self::flush).
+    pub fn pending(&self) -> usize {
         self.pending.lock().len()
     }
 
-    /// Delivers `batch` with acknowledgement: groups by owner, sends at
-    /// most [`INFLIGHT_WINDOW`] groups per wave, refreshes the plan and
-    /// re-routes on NACK or exhaustion. Returns the number of
-    /// observations durably accepted; the rest are parked for
-    /// [`flush`](Self::flush).
+    /// Acknowledged ingest: groups the batch by owner under the published
+    /// plan, sends at most [`INFLIGHT_WINDOW`] groups per wave to the
+    /// owners and their replicas, retries lost traffic, and re-routes
+    /// what a worker NACKs or a newer plan moved. Returns the number of
+    /// observations durably **accepted**, not merely routed; anything
+    /// unaccepted is parked and re-driven by [`flush`](Self::flush).
     ///
     /// # Errors
     ///
-    /// [`StcamError::NoQuorum`] when no worker is alive at all (ring
-    /// membership is monotonic, so parking could never drain).
-    /// Unreachable workers park observations instead of erroring.
-    pub(crate) fn ingest(
-        &self,
-        exec: &Executor,
-        batch: Vec<Observation>,
-    ) -> Result<usize, StcamError> {
-        if self.snapshot().alive.is_empty() && self.refresh_plan().alive.is_empty() {
+    /// [`StcamError::NoQuorum`] when no worker is alive (ring membership
+    /// is monotonic, so parking could never drain); unreachable workers
+    /// park observations instead of erroring.
+    pub fn ingest(&self, batch: Vec<Observation>) -> Result<usize, StcamError> {
+        if self.plane.plan().alive.is_empty() {
             return Err(StcamError::NoQuorum);
         }
-        Ok(self.drive(exec, batch))
+        Ok(self.drive(batch))
     }
 
     /// [`ingest`](Self::ingest) past its quorum check: it cannot fail,
     /// so every row handed in ends up accepted or parked.
-    fn drive(&self, exec: &Executor, mut work: Vec<Observation>) -> usize {
+    fn drive(&self, mut work: Vec<Observation>) -> usize {
         let mut accepted = 0usize;
-        for round in 0..MAX_ROUNDS {
+        for _ in 0..MAX_ROUNDS {
             if work.is_empty() {
                 break;
             }
-            // Round 0 trusts the cached snapshot; every re-route round
-            // works against a freshly published plan.
-            let plan = if round == 0 {
-                self.snapshot()
-            } else {
-                self.refresh_plan()
-            };
+            let plan = self.plane.plan();
             let mut groups: HashMap<NodeId, Vec<Observation>> = HashMap::new();
             for obs in work.drain(..) {
                 let owner = plan.partition.owner_of(obs.position);
@@ -171,7 +161,7 @@ impl ReliableSender {
             let mut queue = groups.into_iter().peekable();
             while queue.peek().is_some() {
                 let wave = queue.by_ref().take(INFLIGHT_WINDOW).collect();
-                accepted += self.deliver_wave(exec, &plan, wave, &mut work);
+                accepted += self.deliver_wave(&plan, wave, &mut work);
             }
         }
         // Whatever re-routing did not settle within the round budget
@@ -216,7 +206,6 @@ impl ReliableSender {
     /// [`PartitionMap::alive_successors`]: crate::PartitionMap::alive_successors
     fn deliver_wave(
         &self,
-        exec: &Executor,
         plan: &QueryPlan,
         wave: Vec<(NodeId, Vec<Observation>)>,
         redo: &mut Vec<Observation>,
@@ -233,7 +222,7 @@ impl ReliableSender {
                 batch: share.clone(),
             }
         };
-        let answers = exec.ask("ingest_seq", &owners, ingest, want_misrouted);
+        let answers = self.exec.ask("ingest_seq", &owners, ingest, want_misrouted);
         let hinted = |(primary, rows)| Group {
             primary,
             rows,
@@ -243,7 +232,7 @@ impl ReliableSender {
         for ((primary, share), (_, answer)) in live.into_iter().zip(answers) {
             match answer {
                 // The owner applied what it owns; the rest re-routes
-                // under a refreshed plan (its NACK says ours is stale).
+                // under the published plan (its NACK says ours is stale).
                 Ok(misrouted) => {
                     let (back, rows): (Vec<_>, Vec<_>) =
                         share.into_iter().partition(|o| misrouted.contains(&o.id));
@@ -285,7 +274,9 @@ impl ReliableSender {
                 batch: groups[i].rows.clone(),
             }
         };
-        let answers = exec.ask("replicate_seq", &successors, replicate, want_ack);
+        let answers = self
+            .exec
+            .ask("replicate_seq", &successors, replicate, want_ack);
         for (&(i, _), (_, answer)) in copies.iter().zip(answers) {
             groups[i].acked &= answer.is_ok();
         }
@@ -300,10 +291,10 @@ impl ReliableSender {
         accepted
     }
 
-    /// Write barrier: re-drives the parked window under fresh routing
-    /// until it is empty, then confirms every alive worker has processed
-    /// previously sent traffic (per-link FIFO + a ping round trip under
-    /// the `"flush"` policy).
+    /// Write barrier: re-drives the parked window under the published
+    /// plan until it is empty, then confirms every alive worker has
+    /// processed previously sent traffic (per-link FIFO + a ping round
+    /// trip, retried under the `"flush"` policy).
     ///
     /// # Errors
     ///
@@ -311,19 +302,20 @@ impl ReliableSender {
     /// that cannot be acknowledged within the round budget, or
     /// [`StcamError::NoQuorum`] with no worker alive: the window stays
     /// parked. Transport errors when an alive worker misses the ping.
-    pub(crate) fn flush(&self, exec: &Executor) -> Result<(), StcamError> {
+    pub fn flush(&self) -> Result<(), StcamError> {
+        let _barrier = self.barrier.lock();
         for _ in 0..MAX_ROUNDS {
             if self.pending.lock().is_empty() {
                 break;
             }
             // Before the window is taken: on error the rows stay parked.
-            if self.refresh_plan().alive.is_empty() {
+            if self.plane.plan().alive.is_empty() {
                 return Err(StcamError::NoQuorum);
             }
             let parked = std::mem::take(&mut *self.pending.lock());
-            self.drive(exec, parked);
+            self.drive(parked);
         }
-        let plan = self.refresh_plan();
+        let plan = self.plane.plan();
         let mut missing: Vec<NodeId> = self
             .pending
             .lock()
@@ -336,72 +328,8 @@ impl ReliableSender {
             return Err(StcamError::PartialFailure { missing });
         }
         let alive = all_alive(&plan.alive);
-        let answers = exec.ask("flush", &alive, |_| Request::Ping, want_ack);
+        let answers = self.exec.ask("flush", &alive, |_| Request::Ping, want_ack);
         answers.into_iter().try_for_each(|(_, answer)| answer)
-    }
-}
-
-/// A parallel ingest handle with its own network endpoint; see the
-/// module documentation above for the routing model and the
-/// acknowledged-write contract.
-#[derive(Debug)]
-pub struct Ingestor {
-    exec: Executor,
-    sender: ReliableSender,
-}
-
-impl Ingestor {
-    /// An ingestor sending through `endpoint` on the plane's shared
-    /// executor account: its writes book into the same
-    /// [`OpStats`](crate::OpStats) registry, obey the same policy table
-    /// and book into the same peer table as the coordinator's.
-    pub(crate) fn new(endpoint: Endpoint, plane: Arc<QueryPlane>, replication: usize) -> Self {
-        Ingestor {
-            exec: Executor::with_shared(endpoint, plane.exec_shared()),
-            sender: ReliableSender::new(plane, replication),
-        }
-    }
-
-    /// This ingestor's node id on the fabric.
-    pub fn id(&self) -> NodeId {
-        self.exec.endpoint().id()
-    }
-
-    /// Observations this handle could not get acknowledged yet; they are
-    /// parked and re-driven by [`flush`](Self::flush).
-    pub fn pending(&self) -> usize {
-        self.sender.pending_count()
-    }
-
-    /// Acknowledged ingest: routes the batch to the owning workers and
-    /// their replicas, retries lost traffic, and re-routes around stale
-    /// or dead destinations (refreshing this handle's plan snapshot in
-    /// place — no recreation needed after recovery or rebalance).
-    /// Returns the number of observations durably **accepted**, not
-    /// merely routed; anything unaccepted is parked and re-driven by
-    /// [`flush`](Self::flush).
-    ///
-    /// # Errors
-    ///
-    /// [`StcamError::NoQuorum`] when no worker is alive; unreachable
-    /// workers park observations instead of erroring.
-    pub fn ingest(&self, batch: Vec<Observation>) -> Result<usize, StcamError> {
-        self.sender.ingest(&self.exec, batch)
-    }
-
-    /// Write barrier: first drains this handle's parked window (re-
-    /// delivering under fresh routing), then confirms every alive worker
-    /// has processed previously sent traffic (per-link FIFO + a ping
-    /// round trip, retried under the `"flush"` policy like
-    /// [`Coordinator::flush`](crate::Coordinator::flush)).
-    ///
-    /// # Errors
-    ///
-    /// [`StcamError::PartialFailure`] (or [`StcamError::NoQuorum`]) when
-    /// parked observations cannot be acknowledged — they stay parked;
-    /// transport errors when an alive worker does not answer the ping.
-    pub fn flush(&self) -> Result<(), StcamError> {
-        self.sender.flush(&self.exec)
     }
 }
 
@@ -430,37 +358,51 @@ mod tests {
     #[test]
     fn parallel_ingestors_deliver_everything() {
         let extent = BBox::new(Point::new(0.0, 0.0), Point::new(1000.0, 1000.0));
-        let cluster = Cluster::launch(
-            ClusterConfig::new(extent, 4)
-                .with_replication(0)
-                .with_link(LinkModel::instant()),
-        )
-        .unwrap();
-        let handles: Vec<_> = (0..4u64)
-            .map(|t| {
-                let ingestor = cluster.create_ingestor();
-                std::thread::spawn(move || {
-                    for i in 0..250u64 {
-                        let seq = t * 250 + i;
-                        let accepted = ingestor
-                            .ingest(vec![obs(
+        let window = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(100));
+        // Four handles, then four threads sharing the cluster's own one
+        // (one endpoint, one parked window, concurrent barriers).
+        for shared in [false, true] {
+            let cluster = Cluster::launch(
+                ClusterConfig::new(extent, 4)
+                    .with_replication(0)
+                    .with_link(LinkModel::instant()),
+            )
+            .unwrap();
+            std::thread::scope(|scope| {
+                for t in 0..4u64 {
+                    let own = (!shared).then(|| cluster.create_ingestor());
+                    let cluster = &cluster;
+                    scope.spawn(move || {
+                        for i in 0..250u64 {
+                            let seq = t * 250 + i;
+                            let row = vec![obs(
                                 seq,
                                 (seq as f64 * 7.0) % 1000.0,
                                 (seq as f64 * 13.0) % 1000.0,
-                            )])
-                            .unwrap();
-                        assert_eq!(accepted, 1);
-                    }
-                    ingestor.flush().unwrap();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+                            )];
+                            let accepted = match &own {
+                                Some(ingestor) => ingestor.ingest(row),
+                                None => cluster.ingest(row),
+                            };
+                            assert_eq!(accepted.unwrap(), 1);
+                        }
+                        match &own {
+                            Some(ingestor) => ingestor.flush().unwrap(),
+                            None => cluster.flush().unwrap(),
+                        }
+                    });
+                }
+            });
+            let mut held: Vec<u64> = cluster
+                .range_query(extent, window)
+                .unwrap()
+                .iter()
+                .map(|o| o.id.seq())
+                .collect();
+            held.sort_unstable();
+            assert_eq!(held, (0..1000).collect::<Vec<u64>>(), "shared: {shared}");
+            cluster.shutdown();
         }
-        let window = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(100));
-        assert_eq!(cluster.range_query(extent, window).unwrap().len(), 1000);
-        cluster.shutdown();
     }
 
     #[test]
@@ -518,17 +460,26 @@ mod tests {
                 .with_rpc_timeout(StdDuration::from_millis(150)),
         )
         .unwrap();
-        // The ingestor snapshots the pre-failure plan.
+        // The ingestor is created under the pre-failure plan.
         let ingestor = cluster.create_ingestor();
         let target = Point::new(500.0, 500.0);
         let old_owner = cluster.partition().owner_of(target);
         cluster.kill_worker(old_owner);
         let failed = cluster.check_and_recover();
         assert_eq!(failed, vec![old_owner]);
-        // Same handle, dead owner's cell: the acked path must time out,
-        // refresh its snapshot, and deliver to the new owner.
+        // Same handle, dead owner's cell: the call reads the plan
+        // recovery published and goes straight to the new owner.
         let accepted = ingestor.ingest(vec![obs(7, target.x, target.y)]).unwrap();
         assert_eq!(accepted, 1, "stale ingestor failed to self-heal");
+        // This was the cluster's only write: not one frame went to the
+        // dead owner first.
+        let ingest = cluster
+            .op_stats()
+            .into_iter()
+            .find(|(op, _)| *op == "ingest_seq")
+            .map(|(_, s)| s)
+            .unwrap();
+        assert_eq!((ingest.failures, ingest.retries), (0, 0));
         ingestor.flush().unwrap();
         let window = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(100));
         let hits = cluster.range_query(extent, window).unwrap();

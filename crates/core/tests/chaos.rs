@@ -383,10 +383,6 @@ fn execute_plan(seed: u64, plan: &ChaosPlan, lossy: bool) {
     // `oracle`); retried at every later ingest step — worker-side id
     // dedup absorbs the repeats.
     let mut limbo: Vec<Observation> = Vec::new();
-    // While the coordinator is crashed the acked write path cannot
-    // acknowledge at all: ingest errors are expected then (and the
-    // observations join limbo), never after recovery.
-    let mut coordinator_down = false;
     if lossy {
         // Under message loss a single lost probe must not fail a live
         // worker out of the ring, and a lost promotion must not orphan a
@@ -433,15 +429,11 @@ fn execute_plan(seed: u64, plan: &ChaosPlan, lossy: bool) {
                         Ok(n) => {
                             panic!("seed {seed} {tag}: impossible accepted count {n}")
                         }
-                        Err(_) if coordinator_down => limbo.push(o),
                         Err(e) => panic!("seed {seed} {tag}: acked ingest errored: {e}"),
                     }
                 }
             }
-            ChaosEvent::CoordinatorCrash => {
-                cluster.crash_coordinator();
-                coordinator_down = true;
-            }
+            ChaosEvent::CoordinatorCrash => cluster.crash_coordinator(),
             ChaosEvent::CoordinatorRecover => {
                 let report = cluster
                     .restart_coordinator()
@@ -450,7 +442,6 @@ fn execute_plan(seed: u64, plan: &ChaosPlan, lossy: bool) {
                     !report.responders.is_empty(),
                     "seed {seed} {tag}: census reached no workers"
                 );
-                coordinator_down = false;
             }
             ChaosEvent::Overload { queries } => {
                 // Bulk flood from several threads so in-flight scatter

@@ -1,10 +1,12 @@
 //! The acked write path seen from outside: `Cluster::ingest` and every
 //! `Ingestor` deliver through `Executor::ask`, so writes show up in
 //! `Cluster::op_stats` as `"ingest_seq"` and `"replicate_seq"`, obey the
-//! one policy table, and keep every rule of the acked contract.
+//! one policy table, and keep every rule of the acked contract. Neither
+//! takes the coordinator lock, so no control action stalls a write.
 
 use std::collections::{HashMap, HashSet};
-use std::time::Duration as StdDuration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration as StdDuration, Instant};
 
 use stcam::{Cluster, ClusterConfig, OpPolicy, OpStats, QueryOpts, RangeOp, Response, StcamError};
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
@@ -87,7 +89,7 @@ fn write_account_closes_against_the_fabric() {
     let mut groups = 0u64;
     for k in 0..10u64 {
         // Batches of growing size, so some reach one owner and some all
-        // four; alternately through the coordinator and the ingestor.
+        // four; alternately through `Cluster::ingest` and a created handle.
         let batch = spread(k * 100, 1 + k * 11);
         groups += owner_groups(&cluster, &batch);
         let sent = batch.len();
@@ -245,5 +247,86 @@ fn flush_without_quorum_fails_and_keeps_the_window_parked() {
         assert!(matches!(ingestor.flush(), Err(StcamError::NoQuorum)));
         assert_eq!(ingestor.pending(), 20);
     }
+    cluster.shutdown();
+}
+
+#[test]
+fn recovery_ticks_never_stall_cluster_ingest() {
+    let cluster = Cluster::launch(
+        ClusterConfig::new(extent(), 8)
+            .with_replication(1)
+            .with_link(LinkModel::lan()),
+    )
+    .unwrap();
+    let victim = NodeId(3);
+    cluster.kill_worker(victim);
+    assert_eq!(cluster.check_and_recover(), vec![victim]);
+    // Every tick re-probes the dead worker for a restart, holding the
+    // coordinator lock through a 250 ms single-attempt probe.
+    cluster.enable_auto_recovery(StdDuration::from_millis(20));
+    let mut slow = Vec::new();
+    for k in 0..100u64 {
+        let begun = Instant::now();
+        assert_eq!(cluster.ingest(spread(k * 400, 400)).unwrap(), 400);
+        let took = begun.elapsed();
+        if took > StdDuration::from_millis(100) {
+            slow.push((k, took));
+        }
+    }
+    assert!(
+        slow.is_empty(),
+        "batches waited on the recovery tick: {slow:?}"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn cluster_ingest_acks_while_a_rebalance_runs() {
+    const ARCHIVE: u64 = 20_000;
+    const BATCH: u64 = 20;
+    let cluster = launch(4, 5_000);
+    // 70 % of the archive in one corner, so the rebalance moves cells.
+    let hotspot = |i: u64| {
+        if i % 10 < 7 {
+            obs(
+                i,
+                50.0 + (i as f64 * 7.3) % 300.0,
+                50.0 + (i as f64 * 11.7) % 300.0,
+            )
+        } else {
+            spread(i, 1).remove(0)
+        }
+    };
+    let archive: Vec<Observation> = (0..ARCHIVE).map(hotspot).collect();
+    for chunk in archive.chunks(2_000) {
+        assert_eq!(cluster.ingest(chunk.to_vec()).unwrap(), chunk.len());
+    }
+    let (started, done) = (AtomicBool::new(false), AtomicBool::new(false));
+    let (during, written) = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let (mut next, mut during) = (ARCHIVE, 0u32);
+            while !done.load(Ordering::SeqCst) {
+                let begun_during = started.load(Ordering::SeqCst);
+                let batch = spread(next, BATCH);
+                assert_eq!(cluster.ingest(batch).unwrap(), BATCH as usize);
+                next += BATCH;
+                during += u32::from(begun_during && !done.load(Ordering::SeqCst));
+                std::thread::sleep(StdDuration::from_millis(5));
+            }
+            (during, next)
+        });
+        started.store(true, Ordering::SeqCst);
+        let report = cluster.rebalance();
+        done.store(true, Ordering::SeqCst);
+        let report = report.expect("rebalance beside a writer");
+        assert!(report.cells_moved > 0, "the skewed archive moved no cell");
+        writer.join().unwrap()
+    });
+    assert!(
+        during >= 3,
+        "only {during} batches were begun and acked while the rebalance ran"
+    );
+    // Acked means visible to a strict read: no flush first.
+    assert_each_once(&cluster, written);
     cluster.shutdown();
 }
