@@ -2,11 +2,11 @@
 //!
 //! Registers 10–5 000 geo-fence predicates, streams a fixed workload, and
 //! measures the ingest critical path (per-observation worker busy time)
-//! and notification delivery. Expected shape: per-observation cost grows
-//! linearly with the standing-query count a worker must evaluate — this
-//! is the motivation for decomposing registrations to only the workers
-//! whose shards overlap each predicate, which divides the per-worker
-//! count by the cluster size for local predicates.
+//! and the matches, which ride the replies that ack the batches (gate:
+//! they equal the (row, fence) pairs a scan of the stream finds). Per-obs
+//! cost grows linearly with the standing queries a worker evaluates, so
+//! each predicate registers only at workers whose shards overlap it: for
+//! local predicates that divides the count by the cluster size.
 //!
 //! ```text
 //! cargo run -p stcam-bench --release --bin fig10_continuous
@@ -16,7 +16,7 @@ use std::time::Duration as StdDuration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stcam::Predicate;
+use stcam::{ClusterStats, Predicate};
 use stcam_bench::{
     cells, ingest_chunked, lan_config, launch, square_extent, synthetic_stream, timed, Figure, Fmt,
 };
@@ -47,6 +47,7 @@ fn main() {
         )
         .col("notifications", "notifications", Fmt::Plain)
         .col("matches", "matches", Fmt::Count)
+        .col("expected", "expected", Fmt::Count)
         .col("queries/worker", "queries_per_worker", Fmt::Fixed(1));
 
     for count in [0usize, 10, 100, 1_000, 5_000] {
@@ -61,31 +62,30 @@ fn main() {
                 })
                 .expect("register");
         }
-        // Predicates register only at workers whose shard overlaps the
-        // fence; busy time is summed over workers, per observation.
+        let in_fence = |(_, f): &(_, Predicate)| stream.iter().filter(|o| f.matches(o)).count();
+        let expected: usize = cluster.registrations().iter().map(in_fence).sum();
+        // Busy time is summed over workers, per observation.
         let before = cluster.stats().expect("stats");
         let registered = before.workers.iter().map(|(_, s)| s.continuous_queries);
         let per_worker = registered.sum::<u64>() as f64 / before.workers.len() as f64;
-        let busy = |stats: &stcam::ClusterStats| -> u64 {
-            stats.workers.iter().map(|(_, s)| s.busy_micros).sum()
-        };
+        let busy = |s: &ClusterStats| s.workers.iter().map(|(_, w)| w.busy_micros).sum::<u64>();
         let ((), wall) = timed(|| ingest_chunked(&cluster, &stream, 500));
         let after = cluster.stats().expect("stats");
         let notifications = after.workers.iter().map(|(_, s)| s.notifications_sent);
-        let matches: usize = cluster
-            .poll_notifications(StdDuration::from_millis(500))
-            .iter()
-            .map(|n| n.matches.len())
-            .sum();
+        let delivered = cluster.poll_notifications(StdDuration::ZERO);
+        let matches: usize = delivered.iter().map(|n| n.matches.len()).sum();
         fig.row(cells![
             count,
             wall,
             (busy(&after) - busy(&before)) as f64 / stream_len as f64,
             notifications.sum::<u64>(),
             matches,
+            expected,
             per_worker,
         ]);
+        assert_eq!(matches, expected, "{count} queries: matches delivered");
         cluster.shutdown();
     }
     fig.finish();
+    println!("gates: every match delivered, once — ok");
 }

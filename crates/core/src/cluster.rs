@@ -2,12 +2,12 @@
 
 use std::time::Duration as StdDuration;
 
+use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 use stcam_camnet::Observation;
-use stcam_codec::decode_from_slice;
 use stcam_geo::{BBox, Duration, GridSpec, Point, TimeInterval, Timestamp};
 use stcam_index::IndexConfig;
-use stcam_net::{Endpoint, Envelope, Fabric, FabricStats, LinkModel, NodeId};
+use stcam_net::{Fabric, FabricStats, LinkModel, NodeId};
 
 use crate::admission::{TenantBudget, TenantId, TenantUsage};
 use crate::continuous::{ContinuousQueryId, Notification, Predicate};
@@ -138,16 +138,19 @@ impl ClusterConfig {
 /// its three strict shorthands, plus telemetry accessors) go straight to
 /// the lock-free [`QueryPlane`], and writes ([`ingest`](Self::ingest),
 /// [`flush`](Self::flush)) through the cluster's own [`Ingestor`]: neither
-/// touches the coordinator mutex. Control actions (rebalance, recovery,
-/// continuous queries) serialise on the coordinator.
+/// touches the coordinator mutex. Every ingestor hands the standing-query
+/// matches of the groups it gets acknowledged to one channel, which
+/// [`poll_notifications`](Self::poll_notifications) drains, also without
+/// that mutex. Control actions (rebalance, recovery, registering standing
+/// queries) serialise on the coordinator.
 #[derive(Debug)]
 pub struct Cluster {
     fabric: Fabric,
     coordinator: std::sync::Arc<Mutex<Coordinator>>,
-    /// The coordinator's endpoint, where workers send standing-query
-    /// matches: drained without the coordinator mutex.
-    inbox: std::sync::Arc<Endpoint>,
     plane: std::sync::Arc<QueryPlane>,
+    /// Both ends of the notification channel: every ingestor gets a
+    /// sender, [`poll_notifications`](Self::poll_notifications) drains.
+    notify: (Sender<Notification>, Receiver<Notification>),
     /// The write path of [`ingest`](Self::ingest) and
     /// [`flush`](Self::flush): one more ingestor, first in its id range.
     writer: Ingestor,
@@ -265,7 +268,6 @@ impl Cluster {
                 },
             ));
         }
-        let inbox = std::sync::Arc::new(fabric.register(NodeId(0)));
         // Query-plane endpoints live in their own id range (20 000+),
         // clear of workers (1..), the coordinator (0) and ingestors
         // (10 000+).
@@ -273,7 +275,7 @@ impl Cluster {
             .map(|k| fabric.register(NodeId(20_000 + k)))
             .collect();
         let coordinator = Coordinator::new(
-            std::sync::Arc::clone(&inbox),
+            fabric.register(NodeId(0)),
             query_endpoints,
             partition,
             config.replication,
@@ -284,10 +286,12 @@ impl Cluster {
         // or rebalance instead of silently feeding old owners.
         coordinator.broadcast_routes();
         let plane = coordinator.query_plane();
+        let notify = crossbeam::channel::unbounded();
         let writer = Ingestor::new(
             fabric.register(NodeId(10_000)),
             std::sync::Arc::clone(&plane),
             config.replication,
+            notify.0.clone(),
         );
         // Arm the admission gate's saturation threshold: one full
         // fan-out per query-plane endpoint.
@@ -297,8 +301,8 @@ impl Cluster {
         Ok(Cluster {
             fabric,
             coordinator: std::sync::Arc::new(Mutex::new(coordinator)),
-            inbox,
             plane,
+            notify,
             writer,
             workers: Mutex::new(Some(handles)),
             config,
@@ -352,8 +356,9 @@ impl Cluster {
             self.next_ingestor
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         );
-        let endpoint = self.fabric.register(id);
-        Ingestor::new(endpoint, self.query_plane(), self.config.replication)
+        let (endpoint, notify) = (self.fabric.register(id), self.notify.0.clone());
+        let plane = self.query_plane();
+        Ingestor::new(endpoint, plane, self.config.replication, notify)
     }
 
     /// The one way to ask a read. `q` is a typed query value whose
@@ -466,23 +471,19 @@ impl Cluster {
         self.coordinator.lock().unregister_continuous(id)
     }
 
-    /// Drains pending continuous-query notifications, waiting up to
-    /// `timeout` for the first. Takes no coordinator lock, so control
-    /// actions and ingest run while a client waits here.
+    /// Drains the standing-query notifications of acknowledged writes,
+    /// from this cluster's [`ingest`](Self::ingest) and every
+    /// [`Ingestor`] it created, waiting up to `timeout` for the first.
+    /// Takes no coordinator lock, so control actions and ingest run while
+    /// a client waits here.
     pub fn poll_notifications(&self, timeout: StdDuration) -> Vec<Notification> {
-        let decode = |e: Envelope| decode_from_slice::<Notification>(&e.payload).ok();
-        let deadline = std::time::Instant::now() + timeout;
-        let mut out = Vec::new();
-        while out.is_empty() {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            let Some(envelope) = self.inbox.recv_timeout(remaining) else {
-                return out;
-            };
-            out.extend(decode(envelope));
-        }
+        let inbox = &self.notify.1;
+        let Ok(first) = inbox.recv_timeout(timeout) else {
+            return Vec::new();
+        };
         // Drain whatever else is already queued, then return.
-        out.extend(std::iter::from_fn(|| self.inbox.try_recv()).filter_map(decode));
-        out
+        let queued = std::iter::from_fn(|| inbox.try_recv().ok());
+        std::iter::once(first).chain(queued).collect()
     }
 
     /// Ages out observations older than `cutoff`.
@@ -614,13 +615,6 @@ impl Cluster {
     /// node's last answer), sorted by node id. Takes no coordinator lock.
     pub fn suspicions(&self) -> Vec<(NodeId, u32)> {
         self.plane.peers().snapshot()
-    }
-
-    /// Standing-query re-registrations that failed at a cutover
-    /// (failover, rejoin, rebalance); affected workers miss notifications
-    /// until the next cutover re-registers them.
-    pub fn registration_failures(&self) -> u64 {
-        self.coordinator.lock().registration_failures()
     }
 
     /// Standing-query registrations the control plane currently tracks,

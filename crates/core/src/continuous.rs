@@ -1,10 +1,15 @@
 //! Continuous (standing) queries.
 //!
 //! A continuous query registers a [`Predicate`] with every worker whose
-//! shard overlaps the predicate's region. At ingest time each worker
-//! matches new observations against its registered predicates and streams
-//! [`Notification`]s to the subscribing node — incremental positive
-//! updates, never re-evaluation of the whole query.
+//! shard overlaps the predicate's region. Each worker matches the rows it
+//! owns in an `IngestSeq` batch against its registrations and returns the
+//! [`Notification`]s in the reply that acknowledges the batch; the writer
+//! hands them on once the whole group is acknowledged, owner and replicas.
+//! A match therefore arrives exactly when its row is acked, once per ack
+//! — incremental positive updates, never re-evaluation of the whole query.
+//! Matching is a pure function of the registrations and the owned rows:
+//! a re-driven batch yields the same matches again, and only the send
+//! that is acknowledged delivers them.
 //!
 //! Matching is served by an [`InterestIndex`]: registrations are
 //! bucketed by (coarse grid cell, entity class), so each observation
@@ -18,7 +23,6 @@ use bytes::{Buf, BufMut};
 use stcam_camnet::Observation;
 use stcam_codec::{wire_struct, DecodeError, Wire};
 use stcam_geo::{BBox, GridSpec};
-use stcam_net::NodeId;
 use stcam_world::EntityClass;
 
 use crate::protocol::Bare;
@@ -82,7 +86,7 @@ impl Wire for Predicate {
 }
 
 wire_struct! {
-    /// A batch of matches delivered to a subscriber.
+    /// One standing query's matches in one acknowledged ingest batch.
     #[derive(Debug, Clone, PartialEq)]
     pub struct Notification {
         /// The standing query that matched.
@@ -117,12 +121,12 @@ const INTEREST_GRID_SIDE: u32 = 16;
 /// registration count: 10⁵ standing queries match in sub-linear time.
 ///
 /// Re-inserting an existing id replaces its registration (the same
-/// idempotent overwrite semantics the coordinator's failover/rejoin
-/// re-registration relies on).
+/// idempotent overwrite semantics the coordinator's re-registration at
+/// every cutover relies on).
 #[derive(Debug)]
 pub struct InterestIndex {
     grid: GridSpec,
-    entries: HashMap<ContinuousQueryId, (Predicate, NodeId)>,
+    entries: HashMap<ContinuousQueryId, Predicate>,
     buckets: HashMap<(u32, u8), Vec<ContinuousQueryId>>,
 }
 
@@ -155,21 +159,12 @@ impl InterestIndex {
         self.buckets.len()
     }
 
-    /// The registration under `id`, if any.
-    pub fn get(&self, id: ContinuousQueryId) -> Option<&(Predicate, NodeId)> {
-        self.entries.get(&id)
-    }
-
-    /// Every registration as `(id, predicate, notify)`, ascending by id.
-    /// The census reports these so a reconstructing coordinator can
-    /// re-derive its registration table from worker truth.
-    pub fn all(&self) -> Vec<(ContinuousQueryId, Predicate, NodeId)> {
-        let mut out: Vec<_> = self
-            .entries
-            .iter()
-            .map(|(&id, (predicate, target))| (id, *predicate, *target))
-            .collect();
-        out.sort_by_key(|(id, _, _)| id.0);
+    /// Every registration as `(id, predicate)`, ascending by id. The
+    /// census reports these so a reconstructing coordinator can re-derive
+    /// its registration table from worker truth.
+    pub fn all(&self) -> Vec<(ContinuousQueryId, Predicate)> {
+        let mut out: Vec<_> = self.entries.iter().map(|(&id, &p)| (id, p)).collect();
+        out.sort_by_key(|(id, _)| id.0);
         out
     }
 
@@ -181,20 +176,20 @@ impl InterestIndex {
         row * self.grid.cols() + col
     }
 
-    /// Registers (or replaces) `id` → (`predicate`, notify `target`).
-    pub fn insert(&mut self, id: ContinuousQueryId, predicate: Predicate, target: NodeId) {
+    /// Registers (or replaces) `id` → `predicate`.
+    pub fn insert(&mut self, id: ContinuousQueryId, predicate: Predicate) {
         self.remove(id);
         let key = Self::class_key(&predicate);
         for cell in self.grid.cells_clamped(predicate.region) {
             let idx = self.cell_index(cell.col, cell.row);
             self.buckets.entry((idx, key)).or_default().push(id);
         }
-        self.entries.insert(id, (predicate, target));
+        self.entries.insert(id, predicate);
     }
 
     /// Unregisters `id` (a no-op when absent).
     pub fn remove(&mut self, id: ContinuousQueryId) {
-        let Some((predicate, _)) = self.entries.remove(&id) else {
+        let Some(predicate) = self.entries.remove(&id) else {
             return;
         };
         let key = Self::class_key(&predicate);
@@ -216,14 +211,10 @@ impl InterestIndex {
     }
 
     /// Matches a whole ingest batch: for each standing query with at
-    /// least one hit, its matching observations in batch order, paired
-    /// with the notify target. Sorted by query id (deterministic);
-    /// yields exactly the pairs a linear scan of all registrations
-    /// would.
-    pub fn matching(
-        &self,
-        batch: &[Observation],
-    ) -> Vec<(ContinuousQueryId, NodeId, Vec<Observation>)> {
+    /// least one hit, its matching observations in batch order. Sorted by
+    /// query id (deterministic); yields exactly the notifications a linear
+    /// scan of all registrations would.
+    pub fn matching(&self, batch: &[Observation]) -> Vec<Notification> {
         if self.entries.is_empty() || batch.is_empty() {
             return Vec::new();
         }
@@ -233,18 +224,17 @@ impl InterestIndex {
             let idx = self.cell_index(cell.col, cell.row);
             for key in [(idx, obs.class.as_u8()), (idx, ANY_CLASS)] {
                 for &id in self.buckets.get(&key).into_iter().flatten() {
-                    let (predicate, _) = &self.entries[&id];
-                    if predicate.matches(obs) {
+                    if self.entries[&id].matches(obs) {
                         hits.entry(id).or_default().push(obs.clone());
                     }
                 }
             }
         }
-        let mut out: Vec<(ContinuousQueryId, NodeId, Vec<Observation>)> = hits
+        let mut out: Vec<Notification> = hits
             .into_iter()
-            .map(|(id, matches)| (id, self.entries[&id].1, matches))
+            .map(|(query, matches)| Notification { query, matches })
             .collect();
-        out.sort_by_key(|(id, _, _)| *id);
+        out.sort_by_key(|n| n.query);
         out
     }
 }
@@ -324,11 +314,7 @@ mod tests {
             ),
         ];
         for (id, region, class) in regs {
-            index.insert(
-                ContinuousQueryId(id),
-                Predicate { region, class },
-                NodeId(20_000 + id as u32),
-            );
+            index.insert(ContinuousQueryId(id), Predicate { region, class });
         }
         let batch = vec![
             obs(10.0, 10.0, EntityClass::Car),
@@ -344,7 +330,8 @@ mod tests {
             let p = Predicate { region, class };
             let matches: Vec<_> = batch.iter().filter(|o| p.matches(o)).cloned().collect();
             if !matches.is_empty() {
-                want.push((ContinuousQueryId(id), NodeId(20_000 + id as u32), matches));
+                let query = ContinuousQueryId(id);
+                want.push(Notification { query, matches });
             }
         }
         assert_eq!(got, want);
@@ -358,7 +345,7 @@ mod tests {
             region: BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)),
             class: None,
         };
-        index.insert(id, near, NodeId(1));
+        index.insert(id, near);
         assert_eq!(index.len(), 1);
         let buckets_near = index.bucket_count();
         assert!(buckets_near > 0);
@@ -368,14 +355,14 @@ mod tests {
             region: BBox::new(Point::new(1500.0, 1500.0), Point::new(1600.0, 1600.0)),
             class: None,
         };
-        index.insert(id, far, NodeId(2));
+        index.insert(id, far);
         assert_eq!(index.len(), 1);
         assert!(index
             .matching(&[obs(10.0, 10.0, EntityClass::Car)])
             .is_empty());
         let hits = index.matching(&[obs(1550.0, 1550.0, EntityClass::Car)]);
         assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].1, NodeId(2));
+        assert_eq!(hits[0].matches.len(), 1);
 
         index.remove(id);
         assert!(index.is_empty());
@@ -395,11 +382,11 @@ mod tests {
             region: BBox::new(Point::new(2000.0, 2000.0), Point::new(2100.0, 2100.0)),
             class: None,
         };
-        index.insert(ContinuousQueryId(9), outside, NodeId(3));
+        index.insert(ContinuousQueryId(9), outside);
         assert_eq!(index.bucket_count(), 1);
         let hits = index.matching(&[obs(2050.0, 2050.0, EntityClass::Car)]);
         assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0, ContinuousQueryId(9));
+        assert_eq!(hits[0].query, ContinuousQueryId(9));
     }
 
     #[test]

@@ -165,18 +165,17 @@ pub struct Coordinator {
     next_query_id: u64,
     /// Standing queries by id, kept for re-registration at each cutover.
     registrations: BTreeMap<ContinuousQueryId, Predicate>,
-    /// Standing-query re-registrations that failed at a cutover.
-    registration_failures: u64,
 }
 
 impl Coordinator {
     /// Creates a coordinator over an already-partitioned cluster.
     ///
-    /// `endpoint` carries control-plane traffic (routes, probes, migration)
-    /// and gets standing-query matches, which its other holder drains;
-    /// `query_endpoints` become the query plane's pool — at least one.
+    /// `endpoint` carries control-plane traffic (routes, probes,
+    /// migration, standing-query registrations); `query_endpoints` become
+    /// the query plane's pool — at least one. Standing-query matches never
+    /// reach the coordinator: they ride the ingest replies to the writers.
     pub fn new(
-        endpoint: impl Into<Arc<Endpoint>>,
+        endpoint: Endpoint,
         query_endpoints: Vec<Endpoint>,
         partition: PartitionMap,
         replication: usize,
@@ -214,7 +213,6 @@ impl Coordinator {
             fence: 0,
             next_query_id: 1,
             registrations: BTreeMap::new(),
-            registration_failures: 0,
         }
     }
 
@@ -233,13 +231,6 @@ impl Coordinator {
     /// The workers to publish as alive, in id order.
     fn alive_workers(&self) -> Vec<NodeId> {
         all_alive(&self.alive)
-    }
-
-    /// Standing-query re-registrations that failed at a cutover; the
-    /// affected worker misses matches until the next cutover re-sends
-    /// them.
-    pub fn registration_failures(&self) -> u64 {
-        self.registration_failures
     }
 
     /// Pushes every alive worker its slice of the published plan (epoch
@@ -411,12 +402,7 @@ impl Coordinator {
                     let absorb = |_| Request::Promote { failed, epoch };
                     tell(&self.exec, "promote", &[holder], absorb)
                 }
-                Action::Publish => {
-                    let (routed, failed) = self.publish();
-                    run.routed = routed;
-                    self.registration_failures += failed;
-                    Ok(())
-                }
+                Action::Publish => self.publish().map(|routed| run.routed = routed),
             };
             if let Err(e) = done {
                 clean = false;
@@ -425,18 +411,21 @@ impl Coordinator {
         }
     }
 
-    /// The cutover, the one place a plan is published: the desired map
-    /// and alive set, every alive worker's route, and each standing query
-    /// where its region now lies (twice is a no-op). Returns whether every
-    /// alive worker installed its route, and the failed registrations.
-    fn publish(&self) -> (bool, u64) {
+    /// The cutover, the one place a plan is published. First every
+    /// standing query is registered where its region lies under the
+    /// desired map (twice is a no-op), so no write the new plan routes
+    /// reaches an owner without it; a failed registration fails the
+    /// cutover, which the loop retries like a promotion. Then the desired
+    /// map and alive set are published and every alive worker gets its
+    /// route. Returns whether every alive worker installed it.
+    fn publish(&self) -> Result<bool, StcamError> {
+        for (&id, &predicate) in &self.registrations {
+            self.register(&self.target, &self.alive, id, predicate)?;
+        }
         let epoch = self.epoch() + 1;
         self.plane
             .publish_at(epoch, self.target.clone(), self.alive.clone());
-        let routed = self.broadcast_routes().len() == self.alive.len();
-        let registrations = self.registrations.iter();
-        let failed = registrations.filter(|(&id, &p)| self.register(id, p).is_err());
-        (routed, failed.count() as u64)
+        Ok(self.broadcast_routes().len() == self.alive.len())
     }
 
     /// Re-partitions the cluster by *measured* per-cell load over the
@@ -503,9 +492,10 @@ impl Coordinator {
     // Continuous queries
     // ------------------------------------------------------------------
 
-    /// Registers a standing query; matches arrive at this coordinator's
-    /// endpoint, which [`Cluster::poll_notifications`](crate::Cluster::poll_notifications)
-    /// drains.
+    /// Registers a standing query at the owners its region overlaps under
+    /// the published plan; every later cutover registers it again under
+    /// the plan it publishes. Its matches ride the ingest replies (see
+    /// [`Cluster::poll_notifications`](crate::Cluster::poll_notifications)).
     ///
     /// # Errors
     ///
@@ -516,7 +506,8 @@ impl Coordinator {
     ) -> Result<ContinuousQueryId, StcamError> {
         let id = ContinuousQueryId(self.next_query_id);
         self.next_query_id += 1;
-        self.register(id, predicate)?;
+        let plan = self.plane.plan();
+        self.register(&plan.partition, &plan.alive, id, predicate)?;
         self.registrations.insert(id, predicate);
         Ok(id)
     }
@@ -537,19 +528,18 @@ impl Coordinator {
         )
     }
 
-    /// Installs a standing query at the alive workers its region
-    /// overlaps under the published plan.
-    fn register(&self, id: ContinuousQueryId, predicate: Predicate) -> Result<(), StcamError> {
-        let plan = self.plane.plan();
-        let targets = region_targets(&plan.partition, &plan.alive, predicate.region);
-        let notify = self.exec.endpoint().id();
-        tell(&self.exec, "register_continuous", &targets, |_| {
-            Request::RegisterContinuous {
-                id,
-                predicate,
-                notify,
-            }
-        })
+    /// Installs a standing query at the workers of `alive` whose cells
+    /// under `partition` its region overlaps.
+    fn register(
+        &self,
+        partition: &PartitionMap,
+        alive: &HashSet<NodeId>,
+        id: ContinuousQueryId,
+        predicate: Predicate,
+    ) -> Result<(), StcamError> {
+        let targets = region_targets(partition, alive, predicate.region);
+        let install = |_| Request::RegisterContinuous { id, predicate };
+        tell(&self.exec, "register_continuous", &targets, install)
     }
 
     // ------------------------------------------------------------------
@@ -699,7 +689,6 @@ impl Coordinator {
         }
         let last = self.registrations.keys().map(|id| id.0).max();
         self.next_query_id = last.unwrap_or(0) + 1;
-        self.registration_failures = 0;
         self.alive = responders;
         let census_max = reports.iter().map(|(_, r)| r.epoch).max().unwrap_or(0);
         self.fence = census_max.max(self.plane.epoch());

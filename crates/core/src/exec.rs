@@ -462,14 +462,14 @@ struct ShardOutcome<P> {
 /// write and control message ([`ask`](Self::ask)).
 #[derive(Debug)]
 pub struct Executor {
-    endpoint: Arc<Endpoint>,
+    endpoint: Endpoint,
     shared: Arc<ExecShared>,
 }
 
 impl Executor {
     /// Creates an executor speaking through `endpoint` with
     /// `default_policy` for operations without an override.
-    pub fn new(endpoint: impl Into<Arc<Endpoint>>, default_policy: OpPolicy) -> Self {
+    pub fn new(endpoint: Endpoint, default_policy: OpPolicy) -> Self {
         Self::with_shared(endpoint, Arc::new(ExecShared::new(default_policy)))
     }
 
@@ -477,8 +477,7 @@ impl Executor {
     /// state — same policies, same telemetry registry, same peer table.
     /// This is how the query plane's endpoint pool stays one logical
     /// client: N endpoints, one account.
-    pub(crate) fn with_shared(endpoint: impl Into<Arc<Endpoint>>, shared: Arc<ExecShared>) -> Self {
-        let endpoint = endpoint.into();
+    pub(crate) fn with_shared(endpoint: Endpoint, shared: Arc<ExecShared>) -> Self {
         Executor { endpoint, shared }
     }
 

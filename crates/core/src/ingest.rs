@@ -2,53 +2,43 @@
 //!
 //! Routing every observation through the coordinator would make it the
 //! ingest bottleneck. In a deployment, camera aggregation points hold a
-//! copy of the partition map and stream straight to the owning workers;
-//! the coordinator only manages membership and queries. An [`Ingestor`]
-//! is that aggregation-point handle: it has its own fabric endpoint,
-//! reads the published routing plan at the start of every call, and
-//! never takes the coordinator lock, so many of them can ingest in
-//! parallel beside any control action. `Cluster::ingest` is one more of
-//! them, owned by the cluster.
+//! copy of the partition map and stream straight to the owning workers.
+//! An [`Ingestor`] is that handle: it has its own fabric endpoint, reads
+//! the published plan at the start of every routing round and never
+//! takes the coordinator lock, so many ingest in parallel beside any
+//! control action. `Cluster::ingest` is the cluster's own one.
 //!
 //! # Write-path reliability
 //!
-//! [`Ingestor::ingest`] is *acknowledged*: workers reply `Ack` or
-//! `IngestNack`, which the transport replays to a re-send. A wave of
-//! per-owner groups is delivered in two [`Executor::ask`] rounds —
-//! `"ingest_seq"` to every owner at once, then `"replicate_seq"` of what
-//! each owner kept to all their successors at once — so the one scatter
-//! loop in `exec.rs` retransmits lost frames, under the two
-//! [`OpPolicy`](crate::OpPolicy) entries of those names (the only retry
-//! knob of the write path), and books every send into
-//! [`OpStats`](crate::OpStats) beside the reads.
+//! A wave of per-owner groups goes out in two [`Executor::ask`] rounds,
+//! `"ingest_seq"` to the owners and `"replicate_seq"` of what each kept
+//! to its successors, so the one scatter loop in `exec.rs` retransmits
+//! lost frames under the two [`OpPolicy`](crate::OpPolicy) entries of
+//! those names (the write path's only retry knob) and books every send
+//! into [`OpStats`](crate::OpStats). Owners answer `Ack`, or `Ingested`
+//! when they refuse misrouted rows or found standing-query matches, and
+//! the transport replays that answer to a re-send. A group is accepted
+//! only once its owner **and** a full replica set confirmed it, so an
+//! ack certifies durability and strict-read visibility; anything short
+//! of that, a hinted handoff included, is parked and re-driven by
+//! [`flush`](Ingestor::flush), a true write barrier (see
+//! `Ingestor::deliver_wave`). A plan published mid-call is picked up by
+//! the next routing round: misrouted rows come back and re-route.
 //!
-//! A batch group is only counted as accepted once its owner **and** a
-//! full replica set — the first `replication` ring successors the plan
-//! calls alive — have confirmed it. That set is exactly where failover
-//! reads look and what a later promotion absorbs, so the returned count
-//! certifies both durability *and* strict-read visibility under the
-//! configured replication factor; a shortfall parks the group instead of
-//! acking. When the owner is unreachable, the ingestor performs hinted
-//! handoff: the batch is written to those same successors as replica-log
-//! entries. Hints alone never produce an ack, though: hinted batches
-//! stay *parked* and re-deliver (idempotently) once recovery fails the
-//! owner out or the link heals — acks stall during the grey window
-//! instead of lying (see `Ingestor::deliver_wave` for why).
-//!
-//! A plan published while a call is under way is picked up by the next
-//! routing round: a worker NACKs misrouted observations, or a newer
-//! epoch explains a silent owner, and the leftovers re-route — no
-//! recreation required. Parked observations are re-driven by
-//! [`flush`](Ingestor::flush), which is a true write barrier: it drains
-//! the parked window before running the ping round.
+//! The standing-query matches among the rows an owner kept go to the
+//! cluster's notification channel only when the group is acked; a parked
+//! group hands on nothing, and its re-drive brings them again. So a match
+//! arrives exactly when its row is acked, once per ack.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use crossbeam::channel::Sender;
 use parking_lot::Mutex;
 use stcam_camnet::{Observation, ObservationId};
 use stcam_net::{Endpoint, NodeId};
 
+use crate::continuous::Notification;
 use crate::error::StcamError;
 use crate::exec::{all_alive, unexpected, want_ack, Executor};
 use crate::plane::{QueryPlan, QueryPlane};
@@ -70,14 +60,21 @@ struct Group {
     /// Whether everyone asked so far confirmed `rows`: the owner in
     /// round one, then each of its successors in round two.
     acked: bool,
+    /// The standing-query matches the owner found among `rows`, handed on
+    /// only if the group is acknowledged.
+    matches: Vec<Notification>,
 }
 
 /// The owner's answer to `IngestSeq`: the ids it refuses to own (none
-/// when it acked the whole batch).
-fn want_misrouted(response: Response) -> Result<HashSet<ObservationId>, StcamError> {
+/// when it acked the whole batch) and the matches among the rest.
+fn want_ingested(
+    response: Response,
+) -> Result<(HashSet<ObservationId>, Vec<Notification>), StcamError> {
     match response {
-        Response::Ack => Ok(HashSet::new()),
-        Response::IngestNack { misrouted, .. } => Ok(misrouted.into_iter().collect()),
+        Response::Ack => Ok((HashSet::new(), Vec::new())),
+        Response::Ingested {
+            misrouted, matches, ..
+        } => Ok((misrouted.into_iter().collect(), matches)),
         other => Err(unexpected("ingest ack", other)),
     }
 }
@@ -97,20 +94,29 @@ pub struct Ingestor {
     /// shared handle waits until the window the first one took is
     /// settled, instead of returning while it is still in flight.
     barrier: Mutex<()>,
+    /// The cluster's notification channel, for acknowledged matches.
+    notify: Sender<Notification>,
 }
 
 impl Ingestor {
     /// An ingestor sending through `endpoint` on the plane's shared
     /// executor account: its writes book into the same
     /// [`OpStats`](crate::OpStats) registry, obey the same policy table
-    /// and book into the same peer table as the coordinator's.
-    pub(crate) fn new(endpoint: Endpoint, plane: Arc<QueryPlane>, replication: usize) -> Self {
+    /// and book into the same peer table as the coordinator's. Matches of
+    /// the groups it gets acknowledged go to `notify`.
+    pub(crate) fn new(
+        endpoint: Endpoint,
+        plane: Arc<QueryPlane>,
+        replication: usize,
+        notify: Sender<Notification>,
+    ) -> Self {
         Ingestor {
             exec: Executor::with_shared(endpoint, plane.exec_shared()),
             plane,
             replication,
             pending: Mutex::new(Vec::new()),
             barrier: Mutex::new(()),
+            notify,
         }
     }
 
@@ -126,7 +132,7 @@ impl Ingestor {
     }
 
     /// Acknowledged ingest: groups the batch by owner under the published
-    /// plan, sends at most [`INFLIGHT_WINDOW`] groups per wave to the
+    /// plan, sends at most `INFLIGHT_WINDOW` groups per wave to the
     /// owners and their replicas, retries lost traffic, and re-routes
     /// what a worker NACKs or a newer plan moved. Returns the number of
     /// observations durably **accepted**, not merely routed; anything
@@ -175,33 +181,25 @@ impl Ingestor {
     /// (or that a newer plan routes elsewhere) go to `redo`; rows that
     /// cannot be acknowledged under `plan` are parked.
     ///
-    /// **Round one** sends `IngestSeq` to every owner `plan` calls alive.
-    /// Suspicion alone never diverts a write (a falsely suspected owner
-    /// would strand the hint copy in a replica log that is never
-    /// promoted); only the plan's own alive set, or an owner that stays
-    /// silent through the whole `"ingest_seq"` retry budget, does.
+    /// **Round one** sends `IngestSeq` to every owner `plan` calls alive;
+    /// suspicion alone never diverts a write (a falsely suspected owner
+    /// would strand the hint copy in a replica log that is never promoted).
     ///
     /// **Round two** sends `ReplicateSeq` of what each owner kept to its
-    /// first `replication` *alive* ring successors — walking the ring
-    /// past dead members ([`PartitionMap::alive_successors`]), the same
-    /// set a failover read consults and the repair planner maintains,
-    /// which is what lets an ack certify visibility. A group counts as
-    /// acknowledged only once every one of them confirmed; on a
-    /// shortfall the owner holds the batch, the copies that landed stand
-    /// as hints, and the group is parked to be re-delivered once the plan
-    /// reflects whatever failed. A re-driven group is a new request, so the
+    /// first `replication` *alive* ring successors
+    /// ([`PartitionMap::alive_successors`]): the set failover reads consult
+    /// and repair maintains, which is what lets an ack certify visibility.
+    /// Only once all of them confirmed is the group acknowledged and its
+    /// matches handed on; otherwise the copies that landed stand as hints
+    /// and the group parks. A re-driven group is a new request, so the
     /// workers' id filters, not the transport, absorb the duplicates.
     ///
     /// The same round carries the **hinted handoff** of a group whose
-    /// owner is dead in `plan` (yet still routed to: no alive successor
-    /// could take its cells at recovery time) or did not answer while
-    /// `plan` is current. The hints make the batch crash-durable —
-    /// replica reads serve them while the owner is down, a failover
-    /// promotion absorbs them into the successor's primary — but cannot
-    /// certify an ack: the sender cannot tell a dead owner from a
-    /// partitioned one, and a partitioned owner will return and answer
-    /// strict reads from a primary that never saw the batch. Such a
-    /// group is always parked.
+    /// owner is dead in `plan` or did not answer while `plan` is current.
+    /// Hints make the batch crash-durable but never certify an ack: the
+    /// sender cannot tell a dead owner from a partitioned one, which would
+    /// return and answer strict reads from a primary that never saw the
+    /// batch. Such a group always parks.
     ///
     /// [`PartitionMap::alive_successors`]: crate::PartitionMap::alive_successors
     fn deliver_wave(
@@ -222,18 +220,19 @@ impl Ingestor {
                 batch: share.clone(),
             }
         };
-        let answers = self.exec.ask("ingest_seq", &owners, ingest, want_misrouted);
+        let answers = self.exec.ask("ingest_seq", &owners, ingest, want_ingested);
         let hinted = |(primary, rows)| Group {
             primary,
             rows,
             acked: false,
+            matches: Vec::new(),
         };
         let mut groups: Vec<Group> = dead.into_iter().map(hinted).collect();
         for ((primary, share), (_, answer)) in live.into_iter().zip(answers) {
             match answer {
                 // The owner applied what it owns; the rest re-routes
                 // under the published plan (its NACK says ours is stale).
-                Ok(misrouted) => {
+                Ok((misrouted, matches)) => {
                     let (back, rows): (Vec<_>, Vec<_>) =
                         share.into_iter().partition(|o| misrouted.contains(&o.id));
                     redo.extend(back);
@@ -241,6 +240,7 @@ impl Ingestor {
                         primary,
                         rows,
                         acked: true,
+                        matches,
                     });
                 }
                 // A newer plan has been published since we routed:
@@ -284,6 +284,10 @@ impl Ingestor {
         for group in groups {
             if group.acked {
                 accepted += group.rows.len();
+                for matches in group.matches {
+                    // Fails only once the cluster and its receiver are gone.
+                    let _ = self.notify.send(matches);
+                }
             } else {
                 self.pending.lock().extend(group.rows);
             }
@@ -316,12 +320,8 @@ impl Ingestor {
             self.drive(parked);
         }
         let plan = self.plane.plan();
-        let mut missing: Vec<NodeId> = self
-            .pending
-            .lock()
-            .iter()
-            .map(|o| plan.partition.owner_of(o.position))
-            .collect();
+        let owner = |o: &Observation| plan.partition.owner_of(o.position);
+        let mut missing: Vec<NodeId> = self.pending.lock().iter().map(owner).collect();
         if !missing.is_empty() {
             missing.sort();
             missing.dedup();

@@ -20,7 +20,9 @@
 //!   measured load (load-aware).
 //! * [`Worker`] — owns the `stcam-index` shard for its cells, serves
 //!   every request through one `match` (with per-op serve counters), and
-//!   evaluates continuous-query predicates at ingest. Rows enter its
+//!   matches the rows it owns against its standing queries at ingest,
+//!   returning the matches in the `IngestSeq` reply that acks them (the
+//!   writer hands them on once the group is acked). Rows enter its
 //!   primary shard through `IngestSeq` (clients) or `InstallSegments`
 //!   (control plane), a `ReplicaLog` per backed-up primary through
 //!   `ReplicateSeq` or `Repair`, and nothing else; replication is the
@@ -34,8 +36,9 @@
 //!   [`exec::DistributedOp`] (targets / request / decode / merge) and
 //!   may fail over to replicas; a control message is a named [`Request`]
 //!   handed to [`exec::Executor::ask`].
-//! * [`Coordinator`] — the mutex-guarded **control plane**: routes
-//!   ingest batches and keeps the continuous-query registry. Every
+//! * [`Coordinator`] — the mutex-guarded **control plane**: keeps
+//!   membership and the standing-query registry, which each cutover
+//!   registers at the new owners before it publishes. Every
 //!   membership or partition change sets a desired state and runs one
 //!   control loop — digest sweep, pure diff, then ship, cover, drain,
 //!   truncate, promote — whose cutover *publishes* an immutable,

@@ -17,7 +17,7 @@ use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
 use stcam_index::SegmentDigest;
 use stcam_net::NodeId;
 
-use crate::continuous::{ContinuousQueryId, Predicate};
+use crate::continuous::{ContinuousQueryId, Notification, Predicate};
 
 /// Field layout: a [`NodeId`] or [`ContinuousQueryId`], or a list of node
 /// ids, travels as its bare integer.
@@ -101,17 +101,17 @@ wire_enum! {
         /// Liveness probe.
         Ping = 0 "ping",
         /// Acknowledged ingest — the one door clients write a primary
-        /// shard through, answered with [`Response::Ack`].
+        /// shard through, answered with [`Response::Ack`] or
+        /// [`Response::Ingested`].
         ///
         /// A copy of the request is never applied twice while the
         /// transport remembers the answer (`stcam_net`'s reply table), and
         /// past that the worker's id filter drops rows it already holds.
         /// `epoch` is the routing-plan epoch the sender routed under; a
-        /// worker whose own plan disagrees about ownership answers with
-        /// [`Response::IngestNack`] naming the misrouted observations. The
-        /// worker does **not** replicate onward — the sender performs
-        /// replication itself (via `ReplicateSeq`) so that an ack can certify
-        /// durability.
+        /// worker whose own plan disagrees about ownership names the
+        /// misrouted observations in its answer. The worker does **not**
+        /// replicate onward — the sender performs replication itself (via
+        /// `ReplicateSeq`) so that an ack can certify durability.
         IngestSeq = 17 "ingest_seq" {
             /// The routing-plan epoch the sender routed this batch under.
             epoch: u64,
@@ -180,14 +180,12 @@ wire_enum! {
             /// Temporal predicate.
             window: TimeInterval,
         },
-        /// Register a standing continuous query; matches stream to `notify`.
+        /// Register a standing query; its matches ride `IngestSeq` replies.
         RegisterContinuous = 6 "register_continuous" {
             /// Query id (cluster-unique).
             id: ContinuousQueryId as Bare,
             /// Match predicate.
             predicate: Predicate,
-            /// Node to notify on match.
-            notify: NodeId as Bare,
         },
         /// Remove a standing query.
         UnregisterContinuous = 7 "unregister_continuous" (id: ContinuousQueryId as Bare),
@@ -410,7 +408,7 @@ wire_struct! {
         pub replica_observations: u64,
         /// Total observations ever ingested as primary.
         pub ingested_total: u64,
-        /// Continuous-query notifications sent.
+        /// Standing-query notifications returned in ingest replies.
         pub notifications_sent: u64,
         /// Standing continuous queries registered.
         pub continuous_queries: u64,
@@ -461,8 +459,6 @@ wire_struct! {
         pub id: ContinuousQueryId as Bare,
         /// The match predicate.
         pub predicate: Predicate,
-        /// The node notified on match.
-        pub notify: NodeId as Bare,
     }
 }
 
@@ -507,16 +503,18 @@ wire_enum! {
         /// Sparse per-bucket counts: `(bucket index, count)` for occupied
         /// buckets only (answer to [`Request::Heatmap`]).
         CellCounts = 5 "cell_counts" (counts: Vec<(u32, u64)>),
-        /// Negative acknowledgement of an `IngestSeq` batch: the addressee
-        /// applied the observations it owns but rejects `misrouted` —
-        /// observations its routing plan assigns elsewhere. `epoch` is the
-        /// addressee's plan epoch, so a stale sender can tell whether *it*
-        /// must refresh (its epoch is older) before re-routing.
-        IngestNack = 7 "ingest_nack" {
+        /// Acknowledgement of an `IngestSeq` batch, sent instead of `Ack`
+        /// when a list is non-empty: the addressee applied the rows it
+        /// owns, found `matches` among them, and rejects `misrouted` —
+        /// rows its routing plan assigns elsewhere. `epoch` is its plan
+        /// epoch, so a stale sender can tell whether *it* must refresh.
+        Ingested = 7 "ingested" {
             /// The addressee's routing-plan epoch.
             epoch: u64,
             /// Ids of the observations the addressee refuses to own.
             misrouted: Vec<ObservationId>,
+            /// Standing-query matches among the owned rows, by query id.
+            matches: Vec<Notification>,
         },
         /// Per-cell anti-entropy digests (answer to [`Request::CellDigest`]).
         Digests = 8 "digests" (report: DigestReport),

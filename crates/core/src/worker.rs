@@ -34,9 +34,9 @@ use stcam_camnet::{Observation, ObservationId, Signature, SIGNATURE_DIM};
 use stcam_codec::{decode_from_slice, encode_to_vec};
 use stcam_geo::{BBox, GridSpec};
 use stcam_index::{IndexConfig, ReadView, SegmentDigest, StIndex};
-use stcam_net::{Endpoint, Envelope, MessageKind, NodeId, Waker};
+use stcam_net::{Endpoint, Envelope, NodeId, Waker};
 
-use crate::continuous::{InterestIndex, Notification};
+use crate::continuous::InterestIndex;
 use crate::paging;
 use crate::protocol::{Request, Response, WorkerStatsMsg, PROJ_THIN};
 use crate::replica::{ReplicaLog, RowSource};
@@ -168,9 +168,6 @@ impl ReadShared {
 /// the paging store so no response frame exceeds the page bound. Both
 /// lanes reply through here, so pagination is uniform.
 fn reply_paged(endpoint: &Endpoint, shared: &ReadShared, envelope: &Envelope, response: Response) {
-    if envelope.kind != MessageKind::Request {
-        return;
-    }
     let frame = match paging::encode_reply(&response) {
         paging::Reply::Frame(frame) => frame,
         paging::Reply::Pages(kind, pages) => encode_to_vec(&shared.park(kind, pages)),
@@ -441,10 +438,8 @@ impl Worker {
             let request = match decode_from_slice::<Request>(&envelope.payload) {
                 Ok(r) => r,
                 Err(e) => {
-                    if envelope.kind == MessageKind::Request {
-                        let resp = Response::Error(format!("bad request: {e}"));
-                        let _ = self.endpoint.reply(&envelope, encode_to_vec(&resp));
-                    }
+                    let resp = Response::Error(format!("bad request: {e}"));
+                    let _ = self.endpoint.reply(&envelope, encode_to_vec(&resp));
                     continue;
                 }
             };
@@ -479,8 +474,7 @@ impl Worker {
     ///
     /// One `match` destructures the request and calls its handler; every
     /// served request increments that operation's serve counter (keyed by
-    /// [`Request::op_name`]). `IngestSeq` also emits continuous-query
-    /// notification traffic through the endpoint.
+    /// [`Request::op_name`]).
     pub fn handle_request(&mut self, request: Request) -> Response {
         self.shared.count(request.op_name());
         match request {
@@ -502,12 +496,8 @@ impl Worker {
                 // executor threads. Same evaluation either way.
                 execute_read(&self.index.read_view(), &self.shared, read)
             }
-            Request::RegisterContinuous {
-                id,
-                predicate,
-                notify,
-            } => {
-                self.continuous.insert(id, predicate, notify);
+            Request::RegisterContinuous { id, predicate } => {
+                self.continuous.insert(id, predicate);
                 Response::Ack
             }
             Request::UnregisterContinuous(id) => {
@@ -560,7 +550,12 @@ impl Worker {
             _ => (batch, Vec::new()),
         };
         self.ingested_total += owned.len() as u64;
-        self.notify_continuous(&owned);
+        // Matched before the id filter: the matches are a function of the
+        // registrations and the owned rows alone, so a re-driven batch
+        // yields them again and the sender delivers those of the one send
+        // it gets acknowledged.
+        let matches = self.continuous.matching(&owned);
+        self.notifications_sent += matches.len() as u64;
         // No onward replication here: the *sender* replicates (via
         // `ReplicateSeq`) before counting the batch durable, so the ack
         // below certifies exactly this worker's copy.
@@ -569,12 +564,13 @@ impl Worker {
             .filter(|o| self.seen.insert(o.id))
             .collect();
         self.index.insert_batch(fresh);
-        if misrouted.is_empty() {
+        if misrouted.is_empty() && matches.is_empty() {
             Response::Ack
         } else {
-            Response::IngestNack {
+            Response::Ingested {
                 epoch: self.route.as_ref().map_or(0, |r| r.epoch),
                 misrouted: misrouted.into_iter().map(|o| o.id).collect(),
+                matches,
             }
         }
     }
@@ -809,13 +805,7 @@ impl Worker {
             .continuous
             .all()
             .into_iter()
-            .map(
-                |(id, predicate, notify)| crate::protocol::CensusRegistration {
-                    id,
-                    predicate,
-                    notify,
-                },
-            )
+            .map(|(id, predicate)| crate::protocol::CensusRegistration { id, predicate })
             .collect();
         Response::Census(crate::protocol::CensusReport {
             epoch,
@@ -824,26 +814,6 @@ impl Worker {
             replica_of,
             registrations,
         })
-    }
-
-    fn notify_continuous(&mut self, batch: &[Observation]) {
-        if self.continuous.is_empty() {
-            return;
-        }
-        // The interest index groups matches per query, so each ingest
-        // batch costs at most one notification message per matching
-        // query — and only registrations interested in the batch's cells
-        // are consulted at all.
-        for (id, notify, matches) in self.continuous.matching(batch) {
-            let notification = Notification { query: id, matches };
-            if self
-                .endpoint
-                .send(notify, encode_to_vec(&notification))
-                .is_ok()
-            {
-                self.notifications_sent += 1;
-            }
-        }
     }
 
     /// Local statistics.
@@ -916,7 +886,7 @@ impl Drop for WorkerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::continuous::{ContinuousQueryId, Predicate};
+    use crate::continuous::{ContinuousQueryId, Notification, Predicate};
     use crate::protocol::PROJ_FULL;
     use stcam_camnet::{CameraId, ObservationId, Signature};
     use stcam_geo::{BBox, Duration, Point, TimeInterval, Timestamp};
@@ -1053,32 +1023,37 @@ mod tests {
     }
 
     #[test]
-    fn continuous_query_notifies_on_match() {
-        let fabric = Fabric::new(LinkModel::instant());
-        let worker_ep = fabric.register(NodeId(1));
-        let client = fabric.register(NodeId(0));
-        let mut worker = Worker::new(worker_ep, config(0));
+    fn continuous_query_matches_ride_the_ingest_reply() {
+        let (_fabric, mut worker) = lone_worker();
+        let query = ContinuousQueryId(7);
         worker.handle_request(Request::RegisterContinuous {
-            id: ContinuousQueryId(7),
+            id: query,
             predicate: Predicate {
                 region: BBox::new(Point::new(0.0, 0.0), Point::new(50.0, 50.0)),
                 class: Some(EntityClass::Car),
             },
-            notify: NodeId(0),
         });
-        worker.handle_request(ingest_req(vec![
-            obs(0, 0, 10.0, 10.0),   // match
-            obs(1, 0, 500.0, 500.0), // outside region
-        ]));
-        let env = client.recv_timeout(StdDuration::from_secs(1)).unwrap();
-        let notification: Notification = decode_from_slice(&env.payload).unwrap();
-        assert_eq!(notification.query, ContinuousQueryId(7));
-        assert_eq!(notification.matches.len(), 1);
-        assert_eq!(notification.matches[0].id.seq(), 0);
-        // Unregister stops the stream.
-        worker.handle_request(Request::UnregisterContinuous(ContinuousQueryId(7)));
-        worker.handle_request(ingest_req(vec![obs(2, 0, 10.0, 10.0)]));
-        assert!(client.recv_timeout(StdDuration::from_millis(50)).is_none());
+        let hit = obs(0, 0, 10.0, 10.0);
+        let batch = vec![hit.clone(), obs(1, 0, 500.0, 500.0)];
+        let matched = Response::Ingested {
+            epoch: 0,
+            misrouted: vec![],
+            matches: vec![Notification {
+                query,
+                matches: vec![hit],
+            }],
+        };
+        assert_eq!(worker.handle_request(ingest_req(batch.clone())), matched);
+        // A batch that runs again (a re-drive) matches again; the id
+        // filter only keeps the rows from being stored twice.
+        assert_eq!(worker.handle_request(ingest_req(batch)), matched);
+        assert_eq!(worker.stats().primary_observations, 2);
+        // Unregistering stops the matches: a plain ack again.
+        worker.handle_request(Request::UnregisterContinuous(query));
+        assert_eq!(
+            worker.handle_request(ingest_req(vec![obs(2, 0, 10.0, 10.0)])),
+            Response::Ack
+        );
     }
 
     #[test]
@@ -1264,9 +1239,10 @@ mod tests {
         });
         assert_eq!(
             resp,
-            Response::IngestNack {
+            Response::Ingested {
                 epoch: 7,
                 misrouted: vec![theirs_id],
+                matches: vec![],
             }
         );
         // The owned observation was applied despite the nack.
@@ -1293,7 +1269,7 @@ mod tests {
             batch: vec![obs(0, 500, 900.0, 100.0)],
         });
         assert!(
-            matches!(resp, Response::IngestNack { epoch: 9, .. }),
+            matches!(resp, Response::Ingested { epoch: 9, .. }),
             "unexpected response {resp:?}"
         );
     }
@@ -1381,7 +1357,6 @@ mod tests {
         worker.handle_request(Request::RegisterContinuous {
             id: ContinuousQueryId(7),
             predicate,
-            notify: NodeId(0),
         });
         let resp = worker.handle_request(Request::Census);
         assert_eq!(
@@ -1394,7 +1369,6 @@ mod tests {
                 registrations: vec![CensusRegistration {
                     id: ContinuousQueryId(7),
                     predicate,
-                    notify: NodeId(0),
                 }],
             })
         );
@@ -1903,7 +1877,6 @@ mod tests {
                 region: BBox::around(Point::new(10.0, 10.0), 50.0),
                 class: None,
             },
-            notify: NodeId(0),
         });
         worker.handle_request(ingest_req(vec![obs(2, 100, 30.0, 30.0)]));
         assert_eq!(
@@ -1930,7 +1903,7 @@ mod tests {
             batch: vec![obs(3, 100, 900.0, 900.0)],
         });
         assert!(
-            matches!(resp, Response::IngestNack { epoch: 9, .. }),
+            matches!(resp, Response::Ingested { epoch: 9, .. }),
             "unexpected response {resp:?}"
         );
     }

@@ -18,12 +18,16 @@
 //! * **write durability**: on lossy-link plans, every observation the
 //!   cluster *acknowledged* to the writer joins the oracle, so each later
 //!   battery asserts acked data is never missing from a strict (or full
-//!   best-effort) answer — the acked-ingest contract under message loss.
+//!   best-effort) answer — the acked-ingest contract under message loss;
+//! * **notification**: a standing query over the whole extent, registered
+//!   before the first step, notifies exactly the acked rows, and no row
+//!   more often than it was handed to `ingest`.
 //!
 //! Seeds come from `CHAOS_SEED` (one `u64`) or default to a fixed set;
 //! the lossy drop rate comes from `CHAOS_DROP` (permille, default 50 =
 //! 5%); the seed is printed before each run so any failure is replayable.
 
+use std::collections::{HashMap, HashSet};
 use std::time::Duration as StdDuration;
 
 use stcam::chaos::{ChaosEvent, ChaosPlan};
@@ -383,6 +387,17 @@ fn execute_plan(seed: u64, plan: &ChaosPlan, lossy: bool) {
     // `oracle`); retried at every later ingest step — worker-side id
     // dedup absorbs the repeats.
     let mut limbo: Vec<Observation> = Vec::new();
+    // The notification oracle: every row the steps acked, and how often
+    // each was handed to `ingest` (a row is notified once per ack).
+    let everything = Predicate {
+        region: extent(),
+        class: None,
+    };
+    let standing = cluster
+        .register_continuous(everything)
+        .unwrap_or_else(|e| panic!("seed {seed}: register standing query: {e}"));
+    let mut acked: HashSet<ObservationId> = HashSet::new();
+    let mut handed: HashMap<ObservationId, u32> = HashMap::new();
     if lossy {
         // Under message loss a single lost probe must not fail a live
         // worker out of the ring, and a lost promotion must not orphan a
@@ -423,8 +438,12 @@ fn execute_plan(seed: u64, plan: &ChaosPlan, lossy: bool) {
                 let mut batch = std::mem::take(&mut limbo);
                 batch.extend(fresh);
                 for o in batch {
+                    *handed.entry(o.id).or_default() += 1;
                     match cluster.ingest(vec![o.clone()]) {
-                        Ok(1) => oracle.ingest(vec![o]),
+                        Ok(1) => {
+                            acked.insert(o.id);
+                            oracle.ingest(vec![o]);
+                        }
                         Ok(0) => limbo.push(o),
                         Ok(n) => {
                             panic!("seed {seed} {tag}: impossible accepted count {n}")
@@ -482,6 +501,9 @@ fn execute_plan(seed: u64, plan: &ChaosPlan, lossy: bool) {
             let batch = std::mem::take(&mut limbo);
             let deadline = std::time::Instant::now() + StdDuration::from_secs(10);
             loop {
+                for o in &batch {
+                    *handed.entry(o.id).or_default() += 1;
+                }
                 match cluster.ingest(batch.clone()) {
                     Ok(n) if n == batch.len() => break,
                     outcome => assert!(
@@ -491,12 +513,40 @@ fn execute_plan(seed: u64, plan: &ChaosPlan, lossy: bool) {
                 }
                 std::thread::sleep(StdDuration::from_millis(10));
             }
+            acked.extend(batch.iter().map(|o| o.id));
             oracle.ingest(batch);
         }
         assert_eq!(
             oracle.range_query(extent(), window_all()).len(),
             upper.range_query(extent(), window_all()).len(),
             "seed {seed}: oracle bookkeeping out of sync after limbo drain"
+        );
+    }
+
+    // Every acked row was notified — its matches rode the reply that
+    // acked it — and none more often than it was handed in.
+    let mut notified: HashMap<ObservationId, u32> = HashMap::new();
+    loop {
+        let batch = cluster.poll_notifications(StdDuration::from_millis(100));
+        if batch.is_empty() {
+            break;
+        }
+        for n in batch.into_iter().filter(|n| n.query == standing) {
+            for row in n.matches {
+                *notified.entry(row.id).or_default() += 1;
+            }
+        }
+    }
+    let notified_ids: HashSet<ObservationId> = notified.keys().copied().collect();
+    assert_eq!(
+        notified_ids, acked,
+        "seed {seed}: notified ids != acked ids"
+    );
+    for (id, &times) in &notified {
+        let sent = handed.get(id).copied().unwrap_or(0);
+        assert!(
+            times <= sent,
+            "seed {seed}: {id:?} notified {times} times, handed in {sent}"
         );
     }
 

@@ -122,7 +122,6 @@ proptest! {
             Request::RegisterContinuous {
                 id: stcam::ContinuousQueryId(k as u64),
                 predicate: Predicate { region, class: Some(class_enum) },
-                notify: NodeId(node),
             },
             Request::UnregisterContinuous(stcam::ContinuousQueryId(k as u64)),
             Request::Stats,
@@ -214,11 +213,18 @@ proptest! {
         };
         let responses = [
             Response::Ack,
-            Response::Observations(batch),
+            Response::Observations(batch.clone()),
             Response::Stats(stats),
             Response::Error(error),
             Response::CellCounts(cells.clone()),
-            Response::IngestNack { epoch, misrouted },
+            Response::Ingested {
+                epoch,
+                misrouted,
+                matches: vec![stcam::Notification {
+                    query: stcam::ContinuousQueryId(seq),
+                    matches: batch,
+                }],
+            },
             Response::Digests(digests),
             Response::SegmentDigests(
                 cells
@@ -247,7 +253,6 @@ proptest! {
                 registrations: vec![CensusRegistration {
                     id: stcam::ContinuousQueryId(seq),
                     predicate: Predicate { region, class: None },
-                    notify: NodeId(accepted),
                 }],
             }),
         ];
@@ -364,24 +369,17 @@ proptest! {
 }
 
 /// A standing-query registration for the interest-index equivalence
-/// property: id, predicate, notify target.
-fn arb_registration() -> impl Strategy<Value = (u64, Predicate, NodeId)> {
-    (
-        0u64..32,
-        arb_region(),
-        proptest::option::of(0u8..4),
-        0u32..100,
-    )
-        .prop_map(|(id, region, class, node)| {
-            (
-                id,
-                Predicate {
-                    region,
-                    class: class.map(|c| EntityClass::from_u8(c).expect("class")),
-                },
-                NodeId(node),
-            )
-        })
+/// property: id and predicate.
+fn arb_registration() -> impl Strategy<Value = (u64, Predicate)> {
+    (0u64..32, arb_region(), proptest::option::of(0u8..4)).prop_map(|(id, region, class)| {
+        (
+            id,
+            Predicate {
+                region,
+                class: class.map(|c| EntityClass::from_u8(c).expect("class")),
+            },
+        )
+    })
 }
 
 proptest! {
@@ -401,22 +399,23 @@ proptest! {
         let extent = BBox::new(Point::new(0.0, 0.0), Point::new(1600.0, 1600.0));
         let mut index = stcam::InterestIndex::new(extent);
         // Linear reference with last-insert-wins semantics.
-        let mut reference: std::collections::BTreeMap<u64, (Predicate, NodeId)> =
+        let mut reference: std::collections::BTreeMap<u64, Predicate> =
             std::collections::BTreeMap::new();
-        for (id, predicate, notify) in &registrations {
-            index.insert(stcam::ContinuousQueryId(*id), *predicate, *notify);
-            reference.insert(*id, (*predicate, *notify));
+        for (id, predicate) in &registrations {
+            index.insert(stcam::ContinuousQueryId(*id), *predicate);
+            reference.insert(*id, *predicate);
         }
         let got = index.matching(&batch);
         let mut want = Vec::new();
-        for (&id, (predicate, notify)) in &reference {
+        for (&id, predicate) in &reference {
             let matches: Vec<Observation> = batch
                 .iter()
                 .filter(|o| predicate.matches(o))
                 .cloned()
                 .collect();
             if !matches.is_empty() {
-                want.push((stcam::ContinuousQueryId(id), *notify, matches));
+                let query = stcam::ContinuousQueryId(id);
+                want.push(stcam::Notification { query, matches });
             }
         }
         prop_assert_eq!(got, want);
@@ -432,13 +431,13 @@ proptest! {
     ) {
         let extent = BBox::new(Point::new(0.0, 0.0), Point::new(1600.0, 1600.0));
         let mut index = stcam::InterestIndex::new(extent);
-        let mut reference: std::collections::BTreeMap<u64, (Predicate, NodeId)> =
+        let mut reference: std::collections::BTreeMap<u64, Predicate> =
             std::collections::BTreeMap::new();
-        for (id, predicate, notify) in &registrations {
-            index.insert(stcam::ContinuousQueryId(*id), *predicate, *notify);
-            reference.insert(*id, (*predicate, *notify));
+        for (id, predicate) in &registrations {
+            index.insert(stcam::ContinuousQueryId(*id), *predicate);
+            reference.insert(*id, *predicate);
         }
-        for (i, (id, _, _)) in registrations.iter().enumerate() {
+        for (i, (id, _)) in registrations.iter().enumerate() {
             if drop_mask[i % drop_mask.len()] {
                 index.remove(stcam::ContinuousQueryId(*id));
                 reference.remove(id);
@@ -447,14 +446,15 @@ proptest! {
         prop_assert_eq!(index.len(), reference.len());
         let got = index.matching(&batch);
         let mut want = Vec::new();
-        for (&id, (predicate, notify)) in &reference {
+        for (&id, predicate) in &reference {
             let matches: Vec<Observation> = batch
                 .iter()
                 .filter(|o| predicate.matches(o))
                 .cloned()
                 .collect();
             if !matches.is_empty() {
-                want.push((stcam::ContinuousQueryId(id), *notify, matches));
+                let query = stcam::ContinuousQueryId(id);
+                want.push(stcam::Notification { query, matches });
             }
         }
         prop_assert_eq!(got, want);

@@ -5,8 +5,10 @@ use crate::NodeId;
 /// How a message participates in the request/response protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessageKind {
-    /// Fire-and-forget; delivered to the receiver's inbox.
-    OneWay,
+    /// A [`Waker`](crate::Waker)'s marker, put straight into its own
+    /// node's inbox. Never on the wire: every message that crosses a link
+    /// is a call or part of one.
+    Wake,
     /// An RPC request; delivered to the receiver's inbox, carrying a
     /// correlation id the receiver must echo in its reply.
     Request,
@@ -37,7 +39,7 @@ pub struct Envelope {
     pub dst: NodeId,
     /// Protocol role of this message.
     pub kind: MessageKind,
-    /// Correlation id; zero for one-way messages.
+    /// Correlation id of the call the message belongs to.
     pub correlation: u64,
     /// Opaque payload bytes (typically a `stcam-codec` encoded value).
     pub payload: Vec<u8>,
@@ -66,8 +68,8 @@ mod tests {
         let e = Envelope {
             src: NodeId(1),
             dst: NodeId(2),
-            kind: MessageKind::OneWay,
-            correlation: 0,
+            kind: MessageKind::Request,
+            correlation: 1,
             payload: vec![0u8; 100],
         };
         assert_eq!(e.wire_size(), 116);

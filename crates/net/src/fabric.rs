@@ -310,7 +310,7 @@ impl FabricInner {
             MessageKind::Probe => Some((&node.probes_sent, &all.total_probes)),
             MessageKind::NotHeld => Some((&node.not_held_sent, &all.total_not_held)),
             MessageKind::Replay => Some((&node.replayed_sent, &all.total_replayed)),
-            MessageKind::Request | MessageKind::Response | MessageKind::OneWay => None,
+            MessageKind::Request | MessageKind::Response | MessageKind::Wake => None,
         };
         if let Some((sent, total)) = apart {
             sent.fetch_add(1, Ordering::Relaxed);
@@ -429,9 +429,7 @@ impl FabricInner {
                     payload,
                 });
             }
-            MessageKind::OneWay => {
-                let _ = dst_state.inbox_tx.send(env);
-            }
+            MessageKind::Wake => unreachable!("a wake marker never takes the wire"),
         }
     }
 
@@ -516,25 +514,6 @@ impl Endpoint {
         self.node
     }
 
-    /// Sends a fire-and-forget message.
-    ///
-    /// Delivery is not guaranteed (the loss model, partitions, or a crashed
-    /// destination may drop it); use [`call`](Self::call) for reliability.
-    ///
-    /// # Errors
-    ///
-    /// Fails when this node is down, the destination is unknown, or the
-    /// fabric has shut down.
-    pub fn send(&self, to: NodeId, payload: Vec<u8>) -> Result<(), NetError> {
-        self.inner.submit(Envelope {
-            src: self.node,
-            dst: to,
-            kind: MessageKind::OneWay,
-            correlation: 0,
-            payload,
-        })
-    }
-
     /// Sends a request and blocks until its response arrives or `timeout`
     /// elapses. One send: a lost frame costs the whole timeout.
     ///
@@ -542,7 +521,7 @@ impl Endpoint {
     ///
     /// [`NetError::Timeout`] when no response arrives in time (the request
     /// or response may have been lost, or the peer crashed); other errors
-    /// as for [`send`](Self::send).
+    /// as for [`call_start`](Self::call_start).
     pub fn call(
         &self,
         to: NodeId,
@@ -566,9 +545,9 @@ impl Endpoint {
     ///
     /// # Errors
     ///
-    /// As for [`send`](Self::send). Submission errors are local (own node
-    /// down, unknown peer, shutdown) — not evidence about the
-    /// destination's health, so no outcome is booked for them.
+    /// Fails when this node is down, the destination is unknown, or the
+    /// fabric has shut down. Submission errors are local — not evidence
+    /// about the destination's health, so no outcome is booked for them.
     pub fn call_start(&self, to: NodeId, frame: &[u8]) -> Result<PendingCall, NetError> {
         self.start(to, frame.to_vec())
     }
@@ -635,8 +614,8 @@ impl Endpoint {
     /// wait begun so late that probes were still owed, a retransmission
     /// timeout after the last of them — or by `resend.deadline` (requests
     /// or responses may have been lost, or the peer crashed); a
-    /// submission error as for [`send`](Self::send) when this node went
-    /// down between sends, which books nothing.
+    /// submission error as for [`call_start`](Self::call_start) when this
+    /// node went down between sends, which books nothing.
     pub fn call_wait(
         &self,
         call: PendingCall,
@@ -715,7 +694,7 @@ impl Endpoint {
     ///
     /// # Errors
     ///
-    /// As for [`send`](Self::send).
+    /// As for [`call_start`](Self::call_start).
     ///
     /// # Panics
     ///
@@ -818,10 +797,6 @@ impl Drop for PendingCall {
     }
 }
 
-/// Correlation value marking a local wake envelope (never produced by
-/// RPC: real correlations count up from 1).
-const WAKE_CORRELATION: u64 = u64::MAX;
-
 /// Interrupts a blocked [`Endpoint::recv`] by injecting a wake marker
 /// into the endpoint's inbox, off the wire. Obtained from
 /// [`Endpoint::waker`]; cheap to clone and `Send`, so a node's control
@@ -846,8 +821,8 @@ impl Waker {
         let _ = self.inbox_tx.send(Envelope {
             src: self.node,
             dst: self.node,
-            kind: MessageKind::OneWay,
-            correlation: WAKE_CORRELATION,
+            kind: MessageKind::Wake,
+            correlation: 0,
             payload: Vec::new(),
         });
     }
@@ -855,7 +830,7 @@ impl Waker {
     /// Whether `env` is a wake marker (to be discarded by the receive
     /// loop after it re-checks its stop condition).
     pub fn is_wake(env: &Envelope) -> bool {
-        env.kind == MessageKind::OneWay && env.correlation == WAKE_CORRELATION
+        env.kind == MessageKind::Wake
     }
 }
 
@@ -869,15 +844,15 @@ mod tests {
     }
 
     #[test]
-    fn send_and_receive() {
+    fn a_started_call_reaches_the_inbox() {
         let f = instant_fabric();
         let a = f.register(NodeId(0));
         let b = f.register(NodeId(1));
-        a.send(NodeId(1), b"hi".to_vec()).unwrap();
+        a.call_start(NodeId(1), b"hi").unwrap();
         let env = b.recv_timeout(Duration::from_secs(1)).unwrap();
         assert_eq!(env.payload, b"hi");
         assert_eq!(env.src, NodeId(0));
-        assert_eq!(env.kind, MessageKind::OneWay);
+        assert_eq!(env.kind, MessageKind::Request);
     }
 
     #[test]
@@ -902,8 +877,8 @@ mod tests {
         let f = instant_fabric();
         let a = f.register(NodeId(0));
         assert_eq!(
-            a.send(NodeId(9), vec![]),
-            Err(NetError::UnknownNode(NodeId(9)))
+            a.call_start(NodeId(9), &[]).err(),
+            Some(NetError::UnknownNode(NodeId(9)))
         );
     }
 
@@ -924,15 +899,15 @@ mod tests {
         let b = f.register(NodeId(1));
         f.crash(NodeId(1));
         assert!(!f.is_alive(NodeId(1)));
-        a.send(NodeId(1), b"lost".to_vec()).unwrap(); // silently dropped
+        a.call_start(NodeId(1), b"lost").unwrap(); // silently dropped
         assert!(b.recv_timeout(Duration::from_millis(50)).is_none());
         assert_eq!(
-            b.send(NodeId(0), vec![]),
-            Err(NetError::NodeDown(NodeId(1)))
+            b.call_start(NodeId(0), &[]).err(),
+            Some(NetError::NodeDown(NodeId(1)))
         );
         f.restart(NodeId(1));
         assert!(f.is_alive(NodeId(1)));
-        a.send(NodeId(1), b"back".to_vec()).unwrap();
+        a.call_start(NodeId(1), b"back").unwrap();
         assert!(b.recv_timeout(Duration::from_secs(1)).is_some());
     }
 
@@ -955,12 +930,12 @@ mod tests {
         let b = f.register(NodeId(1));
         let c = f.register(NodeId(2));
         f.partition(&[&[NodeId(0), NodeId(1)], &[NodeId(2)]]);
-        a.send(NodeId(1), b"same side".to_vec()).unwrap();
+        a.call_start(NodeId(1), b"same side").unwrap();
         assert!(b.recv_timeout(Duration::from_secs(1)).is_some());
-        a.send(NodeId(2), b"other side".to_vec()).unwrap();
+        a.call_start(NodeId(2), b"other side").unwrap();
         assert!(c.recv_timeout(Duration::from_millis(50)).is_none());
         f.heal_partition();
-        a.send(NodeId(2), b"healed".to_vec()).unwrap();
+        a.call_start(NodeId(2), b"healed").unwrap();
         assert!(c.recv_timeout(Duration::from_secs(1)).is_some());
     }
 
@@ -970,7 +945,7 @@ mod tests {
         let a = f.register(NodeId(0));
         let b = f.register(NodeId(1));
         for _ in 0..1000 {
-            a.send(NodeId(1), vec![0u8; 8]).unwrap();
+            a.call_start(NodeId(1), &[0u8; 8]).unwrap();
         }
         let mut received = 0;
         while b.recv_timeout(Duration::from_millis(100)).is_some() {
@@ -988,10 +963,10 @@ mod tests {
         let b = f.register(NodeId(1));
         f.set_drop_probability(1.0);
         assert_eq!(f.link_model().drop_probability, 1.0);
-        a.send(NodeId(1), b"lost".to_vec()).unwrap();
+        a.call_start(NodeId(1), b"lost").unwrap();
         assert!(b.recv_timeout(Duration::from_millis(50)).is_none());
         f.set_drop_probability(0.0);
-        a.send(NodeId(1), b"through".to_vec()).unwrap();
+        a.call_start(NodeId(1), b"through").unwrap();
         assert!(b.recv_timeout(Duration::from_secs(1)).is_some());
     }
 
@@ -1002,22 +977,22 @@ mod tests {
         let b = f.register(NodeId(1));
         // Kill only the 0 → 1 direction; the reverse stays clean.
         f.set_link_drop_probability(NodeId(0), NodeId(1), 1.0);
-        a.send(NodeId(1), b"uplink".to_vec()).unwrap();
+        a.call_start(NodeId(1), b"uplink").unwrap();
         assert!(b.recv_timeout(Duration::from_millis(50)).is_none());
-        b.send(NodeId(0), b"downlink".to_vec()).unwrap();
+        b.call_start(NodeId(0), b"downlink").unwrap();
         assert!(a.recv_timeout(Duration::from_secs(1)).is_some());
         // The per-link override beats the global knob in both directions:
         // a lossless override punches through a fully lossy fabric.
         f.set_drop_probability(1.0);
         f.set_link_drop_probability(NodeId(0), NodeId(1), 0.0);
-        a.send(NodeId(1), b"exempt".to_vec()).unwrap();
+        a.call_start(NodeId(1), b"exempt").unwrap();
         assert!(b.recv_timeout(Duration::from_secs(1)).is_some());
-        b.send(NodeId(0), b"not exempt".to_vec()).unwrap();
+        b.call_start(NodeId(0), b"not exempt").unwrap();
         assert!(a.recv_timeout(Duration::from_millis(50)).is_none());
         // Clearing the override falls back to the global rate.
         f.set_drop_probability(0.0);
         f.clear_link_drop_probability(NodeId(0), NodeId(1));
-        a.send(NodeId(1), b"restored".to_vec()).unwrap();
+        a.call_start(NodeId(1), b"restored").unwrap();
         assert!(b.recv_timeout(Duration::from_secs(1)).is_some());
     }
 
@@ -1033,7 +1008,7 @@ mod tests {
         let a = f.register(NodeId(0));
         let b = f.register(NodeId(1));
         let t0 = Instant::now();
-        a.send(NodeId(1), vec![]).unwrap();
+        a.call_start(NodeId(1), &[]).unwrap();
         let env = b.recv_timeout(Duration::from_secs(1));
         let elapsed = t0.elapsed();
         assert!(env.is_some());
@@ -1052,7 +1027,7 @@ mod tests {
         let a = f.register(NodeId(0));
         let b = f.register(NodeId(1));
         for i in 0..200u32 {
-            a.send(NodeId(1), i.to_le_bytes().to_vec()).unwrap();
+            a.call_start(NodeId(1), &i.to_le_bytes()).unwrap();
         }
         let mut last = None;
         for _ in 0..200 {
@@ -1070,7 +1045,7 @@ mod tests {
         let f = instant_fabric();
         let a = f.register(NodeId(0));
         let b = f.register(NodeId(1));
-        a.send(NodeId(1), vec![0u8; 100]).unwrap();
+        a.call_start(NodeId(1), &[0u8; 100]).unwrap();
         b.recv_timeout(Duration::from_secs(1)).unwrap();
         let s = f.stats();
         assert_eq!(s.total_msgs, 1);
@@ -1572,7 +1547,7 @@ mod tests {
         // Real traffic is not mistaken for a wake.
         f.restart(NodeId(0));
         let b = f.register(NodeId(1));
-        b.send(NodeId(0), b"real".to_vec()).unwrap();
+        b.call_start(NodeId(0), b"real").unwrap();
         let env = a.recv().unwrap();
         assert!(!Waker::is_wake(&env));
     }

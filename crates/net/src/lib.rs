@@ -18,17 +18,19 @@
 //! # Example
 //!
 //! ```
-//! use stcam_net::{Fabric, LinkModel, NodeId};
+//! use stcam_net::{Fabric, LinkModel, NodeId, Resend};
 //! use std::time::Duration;
 //!
 //! let fabric = Fabric::new(LinkModel::instant());
 //! let a = fabric.register(NodeId(0));
 //! let b = fabric.register(NodeId(1));
 //!
-//! a.send(NodeId(1), b"ping".to_vec())?;
+//! let call = a.call_start(NodeId(1), b"ping")?;
 //! let env = b.recv_timeout(Duration::from_secs(1)).unwrap();
-//! assert_eq!(env.payload, b"ping");
-//! assert_eq!(env.src, NodeId(0));
+//! assert_eq!((env.src, env.payload.as_slice()), (NodeId(0), &b"ping"[..]));
+//! b.reply(&env, b"pong".to_vec())?;
+//! let (answer, _) = a.call_wait(call, b"ping", &Resend::once(Duration::from_secs(1)));
+//! assert_eq!(answer?, b"pong");
 //! # Ok::<(), stcam_net::NetError>(())
 //! ```
 

@@ -43,7 +43,7 @@ proptest! {
             let from = from % n_nodes;
             let to = to % n_nodes;
             endpoints[from as usize]
-                .send(NodeId(to), vec![0u8; len])
+                .call_start(NodeId(to), &vec![0u8; len])
                 .expect("send");
             expected_per_node[to as usize] += 1;
             sent += 1;
@@ -79,7 +79,7 @@ proptest! {
         let a = fabric.register(NodeId(0));
         let b = fabric.register(NodeId(1));
         for _ in 0..n {
-            a.send(NodeId(1), vec![1, 2, 3]).expect("send");
+            a.call_start(NodeId(1), &[1, 2, 3]).expect("send");
         }
         let mut received = 0usize;
         while b.recv_timeout(Duration::from_millis(150)).is_some() {
@@ -106,7 +106,7 @@ proptest! {
         let a = fabric.register(NodeId(0));
         let b = fabric.register(NodeId(1));
         for i in 0..n as u32 {
-            a.send(NodeId(1), i.to_le_bytes().to_vec()).expect("send");
+            a.call_start(NodeId(1), &i.to_le_bytes()).expect("send");
         }
         let mut last = None;
         for _ in 0..n {

@@ -5,8 +5,8 @@
 # the coordinator's cutover sites, the worker calls made outside the one
 # scatter loop, the message layouts still written by hand, the worker's
 # replica maps, answer memories and read evaluators, the per-peer
-# accounts beside the transport's peer table, and the options and size of
-# the figure harness (crates/bench).
+# accounts beside the transport's peer table, the fabric's one-way sends,
+# and the options and size of the figure harness (crates/bench).
 # Usage: scripts/surface.sh            print "name value" lines
 #        scripts/surface.sh --check    also fail when a value exceeds its
 #                                      ceiling in scripts/surface.ceilings
@@ -81,6 +81,13 @@ surface() {
     # none. A call's outcome is booked once, at the end of `call_wait`,
     # into the table that holds the round-trip estimate.
     echo "health_views $(count_non_test 'HealthView|CallObserver' '' crates/net/src)"
+    # Fire-and-forget sends on the fabric (`pub fn send(` outside tests in
+    # crates/net/src): none. Every message that crosses a link is a call or
+    # its answer, so reads, writes and standing-query matches share one
+    # acked, at-most-once delivery contract.
+    echo "net_one_way_sends $(for file in crates/net/src/*.rs; do
+        awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file"
+    done | grep -c 'pub fn send(' || true)"
     # Call sites of the Range pushdown tail (limit, projection): the plain
     # and the class-filtered arm of `execute_read`. More means a second
     # function evaluates reads.

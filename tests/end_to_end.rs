@@ -236,7 +236,7 @@ fn notifications_do_not_interfere_with_queries() {
         .unwrap();
     cluster.ingest(stream.clone()).unwrap();
     cluster.flush().unwrap();
-    // Queries still exact while notifications pile up in the inbox.
+    // Queries still exact while notifications pile up in the channel.
     let store = oracle(&stream);
     let window = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(10));
     let got = cluster.range_query(region, window).unwrap().len();

@@ -373,8 +373,16 @@ fn lossy_rebalance_beside_a_writer_keeps_every_acked_observation() {
     cluster.shutdown();
 }
 
+/// A standing query keeps matching across a rebalance with a writer
+/// running beside it: the cutover registers the query at the new owners
+/// before it publishes, so every acked row that matches is notified,
+/// once — before, during and after the move.
 #[test]
 fn continuous_queries_keep_matching_after_rebalance() {
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+
     let cluster = Cluster::launch(config(4)).unwrap();
     let fence = BBox::around(Point::new(200.0, 200.0), 300.0);
     let id = cluster
@@ -383,25 +391,65 @@ fn continuous_queries_keep_matching_after_rebalance() {
             class: None,
         })
         .unwrap();
-    cluster.ingest(hotspot_batch(1_000)).unwrap();
+    let mut sent = hotspot_batch(1_000);
+    cluster.ingest(sent.clone()).unwrap();
     cluster.flush().unwrap();
-    let _ = cluster.poll_notifications(std::time::Duration::from_millis(300));
 
-    cluster.rebalance().unwrap();
+    let stop = AtomicBool::new(false);
+    let (wrote, written) = mpsc::channel();
+    sent.extend(std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let mut sent = Vec::new();
+            let mut next = 100_000u64;
+            while !stop.load(Ordering::SeqCst) {
+                let batch = corner_batch(next, 20, 100.0, 100.0);
+                next += 20;
+                cluster.ingest(batch.clone()).unwrap();
+                sent.extend(batch);
+                let _ = wrote.send(());
+            }
+            sent
+        });
+        // The writer is under way before the move starts, and lands at
+        // least one more batch after it ends.
+        written.recv().unwrap();
+        cluster.rebalance().unwrap();
+        assert!(written.try_iter().count() > 0, "no write beside the move");
+        written.recv().unwrap();
+        stop.store(true, Ordering::SeqCst);
+        writer.join().unwrap()
+    }));
 
-    // Matches for traffic ingested after the rebalance still arrive.
+    // Traffic ingested after the rebalance matches too.
     let fresh: Vec<Observation> = (20_000..20_100u64)
         .map(|i| obs(i, 70_000, 200.0, 200.0, EntityClass::Car))
         .collect();
+    sent.extend(fresh.clone());
     cluster.ingest(fresh).unwrap();
+    // Every row sent is acked once the barrier drains the parked window.
     cluster.flush().unwrap();
-    let matched: usize = cluster
-        .poll_notifications(std::time::Duration::from_secs(2))
+    let mut notified: HashMap<u64, u32> = HashMap::new();
+    loop {
+        let batch = cluster.poll_notifications(std::time::Duration::from_millis(300));
+        if batch.is_empty() {
+            break;
+        }
+        for n in batch.into_iter().filter(|n| n.query == id) {
+            for row in n.matches {
+                *notified.entry(row.id.seq()).or_default() += 1;
+            }
+        }
+    }
+    let mut want: Vec<u64> = sent
         .iter()
-        .filter(|n| n.query == id)
-        .map(|n| n.matches.len())
-        .sum();
-    assert_eq!(matched, 100);
+        .filter(|o| fence.contains(o.position))
+        .map(|o| o.id.seq())
+        .collect();
+    want.sort_unstable();
+    let mut got: Vec<u64> = notified.keys().copied().collect();
+    got.sort_unstable();
+    assert_eq!(got, want, "notified ids != acked matching ids");
+    assert!(notified.values().all(|&n| n == 1), "a row notified twice");
     cluster.shutdown();
 }
 
