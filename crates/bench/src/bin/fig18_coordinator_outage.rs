@@ -130,7 +130,7 @@ fn run(workers: usize, kill_mid_outage: bool, archive: usize, rounds: usize) -> 
     let killed = usize::from(kill_mid_outage);
     if kill_mid_outage {
         // The last worker: dies while no coordinator is alive to see it.
-        cluster.kill_worker(NodeId(workers as u32));
+        cluster.fabric().crash(NodeId(workers as u32));
     }
     // A row new to the archive, through the cluster's own ingestor: it
     // acks unless the dead worker owns it, and an ack outlives the crash.

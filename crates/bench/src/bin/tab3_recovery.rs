@@ -79,7 +79,7 @@ fn main() {
             ingest_chunked(&cluster, &stream, 1000);
 
             for &victim in &victims {
-                cluster.kill_worker(victim);
+                cluster.fabric().crash(victim);
             }
             let (strict_avail, mean_completeness) =
                 crash_window_availability(&cluster, extent, read_timeout);

@@ -84,7 +84,7 @@ fn main() {
             stream.sort_by_key(|o| o.time);
             ingest_chunked(&cluster, &stream, chunk);
 
-            cluster.kill_worker(VICTIM);
+            cluster.fabric().crash(VICTIM);
             cluster.set_drop_probability(drop);
             let under_at_kill = cluster.under_replicated_cells();
 
@@ -101,7 +101,7 @@ fn main() {
             // Rejoin: restart the dead worker and let recovery readmit
             // it. Under loss a dropped probe looks exactly like a
             // still-dead worker, so the tick may need repeating.
-            cluster.restart_worker(VICTIM);
+            cluster.fabric().restart(VICTIM);
             let (_, rejoin_s) = timed(|| {
                 let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
                 loop {

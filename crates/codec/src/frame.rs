@@ -10,8 +10,10 @@
 //! ```
 //!
 //! The fixed-width header keeps frame scanning trivial; varints are used
-//! only *inside* payloads. The CRC-32 (IEEE polynomial) detects corruption
-//! introduced by the fault-injection layer of the simulated network.
+//! only *inside* payloads. The CRC-32 (IEEE polynomial) detects a
+//! truncated or corrupted file: frames are the container of snapshot
+//! archives (`stcam::snapshot`), and nothing on the simulated network
+//! uses them.
 
 use bytes::{Buf, BufMut, BytesMut};
 

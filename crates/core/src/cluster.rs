@@ -495,7 +495,8 @@ impl Cluster {
         self.coordinator.lock().evict_before(cutoff)
     }
 
-    /// Cluster-wide statistics.
+    /// Cluster-wide statistics: one `Stats` round trip per alive worker
+    /// and the executor's telemetry, no digest sweep.
     ///
     /// # Errors
     ///
@@ -504,7 +505,8 @@ impl Cluster {
         self.coordinator.lock().stats()
     }
 
-    /// Simulated network traffic counters.
+    /// Simulated network traffic counters: shorthand for
+    /// `fabric().stats()`, kept because the `stbench` harness reads it.
     pub fn fabric_stats(&self) -> FabricStats {
         self.fabric.stats()
     }
@@ -539,23 +541,17 @@ impl Cluster {
         self.coordinator.lock().rebalance()
     }
 
-    /// Failure injection: crashes `worker` at the fabric level. Pair with
-    /// [`check_and_recover`](Self::check_and_recover).
-    pub fn kill_worker(&self, worker: NodeId) {
-        self.fabric.crash(worker);
-    }
-
-    /// Failure injection: restarts a previously killed worker's
-    /// transport. The worker thread never exited — the fabric only
-    /// dropped its traffic — so it answers probes again immediately, but
-    /// its shard is stale. The next
-    /// [`check_and_recover`](Self::check_and_recover) tick detects the
-    /// restart and readmits the worker through the rejoin handshake:
-    /// state reset, shard bulk-synced from the current owners, routes and
-    /// standing queries re-installed, and the ring re-entered under a
-    /// fresh plan epoch.
-    pub fn restart_worker(&self, worker: NodeId) {
-        self.fabric.restart(worker);
+    /// The simulated network every node of this cluster talks over, and
+    /// the one way to inject faults into it: crash and restart workers
+    /// ([`Fabric::crash`], [`Fabric::restart`]; pair with
+    /// [`check_and_recover`](Self::check_and_recover)), split and heal the
+    /// network ([`Fabric::partition`], [`Fabric::heal_partition`]), and
+    /// drop frames on every link or on one
+    /// ([`Fabric::set_drop_probability`],
+    /// [`Fabric::set_link_drop_probability`]). Workers are nodes
+    /// `1..=workers`.
+    pub fn fabric(&self) -> &Fabric {
+        &self.fabric
     }
 
     /// Failure injection: crashes the *coordinator's* control-plane
@@ -563,7 +559,9 @@ impl Cluster {
     /// the query plane's pooled endpoints and the ingestors are separate
     /// nodes and the last published plan stays valid — but recovery ticks
     /// and other control actions fail until
-    /// [`restart_coordinator`](Self::restart_coordinator).
+    /// [`restart_coordinator`](Self::restart_coordinator). Kept beside
+    /// [`fabric`](Self::fabric) because the coordinator's node id is the
+    /// cluster's own business.
     pub fn crash_coordinator(&self) {
         self.fabric.crash(NodeId(0));
     }
@@ -574,7 +572,9 @@ impl Cluster {
     /// report, re-derive ownership/membership/standing queries from
     /// worker truth, and drive repair (see
     /// [`Coordinator::reconstruct`]). Nothing the pre-crash incarnation
-    /// remembered is required.
+    /// remembered is required. Kept beside [`fabric`](Self::fabric)
+    /// because a transport restart alone would leave the control plane
+    /// unrebuilt: this runs the census.
     ///
     /// # Errors
     ///
@@ -590,6 +590,14 @@ impl Cluster {
     /// detects restarted workers and rejoins them (see
     /// [`Coordinator::check_and_recover`]). Returns the newly failed
     /// workers.
+    ///
+    /// A worker restarted through [`Fabric::restart`] never lost its
+    /// thread — the fabric only dropped its traffic — so it answers
+    /// probes again at once, but its shard is stale. If a tick had failed
+    /// it out, the next tick readmits it through the rejoin handshake:
+    /// state reset, shard bulk-synced from the current owners, routes and
+    /// standing queries re-installed, and the ring re-entered under a
+    /// fresh plan epoch.
     pub fn check_and_recover(&self) -> Vec<NodeId> {
         self.coordinator.lock().check_and_recover()
     }
@@ -647,10 +655,10 @@ impl Cluster {
         let coordinator = std::sync::Arc::clone(&self.coordinator);
         let handle = MonitorHandle::spawn("stcam-retention-sweeper", interval, move || {
             let coordinator = coordinator.lock();
-            let Ok(workers) = coordinator.worker_stats() else {
+            let Ok(stats) = coordinator.stats() else {
                 return;
             };
-            let newest = workers.iter().filter_map(|(_, s)| s.newest_ms).max();
+            let newest = stats.workers.iter().filter_map(|(_, s)| s.newest_ms).max();
             if let Some(newest_ms) = newest {
                 let cutoff = Timestamp::from_millis(newest_ms).saturating_sub(horizon);
                 let _ = coordinator.evict_before(cutoff);
@@ -661,47 +669,17 @@ impl Cluster {
         }
     }
 
-    /// Failure injection: splits the fabric into isolated groups (nodes
-    /// not listed stay in the default group, including the coordinator
-    /// and ingestors). Messages across groups are silently dropped until
-    /// [`heal_network`](Self::heal_network).
-    pub fn partition_network(&self, groups: &[&[NodeId]]) {
-        self.fabric.partition(groups);
-    }
-
-    /// Removes all injected network partitions.
-    pub fn heal_network(&self) {
-        self.fabric.heal_partition();
-    }
-
     /// Failure injection: replaces the fabric-wide message drop
     /// probability at runtime (`0.0` restores a reliable network). The
-    /// acked ingest path retransmits through the loss.
+    /// acked ingest path retransmits through the loss. Shorthand for
+    /// `fabric().set_drop_probability(p)`, kept because the `stbench`
+    /// harness calls it.
     ///
     /// # Panics
     ///
     /// Panics when `p` is outside `[0.0, 1.0]`.
     pub fn set_drop_probability(&self, p: f64) {
         self.fabric.set_drop_probability(p);
-    }
-
-    /// Failure injection: sets the loss rate of the single directed link
-    /// `src → dst`, overriding the global probability for that direction
-    /// only — asymmetric degradation, e.g. a worker whose uplink decays
-    /// while it still hears control traffic (see
-    /// [`Fabric::set_link_drop_probability`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p` is outside `[0.0, 1.0]`.
-    pub fn set_link_drop_probability(&self, src: NodeId, dst: NodeId, p: f64) {
-        self.fabric.set_link_drop_probability(src, dst, p);
-    }
-
-    /// Removes a per-link loss override; that link falls back to the
-    /// global drop probability.
-    pub fn clear_link_drop_probability(&self, src: NodeId, dst: NodeId) {
-        self.fabric.clear_link_drop_probability(src, dst);
     }
 
     /// Stops all worker threads. Idempotent; also runs on drop.
@@ -753,6 +731,15 @@ mod tests {
 
     fn window_all() -> TimeInterval {
         TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(10_000))
+    }
+
+    /// Times the executor has run operation `name` on this cluster.
+    fn invocations(cluster: &Cluster, name: &str) -> u64 {
+        let stats = cluster.op_stats().into_iter();
+        stats
+            .filter(|&(op, _)| op == name)
+            .map(|(_, s)| s.invocations)
+            .sum()
     }
 
     #[test]
@@ -847,7 +834,7 @@ mod tests {
         let before = cluster.range_query(extent(), window_all()).unwrap().len();
         assert_eq!(before, 500);
         // Kill a worker holding data, recover, recount.
-        cluster.kill_worker(NodeId(2));
+        cluster.fabric().crash(NodeId(2));
         let failed = cluster.check_and_recover();
         assert_eq!(failed, vec![NodeId(2)]);
         let after = cluster.range_query(extent(), window_all()).unwrap().len();
@@ -875,7 +862,7 @@ mod tests {
             .find(|(w, _)| *w == NodeId(3))
             .map(|(_, s)| s.primary_observations)
             .unwrap();
-        cluster.kill_worker(NodeId(3));
+        cluster.fabric().crash(NodeId(3));
         cluster.check_and_recover();
         let after = cluster.range_query(extent(), window_all()).unwrap().len();
         assert_eq!(after as u64, 400 - dead_share);
@@ -893,7 +880,7 @@ mod tests {
             .collect();
         cluster.ingest(batch).unwrap();
         cluster.flush().unwrap();
-        cluster.kill_worker(NodeId(1));
+        cluster.fabric().crash(NodeId(1));
         cluster.check_and_recover();
         // The recovery tick already ran a repair pass: every surviving
         // cell must again have its full complement of replica copies.
@@ -913,14 +900,14 @@ mod tests {
             .collect();
         cluster.ingest(batch).unwrap();
         cluster.flush().unwrap();
-        cluster.kill_worker(NodeId(2));
+        cluster.fabric().crash(NodeId(2));
         assert_eq!(cluster.check_and_recover(), vec![NodeId(2)]);
         // More data lands while the worker is out.
         cluster.ingest(vec![obs(9_000, 0, 800.0, 800.0)]).unwrap();
         cluster.flush().unwrap();
         // Restart: the next tick re-detects it, bulk-syncs its shard, and
         // re-enters it into the ring.
-        cluster.restart_worker(NodeId(2));
+        cluster.fabric().restart(NodeId(2));
         assert!(cluster.check_and_recover().is_empty());
         let partition = cluster.partition();
         assert!(
@@ -937,7 +924,7 @@ mod tests {
             .map(|(_, s)| s.primary_observations)
             .expect("rejoined worker missing from stats");
         assert!(rejoined > 0, "rejoined worker holds no data");
-        assert_eq!(stats.under_replicated_cells, 0);
+        assert_eq!(cluster.under_replicated_cells(), 0);
         // Strict reads see the complete data set under the new plan.
         let all = cluster.range_query(extent(), window_all()).unwrap();
         assert_eq!(all.len(), 401);
@@ -1011,21 +998,25 @@ mod tests {
             .collect();
         cluster.ingest(batch).unwrap();
         cluster.flush().unwrap();
-        let invocations = |name| {
-            let stats = cluster.op_stats().into_iter();
-            stats
-                .filter(|&(op, _)| op == name)
-                .map(|(_, s)| s.invocations)
-                .sum::<u64>()
-        };
         // The first tick runs at once; its eviction ends it.
         cluster.enable_retention(Duration::from_secs(50), StdDuration::from_secs(60));
         let deadline = std::time::Instant::now() + StdDuration::from_secs(5);
-        while invocations("evict") == 0 {
+        while invocations(&cluster, "evict") == 0 {
             assert!(std::time::Instant::now() < deadline, "no retention tick");
             std::thread::sleep(StdDuration::from_millis(10));
         }
-        assert_eq!(invocations("cell_digest"), 0);
+        assert_eq!(invocations(&cluster, "cell_digest"), 0);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_stats_call_sweeps_no_digests() {
+        let cluster = Cluster::launch(test_config(4).with_replication(1)).unwrap();
+        cluster.ingest(vec![obs(0, 0, 800.0, 800.0)]).unwrap();
+        let before = invocations(&cluster, "cell_digest");
+        let stats = cluster.stats().unwrap();
+        assert_eq!(stats.total_primary(), 1);
+        assert_eq!(invocations(&cluster, "cell_digest"), before);
         cluster.shutdown();
     }
 

@@ -40,10 +40,6 @@ pub struct ClusterStats {
     pub workers: Vec<(NodeId, WorkerStatsMsg)>,
     /// Per-operation executor telemetry, sorted by operation name.
     pub ops: Vec<(&'static str, OpStats)>,
-    /// Distinct owned macro-cells currently missing at least one of their
-    /// required replica copies (0 when replication is disabled or the
-    /// anti-entropy invariant holds — see [`Coordinator::repair`]).
-    pub under_replicated_cells: usize,
 }
 
 impl ClusterStats {
@@ -708,24 +704,15 @@ impl Coordinator {
         })
     }
 
-    /// Collects statistics from every alive worker, plus the executor's
-    /// per-operation telemetry and the live under-replication gauge (the
-    /// latter costs one digest sweep when replication is enabled).
+    /// Collects statistics from every alive worker (one `Stats` round
+    /// trip each, no digest sweep), plus the executor's per-operation
+    /// telemetry. The under-replication gauge is
+    /// [`under_replicated_cells`](Self::under_replicated_cells).
     ///
     /// # Errors
     ///
     /// Fails when a worker believed alive does not answer.
     pub fn stats(&self) -> Result<ClusterStats, StcamError> {
-        Ok(ClusterStats {
-            workers: self.worker_stats()?,
-            ops: self.exec.op_stats(),
-            under_replicated_cells: self.under_replicated_cells(),
-        })
-    }
-
-    /// Every alive worker's own statistics: [`stats`](Self::stats)
-    /// without the digest sweep.
-    pub(crate) fn worker_stats(&self) -> Result<Vec<(NodeId, WorkerStatsMsg)>, StcamError> {
         let want = |response| match response {
             Response::Stats(stats) => Ok(stats),
             other => Err(unexpected("stats", other)),
@@ -733,10 +720,14 @@ impl Coordinator {
         let answers = self
             .exec
             .ask("stats", &self.alive_workers(), |_| Request::Stats, want);
-        answers
+        let workers = answers
             .into_iter()
             .map(|(to, s)| s.map(|s| (to, s)))
-            .collect()
+            .collect::<Result<_, _>>()?;
+        Ok(ClusterStats {
+            workers,
+            ops: self.exec.op_stats(),
+        })
     }
 }
 
@@ -760,7 +751,6 @@ mod tests {
                 })
                 .collect(),
             ops: Vec::new(),
-            under_replicated_cells: 0,
         }
     }
 

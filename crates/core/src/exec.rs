@@ -73,6 +73,7 @@ use stcam_world::EntityClass;
 
 use crate::admission::{Deadline, ShedReason};
 use crate::error::StcamError;
+pub use crate::latency::LatencyHistogram;
 use crate::paging;
 use crate::partition::PartitionMap;
 use crate::protocol::{Request, Response, PROJ_FULL};
@@ -114,70 +115,6 @@ impl OpPolicy {
     }
 }
 
-/// Log₂-bucketed latency histogram over microseconds: bucket `i` counts
-/// samples in `[2^(i-1), 2^i)` (bucket 0 holds sub-microsecond samples),
-/// so 32 buckets span sub-µs to ≈ 35 minutes. Fixed-size and `Copy`,
-/// which keeps [`OpStats`] a plain value that snapshots and diffs
-/// ([`OpStats::since`]) without allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LatencyHistogram {
-    /// Per-bucket sample counts.
-    pub counts: [u64; 32],
-}
-
-impl LatencyHistogram {
-    /// Books one sample of `micros` microseconds.
-    pub fn record(&mut self, micros: u64) {
-        let bucket = (u64::BITS - micros.leading_zeros()).min(31) as usize;
-        self.counts[bucket] += 1;
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// The upper bound (in microseconds) of the bucket containing the
-    /// `q`-quantile sample, `q` in `[0, 1]`. Zero when empty. The bound
-    /// is conservative: the true sample is at most one octave below it.
-    pub fn quantile_micros(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (bucket, &count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return 1u64 << bucket;
-            }
-        }
-        1u64 << 31
-    }
-
-    /// Median latency bucket bound, microseconds.
-    pub fn p50_micros(&self) -> u64 {
-        self.quantile_micros(0.50)
-    }
-
-    /// 95th-percentile latency bucket bound, microseconds.
-    pub fn p95_micros(&self) -> u64 {
-        self.quantile_micros(0.95)
-    }
-
-    /// 99th-percentile latency bucket bound, microseconds.
-    pub fn p99_micros(&self) -> u64 {
-        self.quantile_micros(0.99)
-    }
-
-    /// Per-bucket difference against an earlier snapshot (saturating).
-    pub fn since(&self, earlier: &LatencyHistogram) -> LatencyHistogram {
-        let counts = std::array::from_fn(|i| self.counts[i].saturating_sub(earlier.counts[i]));
-        LatencyHistogram { counts }
-    }
-}
-
 /// Cumulative telemetry of one operation class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpStats {
@@ -209,7 +146,7 @@ pub struct OpStats {
     /// Digest/stream repair rounds driven (booked against "repair").
     pub repair_rounds: u64,
     /// Per-invocation scatter/gather latency distribution (one sample
-    /// per invocation, log₂ microsecond buckets).
+    /// per invocation, log-linear microsecond buckets).
     pub latency: LatencyHistogram,
 }
 

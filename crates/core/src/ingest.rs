@@ -464,7 +464,7 @@ mod tests {
         let ingestor = cluster.create_ingestor();
         let target = Point::new(500.0, 500.0);
         let old_owner = cluster.partition().owner_of(target);
-        cluster.kill_worker(old_owner);
+        cluster.fabric().crash(old_owner);
         let failed = cluster.check_and_recover();
         assert_eq!(failed, vec![old_owner]);
         // Same handle, dead owner's cell: the call reads the plan

@@ -86,13 +86,13 @@
 
 pub mod admission;
 mod baseline;
-pub mod chaos;
 mod cluster;
 mod continuous;
 mod coordinator;
 mod error;
 pub mod exec;
 mod ingest;
+mod latency;
 pub mod paging;
 mod partition;
 pub(crate) mod plane;

@@ -1,11 +1,14 @@
 //! Seeded chaos harness: deterministic fault schedules against a live
 //! cluster, with every query checked against a centralized oracle.
 //!
-//! Each schedule is a [`stcam::chaos::ChaosPlan`]: crashes, restarts,
-//! partitions, heals and recovery ticks interleaved with query
-//! batteries. The generator keeps schedules survivable (at most
-//! `replication` shards unavailable at once), so the invariants here are
-//! unconditional:
+//! Each schedule is a [`plan::ChaosPlan`]: worker crashes, restarts,
+//! partitions, heals and recovery ticks, coordinator crashes and
+//! reconstructions, link loss, acked ingest batches and overload bursts,
+//! all from one seed and interleaved with query batteries. Every fault
+//! goes in through the cluster's one fault surface, `Cluster::fabric()`,
+//! or through the coordinator's own crash and restart. The generator keeps
+//! schedules survivable (at most `replication` shards unavailable at
+//! once), so the invariants here are unconditional:
 //!
 //! * a **strict** query either errors or equals the oracle exactly;
 //! * a **best-effort** range result is a subset of the oracle, and every
@@ -15,22 +18,26 @@
 //!   oracle;
 //! * after the plan's convergence tail (heal + recover), completeness
 //!   returns to full and no data has been lost;
-//! * **write durability**: on lossy-link plans, every observation the
-//!   cluster *acknowledged* to the writer joins the oracle, so each later
-//!   battery asserts acked data is never missing from a strict (or full
-//!   best-effort) answer — the acked-ingest contract under message loss;
+//! * **write durability**: every observation the cluster *acknowledged*
+//!   to the writer joins the oracle, so each later battery asserts acked
+//!   data is never missing from a strict (or full best-effort) answer —
+//!   the acked-ingest contract under kills, outages and message loss;
+//! * **no silent degradation**: during an overload burst a high-priority
+//!   tenant is never saturation-shed, and no tenant gets a partial answer
+//!   without its shed reason;
 //! * **notification**: a standing query over the whole extent, registered
 //!   before the first step, notifies exactly the acked rows, and no row
 //!   more often than it was handed to `ingest`.
 //!
-//! Seeds come from `CHAOS_SEED` (one `u64`) or default to a fixed set;
-//! the lossy drop rate comes from `CHAOS_DROP` (permille, default 50 =
-//! 5%); the seed is printed before each run so any failure is replayable.
+//! `CHAOS_SEED` (one `u64`) and `CHAOS_DROP` (the link loss in permille)
+//! pick one schedule; without either, a fixed set runs. The seed and the
+//! drop rate are printed before each run so any failure is replayable.
+
+mod plan;
 
 use std::collections::{HashMap, HashSet};
 use std::time::Duration as StdDuration;
 
-use stcam::chaos::{ChaosEvent, ChaosPlan};
 use stcam::{
     CentralizedStore, Cluster, ClusterConfig, Deadline, HeatmapOp, Knn, OpPolicy, Predicate,
     Priority, QueryCtx, QueryMode, QueryOpts, RangeOp, ShedReason, StcamError, TenantBudget,
@@ -40,6 +47,8 @@ use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
 use stcam_net::{LinkModel, NodeId};
 use stcam_world::{EntityClass, EntityId};
+
+use plan::{ChaosEvent, ChaosPlan};
 
 const WORKERS: u32 = 8;
 const REPLICATION: usize = 2;
@@ -68,14 +77,17 @@ fn obs(i: u64) -> Observation {
 /// The admission gate's saturation threshold (in units of in-flight
 /// scatter width). Each tenant-scoped query against 8 workers reserves a
 /// width of 8, so two concurrent `*_ctx` queries saturate the gate —
-/// low enough that overload plans actually exercise load-shedding.
-/// Legacy `*_mode` queries (everything the batteries issue) bypass
-/// admission, so this does not perturb the other chaos invariants.
+/// low enough that overload bursts actually exercise load-shedding.
+/// Queries without a tenant context (everything the batteries issue)
+/// bypass admission, so this does not perturb the other invariants.
 const SATURATION_WIDTH: usize = 12;
 
-/// The high-priority tenant of overload plans (never load-shed).
+/// Bulk queries in one overload burst.
+const OVERLOAD_BURST: usize = 24;
+
+/// The high-priority tenant of overload bursts (never load-shed).
 const VIP: TenantId = TenantId(1);
-/// The flooding bulk tenant of overload plans (first to be shed).
+/// The flooding bulk tenant of overload bursts (first to be shed).
 const BULK: TenantId = TenantId(2);
 
 fn config() -> ClusterConfig {
@@ -143,9 +155,9 @@ fn sorted_ids(observations: &[Observation]) -> Vec<ObservationId> {
 /// the oracles. `oracle` is the acked lower bound (these observations
 /// must be served), `upper` the sent upper bound (anything served must
 /// come from here — writes in limbo may be partially present on some
-/// shards). When the two are equal (every non-lossy plan, and lossy
-/// plans with nothing in limbo) the checks degenerate to exact set
-/// equality. `tag` identifies the plan step for failure messages.
+/// shards). When the two are equal (nothing in limbo) the checks
+/// degenerate to exact set equality. `tag` identifies the plan step for
+/// failure messages.
 fn battery(
     cluster: &Cluster,
     oracle: &CentralizedStore,
@@ -291,19 +303,6 @@ fn battery(
     }
 }
 
-fn run_plan(seed: u64) {
-    execute_plan(
-        seed,
-        &ChaosPlan::generate(seed, WORKERS, 10, REPLICATION),
-        false,
-    );
-}
-
-fn run_lossy_plan(seed: u64, permille: u16) {
-    let plan = ChaosPlan::generate_lossy(seed, WORKERS, 10, REPLICATION, permille);
-    execute_plan(seed, &plan, true);
-}
-
 /// One high-priority tenant query under (possible) overload. The
 /// no-silent-timeout contract: the answer is either `Ok` with a truthful
 /// completeness account (full, or carrying the shed reason that degraded
@@ -376,11 +375,11 @@ fn bulk_query(cluster: &Cluster, seed: u64, tag: &str) {
     }
 }
 
-fn execute_plan(seed: u64, plan: &ChaosPlan, lossy: bool) {
+fn execute_plan(seed: u64, plan: &ChaosPlan) {
     let (cluster, mut oracle, mut upper) = launch_with_data();
-    // Tenants for overload bursts (harmless for plans without them):
-    // the VIP is unmetered, the bulk tenant merely well-known — the
-    // saturation gate, not its private budget, is what sheds it.
+    // Tenants for overload bursts: the VIP is unmetered, the bulk tenant
+    // merely well-known — the saturation gate, not its private budget, is
+    // what sheds it.
     cluster.register_tenant(VIP, TenantBudget::unlimited());
     cluster.register_tenant(BULK, TenantBudget::unlimited());
     // Observations sent but not yet acknowledged (in `upper`, not in
@@ -398,6 +397,10 @@ fn execute_plan(seed: u64, plan: &ChaosPlan, lossy: bool) {
         .unwrap_or_else(|e| panic!("seed {seed}: register standing query: {e}"));
     let mut acked: HashSet<ObservationId> = HashSet::new();
     let mut handed: HashMap<ObservationId, u32> = HashMap::new();
+    let lossy = plan
+        .events
+        .iter()
+        .any(|e| matches!(e, ChaosEvent::Loss { permille } if *permille > 0));
     if lossy {
         // Under message loss a single lost probe must not fail a live
         // worker out of the ring, and a lost promotion must not orphan a
@@ -414,16 +417,18 @@ fn execute_plan(seed: u64, plan: &ChaosPlan, lossy: bool) {
     for (step, event) in plan.events.iter().enumerate() {
         let tag = format!("step {step} ({event:?})");
         match event {
-            ChaosEvent::Kill(n) => cluster.kill_worker(*n),
-            ChaosEvent::Restart(n) => cluster.restart_worker(*n),
-            ChaosEvent::Partition(group) => cluster.partition_network(&[group.as_slice()]),
-            ChaosEvent::Heal => cluster.heal_network(),
+            ChaosEvent::Kill(n) => cluster.fabric().crash(*n),
+            ChaosEvent::Restart(n) => cluster.fabric().restart(*n),
+            ChaosEvent::Partition(group) => cluster.fabric().partition(&[group.as_slice()]),
+            ChaosEvent::Heal => cluster.fabric().heal_partition(),
             ChaosEvent::Recover => {
                 cluster.check_and_recover();
             }
             ChaosEvent::Queries => battery(&cluster, &oracle, &upper, seed, &tag),
             ChaosEvent::Loss { permille } => {
-                cluster.set_drop_probability(f64::from(*permille) / 1000.0);
+                cluster
+                    .fabric()
+                    .set_drop_probability(f64::from(*permille) / 1000.0);
             }
             ChaosEvent::Ingest { base, count } => {
                 // One delivery attempt per observation per step: singleton
@@ -462,13 +467,13 @@ fn execute_plan(seed: u64, plan: &ChaosPlan, lossy: bool) {
                     "seed {seed} {tag}: census reached no workers"
                 );
             }
-            ChaosEvent::Overload { queries } => {
+            ChaosEvent::Overload => {
                 // Bulk flood from several threads so in-flight scatter
                 // width actually crosses the saturation threshold, with
                 // concurrent high-priority queries interleaved — the
                 // no-silent-timeout contract is asserted per answer.
                 let flooders = 4usize;
-                let share = (*queries as usize).div_ceil(flooders);
+                let share = OVERLOAD_BURST.div_ceil(flooders);
                 std::thread::scope(|scope| {
                     for _ in 0..flooders {
                         let (cluster, tag) = (&cluster, &tag);
@@ -489,39 +494,37 @@ fn execute_plan(seed: u64, plan: &ChaosPlan, lossy: bool) {
         }
     }
 
-    if lossy {
-        // The write barrier after the links healed: batch copies parked
-        // in the retry window drain now (they dedup against what already
-        // landed), so the final battery sees a quiesced cluster.
-        cluster.flush().expect("final flush after links healed");
-        // Nothing may stay in limbo on a healed, recovered cluster: every
-        // observation ever sent must now acknowledge, and joins the
-        // oracle so the final assertions check full equality.
-        if !limbo.is_empty() {
-            let batch = std::mem::take(&mut limbo);
-            let deadline = std::time::Instant::now() + StdDuration::from_secs(10);
-            loop {
-                for o in &batch {
-                    *handed.entry(o.id).or_default() += 1;
-                }
-                match cluster.ingest(batch.clone()) {
-                    Ok(n) if n == batch.len() => break,
-                    outcome => assert!(
-                        std::time::Instant::now() < deadline,
-                        "seed {seed}: limbo never drained on the healed cluster: {outcome:?}"
-                    ),
-                }
-                std::thread::sleep(StdDuration::from_millis(10));
+    // The write barrier after the tail healed everything: batch copies
+    // parked in the retry window drain now (they dedup against what
+    // already landed), so the final checks see a quiesced cluster.
+    cluster.flush().expect("final flush on the healed cluster");
+    // Nothing may stay in limbo on a healed, recovered cluster: every
+    // observation ever sent must now acknowledge, and joins the oracle so
+    // the final assertions check full equality.
+    if !limbo.is_empty() {
+        let batch = std::mem::take(&mut limbo);
+        let deadline = std::time::Instant::now() + StdDuration::from_secs(10);
+        loop {
+            for o in &batch {
+                *handed.entry(o.id).or_default() += 1;
             }
-            acked.extend(batch.iter().map(|o| o.id));
-            oracle.ingest(batch);
+            match cluster.ingest(batch.clone()) {
+                Ok(n) if n == batch.len() => break,
+                outcome => assert!(
+                    std::time::Instant::now() < deadline,
+                    "seed {seed}: limbo never drained on the healed cluster: {outcome:?}"
+                ),
+            }
+            std::thread::sleep(StdDuration::from_millis(10));
         }
-        assert_eq!(
-            oracle.range_query(extent(), window_all()).len(),
-            upper.range_query(extent(), window_all()).len(),
-            "seed {seed}: oracle bookkeeping out of sync after limbo drain"
-        );
+        acked.extend(batch.iter().map(|o| o.id));
+        oracle.ingest(batch);
     }
+    assert_eq!(
+        oracle.range_query(extent(), window_all()).len(),
+        upper.range_query(extent(), window_all()).len(),
+        "seed {seed}: oracle bookkeeping out of sync after limbo drain"
+    );
 
     // Every acked row was notified — its matches rode the reply that
     // acked it — and none more often than it was handed in.
@@ -605,91 +608,50 @@ fn execute_plan(seed: u64, plan: &ChaosPlan, lossy: bool) {
     cluster.shutdown();
 }
 
-fn seeds() -> Vec<u64> {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => vec![s
+/// The schedules to run, as (seed, drop permille): `CHAOS_SEED` and
+/// `CHAOS_DROP` pick one (seed 11 and no loss when either is missing);
+/// without both, seeds 11, 23 and 47 run loss-free and seed 11 at 5 %.
+fn schedules() -> Vec<(u64, u16)> {
+    let seed = std::env::var("CHAOS_SEED").ok().map(|s| {
+        s.trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("CHAOS_SEED must be a u64, got {s:?}"))
+    });
+    let drop = std::env::var("CHAOS_DROP").ok().map(|s| {
+        let p: u16 = s
             .trim()
             .parse()
-            .unwrap_or_else(|_| panic!("CHAOS_SEED must be a u64, got {s:?}"))],
-        Err(_) => vec![11, 23, 47],
+            .unwrap_or_else(|_| panic!("CHAOS_DROP must be a permille u16, got {s:?}"));
+        assert!(p <= 1000, "CHAOS_DROP must be ≤ 1000 permille");
+        p
+    });
+    match (seed, drop) {
+        (None, None) => vec![(11, 0), (23, 0), (47, 0), (11, 50)],
+        (seed, drop) => vec![(seed.unwrap_or(11), drop.unwrap_or(0))],
     }
 }
 
+/// Every fault kind from one seed: worker kills, restarts, partitions
+/// and recovery ticks, coordinator outages, link loss, acked writes and
+/// overload bursts interleaved, with every invariant of the module doc
+/// checked at every battery and at the end. The schedules run side by
+/// side, one cluster each.
 #[test]
-fn seeded_chaos_schedules_hold_invariants() {
-    for seed in seeds() {
-        // Printed even on success so a failing CI log always names the
-        // seed of the schedule that was running.
-        println!("chaos: running seed {seed} (replay with CHAOS_SEED={seed})");
-        run_plan(seed);
-    }
-}
-
-/// The drop rate for lossy plans: `CHAOS_DROP` in permille (so the CI
-/// matrix can sweep 10 = 1% through 50 = 5%), defaulting to 50.
-fn drop_permille() -> u16 {
-    match std::env::var("CHAOS_DROP") {
-        Ok(s) => {
-            let p: u16 = s
-                .trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("CHAOS_DROP must be a permille u16, got {s:?}"));
-            assert!(p <= 1000, "CHAOS_DROP must be ≤ 1000 permille");
-            p
+fn chaos_schedules_hold_every_invariant() {
+    std::thread::scope(|scope| {
+        for (seed, permille) in schedules() {
+            scope.spawn(move || {
+                // Printed even on success so a failing CI log always
+                // names the schedule that was running.
+                println!(
+                    "chaos: running seed {seed} at {permille}\u{2030} drop \
+                     (replay with CHAOS_SEED={seed} CHAOS_DROP={permille})"
+                );
+                let plan = ChaosPlan::generate(seed, WORKERS, 10, REPLICATION, permille);
+                execute_plan(seed, &plan);
+            });
         }
-        Err(_) => 50,
-    }
-}
-
-/// The acceptance test for reliable ingest: with a uniform message
-/// drop probability on **every** link (default 5%, `CHAOS_DROP`
-/// permille to override), faults and acked writes interleaved, no
-/// observation the cluster acknowledged is ever missing from a
-/// subsequent strict query answer — and after the links heal and the
-/// convergence tail runs, nothing acked has been lost at all.
-#[test]
-fn lossy_links_never_lose_acked_observations() {
-    let permille = drop_permille();
-    // A lossy run pays full retry timeouts for every blocked write, so a
-    // single seed runs by default; the CI chaos matrix sweeps the rest
-    // through `CHAOS_SEED`.
-    let seeds = match std::env::var("CHAOS_SEED") {
-        Ok(_) => seeds(),
-        Err(_) => vec![11],
-    };
-    for seed in seeds {
-        println!(
-            "chaos: running lossy seed {seed} at {permille}\u{2030} drop \
-             (replay with CHAOS_SEED={seed} CHAOS_DROP={permille})"
-        );
-        run_lossy_plan(seed, permille);
-    }
-}
-
-/// The control-plane fault dimension: coordinator crashes and
-/// census-driven reconstructions spliced into the lossy schedules —
-/// worker kills, partitions, link loss, acked writes and control-plane
-/// outages all interleaved. Invariants: all of the lossy plan's (zero
-/// acked-loss above all), plus reads keep serving during every outage
-/// (the batteries run regardless), every reconstruction reaches a
-/// census quorum, and the convergence tail ends with zero
-/// under-replicated cells under the *rebuilt* control plane.
-#[test]
-fn coordinator_outages_never_lose_acked_observations() {
-    let permille = drop_permille();
-    let seeds = match std::env::var("CHAOS_SEED") {
-        Ok(_) => seeds(),
-        Err(_) => vec![11],
-    };
-    for seed in seeds {
-        println!(
-            "chaos: running coordinator-fault seed {seed} at {permille}\u{2030} drop \
-             (replay with CHAOS_SEED={seed} CHAOS_DROP={permille})"
-        );
-        let plan =
-            ChaosPlan::generate_with_coordinator_faults(seed, WORKERS, 10, REPLICATION, permille);
-        execute_plan(seed, &plan, true);
-    }
+    });
 }
 
 /// Standing queries survive a coordinator crash with **no memory**: the
@@ -787,9 +749,10 @@ fn reconstruction_survives_degraded_coordinator_links() {
     }
 
     cluster.crash_coordinator();
+    let fabric = cluster.fabric();
     for w in 1..=WORKERS {
-        cluster.set_link_drop_probability(NodeId(0), NodeId(w), 0.05);
-        cluster.set_link_drop_probability(NodeId(w), NodeId(0), 0.05);
+        fabric.set_link_drop_probability(NodeId(0), NodeId(w), 0.05);
+        fabric.set_link_drop_probability(NodeId(w), NodeId(0), 0.05);
     }
     let report = cluster
         .restart_coordinator()
@@ -800,8 +763,8 @@ fn reconstruction_survives_degraded_coordinator_links() {
         "census must reach the whole ring through 5% control-link loss"
     );
     for w in 1..=WORKERS {
-        cluster.clear_link_drop_probability(NodeId(0), NodeId(w));
-        cluster.clear_link_drop_probability(NodeId(w), NodeId(0));
+        fabric.clear_link_drop_probability(NodeId(0), NodeId(w));
+        fabric.clear_link_drop_probability(NodeId(w), NodeId(0));
     }
     let strict = cluster
         .range_query(extent(), window_all())
@@ -823,7 +786,7 @@ fn reconstruction_survives_degraded_coordinator_links() {
 fn worker_restart_after_coordinator_loss_still_rejoins() {
     let (cluster, oracle, _upper) = launch_with_data();
     let victim = NodeId(4);
-    cluster.kill_worker(victim);
+    cluster.fabric().crash(victim);
     let failed = cluster.check_and_recover();
     assert!(failed.contains(&victim), "kill undetected: {failed:?}");
 
@@ -839,7 +802,7 @@ fn worker_restart_after_coordinator_loss_still_rejoins() {
     // The dead member is nobody's primary under the rebuilt map, but the
     // roster kept it: once it restarts, recovery ticks readmit it
     // without any pre-crash memory.
-    cluster.restart_worker(victim);
+    cluster.fabric().restart(victim);
     let deadline = std::time::Instant::now() + StdDuration::from_secs(30);
     while cluster.partition().cells_of(victim).is_empty() {
         cluster.check_and_recover();
@@ -868,26 +831,6 @@ fn worker_restart_after_coordinator_loss_still_rejoins() {
     cluster.shutdown();
 }
 
-/// The overload dimension: the same survivable fault schedules, with a
-/// bulk tenant flooding the admission gate after every battery. Opt-in
-/// seed via `CHAOS_SEED`; default one seed (an overload burst multiplies
-/// the plan's query volume). Invariants: all of the base plan's, plus —
-/// per overload burst — the high-priority tenant is never silently
-/// degraded and never saturation-shed, and every downgraded bulk answer
-/// carries its shed reason.
-#[test]
-fn overloaded_schedules_never_silence_high_priority_tenants() {
-    let seeds = match std::env::var("CHAOS_SEED") {
-        Ok(_) => seeds(),
-        Err(_) => vec![11],
-    };
-    for seed in seeds {
-        println!("chaos: running overloaded seed {seed} (replay with CHAOS_SEED={seed})");
-        let plan = ChaosPlan::generate_overloaded(seed, WORKERS, 10, REPLICATION, 24);
-        execute_plan(seed, &plan, false);
-    }
-}
-
 /// Standing-query registration churn across a worker rejoin: the rejoin
 /// handshake clears the worker's interest index, the coordinator
 /// re-registers every standing query, and re-registration under the same
@@ -913,7 +856,7 @@ fn continuous_registrations_survive_churn_across_rejoin() {
         .expect("register churner");
 
     let victim = NodeId(3);
-    cluster.kill_worker(victim);
+    cluster.fabric().crash(victim);
     let failed = cluster.check_and_recover();
     assert!(failed.contains(&victim), "kill undetected: {failed:?}");
     cluster.unregister_continuous(churn).expect("unregister");
@@ -923,7 +866,7 @@ fn continuous_registrations_survive_churn_across_rejoin() {
             class: None,
         })
         .expect("re-register churner");
-    cluster.restart_worker(victim);
+    cluster.fabric().restart(victim);
     let deadline = std::time::Instant::now() + StdDuration::from_secs(30);
     while cluster.partition().cells_of(victim).is_empty() {
         cluster.check_and_recover();
@@ -983,7 +926,7 @@ fn continuous_registrations_survive_churn_across_rejoin() {
 fn killed_worker_is_served_by_replicas_before_recovery() {
     let (cluster, oracle, _upper) = launch_with_data();
     let victim = NodeId(3);
-    cluster.kill_worker(victim);
+    cluster.fabric().crash(victim);
     // No check_and_recover: the dead worker is still in the ring and the
     // partition map; only replica failover can answer for its shard.
 
@@ -1241,7 +1184,7 @@ fn reconstruction_fails_while_its_promotion_is_refused() {
 fn restarted_worker_rejoins_under_loss() {
     let (cluster, oracle, _upper) = launch_with_data();
     let victim = NodeId(2);
-    cluster.kill_worker(victim);
+    cluster.fabric().crash(victim);
     let failed = cluster.check_and_recover();
     assert!(
         failed.contains(&victim),
@@ -1251,8 +1194,8 @@ fn restarted_worker_rejoins_under_loss() {
     // Lossy links from here on: the rejoin probe and the repair stream
     // must survive dropped messages, so give probes real retry room.
     cluster.set_op_policy("probe", OpPolicy::new(StdDuration::from_millis(750)));
-    cluster.set_drop_probability(0.05);
-    cluster.restart_worker(victim);
+    cluster.fabric().set_drop_probability(0.05);
+    cluster.fabric().restart(victim);
 
     // Rejoin may need more than one recovery tick under loss (a dropped
     // probe looks exactly like a still-dead worker).
@@ -1274,7 +1217,7 @@ fn restarted_worker_rejoins_under_loss() {
 
     // Heal the links and drive anti-entropy to convergence: repair ops
     // lost to the 5% drop (a failed evict leaves a stale copy) retry now.
-    cluster.set_drop_probability(0.0);
+    cluster.fabric().set_drop_probability(0.0);
     let deadline = std::time::Instant::now() + StdDuration::from_secs(30);
     while !cluster.repair().converged {
         assert!(

@@ -288,7 +288,7 @@ fn plan_epoch_advances_only_on_recovery_with_failures() {
     // shrunken alive set without touching the coordinator.
     cluster.ingest(stable_batch()).unwrap();
     cluster.flush().unwrap();
-    cluster.kill_worker(stcam_net::NodeId(2));
+    cluster.fabric().crash(stcam_net::NodeId(2));
     assert_eq!(cluster.check_and_recover(), vec![stcam_net::NodeId(2)]);
     assert_eq!(plane.epoch(), 2);
     assert!(!plane.plan().alive.contains(&stcam_net::NodeId(2)));

@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for (round, victim) in [NodeId(3), NodeId(4), NodeId(7)].into_iter().enumerate() {
         println!("\n--- drill round {}: killing {victim} ---", round + 1);
-        cluster.kill_worker(victim);
+        cluster.fabric().crash(victim);
         let t0 = Instant::now();
         let failed = cluster.check_and_recover();
         let recovery = t0.elapsed();

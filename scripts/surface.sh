@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Prints the surface numbers every CHANGES.md line counts (ROADMAP item 4's
-# gate): protocol variants, DistributedOp impls, public methods of the two
-# facades, the size of crates/core/src and of the five files the gate names,
+# Prints the surface numbers every CHANGES.md line counts: protocol
+# variants, DistributedOp impls, public methods of the two facades, the
+# size of crates/core/src and of the five files the ratchet names,
 # the coordinator's cutover sites, the worker calls made outside the one
 # scatter loop, the message layouts still written by hand, the worker's
 # replica maps, answer memories and read evaluators, the per-peer
 # accounts beside the transport's peer table, the fabric's one-way sends,
+# the test rigs built into the library, the chaos schedule generators,
 # and the options and size of the figure harness (crates/bench).
 # Usage: scripts/surface.sh            print "name value" lines
 #        scripts/surface.sh --check    also fail when a value exceeds its
@@ -92,6 +93,12 @@ surface() {
     # and the class-filtered arm of `execute_read`. More means a second
     # function evaluates reads.
     echo "worker_finish_rows_calls $(count_non_test '(^|[^n] |[^ ])finish_rows\(')"
+    # Test rigs compiled into the library: none. The chaos schedule lives
+    # in the chaos test, which drives faults through `Cluster::fabric()`.
+    echo "core_test_rigs $(grep -c 'mod chaos' "$src/lib.rs" || true)"
+    # Chaos schedule generators: one, emitting every fault kind from one
+    # seed, so no fault kind runs only in a schedule of its own.
+    echo "chaos_generators $(grep -c 'pub fn generate' crates/core/tests/chaos/plan.rs || true)"
     # Independently settable values: fields of `ClusterConfig`, and
     # environment variables the figure harness reads (one: the directory
     # reports go to; sizes come from `--quick`, never from the caller).

@@ -263,7 +263,7 @@ fn control_message_to_a_crashed_worker_never_fails_over() {
     cluster.ingest(batch).unwrap();
     cluster.flush().unwrap();
     let before = op(&cluster, "flush");
-    cluster.kill_worker(NodeId(2));
+    cluster.fabric().crash(NodeId(2));
     assert!(matches!(cluster.flush(), Err(StcamError::Net(_))));
     let flush = op(&cluster, "flush").since(&before);
     assert_eq!((flush.invocations, flush.failures), (1, 1));

@@ -50,7 +50,7 @@ fn replication_factor_one_survives_single_failure() {
     let cluster = Cluster::launch(config(6, 1)).unwrap();
     cluster.ingest(spread_batch(600)).unwrap();
     cluster.flush().unwrap();
-    cluster.kill_worker(NodeId(4));
+    cluster.fabric().crash(NodeId(4));
     assert_eq!(cluster.check_and_recover(), vec![NodeId(4)]);
     let after = cluster.range_query(extent(), window_all()).unwrap();
     assert_eq!(after.len(), 600, "data lost despite replication factor 1");
@@ -63,8 +63,8 @@ fn replication_factor_two_survives_two_failures() {
     cluster.ingest(spread_batch(600)).unwrap();
     cluster.flush().unwrap();
     // Kill two adjacent ring members (the worst case for r = 2).
-    cluster.kill_worker(NodeId(2));
-    cluster.kill_worker(NodeId(3));
+    cluster.fabric().crash(NodeId(2));
+    cluster.fabric().crash(NodeId(3));
     let mut failed = cluster.check_and_recover();
     failed.sort();
     assert_eq!(failed, vec![NodeId(2), NodeId(3)]);
@@ -87,7 +87,7 @@ fn no_replication_loses_exactly_the_dead_shard() {
         .map(|(_, s)| s.primary_observations)
         .unwrap();
     assert!(shard > 0, "victim shard empty, test is vacuous");
-    cluster.kill_worker(NodeId(2));
+    cluster.fabric().crash(NodeId(2));
     cluster.check_and_recover();
     let after = cluster.range_query(extent(), window_all()).unwrap().len() as u64;
     assert_eq!(after, 500 - shard);
@@ -99,7 +99,7 @@ fn ingest_continues_after_failover() {
     let cluster = Cluster::launch(config(4, 1)).unwrap();
     cluster.ingest(spread_batch(200)).unwrap();
     cluster.flush().unwrap();
-    cluster.kill_worker(NodeId(1));
+    cluster.fabric().crash(NodeId(1));
     cluster.check_and_recover();
     // New data lands on the surviving workers, including cells formerly
     // owned by the dead one.
@@ -127,7 +127,7 @@ fn repeated_failures_degrade_gracefully() {
     cluster.flush().unwrap();
     let mut alive = 6;
     for victim in [2u32, 5, 1] {
-        cluster.kill_worker(NodeId(victim));
+        cluster.fabric().crash(NodeId(victim));
         cluster.check_and_recover();
         alive -= 1;
         let count = cluster.range_query(extent(), window_all()).unwrap().len();
@@ -154,7 +154,7 @@ fn continuous_queries_survive_failover() {
     let first = cluster.poll_notifications(std::time::Duration::from_secs(2));
     assert!(first.iter().any(|n| n.query == id));
 
-    cluster.kill_worker(NodeId(3));
+    cluster.fabric().crash(NodeId(3));
     cluster.check_and_recover();
     // Matches must still arrive for data landing in the failed worker's
     // former cells (now owned by its successor).
@@ -191,8 +191,8 @@ fn query_against_fully_dead_cluster_errors() {
     let cluster = Cluster::launch(config(2, 0)).unwrap();
     cluster.ingest(spread_batch(10)).unwrap();
     cluster.flush().unwrap();
-    cluster.kill_worker(NodeId(1));
-    cluster.kill_worker(NodeId(2));
+    cluster.fabric().crash(NodeId(1));
+    cluster.fabric().crash(NodeId(2));
     cluster.check_and_recover();
     // All owners dead: routing has no quorum.
     let err = cluster.ingest(spread_batch(1)).unwrap_err();
@@ -241,7 +241,7 @@ fn network_partition_isolates_and_heals() {
     cluster.flush().unwrap();
     // Isolate workers 3 and 4 from everyone else (coordinator stays in
     // the default group with workers 1 and 2).
-    cluster.partition_network(&[&[NodeId(3), NodeId(4)]]);
+    cluster.fabric().partition(&[&[NodeId(3), NodeId(4)]]);
     // Queries needing the isolated side fail cleanly (timeout), not hang.
     let err = cluster.range_query(extent(), window_all());
     assert!(err.is_err(), "query succeeded across a partition");
@@ -257,7 +257,7 @@ fn network_partition_isolates_and_heals() {
     assert!(after.len() >= 150, "only {} of 200 reachable", after.len());
     // After healing, the formerly isolated workers are simply ignored
     // (they were failed out); fresh ingest still works.
-    cluster.heal_network();
+    cluster.fabric().heal_partition();
     cluster.ingest(spread_batch(50)).unwrap();
     cluster.flush().unwrap();
     cluster.shutdown();
@@ -283,7 +283,7 @@ fn crash_window_strict_fails_and_best_effort_degrades_truthfully() {
         .map(|(_, s)| s.primary_observations)
         .unwrap();
     assert!(dead_share > 0, "victim shard empty, test is vacuous");
-    cluster.kill_worker(victim);
+    cluster.fabric().crash(victim);
 
     // Strict: the new error variant names the unanswered shard.
     let err = cluster.range_query(extent(), window_all()).unwrap_err();
@@ -330,7 +330,7 @@ fn auto_recovery_monitor_checks_immediately_on_enable() {
             .unwrap();
     cluster.ingest(spread_batch(200)).unwrap();
     cluster.flush().unwrap();
-    cluster.kill_worker(NodeId(2));
+    cluster.fabric().crash(NodeId(2));
     // An interval of an hour: only the immediate first check can recover
     // the cluster within the deadline below.
     cluster.enable_auto_recovery(std::time::Duration::from_secs(3600));

@@ -245,7 +245,7 @@ fn an_unreplicated_dead_shard_is_an_error_or_a_truthful_account() {
         .map(|o| o.position)
         .find(|&p| partition.owner_of(p) == victim)
         .expect("victim owns no observation");
-    cluster.kill_worker(victim);
+    cluster.fabric().crash(victim);
     for opts in matrix() {
         for kind in kinds(&oracle, at) {
             let tag = format!("{} under {opts:?}", kind.name);
@@ -282,7 +282,7 @@ fn a_deadline_is_met_with_a_dead_shard_left_to_wait_for() {
     cluster.ingest(stream()).unwrap();
     cluster.flush().unwrap();
     let victim = NodeId(2);
-    cluster.kill_worker(victim);
+    cluster.fabric().crash(victim);
     for budget in [50, 200].map(StdDuration::from_millis) {
         let started = std::time::Instant::now();
         let opts = QueryOpts {

@@ -543,7 +543,7 @@ fn auto_recovery_heals_without_manual_intervention() {
     cluster.ingest(hotspot_batch(800)).unwrap();
     cluster.flush().unwrap();
     cluster.enable_auto_recovery(std::time::Duration::from_millis(100));
-    cluster.kill_worker(NodeId(2));
+    cluster.fabric().crash(NodeId(2));
     // Wait for the monitor to notice and fail over.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {

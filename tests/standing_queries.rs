@@ -125,10 +125,14 @@ fn a_re_driven_group_notifies_each_row_once() {
     let partition = cluster.partition();
     let owner = partition.owner_of(at);
     let replica = partition.successors(owner, 1)[0];
-    cluster.set_link_drop_probability(WRITER, replica, 1.0);
+    cluster
+        .fabric()
+        .set_link_drop_probability(WRITER, replica, 1.0);
     let batch: Vec<Observation> = (0..20).map(|i| obs(i, at.x, at.y)).collect();
     assert_eq!(cluster.ingest(batch).unwrap(), 0, "acked without its copy");
-    cluster.clear_link_drop_probability(WRITER, replica);
+    cluster
+        .fabric()
+        .clear_link_drop_probability(WRITER, replica);
     flush(&cluster);
     assert_once_each(&notified(&cluster, query), 0..20, "re-drive");
     cluster.shutdown();

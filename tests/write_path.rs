@@ -205,7 +205,7 @@ fn dead_owner_is_hinted_and_parked_until_recovery() {
     let ingestor = cluster.create_ingestor();
     let at = Point::new(500.0, 500.0);
     let victim = cluster.partition().owner_of(at);
-    cluster.kill_worker(victim);
+    cluster.fabric().crash(victim);
     // Recovery has not run: the plan still routes to the dead owner.
     let batch: Vec<Observation> = (0..20).map(|i| obs(i, at.x, at.y)).collect();
     assert_eq!(ingestor.ingest(batch).unwrap(), 0, "a hint is not an ack");
@@ -236,7 +236,7 @@ fn flush_without_quorum_fails_and_keeps_the_window_parked() {
     )
     .unwrap();
     let ingestor = cluster.create_ingestor();
-    cluster.kill_worker(NodeId(1));
+    cluster.fabric().crash(NodeId(1));
     // The plan still routes to the dead worker: the rows park.
     assert_eq!(ingestor.ingest(spread(0, 20)).unwrap(), 0);
     assert_eq!(ingestor.pending(), 20);
@@ -259,7 +259,7 @@ fn recovery_ticks_never_stall_cluster_ingest() {
     )
     .unwrap();
     let victim = NodeId(3);
-    cluster.kill_worker(victim);
+    cluster.fabric().crash(victim);
     assert_eq!(cluster.check_and_recover(), vec![victim]);
     // Every tick re-probes the dead worker for a restart, holding the
     // coordinator lock through a 250 ms single-attempt probe.
