@@ -56,6 +56,7 @@ fn main() {
         for _ in 0..count {
             let center = Point::new(rng.gen_range(0.0..EXTENT_M), rng.gen_range(0.0..EXTENT_M));
             cluster
+                .coordinator()
                 .register_continuous(Predicate {
                     region: BBox::around(center, FENCE_RADIUS),
                     class: None,
@@ -63,7 +64,8 @@ fn main() {
                 .expect("register");
         }
         let in_fence = |(_, f): &(_, Predicate)| stream.iter().filter(|o| f.matches(o)).count();
-        let expected: usize = cluster.registrations().iter().map(in_fence).sum();
+        let fences = cluster.coordinator().registrations();
+        let expected: usize = fences.iter().map(in_fence).sum();
         // Busy time is summed over workers, per observation.
         let before = cluster.stats().expect("stats");
         let registered = before.workers.iter().map(|(_, s)| s.continuous_queries);

@@ -56,7 +56,7 @@ fn main() {
         }
         let static_imbalance = static_cluster.stats().expect("stats").imbalance();
         let traffic_before = adaptive.fabric_stats().total_bytes;
-        let report = adaptive.rebalance().expect("rebalance");
+        let report = adaptive.coordinator().rebalance().expect("rebalance");
         let moved = adaptive.fabric_stats().total_bytes - traffic_before;
         fig.row(cells![
             *label,

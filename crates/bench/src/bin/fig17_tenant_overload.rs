@@ -184,7 +184,7 @@ fn main() {
     let stream = synthetic_stream(archive, extent, 600, 41);
     ingest_chunked(&cluster, &stream, 1_000);
 
-    cluster.register_tenant(VIP, TenantBudget::unlimited());
+    plane.admission().register(VIP, TenantBudget::unlimited());
 
     // Warmup: populate index snapshots, fault in code paths, settle the
     // scheduler — discarded, so a cold-start tail cannot skew the
@@ -217,7 +217,7 @@ fn main() {
     // The bulk budget admits about a quarter of measured capacity as
     // real work; everything above it is rejected fast at the token
     // bucket, and admitted spikes are shed by the saturation gate.
-    cluster.register_tenant(
+    plane.admission().register(
         BULK,
         TenantBudget::unlimited().with_ops_per_sec(capacity / 4.0),
     );
@@ -238,7 +238,7 @@ fn main() {
     loaded.sort_by(f64::total_cmp);
     let loaded_p99 = percentile(&loaded, 0.99);
     let offered = bulk_tally.total() as f64 / loaded_wall;
-    let usage = cluster.tenant_usage(BULK);
+    let usage = plane.admission().usage(BULK);
 
     fig.table("phases")
         .col("phase", "phase", Fmt::Plain)

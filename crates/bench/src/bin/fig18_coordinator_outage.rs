@@ -114,6 +114,7 @@ fn run(workers: usize, kill_mid_outage: bool, archive: usize, rounds: usize) -> 
     let (stream, outage_write) = stream.split_at(archive);
     ingest_chunked(&cluster, stream, 1_000);
     cluster
+        .coordinator()
         .register_continuous(Predicate {
             region: BBox::around(Point::new(EXTENT_M / 2.0, EXTENT_M / 2.0), 500.0),
             class: None,
@@ -122,8 +123,9 @@ fn run(workers: usize, kill_mid_outage: bool, archive: usize, rounds: usize) -> 
 
     // Short read policies so a dead-primary sub-query (the worker-kill
     // column) fails over quickly instead of burning the default budget.
+    let policy = OpPolicy::new(Duration::from_millis(600));
     for op in ["range", "knn_phase1", "knn_phase2", "heatmap"] {
-        cluster.set_op_policy(op, OpPolicy::new(Duration::from_millis(600)));
+        cluster.coordinator().set_op_policy(op, policy);
     }
 
     cluster.crash_coordinator();
@@ -158,7 +160,7 @@ fn run(workers: usize, kill_mid_outage: bool, archive: usize, rounds: usize) -> 
         reconstruct_s,
         held,
         lost: (archive + accepted).saturating_sub(held),
-        registrations: cluster.registrations().len(),
+        registrations: cluster.coordinator().registrations().len(),
     };
     cluster.shutdown();
     outcome

@@ -158,6 +158,7 @@ fn main() {
             &mut || {
                 for &p in &points {
                     cluster
+                        .coordinator()
                         .register_continuous(Predicate {
                             region: BBox::around(p, 250.0),
                             class: None,

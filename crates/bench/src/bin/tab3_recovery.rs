@@ -83,7 +83,7 @@ fn main() {
             }
             let (strict_avail, mean_completeness) =
                 crash_window_availability(&cluster, extent, read_timeout);
-            let (failed, recovery_s) = timed(|| cluster.check_and_recover());
+            let (failed, recovery_s) = timed(|| cluster.coordinator().check_and_recover());
             assert_eq!(failed.len(), victims.len(), "missed a failure");
             // The executor books each dead worker as two failed probe
             // sub-queries (liveness round, rejoin round); probes never
@@ -126,8 +126,9 @@ fn main() {
 fn crash_window_availability(cluster: &Cluster, extent: BBox, timeout: Duration) -> (f64, f64) {
     // Short read policies so each dead-primary sub-query fails over (or
     // fails) quickly instead of burning the default RPC budget.
+    let policy = OpPolicy::new(timeout);
     for op in ["range", "knn_phase1", "knn_phase2", "heatmap"] {
-        cluster.set_op_policy(op, OpPolicy::new(timeout));
+        cluster.coordinator().set_op_policy(op, policy);
     }
     let window = window_secs(10_000);
     let buckets = GridSpec::covering(extent, extent.width() / 16.0);

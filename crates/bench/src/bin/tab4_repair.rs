@@ -70,7 +70,7 @@ fn main() {
                 lan_config(extent, WORKERS, replication)
                     .with_rpc_timeout(std::time::Duration::from_millis(100)),
             );
-            cluster.set_op_policy(
+            cluster.coordinator().set_op_policy(
                 "probe",
                 OpPolicy {
                     timeout: std::time::Duration::from_millis(250),
@@ -86,13 +86,13 @@ fn main() {
 
             cluster.fabric().crash(VICTIM);
             cluster.set_drop_probability(drop);
-            let under_at_kill = cluster.under_replicated_cells();
+            let under_at_kill = cluster.coordinator().under_replicated_cells();
 
             // Heal: detection + promotion + anti-entropy until the
             // planner reports convergence. check_and_recover ends with
             // one repair pass; lossy rounds may need more.
             let (_, heal_s) = timed(|| {
-                let failed = cluster.check_and_recover();
+                let failed = cluster.coordinator().check_and_recover();
                 assert_eq!(failed, vec![VICTIM], "missed the failure");
                 drive_to_convergence(&cluster, "post-failover repair");
             });
@@ -105,7 +105,7 @@ fn main() {
             let (_, rejoin_s) = timed(|| {
                 let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
                 loop {
-                    cluster.check_and_recover();
+                    cluster.coordinator().check_and_recover();
                     if !cluster.partition().cells_of(VICTIM).is_empty() {
                         break;
                     }
@@ -119,7 +119,7 @@ fn main() {
 
             // Audit with the links healthy again: the convergence gate.
             cluster.set_drop_probability(0.0);
-            let under_after = cluster.under_replicated_cells();
+            let under_after = cluster.coordinator().under_replicated_cells();
             let held = cluster
                 .range_query(extent.inflated(100.0), window_secs(10_000))
                 .expect("strict audit after heal")
@@ -159,12 +159,12 @@ fn main() {
     println!("gates: zero under-replicated cells, zero loss — ok");
 }
 
-/// Re-invokes [`Cluster::repair`] until the planner reports convergence
+/// Re-invokes [`stcam::Coordinator::repair`] until the planner reports convergence
 /// (each invocation is budget-bounded; under loss a round's worth of
 /// streams can fail and be re-planned).
 fn drive_to_convergence(cluster: &Cluster, what: &str) {
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
-    while !cluster.repair().converged {
+    while !cluster.coordinator().repair().converged {
         assert!(
             std::time::Instant::now() < deadline,
             "{what} never converged"

@@ -1,5 +1,6 @@
 //! The embeddable cluster facade.
 
+use std::ops::DerefMut;
 use std::time::Duration as StdDuration;
 
 use crossbeam::channel::{Receiver, Sender};
@@ -9,15 +10,13 @@ use stcam_geo::{BBox, Duration, GridSpec, Point, TimeInterval, Timestamp};
 use stcam_index::IndexConfig;
 use stcam_net::{Fabric, FabricStats, LinkModel, NodeId};
 
-use crate::admission::{TenantBudget, TenantId, TenantUsage};
-use crate::continuous::{ContinuousQueryId, Notification, Predicate};
-use crate::coordinator::{ClusterStats, Coordinator, RebalanceReport, ReconstructReport};
+use crate::continuous::Notification;
+use crate::coordinator::{ClusterStats, Coordinator, ReconstructReport};
 use crate::error::StcamError;
 use crate::exec::{Degraded, HeatmapOp, RangeOp};
 use crate::ingest::Ingestor;
 use crate::partition::{PartitionMap, PartitionPolicy};
 use crate::plane::{Knn, Query, QueryOpts, QueryPlane};
-use crate::repair::RepairReport;
 use crate::worker::{Worker, WorkerConfig, WorkerHandle};
 
 /// Configuration of a whole cluster, with builder-style adjustment.
@@ -142,7 +141,10 @@ impl ClusterConfig {
 /// matches of the groups it gets acknowledged to one channel, which
 /// [`poll_notifications`](Self::poll_notifications) drains, also without
 /// that mutex. Control actions (rebalance, recovery, registering standing
-/// queries) serialise on the coordinator.
+/// queries) serialise on the coordinator, reached through
+/// [`coordinator`](Self::coordinator); tenant budgets go through
+/// [`query_plane`](Self::query_plane)`().admission()`, and faults through
+/// [`fabric`](Self::fabric).
 #[derive(Debug)]
 pub struct Cluster {
     fabric: Fabric,
@@ -314,9 +316,27 @@ impl Cluster {
 
     /// The lock-free query plane. Clone the `Arc` to issue reads from
     /// many threads without any shared locking; the facade's own query
-    /// methods use the same plane.
+    /// methods use the same plane. It is also the door to the admission
+    /// gate: `query_plane().admission()` registers tenant budgets and
+    /// reports their usage.
     pub fn query_plane(&self) -> std::sync::Arc<QueryPlane> {
         std::sync::Arc::clone(&self.plane)
+    }
+
+    /// The control plane: a guard on the coordinator mutex, the one door
+    /// to every control action — `cluster.coordinator().rebalance()`,
+    /// `check_and_recover`, `repair`, `under_replicated_cells`,
+    /// `register_continuous`, `evict_before`, `set_op_policy` (see
+    /// [`Coordinator`]). Use the guard as a statement-long temporary.
+    ///
+    /// The recovery monitor, the retention sweeper,
+    /// [`stats`](Self::stats) and
+    /// [`restart_coordinator`](Self::restart_coordinator) take the same
+    /// lock, so holding the guard across a call to any of them
+    /// deadlocks. Reads, writes and
+    /// [`poll_notifications`](Self::poll_notifications) never take it.
+    pub fn coordinator(&self) -> impl DerefMut<Target = Coordinator> + '_ {
+        self.coordinator.lock()
     }
 
     /// The configuration this cluster was launched with.
@@ -438,44 +458,12 @@ impl Cluster {
         Ok(d.value)
     }
 
-    /// Registers (or replaces) a tenant's admission budget. Queries
-    /// carrying a [`QueryOpts::ctx`] for the tenant are gated against
-    /// it; unknown tenants run unlimited but still metered.
-    pub fn register_tenant(&self, tenant: TenantId, budget: TenantBudget) {
-        self.plane.admission().register(tenant, budget);
-    }
-
-    /// A tenant's cumulative admission/usage accounting.
-    pub fn tenant_usage(&self, tenant: TenantId) -> TenantUsage {
-        self.plane.admission().usage(tenant)
-    }
-
-    /// Registers a standing continuous query.
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::register_continuous`].
-    pub fn register_continuous(
-        &self,
-        predicate: Predicate,
-    ) -> Result<ContinuousQueryId, StcamError> {
-        self.coordinator.lock().register_continuous(predicate)
-    }
-
-    /// Unregisters a standing query.
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::unregister_continuous`].
-    pub fn unregister_continuous(&self, id: ContinuousQueryId) -> Result<(), StcamError> {
-        self.coordinator.lock().unregister_continuous(id)
-    }
-
     /// Drains the standing-query notifications of acknowledged writes,
     /// from this cluster's [`ingest`](Self::ingest) and every
     /// [`Ingestor`] it created, waiting up to `timeout` for the first.
     /// Takes no coordinator lock, so control actions and ingest run while
-    /// a client waits here.
+    /// a client waits here. Kept on `Cluster` because the cluster owns
+    /// the channel.
     pub fn poll_notifications(&self, timeout: StdDuration) -> Vec<Notification> {
         let inbox = &self.notify.1;
         let Ok(first) = inbox.recv_timeout(timeout) else {
@@ -486,17 +474,10 @@ impl Cluster {
         std::iter::once(first).chain(queued).collect()
     }
 
-    /// Ages out observations older than `cutoff`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::evict_before`].
-    pub fn evict_before(&self, cutoff: Timestamp) -> Result<(), StcamError> {
-        self.coordinator.lock().evict_before(cutoff)
-    }
-
-    /// Cluster-wide statistics: one `Stats` round trip per alive worker
-    /// and the executor's telemetry, no digest sweep.
+    /// Cluster-wide statistics: one `Stats` round trip per alive worker,
+    /// no digest sweep. Executor telemetry is [`op_stats`](Self::op_stats).
+    /// Shorthand for `coordinator().stats()`, kept because the `stbench`
+    /// harness calls it.
     ///
     /// # Errors
     ///
@@ -519,32 +500,16 @@ impl Cluster {
         self.plane.op_stats()
     }
 
-    /// Installs a timeout/retry policy override for one operation class
-    /// (see [`crate::exec::OpPolicy`]).
-    pub fn set_op_policy(&self, op: &'static str, policy: crate::exec::OpPolicy) {
-        self.coordinator.lock().set_op_policy(op, policy);
-    }
-
     /// A snapshot of the partition map (from the current published
     /// query plan; lock-free).
     pub fn partition(&self) -> PartitionMap {
         self.plane.plan().partition.clone()
     }
 
-    /// Re-partitions by measured load and migrates the moved shards (see
-    /// [`Coordinator::rebalance`]). Live [`Ingestor`]s re-route themselves.
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::rebalance`].
-    pub fn rebalance(&self) -> Result<RebalanceReport, StcamError> {
-        self.coordinator.lock().rebalance()
-    }
-
     /// The simulated network every node of this cluster talks over, and
     /// the one way to inject faults into it: crash and restart workers
     /// ([`Fabric::crash`], [`Fabric::restart`]; pair with
-    /// [`check_and_recover`](Self::check_and_recover)), split and heal the
+    /// [`Coordinator::check_and_recover`]), split and heal the
     /// network ([`Fabric::partition`], [`Fabric::heal_partition`]), and
     /// drop frames on every link or on one
     /// ([`Fabric::set_drop_probability`],
@@ -572,9 +537,10 @@ impl Cluster {
     /// report, re-derive ownership/membership/standing queries from
     /// worker truth, and drive repair (see
     /// [`Coordinator::reconstruct`]). Nothing the pre-crash incarnation
-    /// remembered is required. Kept beside [`fabric`](Self::fabric)
-    /// because a transport restart alone would leave the control plane
-    /// unrebuilt: this runs the census.
+    /// remembered is required. Kept on `Cluster` because it hides the
+    /// coordinator's node id and the census candidates (the full worker
+    /// roster); a transport restart alone would leave the control plane
+    /// unrebuilt.
     ///
     /// # Errors
     ///
@@ -586,56 +552,21 @@ impl Cluster {
         self.coordinator.lock().reconstruct(&candidates)
     }
 
-    /// Detects failed workers and fails their shards over to replicas;
-    /// detects restarted workers and rejoins them (see
-    /// [`Coordinator::check_and_recover`]). Returns the newly failed
-    /// workers.
-    ///
-    /// A worker restarted through [`Fabric::restart`] never lost its
-    /// thread — the fabric only dropped its traffic — so it answers
-    /// probes again at once, but its shard is stale. If a tick had failed
-    /// it out, the next tick readmits it through the rejoin handshake:
-    /// state reset, shard bulk-synced from the current owners, routes and
-    /// standing queries re-installed, and the ring re-entered under a
-    /// fresh plan epoch.
-    pub fn check_and_recover(&self) -> Vec<NodeId> {
-        self.coordinator.lock().check_and_recover()
-    }
-
-    /// One anti-entropy repair pass under the default budget: restores
-    /// every cell's replica copies at its required ring
-    /// successors (see [`Coordinator::repair`]). Idempotent; re-invoke
-    /// until [`under_replicated_cells`](Self::under_replicated_cells)
-    /// reaches zero if a pass exhausts its budget.
-    pub fn repair(&self) -> RepairReport {
-        self.coordinator.lock().repair()
-    }
-
-    /// Distinct owned macro-cells currently missing at least one required
-    /// replica copy (0 when replication is disabled or the anti-entropy
-    /// invariant holds). Costs one digest sweep.
-    pub fn under_replicated_cells(&self) -> usize {
-        self.coordinator.lock().under_replicated_cells()
-    }
-
     /// Per-node failure streaks from the shared
     /// [`PeerTable`](stcam_net::PeerTable) (calls given up on since the
     /// node's last answer), sorted by node id. Takes no coordinator lock.
+    /// Kept on `Cluster` because there is no public door to the peer
+    /// table.
     pub fn suspicions(&self) -> Vec<(NodeId, u32)> {
         self.plane.peers().snapshot()
     }
 
-    /// Standing-query registrations the control plane currently tracks,
-    /// id-sorted (see [`Coordinator::registrations`]).
-    pub fn registrations(&self) -> Vec<(ContinuousQueryId, Predicate)> {
-        self.coordinator.lock().registrations()
-    }
-
     /// Starts a background liveness monitor that runs
-    /// [`check_and_recover`](Self::check_and_recover) once immediately and
-    /// then every `interval` until shutdown; stopping interrupts the wait,
-    /// so a long interval never delays [`shutdown`](Self::shutdown).
-    /// Calling it again replaces the previous monitor.
+    /// [`Coordinator::check_and_recover`] once immediately and then every
+    /// `interval` until shutdown; stopping interrupts the wait, so a long
+    /// interval never delays [`shutdown`](Self::shutdown). Calling it
+    /// again replaces the previous monitor. Kept on `Cluster` because the
+    /// cluster owns the thread; each tick takes the coordinator lock.
     pub fn enable_auto_recovery(&self, interval: StdDuration) {
         let coordinator = std::sync::Arc::clone(&self.coordinator);
         let handle = MonitorHandle::spawn("stcam-recovery-monitor", interval, move || {
@@ -650,7 +581,9 @@ impl Cluster {
     /// every `interval` it reads the newest stored timestamp from the
     /// workers' stats (no digest sweep) and evicts everything older than
     /// `horizon` before it; the wait is interruptible like the recovery
-    /// monitor's. Calling it again replaces the previous sweeper.
+    /// monitor's. Calling it again replaces the previous sweeper. Kept on
+    /// `Cluster` because the cluster owns the thread; each tick takes the
+    /// coordinator lock.
     pub fn enable_retention(&self, horizon: Duration, interval: StdDuration) {
         let coordinator = std::sync::Arc::clone(&self.coordinator);
         let handle = MonitorHandle::spawn("stcam-retention-sweeper", interval, move || {
@@ -706,6 +639,7 @@ impl Drop for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::continuous::Predicate;
     use stcam_camnet::{CameraId, ObservationId, Signature};
     use stcam_world::{EntityClass, EntityId};
 
@@ -800,6 +734,7 @@ mod tests {
         let cluster = Cluster::launch(test_config(4)).unwrap();
         let region = BBox::new(Point::new(0.0, 0.0), Point::new(400.0, 400.0));
         let id = cluster
+            .coordinator()
             .register_continuous(Predicate {
                 region,
                 class: None,
@@ -815,7 +750,7 @@ mod tests {
             .map(|n| n.matches.len())
             .sum();
         assert_eq!(matches, 1);
-        cluster.unregister_continuous(id).unwrap();
+        cluster.coordinator().unregister_continuous(id).unwrap();
         cluster.ingest(vec![obs(2, 0, 100.0, 100.0)]).unwrap();
         assert!(cluster
             .poll_notifications(StdDuration::from_millis(100))
@@ -835,7 +770,7 @@ mod tests {
         assert_eq!(before, 500);
         // Kill a worker holding data, recover, recount.
         cluster.fabric().crash(NodeId(2));
-        let failed = cluster.check_and_recover();
+        let failed = cluster.coordinator().check_and_recover();
         assert_eq!(failed, vec![NodeId(2)]);
         let after = cluster.range_query(extent(), window_all()).unwrap().len();
         assert_eq!(
@@ -863,7 +798,7 @@ mod tests {
             .map(|(_, s)| s.primary_observations)
             .unwrap();
         cluster.fabric().crash(NodeId(3));
-        cluster.check_and_recover();
+        cluster.coordinator().check_and_recover();
         let after = cluster.range_query(extent(), window_all()).unwrap().len();
         assert_eq!(after as u64, 400 - dead_share);
         // Ingest keeps working: the dead worker's cells have a new owner.
@@ -881,12 +816,12 @@ mod tests {
         cluster.ingest(batch).unwrap();
         cluster.flush().unwrap();
         cluster.fabric().crash(NodeId(1));
-        cluster.check_and_recover();
+        cluster.coordinator().check_and_recover();
         // The recovery tick already ran a repair pass: every surviving
         // cell must again have its full complement of replica copies.
-        assert_eq!(cluster.under_replicated_cells(), 0);
+        assert_eq!(cluster.coordinator().under_replicated_cells(), 0);
         // And a second pass is a no-op.
-        let report = cluster.repair();
+        let report = cluster.coordinator().repair();
         assert_eq!(report.rounds, 0);
         assert_eq!(report.under_replicated_before, 0);
         cluster.shutdown();
@@ -901,14 +836,14 @@ mod tests {
         cluster.ingest(batch).unwrap();
         cluster.flush().unwrap();
         cluster.fabric().crash(NodeId(2));
-        assert_eq!(cluster.check_and_recover(), vec![NodeId(2)]);
+        assert_eq!(cluster.coordinator().check_and_recover(), vec![NodeId(2)]);
         // More data lands while the worker is out.
         cluster.ingest(vec![obs(9_000, 0, 800.0, 800.0)]).unwrap();
         cluster.flush().unwrap();
         // Restart: the next tick re-detects it, bulk-syncs its shard, and
         // re-enters it into the ring.
         cluster.fabric().restart(NodeId(2));
-        assert!(cluster.check_and_recover().is_empty());
+        assert!(cluster.coordinator().check_and_recover().is_empty());
         let partition = cluster.partition();
         assert!(
             !partition.cells_of(NodeId(2)).is_empty(),
@@ -924,7 +859,7 @@ mod tests {
             .map(|(_, s)| s.primary_observations)
             .expect("rejoined worker missing from stats");
         assert!(rejoined > 0, "rejoined worker holds no data");
-        assert_eq!(cluster.under_replicated_cells(), 0);
+        assert_eq!(cluster.coordinator().under_replicated_cells(), 0);
         // Strict reads see the complete data set under the new plan.
         let all = cluster.range_query(extent(), window_all()).unwrap();
         assert_eq!(all.len(), 401);
@@ -941,14 +876,17 @@ mod tests {
             .collect();
         cluster.ingest(batch).unwrap();
         cluster.flush().unwrap();
-        let report = cluster.rebalance().expect("rebalance with replication");
+        let report = cluster
+            .coordinator()
+            .rebalance()
+            .expect("rebalance with replication");
         assert!(report.cells_moved > 0, "skewed load moved nothing");
         assert!(report.imbalance_after <= report.imbalance_before);
         // No observation was lost by the copy-then-cutover migration, and
         // the moved cells' replica chains are full again.
         let all = cluster.range_query(extent(), window_all()).unwrap();
         assert_eq!(all.len(), 500);
-        assert_eq!(cluster.under_replicated_cells(), 0);
+        assert_eq!(cluster.coordinator().under_replicated_cells(), 0);
         cluster.shutdown();
     }
 
@@ -973,13 +911,16 @@ mod tests {
             region: nowhere,
             class: None,
         };
-        cluster.register_continuous(predicate).unwrap();
+        cluster
+            .coordinator()
+            .register_continuous(predicate)
+            .unwrap();
         std::thread::scope(|scope| {
             let poll = scope.spawn(|| cluster.poll_notifications(StdDuration::from_secs(2)));
             std::thread::sleep(StdDuration::from_millis(50));
             let started = std::time::Instant::now();
             cluster.ingest(vec![obs(0, 0, 800.0, 800.0)]).unwrap();
-            assert!(cluster.check_and_recover().is_empty());
+            assert!(cluster.coordinator().check_and_recover().is_empty());
             let took = started.elapsed();
             assert!(
                 took < StdDuration::from_millis(500),

@@ -25,7 +25,6 @@ use stcam_net::{Endpoint, NodeId};
 
 use crate::continuous::{ContinuousQueryId, Predicate};
 use crate::error::StcamError;
-use crate::exec::OpStats;
 use crate::exec::{all_alive, region_targets, unexpected, want_ack, Executor, HeatmapOp, OpPolicy};
 use crate::partition::PartitionMap;
 use crate::plane::{QueryOpts, QueryPlane};
@@ -38,8 +37,6 @@ use crate::repair::{RepairReport, MAX_ROUNDS, ROUND_STREAM};
 pub struct ClusterStats {
     /// Per-worker statistics (alive workers only).
     pub workers: Vec<(NodeId, WorkerStatsMsg)>,
-    /// Per-operation executor telemetry, sorted by operation name.
-    pub ops: Vec<(&'static str, OpStats)>,
 }
 
 impl ClusterStats {
@@ -76,15 +73,6 @@ impl ClusterStats {
             .max()
             .unwrap_or(0);
         max as f64 / (total as f64 / self.workers.len() as f64)
-    }
-
-    /// Executor telemetry of one operation (zeros when never invoked).
-    pub fn op(&self, name: &str) -> OpStats {
-        self.ops
-            .iter()
-            .find(|(op, _)| *op == name)
-            .map(|(_, s)| *s)
-            .unwrap_or_default()
     }
 }
 
@@ -547,6 +535,15 @@ impl Coordinator {
     /// log's holder when the factor covers it), then readmits each dead
     /// worker that answers again; the control loop reaches the new
     /// desired state. Returns the newly failed workers.
+    ///
+    /// A worker restarted through
+    /// [`Fabric::restart`](stcam_net::Fabric::restart) never lost its
+    /// thread — the fabric only dropped its traffic — so it answers
+    /// probes again at once, but its shard is stale. If a tick had failed
+    /// it out, the next tick readmits it through the rejoin handshake:
+    /// state reset, shard bulk-synced from the current owners, routes and
+    /// standing queries re-installed, and the ring re-entered under a
+    /// fresh plan epoch.
     pub fn check_and_recover(&mut self) -> Vec<NodeId> {
         let answered = self.responders(&self.alive);
         let failed: Vec<NodeId> = self
@@ -705,9 +702,9 @@ impl Coordinator {
     }
 
     /// Collects statistics from every alive worker (one `Stats` round
-    /// trip each, no digest sweep), plus the executor's per-operation
-    /// telemetry. The under-replication gauge is
-    /// [`under_replicated_cells`](Self::under_replicated_cells).
+    /// trip each, no digest sweep). The executor's per-operation
+    /// telemetry is [`QueryPlane::op_stats`]; the under-replication gauge
+    /// is [`under_replicated_cells`](Self::under_replicated_cells).
     ///
     /// # Errors
     ///
@@ -724,10 +721,7 @@ impl Coordinator {
             .into_iter()
             .map(|(to, s)| s.map(|s| (to, s)))
             .collect::<Result<_, _>>()?;
-        Ok(ClusterStats {
-            workers,
-            ops: self.exec.op_stats(),
-        })
+        Ok(ClusterStats { workers })
     }
 }
 
@@ -750,7 +744,6 @@ mod tests {
                     )
                 })
                 .collect(),
-            ops: Vec::new(),
         }
     }
 
@@ -764,19 +757,5 @@ mod tests {
         // Degenerate cases fall back to 1.0.
         assert_eq!(stats_with(&[]).imbalance(), 1.0);
         assert_eq!(stats_with(&[0, 0]).imbalance(), 1.0);
-    }
-
-    #[test]
-    fn cluster_stats_op_lookup() {
-        let mut s = stats_with(&[1]);
-        s.ops.push((
-            "range",
-            OpStats {
-                invocations: 3,
-                ..Default::default()
-            },
-        ));
-        assert_eq!(s.op("range").invocations, 3);
-        assert_eq!(s.op("heatmap"), OpStats::default());
     }
 }

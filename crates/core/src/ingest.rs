@@ -465,7 +465,7 @@ mod tests {
         let target = Point::new(500.0, 500.0);
         let old_owner = cluster.partition().owner_of(target);
         cluster.fabric().crash(old_owner);
-        let failed = cluster.check_and_recover();
+        let failed = cluster.coordinator().check_and_recover();
         assert_eq!(failed, vec![old_owner]);
         // Same handle, dead owner's cell: the call reads the plan
         // recovery published and goes straight to the new owner.

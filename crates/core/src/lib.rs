@@ -62,8 +62,10 @@
 //!   associates them across adjacent cameras using appearance distance
 //!   gated by learned transition-time windows.
 //! * [`Cluster`] — the embeddable facade: spins up a fabric, N worker
-//!   threads and a coordinator, and exposes the whole system behind plain
-//!   method calls.
+//!   threads and a coordinator. Reads and acked writes are its own
+//!   methods; each other plane has one door — control actions
+//!   [`Cluster::coordinator`], tenant budgets
+//!   [`Cluster::query_plane`]`().admission()`, faults [`Cluster::fabric`].
 //!
 //! # Example
 //!

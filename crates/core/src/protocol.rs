@@ -406,15 +406,10 @@ wire_struct! {
         pub primary_observations: u64,
         /// Observations held as replicas for other workers.
         pub replica_observations: u64,
-        /// Total observations ever ingested as primary.
-        pub ingested_total: u64,
         /// Standing-query notifications returned in ingest replies.
         pub notifications_sent: u64,
         /// Standing continuous queries registered.
         pub continuous_queries: u64,
-        /// Occupied (cell, class) buckets in the worker's continuous-query
-        /// interest index — a size signal for the sub-linear matcher.
-        pub interest_buckets: u64,
         /// Cumulative microseconds this worker has spent executing requests,
         /// reply encoding included (its "busy time"). On a single-core host
         /// wall-clock numbers do not show parallel speedup; the evaluation

@@ -226,13 +226,7 @@ fn execute_read(rows: &impl RowSource, shared: &ReadShared, request: Request) ->
             window,
             k,
             max_distance,
-        } => {
-            let mut hits = rows.knn(at, window, k as usize, max_distance);
-            if let Some(limit) = max_distance {
-                hits.retain(|o| at.distance(o.position) <= limit);
-            }
-            Response::Observations(hits)
-        }
+        } => Response::Observations(rows.knn(at, window, k as usize, max_distance)),
         Request::Heatmap { buckets, window } => {
             // Always sparse: a shard's answer occupies only its own
             // region's buckets, so the dense vector is mostly zeros and the
@@ -345,7 +339,6 @@ pub struct Worker {
     /// as a new request — re-driven after a park or a failover, or re-sent
     /// after the transport forgot its answer.
     seen: HashSet<ObservationId>,
-    ingested_total: u64,
     notifications_sent: u64,
     /// Serve counters, busy time, and the parked-page store — shared
     /// with the read executor pool while the serving loop runs.
@@ -370,15 +363,9 @@ impl Worker {
             continuous,
             route: None,
             seen: HashSet::new(),
-            ingested_total: 0,
             notifications_sent: 0,
             shared: Arc::new(ReadShared::default()),
         }
-    }
-
-    /// This worker's node id.
-    pub fn id(&self) -> NodeId {
-        self.endpoint.id()
     }
 
     /// Spawns the serving loop on a new thread.
@@ -549,7 +536,6 @@ impl Worker {
             }
             _ => (batch, Vec::new()),
         };
-        self.ingested_total += owned.len() as u64;
         // Matched before the id filter: the matches are a function of the
         // registrations and the owned rows alone, so a re-driven batch
         // yields them again and the sender delivers those of the one send
@@ -834,21 +820,14 @@ impl Worker {
                 .values()
                 .map(|log| log.rows().len() as u64)
                 .sum(),
-            ingested_total: self.ingested_total,
             notifications_sent: self.notifications_sent,
             continuous_queries: self.continuous.len() as u64,
-            interest_buckets: self.continuous.bucket_count() as u64,
             busy_micros: self.shared.busy_micros.load(Ordering::Relaxed),
             resident_bytes: index_stats.resident_bytes as u64,
             sealed_segments: index_stats.sealed_segments as u64,
             newest_ms: index_stats.newest.map(|t| t.as_millis()),
             served,
         }
-    }
-
-    /// Read access to the shard index (tests and embedded use).
-    pub fn index(&self) -> &StIndex {
-        &self.index
     }
 }
 
@@ -973,16 +952,27 @@ mod tests {
 
     #[test]
     fn knn_respects_max_distance() {
+        // Both row sources gate the distance: the shard's index and the
+        // replica log a failover read scans.
         let (_fabric, mut worker) = lone_worker();
         let near = obs(0, 0, 10.0, 0.0);
-        worker.handle_request(ingest_req(vec![near.clone(), obs(1, 0, 100.0, 0.0)]));
-        let resp = worker.handle_request(Request::Knn {
+        let rows = vec![near.clone(), obs(1, 0, 100.0, 0.0)];
+        worker.handle_request(ingest_req(rows.clone()));
+        worker.handle_request(replicate_req(NodeId(7), rows));
+        let knn = Request::Knn {
             at: Point::new(0.0, 0.0),
             window: window_all(),
             k: 5,
             max_distance: Some(50.0),
-        });
-        assert_eq!(resp, Response::Observations(vec![near]));
+        };
+        let replica_read = Request::ReplicaRead {
+            of: NodeId(7),
+            inner: Box::new(knn.clone()),
+        };
+        for read in [knn, replica_read] {
+            let resp = worker.handle_request(read);
+            assert_eq!(resp, Response::Observations(vec![near.clone()]));
+        }
     }
 
     #[test]

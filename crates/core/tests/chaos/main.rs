@@ -380,8 +380,14 @@ fn execute_plan(seed: u64, plan: &ChaosPlan) {
     // Tenants for overload bursts: the VIP is unmetered, the bulk tenant
     // merely well-known — the saturation gate, not its private budget, is
     // what sheds it.
-    cluster.register_tenant(VIP, TenantBudget::unlimited());
-    cluster.register_tenant(BULK, TenantBudget::unlimited());
+    cluster
+        .query_plane()
+        .admission()
+        .register(VIP, TenantBudget::unlimited());
+    cluster
+        .query_plane()
+        .admission()
+        .register(BULK, TenantBudget::unlimited());
     // Observations sent but not yet acknowledged (in `upper`, not in
     // `oracle`); retried at every later ingest step — worker-side id
     // dedup absorbs the repeats.
@@ -393,6 +399,7 @@ fn execute_plan(seed: u64, plan: &ChaosPlan) {
         class: None,
     };
     let standing = cluster
+        .coordinator()
         .register_continuous(everything)
         .unwrap_or_else(|e| panic!("seed {seed}: register standing query: {e}"));
     let mut acked: HashSet<ObservationId> = HashSet::new();
@@ -405,8 +412,10 @@ fn execute_plan(seed: u64, plan: &ChaosPlan) {
         // Under message loss a single lost probe must not fail a live
         // worker out of the ring, and a lost promotion must not orphan a
         // replica log: give both idempotent ops a real retry budget.
-        cluster.set_op_policy("probe", OpPolicy::new(StdDuration::from_millis(750)));
-        cluster.set_op_policy(
+        cluster
+            .coordinator()
+            .set_op_policy("probe", OpPolicy::new(StdDuration::from_millis(750)));
+        cluster.coordinator().set_op_policy(
             "promote",
             OpPolicy {
                 timeout: StdDuration::from_millis(250),
@@ -422,7 +431,7 @@ fn execute_plan(seed: u64, plan: &ChaosPlan) {
             ChaosEvent::Partition(group) => cluster.fabric().partition(&[group.as_slice()]),
             ChaosEvent::Heal => cluster.fabric().heal_partition(),
             ChaosEvent::Recover => {
-                cluster.check_and_recover();
+                cluster.coordinator().check_and_recover();
             }
             ChaosEvent::Queries => battery(&cluster, &oracle, &upper, seed, &tag),
             ChaosEvent::Loss { permille } => {
@@ -588,7 +597,7 @@ fn execute_plan(seed: u64, plan: &ChaosPlan) {
     // `replication` alive ring successors.
     let deadline = std::time::Instant::now() + StdDuration::from_secs(30);
     loop {
-        let report = cluster.repair();
+        let report = cluster.coordinator().repair();
         if report.converged {
             break;
         }
@@ -601,7 +610,7 @@ fn execute_plan(seed: u64, plan: &ChaosPlan) {
         );
     }
     assert_eq!(
-        cluster.under_replicated_cells(),
+        cluster.coordinator().under_replicated_cells(),
         0,
         "seed {seed}: under-replication gauge nonzero after repair converged"
     );
@@ -664,6 +673,7 @@ fn standing_queries_survive_coordinator_reconstruction() {
     let (cluster, _oracle, _upper) = launch_with_data();
     let hot = BBox::new(Point::new(0.0, 0.0), Point::new(400.0, 400.0));
     let standing = cluster
+        .coordinator()
         .register_continuous(Predicate {
             region: hot,
             class: None,
@@ -693,7 +703,7 @@ fn standing_queries_survive_coordinator_reconstruction() {
         report.recovered_registrations, 1,
         "the standing query must be re-learned from the census"
     );
-    let recovered = cluster.registrations();
+    let recovered = cluster.coordinator().registrations();
     assert_eq!(
         recovered.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
         vec![standing],
@@ -737,9 +747,11 @@ fn reconstruction_survives_degraded_coordinator_links() {
     let (cluster, oracle, _upper) = launch_with_data();
     // The same retry budgets the lossy schedules run under: a dropped
     // probe or promotion must cost a retry, not the reconstruction.
-    cluster.set_op_policy("probe", OpPolicy::new(StdDuration::from_millis(750)));
+    cluster
+        .coordinator()
+        .set_op_policy("probe", OpPolicy::new(StdDuration::from_millis(750)));
     for op in ["census", "promote"] {
-        cluster.set_op_policy(
+        cluster.coordinator().set_op_policy(
             op,
             OpPolicy {
                 timeout: StdDuration::from_millis(250),
@@ -787,7 +799,7 @@ fn worker_restart_after_coordinator_loss_still_rejoins() {
     let (cluster, oracle, _upper) = launch_with_data();
     let victim = NodeId(4);
     cluster.fabric().crash(victim);
-    let failed = cluster.check_and_recover();
+    let failed = cluster.coordinator().check_and_recover();
     assert!(failed.contains(&victim), "kill undetected: {failed:?}");
 
     cluster.crash_coordinator();
@@ -805,7 +817,7 @@ fn worker_restart_after_coordinator_loss_still_rejoins() {
     cluster.fabric().restart(victim);
     let deadline = std::time::Instant::now() + StdDuration::from_secs(30);
     while cluster.partition().cells_of(victim).is_empty() {
-        cluster.check_and_recover();
+        cluster.coordinator().check_and_recover();
         assert!(
             std::time::Instant::now() < deadline,
             "worker never rejoined the reconstructed coordinator's ring"
@@ -814,7 +826,7 @@ fn worker_restart_after_coordinator_loss_still_rejoins() {
     }
     // Nothing was lost across the double fault, and replication holds.
     let deadline = std::time::Instant::now() + StdDuration::from_secs(30);
-    while !cluster.repair().converged {
+    while !cluster.coordinator().repair().converged {
         assert!(
             std::time::Instant::now() < deadline,
             "repair never converged after rejoin"
@@ -841,6 +853,7 @@ fn continuous_registrations_survive_churn_across_rejoin() {
     let (cluster, _oracle, _upper) = launch_with_data();
     let hot = BBox::new(Point::new(0.0, 0.0), Point::new(400.0, 400.0));
     let keep = cluster
+        .coordinator()
         .register_continuous(Predicate {
             region: hot,
             class: None,
@@ -849,6 +862,7 @@ fn continuous_registrations_survive_churn_across_rejoin() {
     // Churn: a second registration that is repeatedly dropped and
     // re-added around the fault window.
     let churn = cluster
+        .coordinator()
         .register_continuous(Predicate {
             region: hot,
             class: None,
@@ -857,10 +871,14 @@ fn continuous_registrations_survive_churn_across_rejoin() {
 
     let victim = NodeId(3);
     cluster.fabric().crash(victim);
-    let failed = cluster.check_and_recover();
+    let failed = cluster.coordinator().check_and_recover();
     assert!(failed.contains(&victim), "kill undetected: {failed:?}");
-    cluster.unregister_continuous(churn).expect("unregister");
+    cluster
+        .coordinator()
+        .unregister_continuous(churn)
+        .expect("unregister");
     let churn2 = cluster
+        .coordinator()
         .register_continuous(Predicate {
             region: hot,
             class: None,
@@ -869,7 +887,7 @@ fn continuous_registrations_survive_churn_across_rejoin() {
     cluster.fabric().restart(victim);
     let deadline = std::time::Instant::now() + StdDuration::from_secs(30);
     while cluster.partition().cells_of(victim).is_empty() {
-        cluster.check_and_recover();
+        cluster.coordinator().check_and_recover();
         assert!(
             std::time::Instant::now() < deadline,
             "restarted worker never rejoined"
@@ -1185,7 +1203,7 @@ fn restarted_worker_rejoins_under_loss() {
     let (cluster, oracle, _upper) = launch_with_data();
     let victim = NodeId(2);
     cluster.fabric().crash(victim);
-    let failed = cluster.check_and_recover();
+    let failed = cluster.coordinator().check_and_recover();
     assert!(
         failed.contains(&victim),
         "kill was not detected: {failed:?}"
@@ -1193,7 +1211,9 @@ fn restarted_worker_rejoins_under_loss() {
 
     // Lossy links from here on: the rejoin probe and the repair stream
     // must survive dropped messages, so give probes real retry room.
-    cluster.set_op_policy("probe", OpPolicy::new(StdDuration::from_millis(750)));
+    cluster
+        .coordinator()
+        .set_op_policy("probe", OpPolicy::new(StdDuration::from_millis(750)));
     cluster.fabric().set_drop_probability(0.05);
     cluster.fabric().restart(victim);
 
@@ -1201,16 +1221,16 @@ fn restarted_worker_rejoins_under_loss() {
     // probe looks exactly like a still-dead worker).
     let deadline = std::time::Instant::now() + StdDuration::from_secs(30);
     loop {
-        cluster.check_and_recover();
+        cluster.coordinator().check_and_recover();
         let owns_cells = !cluster.partition().cells_of(victim).is_empty();
-        if owns_cells && cluster.under_replicated_cells() == 0 {
+        if owns_cells && cluster.coordinator().under_replicated_cells() == 0 {
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
             "restarted worker never rejoined under loss \
              (owns_cells={owns_cells}, under_replicated={})",
-            cluster.under_replicated_cells()
+            cluster.coordinator().under_replicated_cells()
         );
         std::thread::sleep(StdDuration::from_millis(50));
     }
@@ -1219,7 +1239,7 @@ fn restarted_worker_rejoins_under_loss() {
     // lost to the 5% drop (a failed evict leaves a stale copy) retry now.
     cluster.fabric().set_drop_probability(0.0);
     let deadline = std::time::Instant::now() + StdDuration::from_secs(30);
-    while !cluster.repair().converged {
+    while !cluster.coordinator().repair().converged {
         assert!(
             std::time::Instant::now() < deadline,
             "repair never converged after links healed"

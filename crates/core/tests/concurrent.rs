@@ -106,7 +106,7 @@ fn concurrent_queries_match_oracle_under_ingest_and_recovery() {
         // a no-op that does not wedge or disturb any reader.
         scope.spawn(|| {
             std::thread::sleep(StdDuration::from_millis(5));
-            assert!(cluster.check_and_recover().is_empty());
+            assert!(cluster.coordinator().check_and_recover().is_empty());
         });
         for t in 0..QUERY_THREADS {
             let (cluster, oracle, issued) = (&cluster, &oracle, &issued);
@@ -282,14 +282,17 @@ fn plan_epoch_advances_only_on_recovery_with_failures() {
     let plane = cluster.query_plane();
     assert_eq!(plane.epoch(), 1);
     // Healthy recovery tick: no mutation, no publication.
-    assert!(cluster.check_and_recover().is_empty());
+    assert!(cluster.coordinator().check_and_recover().is_empty());
     assert_eq!(plane.epoch(), 1);
     // A real failure publishes a new plan; lock-free readers see the
     // shrunken alive set without touching the coordinator.
     cluster.ingest(stable_batch()).unwrap();
     cluster.flush().unwrap();
     cluster.fabric().crash(stcam_net::NodeId(2));
-    assert_eq!(cluster.check_and_recover(), vec![stcam_net::NodeId(2)]);
+    assert_eq!(
+        cluster.coordinator().check_and_recover(),
+        vec![stcam_net::NodeId(2)]
+    );
     assert_eq!(plane.epoch(), 2);
     assert!(!plane.plan().alive.contains(&stcam_net::NodeId(2)));
     // Replication keeps strict reads whole on the new plan.

@@ -165,7 +165,7 @@ proptest! {
         batch in prop::collection::vec(arb_observation(), 0..8),
         cells in prop::collection::vec((0u32..4096, 0u64..1_000_000), 0..32),
         served in prop::collection::vec(("[a-z_]{1,20}", 0u64..1_000), 0..6),
-        scalars in prop::collection::vec(0u64..1_000_000, 9),
+        scalars in prop::collection::vec(0u64..1_000_000, 7),
         newest in proptest::option::of(0u64..1_000_000),
         error in "[ -~]{0,64}",
         seq in any::<u64>(),
@@ -180,13 +180,11 @@ proptest! {
         let stats = WorkerStatsMsg {
             primary_observations: scalars[0],
             replica_observations: scalars[1],
-            ingested_total: scalars[2],
-            notifications_sent: scalars[3],
-            continuous_queries: scalars[4],
-            interest_buckets: scalars[8],
-            busy_micros: scalars[5],
-            resident_bytes: scalars[6],
-            sealed_segments: scalars[7],
+            notifications_sent: scalars[2],
+            continuous_queries: scalars[3],
+            busy_micros: scalars[4],
+            resident_bytes: scalars[5],
+            sealed_segments: scalars[6],
             newest_ms: newest,
             served,
         };

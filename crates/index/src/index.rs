@@ -136,20 +136,6 @@ impl StIndex {
         }
     }
 
-    /// Rebuilds an index from a previously exported snapshot (see
-    /// [`snapshot`](Self::snapshot)); used when a replica takes over a
-    /// failed worker's shard.
-    pub fn from_observations<I>(config: IndexConfig, observations: I) -> Self
-    where
-        I: IntoIterator<Item = Observation>,
-    {
-        let mut index = StIndex::new(config);
-        for obs in observations {
-            index.insert(obs);
-        }
-        index
-    }
-
     /// The configuration.
     pub fn config(&self) -> &IndexConfig {
         &self.config
@@ -427,9 +413,8 @@ impl StIndex {
     }
 
     /// Visits every stored observation (head first, then archive;
-    /// unspecified order within). The streaming counterpart of
-    /// [`snapshot`](Self::snapshot) — digest sweeps use this to avoid
-    /// materialising the shard.
+    /// unspecified order within) without materialising the shard, as
+    /// digest sweeps need.
     pub fn for_each(&self, mut f: impl FnMut(&Observation)) {
         for slice in self.head.values() {
             for obs in slice.iter() {
@@ -440,14 +425,6 @@ impl StIndex {
         for segment in self.sealed.iter() {
             segment.for_each_with(&mut scratch, &mut f);
         }
-    }
-
-    /// Clones out every stored observation. Used to export a shard
-    /// snapshot for replication.
-    pub fn snapshot(&self) -> Vec<Observation> {
-        let mut out = Vec::with_capacity(self.len);
-        self.for_each(|o| out.push(o.clone()));
-        out
     }
 
     /// Digests of every sealed segment, ascending — the archive half of
@@ -898,24 +875,6 @@ mod tests {
         assert_eq!(index.range(region, window(0, 10_001)).len(), 1);
         // Empty window matches nothing.
         assert!(index.range(region, window(10_000, 10_000)).is_empty());
-    }
-
-    #[test]
-    fn snapshot_round_trip() {
-        let workload = random_workload(500, 8);
-        let mut index = StIndex::new(config());
-        for o in &workload {
-            index.insert(o.clone());
-        }
-        let snapshot: Vec<Observation> = index.snapshot();
-        let rebuilt = StIndex::from_observations(config(), snapshot);
-        assert_eq!(rebuilt.len(), index.len());
-        let region = BBox::new(Point::new(200.0, 200.0), Point::new(800.0, 800.0));
-        let tw = window(0, 120_000);
-        assert_eq!(
-            ids(&rebuilt.range(region, tw)),
-            ids(&index.range(region, tw))
-        );
     }
 
     #[test]

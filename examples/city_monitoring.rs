@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Standing query: any truck inside the downtown core.
     let core = BBox::around(downtown, 600.0);
-    let truck_alert = cluster.register_continuous(Predicate {
+    let truck_alert = cluster.coordinator().register_continuous(Predicate {
         region: core,
         class: Some(EntityClass::Truck),
     })?;

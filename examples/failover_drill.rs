@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("\n--- drill round {}: killing {victim} ---", round + 1);
         cluster.fabric().crash(victim);
         let t0 = Instant::now();
-        let failed = cluster.check_and_recover();
+        let failed = cluster.coordinator().check_and_recover();
         let recovery = t0.elapsed();
         println!("  detected + recovered {failed:?} in {recovery:.2?}");
         audit(&cluster, sent_total, "post-recovery");

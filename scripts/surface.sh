@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Prints the surface numbers every CHANGES.md line counts: protocol
-# variants, DistributedOp impls, public methods of the two facades, the
+# variants, DistributedOp impls, public methods of the two facades and
+# the cluster facade's coordinator-lock sites, the
 # size of crates/core/src and of the five files the ratchet names,
 # the coordinator's cutover sites, the worker calls made outside the one
 # scatter loop, the message layouts still written by hand, the worker's
@@ -54,6 +55,12 @@ surface() {
     echo "distributed_op_impls $(count '^impl DistributedOp for')"
     echo "fn_idempotent $(count 'fn idempotent')"
     echo "cluster_pub_fns $(pub_fns Cluster "$src/cluster.rs")"
+    # Non-test lines of cluster.rs that take the coordinator mutex: the
+    # `coordinator()` door itself and the four methods that must lock
+    # (`stats`, `restart_coordinator`, the recovery monitor and the
+    # retention sweeper). More means a forwarder came back beside the door.
+    echo "cluster_coordinator_locks $(awk '/^#\[cfg\(test\)\]/ { exit } { print }' \
+        "$src/cluster.rs" | grep -c 'coordinator\.lock()' || true)"
     echo "coordinator_pub_fns $(pub_fns Coordinator "$src/coordinator.rs")"
     echo "core_src_lines $(cat "$src"/*.rs | wc -l)"
     for file in coordinator exec worker protocol ingest; do

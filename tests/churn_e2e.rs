@@ -87,6 +87,7 @@ fn cluster_serves_a_churning_stream_end_to_end() {
     .unwrap();
     let fence = BBox::around(Point::new(1000.0, 1000.0), 500.0);
     let query = cluster
+        .coordinator()
         .register_continuous(Predicate {
             region: fence,
             class: None,

@@ -160,7 +160,10 @@ fn eviction_ages_out_across_the_cluster() {
     let extent = BBox::new(Point::new(0.0, 0.0), Point::new(2000.0, 2000.0));
     let full = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(100));
     let before = cluster.range_query(extent, full).unwrap().len();
-    cluster.evict_before(Timestamp::from_secs(10)).unwrap();
+    cluster
+        .coordinator()
+        .evict_before(Timestamp::from_secs(10))
+        .unwrap();
     let after = cluster.range_query(extent, full).unwrap();
     assert!(after.len() < before);
     // Eviction is slice-granular (10 s slices): nothing older than the
@@ -229,6 +232,7 @@ fn notifications_do_not_interfere_with_queries() {
     let cluster = launch(4);
     let region = BBox::around(Point::new(1000.0, 1000.0), 600.0);
     cluster
+        .coordinator()
         .register_continuous(Predicate {
             region,
             class: None,

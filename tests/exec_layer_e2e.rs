@@ -120,7 +120,7 @@ fn executor_telemetry_counts_queries_and_latency_split() {
         cluster.range_query(extent(), window_all()).unwrap();
     }
     let stats = cluster.stats().unwrap();
-    let range = stats.op("range");
+    let range = op(&cluster, "range");
     assert_eq!(range.invocations, 3);
     // 3 invocations × 4 workers, and any probe a busy host's timeout sent
     // ahead of a late answer.
@@ -163,7 +163,7 @@ fn lossy_link_read_succeeds_via_retry_where_single_shot_fails() {
 
     // Short per-attempt timeout so lost messages are detected fast; more
     // attempts than the default to make exhaustion astronomically rare.
-    cluster.set_op_policy(
+    cluster.coordinator().set_op_policy(
         "range",
         OpPolicy {
             timeout: StdDuration::from_millis(200),
@@ -218,7 +218,7 @@ fn per_op_policy_is_isolated_from_other_ops() {
     )
     .unwrap();
     // A tiny timeout on an op we never call must not affect others.
-    cluster.set_op_policy(
+    cluster.coordinator().set_op_policy(
         "knn_broadcast",
         OpPolicy::no_retry(StdDuration::from_nanos(1)),
     );
@@ -271,13 +271,13 @@ fn control_message_to_a_crashed_worker_never_fails_over() {
     assert_eq!(flush.sub_queries, 4 + flush.retries);
     // Recovery is control traffic too (probe, promote, route install,
     // digests, repair streams): no survivor ever served a replica read.
-    assert_eq!(cluster.check_and_recover(), vec![NodeId(2)]);
+    assert_eq!(cluster.coordinator().check_and_recover(), vec![NodeId(2)]);
     let stats = cluster.stats().unwrap();
     assert_eq!(stats.workers.len(), 3);
     for (worker, served) in &stats.workers {
         assert_eq!(served.served_count("replica_read"), 0, "at {worker:?}");
     }
-    assert!(stats.ops.iter().all(|(_, s)| s.failovers == 0));
+    assert!(cluster.op_stats().iter().all(|(_, s)| s.failovers == 0));
     cluster.shutdown();
 }
 

@@ -51,7 +51,7 @@ fn replication_factor_one_survives_single_failure() {
     cluster.ingest(spread_batch(600)).unwrap();
     cluster.flush().unwrap();
     cluster.fabric().crash(NodeId(4));
-    assert_eq!(cluster.check_and_recover(), vec![NodeId(4)]);
+    assert_eq!(cluster.coordinator().check_and_recover(), vec![NodeId(4)]);
     let after = cluster.range_query(extent(), window_all()).unwrap();
     assert_eq!(after.len(), 600, "data lost despite replication factor 1");
     cluster.shutdown();
@@ -65,7 +65,7 @@ fn replication_factor_two_survives_two_failures() {
     // Kill two adjacent ring members (the worst case for r = 2).
     cluster.fabric().crash(NodeId(2));
     cluster.fabric().crash(NodeId(3));
-    let mut failed = cluster.check_and_recover();
+    let mut failed = cluster.coordinator().check_and_recover();
     failed.sort();
     assert_eq!(failed, vec![NodeId(2), NodeId(3)]);
     let after = cluster.range_query(extent(), window_all()).unwrap();
@@ -88,7 +88,7 @@ fn no_replication_loses_exactly_the_dead_shard() {
         .unwrap();
     assert!(shard > 0, "victim shard empty, test is vacuous");
     cluster.fabric().crash(NodeId(2));
-    cluster.check_and_recover();
+    cluster.coordinator().check_and_recover();
     let after = cluster.range_query(extent(), window_all()).unwrap().len() as u64;
     assert_eq!(after, 500 - shard);
     cluster.shutdown();
@@ -100,7 +100,7 @@ fn ingest_continues_after_failover() {
     cluster.ingest(spread_batch(200)).unwrap();
     cluster.flush().unwrap();
     cluster.fabric().crash(NodeId(1));
-    cluster.check_and_recover();
+    cluster.coordinator().check_and_recover();
     // New data lands on the surviving workers, including cells formerly
     // owned by the dead one.
     let fresh: Vec<Observation> = (1000..1200u64)
@@ -128,7 +128,7 @@ fn repeated_failures_degrade_gracefully() {
     let mut alive = 6;
     for victim in [2u32, 5, 1] {
         cluster.fabric().crash(NodeId(victim));
-        cluster.check_and_recover();
+        cluster.coordinator().check_and_recover();
         alive -= 1;
         let count = cluster.range_query(extent(), window_all()).unwrap().len();
         assert!(count > 0, "cluster empty after {} failures", 6 - alive);
@@ -144,6 +144,7 @@ fn continuous_queries_survive_failover() {
     let cluster = Cluster::launch(config(4, 1)).unwrap();
     let region = extent(); // matches everywhere, so every worker is involved
     let id = cluster
+        .coordinator()
         .register_continuous(Predicate {
             region,
             class: None,
@@ -155,7 +156,7 @@ fn continuous_queries_survive_failover() {
     assert!(first.iter().any(|n| n.query == id));
 
     cluster.fabric().crash(NodeId(3));
-    cluster.check_and_recover();
+    cluster.coordinator().check_and_recover();
     // Matches must still arrive for data landing in the failed worker's
     // former cells (now owned by its successor).
     let partition = cluster.partition();
@@ -193,7 +194,7 @@ fn query_against_fully_dead_cluster_errors() {
     cluster.flush().unwrap();
     cluster.fabric().crash(NodeId(1));
     cluster.fabric().crash(NodeId(2));
-    cluster.check_and_recover();
+    cluster.coordinator().check_and_recover();
     // All owners dead: routing has no quorum.
     let err = cluster.ingest(spread_batch(1)).unwrap_err();
     assert!(matches!(err, stcam::StcamError::NoQuorum));
@@ -247,7 +248,7 @@ fn network_partition_isolates_and_heals() {
     assert!(err.is_err(), "query succeeded across a partition");
     // Recovery treats unreachable workers as failed and promotes replicas
     // on the reachable side.
-    let mut failed = cluster.check_and_recover();
+    let mut failed = cluster.coordinator().check_and_recover();
     failed.sort();
     assert_eq!(failed, vec![NodeId(3), NodeId(4)]);
     let after = cluster.range_query(extent(), window_all()).unwrap();
@@ -317,7 +318,7 @@ fn crash_window_strict_fails_and_best_effort_degrades_truthfully() {
 
     // After recovery the victim is failed out of the ring and strict
     // queries answer again (minus the unreplicated shard's data).
-    cluster.check_and_recover();
+    cluster.coordinator().check_and_recover();
     let after = cluster.range_query(extent(), window_all()).unwrap();
     assert_eq!(after.len() as u64, 600 - dead_share);
     cluster.shutdown();
@@ -430,15 +431,18 @@ fn retention_sweep_keeps_replicas_in_step() {
         .collect();
     cluster.ingest(batch.clone()).unwrap();
     cluster.flush().unwrap();
-    assert_eq!(cluster.under_replicated_cells(), 0);
+    assert_eq!(cluster.coordinator().under_replicated_cells(), 0);
     // Default slices are 10 s: 15 s straddles the 10–20 s slice.
-    cluster.evict_before(Timestamp::from_secs(15)).unwrap();
+    cluster
+        .coordinator()
+        .evict_before(Timestamp::from_secs(15))
+        .unwrap();
     assert_eq!(
-        cluster.under_replicated_cells(),
+        cluster.coordinator().under_replicated_cells(),
         0,
         "eviction left primary and replica copies disagreeing"
     );
-    let report = cluster.repair();
+    let report = cluster.coordinator().repair();
     assert!(
         report.converged && report.observations_streamed == 0,
         "nothing to repair after a sweep, got {report:?}"

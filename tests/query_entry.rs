@@ -189,7 +189,10 @@ fn matrix() -> Vec<QueryOpts> {
 fn every_kind_mode_and_ctx_equals_the_oracle() {
     let (cluster, oracle) = loaded(1, StdDuration::from_secs(5));
     assert_eq!(GridSpec::covering(extent(), BUCKET_M).cols(), BUCKET_COLS);
-    cluster.register_tenant(TENANT, TenantBudget::unlimited());
+    cluster
+        .query_plane()
+        .admission()
+        .register(TENANT, TenantBudget::unlimited());
     let table = kinds(&oracle, Point::new(800.0, 800.0));
     let mut admitted = 0;
     for opts in matrix() {
@@ -203,7 +206,10 @@ fn every_kind_mode_and_ctx_equals_the_oracle() {
         }
         // `ctx: None` never reaches the admission gate; `Some` passes it
         // once per query, however many phases the query scatters.
-        assert_eq!(cluster.tenant_usage(TENANT).admitted, admitted);
+        assert_eq!(
+            cluster.query_plane().admission().usage(TENANT).admitted,
+            admitted
+        );
     }
     assert_eq!(admitted, 2 * table.len() as u64);
 
@@ -320,7 +326,7 @@ fn an_expired_deadline_is_rejected_for_every_kind() {
             }
         }
     }
-    let usage = cluster.tenant_usage(TENANT);
+    let usage = cluster.query_plane().admission().usage(TENANT);
     assert_eq!(
         (usage.admitted, usage.rejected),
         (0, 2 * table.len() as u64)
@@ -352,7 +358,7 @@ fn one_ticket_meters_sheds_and_rejects_a_composite_query() {
     let full = cluster.query(knn, &strict(probe)).unwrap();
     let one = knn_bytes(&cluster);
     assert_eq!(
-        cluster.tenant_usage(TenantId(1)),
+        cluster.query_plane().admission().usage(TenantId(1)),
         TenantUsage {
             admitted: 1,
             bytes_charged: one,
@@ -363,7 +369,7 @@ fn one_ticket_meters_sheds_and_rejects_a_composite_query() {
     // A bulk tenant whose first query overdraws its byte budget by less
     // than one burst: the next strict query is admitted shed —
     // downgraded, truthfully stamped — and the one after is rejected.
-    cluster.register_tenant(
+    cluster.query_plane().admission().register(
         TENANT,
         TenantBudget::unlimited().with_bytes_per_sec(one as f64 / 1.9),
     );
@@ -378,7 +384,7 @@ fn one_ticket_meters_sheds_and_rejects_a_composite_query() {
         Err(StcamError::AdmissionRejected { retry_after_ms, .. }) => assert!(retry_after_ms > 0),
         other => panic!("deep byte debt admitted: {other:?}"),
     }
-    let usage = cluster.tenant_usage(TENANT);
+    let usage = cluster.query_plane().admission().usage(TENANT);
     assert_eq!((usage.admitted, usage.shed, usage.rejected), (2, 1, 1));
     assert_eq!(usage.bytes_charged, knn_bytes(&cluster) - one);
     cluster.shutdown();
@@ -422,7 +428,7 @@ fn a_paged_range_under_loss_equals_the_oracle_row_for_row() {
     let pulls = pulls_served(&cluster);
     assert!(pulls >= 2 * 7, "{pulls} pulls: the answers did not page");
     // Six sends an exchange: at 5 % a frame, none runs out of them.
-    cluster.set_op_policy(
+    cluster.coordinator().set_op_policy(
         "range",
         OpPolicy {
             timeout: StdDuration::from_millis(500),

@@ -68,7 +68,7 @@ fn rebalance_preserves_every_observation_and_improves_balance() {
     assert_eq!(before_ids.len(), 3_000);
     let imbalance_before = cluster.stats().unwrap().imbalance();
 
-    let report = cluster.rebalance().unwrap();
+    let report = cluster.coordinator().rebalance().unwrap();
     assert!(report.cells_moved > 0, "hotspot workload should move cells");
     assert!(report.imbalance_after < report.imbalance_before);
 
@@ -112,7 +112,7 @@ fn queries_are_exact_for_all_query_types_after_rebalance() {
     let buckets = stcam_geo::GridSpec::covering(extent(), 200.0);
     let heat_before = cluster.heatmap(&buckets, window).unwrap();
 
-    cluster.rebalance().unwrap();
+    cluster.coordinator().rebalance().unwrap();
 
     let range_after: Vec<_> = cluster
         .range_query(region, window)
@@ -138,7 +138,7 @@ fn ingest_routes_correctly_after_rebalance() {
     let cluster = Cluster::launch(config(4)).unwrap();
     cluster.ingest(hotspot_batch(1_000)).unwrap();
     cluster.flush().unwrap();
-    cluster.rebalance().unwrap();
+    cluster.coordinator().rebalance().unwrap();
     // Fresh traffic lands and is queryable under the new map.
     let fresh: Vec<Observation> = (10_000..10_500u64)
         .map(|i| {
@@ -193,7 +193,7 @@ fn repeated_rebalances_with_shifting_hotspots_lose_nothing() {
             .ingest(corner_batch(start, per_epoch, cx, cy))
             .unwrap();
         cluster.flush().unwrap();
-        cluster.rebalance().unwrap();
+        cluster.coordinator().rebalance().unwrap();
         let held = cluster.range_query(extent(), window_all()).unwrap().len();
         assert_eq!(
             held,
@@ -269,7 +269,7 @@ fn repair_collects_stray_primary_copies_at_replication_zero() {
     assert_eq!(installed.unwrap().value, 1);
     assert_eq!(held().len(), before.len() + strays, "no stray was planted");
 
-    assert!(cluster.repair().converged);
+    assert!(cluster.coordinator().repair().converged);
     // Exactly the original rows again: every id once.
     assert!(held() == before, "a stray survived the repair");
     cluster.shutdown();
@@ -288,7 +288,7 @@ fn replicated_rebalance_preserves_data_and_coverage() {
 
     // The move runs copy-then-cutover and keeps the replica chains
     // covered.
-    let report = cluster.rebalance().unwrap();
+    let report = cluster.coordinator().rebalance().unwrap();
     assert!(report.cells_moved > 0, "hotspot workload should move cells");
     assert_eq!(
         cluster.range_query(extent(), window_all()).unwrap().len(),
@@ -296,7 +296,7 @@ fn replicated_rebalance_preserves_data_and_coverage() {
         "rebalance under replication lost or duplicated data"
     );
     assert_eq!(
-        cluster.under_replicated_cells(),
+        cluster.coordinator().under_replicated_cells(),
         0,
         "moved cells left without their replica copies"
     );
@@ -340,7 +340,7 @@ fn lossy_rebalance_beside_a_writer_keeps_every_acked_observation() {
         // least one more batch after it ends.
         written.recv().unwrap();
         cluster.set_drop_probability(0.05);
-        while cluster.rebalance().is_err() {
+        while cluster.coordinator().rebalance().is_err() {
             assert!(Instant::now() < deadline, "rebalance never got through");
         }
         let during = written.try_iter().count();
@@ -353,15 +353,17 @@ fn lossy_rebalance_beside_a_writer_keeps_every_acked_observation() {
     // The 100 ms budget was for the lossy phase; the audit below reads
     // every row of the cluster in one query and gets a real one.
     for op in ["range", "cell_digest"] {
-        cluster.set_op_policy(op, OpPolicy::new(Duration::from_secs(10)));
+        cluster
+            .coordinator()
+            .set_op_policy(op, OpPolicy::new(Duration::from_secs(10)));
     }
     while ingestor.flush().is_err() || cluster.flush().is_err() {
         assert!(Instant::now() < deadline, "parked writes never drained");
     }
-    while !cluster.repair().converged {
+    while !cluster.coordinator().repair().converged {
         assert!(Instant::now() < deadline, "repair never converged");
     }
-    assert_eq!(cluster.under_replicated_cells(), 0);
+    assert_eq!(cluster.coordinator().under_replicated_cells(), 0);
     let mut held: Vec<u64> = cluster
         .range_query(extent(), window_all())
         .unwrap()
@@ -386,6 +388,7 @@ fn continuous_queries_keep_matching_after_rebalance() {
     let cluster = Cluster::launch(config(4)).unwrap();
     let fence = BBox::around(Point::new(200.0, 200.0), 300.0);
     let id = cluster
+        .coordinator()
         .register_continuous(Predicate {
             region: fence,
             class: None,
@@ -413,7 +416,7 @@ fn continuous_queries_keep_matching_after_rebalance() {
         // The writer is under way before the move starts, and lands at
         // least one more batch after it ends.
         written.recv().unwrap();
-        cluster.rebalance().unwrap();
+        cluster.coordinator().rebalance().unwrap();
         assert!(written.try_iter().count() > 0, "no write beside the move");
         written.recv().unwrap();
         stop.store(true, Ordering::SeqCst);
@@ -462,7 +465,7 @@ fn load_aware_launch_equals_uniform_launch_plus_rebalance() {
     let a = Cluster::launch(config(8)).unwrap();
     a.ingest(batch.clone()).unwrap();
     a.flush().unwrap();
-    a.rebalance().unwrap();
+    a.coordinator().rebalance().unwrap();
     let balance_a = a.stats().unwrap().imbalance();
     a.shutdown();
     // Path B: load-aware launch with a profile measured from the batch.

@@ -45,7 +45,10 @@ fn launch() -> (Cluster, ContinuousQueryId) {
         region: extent(),
         class: None,
     };
-    let query = cluster.register_continuous(everything).unwrap();
+    let query = cluster
+        .coordinator()
+        .register_continuous(everything)
+        .unwrap();
     (cluster, query)
 }
 

@@ -162,7 +162,7 @@ fn ingestor_flush_retries_under_the_flush_policy() {
     // created before.
     let cluster = launch(4, 150);
     let ingestor = cluster.create_ingestor();
-    cluster.set_op_policy(
+    cluster.coordinator().set_op_policy(
         "flush",
         OpPolicy {
             timeout: StdDuration::from_millis(50),
@@ -219,7 +219,7 @@ fn dead_owner_is_hinted_and_parked_until_recovery() {
     assert_eq!(hinted.completeness.replicas_used.len(), 1);
     assert_eq!(hinted.completeness.replicas_used[0].0, victim);
     // Once the owner is failed out, the barrier re-delivers and acks.
-    assert_eq!(cluster.check_and_recover(), vec![victim]);
+    assert_eq!(cluster.coordinator().check_and_recover(), vec![victim]);
     ingestor.flush().unwrap();
     assert_eq!(ingestor.pending(), 0);
     assert_each_once(&cluster, 20);
@@ -242,7 +242,7 @@ fn flush_without_quorum_fails_and_keeps_the_window_parked() {
     assert_eq!(ingestor.pending(), 20);
     // Recovery empties the alive set; the barrier must now fail — every
     // time — without dropping what it could not deliver.
-    assert_eq!(cluster.check_and_recover(), vec![NodeId(1)]);
+    assert_eq!(cluster.coordinator().check_and_recover(), vec![NodeId(1)]);
     for _ in 0..2 {
         assert!(matches!(ingestor.flush(), Err(StcamError::NoQuorum)));
         assert_eq!(ingestor.pending(), 20);
@@ -260,7 +260,7 @@ fn recovery_ticks_never_stall_cluster_ingest() {
     .unwrap();
     let victim = NodeId(3);
     cluster.fabric().crash(victim);
-    assert_eq!(cluster.check_and_recover(), vec![victim]);
+    assert_eq!(cluster.coordinator().check_and_recover(), vec![victim]);
     // Every tick re-probes the dead worker for a restart, holding the
     // coordinator lock through a 250 ms single-attempt probe.
     cluster.enable_auto_recovery(StdDuration::from_millis(20));
@@ -316,7 +316,7 @@ fn cluster_ingest_acks_while_a_rebalance_runs() {
             (during, next)
         });
         started.store(true, Ordering::SeqCst);
-        let report = cluster.rebalance();
+        let report = cluster.coordinator().rebalance();
         done.store(true, Ordering::SeqCst);
         let report = report.expect("rebalance beside a writer");
         assert!(report.cells_moved > 0, "the skewed archive moved no cell");
