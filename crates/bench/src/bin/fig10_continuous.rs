@@ -57,13 +57,15 @@ fn main() {
             let center = Point::new(rng.gen_range(0.0..EXTENT_M), rng.gen_range(0.0..EXTENT_M));
             cluster
                 .coordinator()
-                .register_continuous(Predicate {
-                    region: BBox::around(center, FENCE_RADIUS),
-                    class: None,
-                })
+                .register_continuous(Predicate::new(BBox::around(center, FENCE_RADIUS)))
                 .expect("register");
         }
-        let in_fence = |(_, f): &(_, Predicate)| stream.iter().filter(|o| f.matches(o)).count();
+        let in_fence = |(_, f): &(_, Predicate)| {
+            stream
+                .iter()
+                .filter(|o| f.matches(o.position, o.class))
+                .count()
+        };
         let fences = cluster.coordinator().registrations();
         let expected: usize = fences.iter().map(in_fence).sum();
         // Busy time is summed over workers, per observation.

@@ -115,10 +115,10 @@ fn run(workers: usize, kill_mid_outage: bool, archive: usize, rounds: usize) -> 
     ingest_chunked(&cluster, stream, 1_000);
     cluster
         .coordinator()
-        .register_continuous(Predicate {
-            region: BBox::around(Point::new(EXTENT_M / 2.0, EXTENT_M / 2.0), 500.0),
-            class: None,
-        })
+        .register_continuous(Predicate::new(BBox::around(
+            Point::new(EXTENT_M / 2.0, EXTENT_M / 2.0),
+            500.0,
+        )))
         .expect("register standing query");
 
     // Short read policies so a dead-primary sub-query (the worker-kill

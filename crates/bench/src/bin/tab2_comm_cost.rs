@@ -159,10 +159,7 @@ fn main() {
                 for &p in &points {
                     cluster
                         .coordinator()
-                        .register_continuous(Predicate {
-                            region: BBox::around(p, 250.0),
-                            class: None,
-                        })
+                        .register_continuous(Predicate::new(BBox::around(p, 250.0)))
                         .expect("register");
                 }
             },

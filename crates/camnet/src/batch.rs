@@ -189,7 +189,7 @@ pub fn encode_batch<B: BufMut>(batch: &[Observation], buf: &mut B) {
 /// # Errors
 ///
 /// Returns a [`DecodeError`] on truncated input, a hostile length prefix,
-/// malformed run-length structure, or an invalid class code.
+/// or malformed run-length structure.
 pub fn decode_batch<B: Buf>(buf: &mut B) -> Result<Vec<Observation>, DecodeError> {
     let mut out = Vec::new();
     decode_batch_into(buf, &mut out)?;
@@ -205,37 +205,36 @@ pub fn decode_batch_into<B: Buf>(
     buf: &mut B,
     out: &mut Vec<Observation>,
 ) -> Result<(), DecodeError> {
-    decode_batch_filtered(buf, |_, _| true, out).map(drop)
+    decode_batch_filtered(buf, |_, _, _, _| true, out).map(drop)
 }
 
 /// Like [`decode_batch_into`], but keeps only rows for which
-/// `keep(time, position)` returns `true`; `keep` is called exactly once
-/// per row, in row order. The wide columns — signatures (`16 × f32` per
-/// row) and truth — are decoded **only for kept rows**; a dropped row
-/// costs a few varint steps. Sealed-segment readers use this to answer
-/// partially-covered blocks without paying full decode for rows outside
-/// the query region or window. Consumes exactly one frame; returns its
-/// total row count.
+/// `keep(id, time, position, class)` returns `true`; `keep` is called
+/// exactly once per row, in row order. The wide columns — signatures
+/// (`16 × f32` per row) and truth — are decoded **only for kept rows**; a
+/// dropped row costs a few varint steps. Sealed-segment readers use this
+/// to answer partially-covered blocks without paying full decode for rows
+/// outside the query region, window or class, or above a range's id cut.
+/// Consumes exactly one frame; returns its total row count.
 ///
 /// The frame is read in two passes over `buf.chunk()` (the whole of a
 /// buffer of the vendored `bytes`, which is contiguous): the first finds
 /// every column and checks its structure and length, then one cursor per
 /// column decodes the rows side by side, each kept row written into `out`
-/// once. No column is buffered on its own, and `out` grows by at most one
-/// row per byte of the ids column.
+/// once. No column is buffered on its own, and `out` grows only when a
+/// row is kept, by at most the rows left in the frame.
 ///
 /// # Errors
 ///
 /// As [`decode_batch`]; on error `out` keeps its length.
 pub fn decode_batch_filtered<B: Buf>(
     buf: &mut B,
-    keep: impl FnMut(Timestamp, Point) -> bool,
+    keep: impl FnMut(ObservationId, Timestamp, Point, EntityClass) -> bool,
     out: &mut Vec<Observation>,
 ) -> Result<usize, DecodeError> {
     let bytes = buf.chunk();
     let mut columns = Columns::locate(bytes)?;
     let base = out.len();
-    out.reserve(columns.n);
     decode_rows(&mut columns, keep, out).inspect_err(|_| out.truncate(base))?;
     let (n, used) = (columns.n, columns.end(bytes));
     buf.advance(used);
@@ -245,7 +244,7 @@ pub fn decode_batch_filtered<B: Buf>(
 /// Decodes the rows of `columns` that pass `keep` onto `out`.
 fn decode_rows(
     columns: &mut Columns<'_>,
-    mut keep: impl FnMut(Timestamp, Point) -> bool,
+    mut keep: impl FnMut(ObservationId, Timestamp, Point, EntityClass) -> bool,
     out: &mut Vec<Observation>,
 ) -> Result<(), DecodeError> {
     let (mut id, mut ms, mut run, mut camera) = (0u64, 0u64, 0, CameraId(0));
@@ -258,7 +257,11 @@ fn decode_rows(
         ms = ms.wrapping_add(next_delta(&mut columns.times, i)?);
         let time = Timestamp::from_millis(ms);
         let position = read_position(&mut columns.positions, columns.fixed)?;
-        let kept = keep(time, position);
+        let row_id = ObservationId(id);
+        // Two bits name one of the four classes.
+        let code = (columns.classes[i / 4] >> (2 * (i % 4))) & 0b11;
+        let class = EntityClass::ALL[usize::from(code)];
+        let kept = keep(row_id, time, position, class);
         let signature = match &mut columns.signatures {
             Some(column) => {
                 let (raw, rest) = column.split_first_chunk::<SIGNATURE_BYTES>().ok_or(
@@ -279,19 +282,17 @@ fn decode_rows(
         if !kept {
             continue;
         }
-        let id = ObservationId(id);
-        let code = (columns.classes[i / 4] >> (2 * (i % 4))) & 0b11;
+        if out.len() == out.capacity() {
+            out.reserve(columns.n - i);
+        }
         out.push(Observation {
-            id,
+            id: row_id,
             camera,
             time,
             position,
-            class: EntityClass::from_u8(code).ok_or(DecodeError::InvalidDiscriminant {
-                type_name: "EntityClass",
-                value: code as u64,
-            })?,
+            class,
             signature: signature.unwrap_or(Signature::new([0.0; SIGNATURE_DIM])),
-            truth: truth.map(|delta| EntityId(id.seq().wrapping_add(delta as u64))),
+            truth: truth.map(|delta| EntityId(row_id.seq().wrapping_add(delta as u64))),
         });
     }
     Ok(())
@@ -686,7 +687,7 @@ mod tests {
         let bytes = encode_to_vec(&ObservationBatch(projected.clone()));
         let mut kept = Vec::new();
         let mut slice = &bytes[..];
-        decode_batch_filtered(&mut slice, |t, _| t.as_millis() < 800, &mut kept).unwrap();
+        decode_batch_filtered(&mut slice, |_, t, _, _| t.as_millis() < 800, &mut kept).unwrap();
         assert_eq!(kept.len(), 20);
         assert!(kept
             .iter()

@@ -57,7 +57,7 @@ impl Wire for Observation {
         self.camera.encode(buf);
         self.time.encode(buf);
         self.position.encode(buf);
-        self.class.as_u8().encode(buf);
+        self.class.encode(buf);
         self.signature.encode(buf);
         self.truth.map(|e| e.0).encode(buf);
     }
@@ -66,11 +66,7 @@ impl Wire for Observation {
         let camera = CameraId::decode(buf)?;
         let time = Timestamp::decode(buf)?;
         let position = Point::decode(buf)?;
-        let class_byte = u8::decode(buf)?;
-        let class = EntityClass::from_u8(class_byte).ok_or(DecodeError::InvalidDiscriminant {
-            type_name: "EntityClass",
-            value: class_byte as u64,
-        })?;
+        let class = EntityClass::decode(buf)?;
         let signature = Signature::decode(buf)?;
         let truth = Option::<u64>::decode(buf)?.map(EntityId);
         Ok(Observation {
@@ -88,7 +84,7 @@ impl Wire for Observation {
             + self.camera.size_hint()
             + self.time.size_hint()
             + self.position.size_hint()
-            + 1
+            + self.class.size_hint()
             + self.signature.size_hint()
             + self.truth.map(|e| e.0).size_hint()
     }

@@ -89,7 +89,7 @@ fn a_block_decodes_into_spare_capacity_without_allocating() {
 
         out.clear();
         let filtered = allocations(|| {
-            decode_batch_filtered(&mut &bytes[..], |_, p| p.x > x, &mut out).expect("decode");
+            decode_batch_filtered(&mut &bytes[..], |_, _, p, _| p.x > x, &mut out).expect("decode");
         });
         assert_eq!(filtered, 0);
         assert_eq!(out, rows[1..]);

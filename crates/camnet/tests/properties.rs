@@ -78,7 +78,7 @@ fn decoders_survive(bytes: &[u8]) -> Result<(), TestCaseError> {
     let mut calls = 0;
     let filtered = decode_batch_filtered(
         &mut &bytes[..],
-        |t, _| {
+        |_, t, _, _| {
             calls += 1;
             t.as_millis() % 2 == 0
         },
@@ -244,19 +244,22 @@ proptest! {
     ) {
         let rows = batch(seed, size, fixed, signatures, truth);
         let bytes = encoded(&rows);
-        // Drops about a quarter per step of `cut`, by time and by place.
-        let keep = |t: Timestamp, p: Point| (t.as_millis() ^ p.x.to_bits()) % 4 >= cut;
+        // Drops about a quarter per step of `cut`, by id, time, place and
+        // class: `keep` sees each row's own key columns.
+        let keep = |id: ObservationId, t: Timestamp, p: Point, c: EntityClass| {
+            (id.0 ^ t.as_millis() ^ p.x.to_bits() ^ u64::from(c.as_u8())) % 4 >= cut
+        };
         let mut expected = vec![batch(seed ^ 1, 0, true, true, 1)[0].clone()];
         let mut out = expected.clone();
         decode_batch_into(&mut &bytes[..], &mut expected).expect("decode");
         let mut rank = 0;
         expected.retain(|o| {
             rank += 1;
-            rank == 1 || keep(o.time, o.position)
+            rank == 1 || keep(o.id, o.time, o.position, o.class)
         });
         let mut calls = 0;
         let mut slice = &bytes[..];
-        let n = decode_batch_filtered(&mut slice, |t, p| { calls += 1; keep(t, p) }, &mut out)
+        let n = decode_batch_filtered(&mut slice, |id, t, p, c| { calls += 1; keep(id, t, p, c) }, &mut out)
             .expect("decode");
         prop_assert_eq!(n, rows.len());
         prop_assert_eq!(calls, rows.len());

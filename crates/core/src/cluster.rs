@@ -639,8 +639,8 @@ impl Drop for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::continuous::Predicate;
     use stcam_camnet::{CameraId, ObservationId, Signature};
+    use stcam_index::Predicate;
     use stcam_world::{EntityClass, EntityId};
 
     fn extent() -> BBox {
@@ -735,10 +735,7 @@ mod tests {
         let region = BBox::new(Point::new(0.0, 0.0), Point::new(400.0, 400.0));
         let id = cluster
             .coordinator()
-            .register_continuous(Predicate {
-                region,
-                class: None,
-            })
+            .register_continuous(Predicate::new(region))
             .unwrap();
         cluster
             .ingest(vec![obs(0, 0, 100.0, 100.0), obs(1, 0, 1000.0, 1000.0)])
@@ -907,10 +904,7 @@ mod tests {
         let cluster = Cluster::launch(test_config(4)).unwrap();
         // A standing query that matches nothing: the poll waits it out.
         let nowhere = BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-        let predicate = Predicate {
-            region: nowhere,
-            class: None,
-        };
+        let predicate = Predicate::new(nowhere);
         cluster
             .coordinator()
             .register_continuous(predicate)

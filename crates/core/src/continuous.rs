@@ -1,10 +1,12 @@
 //! Continuous (standing) queries.
 //!
-//! A continuous query registers a [`Predicate`] with every worker whose
-//! shard overlaps the predicate's region. Each worker matches the rows it
-//! owns in an `IngestSeq` batch against its registrations and returns the
-//! [`Notification`]s in the reply that acknowledges the batch; the writer
-//! hands them on once the whole group is acknowledged, owner and replicas.
+//! A continuous query registers a [`Predicate`] — the type a range read
+//! hands the index, tested by the same one `matches` — with every worker
+//! whose shard overlaps the predicate's region. Each worker matches the
+//! rows it owns in an `IngestSeq` batch against its registrations and
+//! returns the [`Notification`]s in the reply that acknowledges the
+//! batch; the writer hands them on once the whole group is acknowledged,
+//! owner and replicas.
 //! A match therefore arrives exactly when its row is acked, once per ack
 //! — incremental positive updates, never re-evaluation of the whole query.
 //! Matching is a pure function of the registrations and the owned rows:
@@ -19,10 +21,10 @@
 
 use std::collections::HashMap;
 
-use bytes::{Buf, BufMut};
 use stcam_camnet::Observation;
-use stcam_codec::{wire_struct, DecodeError, Wire};
+use stcam_codec::wire_struct;
 use stcam_geo::{BBox, GridSpec};
+use stcam_index::Predicate;
 use stcam_world::EntityClass;
 
 use crate::protocol::Bare;
@@ -34,54 +36,6 @@ pub struct ContinuousQueryId(pub u64);
 impl std::fmt::Display for ContinuousQueryId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "cq{}", self.0)
-    }
-}
-
-/// The match condition of a continuous query: a spatial region and an
-/// optional entity-class filter. (Time is implicit — continuous queries
-/// match *new* observations as they arrive.)
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Predicate {
-    /// Observations must lie inside this region.
-    pub region: BBox,
-    /// When set, observations must carry this class.
-    pub class: Option<EntityClass>,
-}
-
-impl Predicate {
-    /// `true` when `obs` satisfies this predicate.
-    pub fn matches(&self, obs: &Observation) -> bool {
-        if !self.region.contains(obs.position) {
-            return false;
-        }
-        match self.class {
-            Some(class) => obs.class == class,
-            None => true,
-        }
-    }
-}
-
-impl Wire for Predicate {
-    fn encode<B: BufMut>(&self, buf: &mut B) {
-        self.region.encode(buf);
-        self.class.map(EntityClass::as_u8).encode(buf);
-    }
-    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
-        let region = BBox::decode(buf)?;
-        let class = match Option::<u8>::decode(buf)? {
-            None => None,
-            Some(byte) => Some(EntityClass::from_u8(byte).ok_or(
-                DecodeError::InvalidDiscriminant {
-                    type_name: "EntityClass",
-                    value: byte as u64,
-                },
-            )?),
-        };
-        Ok(Predicate { region, class })
-    }
-    fn size_hint(&self) -> usize {
-        // The class travels as `Option<u8>`: a presence byte and the class.
-        self.region.size_hint() + 2
     }
 }
 
@@ -224,7 +178,7 @@ impl InterestIndex {
             let idx = self.cell_index(cell.col, cell.row);
             for key in [(idx, obs.class.as_u8()), (idx, ANY_CLASS)] {
                 for &id in self.buckets.get(&key).into_iter().flatten() {
-                    if self.entries[&id].matches(obs) {
+                    if self.entries[&id].matches(obs.position, obs.class) {
                         hits.entry(id).or_default().push(obs.clone());
                     }
                 }
@@ -260,27 +214,7 @@ mod tests {
     }
 
     #[test]
-    fn predicate_matching() {
-        let p = Predicate {
-            region: BBox::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0)),
-            class: Some(EntityClass::Truck),
-        };
-        assert!(p.matches(&obs(5.0, 5.0, EntityClass::Truck)));
-        assert!(!p.matches(&obs(5.0, 5.0, EntityClass::Car)));
-        assert!(!p.matches(&obs(15.0, 5.0, EntityClass::Truck)));
-        let any_class = Predicate { class: None, ..p };
-        assert!(any_class.matches(&obs(5.0, 5.0, EntityClass::Car)));
-    }
-
-    #[test]
-    fn predicate_and_notification_round_trip() {
-        let p = Predicate {
-            region: BBox::new(Point::new(1.0, 2.0), Point::new(3.0, 4.0)),
-            class: Some(EntityClass::Bicycle),
-        };
-        let bytes = encode_to_vec(&p);
-        assert_eq!(decode_from_slice::<Predicate>(&bytes).unwrap(), p);
-
+    fn notification_round_trips() {
         let n = Notification {
             query: ContinuousQueryId(42),
             matches: vec![obs(1.5, 2.5, EntityClass::Bicycle)],
@@ -328,7 +262,11 @@ mod tests {
         let mut want = Vec::new();
         for (id, region, class) in regs {
             let p = Predicate { region, class };
-            let matches: Vec<_> = batch.iter().filter(|o| p.matches(o)).cloned().collect();
+            let matches: Vec<_> = batch
+                .iter()
+                .filter(|o| p.matches(o.position, o.class))
+                .cloned()
+                .collect();
             if !matches.is_empty() {
                 let query = ContinuousQueryId(id);
                 want.push(Notification { query, matches });
@@ -341,20 +279,17 @@ mod tests {
     fn interest_index_reinsert_replaces_and_remove_unregisters() {
         let mut index = InterestIndex::new(extent());
         let id = ContinuousQueryId(7);
-        let near = Predicate {
-            region: BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)),
-            class: None,
-        };
+        let near = Predicate::new(BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)));
         index.insert(id, near);
         assert_eq!(index.len(), 1);
         let buckets_near = index.bucket_count();
         assert!(buckets_near > 0);
 
         // Re-registration replaces: the old buckets are vacated.
-        let far = Predicate {
-            region: BBox::new(Point::new(1500.0, 1500.0), Point::new(1600.0, 1600.0)),
-            class: None,
-        };
+        let far = Predicate::new(BBox::new(
+            Point::new(1500.0, 1500.0),
+            Point::new(1600.0, 1600.0),
+        ));
         index.insert(id, far);
         assert_eq!(index.len(), 1);
         assert!(index
@@ -378,29 +313,14 @@ mod tests {
         // cell, but observations outside the extent clamp to border cells:
         // it is bucketed in the cells its region clamps to.
         let mut index = InterestIndex::new(extent());
-        let outside = Predicate {
-            region: BBox::new(Point::new(2000.0, 2000.0), Point::new(2100.0, 2100.0)),
-            class: None,
-        };
+        let outside = Predicate::new(BBox::new(
+            Point::new(2000.0, 2000.0),
+            Point::new(2100.0, 2100.0),
+        ));
         index.insert(ContinuousQueryId(9), outside);
         assert_eq!(index.bucket_count(), 1);
         let hits = index.matching(&[obs(2050.0, 2050.0, EntityClass::Car)]);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].query, ContinuousQueryId(9));
-    }
-
-    #[test]
-    fn bad_class_byte_rejected() {
-        let p = Predicate {
-            region: BBox::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0)),
-            class: Some(EntityClass::Car),
-        };
-        let mut bytes = encode_to_vec(&p);
-        let last = bytes.len() - 1;
-        bytes[last] = 77;
-        assert!(matches!(
-            decode_from_slice::<Predicate>(&bytes),
-            Err(DecodeError::InvalidDiscriminant { .. })
-        ));
     }
 }

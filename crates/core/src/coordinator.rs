@@ -23,7 +23,6 @@ use std::time::Duration as StdDuration;
 use stcam_geo::{TimeInterval, Timestamp};
 use stcam_net::{Endpoint, NodeId};
 
-use crate::continuous::{ContinuousQueryId, Predicate};
 use crate::error::StcamError;
 use crate::exec::{all_alive, region_targets, unexpected, want_ack, Executor, HeatmapOp, OpPolicy};
 use crate::partition::PartitionMap;
@@ -31,6 +30,7 @@ use crate::plane::{QueryOpts, QueryPlane};
 use crate::protocol::{CensusReport, Request, Response, WorkerStatsMsg};
 use crate::reconcile::{self, sweep, tell, traffic, Action, Desired, Wire};
 use crate::repair::{RepairReport, MAX_ROUNDS, ROUND_STREAM};
+use crate::{ContinuousQueryId, Predicate};
 
 /// Aggregated statistics across the cluster.
 #[derive(Debug, Clone, Default)]

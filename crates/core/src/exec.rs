@@ -68,8 +68,8 @@ use parking_lot::Mutex;
 use stcam_camnet::Observation;
 use stcam_codec::{decode_from_slice, encode_to_vec};
 use stcam_geo::{BBox, CellId, GridSpec, Point, TimeInterval};
+use stcam_index::Predicate;
 use stcam_net::{Endpoint, NetError, NodeId, PeerTable, PendingCall, Resend};
-use stcam_world::EntityClass;
 
 use crate::admission::{Deadline, ShedReason};
 use crate::error::StcamError;
@@ -894,17 +894,15 @@ pub(crate) fn sort_knn(observations: &mut [Observation], at: Point) {
 // The operations
 // ----------------------------------------------------------------------
 
-/// Spatio-temporal range query over the shards overlapping `region`,
-/// with optional entity-class, result-size and column pushdown.
+/// Spatio-temporal range query over the shards overlapping the
+/// predicate's region, with class, result-size and column pushdown.
 #[derive(Debug, Clone, Copy)]
 pub struct RangeOp {
-    /// Spatial predicate.
-    pub region: BBox,
+    /// Inside `predicate.region`, of `predicate.class` when it is set
+    /// ("trucks inside A"): each worker tests it inside its scan.
+    pub predicate: Predicate,
     /// Temporal predicate.
     pub window: TimeInterval,
-    /// Entity-class predicate pushed down to the workers ("trucks inside
-    /// A"); `None` matches every class.
-    pub class: Option<EntityClass>,
     /// Per-shard row cutoff pushed down to the workers (0 = unlimited).
     /// Each shard keeps its `limit` lowest-id rows; the merge re-sorts
     /// and truncates globally, so the result equals the unlimited
@@ -921,9 +919,8 @@ impl RangeOp {
     /// Every full row in `region` × `window`: no class filter, no limit.
     pub fn new(region: BBox, window: TimeInterval) -> Self {
         RangeOp {
-            region,
+            predicate: Predicate::new(region),
             window,
-            class: None,
             limit: 0,
             projection: PROJ_FULL,
         }
@@ -934,19 +931,18 @@ impl DistributedOp for RangeOp {
     type Partial = Vec<Observation>;
     type Output = Vec<Observation>;
     fn name(&self) -> &'static str {
-        match self.class {
+        match self.predicate.class {
             None => "range",
             Some(_) => "range_filtered",
         }
     }
     fn targets(&self, partition: &PartitionMap, alive: &HashSet<NodeId>) -> Vec<NodeId> {
-        region_targets(partition, alive, self.region)
+        region_targets(partition, alive, self.predicate.region)
     }
     fn request(&self, _to: NodeId) -> Request {
         let RangeOp {
-            region,
+            predicate: Predicate { region, class },
             window,
-            class,
             limit,
             projection,
         } = *self;
@@ -960,7 +956,7 @@ impl DistributedOp for RangeOp {
             Some(class) => Request::RangeFiltered {
                 region,
                 window,
-                class: class.as_u8(),
+                class,
                 limit,
                 projection,
             },
@@ -1379,16 +1375,14 @@ mod tests {
         let range = RangeOp::new(region, window());
         assert!(range.subset_on_loss());
         // A class filter changes the frame and the stats key, nothing else.
-        let filtered = RangeOp {
-            class: Some(EntityClass::Car),
-            ..range
-        };
+        let mut filtered = range;
+        filtered.predicate.class = Some(EntityClass::Car);
         assert_eq!((range.name(), filtered.name()), ("range", "range_filtered"));
         assert!(matches!(range.request(NodeId(1)), Request::Range { .. }));
-        assert!(matches!(
-            filtered.request(NodeId(1)),
-            Request::RangeFiltered { class, .. } if class == EntityClass::Car.as_u8()
-        ));
+        let car = EntityClass::Car;
+        assert!(
+            matches!(filtered.request(NodeId(1)), Request::RangeFiltered { class, .. } if class == car)
+        );
         let heat = HeatmapOp {
             buckets: grid,
             window: window(),

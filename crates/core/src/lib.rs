@@ -112,7 +112,7 @@ pub use admission::{
 };
 pub use baseline::CentralizedStore;
 pub use cluster::{Cluster, ClusterConfig};
-pub use continuous::{ContinuousQueryId, InterestIndex, Notification, Predicate};
+pub use continuous::{ContinuousQueryId, InterestIndex, Notification};
 pub use coordinator::{ClusterStats, Coordinator, RebalanceReport, ReconstructReport};
 pub use error::StcamError;
 pub use exec::{
@@ -127,4 +127,5 @@ pub use protocol::{
     Response, WorkerStatsMsg, PROJ_FULL, PROJ_THIN,
 };
 pub use repair::RepairReport;
+pub use stcam_index::Predicate;
 pub use worker::{Worker, WorkerConfig, WorkerHandle, STALE_EPOCH_ERROR};

@@ -14,10 +14,11 @@ use bytes::{Buf, BufMut};
 use stcam_camnet::{Observation, ObservationBatch, ObservationId};
 use stcam_codec::{wire_enum, wire_struct, Bytes, DecodeError, SegmentFrame, Wire, WireAs};
 use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
-use stcam_index::SegmentDigest;
+use stcam_index::{Predicate, SegmentDigest};
 use stcam_net::NodeId;
+use stcam_world::EntityClass;
 
-use crate::continuous::{ContinuousQueryId, Notification, Predicate};
+use crate::continuous::{ContinuousQueryId, Notification};
 
 /// Field layout: a [`NodeId`] or [`ContinuousQueryId`], or a list of node
 /// ids, travels as its bare integer.
@@ -219,17 +220,16 @@ wire_enum! {
         /// roster, epoch, and continuous-query table — from these reports;
         /// workers are the ground truth, the coordinator only a cache.
         Census = 27 "census",
-        /// As `Range` with an additional entity-class filter — predicate
-        /// pushdown for typed queries ("trucks inside A").
+        /// As `Range` with an entity-class filter, tested inside the
+        /// worker's scan — predicate pushdown for typed queries.
         RangeFiltered = 14 "range_filtered" {
             /// Spatial predicate.
             region: BBox,
             /// Temporal predicate.
             window: TimeInterval,
-            /// Required class, as `EntityClass::as_u8`.
-            class: u8,
-            /// Per-shard result cutoff, as in [`Request::Range`] (`0` =
-            /// unlimited).
+            /// Required class.
+            class: EntityClass,
+            /// Per-shard result cutoff, as in [`Request::Range`].
             limit: u32,
             /// Column projection, as in [`Request::Range`].
             projection: u8 where (projection <= PROJ_THIN) else "unknown projection",
@@ -604,7 +604,7 @@ mod tests {
         let filtered = Request::RangeFiltered {
             region: BBox::new(Point::new(0.0, 0.0), Point::new(5.0, 5.0)),
             window: TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(10)),
-            class: 0,
+            class: EntityClass::Pedestrian,
             limit: 0,
             projection: PROJ_THIN,
         };

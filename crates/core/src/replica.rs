@@ -13,30 +13,44 @@
 //! [`RowSource`] is the three scans a read request is built from. The
 //! worker's one read evaluator is generic over it, so a failover read
 //! over a log and a primary read over a [`ReadView`] differ in how rows
-//! are found, never in what the request means.
+//! are found, never in what the request means: a range over either tests
+//! the same [`Predicate`] — region and class — and keeps its `limit`
+//! lowest ids in the same bounded selection, [`Lowest`], before a row is
+//! copied.
 
 use std::collections::HashSet;
 
 use stcam_camnet::{Observation, ObservationId};
 use stcam_geo::{BBox, Duration, GridSpec, Point, TimeInterval, Timestamp};
-use stcam_index::{slice_number, sort_by_id, Nearest, ReadView};
+use stcam_index::{slice_number, Lowest, Nearest, Predicate, ReadView};
 
 use crate::repair::DigestAccumulator;
 
 /// The scans a shard read is evaluated over, with [`ReadView`]'s
-/// signatures and contracts: `range` returns every row inside `region` ×
-/// `window`, sorted by id; `knn` the `k` rows of `window` nearest `at`
-/// and at most `max` from it, by (distance, id); `heatmap` dense
-/// row-major counts per cell of `buckets`, skipping rows outside it.
+/// signatures and contracts: `range` returns the rows of `window` passing
+/// the predicate, sorted by id (ties in storage order), only the first
+/// `limit` under one; `knn` the `k` rows of `window` nearest `at` and at
+/// most `max` from it, by (distance, id); `heatmap` dense row-major
+/// counts per cell of `buckets`, skipping rows outside it.
 pub(crate) trait RowSource {
-    fn range(&self, region: BBox, window: TimeInterval) -> Vec<Observation>;
+    fn range(
+        &self,
+        predicate: &Predicate,
+        window: TimeInterval,
+        limit: Option<usize>,
+    ) -> Vec<Observation>;
     fn knn(&self, at: Point, window: TimeInterval, k: usize, max: Option<f64>) -> Vec<Observation>;
     fn heatmap(&self, buckets: &GridSpec, window: TimeInterval) -> Vec<u64>;
 }
 
 impl RowSource for ReadView {
-    fn range(&self, region: BBox, window: TimeInterval) -> Vec<Observation> {
-        ReadView::range(self, region, window)
+    fn range(
+        &self,
+        predicate: &Predicate,
+        window: TimeInterval,
+        limit: Option<usize>,
+    ) -> Vec<Observation> {
+        ReadView::range_where(self, predicate, window, limit)
     }
     fn knn(&self, at: Point, window: TimeInterval, k: usize, max: Option<f64>) -> Vec<Observation> {
         ReadView::knn_within(self, at, window, k, max)
@@ -115,11 +129,19 @@ impl ReplicaLog {
 }
 
 impl RowSource for ReplicaLog {
-    fn range(&self, region: BBox, window: TimeInterval) -> Vec<Observation> {
-        let hit = |o: &&Observation| region.contains(o.position) && window.contains(o.time);
-        let mut hits: Vec<Observation> = self.rows.iter().filter(hit).cloned().collect();
-        sort_by_id(&mut hits);
-        hits
+    fn range(
+        &self,
+        predicate: &Predicate,
+        window: TimeInterval,
+        limit: Option<usize>,
+    ) -> Vec<Observation> {
+        // Tests before it clones, as the index does: only the rows kept
+        // are copied, and a limit holds at most `limit` of them.
+        let hit =
+            |o: &&Observation| window.contains(o.time) && predicate.matches(o.position, o.class);
+        let mut lowest = Lowest::new(limit.unwrap_or(usize::MAX));
+        self.rows.iter().filter(hit).for_each(|o| lowest.offer(o));
+        lowest.into_sorted()
     }
 
     fn knn(&self, at: Point, window: TimeInterval, k: usize, max: Option<f64>) -> Vec<Observation> {
@@ -231,6 +253,49 @@ mod tests {
                 prop_assert_eq!(got.finish(), want.finish());
             }
             prop_assert_eq!(log.rows().len(), 24);
+        }
+
+        /// A range over a replica log answers as a range over an index
+        /// snapshot of the same rows: for any predicate, window and limit,
+        /// the same rows in the same order, from the head or sealed tier.
+        #[test]
+        fn a_log_ranges_as_a_read_view_does(
+            rows in prop::collection::vec((0u64..60_000, -100.0..1100.0f64, -100.0..1100.0f64, 0u8..4), 0..200),
+            corner in (-200.0..1000.0f64, -200.0..1000.0f64, 0.0..900.0f64),
+            class in 0u8..5,
+            limit in (any::<bool>(), 0usize..30),
+            span in (0u64..60_000, 0u64..70_000),
+            sealed in any::<bool>(),
+        ) {
+            // Distinct ids out of arrival order; the log keeps one row per id.
+            let rows: Vec<Observation> = (0u64..)
+                .zip(rows)
+                .map(|(i, (t, x, y, class))| Observation {
+                    class: stcam_world::EntityClass::ALL[class as usize],
+                    ..row(i * 37 % 211, t, x, y)
+                })
+                .collect();
+            let extent = BBox::new(Point::ORIGIN, Point::new(1000.0, 1000.0));
+            let config = stcam_index::IndexConfig::new(extent, 50.0, Duration::from_millis(SLICE_MS));
+            let mut index = stcam_index::StIndex::new(config);
+            index.insert_batch(rows.iter().cloned());
+            if sealed {
+                index.seal_all();
+            }
+            let mut log = ReplicaLog::default();
+            log.append(rows);
+            let (x, y, side) = corner;
+            let predicate = Predicate {
+                region: BBox::new(Point::new(x, y), Point::new(x + side, y + side)),
+                class: stcam_world::EntityClass::from_u8(class),
+            };
+            let window = TimeInterval::new(Timestamp::from_millis(span.0), Timestamp::from_millis(span.0 + span.1));
+            let limit = limit.0.then_some(limit.1);
+            let view = index.read_view();
+            prop_assert_eq!(
+                RowSource::range(&log, &predicate, window, limit),
+                RowSource::range(&view, &predicate, window, limit)
+            );
         }
     }
 }

@@ -32,8 +32,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use stcam_camnet::{Observation, ObservationId, Signature, SIGNATURE_DIM};
 use stcam_codec::{decode_from_slice, encode_to_vec};
-use stcam_geo::{BBox, GridSpec};
-use stcam_index::{IndexConfig, ReadView, SegmentDigest, StIndex};
+use stcam_geo::{BBox, GridSpec, TimeInterval};
+use stcam_index::{IndexConfig, Predicate, ReadView, SegmentDigest, StIndex};
 use stcam_net::{Endpoint, Envelope, NodeId, Waker};
 
 use crate::continuous::InterestIndex;
@@ -175,16 +175,10 @@ fn reply_paged(endpoint: &Endpoint, shared: &ReadShared, envelope: &Envelope, re
     let _ = endpoint.reply(envelope, frame);
 }
 
-/// Applies the `Range`-family pushdown tail to an id-sorted result row
-/// set (every [`RowSource::range`] answers sorted): the per-shard `limit`
-/// cutoff (lowest observation ids first, matching the client's global
-/// merge-and-truncate) and the column projection (blanking the signature
-/// and truth columns lets the batch codec elide the signature bytes from
-/// the frame).
-fn finish_rows(mut rows: Vec<Observation>, limit: u32, projection: u8) -> Vec<Observation> {
-    if limit != 0 {
-        rows.truncate(limit as usize);
-    }
+/// Applies the column projection to a range answer: `PROJ_THIN` blanks
+/// the signature and truth columns, which lets the batch codec elide the
+/// signature bytes from the frame.
+fn finish_rows(mut rows: Vec<Observation>, projection: u8) -> Vec<Observation> {
     if projection == PROJ_THIN {
         for row in &mut rows {
             row.signature = Signature::new([0.0; SIGNATURE_DIM]);
@@ -192,6 +186,21 @@ fn finish_rows(mut rows: Vec<Observation>, limit: u32, projection: u8) -> Vec<Ob
         }
     }
     rows
+}
+
+/// Answers a range read over `rows`: the rows in `window` passing
+/// `predicate`, only the `limit` lowest ids of them unless `limit` is 0
+/// (the client's merge truncates the same way), in `projection`. The
+/// class and the limit are tested inside the scan.
+fn range_read(
+    rows: &impl RowSource,
+    predicate: Predicate,
+    window: TimeInterval,
+    limit: u32,
+    projection: u8,
+) -> Response {
+    let hits = rows.range(&predicate, window, (limit != 0).then_some(limit as usize));
+    Response::Observations(finish_rows(hits, projection))
 }
 
 /// Executes one read-only request over `rows` — a shard snapshot, or the
@@ -206,21 +215,20 @@ fn execute_read(rows: &impl RowSource, shared: &ReadShared, request: Request) ->
             window,
             limit,
             projection,
-        } => Response::Observations(finish_rows(rows.range(region, window), limit, projection)),
+        } => range_read(rows, Predicate::new(region), window, limit, projection),
         Request::RangeFiltered {
             region,
             window,
             class,
             limit,
             projection,
-        } => match stcam_world::EntityClass::from_u8(class) {
-            Some(class) => {
-                let mut hits = rows.range(region, window);
-                hits.retain(|o| o.class == class);
-                Response::Observations(finish_rows(hits, limit, projection))
-            }
-            None => Response::Error(format!("invalid class {class}")),
-        },
+        } => {
+            let predicate = Predicate {
+                region,
+                class: Some(class),
+            };
+            range_read(rows, predicate, window, limit, projection)
+        }
         Request::Knn {
             at,
             window,
@@ -865,7 +873,7 @@ impl Drop for WorkerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::continuous::{ContinuousQueryId, Notification, Predicate};
+    use crate::continuous::{ContinuousQueryId, Notification};
     use crate::protocol::PROJ_FULL;
     use stcam_camnet::{CameraId, ObservationId, Signature};
     use stcam_geo::{BBox, Duration, Point, TimeInterval, Timestamp};
@@ -1086,7 +1094,7 @@ mod tests {
         match worker.handle_request(Request::RangeFiltered {
             region,
             window: window_all(),
-            class: EntityClass::Truck.as_u8(),
+            class: EntityClass::Truck,
             limit: 0,
             projection: PROJ_FULL,
         }) {
@@ -1094,17 +1102,6 @@ mod tests {
                 assert_eq!(hits.len(), 1);
                 assert_eq!(hits[0].class, EntityClass::Truck);
             }
-            other => panic!("unexpected response {other:?}"),
-        }
-        // Invalid class byte → application error, not a panic.
-        match worker.handle_request(Request::RangeFiltered {
-            region,
-            window: window_all(),
-            class: 200,
-            limit: 0,
-            projection: PROJ_FULL,
-        }) {
-            Response::Error(msg) => assert!(msg.contains("invalid class")),
             other => panic!("unexpected response {other:?}"),
         }
     }
@@ -1340,10 +1337,7 @@ mod tests {
         });
         // A replica log and a standing registration become census facts.
         worker.handle_request(replicate_req(NodeId(9), vec![obs(1, 500, 100.0, 100.0)]));
-        let predicate = Predicate {
-            region: BBox::new(Point::new(0.0, 0.0), Point::new(400.0, 400.0)),
-            class: None,
-        };
+        let predicate = Predicate::new(BBox::new(Point::new(0.0, 0.0), Point::new(400.0, 400.0)));
         worker.handle_request(Request::RegisterContinuous {
             id: ContinuousQueryId(7),
             predicate,
@@ -1451,10 +1445,13 @@ mod tests {
                 class,
                 limit,
                 projection,
-            } => match EntityClass::from_u8(*class) {
-                Some(c) => select(region, window, Some(c), *limit, *projection == PROJ_THIN),
-                None => Response::Error(format!("invalid class {class}")),
-            },
+            } => select(
+                region,
+                window,
+                Some(*class),
+                *limit,
+                *projection == PROJ_THIN,
+            ),
             Request::Knn {
                 at,
                 window,
@@ -1523,11 +1520,11 @@ mod tests {
             limit,
             projection,
         };
-        let filtered = |class: u8| Request::RangeFiltered {
+        let filtered = |class, limit| Request::RangeFiltered {
             region,
             window: minute,
             class,
-            limit: 0,
+            limit,
             projection: PROJ_FULL,
         };
         let (centre, tie) = (Point::new(300.0, 300.0), Point::new(48.5, 26.5));
@@ -1541,16 +1538,16 @@ mod tests {
             buckets: GridSpec::new(Point::ORIGIN, cell_size, side, side),
             window: minute,
         };
-        let (truck, bicycle) = (EntityClass::Truck.as_u8(), EntityClass::Bicycle.as_u8());
+        let (truck, bicycle) = (EntityClass::Truck, EntityClass::Bicycle);
         // Each read, and the least its answer must hold (rows, or counted
         // observations), so no line passes on empty answers.
         let table = [
             ("range", range(0, PROJ_FULL), 6),
             ("range limit", range(5, PROJ_FULL), 5),
             ("range thin", range(0, PROJ_THIN), 6),
-            ("class held", filtered(truck), 1),
-            ("class absent", filtered(bicycle), 0),
-            ("class invalid", filtered(200), 0),
+            ("class held", filtered(truck, 0), 1),
+            ("class held, limit 2", filtered(truck, 2), 2),
+            ("class absent", filtered(bicycle, 0), 0),
             ("knn", knn(centre, 4, None), 4),
             ("knn within 250 m", knn(centre, 20, Some(250.0)), 1),
             ("knn, none within 100 m", knn(centre, 20, Some(100.0)), 0),
@@ -1863,10 +1860,7 @@ mod tests {
         worker.handle_request(replicate_req(NodeId(4), vec![obs(1, 100, 20.0, 20.0)]));
         worker.handle_request(Request::RegisterContinuous {
             id: ContinuousQueryId(7),
-            predicate: Predicate {
-                region: BBox::around(Point::new(10.0, 10.0), 50.0),
-                class: None,
-            },
+            predicate: Predicate::new(BBox::around(Point::new(10.0, 10.0), 50.0)),
         });
         worker.handle_request(ingest_req(vec![obs(2, 100, 30.0, 30.0)]));
         assert_eq!(

@@ -109,7 +109,7 @@ proptest! {
         limit in any::<u32>(),
         projection in 0u8..2,
     ) {
-        let class_enum = EntityClass::from_u8(class).expect("class");
+        let class = EntityClass::from_u8(class).expect("class");
         // Every Request variant the protocol defines.
         let requests = [
             Request::Ping,
@@ -121,7 +121,7 @@ proptest! {
             Request::Heatmap { buckets, window },
             Request::RegisterContinuous {
                 id: stcam::ContinuousQueryId(k as u64),
-                predicate: Predicate { region, class: Some(class_enum) },
+                predicate: Predicate { region, class: Some(class) },
             },
             Request::UnregisterContinuous(stcam::ContinuousQueryId(k as u64)),
             Request::Stats,
@@ -408,7 +408,7 @@ proptest! {
         for (&id, predicate) in &reference {
             let matches: Vec<Observation> = batch
                 .iter()
-                .filter(|o| predicate.matches(o))
+                .filter(|o| predicate.matches(o.position, o.class))
                 .cloned()
                 .collect();
             if !matches.is_empty() {
@@ -447,7 +447,7 @@ proptest! {
         for (&id, predicate) in &reference {
             let matches: Vec<Observation> = batch
                 .iter()
-                .filter(|o| predicate.matches(o))
+                .filter(|o| predicate.matches(o.position, o.class))
                 .cloned()
                 .collect();
             if !matches.is_empty() {

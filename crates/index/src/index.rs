@@ -9,6 +9,7 @@ use stcam_codec::SegmentFrame;
 use stcam_geo::{BBox, Duration, GridSpec, Point, TimeInterval, Timestamp};
 
 use crate::segment::{ScanScratch, SealedSegment, SegmentDigest};
+use crate::select::{Hits, Predicate};
 use crate::slice::{slice_number, Slice};
 use crate::store::SegmentStore;
 use crate::view::{self, ReadView};
@@ -295,7 +296,8 @@ impl StIndex {
             return Vec::new();
         };
         let (slices, segments) = self.tiers(lo, hi);
-        view::range_over(&self.grid, &slices, &segments, region, window)
+        let predicate = Predicate::new(region);
+        view::range_over(&self.grid, &slices, &segments, &predicate, window, None)
     }
 
     /// Count of matches without materialising them: head slices count in
@@ -455,18 +457,17 @@ impl StIndex {
             }
             frames.push(sub.to_frame());
         }
-        let mut head_rows = Vec::new();
+        let mut head_rows = Hits::new(None, 0);
         for slice in self.head.values() {
             slice.scan_cells(
                 &self.grid,
                 self.grid.cells_clamped(region),
-                &region,
+                &Predicate::new(region),
                 &TimeInterval::ALL,
                 &mut head_rows,
             );
         }
-        view::sort_by_id(&mut head_rows);
-        (frames, head_rows)
+        (frames, head_rows.into_sorted())
     }
 
     /// Installs a sealed segment received from a peer. Returns `false`

@@ -21,7 +21,9 @@
 //! Query semantics are tier-transparent:
 //!
 //! * Range queries touch exactly the overlapping slices/segments ×
-//!   overlapping cells, merging both tiers.
+//!   overlapping cells, merging both tiers. A [`Predicate`]'s class and
+//!   a limit are tested inside the scan, before a row is cloned or its
+//!   wide columns are decoded.
 //! * k-nearest-neighbour queries expand cell rings outward from the query
 //!   point, skip every cell farther than the current k-th distance, and
 //!   stop at the first ring with no cell inside it.
@@ -64,6 +66,7 @@
 mod flat;
 mod index;
 mod segment;
+mod select;
 mod slice;
 mod store;
 mod view;
@@ -71,5 +74,6 @@ mod view;
 pub use flat::FlatIndex;
 pub use index::{IndexConfig, IndexStats, StIndex, DEFAULT_HEAD_SLICES};
 pub use segment::{cell_scope, observation_checksum, SealedSegment, SegmentDigest};
+pub use select::{Lowest, Predicate};
 pub use slice::slice_number;
 pub use view::{sort_by_id, Nearest, ReadView, SPLIT_SCAN_ROWS};

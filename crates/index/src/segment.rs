@@ -27,9 +27,12 @@ use std::sync::Mutex;
 use stcam_camnet::batch::{
     decode_batch, decode_batch_filtered, decode_batch_into, encode_batch, scan_batch_keys,
 };
-use stcam_camnet::Observation;
+use stcam_camnet::{Observation, ObservationId};
 use stcam_codec::{DecodeError, SegmentBlock, SegmentFrame};
 use stcam_geo::{BBox, CellId, GridSpec, Point, TimeInterval, Timestamp};
+use stcam_world::EntityClass;
+
+use crate::select::{Hits, Predicate};
 
 /// The order-independent per-observation mix folded (by XOR) into cell
 /// and segment checksums. Covers the identity and the timestamp, so a
@@ -359,36 +362,32 @@ impl SealedSegment {
         covers_time && region.contains_bbox(&cell_scope(grid, self.directory[i].cell))
     }
 
-    /// Appends every stored observation of directory entries
+    /// Hands `hits` the stored observations of directory entries
     /// `first..=last` (a run from [`block_runs`](Self::block_runs))
-    /// matching `region` and `window` to `out`. Blocks that provably
-    /// match whole are decoded straight into `out`; partial blocks filter
-    /// per row as they decode.
+    /// inside `window` that pass `predicate`. Each block's key columns
+    /// are tested before its wide columns decode; a block that provably
+    /// matches whole — no class to test, and a window and region covering
+    /// the slice and the cell's scope — skips the test.
     pub(crate) fn scan_run(
         &self,
         grid: &GridSpec,
         (first, last): (usize, usize),
-        region: &BBox,
+        predicate: &Predicate,
         window: &TimeInterval,
-        out: &mut Vec<Observation>,
+        hits: &mut Hits,
         scratch: &mut ScanScratch,
     ) {
         let base = self.directory[first].offset as usize;
         let bytes = self.run_bytes(first, last, &mut scratch.bytes);
         for i in first..=last {
             let block = self.directory[i];
-            let mut slice =
+            let block =
                 &bytes[block.offset as usize - base..(block.offset + block.len) as usize - base];
-            if self.block_fully_matches(grid, i, region, window) {
-                decode_batch_into(&mut slice, out).expect("sealed block decodes");
-            } else {
-                decode_batch_filtered(
-                    &mut slice,
-                    |t, p| window.contains(t) && region.contains(p),
-                    out,
-                )
-                .expect("sealed block decodes");
-            }
+            let whole = predicate.class.is_none()
+                && self.block_fully_matches(grid, i, &predicate.region, window);
+            hits.decode_block(block, whole, |t, p, c| {
+                window.contains(t) && predicate.matches(p, c)
+            });
         }
     }
 
@@ -644,16 +643,17 @@ impl SealedSegment {
             .any(|b| region.intersection(&cell_scope(grid, b.cell)).is_some())
     }
 
-    /// The stored rows of one packed cell passing `keep(time, position)`,
-    /// appended to `out`. kNN ring expansion folds its window check and
-    /// the k-th-distance bound as it stands at this block into the
-    /// predicate, so rows that cannot make the answer are never fully
-    /// decoded; it calls this only for cells whose scope lies within that
-    /// bound, and stops calling it for a cell once the bound falls below.
+    /// The stored rows of one packed cell passing `keep(id, time,
+    /// position, class)`, appended to `out`. kNN ring expansion folds its
+    /// window check and the k-th-distance bound as it stands at this block
+    /// into the predicate, so rows that cannot make the answer are never
+    /// fully decoded; it calls this only for cells whose scope lies within
+    /// that bound, and stops calling it for a cell once the bound falls
+    /// below.
     pub(crate) fn cell_filtered(
         &self,
         cell: u32,
-        keep: impl FnMut(Timestamp, Point) -> bool,
+        keep: impl FnMut(ObservationId, Timestamp, Point, EntityClass) -> bool,
         out: &mut Vec<Observation>,
         scratch: &mut ScanScratch,
     ) {

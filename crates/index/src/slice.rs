@@ -3,6 +3,8 @@
 use stcam_camnet::Observation;
 use stcam_geo::{BBox, CellId, Duration, GridSpec, Point, TimeInterval, Timestamp};
 
+use crate::select::{Hits, Predicate};
+
 /// The slice number containing `t` for slices of length `slice_len`.
 ///
 /// # Panics
@@ -73,22 +75,25 @@ impl Slice {
         self.len += 1;
     }
 
-    /// Appends a clone of every observation matching `region` and
-    /// `window` in the given cells. The per-row time check is skipped
-    /// when `window` covers the whole slice.
+    /// Offers `hits` every observation of the given cells inside `window`
+    /// that passes `predicate`; a row is cloned only if `hits` keeps it.
+    /// The per-row time check is skipped when `window` covers the whole
+    /// slice.
     pub(crate) fn scan_cells(
         &self,
         grid: &GridSpec,
         cells: impl Iterator<Item = CellId>,
-        region: &BBox,
+        predicate: &Predicate,
         window: &TimeInterval,
-        out: &mut Vec<Observation>,
+        hits: &mut Hits,
     ) {
         let check_time = !self.covered_by(window);
         for cell in cells {
             for obs in &self.buckets[Self::slot(grid, cell)] {
-                if (!check_time || window.contains(obs.time)) && region.contains(obs.position) {
-                    out.push(obs.clone());
+                if (!check_time || window.contains(obs.time))
+                    && predicate.matches(obs.position, obs.class)
+                {
+                    hits.offer(obs);
                 }
             }
         }
@@ -264,8 +269,10 @@ mod tests {
 
         let region = BBox::new(Point::new(0.0, 0.0), Point::new(50.0, 50.0));
         let window = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(10));
-        let mut hits = Vec::new();
-        s.scan_cells(&g, g.cells_overlapping(region), &region, &window, &mut hits);
+        let mut hits = Hits::new(None, 0);
+        let cells = g.cells_overlapping(region);
+        s.scan_cells(&g, cells, &Predicate::new(region), &window, &mut hits);
+        let hits = hits.into_sorted();
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].id, o1.id);
     }
@@ -278,9 +285,10 @@ mod tests {
         s.insert(&g, g.cell_of(o.position).unwrap(), o);
         let region = BBox::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
         let early = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(5));
-        let mut hits = Vec::new();
-        s.scan_cells(&g, g.cells_overlapping(region), &region, &early, &mut hits);
-        assert!(hits.is_empty());
+        let mut hits = Hits::new(None, 0);
+        let cells = g.cells_overlapping(region);
+        s.scan_cells(&g, cells, &Predicate::new(region), &early, &mut hits);
+        assert!(hits.into_sorted().is_empty());
     }
 
     #[test]

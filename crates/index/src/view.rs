@@ -22,6 +22,7 @@ use stcam_camnet::{Observation, ObservationId};
 use stcam_geo::{BBox, CellId, Duration, GridSpec, Point, TimeInterval, Timestamp};
 
 use crate::segment::{cell_scope, ScanScratch, SealedSegment};
+use crate::select::{Hits, Predicate};
 use crate::slice::{slice_number, Slice};
 
 /// The inclusive slice-number range `window` can touch, or `None` for an
@@ -111,44 +112,59 @@ fn sealed_runs<'a>(segments: &[&'a SealedSegment], cells: &[u32]) -> (Vec<Run<'a
     (runs, rows)
 }
 
-/// Scans `runs` in order into `out`.
+/// Scans `runs` in order into `hits`.
 fn scan_runs(
     grid: &GridSpec,
     runs: &[Run<'_>],
-    region: &BBox,
+    predicate: &Predicate,
     window: &TimeInterval,
-    out: &mut Vec<Observation>,
+    hits: &mut Hits,
 ) {
     let mut scratch = ScanScratch::default();
     for &(segment, run) in runs {
-        segment.scan_run(grid, run, region, window, out, &mut scratch);
+        segment.scan_run(grid, run, predicate, window, hits, &mut scratch);
     }
 }
 
-/// All observations with `region.contains(position)` and
-/// `window.contains(time)` across both tiers, sorted by id.
+/// The observations across both tiers inside `window` that pass
+/// `predicate`, sorted by id, ties in scan order — or, under a `limit`,
+/// the first `limit` of them.
 ///
 /// The footers are read first: every directory run the candidate cells
-/// select, segment by segment, and the rows those blocks hold. At
-/// [`SPLIT_SCAN_ROWS`] or more, the runs holding the second half of the
-/// rows are scanned on a scoped thread while this one scans the head and
-/// the first half. Either way the rows arrive in serial scan order (head
-/// slices, then segments in list order), so the key sort returns exactly
-/// the serial answer.
+/// of the predicate's region select, segment by segment, and the rows
+/// those blocks hold. At [`SPLIT_SCAN_ROWS`] or more, the runs holding the
+/// second half of the rows are scanned on a scoped thread while this one
+/// scans the head and the first half. Either way the rows arrive in
+/// serial scan order (head slices, then segments in list order), so the
+/// key sort returns exactly the serial answer.
+///
+/// The predicate's class and the limit are tested inside the scan (see
+/// [`Hits`]): a row that fails the class is never cloned or decoded
+/// whole, and a limited scan holds at most `2 × limit` rows per thread,
+/// each thread keeping its own `limit` lowest ids until the second's are
+/// offered to the first's.
 pub(crate) fn range_over(
     grid: &GridSpec,
     slices: &[&Slice],
     segments: &[&SealedSegment],
-    region: BBox,
+    predicate: &Predicate,
     window: TimeInterval,
+    limit: Option<usize>,
 ) -> Vec<Observation> {
+    let region = predicate.region;
     let (runs, sealed_rows) = sealed_runs(segments, &packed_cells(grid, &region));
-    let mut out = Vec::with_capacity(sealed_rows);
+    let mut hits = Hits::new(limit, sealed_rows);
     for slice in slices {
-        slice.scan_cells(grid, grid.cells_clamped(region), &region, &window, &mut out);
+        slice.scan_cells(
+            grid,
+            grid.cells_clamped(region),
+            predicate,
+            &window,
+            &mut hits,
+        );
     }
     if sealed_rows < SPLIT_SCAN_ROWS {
-        scan_runs(grid, &runs, &region, &window, &mut out);
+        scan_runs(grid, &runs, predicate, &window, &mut hits);
     } else {
         let mut first_half = 0;
         let split = runs
@@ -159,21 +175,20 @@ pub(crate) fn range_over(
             })
             .map_or(runs.len(), |last| last + 1);
         let (first, second) = runs.split_at(split);
-        let second_rows = std::thread::scope(|scope| {
+        let second_hits = std::thread::scope(|scope| {
             let helper = scope.spawn(|| {
-                let mut rows = Vec::with_capacity(sealed_rows - first_half);
-                scan_runs(grid, second, &region, &window, &mut rows);
-                rows
+                let mut hits = Hits::new(limit, sealed_rows - first_half);
+                scan_runs(grid, second, predicate, &window, &mut hits);
+                hits
             });
-            scan_runs(grid, first, &region, &window, &mut out);
+            scan_runs(grid, first, predicate, &window, &mut hits);
             helper
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
         });
-        out.extend(second_rows);
+        hits.absorb(second_hits);
     }
-    sort_by_id(&mut out);
-    out
+    hits.into_sorted()
 }
 
 /// The best `k` rows offered so far, ranked by squared distance to `at`
@@ -384,7 +399,7 @@ pub(crate) fn knn_over(
                 }
                 segment.cell_filtered(
                     packed,
-                    |t, p| window.contains(t) && at.distance_sq(p) <= bound,
+                    |_, t, p, _| window.contains(t) && at.distance_sq(p) <= bound,
                     &mut cell_rows,
                     &mut scratch,
                 );
@@ -472,11 +487,24 @@ impl ReadView {
 
     /// Range query over the snapshot; see [`StIndex::range`](crate::StIndex::range).
     pub fn range(&self, region: BBox, window: TimeInterval) -> Vec<Observation> {
+        self.range_where(&Predicate::new(region), window, None)
+    }
+
+    /// The observations inside `window` that pass `predicate`, sorted by
+    /// id (ties in storage order) — under a `limit`, only the first
+    /// `limit` of them. The class and the limit are tested as the tiers
+    /// are scanned, before a row is cloned or decoded whole.
+    pub fn range_where(
+        &self,
+        predicate: &Predicate,
+        window: TimeInterval,
+        limit: Option<usize>,
+    ) -> Vec<Observation> {
         let Some((lo, hi)) = number_range(window, self.slice_len) else {
             return Vec::new();
         };
         let (slices, segments) = self.tiers(lo, hi);
-        range_over(&self.grid, &slices, &segments, region, window)
+        range_over(&self.grid, &slices, &segments, predicate, window, limit)
     }
 
     /// kNN query over the snapshot; see [`StIndex::knn`](crate::StIndex::knn).

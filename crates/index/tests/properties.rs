@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, Duration, Point, TimeInterval, Timestamp};
-use stcam_index::{sort_by_id, FlatIndex, IndexConfig, StIndex, SPLIT_SCAN_ROWS};
+use stcam_index::{sort_by_id, FlatIndex, IndexConfig, Predicate, StIndex, SPLIT_SCAN_ROWS};
 use stcam_world::{EntityClass, EntityId};
 
 const EXTENT: f64 = 500.0;
@@ -456,6 +456,72 @@ proptest! {
             let want = stable_oracle(&rows, region, window);
             prop_assert_eq!(index.range(region, window), want.clone());
             prop_assert_eq!(index.read_view().range(region, window), want);
+        }
+    }
+}
+
+proptest! {
+    // One case in four builds a 25 000-row archive: run it in release.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn predicate_range_is_the_class_filtered_oracle_cut_to_the_limit(
+        raw in prop::collection::vec(raw_obs(), 0..300),
+        above_split in 0u8..4,
+        seed in any::<u64>(),
+        dup_every in 1usize..4,
+        sealed in any::<bool>(),
+        class in 0u8..5,
+        limit in (0u8..4, 0usize..40),
+        region in arb_region(),
+        t0 in 0u64..70_000, dt in 0u64..60_000,
+    ) {
+        // Rows in the four classes, clamped in from outside the extent,
+        // ids repeating within a slice; in the head and sealed tiers, or
+        // all sealed; limits absent, zero, or cutting a run of one id. One case in four holds three times the split
+        // threshold, so a wide region's sealed scan runs on two threads.
+        let raw = if above_split == 0 {
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let n = 3 * SPLIT_SCAN_ROWS as u64;
+            (0..n)
+                .map(|i| RawObs { t_ms: i * 60_000 / n, x: next() * EXTENT, y: next() * EXTENT })
+                .collect()
+        } else {
+            raw
+        };
+        let mut rows = spread(&raw);
+        for (i, o) in rows.iter_mut().enumerate() {
+            o.class = EntityClass::ALL[(i as u64 ^ seed) as usize % 4];
+        }
+        let rows = with_duplicates(rows, dup_every, 0);
+        let mut index = StIndex::new(config());
+        index.insert_batch(rows.iter().cloned());
+        if sealed {
+            index.seal_all();
+        }
+        let oracle: FlatIndex = rows.into_iter().collect();
+        let class = EntityClass::from_u8(class);
+        let limit = (limit.0 > 0).then_some(limit.1);
+        let wide = BBox::new(Point::new(-100.0, -100.0), Point::new(450.0, 450.0));
+        let everything = TimeInterval::new(Timestamp::ZERO, Timestamp::from_millis(70_000));
+        let window = TimeInterval::new(Timestamp::from_millis(t0), Timestamp::from_millis(t0 + dt));
+        let view = index.read_view();
+        // Over every row, a limit often falls between two rows of one id:
+        // the one scanned first must be kept.
+        for (region, window, class) in [(region, window, class), (wide, everything, class), (wide, everything, None)] {
+            let predicate = Predicate { region, class };
+            let want: Vec<Observation> = oracle
+                .range(region, window)
+                .into_iter()
+                .filter(|o| class.is_none_or(|c| o.class == c))
+                .take(limit.unwrap_or(usize::MAX))
+                .cloned()
+                .collect();
+            prop_assert_eq!(view.range_where(&predicate, window, limit), want);
         }
     }
 }

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use bytes::{Buf, BufMut};
+use stcam_codec::{DecodeError, Wire};
 use stcam_geo::Point;
 
 /// Identifier of a ground-truth entity (a real vehicle or person in the
@@ -66,6 +68,24 @@ impl EntityClass {
     }
 }
 
+/// One byte, [`as_u8`](EntityClass::as_u8); any other byte fails to
+/// decode.
+impl Wire for EntityClass {
+    fn encode<B: BufMut>(&self, buf: &mut B) {
+        self.as_u8().encode(buf);
+    }
+    fn decode<B: Buf>(buf: &mut B) -> Result<Self, DecodeError> {
+        let code = u8::decode(buf)?;
+        EntityClass::from_u8(code).ok_or(DecodeError::InvalidDiscriminant {
+            type_name: "EntityClass",
+            value: u64::from(code),
+        })
+    }
+    fn size_hint(&self) -> usize {
+        1
+    }
+}
+
 impl fmt::Display for EntityClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -113,6 +133,19 @@ mod tests {
             assert_eq!(EntityClass::from_u8(c.as_u8()), Some(c));
         }
         assert_eq!(EntityClass::from_u8(200), None);
+    }
+
+    #[test]
+    fn class_wire_form_is_its_byte() {
+        use stcam_codec::{decode_from_slice, encode_to_vec};
+        for c in EntityClass::ALL {
+            assert_eq!(encode_to_vec(&c), [c.as_u8()]);
+            assert_eq!(decode_from_slice::<EntityClass>(&[c.as_u8()]), Ok(c));
+        }
+        assert!(matches!(
+            decode_from_slice::<EntityClass>(&[4]),
+            Err(DecodeError::InvalidDiscriminant { value: 4, .. })
+        ));
     }
 
     #[test]

@@ -77,7 +77,8 @@ surface() {
     # exec.rs may call a worker.
     echo "worker_calls_outside_exec $(count_non_test '\.call(_start|_wait)?\(' "$src/exec.rs")"
     # Message layouts written by hand instead of declared (`wire_struct!` /
-    # `wire_enum!`): `Predicate`, for its class check.
+    # `wire_enum!`): none. `Predicate` is declared in stcam-index, and the
+    # class byte it checks is `EntityClass`'s one codec, in stcam-world.
     echo "core_hand_written_wire_impls $(count_non_test '^impl Wire for')"
     # Maps of replica state keyed by primary: one, of `ReplicaLog`s. A second
     # is a parallel structure some call site must keep in step by hand.
@@ -96,9 +97,9 @@ surface() {
     echo "net_one_way_sends $(for file in crates/net/src/*.rs; do
         awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file"
     done | grep -c 'pub fn send(' || true)"
-    # Call sites of the Range pushdown tail (limit, projection): the plain
-    # and the class-filtered arm of `execute_read`. More means a second
-    # function evaluates reads.
+    # Call sites of the range projection: one, in the `range_read` both
+    # range arms of `execute_read` call (the class and the limit are tested
+    # inside the scan). More means a second function evaluates reads.
     echo "worker_finish_rows_calls $(count_non_test '(^|[^n] |[^ ])finish_rows\(')"
     # Test rigs compiled into the library: none. The chaos schedule lives
     # in the chaos test, which drives faults through `Cluster::fabric()`.

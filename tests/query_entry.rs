@@ -7,9 +7,9 @@ use std::time::Duration as StdDuration;
 
 use stcam::exec::OpPolicy;
 use stcam::{
-    CentralizedStore, Cluster, ClusterConfig, Deadline, Degraded, HeatmapOp, Knn, KnnOp, Priority,
-    Query, QueryCtx, QueryMode, QueryOpts, RangeOp, ShedReason, StcamError, TenantBudget, TenantId,
-    TenantUsage, TopCellsOp, PROJ_THIN,
+    CentralizedStore, Cluster, ClusterConfig, Deadline, Degraded, HeatmapOp, Knn, KnnOp, Predicate,
+    Priority, Query, QueryCtx, QueryMode, QueryOpts, RangeOp, ShedReason, StcamError, TenantBudget,
+    TenantId, TenantUsage, TopCellsOp, PROJ_THIN,
 };
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
@@ -134,7 +134,10 @@ fn kinds(oracle: &CentralizedStore, at: Point) -> Vec<Kind> {
     ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     let top: Vec<u64> = ranked.iter().take(K).flat_map(|&(i, c)| [i, c]).collect();
     let thin_trucks = RangeOp {
-        class: Some(EntityClass::Truck),
+        predicate: Predicate {
+            region,
+            class: Some(EntityClass::Truck),
+        },
         limit: LIMIT,
         projection: PROJ_THIN,
         ..RangeOp::new(region, window)

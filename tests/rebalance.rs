@@ -511,7 +511,10 @@ fn filtered_range_query_matches_postfiltering() {
         let filtered: Vec<_> = cluster
             .query(
                 RangeOp {
-                    class: Some(class),
+                    predicate: Predicate {
+                        region,
+                        class: Some(class),
+                    },
                     ..RangeOp::new(region, window)
                 },
                 &QueryOpts::STRICT,
