@@ -385,7 +385,7 @@ impl Cluster {
     /// answer type is known statically — [`RangeOp`] (optionally
     /// class-filtered, limited, projected), [`Knn`], [`HeatmapOp`],
     /// [`TopCellsOp`](crate::TopCellsOp), or any other
-    /// [`ReadOp`](crate::ReadOp) such as the
+    /// [`DistributedOp`](crate::DistributedOp) such as the
     /// [`KnnOp::broadcast`](crate::KnnOp::broadcast) baseline — and
     /// `opts` says how to treat lost shards and on whose account to run
     /// (see [`QueryPlane::query`]). Lock-free: never touches the

@@ -41,7 +41,7 @@
 //! see a request twice (its fabric forgot the reply), so the protocol
 //! keeps one invariant instead of a per-op flag: **every request the
 //! executor sends is safe to apply twice.** Reads are pure; writes either
-//! overwrite (route install, truncate-then-stream repair), remove their
+//! overwrite (route install, a cell stream's truncate), remove their
 //! input before acting (promote), or pass the worker's id/digest dedup
 //! (segment install). A new message must keep that invariant. A probe
 //! counts in [`OpStats::retries`] and books 16 bytes; a copy, the frame.
@@ -51,7 +51,7 @@
 //! 1. Add the `Request`/`Response` message pair in `protocol.rs` and a
 //!    `match` arm in the worker's `handle_request`.
 //! 2. A read implements [`DistributedOp`] (targets / request / decode /
-//!    merge), is marked [`ReadOp`] and is asked through
+//!    merge), which makes it a [`Query`](crate::Query) asked through
 //!    [`Cluster::query`](crate::Cluster::query) — no facade to add; see
 //!    [`TopCellsOp`] for a complete example (it reuses the heat-map
 //!    message, so it skips step 1 too).
@@ -139,11 +139,12 @@ pub struct OpStats {
     pub scatter_micros: u64,
     /// Wall-clock microseconds spent merging partials into the output.
     pub merge_micros: u64,
-    /// Observation-stream wire bytes moved by anti-entropy repair on this
-    /// operation's behalf (booked by the repair driver against the
-    /// "repair" key; zero elsewhere).
+    /// Wire bytes the control loop moved between copies: its
+    /// `export_segments` answers received plus `install_segments`
+    /// requests sent. Booked only under the "repair" key, which holds the
+    /// loop's rounds and bytes and no message stats of its own.
     pub repair_bytes: u64,
-    /// Digest/stream repair rounds driven (booked against "repair").
+    /// Control-loop rounds driven (booked under "repair").
     pub repair_rounds: u64,
     /// Per-invocation scatter/gather latency distribution (one sample
     /// per invocation, log-linear microsecond buckets).
@@ -304,18 +305,6 @@ pub trait DistributedOp {
     fn merge(self, partials: Vec<(NodeId, Self::Partial)>) -> Self::Output;
 }
 
-/// Marks the [`DistributedOp`]s [`Cluster::query`](crate::Cluster::query)
-/// accepts as a query value on their own ([`Knn`](crate::Knn) composes
-/// two [`KnnOp`]s; [`KnnOp::broadcast`] alone is the unpruned baseline).
-/// An evaluation baseline that scatters its own read implements this for
-/// its op and needs no facade.
-pub trait ReadOp: DistributedOp {}
-
-impl ReadOp for RangeOp {}
-impl ReadOp for KnnOp {}
-impl ReadOp for HeatmapOp {}
-impl ReadOp for TopCellsOp {}
-
 // ----------------------------------------------------------------------
 // The executor
 // ----------------------------------------------------------------------
@@ -468,9 +457,8 @@ impl Executor {
             .collect()
     }
 
-    /// Books one anti-entropy round and its streamed observation bytes
-    /// against the "repair" telemetry key (the repair driver calls this
-    /// once per digest/stream round).
+    /// Books control-loop rounds and the bytes they moved against the
+    /// "repair" telemetry key (the loop calls this once per run).
     pub(crate) fn note_repair(&self, rounds: u64, bytes: u64) {
         let mut stats = self.shared.stats.lock();
         let entry = stats.entry("repair").or_default();

@@ -23,10 +23,10 @@
 //!   matches the rows it owns against its standing queries at ingest,
 //!   returning the matches in the `IngestSeq` reply that acks them (the
 //!   writer hands them on once the group is acked). Rows enter its
-//!   primary shard through `IngestSeq` (clients) or `InstallSegments`
-//!   (control plane), a `ReplicaLog` per backed-up primary through
-//!   `ReplicateSeq` or `Repair`, and nothing else; replication is the
-//!   sender's job. One function evaluates a read, over shard or log.
+//!   primary shard through `IngestSeq`, a `ReplicaLog` per backed-up
+//!   primary through `ReplicateSeq` (the sender's replication), either
+//!   through `InstallSegments` (control plane), and nothing else. One
+//!   function evaluates a read, over shard or log.
 //! * [`exec`] — the typed scatter/gather layer. The [`exec::Executor`]
 //!   holds one scatter loop: start every target's exchange, wait in
 //!   target order, probe what is overdue by the measured round trip
@@ -46,10 +46,10 @@
 //! * [`QueryPlane`] — the lock-free **read path**: one entry,
 //!   [`QueryPlane::query`], runs a typed [`Query`] value ([`RangeOp`],
 //!   [`Knn`] — two [`KnnOp`]s, the owner's answer bounding the rest —
-//!   [`HeatmapOp`], [`TopCellsOp`], or any other [`ReadOp`]) against the
-//!   current published plan, on a pool of fabric endpoints picked
-//!   round-robin — N client threads scatter/gather concurrently with
-//!   zero shared locking. [`QueryOpts`] carries the [`QueryMode`] and
+//!   [`HeatmapOp`], [`TopCellsOp`], or any other [`DistributedOp`])
+//!   against the current published plan, on a pool of fabric endpoints
+//!   picked round-robin — N client threads scatter/gather concurrently
+//!   with zero shared locking. [`QueryOpts`] carries the [`QueryMode`] and
 //!   the optional tenant context: `Strict` fails on any lost
 //!   shard with [`StcamError::PartialFailure`]; `BestEffort` returns a
 //!   [`Degraded`] value whose [`Completeness`] accounts for shards
@@ -117,7 +117,7 @@ pub use coordinator::{ClusterStats, Coordinator, RebalanceReport, ReconstructRep
 pub use error::StcamError;
 pub use exec::{
     Completeness, Degraded, DistributedOp, Executor, HeatmapOp, KnnOp, OpPolicy, OpStats,
-    QueryMode, RangeOp, ReadOp, TopCellsOp,
+    QueryMode, RangeOp, TopCellsOp,
 };
 pub use ingest::Ingestor;
 pub use partition::{PartitionMap, PartitionPolicy};

@@ -10,9 +10,11 @@
 //!
 //! * **Bounded frames.** Every page's encoded payload is at most
 //!   [`PAGE_TARGET_BYTES`] (or holds a single row that alone exceeds it);
-//!   with envelope and header overhead no response frame exceeds
-//!   [`PAGE_MAX_BYTES`] for realistic row sizes. Neither side ever
-//!   materialises a multi-megabyte message.
+//!   with envelope and header overhead no read answer or page pull
+//!   exceeds [`PAGE_MAX_BYTES`] for realistic row sizes. The bound is the
+//!   read path's only: a cell copy's `ExportSegments` answer and its
+//!   `InstallSegments` frames carry a whole cell's sealed segments in one
+//!   message.
 //! * **Standalone pages.** Each page payload is a complete encoding of
 //!   its rows (a `stcam-camnet` batch frame for observations, a plain
 //!   pair list for sparse counts), so pages decode independently, pulls

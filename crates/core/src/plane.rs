@@ -42,7 +42,7 @@ use crate::admission::{AdmissionControl, AdmissionTicket, Deadline, QueryCtx};
 use crate::error::StcamError;
 use crate::exec::{
     Completeness, Degraded, DistributedOp, ExecShared, Executor, KnnOp, KnnTargets, OpStats,
-    QueryMode, ReadOp,
+    QueryMode,
 };
 use crate::partition::PartitionMap;
 
@@ -286,7 +286,7 @@ impl Scatter<'_> {
 }
 
 /// A typed read with a statically known answer — the value
-/// [`Cluster::query`](crate::Cluster::query) takes. Every [`ReadOp`]
+/// [`Cluster::query`](crate::Cluster::query) takes. Every [`DistributedOp`]
 /// ([`RangeOp`](crate::RangeOp), [`HeatmapOp`](crate::HeatmapOp),
 /// [`TopCellsOp`](crate::TopCellsOp), [`KnnOp`]) is one; [`Knn`] composes
 /// two.
@@ -303,7 +303,7 @@ pub trait Query {
     fn run(self, on: &Scatter<'_>) -> Result<Degraded<Self::Output>, StcamError>;
 }
 
-impl<O: ReadOp> Query for O {
+impl<O: DistributedOp> Query for O {
     type Output = O::Output;
     fn run(self, on: &Scatter<'_>) -> Result<Degraded<O::Output>, StcamError> {
         Ok(on.run(self))

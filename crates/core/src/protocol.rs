@@ -96,9 +96,9 @@ wire_enum! {
     /// A request sent to a worker.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Request {
-        // `Ingest`, `Replicate`, `SnapshotReplica`, `Adopt`, `ExtractRegion`
-        // and `TopCells`.
-        retired [1, 2, 8, 9, 13, 15];
+        // `Ingest`, `Replicate`, `SnapshotReplica`, `Adopt`, `ExtractRegion`,
+        // `TopCells`, `Repair` and `SegmentDigest`.
+        retired [1, 2, 8, 9, 13, 15, 21, 23];
         /// Liveness probe.
         Ping = 0 "ping",
         /// Acknowledged ingest — the one door clients write a primary
@@ -250,41 +250,14 @@ wire_enum! {
         /// Anti-entropy digest request: report, per macro cell of `grid`, the
         /// observation count and an order-independent checksum — once over
         /// the local primary shard, and once per replica log held for other
-        /// primaries. The coordinator's repair sweeper compares primary and
-        /// replica digests to find under-replicated or diverged cells without
-        /// moving any observation data.
+        /// primaries — plus the digest of every sealed segment of the primary
+        /// shard. The control loop compares primary and replica digests to
+        /// find under-replicated or diverged cells without moving any
+        /// observation data, and skips the segments in row ships.
         CellDigest = 20 "cell_digest" {
             /// The macro grid cells are reported against (packed
             /// `row * cols + col`, positions bucketed by `cell_of_clamped`).
             grid: GridSpec,
-        },
-        /// Idempotent cell overwrite, the repair streamer's write primitive
-        /// and (beside `ReplicateSeq`) the only door into a replica log.
-        ///
-        /// When `primary` names *another* worker, the batch is applied to the
-        /// replica log held for that primary; when it names the addressee
-        /// itself, it addresses the local primary shard — the control plane
-        /// uses that only with `truncate` and an empty batch, to drop a ceded
-        /// cell after a move, and the addressee refuses while its installed
-        /// route still owns the cell. With `truncate` set the cell's current
-        /// contents (under `grid`'s clamped bucketing) are removed first —
-        /// including their dedup ids — so a repair round converges to exactly
-        /// the primary's content even when the target holds stale or hinted
-        /// extras. Chunked streams set `truncate` only on the first chunk;
-        /// appends deduplicate by observation id, so a retransmitted chunk is
-        /// harmless.
-        Repair = 21 "repair" {
-            /// The primary whose shard the cell belongs to (the addressee
-            /// itself for primary-shard bulk sync).
-            primary: NodeId as Bare,
-            /// The macro grid `cell` refers to.
-            grid: GridSpec,
-            /// The cell being overwritten, packed `row * cols + col`.
-            cell: u32,
-            /// Remove the cell's current contents before appending.
-            truncate: bool,
-            /// The authoritative observations for the cell (one chunk of).
-            batch: Vec<Observation> as ObservationBatch,
         },
         /// Readmission handshake for a restarted worker: drop *all* local
         /// state (primary index, replica logs, dedup memories, standing
@@ -301,10 +274,6 @@ wire_enum! {
             /// The cells this worker will own, packed `row * cols + col`.
             cells: Vec<u32>,
         },
-        /// Report the digests of every sealed segment held by the primary
-        /// shard ([`Response::SegmentDigests`]). A cell move that ships rows
-        /// asks its receiver for these, and its `ExportSegments` skips them.
-        SegmentDigest = 23 "segment_digest",
         /// Export the primary shard's contents overlapping `region` as whole
         /// sealed segments (split at cell boundaries against the segments'
         /// own grid) plus the not-yet-sealed head rows, skipping any segment
@@ -312,23 +281,41 @@ wire_enum! {
         /// export is non-destructive and deterministic, so a retried transfer
         /// produces byte-identical frames and the receiver's dedup holds.
         ExportSegments = 24 "export_segments" {
-            /// The region whose contents to export (routing region of the
-            /// moving cells).
+            /// The region whose contents to export (the routing region of
+            /// the copied cell).
             region: BBox,
             /// Digests the requester already holds; matching segments are
             /// omitted from the reply.
             skip: Vec<SegmentDigest>,
         },
-        /// Install exported segments into the primary shard — the one door
-        /// the control plane moves rows through: each frame is verified
-        /// (counts, checksums, window bounds) and archived whole — no
-        /// row-by-row re-indexing — and `head` rows go through normal
-        /// deduplicated ingest. Re-delivery is harmless: frames matching an
-        /// already-held digest and rows already seen are dropped. Frames are
-        /// deduplicated by digest only, so the sender ships them whole only
-        /// onto a cell the addressee holds nothing of, and as `head` rows
-        /// otherwise.
+        /// Write exported rows into one cell of a worker's copy — the one
+        /// door the control plane moves rows through, into a primary shard
+        /// or a replica log. Every cell copy, cover, drain and truncate is
+        /// a stream of these, the first one carrying the frames and the
+        /// truncate.
+        ///
+        /// When `primary` names the addressee, it writes the primary
+        /// shard: with `truncate` the cell (under `grid`'s clamped
+        /// bucketing) is dropped first, and refused while the installed
+        /// route owns it; each frame is verified (counts, checksums, window
+        /// bounds) and archived whole, deduplicated by digest only — so
+        /// the sender ships frames only onto a cell the addressee holds
+        /// nothing of — and `head` rows pass the id filter. When it names
+        /// *another* worker, it writes the replica log held for that
+        /// primary: with `truncate` the cell's rows and their ids are
+        /// removed first, so a stream converges to exactly the primary's
+        /// copy; then the rows of `frames` and `head` pass the log's id
+        /// set. Re-delivery is harmless either way.
         InstallSegments = 25 "install_segments" {
+            /// The primary whose copy is written (the addressee itself for
+            /// its primary shard).
+            primary: NodeId as Bare,
+            /// The macro grid `cell` refers to.
+            grid: GridSpec,
+            /// The cell written, packed `row * cols + col`.
+            cell: u32,
+            /// Remove the cell's current contents before writing.
+            truncate: bool,
             /// Verified-on-receipt sealed segment frames.
             frames: Vec<SegmentFrame>,
             /// Rows that were still in the exporter's mutable head.
@@ -386,8 +373,9 @@ wire_struct! {
 
 wire_struct! {
     /// A worker's answer to [`Request::CellDigest`]: sparse per-cell digests
-    /// of its primary shard and of every replica log it holds. Cells with no
-    /// observations are omitted, so the wire cost tracks occupancy.
+    /// of its primary shard and of every replica log it holds, and the
+    /// digests of its sealed segments. Cells with no observations are
+    /// omitted, so the wire cost tracks occupancy.
     #[derive(Debug, Clone, PartialEq, Eq, Default)]
     pub struct DigestReport {
         /// Occupied cells of the primary shard, sorted by cell.
@@ -395,6 +383,10 @@ wire_struct! {
         /// Occupied cells of each held replica log, sorted by
         /// `(primary, cell)`.
         pub replicas: Vec<ReplicaDigestEntry>,
+        /// Digests of every sealed segment the primary shard holds,
+        /// ascending by `(number, digest)`: a cell move that ships rows
+        /// skips these in its `ExportSegments`.
+        pub segments: Vec<SegmentDigest>,
     }
 }
 
@@ -484,8 +476,9 @@ wire_enum! {
     /// A worker's answer.
     #[derive(Debug, Clone, PartialEq)]
     pub enum Response {
-        // `Counts`, the dense heat-map answer, and `IngestAck`.
-        retired [2, 6];
+        // `Counts`, the dense heat-map answer, `IngestAck` and
+        // `SegmentDigests`.
+        retired [2, 6, 9];
         /// Success without data; for an `IngestSeq` or `ReplicateSeq`
         /// batch, that the addressee applied (or already held) all of it.
         Ack = 0 "ack",
@@ -513,9 +506,6 @@ wire_enum! {
         },
         /// Per-cell anti-entropy digests (answer to [`Request::CellDigest`]).
         Digests = 8 "digests" (report: DigestReport),
-        /// Digests of every sealed segment held (answer to
-        /// [`Request::SegmentDigest`]), ascending by `(number, digest)`.
-        SegmentDigests = 9 "segment_digests" (digests: Vec<SegmentDigest>),
         /// Sealed segment frames plus loose head rows (answer to
         /// [`Request::ExportSegments`]).
         Segments = 10 "segments" {
@@ -658,8 +648,8 @@ mod tests {
     #[test]
     fn retired_and_unassigned_tags_rejected() {
         // 200 was never assigned; a retired tag must stay dead.
-        assert_eq!(Request::RETIRED, [1, 2, 8, 9, 13, 15]);
-        assert_eq!(Response::RETIRED, [2, 6]);
+        assert_eq!(Request::RETIRED, [1, 2, 8, 9, 13, 15, 21, 23]);
+        assert_eq!(Response::RETIRED, [2, 6, 9]);
         for &tag in Request::RETIRED.iter().chain(&[200]) {
             assert!(matches!(
                 decode_from_slice::<Request>(&[tag]),

@@ -12,18 +12,19 @@
 //!
 //! [`Request::CellDigest`]: crate::Request::CellDigest
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use stcam_camnet::Observation;
-use stcam_geo::{GridSpec, TimeInterval};
+use stcam_codec::SegmentFrame;
+use stcam_geo::GridSpec;
 use stcam_index::{SealedSegment, SegmentDigest};
 use stcam_net::NodeId;
 
 use crate::error::StcamError;
-use crate::exec::{unexpected, want_ack, want_observations, Executor};
+use crate::exec::{unexpected, want_ack, Executor};
 use crate::partition::PartitionMap;
 use crate::plane::QueryPlan;
-use crate::protocol::{DigestReport, Request, Response, PROJ_FULL};
+use crate::protocol::{DigestReport, Request, Response};
 use crate::repair::{cell_region, STREAM_CHUNK};
 
 /// What the control loop drives the cluster to.
@@ -354,63 +355,49 @@ pub(crate) fn sweep(
     answered.collect()
 }
 
-/// Wire bytes of the loop's streaming so far: repair and install
-/// requests sent plus cell copies and exports received.
+/// Wire bytes of the loop's streaming so far: exports received plus
+/// installs sent.
 pub(crate) fn traffic(exec: &Executor) -> u64 {
-    let stats = |op| exec.stats_for(op);
-    stats("repair").bytes_sent
-        + stats("install_segments").bytes_sent
-        + stats("copy_region").bytes_received
-        + stats("export_segments").bytes_received
+    exec.stats_for("export_segments").bytes_received + exec.stats_for("install_segments").bytes_sent
 }
 
+/// What `ExportSegments` answers: sealed frames and mutable-head rows.
+type Export = (Vec<SegmentFrame>, Vec<Observation>);
+
 /// The messages one round's cell actions are spelled in, and the answers
-/// the round reuses.
+/// the round reuses. Rows leave a copy only by `ExportSegments` and
+/// enter one only by `InstallSegments`.
 #[derive(Debug)]
 pub(crate) struct Wire<'a> {
     exec: &'a Executor,
     grid: GridSpec,
-    /// Each row-ship target's segment digests, asked once per round.
-    held: HashMap<NodeId, Vec<SegmentDigest>>,
-    /// The last `(owner, cell)` copy a cover fetched.
-    fetched: Option<((NodeId, u32), Vec<Observation>)>,
+    /// The round's digest sweep: each row-ship receiver's segments.
+    observed: &'a [(NodeId, DigestReport)],
+    /// The last `(owner, cell)` copy a cover exported.
+    exported: Option<((NodeId, u32), Export)>,
 }
 
 impl<'a> Wire<'a> {
-    pub(crate) fn new(exec: &'a Executor, grid: GridSpec) -> Self {
+    pub(crate) fn new(
+        exec: &'a Executor,
+        grid: GridSpec,
+        observed: &'a [(NodeId, DigestReport)],
+    ) -> Self {
         Wire {
             exec,
             grid,
-            held: HashMap::new(),
-            fetched: None,
+            observed,
+            exported: None,
         }
     }
 
-    /// Exports `from`'s copy of `cell` into `to`'s primary shard — the
-    /// only way rows leave one — and returns the rows shipped: whole
-    /// sealed frames, or, skipping the segments `to` holds whole (its
-    /// `SegmentDigest`), rows that pass `to`'s id filter. Export reads,
-    /// install dedups: every message may be re-sent.
-    pub(crate) fn ship(
-        &mut self,
-        cell: u32,
+    /// `from`'s primary copy of `cell`, less the segments in `skip`.
+    fn export(
+        &self,
         from: NodeId,
-        to: NodeId,
-        whole: bool,
-    ) -> Result<usize, StcamError> {
-        if !whole && !self.held.contains_key(&to) {
-            let want = |response| match response {
-                Response::SegmentDigests(digests) => Ok(digests),
-                other => Err(unexpected("segment digests", other)),
-            };
-            let ask = |_| Request::SegmentDigest;
-            let held = only(self.exec.ask("segment_digest", &[to], ask, want))?;
-            self.held.insert(to, held);
-        }
-        let skip = match self.held.get(&to) {
-            Some(held) if !whole => held.clone(),
-            _ => Vec::new(),
-        };
+        cell: u32,
+        skip: Vec<SegmentDigest>,
+    ) -> Result<Export, StcamError> {
         let region = cell_region(&self.grid, cell);
         let export = |_| Request::ExportSegments {
             region,
@@ -420,24 +407,33 @@ impl<'a> Wire<'a> {
             Response::Segments { frames, head } => Ok((frames, head)),
             other => Err(unexpected("segments", other)),
         };
-        let exported = self.exec.ask("export_segments", &[from], export, want);
-        let (mut frames, mut head) = only(exported)?;
+        only(self.exec.ask("export_segments", &[from], export, want))
+    }
+
+    /// Exports `from`'s copy of `cell` into `to`'s primary shard and
+    /// returns the rows shipped: whole sealed frames, or, skipping the
+    /// segments `to` holds whole (per the round's sweep), rows that pass
+    /// `to`'s id filter. Export reads, install dedups: every message may
+    /// be re-sent.
+    pub(crate) fn ship(
+        &mut self,
+        cell: u32,
+        from: NodeId,
+        to: NodeId,
+        whole: bool,
+    ) -> Result<usize, StcamError> {
+        let held = self.observed.iter().find(|(node, _)| *node == to);
+        let skip = match held {
+            Some((_, report)) if !whole => report.segments.clone(),
+            _ => Vec::new(),
+        };
+        let (mut frames, mut head) = self.export(from, cell, skip)?;
         if !whole {
             for frame in frames.drain(..) {
                 head.extend(SealedSegment::from_frame(frame)?.unseal());
             }
         }
-        let shipped = frames.iter().map(|f| f.count as usize).sum::<usize>() + head.len();
-        // The frames ride with the first chunk of rows (alone, if none).
-        let rowless = (head.is_empty() && !frames.is_empty()).then_some(&head[..]);
-        for chunk in rowless.into_iter().chain(head.chunks(STREAM_CHUNK)) {
-            tell(self.exec, "install_segments", &[to], |_| {
-                let frames = std::mem::take(&mut frames);
-                let head = chunk.to_vec();
-                Request::InstallSegments { frames, head }
-            })?;
-        }
-        Ok(shipped)
+        self.install(to, to, Some(cell), false, frames, &head)
     }
 
     /// Ships `from`'s copy of `cell` into `to` as rows when `ship`, then
@@ -451,12 +447,12 @@ impl<'a> Wire<'a> {
         ship: bool,
     ) -> Result<usize, StcamError> {
         let shipped = ship.then(|| self.ship(cell, from, to, false)).transpose()?;
-        self.overwrite(from, from, Some(cell), &[])?;
+        self.install(from, from, Some(cell), true, Vec::new(), &[])?;
         Ok(shipped.unwrap_or(0))
     }
 
     /// Overwrites `holder`'s replica log for `owner` at `cell` with
-    /// `owner`'s primary copy — a plain range read, fetched once for the
+    /// `owner`'s primary copy as it is stored — exported once for the
     /// covers of one cell. Returns the rows streamed.
     pub(crate) fn cover(
         &mut self,
@@ -465,52 +461,52 @@ impl<'a> Wire<'a> {
         holder: NodeId,
     ) -> Result<usize, StcamError> {
         let key = (owner, cell);
-        if self.fetched.as_ref().is_none_or(|(k, _)| *k != key) {
-            self.fetched = None;
-            let copy = |_| Request::Range {
-                region: cell_region(&self.grid, cell),
-                window: TimeInterval::ALL,
-                limit: 0,
-                projection: PROJ_FULL,
-            };
-            let copied = self
-                .exec
-                .ask("copy_region", &[owner], copy, want_observations);
-            self.fetched = Some((key, only(copied)?));
+        if self.exported.as_ref().is_none_or(|(k, _)| *k != key) {
+            self.exported = None;
+            self.exported = Some((key, self.export(owner, cell, Vec::new())?));
         }
-        let rows = self.fetched.as_ref().map_or(&[][..], |(_, rows)| rows);
-        self.overwrite(holder, owner, Some(cell), rows)?;
-        Ok(rows.len())
+        let (_, (frames, head)) = self.exported.as_ref().expect("exported above");
+        self.install(holder, owner, Some(cell), true, frames.clone(), head)
     }
 
-    /// Overwrites `holder`'s copy of `cell` held for `primary` (its own
-    /// primary shard when the two are equal — then only with nothing, to
-    /// drop a ceded cell) with `rows`, in bounded batches: the first
-    /// truncates, the rest append. No cell means the whole copy: the one
-    /// cell of a grid over the extent, into which every position clamps.
-    pub(crate) fn overwrite(
+    /// Writes `frames` and `head` into `holder`'s copy of `cell` held for
+    /// `primary` (its own primary shard when the two are equal), after
+    /// removing the cell's contents when `truncate`, in bounded
+    /// messages: the frames and the truncate go with the first, which
+    /// carries no rows when `head` is empty, the rest append. No cell
+    /// means the whole copy: the one cell of a grid over the extent,
+    /// into which every position clamps. Returns the rows written.
+    pub(crate) fn install(
         &self,
         holder: NodeId,
         primary: NodeId,
         cell: Option<u32>,
-        rows: &[Observation],
-    ) -> Result<(), StcamError> {
+        truncate: bool,
+        mut frames: Vec<SegmentFrame>,
+        head: &[Observation],
+    ) -> Result<usize, StcamError> {
         let extent = self.grid.extent();
         let whole = GridSpec::covering(extent, extent.width().max(extent.height()));
         let (grid, cell) = cell.map_or((whole, 0), |cell| (self.grid, cell));
-        // Nothing to write still sends the one truncating message.
-        let nothing = rows.is_empty().then_some(rows);
-        let batches = nothing.into_iter().chain(rows.chunks(STREAM_CHUNK));
-        for (i, batch) in batches.enumerate() {
-            tell(self.exec, "repair", &[holder], |_| Request::Repair {
-                primary,
-                grid,
-                cell,
-                truncate: i == 0,
-                batch: batch.to_vec(),
+        let rows = frames.iter().map(|f| f.count as usize).sum::<usize>() + head.len();
+        let rowless = head.is_empty() && (truncate || !frames.is_empty());
+        let chunks = rowless
+            .then_some(head)
+            .into_iter()
+            .chain(head.chunks(STREAM_CHUNK));
+        for (i, chunk) in chunks.enumerate() {
+            tell(self.exec, "install_segments", &[holder], |_| {
+                Request::InstallSegments {
+                    primary,
+                    grid,
+                    cell,
+                    truncate: truncate && i == 0,
+                    frames: std::mem::take(&mut frames),
+                    head: chunk.to_vec(),
+                }
             })?;
         }
-        Ok(())
+        Ok(rows)
     }
 }
 

@@ -29,13 +29,13 @@ pub use stcam_index::observation_checksum;
 
 /// The region of positions that route to packed cell `cell` under the
 /// clamped assignment of `grid` (outside positions clamp to border
-/// cells) — the one region rule: cell moves export by it, workers truncate
-/// by it during [`Request::Repair`], and sealed-segment scans copy whole
-/// blocks by it (it is `stcam-index`'s
+/// cells) — the one region rule: every cell copy exports by it, workers
+/// truncate by it during [`Request::InstallSegments`], and sealed-segment
+/// scans copy whole blocks by it (it is `stcam-index`'s
 /// [`cell_scope`](stcam_index::cell_scope)), so a clamped out-of-extent
 /// observation is in scope for all three or for none.
 ///
-/// [`Request::Repair`]: crate::Request::Repair
+/// [`Request::InstallSegments`]: crate::Request::InstallSegments
 pub fn cell_region(grid: &GridSpec, cell: u32) -> BBox {
     stcam_index::cell_scope(grid, cell)
 }
@@ -84,10 +84,11 @@ pub(crate) const MAX_ROUNDS: usize = 32;
 /// queries; the next round re-plans the rest from fresh digests.
 pub(crate) const ROUND_STREAM: usize = 8_192;
 
-/// Observations per [`Request::Repair`] / `InstallSegments` head batch —
-/// the streaming unit, sized to the columnar codec's sweet spot.
+/// Head rows per [`Request::InstallSegments`] — the streaming unit, sized
+/// to the columnar codec's sweet spot. Sealed frames are not cut: they
+/// ride whole with a stream's first message.
 ///
-/// [`Request::Repair`]: crate::Request::Repair
+/// [`Request::InstallSegments`]: crate::Request::InstallSegments
 pub(crate) const STREAM_CHUNK: usize = 512;
 
 /// The outcome of one control-loop run.

@@ -31,9 +31,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use stcam_camnet::{Observation, ObservationId, Signature, SIGNATURE_DIM};
-use stcam_codec::{decode_from_slice, encode_to_vec};
+use stcam_codec::{decode_from_slice, encode_to_vec, SegmentFrame};
 use stcam_geo::{BBox, GridSpec, TimeInterval};
-use stcam_index::{IndexConfig, Predicate, ReadView, SegmentDigest, StIndex};
+use stcam_index::{IndexConfig, Predicate, ReadView, SealedSegment, SegmentDigest, StIndex};
 use stcam_net::{Endpoint, Envelope, NodeId, Waker};
 
 use crate::continuous::InterestIndex;
@@ -319,10 +319,11 @@ impl Drop for ReadPool {
 
 /// A worker node: owns the local shard, answers sub-queries from the
 /// coordinator, and evaluates continuous-query predicates at ingest time.
-/// Rows enter the primary shard through [`Request::IngestSeq`] (clients)
-/// or [`Request::InstallSegments`] (control plane), a `ReplicaLog` through
-/// [`Request::ReplicateSeq`] or [`Request::Repair`], and nothing else —
-/// replication is the *sender's* job, never forwarded from here.
+/// Rows enter the primary shard through [`Request::IngestSeq`] (clients),
+/// a `ReplicaLog` through [`Request::ReplicateSeq`] (the ingesting
+/// sender), either through [`Request::InstallSegments`] (control plane),
+/// and nothing else — replication is the *sender's* job, never forwarded
+/// from here.
 ///
 /// Normally driven via [`Worker::spawn`], which runs the serving loop on a
 /// dedicated thread until [`WorkerHandle::shutdown`] (or fabric crash).
@@ -516,17 +517,16 @@ impl Worker {
                 Response::Error(format!("{} is not replica-readable", inner.op_name()))
             }
             Request::CellDigest { grid } => self.serve_cell_digest(grid),
-            Request::Repair {
+            Request::Rejoin { epoch, grid, cells } => self.serve_rejoin(epoch, grid, cells),
+            Request::ExportSegments { region, skip } => self.serve_export_segments(region, skip),
+            Request::InstallSegments {
                 primary,
                 grid,
                 cell,
                 truncate,
-                batch,
-            } => self.serve_repair(primary, grid, cell, truncate, batch),
-            Request::Rejoin { epoch, grid, cells } => self.serve_rejoin(epoch, grid, cells),
-            Request::SegmentDigest => Response::SegmentDigests(self.index.segment_digests()),
-            Request::ExportSegments { region, skip } => self.serve_export_segments(region, skip),
-            Request::InstallSegments { frames, head } => self.serve_install_segments(frames, head),
+                frames,
+                head,
+            } => self.serve_install_segments(primary, grid, cell, truncate, frames, head),
         }
     }
 
@@ -626,59 +626,11 @@ impl Worker {
             }));
         }
         replicas.sort_by_key(|e| (e.primary, e.cell));
-        Response::Digests(crate::protocol::DigestReport { primary, replicas })
-    }
-
-    /// Applies one repair stream chunk to the replica log held for
-    /// `primary`: `truncate` first removes the cell's current contents
-    /// (and their dedup ids), so a full stream is an idempotent overwrite;
-    /// appends then pass through the id filter, making chunk
-    /// retransmissions harmless.
-    ///
-    /// `primary == self` addresses the primary shard and only ever drops:
-    /// the last step of a cell move truncates the ceded copy. It is
-    /// refused while the installed route still owns the cell — once a
-    /// route excluding the cell is installed, `IngestSeq` NACKs every
-    /// write to it, so nothing can land between the mover's final export
-    /// and this truncate; before that, acked rows could. A refused or
-    /// repeated truncate changes nothing.
-    fn serve_repair(
-        &mut self,
-        primary: NodeId,
-        grid: GridSpec,
-        cell: u32,
-        truncate: bool,
-        batch: Vec<Observation>,
-    ) -> Response {
-        let region = crate::repair::cell_region(&grid, cell);
-        if primary == self.endpoint.id() {
-            if !batch.is_empty() {
-                return Response::Error("rows enter a primary shard via install_segments".into());
-            }
-            if truncate {
-                let route = self.route.as_ref();
-                if route.is_some_and(|r| r.grid != grid || r.cells.contains(&cell)) {
-                    return Response::Error(format!(
-                        "cell {cell} is owned under the installed route"
-                    ));
-                }
-                for removed in self.index.extract_range(region) {
-                    self.seen.remove(&removed.id);
-                }
-            }
-        } else {
-            let log = self.replicas.entry(primary).or_default();
-            if truncate {
-                log.truncate(region);
-            }
-            log.append(batch);
-            // An emptied log reads as "nothing held for that primary",
-            // matching a fresh worker.
-            if log.rows().is_empty() {
-                self.replicas.remove(&primary);
-            }
-        }
-        Response::Ack
+        Response::Digests(crate::protocol::DigestReport {
+            primary,
+            replicas,
+            segments: self.index.segment_digests(),
+        })
     }
 
     /// Readmission handshake for a restarted worker: drop **all** local
@@ -717,29 +669,60 @@ impl Worker {
         Response::Segments { frames, head }
     }
 
-    /// Installs exported segments whole into the archive tier — the
-    /// frames were verified during decode-time reconstruction, so no
-    /// row-by-row re-indexing happens — and routes loose head rows
-    /// through the normal deduplicated ingest. Duplicate frames (digest
-    /// already held) and already-seen rows are dropped, making
-    /// retransmission harmless.
+    /// Writes one chunk of a cell stream into the copy `primary` names,
+    /// once its frames decoded (and so verified). A replica log truncates
+    /// the cell's rows and their ids when asked, then appends the rows of
+    /// `frames` and `head` through its id set. The primary shard refuses
+    /// a truncate while its installed route owns the cell — once a route
+    /// excluding the cell is installed, `IngestSeq` NACKs every write to
+    /// it, so nothing lands between a drain's export and its drop; before
+    /// that, acked rows could — archives frames whole unless their digest
+    /// is held, and passes `head` through the id filter.
     fn serve_install_segments(
         &mut self,
-        frames: Vec<stcam_codec::SegmentFrame>,
+        primary: NodeId,
+        grid: GridSpec,
+        cell: u32,
+        truncate: bool,
+        frames: Vec<SegmentFrame>,
         head: Vec<Observation>,
     ) -> Response {
-        for frame in frames {
-            let segment = match stcam_index::SealedSegment::from_frame(frame) {
-                Ok(segment) => segment,
-                Err(e) => return Response::Error(format!("bad segment frame: {e:?}")),
-            };
-            // The dedup filter must know the archived ids even though the
-            // rows never pass through insert; decode once up front.
+        let segments: Result<Vec<SealedSegment>, _> =
+            frames.into_iter().map(SealedSegment::from_frame).collect();
+        let segments = match segments {
+            Ok(segments) => segments,
+            Err(e) => return Response::Error(format!("bad segment frame: {e:?}")),
+        };
+        let region = crate::repair::cell_region(&grid, cell);
+        if primary != self.endpoint.id() {
+            let log = self.replicas.entry(primary).or_default();
+            if truncate {
+                log.truncate(region);
+            }
+            let sealed = segments.iter().flat_map(SealedSegment::unseal);
+            log.append(head.into_iter().chain(sealed));
+            // An emptied log reads as "nothing held for that primary",
+            // matching a fresh worker.
+            if log.rows().is_empty() {
+                self.replicas.remove(&primary);
+            }
+            return Response::Ack;
+        }
+        if truncate {
+            let route = self.route.as_ref();
+            if route.is_some_and(|r| r.grid != grid || r.cells.contains(&cell)) {
+                return Response::Error(format!("cell {cell} is owned under the installed route"));
+            }
+            for removed in self.index.extract_range(region) {
+                self.seen.remove(&removed.id);
+            }
+        }
+        for segment in segments {
+            // The id filter must know the archived ids even though the
+            // rows never pass through insert.
             let rows = segment.unseal();
             if self.index.install_segment(segment) {
-                for o in &rows {
-                    self.seen.insert(o.id);
-                }
+                self.seen.extend(rows.into_iter().map(|o| o.id));
             }
         }
         let fresh: Vec<Observation> = head
@@ -922,6 +905,24 @@ mod tests {
     /// Fixture: a sender-side replica write for `primary`'s shard.
     fn replicate_req(primary: NodeId, batch: Vec<Observation>) -> Request {
         Request::ReplicateSeq { primary, batch }
+    }
+
+    /// Fixture: a control-plane write into the copy held for `primary`,
+    /// at cell 0 of the 2×2 grid.
+    fn install_req(
+        primary: NodeId,
+        truncate: bool,
+        frames: Vec<SegmentFrame>,
+        head: Vec<Observation>,
+    ) -> Request {
+        Request::InstallSegments {
+            primary,
+            grid: grid_2x2(),
+            cell: 0,
+            truncate,
+            frames,
+            head,
+        }
     }
 
     /// Sorted sequence numbers of the replica log held for `primary`.
@@ -1126,10 +1127,13 @@ mod tests {
             source.handle_request(ingest_req(batch.clone())),
             Response::Ack
         );
-        let Response::SegmentDigests(digests) = source.handle_request(Request::SegmentDigest)
-        else {
-            panic!("expected segment digests");
+        let digest = |worker: &mut Worker| match worker
+            .handle_request(Request::CellDigest { grid: grid_2x2() })
+        {
+            Response::Digests(report) => report,
+            other => panic!("unexpected response {other:?}"),
         };
+        let digests = digest(&mut source).segments;
         assert!(!digests.is_empty(), "nothing sealed at the source");
         let everything = BBox::new(Point::new(-1e12, -1e12), Point::new(1e12, 1e12));
         let Response::Segments { frames, head } = source.handle_request(Request::ExportSegments {
@@ -1146,10 +1150,7 @@ mod tests {
         // Install into a fresh worker; answers must match the source's.
         let mut target = Worker::new(fabric.register(NodeId(2)), config(0));
         assert_eq!(
-            target.handle_request(Request::InstallSegments {
-                frames: frames.clone(),
-                head: head.clone(),
-            }),
+            target.handle_request(install_req(NodeId(2), false, frames.clone(), head.clone())),
             Response::Ack
         );
         assert_eq!(target.stats().primary_observations, batch.len() as u64);
@@ -1166,7 +1167,7 @@ mod tests {
         );
         // Retransmission: digest dedup and the id filter drop everything.
         assert_eq!(
-            target.handle_request(Request::InstallSegments { frames, head }),
+            target.handle_request(install_req(NodeId(2), false, frames, head)),
             Response::Ack
         );
         assert_eq!(target.stats().primary_observations, batch.len() as u64);
@@ -1179,8 +1180,10 @@ mod tests {
             panic!("expected segments");
         };
         assert!(frames.is_empty(), "skip list ignored");
-        // The clamped row travelled, and is in scope of the border cell
-        // it routes to — the one region rule every cell move exports by.
+        // The clamped row travels with the border cell it routes to — the
+        // one region rule every copy exports by — and a cover relays the
+        // export as stored: its frames land in a log as rows, and the two
+        // copies' digests agree.
         let corner = crate::repair::cell_region(&grid_2x2(), 2);
         let Response::Segments { frames, head } = target.handle_request(Request::ExportSegments {
             region: corner,
@@ -1188,10 +1191,28 @@ mod tests {
         }) else {
             panic!("expected segments");
         };
-        let sealed = frames
+        assert!(!frames.is_empty(), "nothing sealed in the corner");
+        let cover = Request::InstallSegments {
+            primary: NodeId(2),
+            grid: grid_2x2(),
+            cell: 2,
+            truncate: true,
+            frames,
+            head,
+        };
+        assert_eq!(source.handle_request(cover), Response::Ack);
+        assert!(log_seqs(&source, NodeId(2)).contains(&200));
+        let truth = digest(&mut target)
+            .primary
             .into_iter()
-            .flat_map(|f| stcam_index::SealedSegment::from_frame(f).unwrap().unseal());
-        assert!(sealed.chain(head).any(|o| o.id.seq() == 200));
+            .find(|e| e.cell == 2);
+        let copy = digest(&mut source).replicas;
+        assert_eq!(copy.len(), 1);
+        let truth = truth.expect("the corner is held");
+        assert_eq!(
+            (copy[0].cell, copy[0].count, copy[0].checksum),
+            (2, truth.count, truth.checksum)
+        );
     }
 
     #[test]
@@ -1659,7 +1680,7 @@ mod tests {
     }
 
     #[test]
-    fn repair_overwrites_replica_log_cell_idempotently() {
+    fn install_overwrites_a_replica_log_cell_idempotently() {
         let (_fabric, mut worker) = lone_worker();
         // Stale copy in cell 0 of primary 4's log.
         worker.handle_request(replicate_req(
@@ -1668,39 +1689,30 @@ mod tests {
         ));
         // Stream the authoritative contents: truncate, then two chunks.
         let fresh = [obs(1, 100, 20.0, 20.0), obs(2, 100, 30.0, 30.0)];
-        worker.handle_request(Request::Repair {
-            primary: NodeId(4),
-            grid: grid_2x2(),
-            cell: 0,
-            truncate: true,
-            batch: vec![fresh[0].clone()],
-        });
-        worker.handle_request(Request::Repair {
-            primary: NodeId(4),
-            grid: grid_2x2(),
-            cell: 0,
-            truncate: false,
-            batch: vec![fresh[1].clone()],
-        });
+        worker.handle_request(install_req(NodeId(4), true, vec![], vec![fresh[0].clone()]));
+        worker.handle_request(install_req(
+            NodeId(4),
+            false,
+            vec![],
+            vec![fresh[1].clone()],
+        ));
         // A retransmitted chunk appends nothing (id dedup).
-        worker.handle_request(Request::Repair {
-            primary: NodeId(4),
-            grid: grid_2x2(),
-            cell: 0,
-            truncate: false,
-            batch: vec![fresh[1].clone()],
-        });
+        worker.handle_request(install_req(
+            NodeId(4),
+            false,
+            vec![],
+            vec![fresh[1].clone()],
+        ));
         // Cell 0 replaced (seq 0 gone, 1 and 2 in); cell 3 untouched
         // (seq 9 kept).
         assert_eq!(log_seqs(&worker, NodeId(4)), vec![1, 2, 9]);
         // Truncating the stale-id namespace re-admits the removed id.
-        worker.handle_request(Request::Repair {
-            primary: NodeId(4),
-            grid: grid_2x2(),
-            cell: 0,
-            truncate: true,
-            batch: vec![obs(0, 100, 10.0, 10.0)],
-        });
+        worker.handle_request(install_req(
+            NodeId(4),
+            true,
+            vec![],
+            vec![obs(0, 100, 10.0, 10.0)],
+        ));
         assert_eq!(log_seqs(&worker, NodeId(4)), vec![0, 9]);
     }
 
@@ -1721,12 +1733,13 @@ mod tests {
     }
 
     fn drop_cell(cell: u32) -> Request {
-        Request::Repair {
+        Request::InstallSegments {
             primary: NodeId(1), // == self: the primary shard
             grid: grid_2x2(),
             cell,
             truncate: true,
-            batch: vec![],
+            frames: vec![],
+            head: vec![],
         }
     }
 
@@ -1749,20 +1762,8 @@ mod tests {
         assert_eq!(shard_seqs(&mut worker), vec![9]);
         // The truncated id left the dedup filter: the same observation
         // can be installed back (rebalance return trip).
-        worker.handle_request(Request::InstallSegments {
-            frames: vec![],
-            head: vec![obs(0, 100, 10.0, 10.0)],
-        });
-        assert_eq!(shard_seqs(&mut worker), vec![0, 9]);
-        // Rows never enter a primary shard through a repair batch.
-        let smuggle = Request::Repair {
-            primary: NodeId(1),
-            grid: grid_2x2(),
-            cell: 0,
-            truncate: false,
-            batch: vec![obs(5, 100, 20.0, 20.0)],
-        };
-        assert!(matches!(worker.handle_request(smuggle), Response::Error(_)));
+        let back = vec![obs(0, 100, 10.0, 10.0)];
+        worker.handle_request(install_req(NodeId(1), false, vec![], back));
         assert_eq!(shard_seqs(&mut worker), vec![0, 9]);
     }
 
@@ -1774,10 +1775,12 @@ mod tests {
             obs(9, 100, 900.0, 900.0),
         ]));
         worker.handle_request(route(3, vec![0, 3]));
-        assert!(matches!(
-            worker.handle_request(drop_cell(0)),
-            Response::Error(_)
-        ));
+        // Refused whole: the rows riding with the truncate do not land.
+        let mut refused = drop_cell(0);
+        if let Request::InstallSegments { head, .. } = &mut refused {
+            head.push(obs(5, 100, 20.0, 20.0));
+        }
+        assert!(matches!(worker.handle_request(refused), Response::Error(_)));
         assert_eq!(
             shard_seqs(&mut worker),
             vec![0, 9],
@@ -1786,7 +1789,7 @@ mod tests {
         // A grid the installed route cannot be judged against is refused
         // too, whatever the cell index.
         let mut other_grid = drop_cell(1);
-        if let Request::Repair { grid, .. } = &mut other_grid {
+        if let Request::InstallSegments { grid, .. } = &mut other_grid {
             *grid = GridSpec::new(Point::ORIGIN, 250.0, 2, 2);
         }
         assert!(matches!(
@@ -1812,10 +1815,7 @@ mod tests {
         to.handle_request(ingest_req(vec![obs(0, 100, 10.0, 10.0)])); // landed earlier
         from.handle_request(route(2, vec![3]));
         for _ in 0..2 {
-            let install = Request::InstallSegments {
-                frames: vec![],
-                head: stragglers.clone(),
-            };
+            let install = install_req(NodeId(2), false, vec![], stragglers.clone());
             assert_eq!(to.handle_request(install), Response::Ack);
             assert_eq!(shard_seqs(&mut to), vec![0, 1]);
         }
@@ -1842,13 +1842,10 @@ mod tests {
         assert!(!frames.is_empty(), "nothing sealed at the source");
         let mut target = Worker::new(fabric.register(NodeId(2)), config(0));
         // The copy lands whole frames on an empty cell …
-        target.handle_request(Request::InstallSegments { frames, head });
+        target.handle_request(install_req(NodeId(2), false, frames, head));
         // … and the drain re-delivers every row as `head`: the id filter
         // knows the archived rows, so nothing is stored twice.
-        target.handle_request(Request::InstallSegments {
-            frames: vec![],
-            head: batch.clone(),
-        });
+        target.handle_request(install_req(NodeId(2), false, vec![], batch.clone()));
         assert_eq!(target.stats().primary_observations, batch.len() as u64);
         assert_eq!(shard_seqs(&mut target), (0..60).collect::<Vec<u64>>());
     }

@@ -1156,13 +1156,13 @@ fn reconstruction_fails_while_its_promotion_is_refused() {
                     ..CensusReport::default()
                 }),
                 Ok(Request::CellDigest { .. }) => Response::Digests(DigestReport {
-                    primary: Vec::new(),
                     replicas: vec![ReplicaDigestEntry {
                         primary: dead,
                         cell: 0,
                         count: 1,
                         checksum: 7,
                     }],
+                    ..DigestReport::default()
                 }),
                 Ok(Request::Promote { .. }) => Response::Error("promotion refused".into()),
                 _ => Response::Ack,

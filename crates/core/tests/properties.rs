@@ -133,20 +133,19 @@ proptest! {
                 inner: Box::new(Request::Range { region, window, limit, projection }),
             },
             Request::CellDigest { grid: buckets },
-            Request::Repair {
-                primary: NodeId(node),
-                grid: buckets,
-                cell: k,
-                truncate: k % 2 == 0,
-                batch: batch.clone(),
-            },
             Request::Rejoin { epoch, grid: buckets, cells },
-            Request::SegmentDigest,
             Request::ExportSegments {
                 region,
                 skip: vec![SegmentDigest { number: seq, count: k as u64, checksum: epoch }],
             },
-            Request::InstallSegments { frames: vec![], head: batch.clone() },
+            Request::InstallSegments {
+                primary: NodeId(node),
+                grid: buckets,
+                cell: k,
+                truncate: k % 2 == 0,
+                frames: vec![],
+                head: batch.clone(),
+            },
             Request::FetchPage { cursor: seq, page: k },
             Request::Census,
         ];
@@ -208,6 +207,14 @@ proptest! {
                     checksum,
                 })
                 .collect(),
+            segments: cells
+                .iter()
+                .map(|&(cell, checksum)| SegmentDigest {
+                    number: cell as u64,
+                    count: cell as u64,
+                    checksum,
+                })
+                .collect(),
         };
         let responses = [
             Response::Ack,
@@ -224,16 +231,6 @@ proptest! {
                 }],
             },
             Response::Digests(digests),
-            Response::SegmentDigests(
-                cells
-                    .iter()
-                    .map(|&(cell, checksum)| SegmentDigest {
-                        number: cell as u64,
-                        count: cell as u64,
-                        checksum,
-                    })
-                    .collect(),
-            ),
             Response::Segments { frames: vec![], head: vec![] },
             Response::ResultPage {
                 cursor: seq,

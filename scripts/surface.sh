@@ -4,7 +4,8 @@
 # the cluster facade's coordinator-lock sites, the
 # size of crates/core/src and of the five files the ratchet names,
 # the coordinator's cutover sites, the worker calls made outside the one
-# scatter loop, the message layouts still written by hand, the worker's
+# scatter loop, the control plane's range reads, the message layouts
+# still written by hand, the worker's
 # replica maps, answer memories and read evaluators, the per-peer
 # accounts beside the transport's peer table, the fabric's one-way sends,
 # the test rigs built into the library, the chaos schedule generators,
@@ -76,6 +77,13 @@ surface() {
     # way to put a request on the wire, the re-sending wait included): only
     # exec.rs may call a worker.
     echo "worker_calls_outside_exec $(count_non_test '\.call(_start|_wait)?\(' "$src/exec.rs")"
+    # Range reads the control plane builds (`Request::Range` or
+    # `RangeFiltered` in non-test coordinator.rs and reconcile.rs): none.
+    # Rows leave a primary for another copy only through `ExportSegments`,
+    # never through the client read path.
+    echo "control_range_reads $(for file in coordinator reconcile; do
+        awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$src/$file.rs"
+    done | grep -cE 'Request::Range(Filtered)? \{' || true)"
     # Message layouts written by hand instead of declared (`wire_struct!` /
     # `wire_enum!`): none. `Predicate` is declared in stcam-index, and the
     # class byte it checks is `EntityClass`'s one codec, in stcam-world.

@@ -73,6 +73,67 @@ fn replication_factor_two_survives_two_failures() {
     cluster.shutdown();
 }
 
+/// Replicas converge exactly on a macro grid not aligned to the index
+/// cells (2.5 index cells per macro cell): a cover exports sealed blocks
+/// split at the macro cell's edge and rows clamped in from outside the
+/// extent, and each log must end equal to its owner's copy — so that
+/// after the heir dies too, its logs alone answer for everything.
+#[test]
+fn replicas_converge_on_a_macro_grid_not_aligned_to_index_cells() {
+    let config = config(6, 2)
+        .with_macro_cell_size(1600.0 / 32.0)
+        .with_rpc_timeout(std::time::Duration::from_millis(250));
+    let cluster = Cluster::launch(config).unwrap();
+    // 60 s of 10 s slices, so every shard seals some; one row in five
+    // outside the extent, to the left or above it.
+    let batch: Vec<Observation> = spread_batch(3_000)
+        .into_iter()
+        .map(|mut o| {
+            let (x, y) = (o.position.x, o.position.y);
+            match o.id.seq() % 10 {
+                0 => o.position = Point::new(-10.0 - x, y),
+                5 => o.position = Point::new(x, 1610.0 + y),
+                _ => {}
+            }
+            o
+        })
+        .collect();
+    cluster.ingest(batch.clone()).unwrap();
+    cluster.flush().unwrap();
+    let victim = NodeId(3);
+    let cell = |p: Point| cluster.partition().owner_of(p);
+    let inherited = batch.iter().find(|o| cell(o.position) == victim).unwrap();
+    cluster.fabric().crash(victim);
+    assert_eq!(cluster.coordinator().check_and_recover(), vec![victim]);
+    let report = cluster.coordinator().repair();
+    assert!(report.converged, "{report:?}");
+    assert_eq!(cluster.coordinator().under_replicated_cells(), 0);
+
+    let everywhere = BBox::new(Point::new(-2e4, -2e4), Point::new(2e4, 2e4));
+    let mut want: Vec<ObservationId> = batch.iter().map(|o| o.id).collect();
+    want.sort_unstable();
+    let held = || -> Vec<ObservationId> {
+        let rows = cluster.range_query(everywhere, window_all()).unwrap();
+        let mut ids: Vec<ObservationId> = rows.iter().map(|o| o.id).collect();
+        ids.sort_unstable();
+        ids
+    };
+    let heir = cell(inherited.position);
+    cluster.fabric().crash(heir);
+    // Failover reads answer the heir's cells from its logs alone …
+    assert!(
+        held() == want,
+        "the heir's replica logs differ from its shard"
+    );
+    // … and so does the shard its logs are promoted into.
+    assert_eq!(cluster.coordinator().check_and_recover(), vec![heir]);
+    assert!(
+        held() == want,
+        "the promoted logs differ from the heir's shard"
+    );
+    cluster.shutdown();
+}
+
 #[test]
 fn no_replication_loses_exactly_the_dead_shard() {
     let cluster = Cluster::launch(config(5, 0)).unwrap();

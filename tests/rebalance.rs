@@ -4,10 +4,10 @@ use std::collections::HashSet;
 
 use stcam::{
     Cluster, ClusterConfig, DistributedOp, OpPolicy, PartitionMap, PartitionPolicy, Predicate,
-    QueryOpts, RangeOp, ReadOp, Request, Response, StcamError,
+    QueryOpts, RangeOp, Request, Response, StcamError,
 };
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
-use stcam_geo::{BBox, Point, TimeInterval, Timestamp};
+use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
 use stcam_net::{LinkModel, NodeId};
 use stcam_world::{EntityClass, EntityId};
 
@@ -208,6 +208,7 @@ fn repeated_rebalances_with_shifting_hotspots_lose_nothing() {
 /// copy uses — what a move leaves at the old owner when its drain fails.
 struct InstallAt {
     holder: NodeId,
+    grid: GridSpec,
     rows: Vec<Observation>,
 }
 
@@ -222,6 +223,10 @@ impl DistributedOp for InstallAt {
     }
     fn request(&self, _to: NodeId) -> Request {
         Request::InstallSegments {
+            primary: self.holder,
+            grid: self.grid,
+            cell: 0,
+            truncate: false,
             frames: Vec::new(),
             head: self.rows.clone(),
         }
@@ -236,8 +241,6 @@ impl DistributedOp for InstallAt {
         partials.len()
     }
 }
-
-impl ReadOp for InstallAt {}
 
 /// Regression: at replication 0 `repair` used to return before looking,
 /// so a primary copy a failed drain left behind stayed for ever, and a
@@ -265,7 +268,9 @@ fn repair_collects_stray_primary_copies_at_replication_zero() {
         .collect();
     let strays = rows.len();
     assert!(strays > 0);
-    let installed = cluster.query(InstallAt { holder, rows }, &QueryOpts::STRICT);
+    let grid = *partition.grid();
+    let install = InstallAt { holder, grid, rows };
+    let installed = cluster.query(install, &QueryOpts::STRICT);
     assert_eq!(installed.unwrap().value, 1);
     assert_eq!(held().len(), before.len() + strays, "no stray was planted");
 
