@@ -13,13 +13,11 @@
 //! on every link — dropped digests, copies, and repair chunks surface as
 //! timeouts and are retried or re-planned on the next round.
 //!
-//! Expected shape: time-to-full-replication is dominated by streaming
-//! the dead worker's share of the keyspace (~r/N of the stream) and
-//! grows modestly with the drop rate; repair bytes track the streamed
-//! share and are loss-rate-insensitive (only lost chunks re-send). The
-//! gate asserts the converges-to-zero invariant: after healing, zero
-//! under-replicated cells and a strict full-range query returning the
-//! entire stream — at every replication factor and drop rate.
+//! Expected shape: healing is dominated by streaming the dead worker's
+//! share of the keyspace (~r/N of the stream); repair bytes track it and
+//! only lost chunks re-send; `digest B` is what the heal's `cell_digest`
+//! sweeps received. The gate: after healing, zero under-replicated cells
+//! and a strict full-range query returning the stream, at every r and drop.
 //!
 //! ```text
 //! cargo run -p stcam-bench --release --bin tab4_repair
@@ -55,6 +53,7 @@ fn main() {
         .col("heal s", "heal_s", Fmt::Fixed(2))
         .col("repair rounds", "repair_rounds", Fmt::Plain)
         .col("repair KiB", "repair_kib", Fmt::Fixed(0))
+        .col("digest B", "digest_bytes", Fmt::Plain)
         .col("rejoin s", "rejoin_s", Fmt::Fixed(2))
         .col("under-repl after", "under_replicated_after", Fmt::Plain)
         .col("lost", "lost", Fmt::Plain);
@@ -97,6 +96,7 @@ fn main() {
                 drive_to_convergence(&cluster, "post-failover repair");
             });
             let repair = op_stats(&cluster, "repair");
+            let digests = op_stats(&cluster, "cell_digest");
 
             // Rejoin: restart the dead worker and let recovery readmit
             // it. Under loss a dropped probe looks exactly like a
@@ -133,6 +133,7 @@ fn main() {
                 heal_s,
                 repair.repair_rounds,
                 repair.repair_bytes as f64 / 1024.0,
+                digests.bytes_received,
                 rejoin_s,
                 under_after,
                 lost,
@@ -151,9 +152,8 @@ fn main() {
     }
     fig.note(
         "(`heal s` spans detection, replica promotion, and anti-entropy repair to\n\
-         convergence; `rejoin s` spans re-detection of the restarted worker through\n\
-         bulk-sync and repair; the gate is zero under-replicated cells and a strict\n\
-         full-range audit equal to the stream, at every factor and drop rate)",
+         convergence, `digest B` the bytes its digest sweeps received; `rejoin s`\n\
+         spans re-detection of the restarted worker through bulk-sync and repair)",
     );
     fig.finish();
     println!("gates: zero under-replicated cells, zero loss — ok");

@@ -1,18 +1,23 @@
 //! The sealed-segment frame: the structural wire/storage format of one
 //! immutable archive segment.
 //!
-//! A segment freezes one closed time slice of a worker's shard into a
-//! columnar payload: per occupied grid cell one independently decodable
-//! block (the observation-batch columnar encoding), laid out
-//! back-to-back, plus a footer directory mapping each cell to its block's
-//! `(offset, len, count, checksum)`. The directory is what makes sealed
-//! reads cell-selective — a range query decodes only the blocks of the
-//! cells it overlaps — and what lets repair split a segment at cell
-//! boundaries by byte copy, without decoding untouched blocks.
+//! A segment freezes one closed time slice of a worker's shard, or an
+//! aligned group of slices compacted into one, into a columnar payload:
+//! per occupied (grid cell, slice) one independently decodable block (the
+//! observation-batch columnar encoding), laid out back-to-back slice by
+//! slice with cells ascending within a slice, plus a footer directory
+//! listing each block's `(cell, offset, len, count, checksum)` in payload
+//! order. The directory is what makes sealed reads cell-selective — a
+//! range query decodes only the blocks of the cells it overlaps — and
+//! what lets repair split a segment at cell boundaries by byte copy,
+//! without decoding untouched blocks. A one-slice frame's directory is
+//! therefore sorted by cell, as it always was.
 //!
 //! This module defines only the *structure* and its validation; the
-//! semantic layer (sealing slices, scanning, splitting) lives in
-//! `stcam-index`. Checksums are order-independent XOR folds of a
+//! semantic layer (sealing slices, compacting groups, scanning,
+//! splitting) lives in `stcam-index`, which also checks what this layer
+//! cannot see without decoding rows: each block's slice, and the cell
+//! order within a slice. Checksums are order-independent XOR folds of a
 //! per-observation mix, so a segment rebuilt from the same rows in any
 //! order digests identically.
 
@@ -27,7 +32,8 @@ pub const SEGMENT_MAGIC: u8 = 0xA7;
 /// Format version; bumped on any layout change.
 pub const SEGMENT_VERSION: u8 = 1;
 
-/// One directory entry of a segment: a cell's block within the payload.
+/// One directory entry of a segment: one cell's block of one slice
+/// within the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentBlock {
     /// Packed grid cell (`row * cols + col`) of the index grid the
@@ -44,26 +50,30 @@ pub struct SegmentBlock {
 }
 
 /// The encoded form of one sealed segment: header, footer directory, and
-/// the concatenated per-cell blocks.
+/// the concatenated per-(cell, slice) blocks.
 ///
 /// Invariants enforced on decode (and asserted by [`validate`](Self::validate)):
-/// blocks are sorted strictly by cell, tile the payload exactly (first
-/// offset 0, each block starts where the previous ended, last block ends
-/// at `payload.len()`), the block counts sum to `count`, and the block
-/// checksums XOR to `checksum`.
+/// blocks are non-empty and tile the payload exactly in directory order
+/// (first offset 0, each block starts where the previous ended, last
+/// block ends at `payload.len()`), the block counts sum to `count`, and
+/// the block checksums XOR to `checksum`. Where one slice ends and the
+/// next begins is told by the rows' times, which this layer does not
+/// decode: `stcam-index` checks that cells ascend within each slice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SegmentFrame {
-    /// The time-slice number the segment covers.
+    /// The first time slice the segment holds rows of.
     pub number: u64,
-    /// The slice window `[number·len, (number+1)·len)`.
+    /// That first slice's window `[number·len, (number+1)·len)`: its
+    /// length is the slice length, which places every later block of a
+    /// compacted group in its slice.
     pub window: TimeInterval,
     /// Total observations across all blocks.
     pub count: u64,
     /// XOR fold of all block checksums.
     pub checksum: u64,
-    /// Per-cell directory, sorted by cell.
+    /// Per-block directory, in payload order.
     pub directory: Vec<SegmentBlock>,
-    /// Concatenated per-cell columnar blocks.
+    /// Concatenated columnar blocks, slice by slice.
     pub payload: Vec<u8>,
 }
 
@@ -90,12 +100,7 @@ impl SegmentFrame {
         let mut cursor: u64 = 0;
         let mut count: u64 = 0;
         let mut checksum: u64 = 0;
-        let mut prev_cell: Option<u32> = None;
         for b in &self.directory {
-            if prev_cell.is_some_and(|p| b.cell <= p) {
-                return fail("segment directory not sorted by cell");
-            }
-            prev_cell = Some(b.cell);
             if u64::from(b.offset) != cursor {
                 return fail("segment blocks do not tile the payload");
             }
@@ -304,15 +309,19 @@ mod tests {
     }
 
     #[test]
-    fn unsorted_directory_rejected() {
+    fn a_directory_in_payload_order_may_restart_its_cells() {
+        // A compacted group lists slice after slice: cells ascend within
+        // each and restart at the next. Tiling is what decode checks.
         let mut f = frame();
-        f.directory.swap(0, 1);
-        let b = f.directory[0];
-        f.directory[0] = SegmentBlock { offset: 0, ..b };
-        let b = f.directory[1];
-        f.directory[1] = SegmentBlock { offset: 3, ..b };
+        f.directory[1].cell = 2;
         let bytes = encode_to_vec(&f);
-        assert!(decode_from_slice::<SegmentFrame>(&bytes).is_err());
+        assert_eq!(decode_from_slice::<SegmentFrame>(&bytes).unwrap(), f);
+        f.directory.swap(0, 1);
+        let bytes = encode_to_vec(&f);
+        assert!(
+            decode_from_slice::<SegmentFrame>(&bytes).is_err(),
+            "blocks out of payload order"
+        );
     }
 
     #[test]

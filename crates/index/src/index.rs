@@ -1,6 +1,6 @@
 //! The tiered time-sliced grid index: mutable head + sealed archive.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -31,8 +31,9 @@ pub struct IndexConfig {
     /// entirely (the pre-tiered all-mutable behaviour); values below 1
     /// behave as 1 — the open slice is always mutable.
     pub head_slices: usize,
-    /// When set, sealed segment payloads are spilled to one file each
-    /// under this directory, leaving only the footer directory resident.
+    /// When set, sealed segment payloads are spilled under this
+    /// directory, one file per sealed slice (a compacted group reads its
+    /// slices' files), leaving only the footer directory resident.
     pub spill_dir: Option<PathBuf>,
 }
 
@@ -159,13 +160,9 @@ impl StIndex {
 
     /// Distinct slice numbers across both tiers.
     fn slice_count(&self) -> usize {
-        let mut n = self.head.len();
-        for num in self.sealed.numbers() {
-            if !self.head.contains_key(&num) {
-                n += 1;
-            }
-        }
-        n
+        let mut numbers: BTreeSet<u64> = self.head.keys().copied().collect();
+        numbers.extend(self.sealed.numbers());
+        numbers.len()
     }
 
     /// Current statistics.
@@ -225,27 +222,35 @@ impl StIndex {
         }
     }
 
-    /// Seals every head slice older than the configured head depth.
-    /// Called when the maximum slice number advances (a slice-close
-    /// event), so sealing cost amortises to once per slice.
-    fn seal_closed(&mut self) {
+    /// The last slice behind the head — the newest the seal events seal
+    /// — or `None` while sealing is off or no slice is that old.
+    fn sealed_through(&self) -> Option<u64> {
         let depth = self.config.head_slices;
         if depth == usize::MAX {
-            return;
+            return None;
         }
-        let Some(max) = self.max_number else { return };
-        let Some(boundary) = max.checked_sub(depth.max(1) as u64) else {
+        self.max_number?.checked_sub(depth.max(1) as u64)
+    }
+
+    /// Seals every head slice older than the configured head depth, then
+    /// re-forms the archive: every slice group wholly behind the head
+    /// becomes one segment, and a late-arrival overlay of an
+    /// already-sealed slice merges into it, rows sealed earlier first.
+    /// Called when the maximum slice number advances (a slice-close
+    /// event), so sealing cost amortises to once per slice and
+    /// compaction's byte copy to once per row.
+    fn seal_closed(&mut self) {
+        let Some(boundary) = self.sealed_through() else {
             return;
         };
         let stale: Vec<u64> = self.head.range(..=boundary).map(|(&n, _)| n).collect();
         for number in stale {
             self.seal_number(number);
         }
+        self.sealed.reform(Some(boundary));
     }
 
-    /// Freezes one head slice into the archive, merging with any
-    /// already-sealed segments of the same number (late-arrival overlays
-    /// re-seal into a single segment).
+    /// Freezes one head slice into the archive as a one-slice segment.
     fn seal_number(&mut self, number: u64) {
         let Some(slice) = self.head.remove(&number) else {
             return;
@@ -253,14 +258,7 @@ impl StIndex {
         // A read view may still share this slice; leave its copy intact.
         let slice = Arc::try_unwrap(slice).unwrap_or_else(|shared| (*shared).clone());
         let window = slice.window();
-        let mut buckets = slice.into_buckets();
-        for segment in self.sealed.take_number(number) {
-            for obs in segment.unseal() {
-                let cell = self.grid.cell_of_clamped(obs.position);
-                buckets[(cell.row * self.grid.cols() + cell.col) as usize].push(obs);
-            }
-        }
-        if let Some(segment) = SealedSegment::seal(number, window, &buckets) {
+        if let Some(segment) = SealedSegment::seal(number, window, &slice.into_buckets()) {
             self.sealed.add(segment);
         }
     }
@@ -268,12 +266,14 @@ impl StIndex {
     /// Forces every head slice — the open one included — into the
     /// archive. Benchmarks and tests use this to pin the index into its
     /// fully-sealed state; production sealing is driven by
-    /// [`insert`](Self::insert).
+    /// [`insert`](Self::insert). Groups compact as at a seal event: only
+    /// those wholly behind the head.
     pub fn seal_all(&mut self) {
         let numbers: Vec<u64> = self.head.keys().copied().collect();
         for number in numbers {
             self.seal_number(number);
         }
+        self.sealed.reform(self.sealed_through());
     }
 
     /// The inclusive slice-number range `window` can touch, or `None`
@@ -372,7 +372,8 @@ impl StIndex {
     /// Drops every slice that ends at or before `cutoff`, in both tiers.
     /// Retention is slice-granular: observations newer than `cutoff` in a
     /// retained slice are kept, and a slice containing both sides of the
-    /// cutoff is kept whole.
+    /// cutoff is kept whole. A compacted group the cutoff falls inside
+    /// loses its evicted slices by byte filter.
     pub fn evict_before(&mut self, cutoff: Timestamp) {
         let stale: Vec<u64> = self
             .head
@@ -470,19 +471,25 @@ impl StIndex {
         (frames, head_rows.into_sorted())
     }
 
-    /// Installs a sealed segment received from a peer. Returns `false`
-    /// (and stores nothing) when a segment with the same digest is
-    /// already archived, making retried transfers idempotent.
+    /// Installs a sealed segment received from a peer, slice by slice.
+    /// A slice archived with the same digest — as a segment of its own or
+    /// inside a compacted group — is not stored again, and archived
+    /// segments whose every slice the installed one holds with the same
+    /// digest give way to it, so a copy ends holding the segments its
+    /// sender holds and retried transfers are idempotent. Returns `false`
+    /// (and stores nothing) when every slice it holds is archived. The
+    /// archive then re-forms as at a seal event.
     ///
     /// The caller is responsible for row-level dedup against its mutable
     /// head (the worker's ingest `seen` filter); segment installs are
     /// only deduplicated against other segments, by digest.
     pub fn install_segment(&mut self, segment: SealedSegment) -> bool {
-        if segment.is_empty() || self.sealed.contains(segment.digest()) {
+        let before = self.sealed.len();
+        if !self.sealed.install(segment) {
             return false;
         }
-        self.len += segment.len();
-        self.sealed.add(segment);
+        self.len = self.len - before + self.sealed.len();
+        self.sealed.reform(self.sealed_through());
         true
     }
 }
@@ -671,6 +678,48 @@ mod tests {
             oracle.range(region, tw).len()
         );
         // Dropping the index removes its spill files.
+        drop(index);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        let _ = std::fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn compaction_and_retention_share_their_slices_spill_files() {
+        let dir = std::env::temp_dir().join(format!("stseg-share-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut workload = random_workload(800, 17);
+        workload.sort_by_key(|o| o.time);
+        let mut index = StIndex::new(config().with_head_slices(1).with_spill_dir(&dir));
+        index.insert_batch(workload.iter().cloned());
+        index.seal_all();
+        let on_disk = || -> (usize, u64) {
+            let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+            let bytes = files
+                .iter()
+                .map(|f| f.as_ref().unwrap().metadata().unwrap().len())
+                .sum();
+            (files.len(), bytes)
+        };
+        // Slices 0-7 compacted into one segment, 8-11 apart; every row
+        // was written once, in its slice's file.
+        let stats = index.stats();
+        assert_eq!(stats.sealed_segments, 5);
+        assert_eq!(on_disk(), (12, stats.spilled_bytes as u64));
+        // Retention inside the group drops the evicted slices' files only.
+        index.evict_before(Timestamp::from_millis(30_000));
+        let stats = index.stats();
+        assert_eq!(stats.sealed_segments, 5);
+        assert_eq!(on_disk(), (9, stats.spilled_bytes as u64));
+        let kept: Vec<&Observation> = workload
+            .iter()
+            .filter(|o| o.time >= Timestamp::from_millis(30_000))
+            .collect();
+        let all = BBox::new(Point::new(-1.0, -1.0), Point::new(1001.0, 1001.0));
+        assert_eq!(ids(&index.range(all, TimeInterval::ALL)), {
+            let mut ids = ref_ids(&kept);
+            ids.sort();
+            ids
+        });
         drop(index);
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         let _ = std::fs::remove_dir(&dir);

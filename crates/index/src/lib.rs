@@ -13,10 +13,13 @@
 //!   frozen into immutable [`SealedSegment`]s: per-cell columnar blocks
 //!   (the `stcam-camnet` batch encoding) plus a footer directory mapping
 //!   cell → byte range, per-block counts, and order-independent
-//!   checksums. Queries decode only the cells they touch; whole-cell
-//!   counts come straight from the footer; payloads can spill to disk
-//!   ([`IndexConfig::spill_dir`]) so archive size is bounded by storage,
-//!   not RAM.
+//!   checksums. Once every slice of an aligned group of [`GROUP_SLICES`]
+//!   slices is sealed, the group's segments compact into one by byte
+//!   copy, with one directory over the group, so a query searches a
+//!   directory once per cell per group. Queries decode only the cells
+//!   and slices they touch; whole-cell counts come straight from the
+//!   footer; payloads can spill to disk ([`IndexConfig::spill_dir`]) so
+//!   archive size is bounded by storage, not RAM.
 //!
 //! Query semantics are tier-transparent:
 //!
@@ -73,7 +76,7 @@ mod view;
 
 pub use flat::FlatIndex;
 pub use index::{IndexConfig, IndexStats, StIndex, DEFAULT_HEAD_SLICES};
-pub use segment::{cell_scope, observation_checksum, SealedSegment, SegmentDigest};
+pub use segment::{cell_scope, observation_checksum, SealedSegment, SegmentDigest, GROUP_SLICES};
 pub use select::{Lowest, Predicate};
 pub use slice::slice_number;
 pub use view::{sort_by_id, Nearest, ReadView, SPLIT_SCAN_ROWS};

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use stcam_camnet::{Observation, ObservationId};
 use stcam_geo::{BBox, CellId, Duration, GridSpec, Point, TimeInterval, Timestamp};
 
-use crate::segment::{cell_scope, ScanScratch, SealedSegment};
+use crate::segment::{cell_scope, group_start, ScanScratch, SealedSegment};
 use crate::select::{Hits, Predicate};
 use crate::slice::{slice_number, Slice};
 
@@ -93,50 +93,101 @@ pub fn sort_by_id<T: Borrow<Observation> + Clone>(rows: &mut [T]) {
 /// the scan. A point read selects a few hundred rows and stays far below.
 pub const SPLIT_SCAN_ROWS: usize = 8_192;
 
-/// One directory run of one segment, as [`SealedSegment::block_runs`]
-/// finds it: the blocks `first..=last`.
-type Run<'a> = (&'a SealedSegment, (usize, usize));
+/// The blocks one segment selects: a span of [`Selection::blocks`].
+type Run<'a> = (&'a SealedSegment, std::ops::Range<usize>);
 
-/// The directory runs `cells` (ascending packed cells) select in
-/// `segments`, in list order, and the rows their blocks hold — the
-/// footer's upper bound on what the sealed scan decodes.
-fn sealed_runs<'a>(segments: &[&'a SealedSegment], cells: &[u32]) -> (Vec<Run<'a>>, usize) {
-    let mut runs = Vec::new();
-    let mut rows = 0;
-    for &segment in segments {
-        segment.block_runs(cells, |first, last| {
-            rows += segment.rows_in(first, last);
-            runs.push((segment, (first, last)));
-        });
-    }
-    (runs, rows)
+/// The sealed blocks a range selects, in scan order: segment by segment,
+/// payload order within each (see [`SealedSegment::select_blocks`]).
+struct Selection<'a> {
+    /// Directory indices, segment by segment.
+    blocks: Vec<u32>,
+    runs: Vec<Run<'a>>,
+    /// Rows the selected blocks hold, from the footers: the upper bound
+    /// on what the sealed scan decodes.
+    rows: usize,
 }
 
-/// Scans `runs` in order into `hits`.
+/// The blocks of `cells` (ascending packed cells) in `segments`, in list
+/// order, whose slice `window` meets.
+fn sealed_runs<'a>(
+    segments: &[&'a SealedSegment],
+    cells: &[u32],
+    window: &TimeInterval,
+) -> Selection<'a> {
+    let mut selection = Selection {
+        blocks: Vec::new(),
+        runs: Vec::new(),
+        rows: 0,
+    };
+    for &segment in segments {
+        let start = selection.blocks.len();
+        selection.rows += segment.select_blocks(cells, window, &mut selection.blocks);
+        if selection.blocks.len() > start {
+            selection
+                .runs
+                .push((segment, start..selection.blocks.len()));
+        }
+    }
+    selection
+}
+
+/// Scans `runs` (spans of `blocks`) in order into `hits`.
 fn scan_runs(
     grid: &GridSpec,
+    blocks: &[u32],
     runs: &[Run<'_>],
     predicate: &Predicate,
     window: &TimeInterval,
     hits: &mut Hits,
 ) {
     let mut scratch = ScanScratch::default();
-    for &(segment, run) in runs {
-        segment.scan_run(grid, run, predicate, window, hits, &mut scratch);
+    for (segment, span) in runs {
+        segment.scan_blocks(
+            grid,
+            &blocks[span.clone()],
+            predicate,
+            window,
+            hits,
+            &mut scratch,
+        );
     }
+}
+
+/// `runs` cut in two where the first part's blocks first hold half of
+/// `rows`, and the rows of the first part.
+fn split_runs<'a>(
+    blocks: &[u32],
+    runs: &[Run<'a>],
+    rows: usize,
+) -> (Vec<Run<'a>>, Vec<Run<'a>>, usize) {
+    let mut first_half = 0;
+    for (r, (segment, span)) in runs.iter().enumerate() {
+        for at in span.clone() {
+            first_half += segment.rows_of(blocks[at]);
+            if 2 * first_half >= rows {
+                let mut first = runs[..r].to_vec();
+                first.push((*segment, span.start..at + 1));
+                let mut second = vec![(*segment, at + 1..span.end)];
+                second.extend_from_slice(&runs[r + 1..]);
+                return (first, second, first_half);
+            }
+        }
+    }
+    (runs.to_vec(), Vec::new(), first_half)
 }
 
 /// The observations across both tiers inside `window` that pass
 /// `predicate`, sorted by id, ties in scan order — or, under a `limit`,
 /// the first `limit` of them.
 ///
-/// The footers are read first: every directory run the candidate cells
-/// of the predicate's region select, segment by segment, and the rows
-/// those blocks hold. At [`SPLIT_SCAN_ROWS`] or more, the runs holding the
-/// second half of the rows are scanned on a scoped thread while this one
-/// scans the head and the first half. Either way the rows arrive in
-/// serial scan order (head slices, then segments in list order), so the
-/// key sort returns exactly the serial answer.
+/// The footers are read first: every block the candidate cells of the
+/// predicate's region select whose slice the window meets, segment by
+/// segment, and the rows those blocks hold. At [`SPLIT_SCAN_ROWS`] or
+/// more, the blocks holding the second half of the rows are scanned on a
+/// scoped thread while this one scans the head and the first half.
+/// Either way the rows arrive in serial scan order (head slices, then
+/// segments in list order, slice by slice within each), so the key sort
+/// returns exactly the serial answer.
 ///
 /// The predicate's class and the limit are tested inside the scan (see
 /// [`Hits`]): a row that fails the class is never cloned or decoded
@@ -152,8 +203,9 @@ pub(crate) fn range_over(
     limit: Option<usize>,
 ) -> Vec<Observation> {
     let region = predicate.region;
-    let (runs, sealed_rows) = sealed_runs(segments, &packed_cells(grid, &region));
-    let mut hits = Hits::new(limit, sealed_rows);
+    let Selection { blocks, runs, rows } =
+        sealed_runs(segments, &packed_cells(grid, &region), &window);
+    let mut hits = Hits::new(limit, rows);
     for slice in slices {
         slice.scan_cells(
             grid,
@@ -163,25 +215,17 @@ pub(crate) fn range_over(
             &mut hits,
         );
     }
-    if sealed_rows < SPLIT_SCAN_ROWS {
-        scan_runs(grid, &runs, predicate, &window, &mut hits);
+    if rows < SPLIT_SCAN_ROWS {
+        scan_runs(grid, &blocks, &runs, predicate, &window, &mut hits);
     } else {
-        let mut first_half = 0;
-        let split = runs
-            .iter()
-            .position(|&(segment, (first, last))| {
-                first_half += segment.rows_in(first, last);
-                2 * first_half >= sealed_rows
-            })
-            .map_or(runs.len(), |last| last + 1);
-        let (first, second) = runs.split_at(split);
+        let (first, second, first_half) = split_runs(&blocks, &runs, rows);
         let second_hits = std::thread::scope(|scope| {
             let helper = scope.spawn(|| {
-                let mut hits = Hits::new(limit, sealed_rows - first_half);
-                scan_runs(grid, second, predicate, &window, &mut hits);
+                let mut hits = Hits::new(limit, rows - first_half);
+                scan_runs(grid, &blocks, &second, predicate, &window, &mut hits);
                 hits
             });
-            scan_runs(grid, first, predicate, &window, &mut hits);
+            scan_runs(grid, &blocks, &first, predicate, &window, &mut hits);
             helper
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
@@ -341,10 +385,11 @@ fn scope_distance_sq(grid: &GridSpec, cell: u32, at: Point) -> f64 {
 /// which tightens after every head slice and sealed block:
 ///
 /// * a cell strictly farther than the bound is skipped in every tier;
-/// * inside a cell, the walk over its segments stops as soon as the bound
-///   drops below the cell's distance;
-/// * each segment block is decoded with the bound as it stands then, so
-///   rows that cannot enter are never fully decoded;
+/// * inside a cell, one directory search per segment finds the cell's
+///   blocks of the slices the window meets, and the walk over them stops
+///   as soon as the bound drops below the cell's distance;
+/// * each block is decoded with the bound as it stands then, so rows
+///   that cannot enter are never fully decoded;
 /// * the ring loop ends at the first ring with no cell inside the bound
 ///   (or no cell at all). Any position in a farther ring is reached from
 ///   `at` only through that ring, so none can be nearer.
@@ -392,19 +437,24 @@ pub(crate) fn knn_over(
                 }
             }
             let packed = cell.row * grid.cols() + cell.col;
-            for segment in segments {
-                let bound = nearest.bound();
-                if cell_sq > bound {
+            'segments: for segment in segments {
+                if cell_sq > nearest.bound() {
                     break;
                 }
-                segment.cell_filtered(
-                    packed,
-                    |_, t, p, _| window.contains(t) && at.distance_sq(p) <= bound,
-                    &mut cell_rows,
-                    &mut scratch,
-                );
-                for obs in cell_rows.drain(..) {
-                    nearest.offer_owned(obs);
+                for block in segment.cell_blocks(packed, &window) {
+                    let bound = nearest.bound();
+                    if cell_sq > bound {
+                        break 'segments;
+                    }
+                    segment.block_filtered(
+                        block,
+                        |_, t, p, _| window.contains(t) && at.distance_sq(p) <= bound,
+                        &mut cell_rows,
+                        &mut scratch,
+                    );
+                    for obs in cell_rows.drain(..) {
+                        nearest.offer_owned(obs);
+                    }
                 }
             }
         }
@@ -446,7 +496,7 @@ pub struct ReadView {
     pub(crate) slice_len: Duration,
     /// Head slices ascending by slice number.
     pub(crate) head: Vec<(u64, Arc<Slice>)>,
-    /// Sealed segments ascending by slice number (install order within).
+    /// Sealed segments ascending by first slice (install order within).
     pub(crate) sealed: Vec<(u64, Arc<SealedSegment>)>,
     pub(crate) len: usize,
 }
@@ -467,6 +517,9 @@ impl ReadView {
         &self.grid
     }
 
+    /// The head slices in `[lo, hi]`, and the segments holding a slice
+    /// there: those starting there, and a group starting before `lo`
+    /// that reaches into it.
     fn tiers(&self, lo: u64, hi: u64) -> (Vec<&Slice>, Vec<&SealedSegment>) {
         let slices = self
             .head
@@ -475,12 +528,12 @@ impl ReadView {
             .take_while(|(n, _)| *n <= hi)
             .map(|(_, s)| &**s)
             .collect();
-        let segments = self
-            .sealed
+        let from = self.sealed.partition_point(|(n, _)| *n < group_start(lo));
+        let segments = self.sealed[from..]
             .iter()
-            .skip_while(|(n, _)| *n < lo)
             .take_while(|(n, _)| *n <= hi)
             .map(|(_, s)| &**s)
+            .filter(|s| s.last_number() >= lo)
             .collect();
         (slices, segments)
     }
@@ -573,6 +626,42 @@ mod tests {
         TimeInterval::new(Timestamp::from_millis(a_ms), Timestamp::from_millis(b_ms))
     }
 
+    /// The sealed rows a 200 m point read over the 60 s from `t0_ms`
+    /// selects in `view`, from the footers, and how many rows the cells
+    /// it selects hold in the slices its window meets.
+    fn point_read_rows(
+        index: &StIndex,
+        view: &super::ReadView,
+        (x, y): (f64, f64),
+        t0_ms: u64,
+    ) -> (usize, usize) {
+        let region = BBox::new(Point::new(x, y), Point::new(x + 200.0, y + 200.0));
+        let w = window(t0_ms, t0_ms + 60_000);
+        let (lo, hi) = super::number_range(w, view.slice_len).unwrap();
+        let (_, segments) = view.tiers(lo, hi);
+        let rows =
+            super::sealed_runs(&segments, &super::packed_cells(&view.grid, &region), &w).rows;
+        // The selected cells, snapped out to the grid, over the whole of
+        // every slice the window meets, counted in the sealed slices only.
+        let cell = view.grid.cell_size();
+        let snapped = BBox::new(
+            Point::new((x / cell).floor() * cell, (y / cell).floor() * cell),
+            Point::new(
+                ((x + 200.0) / cell).floor() * cell + cell - 1e-9,
+                ((y + 200.0) / cell).floor() * cell + cell - 1e-9,
+            ),
+        );
+        let slice_ms = view.slice_len.as_millis();
+        let head_from = view.head.first().map_or(u64::MAX, |(n, _)| *n);
+        let sealed_hi = hi.min(head_from.saturating_sub(1));
+        let held = if lo > sealed_hi {
+            0
+        } else {
+            index.range_count(snapped, window(lo * slice_ms, (sealed_hi + 1) * slice_ms))
+        };
+        (rows, held)
+    }
+
     #[test]
     fn a_stream_clean_point_read_never_splits() {
         // One worker of four under the stbench stream: 100 m cells over an
@@ -580,7 +669,8 @@ mod tests {
         // quadrant; a point read is a 200 m box over 60 s of the newest
         // 120 s.
         let extent = BBox::new(Point::new(0.0, 0.0), Point::new(8000.0, 8000.0));
-        let mut index = StIndex::new(IndexConfig::new(extent, 100.0, Duration::from_secs(10)));
+        let config = IndexConfig::new(extent, 100.0, Duration::from_secs(10));
+        let mut index = StIndex::new(config.clone());
         let mut state = 7u64;
         let mut unit = move || {
             state = state
@@ -595,13 +685,45 @@ mod tests {
         let view = index.read_view();
         let mut worst = 0;
         for _ in 0..100 {
-            let (x, y) = (unit() * 3800.0, unit() * 3800.0);
-            let region = BBox::new(Point::new(x, y), Point::new(x + 200.0, y + 200.0));
+            let at = (unit() * 3800.0, unit() * 3800.0);
             let t0 = (seconds - 120) * 1000 + (unit() * 60_000.0) as u64;
-            let (lo, hi) = super::number_range(window(t0, t0 + 60_000), view.slice_len).unwrap();
-            let (_, segments) = view.tiers(lo, hi);
-            let (_, rows) =
-                super::sealed_runs(&segments, &super::packed_cells(&view.grid, &region));
+            let (rows, held) = point_read_rows(&index, &view, at, t0);
+            assert_eq!(rows, held, "a read at {at:?} from {t0} ms");
+            worst = worst.max(rows);
+        }
+        assert!(worst > 0, "the reads reach sealed segments");
+        assert!(
+            worst < super::SPLIT_SCAN_ROWS,
+            "a point read selects {worst} sealed rows"
+        );
+
+        // `live_mixed`'s hot worker: 500 rows/s Gaussian (σ 600 m) around
+        // its hotspot beside 125 rows/s uniform over the quadrant, for
+        // 200 s, so that groups of slices are compacted; point reads at
+        // the hotspot over 60 s anywhere in the archive. The footer counts
+        // only blocks of slices the window meets, not the whole group.
+        let mut index = StIndex::new(config);
+        let (hx, hy) = (3000.0, 5000.0);
+        let seconds = 200;
+        for i in 0..seconds * 625 {
+            let (x, y) = if i % 5 == 0 {
+                (unit() * 4000.0, 4000.0 + unit() * 4000.0)
+            } else {
+                let r = (-2.0 * (1.0 - unit()).ln()).sqrt() * 600.0;
+                let a = std::f64::consts::TAU * unit();
+                (hx + r * a.cos(), hy + r * a.sin())
+            };
+            index.insert(obs(i, i * 1000 / 625, x, y));
+        }
+        let sealed = index.stats().sealed_segments;
+        assert!(sealed < 10, "{sealed} segments: the archive is compacted");
+        let view = index.read_view();
+        let mut worst = 0;
+        for _ in 0..100 {
+            let at = (hx - 200.0 + unit() * 200.0, hy - 200.0 + unit() * 200.0);
+            let t0 = (unit() * ((seconds - 60) * 1000) as f64) as u64;
+            let (rows, held) = point_read_rows(&index, &view, at, t0);
+            assert_eq!(rows, held, "a read at {at:?} from {t0} ms");
             worst = worst.max(rows);
         }
         assert!(worst > 0, "the reads reach sealed segments");
@@ -634,7 +756,8 @@ mod tests {
             ));
         }
         index.seal_all();
-        assert_eq!(index.stats().sealed_segments, segments as usize);
+        // Slices 0–23 compact into three groups; 24–29 stay single.
+        assert_eq!(index.stats().sealed_segments, 3 + 6);
         let at = Point::new(525.0, 525.0);
         let everything = window(0, segments * 10_000);
         let (lookups_before, rows_before) = CELL_READS.get();

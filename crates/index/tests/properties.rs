@@ -5,7 +5,10 @@
 use proptest::prelude::*;
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, Duration, Point, TimeInterval, Timestamp};
-use stcam_index::{sort_by_id, FlatIndex, IndexConfig, Predicate, StIndex, SPLIT_SCAN_ROWS};
+use stcam_index::{
+    sort_by_id, FlatIndex, IndexConfig, Predicate, SealedSegment, SegmentDigest, StIndex,
+    GROUP_SLICES, SPLIT_SCAN_ROWS,
+};
 use stcam_world::{EntityClass, EntityId};
 
 const EXTENT: f64 = 500.0;
@@ -522,6 +525,231 @@ proptest! {
                 .cloned()
                 .collect();
             prop_assert_eq!(view.range_where(&predicate, window, limit), want);
+        }
+    }
+}
+
+/// Every answer `index` gives, as the all-mutable `oracle` gives it:
+/// range rows, kNN ids, heat-map, `range_count`, `len` and the rows
+/// `for_each` visits.
+fn assert_answers_as(
+    index: &StIndex,
+    oracle: &StIndex,
+    queries: &[(BBox, TimeInterval, Point, usize)],
+) -> Result<(), TestCaseError> {
+    let all = |index: &StIndex| {
+        let mut rows = Vec::new();
+        index.for_each(|o| rows.push(o.clone()));
+        rows.sort_by_key(|o| (o.id, o.time));
+        rows
+    };
+    prop_assert_eq!(index.len(), oracle.len());
+    prop_assert_eq!(all(index), all(oracle));
+    let buckets = stcam_geo::GridSpec::covering(
+        BBox::new(Point::new(0.0, 0.0), Point::new(EXTENT, EXTENT)),
+        90.0,
+    );
+    let view = index.read_view();
+    for &(region, window, at, k) in queries {
+        prop_assert_eq!(index.range(region, window), oracle.range(region, window));
+        prop_assert_eq!(view.range(region, window), oracle.range(region, window));
+        prop_assert_eq!(
+            index.range_count(region, window),
+            oracle.range_count(region, window)
+        );
+        prop_assert_eq!(
+            ids(&view.knn(at, window, k)),
+            ids(&oracle.knn(at, window, k))
+        );
+        prop_assert_eq!(
+            view.heatmap(&buckets, window),
+            oracle.heatmap(&buckets, window)
+        );
+    }
+    Ok(())
+}
+
+/// The slice groups wholly behind the head of an index whose newest slice
+/// is `newest` under one head slice: each must be held as one segment.
+fn assert_one_segment_per_closed_group(index: &StIndex, newest: u64) -> Result<(), TestCaseError> {
+    let digests = index.segment_digests();
+    for group in digests.iter().map(|d| d.number / GROUP_SLICES) {
+        if (group + 1) * GROUP_SLICES - 1 < newest {
+            let held = digests
+                .iter()
+                .filter(|d| d.number / GROUP_SLICES == group)
+                .count();
+            prop_assert_eq!(held, 1, "group {} is held as {} segments", group, held);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn compaction_answers_as_the_unsealed_oracle(
+        rows in prop::collection::vec((0u64..200_000, -60.0..EXTENT + 60.0, -60.0..EXTENT + 60.0), 1..300),
+        late in prop::collection::vec((0u64..150_000, -60.0..EXTENT + 60.0, -60.0..EXTENT + 60.0), 0..40),
+        spill in any::<bool>(),
+        held_apart in any::<u8>(),
+        evict_group in 0u64..3,
+        cut in arb_region(),
+        queries in prop::collection::vec(
+            (arb_region(), 0u64..210_000, 0u64..120_000, arb_position(), 0usize..20),
+            3,
+        ),
+    ) {
+        // Five groups of eight 5 s slices, rows clamped in from outside
+        // the extent, late rows into compacted groups, and a head slice.
+        let dir = spill.then(|| {
+            static CASE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let n = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("stcompact-{}-{n}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("temp dir");
+            dir
+        });
+        // Every index spills into a directory of its own.
+        let spills = std::cell::Cell::new(0);
+        let fresh = || {
+            let sealing = config().with_head_slices(1);
+            StIndex::new(match &dir {
+                Some(dir) => {
+                    spills.set(spills.get() + 1);
+                    let own = dir.join(spills.get().to_string());
+                    std::fs::create_dir_all(&own).expect("temp dir");
+                    sealing.with_spill_dir(own)
+                }
+                None => sealing,
+            })
+        };
+        let mut index = fresh();
+        let mut oracle = StIndex::new(config().without_sealing());
+        let mut rows: Vec<(u64, f64, f64)> = rows;
+        rows.sort_by_key(|r| r.0);
+        rows.extend(late);
+        // A last row at 205 s: a seal event after the late rows.
+        rows.push((205_000, 1.0, 1.0));
+        let rows: Vec<Observation> = rows
+            .into_iter()
+            .enumerate()
+            .map(|(i, (t_ms, x, y))| Observation {
+                id: ObservationId::compose(CameraId(0), i as u64),
+                camera: CameraId(0),
+                time: Timestamp::from_millis(t_ms),
+                position: Point::new(x, y),
+                class: EntityClass::Car,
+                signature: Signature::latent_for_entity(i as u64),
+                truth: Some(EntityId(i as u64)),
+            })
+            .collect();
+        index.insert_batch(rows.iter().cloned());
+        oracle.insert_batch(rows.iter().cloned());
+        let newest = 205_000 / SLICE_MS;
+        let queries: Vec<(BBox, TimeInterval, Point, usize)> = queries
+            .into_iter()
+            .map(|(region, t0, dt, at, k)| {
+                let window =
+                    TimeInterval::new(Timestamp::from_millis(t0), Timestamp::from_millis(t0 + dt));
+                (region, window, at, k)
+            })
+            .chain([(
+                BBox::new(Point::new(-100.0, -100.0), Point::new(EXTENT + 100.0, EXTENT + 100.0)),
+                TimeInterval::new(Timestamp::ZERO, Timestamp::from_millis(210_000)),
+                Point::new(EXTENT / 2.0, EXTENT / 2.0),
+                7,
+            )])
+            .collect();
+        prop_assert!(index.stats().sealed_segments > 0);
+        assert_one_segment_per_closed_group(&index, newest)?;
+        assert_answers_as(&index, &oracle, &queries)?;
+
+        // Retention at every slice boundary inside one group.
+        for slice in 1..GROUP_SLICES {
+            let cutoff = Timestamp::from_millis((evict_group * GROUP_SLICES + slice) * SLICE_MS);
+            index.evict_before(cutoff);
+            oracle.evict_before(cutoff);
+            assert_answers_as(&index, &oracle, &queries)?;
+            let stats = index.stats();
+            prop_assert_eq!(stats.slices, oracle.stats().slices);
+            prop_assert_eq!(stats.oldest, oracle.stats().oldest);
+            prop_assert_eq!(stats.newest, oracle.stats().newest);
+        }
+
+        // Rebalancing's extraction.
+        prop_assert_eq!(index.extract_range(cut), oracle.extract_range(cut));
+        assert_answers_as(&index, &oracle, &queries)?;
+
+        // A bulk sync into an empty index holds digest-equal segments.
+        let everything = BBox::new(Point::new(-1e12, -1e12), Point::new(1e12, 1e12));
+        let (frames, head) = index.export_segments(everything, &[]);
+        let mut copy = fresh();
+        for frame in &frames {
+            let bytes = stcam_codec::encode_to_vec(frame);
+            let frame: stcam_codec::SegmentFrame =
+                stcam_codec::decode_from_slice(&bytes).expect("frame decodes");
+            prop_assert!(copy.install_segment(SealedSegment::from_frame(frame).expect("frame verifies")));
+        }
+        copy.insert_batch(head);
+        prop_assert_eq!(copy.segment_digests(), index.segment_digests());
+        assert_answers_as(&copy, &oracle, &queries)?;
+
+        // One slice's frames of every closed group, into the copy that
+        // holds the group compacted: nothing changes. And the group's
+        // frames into a copy holding some of its slices apart, as a
+        // retried ship whose first chunks landed leaves it: the copy ends
+        // holding the group as the sender does, each row once.
+        for group in 0..newest / GROUP_SLICES {
+            if (group + 1) * GROUP_SLICES > newest {
+                continue;
+            }
+            let mut slices = fresh();
+            let mut apart = fresh();
+            let mut group_oracle = StIndex::new(config().without_sealing());
+            index.for_each(|o| {
+                let slice = o.time.as_millis() / SLICE_MS;
+                if slice / GROUP_SLICES == group {
+                    slices.insert(o.clone());
+                    group_oracle.insert(o.clone());
+                    if held_apart >> (slice % GROUP_SLICES) & 1 == 1 {
+                        apart.insert(o.clone());
+                    }
+                }
+            });
+            slices.seal_all();
+            apart.seal_all();
+            for frame in frames.iter().filter(|f| f.number / GROUP_SLICES == group) {
+                let segment = SealedSegment::from_frame(frame.clone()).expect("frame verifies");
+                apart.install_segment(segment);
+            }
+            let of_group = |index: &StIndex| -> Vec<SegmentDigest> {
+                let mut digests = index.segment_digests();
+                digests.retain(|d| d.number / GROUP_SLICES == group);
+                digests
+            };
+            prop_assert_eq!(of_group(&apart), of_group(&index));
+            assert_answers_as(&apart, &group_oracle, &queries)?;
+            let (frames, head) = slices.export_segments(everything, &[]);
+            prop_assert!(head.is_empty());
+            for frame in frames {
+                prop_assert_eq!(frame.number, frame.window.start().as_millis() / SLICE_MS);
+                prop_assert!(!copy.install_segment(SealedSegment::from_frame(frame).expect("frame verifies")));
+            }
+        }
+        prop_assert_eq!(copy.segment_digests(), index.segment_digests());
+        assert_one_segment_per_closed_group(&copy, newest)?;
+        assert_answers_as(&copy, &oracle, &queries)?;
+
+        drop((index, copy));
+        if let Some(dir) = dir {
+            for own in std::fs::read_dir(&dir).expect("spill dir") {
+                let own = own.expect("spill dir entry").path();
+                prop_assert_eq!(std::fs::read_dir(&own).expect("spill dir").count(), 0);
+                let _ = std::fs::remove_dir(&own);
+            }
+            let _ = std::fs::remove_dir(&dir);
         }
     }
 }

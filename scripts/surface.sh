@@ -9,7 +9,8 @@
 # replica maps, answer memories and read evaluators, the per-peer
 # accounts beside the transport's peer table, the fabric's one-way sends,
 # the test rigs built into the library, the chaos schedule generators,
-# and the options and size of the figure harness (crates/bench).
+# the options and size of the figure harness (crates/bench), and the
+# fields and non-test panic sites of the index (crates/index).
 # Usage: scripts/surface.sh            print "name value" lines
 #        scripts/surface.sh --check    also fail when a value exceeds its
 #                                      ceiling in scripts/surface.ceilings
@@ -120,6 +121,16 @@ surface() {
     # reports go to; sizes come from `--quick`, never from the caller).
     echo "cluster_config_fields $(awk '/^pub struct ClusterConfig \{/ { on = 1; next }
         on && /^}/ { exit } on && /^    pub [a-z_]+:/ { n++ } END { print n + 0 }' "$src/cluster.rs")"
+    # Fields of `IndexConfig`: compaction's group size is a `const`, not
+    # a knob, and no other storage setting rides in beside it.
+    echo "index_config_fields $(awk '/^pub struct IndexConfig \{/ { on = 1; next }
+        on && /^}/ { exit } on && /^    pub [a-z_]+:/ { n++ } END { print n + 0 }' \
+        crates/index/src/index.rs)"
+    # `.expect(` / `.unwrap()` in non-test crates/index/src: a path a bad
+    # spill file or a bad frame can reach must return, not panic.
+    echo "index_non_test_panics $(for file in crates/index/src/*.rs; do
+        awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$file"
+    done | grep -cE '\.expect\(|\.unwrap\(\)' || true)"
     echo "bench_env_knobs $(grep -rhoE 'env::var(_os)?\("[A-Z0-9_]+"' "$bench" | sort -u | wc -l)"
     # Figure bins that do not report through `Figure` (text and JSON from
     # one set of rows), and the size of the harness.
