@@ -41,7 +41,7 @@ const SLICE_SECS: u64 = 60;
 /// Constant ingest rate: 10⁶ observations ≙ 600 s of archive.
 const RATE_OBS_PER_SEC: u64 = 1_667;
 const CHUNK_SECS: u64 = 60;
-const QUERIES: usize = 100;
+const QUERIES: usize = 400;
 /// Deep-history analytics window (count / heatmap / archival range):
 /// spans many slices, so interior segments resolve from their footers.
 const DEEP_WINDOW_SECS: u64 = 600;

@@ -20,13 +20,12 @@
 //! cargo run -p stcam-bench --release --bin fig4_ingest_scaling
 //! ```
 
-use stcam::CentralizedStore;
 use stcam_bench::{
     cells, lan_config, launch, max_shard_busy_secs, square_extent, synthetic_stream, timed, Figure,
     Fmt,
 };
 use stcam_geo::Duration;
-use stcam_index::IndexConfig;
+use stcam_index::{IndexConfig, StIndex};
 
 const BATCH: usize = 500;
 const SOURCES: usize = 4;
@@ -55,9 +54,9 @@ fn main() {
     // time IS its wall time.
     let index_config = IndexConfig::new(extent, 100.0, Duration::from_secs(10));
     let (_, base_busy) = timed(|| {
-        let mut store = CentralizedStore::indexed(index_config.clone());
+        let mut store = StIndex::new(index_config.clone());
         for chunk in stream.chunks(BATCH) {
-            store.ingest(chunk.to_vec());
+            store.insert_batch(chunk.to_vec());
         }
         store
     });

@@ -21,13 +21,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stcam::CentralizedStore;
 use stcam_bench::{
     cells, ingest_chunked, lan_config, launch, max_shard_busy_secs, op_stats, square_extent,
     synthetic_stream, timed, window_secs, Figure, Fmt, LatencyStats,
 };
 use stcam_geo::{BBox, Duration, Point};
-use stcam_index::IndexConfig;
+use stcam_index::{FlatIndex, IndexConfig, StIndex};
 
 const EXTENT_M: f64 = 8_000.0;
 const WORKERS: usize = 8;
@@ -48,11 +47,9 @@ fn main() {
     let cluster = launch(lan_config(extent, WORKERS, 0));
     ingest_chunked(&cluster, &stream, 2000);
 
-    let mut indexed =
-        CentralizedStore::indexed(IndexConfig::new(extent, 100.0, Duration::from_secs(10)));
-    indexed.ingest(stream.clone());
-    let mut flat = CentralizedStore::flat();
-    flat.ingest(stream);
+    let mut indexed = StIndex::new(IndexConfig::new(extent, 100.0, Duration::from_secs(10)));
+    indexed.insert_batch(stream.clone());
+    let flat: FlatIndex = stream.into_iter().collect();
 
     let window = window_secs(600);
     fig.table("rows")
@@ -94,8 +91,10 @@ fn main() {
             let (found, secs) = timed(|| cluster.range_query(*region, window).expect("query"));
             hits += found.len();
             samples_cluster.push(secs);
-            samples_indexed.push(timed(|| indexed.range_query(*region, window)).1);
-            samples_flat.push(timed(|| flat.range_query(*region, window)).1);
+            samples_indexed.push(timed(|| indexed.range(*region, window)).1);
+            // An owned answer, as the index returns.
+            let owned = || -> Vec<_> { flat.range(*region, window).into_iter().cloned().collect() };
+            samples_flat.push(timed(owned).1);
         }
         let busy_after = max_shard_busy_secs(&cluster.stats().expect("stats"));
         // The executor's latency split over the same queries: scatter

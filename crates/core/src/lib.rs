@@ -87,7 +87,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod admission;
-mod baseline;
 mod cluster;
 mod continuous;
 mod coordinator;
@@ -110,7 +109,6 @@ pub use admission::{
     AdmissionControl, AdmissionTicket, Deadline, Priority, QueryCtx, ShedReason, TenantBudget,
     TenantId, TenantUsage,
 };
-pub use baseline::CentralizedStore;
 pub use cluster::{Cluster, ClusterConfig};
 pub use continuous::{ContinuousQueryId, InterestIndex, Notification};
 pub use coordinator::{ClusterStats, Coordinator, RebalanceReport, ReconstructReport};

@@ -1,8 +1,8 @@
 //! The replica a worker keeps of another worker's shard: a row log.
 //!
-//! A [`ReplicaLog`] is an append-only vector of rows plus the set of
-//! their ids. Nothing is indexed at write time — an append is a hash
-//! insert and a push — so every read of a log is a scan, acceptable
+//! A [`ReplicaLog`] is a [`FlatIndex`] of rows plus the set of their ids.
+//! Nothing is indexed at write time — an append is a hash insert and a
+//! push — so every read of a log is the flat store's scan, acceptable
 //! because a log is read only while its primary is down (and by the
 //! digest sweep). The type keeps one condition true that repair and
 //! retention depend on: **the id set is exactly the ids of the rows**. A
@@ -12,17 +12,16 @@
 //!
 //! [`RowSource`] is the three scans a read request is built from. The
 //! worker's one read evaluator is generic over it, so a failover read
-//! over a log and a primary read over a [`ReadView`] differ in how rows
-//! are found, never in what the request means: a range over either tests
-//! the same [`Predicate`] — region and class — and keeps its `limit`
-//! lowest ids in the same bounded selection, [`Lowest`], before a row is
-//! copied.
+//! over a log's [`FlatIndex`] and a primary read over a [`ReadView`]
+//! differ in how rows are found, never in what the request means: both
+//! test the same [`Predicate`] — region and class — and keep the
+//! `limit` lowest ids.
 
 use std::collections::HashSet;
 
 use stcam_camnet::{Observation, ObservationId};
 use stcam_geo::{BBox, Duration, GridSpec, Point, TimeInterval, Timestamp};
-use stcam_index::{slice_number, Lowest, Nearest, Predicate, ReadView};
+use stcam_index::{slice_number, FlatIndex, Predicate, ReadView};
 
 use crate::repair::DigestAccumulator;
 
@@ -60,10 +59,34 @@ impl RowSource for ReadView {
     }
 }
 
+/// A flat store's reads clone only the rows they return.
+impl RowSource for FlatIndex {
+    fn range(
+        &self,
+        predicate: &Predicate,
+        window: TimeInterval,
+        limit: Option<usize>,
+    ) -> Vec<Observation> {
+        self.range_where(predicate, window, limit)
+            .into_iter()
+            .cloned()
+            .collect()
+    }
+    fn knn(&self, at: Point, window: TimeInterval, k: usize, max: Option<f64>) -> Vec<Observation> {
+        self.knn_within(at, window, k, max)
+            .into_iter()
+            .cloned()
+            .collect()
+    }
+    fn heatmap(&self, buckets: &GridSpec, window: TimeInterval) -> Vec<u64> {
+        FlatIndex::heatmap(self, buckets, window)
+    }
+}
+
 /// The unindexed copy of one primary's rows held by a ring successor.
 #[derive(Debug, Default)]
 pub(crate) struct ReplicaLog {
-    rows: Vec<Observation>,
+    rows: FlatIndex,
     /// The ids of `rows`, so replica writes and repair streams never
     /// append the same observation twice.
     ids: HashSet<ObservationId>,
@@ -76,7 +99,7 @@ impl ReplicaLog {
     pub(crate) fn append(&mut self, batch: impl IntoIterator<Item = Observation>) {
         for obs in batch {
             if self.ids.insert(obs.id) {
-                self.rows.push(obs);
+                self.rows.insert(obs);
             }
         }
     }
@@ -110,7 +133,7 @@ impl ReplicaLog {
 
     /// Folds every row into `acc`.
     pub(crate) fn digest_into(&self, acc: &mut DigestAccumulator) {
-        for o in &self.rows {
+        for o in self.rows.iter() {
             acc.add(o);
         }
     }
@@ -119,47 +142,12 @@ impl ReplicaLog {
     /// the primary shard).
     pub(crate) fn take(&mut self) -> Vec<Observation> {
         self.ids.clear();
-        std::mem::take(&mut self.rows)
+        std::mem::take(&mut self.rows).into_vec()
     }
 
     /// The rows held, in arrival order.
-    pub(crate) fn rows(&self) -> &[Observation] {
+    pub(crate) fn rows(&self) -> &FlatIndex {
         &self.rows
-    }
-}
-
-impl RowSource for ReplicaLog {
-    fn range(
-        &self,
-        predicate: &Predicate,
-        window: TimeInterval,
-        limit: Option<usize>,
-    ) -> Vec<Observation> {
-        // Tests before it clones, as the index does: only the rows kept
-        // are copied, and a limit holds at most `limit` of them.
-        let hit =
-            |o: &&Observation| window.contains(o.time) && predicate.matches(o.position, o.class);
-        let mut lowest = Lowest::new(limit.unwrap_or(usize::MAX));
-        self.rows.iter().filter(hit).for_each(|o| lowest.offer(o));
-        lowest.into_sorted()
-    }
-
-    fn knn(&self, at: Point, window: TimeInterval, k: usize, max: Option<f64>) -> Vec<Observation> {
-        // Selects before it clones: only the k survivors are copied.
-        let mut nearest = Nearest::new(at, k, max);
-        let in_window = self.rows.iter().filter(|o| window.contains(o.time));
-        in_window.for_each(|o| nearest.offer(o));
-        nearest.into_sorted()
-    }
-
-    fn heatmap(&self, buckets: &GridSpec, window: TimeInterval) -> Vec<u64> {
-        let mut counts = vec![0u64; buckets.cell_count() as usize];
-        for o in self.rows.iter().filter(|o| window.contains(o.time)) {
-            if let Some(cell) = buckets.cell_of(o.position) {
-                counts[cell.row as usize * buckets.cols() as usize + cell.col as usize] += 1;
-            }
-        }
-        counts
     }
 }
 
@@ -243,7 +231,7 @@ mod tests {
                     }
                     LogOp::Take => prop_assert_eq!(log.take(), std::mem::take(&mut model)),
                 }
-                prop_assert_eq!(log.rows(), &model[..]);
+                prop_assert!(log.rows().iter().eq(&model));
                 let ids: HashSet<ObservationId> = model.iter().map(|o| o.id).collect();
                 prop_assert_eq!(&log.ids, &ids);
                 let mut got = DigestAccumulator::new(&grid);
@@ -253,49 +241,6 @@ mod tests {
                 prop_assert_eq!(got.finish(), want.finish());
             }
             prop_assert_eq!(log.rows().len(), 24);
-        }
-
-        /// A range over a replica log answers as a range over an index
-        /// snapshot of the same rows: for any predicate, window and limit,
-        /// the same rows in the same order, from the head or sealed tier.
-        #[test]
-        fn a_log_ranges_as_a_read_view_does(
-            rows in prop::collection::vec((0u64..60_000, -100.0..1100.0f64, -100.0..1100.0f64, 0u8..4), 0..200),
-            corner in (-200.0..1000.0f64, -200.0..1000.0f64, 0.0..900.0f64),
-            class in 0u8..5,
-            limit in (any::<bool>(), 0usize..30),
-            span in (0u64..60_000, 0u64..70_000),
-            sealed in any::<bool>(),
-        ) {
-            // Distinct ids out of arrival order; the log keeps one row per id.
-            let rows: Vec<Observation> = (0u64..)
-                .zip(rows)
-                .map(|(i, (t, x, y, class))| Observation {
-                    class: stcam_world::EntityClass::ALL[class as usize],
-                    ..row(i * 37 % 211, t, x, y)
-                })
-                .collect();
-            let extent = BBox::new(Point::ORIGIN, Point::new(1000.0, 1000.0));
-            let config = stcam_index::IndexConfig::new(extent, 50.0, Duration::from_millis(SLICE_MS));
-            let mut index = stcam_index::StIndex::new(config);
-            index.insert_batch(rows.iter().cloned());
-            if sealed {
-                index.seal_all();
-            }
-            let mut log = ReplicaLog::default();
-            log.append(rows);
-            let (x, y, side) = corner;
-            let predicate = Predicate {
-                region: BBox::new(Point::new(x, y), Point::new(x + side, y + side)),
-                class: stcam_world::EntityClass::from_u8(class),
-            };
-            let window = TimeInterval::new(Timestamp::from_millis(span.0), Timestamp::from_millis(span.0 + span.1));
-            let limit = limit.0.then_some(limit.1);
-            let view = index.read_view();
-            prop_assert_eq!(
-                RowSource::range(&log, &predicate, window, limit),
-                RowSource::range(&view, &predicate, window, limit)
-            );
         }
     }
 }

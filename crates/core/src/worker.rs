@@ -14,10 +14,10 @@
 //!   reads until the next mutating request invalidates them.
 //!
 //! Beside its own shard a worker holds a [`ReplicaLog`] per backed-up
-//! primary — unindexed rows, read only by a failover
-//! [`Request::ReplicaRead`] and the digest sweep. One function,
-//! `execute_read`, evaluates a read request, over a snapshot or over a
-//! log.
+//! primary — unindexed rows in a [`stcam_index::FlatIndex`], read only
+//! by a failover [`Request::ReplicaRead`] and the digest sweep. One
+//! function, `execute_read`, evaluates a read request, over a snapshot
+//! or over a log.
 //!
 //! Per-link FIFO delivery plus sequential dispatch on the control lane
 //! guarantee that a read observes every write the same client issued
@@ -510,8 +510,8 @@ impl Worker {
             Request::ReplicaRead { of, inner }
                 if Self::pool_servable(&inner) && !matches!(*inner, Request::FetchPage { .. }) =>
             {
-                let log = self.replicas.get(&of);
-                execute_read(log.unwrap_or(&ReplicaLog::default()), &self.shared, *inner)
+                let rows = self.replicas.get(&of).map(ReplicaLog::rows);
+                execute_read(rows.unwrap_or(&Default::default()), &self.shared, *inner)
             }
             Request::ReplicaRead { inner, .. } => {
                 Response::Error(format!("{} is not replica-readable", inner.op_name()))
@@ -927,11 +927,9 @@ mod tests {
 
     /// Sorted sequence numbers of the replica log held for `primary`.
     fn log_seqs(worker: &Worker, primary: NodeId) -> Vec<u64> {
-        let rows = worker
-            .replicas
-            .get(&primary)
-            .map_or(&[][..], |log| log.rows());
-        let mut seqs: Vec<u64> = rows.iter().map(|o| o.id.seq()).collect();
+        let log = worker.replicas.get(&primary);
+        let rows = log.into_iter().flat_map(|log| log.rows().iter());
+        let mut seqs: Vec<u64> = rows.map(|o| o.id.seq()).collect();
         seqs.sort_unstable();
         seqs
     }

@@ -35,16 +35,17 @@
 
 mod plan;
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::time::Duration as StdDuration;
 
 use stcam::{
-    CentralizedStore, Cluster, ClusterConfig, Deadline, HeatmapOp, Knn, OpPolicy, Predicate,
-    Priority, QueryCtx, QueryMode, QueryOpts, RangeOp, ShedReason, StcamError, TenantBudget,
-    TenantId,
+    Cluster, ClusterConfig, Deadline, HeatmapOp, Knn, OpPolicy, Predicate, Priority, QueryCtx,
+    QueryMode, QueryOpts, RangeOp, ShedReason, StcamError, TenantBudget, TenantId,
 };
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
+use stcam_index::FlatIndex;
 use stcam_net::{LinkModel, NodeId};
 use stcam_world::{EntityClass, EntityId};
 
@@ -126,15 +127,13 @@ fn settle_replication(cluster: &Cluster) {
 /// everything the cluster has **acknowledged** (must be served), `upper`
 /// holds everything ever **sent** (may be served). They start equal and
 /// only diverge while a lossy plan has writes in limbo.
-fn launch_with_data() -> (Cluster, CentralizedStore, CentralizedStore) {
+fn launch_with_data() -> (Cluster, FlatIndex, FlatIndex) {
     let cluster = Cluster::launch(config()).expect("launch");
     let plane = cluster.query_plane();
     plane.admission().set_saturation_width(SATURATION_WIDTH);
     let batch: Vec<Observation> = (0..OBSERVATIONS).map(obs).collect();
-    let mut oracle = CentralizedStore::flat();
-    oracle.ingest(batch.clone());
-    let mut upper = CentralizedStore::flat();
-    upper.ingest(batch.clone());
+    let oracle: FlatIndex = batch.iter().cloned().collect();
+    let upper: FlatIndex = batch.iter().cloned().collect();
     let accepted = cluster.ingest(batch).expect("ingest");
     assert_eq!(
         accepted, OBSERVATIONS as usize,
@@ -145,8 +144,8 @@ fn launch_with_data() -> (Cluster, CentralizedStore, CentralizedStore) {
     (cluster, oracle, upper)
 }
 
-fn sorted_ids(observations: &[Observation]) -> Vec<ObservationId> {
-    let mut ids: Vec<ObservationId> = observations.iter().map(|o| o.id).collect();
+fn sorted_ids<T: Borrow<Observation>>(observations: &[T]) -> Vec<ObservationId> {
+    let mut ids: Vec<ObservationId> = observations.iter().map(|o| o.borrow().id).collect();
     ids.sort();
     ids
 }
@@ -158,18 +157,12 @@ fn sorted_ids(observations: &[Observation]) -> Vec<ObservationId> {
 /// shards). When the two are equal (nothing in limbo) the checks
 /// degenerate to exact set equality. `tag` identifies the plan step for
 /// failure messages.
-fn battery(
-    cluster: &Cluster,
-    oracle: &CentralizedStore,
-    upper: &CentralizedStore,
-    seed: u64,
-    tag: &str,
-) {
+fn battery(cluster: &Cluster, oracle: &FlatIndex, upper: &FlatIndex, seed: u64, tag: &str) {
     let window = window_all();
     let region = extent();
-    let oracle_hits = oracle.range_query(region, window);
+    let oracle_hits = oracle.range(region, window);
     let oracle_ids = sorted_ids(&oracle_hits);
-    let upper_ids = sorted_ids(&upper.range_query(region, window));
+    let upper_ids = sorted_ids(&upper.range(region, window));
     let in_limbo = upper_ids.len() != oracle_ids.len();
     let in_upper = |id: &ObservationId| upper_ids.binary_search(id).is_ok();
 
@@ -268,11 +261,7 @@ fn battery(
     // observations can legitimately perturb the ranking); a degraded
     // ranking must admit it may not be a subset of the true answer.
     let at = Point::new(800.0, 800.0);
-    let oracle_knn: Vec<ObservationId> = oracle
-        .knn_query(at, window, 15)
-        .iter()
-        .map(|o| o.id)
-        .collect();
+    let oracle_knn: Vec<ObservationId> = oracle.knn(at, window, 15).iter().map(|o| o.id).collect();
     match cluster.query(Knn { at, window, k: 15 }, &QueryOpts::BEST_EFFORT) {
         Ok(d) => {
             if d.completeness.is_full() {
@@ -448,7 +437,7 @@ fn execute_plan(seed: u64, plan: &ChaosPlan) {
                 // not noticed) joins the limbo ledger.
                 let fresh: Vec<Observation> =
                     (0..u64::from(*count)).map(|i| obs(base + i)).collect();
-                upper.ingest(fresh.clone());
+                upper.extend(fresh.clone());
                 let mut batch = std::mem::take(&mut limbo);
                 batch.extend(fresh);
                 for o in batch {
@@ -456,7 +445,7 @@ fn execute_plan(seed: u64, plan: &ChaosPlan) {
                     match cluster.ingest(vec![o.clone()]) {
                         Ok(1) => {
                             acked.insert(o.id);
-                            oracle.ingest(vec![o]);
+                            oracle.insert(o);
                         }
                         Ok(0) => limbo.push(o),
                         Ok(n) => {
@@ -527,11 +516,11 @@ fn execute_plan(seed: u64, plan: &ChaosPlan) {
             std::thread::sleep(StdDuration::from_millis(10));
         }
         acked.extend(batch.iter().map(|o| o.id));
-        oracle.ingest(batch);
+        oracle.extend(batch);
     }
     assert_eq!(
-        oracle.range_query(extent(), window_all()).len(),
-        upper.range_query(extent(), window_all()).len(),
+        oracle.range(extent(), window_all()).len(),
+        upper.range(extent(), window_all()).len(),
         "seed {seed}: oracle bookkeeping out of sync after limbo drain"
     );
 
@@ -577,7 +566,7 @@ fn execute_plan(seed: u64, plan: &ChaosPlan) {
     );
     assert_eq!(
         sorted_ids(&d.value),
-        sorted_ids(&oracle.range_query(extent(), window_all())),
+        sorted_ids(&oracle.range(extent(), window_all())),
         "seed {seed}: data lost despite replication covering every fault"
     );
     cluster
@@ -783,7 +772,7 @@ fn reconstruction_survives_degraded_coordinator_links() {
         .expect("strict range after lossy reconstruction");
     assert_eq!(
         sorted_ids(&strict),
-        sorted_ids(&oracle.range_query(extent(), window_all())),
+        sorted_ids(&oracle.range(extent(), window_all())),
         "data diverged across a reconstruction over lossy control links"
     );
     cluster.shutdown();
@@ -837,7 +826,7 @@ fn worker_restart_after_coordinator_loss_still_rejoins() {
         .expect("strict range after the double fault");
     assert_eq!(
         sorted_ids(&strict),
-        sorted_ids(&oracle.range_query(extent(), window_all())),
+        sorted_ids(&oracle.range(extent(), window_all())),
         "data lost across coordinator crash + worker rejoin"
     );
     cluster.shutdown();
@@ -973,7 +962,7 @@ fn killed_worker_is_served_by_replicas_before_recovery() {
     );
     assert_eq!(
         sorted_ids(&d.value),
-        sorted_ids(&oracle.range_query(extent(), window_all()))
+        sorted_ids(&oracle.range(extent(), window_all()))
     );
 
     let at = Point::new(800.0, 800.0);
@@ -994,7 +983,7 @@ fn killed_worker_is_served_by_replicas_before_recovery() {
     );
     let got: Vec<ObservationId> = d.value.iter().map(|o| o.id).collect();
     let want: Vec<ObservationId> = oracle
-        .knn_query(at, window_all(), 15)
+        .knn(at, window_all(), 15)
         .iter()
         .map(|o| o.id)
         .collect();
@@ -1250,7 +1239,7 @@ fn restarted_worker_rejoins_under_loss() {
         .expect("strict range after rejoin");
     assert_eq!(
         sorted_ids(&strict),
-        sorted_ids(&oracle.range_query(extent(), window_all())),
+        sorted_ids(&oracle.range(extent(), window_all())),
         "strict answer diverged from oracle after rejoin"
     );
     cluster.shutdown();

@@ -15,9 +15,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration as StdDuration;
 
 use stcam::exec::OpStats;
-use stcam::{CentralizedStore, Cluster, ClusterConfig, QueryOpts, RangeOp};
+use stcam::{Cluster, ClusterConfig, QueryOpts, RangeOp};
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
+use stcam_index::FlatIndex;
 use stcam_net::LinkModel;
 use stcam_world::{EntityClass, EntityId};
 
@@ -71,8 +72,7 @@ fn concurrent_queries_match_oracle_under_ingest_and_recovery() {
     cluster.ingest(stable.clone()).unwrap();
     cluster.flush().unwrap();
 
-    let mut oracle = CentralizedStore::flat();
-    oracle.ingest(stable);
+    let oracle: FlatIndex = stable.into_iter().collect();
     let window = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(90));
     let buckets = GridSpec::covering(extent(), 200.0);
 
@@ -118,7 +118,7 @@ fn concurrent_queries_match_oracle_under_ingest_and_recovery() {
                         let region = BBox::around(Point::new(cx, 1600.0 - cx / 2.0), 350.0);
                         let got = cluster.range_query(region, window).unwrap();
                         issued[0].1.fetch_add(1, Ordering::Relaxed);
-                        let want = oracle.range_query(region, window);
+                        let want = oracle.range(region, window);
                         assert_eq!(
                             got.iter().map(|o| o.id).collect::<Vec<_>>(),
                             want.iter().map(|o| o.id).collect::<Vec<_>>(),
@@ -135,7 +135,7 @@ fn concurrent_queries_match_oracle_under_ingest_and_recovery() {
                         let k = 5 + (i % 3) * 10;
                         let got = cluster.knn_query(at, window, k).unwrap();
                         issued[1].1.fetch_add(1, Ordering::Relaxed);
-                        let want = oracle.knn_query(at, window, k);
+                        let want = oracle.knn(at, window, k);
                         assert_eq!(
                             got.iter().map(|o| o.id).collect::<Vec<_>>(),
                             want.iter().map(|o| o.id).collect::<Vec<_>>(),
@@ -207,8 +207,7 @@ fn paged_pushdown_reads_match_oracle_with_pool() {
         .collect();
     cluster.ingest(stable.clone()).unwrap();
     cluster.flush().unwrap();
-    let mut oracle = CentralizedStore::flat();
-    oracle.ingest(stable);
+    let oracle: FlatIndex = stable.into_iter().collect();
     let window = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(90));
     let buckets = GridSpec::covering(extent(), 200.0);
     let plane = cluster.query_plane();
@@ -221,7 +220,7 @@ fn paged_pushdown_reads_match_oracle_with_pool() {
                     // Whole-extent range: multi-page on every shard.
                     for _ in 0..4 {
                         let got = cluster.range_query(extent(), window).unwrap();
-                        let want = oracle.range_query(extent(), window);
+                        let want = oracle.range(extent(), window);
                         assert_eq!(got.len(), want.len(), "paged range lost rows");
                         assert_eq!(
                             got.iter().map(|o| o.id).collect::<Vec<_>>(),
@@ -241,7 +240,7 @@ fn paged_pushdown_reads_match_oracle_with_pool() {
                             ..RangeOp::new(extent(), window)
                         };
                         let got = plane.query(thin, &QueryOpts::STRICT).unwrap().value;
-                        let want = oracle.range_query(extent(), window);
+                        let want = oracle.range(extent(), window);
                         assert_eq!(got.len(), (limit as usize).min(want.len()));
                         for (g, w) in got.iter().zip(&want) {
                             assert_eq!(g.id, w.id, "limit pushdown changed the prefix");

@@ -684,6 +684,49 @@ mod tests {
     }
 
     #[test]
+    fn indexes_sharing_a_spill_dir_keep_their_own_files() {
+        let dir = std::env::temp_dir().join(format!("stseg-two-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Two indexes over the same slices, each with its own rows.
+        let mut pairs: Vec<(StIndex, FlatIndex)> = [23, 29]
+            .into_iter()
+            .map(|seed| {
+                let workload = random_workload(800, seed);
+                let mut index = StIndex::new(config().with_head_slices(1).with_spill_dir(&dir));
+                index.insert_batch(workload.iter().cloned());
+                index.seal_all();
+                (index, workload.into_iter().collect())
+            })
+            .collect();
+        let on_disk = || -> u64 {
+            let files = std::fs::read_dir(&dir).unwrap();
+            files.map(|f| f.unwrap().metadata().unwrap().len()).sum()
+        };
+        let spilled: usize = pairs.iter().map(|(i, _)| i.stats().spilled_bytes).sum();
+        assert_eq!(on_disk(), spilled as u64, "no file was truncated");
+        let region = BBox::new(Point::new(100.0, 100.0), Point::new(700.0, 700.0));
+        let tw = window(5_000, 90_000);
+        let buckets = GridSpec::new(Point::new(0.0, 0.0), 125.0, 8, 8);
+        let at = Point::new(400.0, 500.0);
+        let answers_as_its_oracle = |(index, oracle): &(StIndex, FlatIndex)| {
+            assert_eq!(
+                ids(&index.range(region, tw)),
+                ref_ids(&oracle.range(region, tw))
+            );
+            assert_eq!(ids(&index.knn(at, tw, 9)), ref_ids(&oracle.knn(at, tw, 9)));
+            assert_eq!(index.heatmap(&buckets, tw), oracle.heatmap(&buckets, tw));
+        };
+        pairs.iter().for_each(answers_as_its_oracle);
+        // Dropping one index removes its files only.
+        drop(pairs.pop());
+        answers_as_its_oracle(&pairs[0]);
+        assert_eq!(on_disk(), pairs[0].0.stats().spilled_bytes as u64);
+        drop(pairs);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        let _ = std::fs::remove_dir(&dir);
+    }
+
+    #[test]
     fn compaction_and_retention_share_their_slices_spill_files() {
         let dir = std::env::temp_dir().join(format!("stseg-share-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

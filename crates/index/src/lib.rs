@@ -42,9 +42,10 @@
 //! of restreaming per-cell rows. Rebalancing splits segments at cell
 //! boundaries, byte-copying untouched blocks.
 //!
-//! [`FlatIndex`] provides the same query semantics by linear scan. It is
-//! both the correctness oracle for tests and the naive baseline in the
-//! evaluation.
+//! [`FlatIndex`] provides the same query semantics by linear scan, with
+//! [`ReadView`]'s read signatures. It is the one unindexed row store: the
+//! correctness oracle for tests, the naive baseline in the evaluation,
+//! and the store of a worker's replica log.
 //!
 //! # Example
 //!
@@ -77,6 +78,6 @@ mod view;
 pub use flat::FlatIndex;
 pub use index::{IndexConfig, IndexStats, StIndex, DEFAULT_HEAD_SLICES};
 pub use segment::{cell_scope, observation_checksum, SealedSegment, SegmentDigest, GROUP_SLICES};
-pub use select::{Lowest, Predicate};
+pub use select::Predicate;
 pub use slice::slice_number;
-pub use view::{sort_by_id, Nearest, ReadView, SPLIT_SCAN_ROWS};
+pub use view::{sort_by_id, ReadView, SPLIT_SCAN_ROWS};

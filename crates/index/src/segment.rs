@@ -35,6 +35,7 @@ use std::fs::File;
 use std::io::{self, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use stcam_camnet::batch::{
@@ -172,10 +173,11 @@ struct SpillFile {
 }
 
 impl SpillFile {
-    /// Writes `parts` back to back to a new file at `path` and syncs it.
+    /// Writes `parts` back to back to a file created at `path` and syncs
+    /// it; a name already taken is neither truncated nor removed.
     fn write(path: PathBuf, parts: &[&[u8]]) -> io::Result<SpillFile> {
-        let write = || -> io::Result<File> {
-            let mut f = File::create(&path)?;
+        let mut f = File::create_new(&path)?;
+        let mut write = || -> io::Result<File> {
             for part in parts {
                 f.write_all(part)?;
             }
@@ -191,6 +193,10 @@ impl SpillFile {
         }
     }
 }
+
+/// The tag of the next spill file: names are unique across every index
+/// of the process, so indexes may share a spill directory.
+static SPILL_TAG: AtomicU64 = AtomicU64::new(0);
 
 impl Drop for SpillFile {
     fn drop(&mut self) {
@@ -446,11 +452,11 @@ impl SealedSegment {
         }
     }
 
-    /// Writes the payload bytes not yet on disk to one file under `dir`,
-    /// keeping only the footer resident; runs already in spill files stay
-    /// where they are. `tag` disambiguates multiple segments of one slice.
-    /// IO failure leaves the segment as it was.
-    pub(crate) fn spill(&mut self, dir: &Path, tag: u64) {
+    /// Writes the payload bytes not yet on disk to one new file under
+    /// `dir`, keeping only the footer resident; runs already in spill
+    /// files stay where they are. IO failure, a taken file name included,
+    /// leaves the segment as it was.
+    pub(crate) fn spill(&mut self, dir: &Path) {
         let unwritten: Vec<&[u8]> = match &self.data {
             SegmentData::Resident(payload) => vec![payload],
             SegmentData::Spilled { runs, .. } => runs
@@ -464,6 +470,7 @@ impl SealedSegment {
         if unwritten.is_empty() {
             return;
         }
+        let tag = SPILL_TAG.fetch_add(1, Ordering::Relaxed);
         let path = dir.join(format!("seg-{:08}-{:04}.stseg", self.number, tag));
         let Ok(file) = SpillFile::write(path, &unwritten) else {
             return;

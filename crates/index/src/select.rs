@@ -59,9 +59,9 @@ impl Predicate {
 /// enters only below the top's id, so a scan can reject a row on its id
 /// before cloning or decoding it.
 ///
-/// [`Nearest`]: crate::Nearest
+/// [`Nearest`]: crate::view::Nearest
 #[derive(Debug)]
-pub struct Lowest {
+pub(crate) struct Lowest {
     limit: usize,
     /// Rows that entered so far: the arrival stamp of the next one.
     entered: u64,
@@ -115,13 +115,6 @@ impl Lowest {
     /// loses a tie, so a full selection admits only ids below its top's.
     pub(crate) fn admits(&self, id: ObservationId) -> bool {
         self.heap.len() < self.limit || self.heap.peek().is_some_and(|top| id < top.row.id)
-    }
-
-    /// Offers a borrowed row; it is cloned only if it enters.
-    pub fn offer(&mut self, row: &Observation) {
-        if self.admits(row.id) {
-            self.insert(row.clone());
-        }
     }
 
     /// Offers an owned row.

@@ -26,8 +26,6 @@ pub(crate) struct SegmentStore {
     len: usize,
     /// Spill target; when set, added segments move their payload to disk.
     spill_dir: Option<PathBuf>,
-    /// Monotonic tag making spill file names unique within this store.
-    next_tag: u64,
 }
 
 impl SegmentStore {
@@ -80,8 +78,7 @@ impl SegmentStore {
             return;
         }
         if let Some(dir) = &self.spill_dir {
-            segment.spill(dir, self.next_tag);
-            self.next_tag += 1;
+            segment.spill(dir);
         }
         self.len += segment.len();
         self.segments

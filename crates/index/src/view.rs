@@ -243,7 +243,7 @@ pub(crate) fn range_over(
 /// once it is known to enter the answer, and whose bound a scan may prune
 /// against. A row whose distance is NaN never enters.
 #[derive(Debug)]
-pub struct Nearest {
+pub(crate) struct Nearest {
     at: Point,
     k: usize,
     /// `max_distance`, or ∞ without one.

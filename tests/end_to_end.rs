@@ -4,10 +4,10 @@
 
 use std::time::Duration as StdDuration;
 
-use stcam::{CentralizedStore, Cluster, ClusterConfig};
+use stcam::{Cluster, ClusterConfig};
 use stcam_camnet::{CameraNetwork, DetectionModel, Observation, SensorSim};
 use stcam_geo::{BBox, Duration, GridSpec, Point, TimeInterval, Timestamp};
-use stcam_index::IndexConfig;
+use stcam_index::{IndexConfig, StIndex};
 use stcam_net::LinkModel;
 use stcam_world::{World, WorldConfig};
 
@@ -32,11 +32,10 @@ fn launch(workers: usize) -> Cluster {
         .expect("cluster launch")
 }
 
-fn oracle(stream: &[Observation]) -> CentralizedStore {
+fn oracle(stream: &[Observation]) -> StIndex {
     let extent = BBox::new(Point::new(0.0, 0.0), Point::new(2000.0, 2000.0));
-    let mut store =
-        CentralizedStore::indexed(IndexConfig::new(extent, 50.0, Duration::from_secs(10)));
-    store.ingest(stream.to_vec());
+    let mut store = StIndex::new(IndexConfig::new(extent, 50.0, Duration::from_secs(10)));
+    store.insert_batch(stream.to_vec());
     store
 }
 
@@ -66,11 +65,7 @@ fn distributed_range_queries_match_centralized_oracle() {
             .iter()
             .map(|o| o.id)
             .collect();
-        let want: Vec<_> = store
-            .range_query(region, window)
-            .iter()
-            .map(|o| o.id)
-            .collect();
+        let want: Vec<_> = store.range(region, window).iter().map(|o| o.id).collect();
         assert_eq!(got, want, "range mismatch for {region} {window}");
     }
     cluster.shutdown();
@@ -99,11 +94,7 @@ fn distributed_knn_matches_centralized_oracle() {
             .iter()
             .map(|o| o.id)
             .collect();
-        let want: Vec<_> = store
-            .knn_query(at, window, k)
-            .iter()
-            .map(|o| o.id)
-            .collect();
+        let want: Vec<_> = store.knn(at, window, k).iter().map(|o| o.id).collect();
         assert_eq!(got, want, "knn mismatch at {at}, k={k}");
     }
     cluster.shutdown();
@@ -244,7 +235,7 @@ fn notifications_do_not_interfere_with_queries() {
     let store = oracle(&stream);
     let window = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(10));
     let got = cluster.range_query(region, window).unwrap().len();
-    assert_eq!(got, store.range_query(region, window).len());
+    assert_eq!(got, store.range(region, window).len());
     // And the notifications are themselves consistent: every match is in
     // the region.
     let notifications = cluster.poll_notifications(StdDuration::from_secs(2));

@@ -1,18 +1,19 @@
 //! The single read entry: every query kind through `Cluster::query`
 //! under {`Strict`, `BestEffort`} × {`ctx: None`, `Some`}, checked
-//! against the `CentralizedStore` oracle — healthy, with an unreplicated
+//! against a `FlatIndex` oracle — healthy, with an unreplicated
 //! dead shard, and with an already-expired deadline.
 
 use std::time::Duration as StdDuration;
 
 use stcam::exec::OpPolicy;
 use stcam::{
-    CentralizedStore, Cluster, ClusterConfig, Deadline, Degraded, HeatmapOp, Knn, KnnOp, Predicate,
-    Priority, Query, QueryCtx, QueryMode, QueryOpts, RangeOp, ShedReason, StcamError, TenantBudget,
-    TenantId, TenantUsage, TopCellsOp, PROJ_THIN,
+    Cluster, ClusterConfig, Deadline, Degraded, HeatmapOp, Knn, KnnOp, Predicate, Priority, Query,
+    QueryCtx, QueryMode, QueryOpts, RangeOp, ShedReason, StcamError, TenantBudget, TenantId,
+    TenantUsage, TopCellsOp, PROJ_THIN,
 };
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
+use stcam_index::FlatIndex;
 use stcam_net::{LinkModel, NodeId};
 use stcam_world::{EntityClass, EntityId};
 
@@ -51,7 +52,7 @@ fn stream_of(rows: u64) -> Vec<Observation> {
 }
 
 /// A cluster and an oracle holding the same stream.
-fn loaded(replication: usize, rpc_timeout: StdDuration) -> (Cluster, CentralizedStore) {
+fn loaded(replication: usize, rpc_timeout: StdDuration) -> (Cluster, FlatIndex) {
     let cluster = Cluster::launch(
         ClusterConfig::new(extent(), 4)
             .with_replication(replication)
@@ -61,9 +62,7 @@ fn loaded(replication: usize, rpc_timeout: StdDuration) -> (Cluster, Centralized
     .unwrap();
     cluster.ingest(stream()).unwrap();
     cluster.flush().unwrap();
-    let mut oracle = CentralizedStore::flat();
-    oracle.ingest(stream());
-    (cluster, oracle)
+    (cluster, stream().into_iter().collect())
 }
 
 /// Asks one query and prints its typed answer as plain numbers, so
@@ -116,18 +115,17 @@ fn thin_ids(rows: Vec<Observation>) -> Vec<u64> {
 }
 
 /// Every query kind over the whole extent, kNN anchored at `at`.
-fn kinds(oracle: &CentralizedStore, at: Point) -> Vec<Kind> {
+fn kinds(oracle: &FlatIndex, at: Point) -> Vec<Kind> {
     let (region, window) = (extent(), window());
     let buckets = GridSpec::covering(region, BUCKET_M);
-    let mut all = oracle.range_query(region, window);
-    all.sort_by_key(|o| o.id);
+    let all: Vec<Observation> = oracle.range(region, window).into_iter().cloned().collect();
     let trucks: Vec<u64> = all
         .iter()
         .filter(|o| o.class == EntityClass::Truck)
         .take(LIMIT as usize)
         .flat_map(|o| [o.id.0, 1])
         .collect();
-    let nearest = ids(oracle.knn_query(at, window, K));
+    let nearest = ids(oracle.knn(at, window, K).into_iter().cloned().collect());
     let heat = oracle.heatmap(&buckets, window);
     let mut ranked: Vec<(u64, u64)> = (0..).zip(heat.iter().copied()).collect();
     ranked.retain(|&(_, count)| count > 0);
@@ -405,9 +403,13 @@ fn paged(workers: usize, link: LinkModel) -> (Cluster, Vec<Observation>) {
     let cluster = Cluster::launch(config).unwrap();
     cluster.ingest(rows.clone()).unwrap();
     cluster.flush().unwrap();
-    let mut oracle = CentralizedStore::flat();
-    oracle.ingest(rows);
-    (cluster, oracle.range_query(extent(), window()))
+    let oracle: FlatIndex = rows.into_iter().collect();
+    let want = oracle
+        .range(extent(), window())
+        .into_iter()
+        .cloned()
+        .collect();
+    (cluster, want)
 }
 
 fn pulls_served(cluster: &Cluster) -> u64 {
