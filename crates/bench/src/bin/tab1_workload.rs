@@ -2,13 +2,14 @@
 //!
 //! Reports, per deployment scale, the camera count, ground coverage,
 //! entity population, observation rate, and mean wire size per
-//! observation: the envelope every other experiment operates in.
+//! observation (in a batch): the envelope every other experiment operates in.
 //!
 //! ```text
 //! cargo run -p stcam-bench --release --bin tab1_workload
 //! ```
 
 use stcam_bench::{cells, city_stream, Figure, Fmt};
+use stcam_camnet::ObservationBatch;
 use stcam_codec::encoded_len;
 
 fn main() {
@@ -38,8 +39,7 @@ fn main() {
     for ((label, extent_m, cameras, entities), seconds) in scales.into_iter().zip(seconds) {
         let stream = city_stream(extent_m, cameras, entities, seconds, 42);
         let n = stream.observations.len();
-        let sample = stream.observations.iter().take(1000);
-        let bytes = sample.map(encoded_len).sum::<usize>() / 1000.min(n.max(1));
+        let sample = &stream.observations[..n.min(1000)];
         let false_positives = stream.observations.iter().filter(|o| o.is_false_positive());
         fig.row(cells![
             label,
@@ -48,7 +48,7 @@ fn main() {
             stream.network.coverage_fraction(60),
             entities,
             n as f64 / seconds as f64,
-            bytes,
+            encoded_len(&ObservationBatch(sample.to_vec())) / sample.len().max(1),
             false_positives.count() as f64 / n.max(1) as f64,
         ]);
     }

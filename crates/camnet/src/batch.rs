@@ -583,7 +583,19 @@ mod tests {
                 ));
             }
         }
-        let row = encoded_len(&batch);
+        // The row-wise layout: each field in its own `Wire` form.
+        let row: usize = batch
+            .iter()
+            .map(|o| {
+                encoded_len(&o.id.0)
+                    + encoded_len(&o.camera.0)
+                    + encoded_len(&o.time)
+                    + encoded_len(&o.position)
+                    + 1
+                    + 4 * SIGNATURE_DIM
+                    + encoded_len(&o.truth.map(|e| e.0))
+            })
+            .sum();
         let col = round_trip(batch);
         assert!(
             (col as f64) < row as f64 * 0.92,

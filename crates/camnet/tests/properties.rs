@@ -8,7 +8,7 @@ use stcam_camnet::{
     decode_batch_filtered, decode_batch_into, scan_batch_keys, Camera, CameraId, CameraNetwork,
     Observation, ObservationId, Signature, TransitionModel, SIGNATURE_DIM,
 };
-use stcam_codec::{decode_from_slice, encode_to_vec, DecodeError};
+use stcam_codec::DecodeError;
 use stcam_geo::{BBox, Duration, Point, Timestamp};
 use stcam_world::{EntityClass, EntityId, RoadNetwork};
 
@@ -186,28 +186,6 @@ proptest! {
         for w in pairs.windows(2) {
             prop_assert!(w[0].1 <= w[1].1, "window shrank with distance");
         }
-    }
-
-    #[test]
-    fn observation_wire_round_trip(
-        cam in 0u32..1000,
-        seq in 0u64..1_000_000,
-        t in 0u64..10_000_000,
-        x in -1e5..1e5f64, y in -1e5..1e5f64,
-        class in 0u8..4,
-        entity in proptest::option::of(0u64..1_000_000),
-    ) {
-        let obs = Observation {
-            id: stcam_camnet::ObservationId::compose(CameraId(cam), seq),
-            camera: CameraId(cam),
-            time: Timestamp::from_millis(t),
-            position: Point::new(x, y),
-            class: EntityClass::from_u8(class).expect("class"),
-            signature: Signature::latent_for_entity(seq),
-            truth: entity.map(EntityId),
-        };
-        let bytes = encode_to_vec(&obs);
-        prop_assert_eq!(decode_from_slice::<Observation>(&bytes).expect("decode"), obs);
     }
 
     #[test]

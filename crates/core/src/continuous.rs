@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 
-use stcam_camnet::Observation;
+use stcam_camnet::{Observation, ObservationBatch};
 use stcam_codec::wire_struct;
 use stcam_geo::{BBox, GridSpec};
 use stcam_index::Predicate;
@@ -45,10 +45,8 @@ wire_struct! {
     pub struct Notification {
         /// The standing query that matched.
         pub query: ContinuousQueryId as Bare,
-        /// The matching observations (from one ingest batch at one worker),
-        /// row by row: a notification is a handful of rows, below the size
-        /// at which the columnar batch layout pays.
-        pub matches: Vec<Observation>,
+        /// The matching observations (from one ingest batch at one worker).
+        pub matches: Vec<Observation> as ObservationBatch,
     }
 }
 

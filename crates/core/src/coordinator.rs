@@ -27,7 +27,7 @@ use crate::error::StcamError;
 use crate::exec::{all_alive, region_targets, unexpected, want_ack, Executor, HeatmapOp, OpPolicy};
 use crate::partition::PartitionMap;
 use crate::plane::{QueryOpts, QueryPlane};
-use crate::protocol::{CensusReport, DigestReport, Request, Response, WorkerStatsMsg};
+use crate::protocol::{CensusReport, Request, Response, WorkerStatsMsg};
 use crate::reconcile::{self, sweep, tell, traffic, Action, Desired, Wire};
 use crate::repair::{RepairReport, MAX_ROUNDS, ROUND_STREAM};
 use crate::{ContinuousQueryId, Predicate};
@@ -304,7 +304,7 @@ impl Coordinator {
                 break;
             }
             run.report.rounds += 1;
-            self.act(&diff.actions, &observed, &mut run);
+            self.act(&diff.actions, &mut run);
             // A round that only cut over, with nothing copied this run,
             // changed no data and moved no cell between alive workers: its
             // digests still hold against the new plan.
@@ -330,8 +330,8 @@ impl Coordinator {
     /// that moves those reads must follow; a cutover needs its copies; a
     /// drop may rest on a promotion. Covers stop at [`ROUND_STREAM`] rows
     /// unless the round cuts over.
-    fn act(&mut self, actions: &[Action], observed: &[(NodeId, DigestReport)], run: &mut Run) {
-        let mut wire = Wire::new(&self.exec, *self.target.grid(), observed);
+    fn act(&mut self, actions: &[Action], run: &mut Run) {
+        let mut wire = Wire::new(&self.exec, *self.target.grid());
         let cuts_over = actions.contains(&Action::Publish);
         let mut stream_left = if cuts_over { usize::MAX } else { ROUND_STREAM };
         let mut clean = true;

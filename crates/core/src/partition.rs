@@ -629,7 +629,7 @@ mod tests {
             let mut containing = 0;
             for cell in m.grid().all_cells() {
                 let packed = cell.row * m.grid().cols() + cell.col;
-                if crate::repair::cell_region(m.grid(), packed).contains(p) {
+                if stcam_index::cell_scope(m.grid(), packed).contains(p) {
                     containing += 1;
                     assert_eq!(
                         cell, owning_cell,

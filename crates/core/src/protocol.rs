@@ -14,7 +14,7 @@ use bytes::{Buf, BufMut};
 use stcam_camnet::{Observation, ObservationBatch, ObservationId};
 use stcam_codec::{wire_enum, wire_struct, Bytes, DecodeError, SegmentFrame, Wire, WireAs};
 use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
-use stcam_index::{Predicate, SegmentDigest};
+use stcam_index::Predicate;
 use stcam_net::NodeId;
 use stcam_world::EntityClass;
 
@@ -250,10 +250,9 @@ wire_enum! {
         /// Anti-entropy digest request: report, per macro cell of `grid`, the
         /// observation count and an order-independent checksum — once over
         /// the local primary shard, and once per replica log held for other
-        /// primaries — plus the digest of every sealed segment of the primary
-        /// shard. The control loop compares primary and replica digests to
-        /// find under-replicated or diverged cells without moving any
-        /// observation data, and skips the segments in row ships.
+        /// primaries. The control loop compares primary and replica digests
+        /// to find under-replicated or diverged cells without moving any
+        /// observation data.
         CellDigest = 20 "cell_digest" {
             /// The macro grid cells are reported against (packed
             /// `row * cols + col`, positions bucketed by `cell_of_clamped`).
@@ -276,17 +275,14 @@ wire_enum! {
         },
         /// Export the primary shard's contents overlapping `region` as whole
         /// sealed segments (split at cell boundaries against the segments'
-        /// own grid) plus the not-yet-sealed head rows, skipping any segment
-        /// whose digest appears in `skip` ([`Response::Segments`]). The
-        /// export is non-destructive and deterministic, so a retried transfer
-        /// produces byte-identical frames and the receiver's dedup holds.
+        /// own grid) plus the not-yet-sealed head rows
+        /// ([`Response::Segments`]). The export is non-destructive and
+        /// deterministic, so a retried transfer produces byte-identical
+        /// frames and the receiver's dedup holds.
         ExportSegments = 24 "export_segments" {
             /// The region whose contents to export (the routing region of
             /// the copied cell).
             region: BBox,
-            /// Digests the requester already holds; matching segments are
-            /// omitted from the reply.
-            skip: Vec<SegmentDigest>,
         },
         /// Write exported rows into one cell of a worker's copy — the one
         /// door the control plane moves rows through, into a primary shard
@@ -348,7 +344,7 @@ wire_struct! {
         /// Observations positioned in the cell.
         pub count: u32,
         /// XOR-folded per-observation mix of id and timestamp (see
-        /// [`observation_checksum`](crate::repair::observation_checksum)) —
+        /// [`observation_checksum`](stcam_index::observation_checksum)) —
         /// insertion-order independent, so two holders of the same set agree
         /// regardless of arrival order.
         pub checksum: u64,
@@ -373,9 +369,9 @@ wire_struct! {
 
 wire_struct! {
     /// A worker's answer to [`Request::CellDigest`]: sparse per-cell digests
-    /// of its primary shard and of every replica log it holds, and the
-    /// digests of its sealed segments. Cells with no observations are
-    /// omitted, so the wire cost tracks occupancy.
+    /// of its primary shard and of every replica log it holds. They depend
+    /// only on the rows a copy holds, not on how it stores them. Cells with
+    /// no observations are omitted, so the wire cost tracks occupancy.
     #[derive(Debug, Clone, PartialEq, Eq, Default)]
     pub struct DigestReport {
         /// Occupied cells of the primary shard, sorted by cell.
@@ -383,10 +379,6 @@ wire_struct! {
         /// Occupied cells of each held replica log, sorted by
         /// `(primary, cell)`.
         pub replicas: Vec<ReplicaDigestEntry>,
-        /// Digests of every sealed segment the primary shard holds,
-        /// ascending by `(number, digest)`: a cell move that ships rows
-        /// skips these in its `ExportSegments`.
-        pub segments: Vec<SegmentDigest>,
     }
 }
 

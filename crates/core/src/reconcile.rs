@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use stcam_camnet::Observation;
 use stcam_codec::SegmentFrame;
 use stcam_geo::GridSpec;
-use stcam_index::{SealedSegment, SegmentDigest};
+use stcam_index::{cell_scope, SealedSegment};
 use stcam_net::NodeId;
 
 use crate::error::StcamError;
@@ -25,7 +25,7 @@ use crate::exec::{unexpected, want_ack, Executor};
 use crate::partition::PartitionMap;
 use crate::plane::QueryPlan;
 use crate::protocol::{DigestReport, Request, Response};
-use crate::repair::{cell_region, STREAM_CHUNK};
+use crate::repair::STREAM_CHUNK;
 
 /// What the control loop drives the cluster to.
 #[derive(Debug, Clone, Copy)]
@@ -371,38 +371,23 @@ type Export = (Vec<SegmentFrame>, Vec<Observation>);
 pub(crate) struct Wire<'a> {
     exec: &'a Executor,
     grid: GridSpec,
-    /// The round's digest sweep: each row-ship receiver's segments.
-    observed: &'a [(NodeId, DigestReport)],
     /// The last `(owner, cell)` copy a cover exported.
     exported: Option<((NodeId, u32), Export)>,
 }
 
 impl<'a> Wire<'a> {
-    pub(crate) fn new(
-        exec: &'a Executor,
-        grid: GridSpec,
-        observed: &'a [(NodeId, DigestReport)],
-    ) -> Self {
+    pub(crate) fn new(exec: &'a Executor, grid: GridSpec) -> Self {
         Wire {
             exec,
             grid,
-            observed,
             exported: None,
         }
     }
 
-    /// `from`'s primary copy of `cell`, less the segments in `skip`.
-    fn export(
-        &self,
-        from: NodeId,
-        cell: u32,
-        skip: Vec<SegmentDigest>,
-    ) -> Result<Export, StcamError> {
-        let region = cell_region(&self.grid, cell);
-        let export = |_| Request::ExportSegments {
-            region,
-            skip: skip.clone(),
-        };
+    /// `from`'s primary copy of `cell`.
+    fn export(&self, from: NodeId, cell: u32) -> Result<Export, StcamError> {
+        let region = cell_scope(&self.grid, cell);
+        let export = |_| Request::ExportSegments { region };
         let want = |response| match response {
             Response::Segments { frames, head } => Ok((frames, head)),
             other => Err(unexpected("segments", other)),
@@ -411,8 +396,7 @@ impl<'a> Wire<'a> {
     }
 
     /// Exports `from`'s copy of `cell` into `to`'s primary shard and
-    /// returns the rows shipped: whole sealed frames, or, skipping the
-    /// segments `to` holds whole (per the round's sweep), rows that pass
+    /// returns the rows shipped: whole sealed frames, or rows that pass
     /// `to`'s id filter. Export reads, install dedups: every message may
     /// be re-sent.
     pub(crate) fn ship(
@@ -422,12 +406,7 @@ impl<'a> Wire<'a> {
         to: NodeId,
         whole: bool,
     ) -> Result<usize, StcamError> {
-        let held = self.observed.iter().find(|(node, _)| *node == to);
-        let skip = match held {
-            Some((_, report)) if !whole => report.segments.clone(),
-            _ => Vec::new(),
-        };
-        let (mut frames, mut head) = self.export(from, cell, skip)?;
+        let (mut frames, mut head) = self.export(from, cell)?;
         if !whole {
             for frame in frames.drain(..) {
                 head.extend(SealedSegment::from_frame(frame)?.unseal());
@@ -463,7 +442,7 @@ impl<'a> Wire<'a> {
         let key = (owner, cell);
         if self.exported.as_ref().is_none_or(|(k, _)| *k != key) {
             self.exported = None;
-            self.exported = Some((key, self.export(owner, cell, Vec::new())?));
+            self.exported = Some((key, self.export(owner, cell)?));
         }
         let (_, (frames, head)) = self.exported.as_ref().expect("exported above");
         self.install(holder, owner, Some(cell), true, frames.clone(), head)

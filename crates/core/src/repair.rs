@@ -1,5 +1,5 @@
-//! Anti-entropy primitives: per-cell digests, the region rule, and the
-//! control loop's budget and report.
+//! Anti-entropy primitives: per-cell digests and the control loop's
+//! budget and report.
 //!
 //! Every worker answers [`Request::CellDigest`] with a sparse per-cell
 //! summary — observation count plus an order-independent checksum — over
@@ -17,28 +17,8 @@
 use std::collections::BTreeMap;
 
 use stcam_camnet::Observation;
-use stcam_geo::{BBox, GridSpec};
-
-/// The order-independent per-observation mix folded (by XOR) into a
-/// cell's digest checksum. Covers the identity and the timestamp, so a
-/// replica holding the right ids but corrupted times still diverges.
-/// Defined in `stcam-index` (sealed-segment checksums fold the same mix,
-/// so a whole-cell segment block and a live cell digest agree) and
-/// re-exported here for the repair plane.
-pub use stcam_index::observation_checksum;
-
-/// The region of positions that route to packed cell `cell` under the
-/// clamped assignment of `grid` (outside positions clamp to border
-/// cells) — the one region rule: every cell copy exports by it, workers
-/// truncate by it during [`Request::InstallSegments`], and sealed-segment
-/// scans copy whole blocks by it (it is `stcam-index`'s
-/// [`cell_scope`](stcam_index::cell_scope)), so a clamped out-of-extent
-/// observation is in scope for all three or for none.
-///
-/// [`Request::InstallSegments`]: crate::Request::InstallSegments
-pub fn cell_region(grid: &GridSpec, cell: u32) -> BBox {
-    stcam_index::cell_scope(grid, cell)
-}
+use stcam_geo::GridSpec;
+use stcam_index::observation_checksum;
 
 /// Streaming builder of sparse per-cell digests: observations are folded
 /// one at a time (bucketed by `grid` with clamping — the same assignment
@@ -116,7 +96,7 @@ pub struct RepairReport {
 mod tests {
     use super::*;
     use stcam_camnet::{CameraId, ObservationId, Signature};
-    use stcam_geo::{Point, Timestamp};
+    use stcam_geo::{BBox, Point, Timestamp};
     use stcam_world::{EntityClass, EntityId};
 
     fn obs(seq: u64, t_ms: u64, x: f64, y: f64) -> Observation {
@@ -166,20 +146,5 @@ mod tests {
             digests[0].2,
             observation_checksum(&inside) ^ observation_checksum(&outside)
         );
-    }
-
-    #[test]
-    fn cell_region_extends_border_cells() {
-        let grid = GridSpec::covering(extent(), 400.0); // 2x2
-                                                        // Border cell 0 swallows everything below/left of the extent.
-        assert!(cell_region(&grid, 0).contains(Point::new(-9_000.0, -9_000.0)));
-        assert!(!cell_region(&grid, 0).contains(Point::new(500.0, 100.0)));
-        // Interior edges stay half-open: a point on the shared edge is in
-        // exactly one region.
-        let edge = Point::new(400.0, 100.0);
-        let containing: Vec<u32> = (0..4)
-            .filter(|&c| cell_region(&grid, c).contains(edge))
-            .collect();
-        assert_eq!(containing, vec![1]);
     }
 }

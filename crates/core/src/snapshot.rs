@@ -2,15 +2,16 @@
 //! self-describing byte stream and import it into another cluster.
 //!
 //! The format is a sequence of CRC-protected frames (see
-//! [`stcam_codec::frame`]), each containing one wire-encoded batch of
-//! observations. Corruption anywhere in the stream is detected by the
-//! frame checksums rather than silently mis-decoded.
+//! [`stcam_codec::frame`]), each containing one columnar observation
+//! batch ([`ObservationBatch`]), the layout rows travel in on the wire.
+//! Corruption anywhere in the stream is detected by the frame checksums
+//! rather than silently mis-decoded.
 //!
 //! Used operationally for backup/restore and for moving an archive
 //! between deployments (e.g. into a larger cluster).
 
 use bytes::BytesMut;
-use stcam_camnet::Observation;
+use stcam_camnet::ObservationBatch;
 use stcam_codec::{decode_from_slice, encode_to_vec, frame};
 use stcam_geo::TimeInterval;
 
@@ -30,7 +31,7 @@ pub fn export_archive(cluster: &Cluster, region: stcam_geo::BBox) -> Result<Vec<
     let observations = cluster.range_query(region, TimeInterval::ALL)?;
     let mut out = BytesMut::new();
     for batch in observations.chunks(BATCH) {
-        frame::write_frame(&mut out, &encode_to_vec(&batch.to_vec()));
+        frame::write_frame(&mut out, &encode_to_vec(&ObservationBatch(batch.to_vec())));
     }
     Ok(out.to_vec())
 }
@@ -50,7 +51,7 @@ pub fn import_archive(cluster: &Cluster, bytes: &[u8]) -> Result<usize, StcamErr
     loop {
         match frame::read_frame(&mut buf)? {
             Some(payload) => {
-                let batch: Vec<Observation> = decode_from_slice(&payload)?;
+                let ObservationBatch(batch) = decode_from_slice(&payload)?;
                 total += cluster.ingest(batch)?;
             }
             None if buf.is_empty() => return Ok(total),
@@ -67,7 +68,7 @@ pub fn import_archive(cluster: &Cluster, bytes: &[u8]) -> Result<usize, StcamErr
 mod tests {
     use super::*;
     use crate::{Cluster, ClusterConfig};
-    use stcam_camnet::{CameraId, ObservationId, Signature};
+    use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
     use stcam_geo::{BBox, Point, Timestamp};
     use stcam_net::LinkModel;
     use stcam_world::{EntityClass, EntityId};

@@ -32,8 +32,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use stcam_camnet::{Observation, ObservationId, Signature, SIGNATURE_DIM};
 use stcam_codec::{decode_from_slice, encode_to_vec, SegmentFrame};
-use stcam_geo::{BBox, GridSpec, TimeInterval};
-use stcam_index::{IndexConfig, Predicate, ReadView, SealedSegment, SegmentDigest, StIndex};
+use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
+use stcam_index::{cell_scope, IndexConfig, Predicate, ReadView, SealedSegment, StIndex};
 use stcam_net::{Endpoint, Envelope, NodeId, Waker};
 
 use crate::continuous::InterestIndex;
@@ -518,7 +518,7 @@ impl Worker {
             }
             Request::CellDigest { grid } => self.serve_cell_digest(grid),
             Request::Rejoin { epoch, grid, cells } => self.serve_rejoin(epoch, grid, cells),
-            Request::ExportSegments { region, skip } => self.serve_export_segments(region, skip),
+            Request::ExportSegments { region } => self.serve_export_segments(region),
             Request::InstallSegments {
                 primary,
                 grid,
@@ -626,11 +626,7 @@ impl Worker {
             }));
         }
         replicas.sort_by_key(|e| (e.primary, e.cell));
-        Response::Digests(crate::protocol::DigestReport {
-            primary,
-            replicas,
-            segments: self.index.segment_digests(),
-        })
+        Response::Digests(crate::protocol::DigestReport { primary, replicas })
     }
 
     /// Readmission handshake for a restarted worker: drop **all** local
@@ -660,12 +656,12 @@ impl Worker {
     }
 
     /// Exports the shard contents overlapping a region as whole sealed
-    /// segment frames (split at cell boundaries, skipping digests the
-    /// requester already holds) plus the loose mutable-head rows. The
-    /// export reads without mutating, so it is safe to retry and the
-    /// deterministic split keeps retried frames digest-identical.
-    fn serve_export_segments(&mut self, region: BBox, skip: Vec<SegmentDigest>) -> Response {
-        let (frames, head) = self.index.export_segments(region, &skip);
+    /// segment frames (split at cell boundaries) plus the loose
+    /// mutable-head rows. The export reads without mutating, so it is safe
+    /// to retry and the deterministic split keeps retried frames
+    /// digest-identical.
+    fn serve_export_segments(&mut self, region: BBox) -> Response {
+        let (frames, head) = self.index.export_segments(region);
         Response::Segments { frames, head }
     }
 
@@ -693,7 +689,7 @@ impl Worker {
             Ok(segments) => segments,
             Err(e) => return Response::Error(format!("bad segment frame: {e:?}")),
         };
-        let region = crate::repair::cell_region(&grid, cell);
+        let region = cell_scope(&grid, cell);
         if primary != self.endpoint.id() {
             let log = self.replicas.entry(primary).or_default();
             if truncate {
@@ -748,14 +744,21 @@ impl Worker {
         Response::Ack
     }
 
-    fn serve_evict_before(&mut self, cutoff: stcam_geo::Timestamp, epoch: u64) -> Response {
+    fn serve_evict_before(&mut self, cutoff: Timestamp, epoch: u64) -> Response {
         if let Some(rejected) = self.fence(epoch) {
             return rejected;
         }
+        // Both copies evict by slice: a row goes iff its slice ends at or
+        // before the cutoff, and its dedup id goes with it, so the copies
+        // keep matching digests and a row sent again lands in both.
+        let len = self.config.index.slice_len.as_millis();
+        let kept_from = Timestamp::from_millis(cutoff.as_millis() / len * len);
+        let everywhere = BBox::around(Point::ORIGIN, f64::MAX);
+        let evicted = TimeInterval::new(Timestamp::ZERO, kept_from);
+        for gone in self.index.range(everywhere, evicted) {
+            self.seen.remove(&gone.id);
+        }
         self.index.evict_before(cutoff);
-        // Both copies evict by slice: a replica row goes iff the primary
-        // dropped its slice, and its dedup id goes with it, so the copies
-        // keep matching digests and a later repair stream can re-add it.
         for log in self.replicas.values_mut() {
             log.evict_slices_before(cutoff, self.config.index.slice_len);
         }
@@ -859,7 +862,7 @@ mod tests {
     use crate::continuous::{ContinuousQueryId, Notification};
     use crate::protocol::PROJ_FULL;
     use stcam_camnet::{CameraId, ObservationId, Signature};
-    use stcam_geo::{BBox, Duration, Point, TimeInterval, Timestamp};
+    use stcam_geo::Duration;
     use stcam_net::{Fabric, LinkModel};
     use stcam_world::{EntityClass, EntityId};
     use std::time::Duration as StdDuration;
@@ -1131,16 +1134,15 @@ mod tests {
             Response::Digests(report) => report,
             other => panic!("unexpected response {other:?}"),
         };
-        let digests = digest(&mut source).segments;
-        assert!(!digests.is_empty(), "nothing sealed at the source");
+        let sealed = source.stats().sealed_segments;
+        assert!(sealed > 0, "nothing sealed at the source");
         let everything = BBox::new(Point::new(-1e12, -1e12), Point::new(1e12, 1e12));
-        let Response::Segments { frames, head } = source.handle_request(Request::ExportSegments {
-            region: everything,
-            skip: vec![],
-        }) else {
+        let Response::Segments { frames, head } =
+            source.handle_request(Request::ExportSegments { region: everything })
+        else {
             panic!("expected segments");
         };
-        assert_eq!(frames.len(), digests.len());
+        assert_eq!(frames.len() as u64, sealed);
         assert_eq!(
             frames.iter().map(|f| f.count as usize).sum::<usize>() + head.len(),
             batch.len()
@@ -1152,7 +1154,7 @@ mod tests {
             Response::Ack
         );
         assert_eq!(target.stats().primary_observations, batch.len() as u64);
-        assert_eq!(target.stats().sealed_segments, digests.len() as u64);
+        assert_eq!(target.stats().sealed_segments, sealed);
         let probe = Request::Range {
             region: BBox::new(Point::new(100.0, 100.0), Point::new(800.0, 800.0)),
             window: window_all(),
@@ -1169,24 +1171,15 @@ mod tests {
             Response::Ack
         );
         assert_eq!(target.stats().primary_observations, batch.len() as u64);
-        assert_eq!(target.stats().sealed_segments, digests.len() as u64);
-        // A skip list naming everything held suppresses the re-export.
-        let Response::Segments { frames, .. } = source.handle_request(Request::ExportSegments {
-            region: everything,
-            skip: digests,
-        }) else {
-            panic!("expected segments");
-        };
-        assert!(frames.is_empty(), "skip list ignored");
+        assert_eq!(target.stats().sealed_segments, sealed);
         // The clamped row travels with the border cell it routes to — the
         // one region rule every copy exports by — and a cover relays the
         // export as stored: its frames land in a log as rows, and the two
         // copies' digests agree.
-        let corner = crate::repair::cell_region(&grid_2x2(), 2);
-        let Response::Segments { frames, head } = target.handle_request(Request::ExportSegments {
-            region: corner,
-            skip: vec![],
-        }) else {
+        let corner = cell_scope(&grid_2x2(), 2);
+        let Response::Segments { frames, head } =
+            target.handle_request(Request::ExportSegments { region: corner })
+        else {
             panic!("expected segments");
         };
         assert!(!frames.is_empty(), "nothing sealed in the corner");
@@ -1651,7 +1644,7 @@ mod tests {
 
     #[test]
     fn cell_digest_covers_primary_and_replica_logs() {
-        use crate::repair::observation_checksum;
+        use stcam_index::observation_checksum;
         let (_fabric, mut worker) = lone_worker();
         let a = obs(0, 100, 100.0, 100.0); // cell 0
         let b = obs(1, 200, 100.0, 150.0); // cell 0
@@ -1831,10 +1824,9 @@ mod tests {
             .collect();
         source.handle_request(ingest_req(batch.clone()));
         let everything = BBox::new(Point::new(-1e12, -1e12), Point::new(1e12, 1e12));
-        let Response::Segments { frames, head } = source.handle_request(Request::ExportSegments {
-            region: everything,
-            skip: vec![],
-        }) else {
+        let Response::Segments { frames, head } =
+            source.handle_request(Request::ExportSegments { region: everything })
+        else {
             panic!("expected segments");
         };
         assert!(!frames.is_empty(), "nothing sealed at the source");

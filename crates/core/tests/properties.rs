@@ -11,7 +11,6 @@ use stcam::{
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_codec::{decode_from_slice, encode_to_vec};
 use stcam_geo::{BBox, GridSpec, Point, TimeInterval, Timestamp};
-use stcam_index::SegmentDigest;
 use stcam_net::NodeId;
 use stcam_world::{EntityClass, EntityId};
 
@@ -134,10 +133,7 @@ proptest! {
             },
             Request::CellDigest { grid: buckets },
             Request::Rejoin { epoch, grid: buckets, cells },
-            Request::ExportSegments {
-                region,
-                skip: vec![SegmentDigest { number: seq, count: k as u64, checksum: epoch }],
-            },
+            Request::ExportSegments { region },
             Request::InstallSegments {
                 primary: NodeId(node),
                 grid: buckets,
@@ -204,14 +200,6 @@ proptest! {
                     primary: NodeId(cell),
                     cell,
                     count: cell,
-                    checksum,
-                })
-                .collect(),
-            segments: cells
-                .iter()
-                .map(|&(cell, checksum)| SegmentDigest {
-                    number: cell as u64,
-                    count: cell as u64,
                     checksum,
                 })
                 .collect(),
@@ -355,7 +343,7 @@ proptest! {
             .all_cells()
             .filter(|&c| {
                 let packed = c.row * map.grid().cols() + c.col;
-                stcam::repair::cell_region(map.grid(), packed).contains(p)
+                stcam_index::cell_scope(map.grid(), packed).contains(p)
             })
             .collect();
         prop_assert_eq!(containing.len(), 1, "point {} in {} regions", p, containing.len());

@@ -35,11 +35,11 @@
 //! * Retention is slice-granular eviction across both tiers, so memory
 //!   stays bounded under unbounded streams.
 //!
-//! Segments are also the **repair/rejoin transfer unit**: each carries a
-//! [`SegmentDigest`] (`number`, `count`, XOR-folded checksum), so peers
-//! compare digests and ship whole immutable frames
-//! ([`StIndex::export_segments`] / [`StIndex::install_segment`]) instead
-//! of restreaming per-cell rows. Rebalancing splits segments at cell
+//! Segments are also the **repair/rejoin transfer unit**: peers ship whole
+//! immutable frames ([`StIndex::export_segments`] /
+//! [`StIndex::install_segment`]) instead of restreaming per-cell rows, and
+//! an install dedups slice by slice by [`SegmentDigest`] (`number`,
+//! `count`, XOR-folded checksum). Rebalancing splits segments at cell
 //! boundaries, byte-copying untouched blocks.
 //!
 //! [`FlatIndex`] provides the same query semantics by linear scan, with

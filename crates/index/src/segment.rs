@@ -85,7 +85,8 @@ fn splitmix64(mut x: u64) -> u64 {
 /// `region.contains_bbox(cell_scope(...))` therefore proves that *every*
 /// observation bucketed in the cell — clamped ones included — matches
 /// `region`, which is what lets segment scans copy whole blocks without
-/// decoding them.
+/// decoding them. Cell copies export and truncate by the same rule, so
+/// a clamped observation is in scope for all three or for none.
 pub fn cell_scope(grid: &GridSpec, cell: u32) -> BBox {
     const FAR: f64 = 1e12;
     let cell = CellId::new(cell % grid.cols(), cell / grid.cols());
@@ -109,23 +110,21 @@ pub fn cell_scope(grid: &GridSpec, cell: u32) -> BBox {
     BBox::new(min, max)
 }
 
-stcam_codec::wire_struct! {
-    /// Identity and content digest of one sealed segment: the unit the
-    /// repair/rejoin plane compares, and ships between workers as it is
-    /// declared here. Equal digests certify equal contents up to the
-    /// collision probability of [`observation_checksum`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-    pub struct SegmentDigest {
-        /// The first time slice the segment holds rows of: its one slice,
-        /// or the first non-empty slice of a compacted group. Content
-        /// defines it, so two copies holding the same rows as one segment
-        /// digest equal however each came to hold them.
-        pub number: u64,
-        /// Observations stored.
-        pub count: u64,
-        /// XOR fold of [`observation_checksum`] over every stored row.
-        pub checksum: u64,
-    }
+/// Identity and content digest of one sealed segment: what an install
+/// dedups by, slice by slice, and what tests compare copies with. It never
+/// leaves the worker. Equal digests certify equal contents up to the
+/// collision probability of [`observation_checksum`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct SegmentDigest {
+    /// The first time slice the segment holds rows of: its one slice, or
+    /// the first non-empty slice of a compacted group. Content defines it,
+    /// so two copies holding the same rows as one segment digest equal
+    /// however each came to hold them.
+    pub number: u64,
+    /// Observations stored.
+    pub count: u64,
+    /// XOR fold of [`observation_checksum`] over every stored row.
+    pub checksum: u64,
 }
 
 /// Where a segment's payload bytes live.
@@ -1482,6 +1481,20 @@ mod tests {
             data: SegmentData::Resident(Vec::new()),
             memo: HeatmapMemo::default(),
         }
+    }
+
+    #[test]
+    fn cell_scope_extends_border_cells() {
+        let grid = GridSpec::covering(BBox::new(Point::ORIGIN, Point::new(800.0, 800.0)), 400.0);
+        // Border cell 0 of the 2 x 2 grid swallows everything below/left of the extent.
+        assert!(cell_scope(&grid, 0).contains(Point::new(-9_000.0, -9_000.0)));
+        assert!(!cell_scope(&grid, 0).contains(Point::new(500.0, 100.0)));
+        // Interior edges stay half-open: an edge point is in exactly one scope.
+        let edge = Point::new(400.0, 100.0);
+        let containing: Vec<u32> = (0..4)
+            .filter(|&c| cell_scope(&grid, c).contains(edge))
+            .collect();
+        assert_eq!(containing, vec![1]);
     }
 
     /// The lookup `block_runs` replaced: one binary search per cell.

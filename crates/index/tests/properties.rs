@@ -323,7 +323,7 @@ proptest! {
         }
         index.seal_all();
         let everything = BBox::new(Point::new(-1e12, -1e12), Point::new(1e12, 1e12));
-        let (frames, head) = index.export_segments(everything, &[]);
+        let (frames, head) = index.export_segments(everything);
         prop_assert!(head.is_empty());
         let mut recovered: Vec<Observation> = Vec::new();
         for frame in frames {
@@ -684,7 +684,7 @@ proptest! {
 
         // A bulk sync into an empty index holds digest-equal segments.
         let everything = BBox::new(Point::new(-1e12, -1e12), Point::new(1e12, 1e12));
-        let (frames, head) = index.export_segments(everything, &[]);
+        let (frames, head) = index.export_segments(everything);
         let mut copy = fresh();
         for frame in &frames {
             let bytes = stcam_codec::encode_to_vec(frame);
@@ -731,7 +731,7 @@ proptest! {
             };
             prop_assert_eq!(of_group(&apart), of_group(&index));
             assert_answers_as(&apart, &group_oracle, &queries)?;
-            let (frames, head) = slices.export_segments(everything, &[]);
+            let (frames, head) = slices.export_segments(everything);
             prop_assert!(head.is_empty());
             for frame in frames {
                 prop_assert_eq!(frame.number, frame.window.start().as_millis() / SLICE_MS);
