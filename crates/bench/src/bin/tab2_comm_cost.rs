@@ -91,7 +91,7 @@ fn main() {
             });
         };
 
-        // An acked batch is two executor rounds: owners, then successors.
+        // An acked batch is one executor scatter, booked under two names.
         measure(
             "ingest (batch of 500)",
             &["ingest_seq", "replicate_seq"],

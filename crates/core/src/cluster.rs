@@ -639,9 +639,8 @@ impl Drop for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stcam_camnet::{CameraId, ObservationId, Signature};
+    use crate::test_obs as obs;
     use stcam_index::Predicate;
-    use stcam_world::{EntityClass, EntityId};
 
     fn extent() -> BBox {
         BBox::new(Point::new(0.0, 0.0), Point::new(1600.0, 1600.0))
@@ -649,18 +648,6 @@ mod tests {
 
     fn test_config(workers: usize) -> ClusterConfig {
         ClusterConfig::new(extent(), workers).with_link(LinkModel::instant())
-    }
-
-    fn obs(seq: u64, t_ms: u64, x: f64, y: f64) -> Observation {
-        Observation {
-            id: ObservationId::compose(CameraId(0), seq),
-            camera: CameraId(0),
-            time: Timestamp::from_millis(t_ms),
-            position: Point::new(x, y),
-            class: EntityClass::Car,
-            signature: Signature::latent_for_entity(seq),
-            truth: Some(EntityId(seq)),
-        }
     }
 
     fn window_all() -> TimeInterval {

@@ -14,10 +14,11 @@
 //!   whose primary is unreachable, walks the shard's alive ring successors
 //!   with [`Request::ReplicaRead`].
 //! * A **control message** — barrier, probe, route install, cell move,
-//!   repair stream, and each of the two rounds of an acked write — is a
+//!   repair stream, an acked write's owner and replica writes — is a
 //!   named [`Request`] handed to [`Executor::ask`] with its targets and
-//!   the decoder for the one [`Response`] it expects. It never fails
-//!   over: the per-target errors are the answer.
+//!   the decoder for the one [`Response`] it expects (an acked write
+//!   sends both names in one scatter, each booked under its own). It
+//!   never fails over: the per-target errors are the answer.
 //!
 //! # Retry semantics
 //!
@@ -494,7 +495,21 @@ impl Executor {
         request: impl FnMut(NodeId) -> Request,
         want: impl Fn(Response) -> Result<T, StcamError>,
     ) -> Vec<(NodeId, Result<T, StcamError>)> {
-        let (outcomes, _) = self.scatter(&self.resend(name, None), targets, request, want, None);
+        let targets: Vec<_> = targets.iter().map(|&to| (0, to)).collect();
+        self.ask_named(&[name], &targets, request, want)
+    }
+
+    /// [`ask`](Self::ask) under several names in one scatter: a target
+    /// comes with the index of the name in `names` it waits and books
+    /// under.
+    pub(crate) fn ask_named<T>(
+        &self,
+        names: &[&'static str],
+        targets: &[(usize, NodeId)],
+        request: impl FnMut(NodeId) -> Request,
+        want: impl Fn(Response) -> Result<T, StcamError>,
+    ) -> Vec<(NodeId, Result<T, StcamError>)> {
+        let (outcomes, _) = self.scatter(names, targets, None, request, want, None);
         outcomes.into_iter().map(|o| (o.shard, o.result)).collect()
     }
 
@@ -524,13 +539,16 @@ impl Executor {
         bytes_out: Option<&AtomicU64>,
     ) -> Degraded<O::Output> {
         let name = op.name();
-        let (outcomes, tally) = self.scatter(
-            &self.resend(name, deadline),
-            &op.targets(partition, alive),
+        let targets = op.targets(partition, alive).into_iter().map(|to| (0, to));
+        let (outcomes, tallies) = self.scatter(
+            &[name],
+            &targets.collect::<Vec<_>>(),
+            deadline,
             |to| op.request(to),
             |response| op.decode(response),
             Some((partition, alive)),
         );
+        let tally = tallies[0];
         if let Some(acc) = bytes_out {
             acc.fetch_add(tally.sent + tally.received, Ordering::Relaxed);
         }
@@ -596,31 +614,39 @@ impl Executor {
     /// thread overlaps the round trips; page pulls, probes and failover
     /// follow per target), resolves each in target order, and — given
     /// the plan to `failover` in — re-issues a transport-failed sub-query
-    /// to the shard's replicas. Books the whole scatter into the
-    /// [`OpStats`] of `resend.class` and returns what it counted.
+    /// to the shard's replicas. A target names its operation by index
+    /// into `names`: the sub-query waits under that name's policy, and
+    /// each name books one invocation with its own sub-queries into its
+    /// [`OpStats`], its latency running until its last one resolved.
+    /// Returns what each name counted.
     fn scatter<P>(
         &self,
-        resend: &Resend<'_>,
-        targets: &[NodeId],
+        names: &[&'static str],
+        targets: &[(usize, NodeId)],
+        deadline: Option<Deadline>,
         mut request: impl FnMut(NodeId) -> Request,
         decode: impl Fn(Response) -> Result<P, StcamError>,
         failover: Option<(&PartitionMap, &HashSet<NodeId>)>,
-    ) -> (Vec<ShardOutcome<P>>, Tally) {
-        let mut tally = Tally::default();
+    ) -> (Vec<ShardOutcome<P>>, Vec<Tally>) {
+        // Per name: how it waits, what it counted, its sub-queries and
+        // failures, and when the last of them resolved.
+        let book = |name| (self.resend(name, deadline), Tally::default(), 0, 0, 0);
+        let mut books: Vec<_> = names.iter().map(|&name| book(name)).collect();
         let started = Instant::now();
         let firsts: Vec<_> = targets
             .iter()
-            .map(|&shard| {
+            .map(|&(name, shard)| {
                 let frame = encode_to_vec(&request(shard));
-                let call = self.start(shard, &frame, &mut tally);
-                (shard, frame, call)
+                let call = self.start(shard, &frame, &mut books[name].1);
+                (name, shard, frame, call)
             })
             .collect();
         let outcomes: Vec<ShardOutcome<P>> = firsts
             .into_iter()
-            .map(|(shard, frame, call)| {
-                let primary = self.receive(shard, call, &frame, resend, &decode, &mut tally);
-                match (primary, failover) {
+            .map(|(name, shard, frame, call)| {
+                let (resend, tally, subs, failures, micros) = &mut books[name];
+                let primary = self.receive(shard, call, &frame, resend, &decode, tally);
+                let outcome = match (primary, failover) {
                     // Only transport failures justify failover: an
                     // application-level error from a reachable primary
                     // would repeat at any replica.
@@ -631,29 +657,34 @@ impl Executor {
                             alive,
                         );
                         let inner = || request(shard);
-                        self.fail_over(shard, err, replicas, inner, resend, &decode, &mut tally)
+                        self.fail_over(shard, err, replicas, inner, resend, &decode, tally)
                     }
                     (result, _) => ShardOutcome {
                         shard,
                         result,
                         via: None,
                     },
-                }
+                };
+                *subs += 1;
+                *failures += u64::from(outcome.result.is_err());
+                *micros = started.elapsed().as_micros() as u64;
+                outcome
             })
             .collect();
-        let scatter_micros = started.elapsed().as_micros() as u64;
         let mut stats = self.shared.stats.lock();
-        let entry = stats.entry(resend.class).or_default();
-        entry.invocations += 1;
-        entry.sub_queries += targets.len() as u64 + tally.retries + tally.failovers;
-        entry.retries += tally.retries;
-        entry.failures += outcomes.iter().filter(|o| o.result.is_err()).count() as u64;
-        entry.failovers += tally.failovers;
-        entry.bytes_sent += tally.sent;
-        entry.bytes_received += tally.received;
-        entry.scatter_micros += scatter_micros;
-        entry.latency.record(scatter_micros);
-        (outcomes, tally)
+        for (resend, tally, subs, failures, micros) in &books {
+            let entry = stats.entry(resend.class).or_default();
+            entry.invocations += 1;
+            entry.sub_queries += subs + tally.retries + tally.failovers;
+            entry.retries += tally.retries;
+            entry.failures += failures;
+            entry.failovers += tally.failovers;
+            entry.bytes_sent += tally.sent;
+            entry.bytes_received += tally.received;
+            entry.scatter_micros += micros;
+            entry.latency.record(*micros);
+        }
+        (outcomes, books.into_iter().map(|book| book.1).collect())
     }
 
     /// Puts `frame` on the wire for `to` and books the send.
@@ -1176,21 +1207,12 @@ impl DistributedOp for TopCellsOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stcam_camnet::{CameraId, ObservationId, Signature};
     use stcam_geo::Timestamp;
     use stcam_net::{Fabric, LinkModel};
-    use stcam_world::{EntityClass, EntityId};
+    use stcam_world::EntityClass;
 
     fn obs(seq: u64, x: f64) -> Observation {
-        Observation {
-            id: ObservationId::compose(CameraId(0), seq),
-            camera: CameraId(0),
-            time: Timestamp::ZERO,
-            position: Point::new(x, 0.0),
-            class: EntityClass::Car,
-            signature: Signature::latent_for_entity(seq),
-            truth: Some(EntityId(seq)),
-        }
+        crate::test_obs(seq, 0, x, 0.0)
     }
 
     fn window() -> TimeInterval {

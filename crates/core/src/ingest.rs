@@ -10,20 +10,20 @@
 //!
 //! # Write-path reliability
 //!
-//! A wave of per-owner groups goes out in two [`Executor::ask`] rounds,
-//! `"ingest_seq"` to the owners and `"replicate_seq"` of what each kept
-//! to its successors, so the one scatter loop in `exec.rs` retransmits
-//! lost frames under the two [`OpPolicy`](crate::OpPolicy) entries of
-//! those names (the write path's only retry knob) and books every send
-//! into [`OpStats`](crate::OpStats). Owners answer `Ack`, or `Ingested`
-//! when they refuse misrouted rows or found standing-query matches, and
-//! the transport replays that answer to a re-send. A group is accepted
-//! only once its owner **and** a full replica set confirmed it, so an
-//! ack certifies durability and strict-read visibility; anything short
-//! of that, a hinted handoff included, is parked and re-driven by
-//! [`flush`](Ingestor::flush), a true write barrier (see
+//! A wave of per-owner groups goes out in one scatter, `"ingest_seq"`
+//! to the owners beside `"replicate_seq"` of each share to its
+//! successors, so the one scatter loop in `exec.rs` retransmits lost
+//! frames under the two [`OpPolicy`](crate::OpPolicy) entries of those
+//! names (the write path's only retry knob) and books each send into
+//! the [`OpStats`](crate::OpStats) of its name. Owners answer `Ack`, or
+//! `Ingested` when they refuse misrouted rows or found standing-query
+//! matches, and the transport replays that answer to a re-send. A group
+//! is accepted only once its owner **and** a full replica set confirmed
+//! it, so an ack certifies durability and strict-read visibility;
+//! anything short of that, a hinted handoff included, is parked and
+//! re-driven by [`flush`](Ingestor::flush), a true write barrier (see
 //! `Ingestor::deliver_wave`). A plan published mid-call is picked up by
-//! the next routing round: misrouted rows come back and re-route.
+//! the next routing round: misrouted rows and fenced copies re-route.
 //!
 //! The standing-query matches among the rows an owner kept go to the
 //! cluster's notification channel only when the group is acked; a parked
@@ -49,27 +49,28 @@ use crate::protocol::{Request, Response};
 const INFLIGHT_WINDOW: usize = 8;
 /// Routing rounds (deliver, re-read the plan, re-route leftovers) per call.
 const MAX_ROUNDS: usize = 4;
+/// The write's two names: an owner's `IngestSeq`, and a `ReplicateSeq` copy.
+const WRITES: [&str; 2] = ["ingest_seq", "replicate_seq"];
 
-/// One owner's share of a wave on its way into round two.
+/// One owner's share of a wave.
 struct Group {
     /// The worker the plan routes `rows` to.
     primary: NodeId,
-    /// What the owner kept of its share — or, when it did not answer,
-    /// the whole share, which round two then writes as a hint.
+    /// The share the owner and every copy are sent; once the owner
+    /// answered, what it kept of it.
     rows: Vec<Observation>,
-    /// Whether everyone asked so far confirmed `rows`: the owner in
-    /// round one, then each of its successors in round two.
+    /// Whether everyone asked confirmed `rows` (never for a dead owner's).
     acked: bool,
     /// The standing-query matches the owner found among `rows`, handed on
     /// only if the group is acknowledged.
     matches: Vec<Notification>,
 }
 
-/// The owner's answer to `IngestSeq`: the ids it refuses to own (none
-/// when it acked the whole batch) and the matches among the rest.
-fn want_ingested(
-    response: Response,
-) -> Result<(HashSet<ObservationId>, Vec<Notification>), StcamError> {
+/// A write's answer: the ids the owner refuses to own (none when it, or
+/// a copy, acked the whole batch) and the matches among the rest.
+type Answer = Result<(HashSet<ObservationId>, Vec<Notification>), StcamError>;
+
+fn want_ingested(response: Response) -> Answer {
     match response {
         Response::Ack => Ok((HashSet::new(), Vec::new())),
         Response::Ingested {
@@ -176,30 +177,33 @@ impl Ingestor {
         accepted
     }
 
-    /// Delivers one wave of per-owner groups in two scatters and returns
+    /// Delivers one wave of per-owner groups in one scatter and returns
     /// how many observations it got acknowledged. Rows an owner refused
     /// (or that a newer plan routes elsewhere) go to `redo`; rows that
     /// cannot be acknowledged under `plan` are parked.
     ///
-    /// **Round one** sends `IngestSeq` to every owner `plan` calls alive;
-    /// suspicion alone never diverts a write (a falsely suspected owner
-    /// would strand the hint copy in a replica log that is never promoted).
+    /// The scatter holds `IngestSeq` to every owner `plan` calls alive
+    /// (suspicion never diverts a write: a falsely suspected owner would
+    /// strand the hint in a log that is never promoted) and `ReplicateSeq`
+    /// of the whole share to its first `replication` *alive* successors
+    /// ([`PartitionMap::alive_successors`]), the set failover reads consult
+    /// and repair maintains. Only once the owner and all of them confirmed
+    /// is the group acknowledged and its matches handed on; otherwise the
+    /// copies that landed stand as hints and the group parks. A re-driven
+    /// group is a new request: the workers' id filters absorb duplicates.
     ///
-    /// **Round two** sends `ReplicateSeq` of what each owner kept to its
-    /// first `replication` *alive* ring successors
-    /// ([`PartitionMap::alive_successors`]): the set failover reads consult
-    /// and repair maintains, which is what lets an ack certify visibility.
-    /// Only once all of them confirmed is the group acknowledged and its
-    /// matches handed on; otherwise the copies that landed stand as hints
-    /// and the group parks. A re-driven group is a new request, so the
-    /// workers' id filters, not the transport, absorb the duplicates.
+    /// A copy may hold rows the owner refuses. Routed under `plan`'s epoch,
+    /// it is refused whole by a holder that installed a newer route, and
+    /// its group re-routes; one that passed landed before that install,
+    /// so before the digest sweep after it, whose diff truncates it.
     ///
-    /// The same round carries the **hinted handoff** of a group whose
-    /// owner is dead in `plan` or did not answer while `plan` is current.
-    /// Hints make the batch crash-durable but never certify an ack: the
-    /// sender cannot tell a dead owner from a partitioned one, which would
-    /// return and answer strict reads from a primary that never saw the
-    /// batch. Such a group always parks.
+    /// The scatter also carries the **hint** of a group whose owner is
+    /// dead in `plan`, to at least one successor; an owner that did not
+    /// answer while `plan` is current has its copies as the hint (at
+    /// factor 0, a follow-up copy to one successor). A hint never
+    /// certifies an ack — the sender cannot tell a dead owner from a
+    /// partitioned one, which would return and answer strict reads
+    /// without the batch — so its group parks.
     ///
     /// [`PartitionMap::alive_successors`]: crate::PartitionMap::alive_successors
     fn deliver_wave(
@@ -208,77 +212,83 @@ impl Ingestor {
         wave: Vec<(NodeId, Vec<Observation>)>,
         redo: &mut Vec<Observation>,
     ) -> usize {
-        let (live, dead): (Vec<_>, Vec<_>) = wave
-            .into_iter()
-            .partition(|(owner, _)| plan.alive.contains(owner));
-        let owners: Vec<NodeId> = live.iter().map(|(owner, _)| *owner).collect();
-        let mut shares = live.iter();
-        let ingest = |_| {
-            let (_, share) = shares.next().expect("one request per owner, in order");
-            Request::IngestSeq {
-                epoch: plan.epoch,
-                batch: share.clone(),
-            }
-        };
-        let answers = self.exec.ask("ingest_seq", &owners, ingest, want_ingested);
-        let hinted = |(primary, rows)| Group {
+        let group = |(primary, rows)| Group {
             primary,
             rows,
-            acked: false,
+            acked: plan.alive.contains(&primary),
             matches: Vec::new(),
         };
-        let mut groups: Vec<Group> = dead.into_iter().map(hinted).collect();
-        for ((primary, share), (_, answer)) in live.into_iter().zip(answers) {
-            match answer {
-                // The owner applied what it owns; the rest re-routes
-                // under the published plan (its NACK says ours is stale).
-                Ok((misrouted, matches)) => {
-                    let (back, rows): (Vec<_>, Vec<_>) =
-                        share.into_iter().partition(|o| misrouted.contains(&o.id));
-                    redo.extend(back);
-                    groups.push(Group {
-                        primary,
-                        rows,
-                        acked: true,
-                        matches,
-                    });
-                }
-                // A newer plan has been published since we routed:
-                // recovery probably reassigned these cells, so the next
-                // round re-routes (the workers' id filters drop a row
-                // that did land).
-                Err(_) if self.plane.epoch() > plan.epoch => redo.extend(share),
-                // Our plan is current: the owner is unreachable and
-                // recovery has not noticed yet.
-                Err(_) => groups.push(hinted((primary, share))),
-            }
-        }
-        groups.retain(|g| !g.rows.is_empty());
-        // One entry per (group, successor) copy; a worker that succeeds
+        let mut groups: Vec<Group> = wave.into_iter().map(group).collect();
+        let copies = |g: &Group, n| plan.partition.alive_successors(g.primary, n, &plan.alive);
+        // (group, name, to): copies first, so a holder appends them before
+        // it inserts (and maybe seals) its own share; a worker succeeding
         // several owners is listed once for each.
-        let mut copies: Vec<(usize, NodeId)> = Vec::new();
-        for (i, group) in groups.iter().enumerate() {
+        let mut sends = Vec::new();
+        for (i, g) in groups.iter().enumerate() {
             // A hint needs at least one copy, whatever the factor.
-            let want = self.replication.max(usize::from(!group.acked));
-            let successors = plan
-                .partition
-                .alive_successors(group.primary, want, &plan.alive);
-            copies.extend(successors.into_iter().map(|successor| (i, successor)));
+            let want = self.replication.max(usize::from(!g.acked));
+            sends.extend(copies(g, want).into_iter().map(|to| (i, 1, to)));
         }
-        let successors: Vec<NodeId> = copies.iter().map(|&(_, successor)| successor).collect();
-        let mut order = copies.iter();
-        let replicate = |_| {
-            let &(i, _) = order.next().expect("one request per copy, in order");
-            Request::ReplicateSeq {
-                primary: groups[i].primary,
-                batch: groups[i].rows.clone(),
+        let owners = groups.iter().enumerate().filter(|(_, g)| g.acked);
+        sends.extend(owners.map(|(i, g)| (i, 0, g.primary)));
+        while !sends.is_empty() {
+            // Only the names sent book an invocation (copies come first).
+            let (lo, hi) = (sends[sends.len() - 1].1, sends[0].1);
+            let targets: Vec<_> = sends.iter().map(|&(_, name, to)| (name - lo, to)).collect();
+            let mut order = sends.iter();
+            let request = |_| {
+                let &(i, name, _) = order.next().expect("one request per send, in order");
+                let (primary, epoch, batch) =
+                    (groups[i].primary, plan.epoch, groups[i].rows.clone());
+                match name {
+                    0 => Request::IngestSeq { epoch, batch },
+                    _ => Request::ReplicateSeq {
+                        primary,
+                        epoch,
+                        batch,
+                    },
+                }
+            };
+            let names = &WRITES[lo..=hi];
+            let answers = self.exec.ask_named(names, &targets, request, want_ingested);
+            let mut silent = Vec::new();
+            for (&(i, name, _), (_, answer)) in sends.iter().zip(answers) {
+                let group = &mut groups[i];
+                match answer {
+                    // The owner applied what it owns; the rest re-routes
+                    // under the published plan (its NACK says ours is stale).
+                    Ok((misrouted, matches)) if name == 0 => {
+                        let share = std::mem::take(&mut group.rows);
+                        let (back, rows) =
+                            share.into_iter().partition(|o| misrouted.contains(&o.id));
+                        redo.extend(back);
+                        (group.rows, group.matches) = (rows, matches);
+                    }
+                    Ok(_) => {}
+                    // A newer plan has been published since we routed (a
+                    // holder fences a copy only under a route published
+                    // after ours): the next round re-routes, and the id
+                    // filters drop a row that did land.
+                    Err(_) if self.plane.epoch() > plan.epoch => {
+                        group.acked = false;
+                        redo.append(&mut group.rows);
+                    }
+                    // Our plan is current: the worker is unreachable and
+                    // recovery has not noticed yet.
+                    Err(_) => {
+                        group.acked = false;
+                        silent.extend((name == 0).then_some(i));
+                    }
+                }
             }
-        };
-        let answers = self
-            .exec
-            .ask("replicate_seq", &successors, replicate, want_ack);
-        for (&(i, _), (_, answer)) in copies.iter().zip(answers) {
-            groups[i].acked &= answer.is_ok();
+            // At factor 0 a silent owner's share has no copy yet: one
+            // successor takes the hint.
+            let hint = |i| copies(&groups[i], 1).into_iter().map(move |to| (i, 1, to));
+            sends = silent
+                .into_iter()
+                .filter(|_| self.replication == 0)
+                .flat_map(hint)
+                .collect();
         }
         let mut accepted = 0usize;
         for group in groups {
@@ -337,22 +347,13 @@ impl Ingestor {
 mod tests {
     use super::*;
     use crate::{Cluster, ClusterConfig};
-    use stcam_camnet::{CameraId, ObservationId, Signature};
+    use stcam_camnet::{CameraId, ObservationId};
     use stcam_geo::{BBox, Point, TimeInterval, Timestamp};
     use stcam_net::LinkModel;
-    use stcam_world::{EntityClass, EntityId};
     use std::time::Duration as StdDuration;
 
     fn obs(seq: u64, x: f64, y: f64) -> Observation {
-        Observation {
-            id: ObservationId::compose(CameraId(0), seq),
-            camera: CameraId(0),
-            time: Timestamp::from_secs(1),
-            position: Point::new(x, y),
-            class: EntityClass::Car,
-            signature: Signature::latent_for_entity(seq),
-            truth: Some(EntityId(seq)),
-        }
+        crate::test_obs(seq, 1_000, x, y)
     }
 
     #[test]

@@ -127,3 +127,18 @@ pub use protocol::{
 pub use repair::RepairReport;
 pub use stcam_index::Predicate;
 pub use worker::{Worker, WorkerConfig, WorkerHandle, STALE_EPOCH_ERROR};
+
+/// The test rows' fixture: a car seen by camera 0, observation `seq` of
+/// entity `seq`, at `t_ms` and `(x, y)`.
+#[cfg(test)]
+fn test_obs(seq: u64, t_ms: u64, x: f64, y: f64) -> stcam_camnet::Observation {
+    stcam_camnet::Observation {
+        id: stcam_camnet::ObservationId::compose(stcam_camnet::CameraId(0), seq),
+        camera: stcam_camnet::CameraId(0),
+        time: stcam_geo::Timestamp::from_millis(t_ms),
+        position: stcam_geo::Point::new(x, y),
+        class: stcam_world::EntityClass::Car,
+        signature: stcam_camnet::Signature::latent_for_entity(seq),
+        truth: Some(stcam_world::EntityId(seq)),
+    }
+}

@@ -111,8 +111,8 @@ wire_enum! {
         /// `epoch` is the routing-plan epoch the sender routed under; a
         /// worker whose own plan disagrees about ownership names the
         /// misrouted observations in its answer. The worker does **not**
-        /// replicate onward — the sender performs replication itself (via
-        /// `ReplicateSeq`) so that an ack can certify durability.
+        /// replicate onward: the sender's `ReplicateSeq` copies, sent in
+        /// the same scatter, let an ack certify durability.
         IngestSeq = 17 "ingest_seq" {
             /// The routing-plan epoch the sender routed this batch under.
             epoch: u64,
@@ -120,13 +120,15 @@ wire_enum! {
             batch: Vec<Observation> as ObservationBatch,
         },
         /// Acknowledged replica write, sent by the *ingesting* endpoint
-        /// (not the primary) to each ring successor of `primary` before
-        /// the batch is acknowledged, and answered with [`Response::Ack`].
-        /// Applied at most once like `IngestSeq`: the replica log's id
-        /// filter stands behind the transport's reply table.
+        /// to each ring successor of `primary` beside its `IngestSeq`, and
+        /// answered with [`Response::Ack`]. Applied at most once like
+        /// `IngestSeq`; refused whole by the epoch fence of a holder whose
+        /// installed route is newer than `epoch`.
         ReplicateSeq = 18 "replicate_seq" {
             /// The worker whose shard these observations belong to.
             primary: NodeId as Bare,
+            /// The routing-plan epoch the sender routed this batch under.
+            epoch: u64,
             /// The replicated observations.
             batch: Vec<Observation> as ObservationBatch,
         },

@@ -95,21 +95,8 @@ pub struct RepairReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stcam_camnet::{CameraId, ObservationId, Signature};
+    use crate::test_obs as obs;
     use stcam_geo::{BBox, Point, Timestamp};
-    use stcam_world::{EntityClass, EntityId};
-
-    fn obs(seq: u64, t_ms: u64, x: f64, y: f64) -> Observation {
-        Observation {
-            id: ObservationId::compose(CameraId(0), seq),
-            camera: CameraId(0),
-            time: Timestamp::from_millis(t_ms),
-            position: Point::new(x, y),
-            class: EntityClass::Car,
-            signature: Signature::latent_for_entity(seq),
-            truth: Some(EntityId(seq)),
-        }
-    }
 
     fn extent() -> BBox {
         BBox::new(Point::new(0.0, 0.0), Point::new(800.0, 800.0))

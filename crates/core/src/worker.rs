@@ -473,10 +473,13 @@ impl Worker {
     /// [`Request::op_name`]).
     pub fn handle_request(&mut self, request: Request) -> Response {
         self.shared.count(request.op_name());
+        if let Some(rejected) = self.fence(&request) {
+            return rejected;
+        }
         match request {
             Request::Ping => Response::Ack,
             Request::IngestSeq { epoch, batch } => self.serve_ingest_seq(epoch, batch),
-            Request::ReplicateSeq { primary, batch } => {
+            Request::ReplicateSeq { primary, batch, .. } => {
                 self.replicas.entry(primary).or_default().append(batch);
                 Response::Ack
             }
@@ -501,8 +504,8 @@ impl Worker {
                 Response::Ack
             }
             Request::Stats => Response::Stats(self.stats()),
-            Request::EvictBefore { cutoff, epoch } => self.serve_evict_before(cutoff, epoch),
-            Request::Promote { failed, epoch } => self.serve_promote(failed, epoch),
+            Request::EvictBefore { cutoff, .. } => self.serve_evict_before(cutoff),
+            Request::Promote { failed, .. } => self.serve_promote(failed),
             Request::Census => self.serve_census(),
             // A read against the log held for an unreachable primary
             // (none held reads as an empty log): same evaluation, and
@@ -550,9 +553,7 @@ impl Worker {
         // it gets acknowledged.
         let matches = self.continuous.matching(&owned);
         self.notifications_sent += matches.len() as u64;
-        // No onward replication here: the *sender* replicates (via
-        // `ReplicateSeq`) before counting the batch durable, so the ack
-        // below certifies exactly this worker's copy.
+        // No onward replication: the ack certifies this worker's copy.
         let fresh: Vec<Observation> = owned
             .into_iter()
             .filter(|o| self.seen.insert(o.id))
@@ -569,23 +570,28 @@ impl Worker {
         }
     }
 
-    /// `Some(error)` when a control mutation carries an epoch below the
-    /// installed route epoch: the one-sided fence that keeps a stale
-    /// coordinator instance from corrupting worker state. An uninstalled
+    /// `Some(error)` when `request` is a control mutation or a replica
+    /// write whose epoch is below the installed route epoch: the one-sided
+    /// fence that keeps a stale coordinator instance from corrupting
+    /// worker state (a rejoin is refused before its reset), and a copy
+    /// routed under an older plan out of a replica log. An uninstalled
     /// route accepts every epoch (fresh workers must be governable), and
     /// an equal epoch passes — the live coordinator mutates under its
     /// current plan.
-    fn fence(&self, epoch: u64) -> Option<Response> {
-        match &self.route {
-            Some(r) if epoch < r.epoch => Some(Response::Error(STALE_EPOCH_ERROR.into())),
-            _ => None,
-        }
+    fn fence(&self, request: &Request) -> Option<Response> {
+        let epoch = match *request {
+            Request::ReplicateSeq { epoch, .. }
+            | Request::RouteUpdate { epoch, .. }
+            | Request::EvictBefore { epoch, .. }
+            | Request::Promote { epoch, .. }
+            | Request::Rejoin { epoch, .. } => epoch,
+            _ => return None,
+        };
+        let installed = self.route.as_ref()?.epoch;
+        (epoch < installed).then(|| Response::Error(STALE_EPOCH_ERROR.into()))
     }
 
     fn serve_route_update(&mut self, epoch: u64, grid: GridSpec, cells: Vec<u32>) -> Response {
-        if let Some(rejected) = self.fence(epoch) {
-            return rejected;
-        }
         self.route = Some(RouteInfo {
             epoch,
             grid,
@@ -638,11 +644,6 @@ impl Worker {
     /// re-clearing an empty worker and re-installing the same route are
     /// no-ops.
     fn serve_rejoin(&mut self, epoch: u64, grid: GridSpec, cells: Vec<u32>) -> Response {
-        // Fence *before* the reset: a stale coordinator's rejoin handshake
-        // must not wipe a live worker's shard.
-        if let Some(rejected) = self.fence(epoch) {
-            return rejected;
-        }
         self.index = StIndex::new(self.config.index.clone());
         self.replicas.clear();
         self.seen.clear();
@@ -729,10 +730,7 @@ impl Worker {
         Response::Ack
     }
 
-    fn serve_promote(&mut self, failed: NodeId, epoch: u64) -> Response {
-        if let Some(rejected) = self.fence(epoch) {
-            return rejected;
-        }
+    fn serve_promote(&mut self, failed: NodeId) -> Response {
         let log = self.replicas.remove(&failed).unwrap_or_default().take();
         // The same observations may already be primary here — a sender
         // whose ack from `failed` was lost retransmits to this worker
@@ -744,10 +742,7 @@ impl Worker {
         Response::Ack
     }
 
-    fn serve_evict_before(&mut self, cutoff: Timestamp, epoch: u64) -> Response {
-        if let Some(rejected) = self.fence(epoch) {
-            return rejected;
-        }
+    fn serve_evict_before(&mut self, cutoff: Timestamp) -> Response {
         // Both copies evict by slice: a row goes iff its slice ends at or
         // before the cutoff, and its dedup id goes with it, so the copies
         // keep matching digests and a row sent again lands in both.
@@ -861,23 +856,12 @@ mod tests {
     use super::*;
     use crate::continuous::{ContinuousQueryId, Notification};
     use crate::protocol::PROJ_FULL;
-    use stcam_camnet::{CameraId, ObservationId, Signature};
+    use crate::test_obs as obs;
+    use stcam_camnet::Signature;
     use stcam_geo::Duration;
     use stcam_net::{Fabric, LinkModel};
-    use stcam_world::{EntityClass, EntityId};
+    use stcam_world::EntityClass;
     use std::time::Duration as StdDuration;
-
-    fn obs(seq: u64, t_ms: u64, x: f64, y: f64) -> Observation {
-        Observation {
-            id: ObservationId::compose(CameraId(0), seq),
-            camera: CameraId(0),
-            time: Timestamp::from_millis(t_ms),
-            position: Point::new(x, y),
-            class: EntityClass::Car,
-            signature: Signature::latent_for_entity(seq),
-            truth: Some(EntityId(seq)),
-        }
-    }
 
     fn index_config() -> IndexConfig {
         IndexConfig::new(
@@ -907,7 +891,11 @@ mod tests {
 
     /// Fixture: a sender-side replica write for `primary`'s shard.
     fn replicate_req(primary: NodeId, batch: Vec<Observation>) -> Request {
-        Request::ReplicateSeq { primary, batch }
+        Request::ReplicateSeq {
+            primary,
+            epoch: 0,
+            batch,
+        }
     }
 
     /// Fixture: a control-plane write into the copy held for `primary`,
@@ -1282,56 +1270,48 @@ mod tests {
             grid,
             cells: vec![0],
         });
-        let stale = Response::Error(STALE_EPOCH_ERROR.into());
-        // Every control mutation below the installed epoch is rejected
-        // with an explicit error — the stale sender learns it is fenced.
-        assert_eq!(
-            worker.handle_request(Request::RouteUpdate {
+        // Every control mutation and replica write below the installed
+        // epoch is rejected with an explicit error — the stale sender
+        // learns it is fenced.
+        let cutoff = Timestamp::from_secs(100);
+        let copy = vec![obs(1, 500, 100.0, 100.0)];
+        for stale in [
+            Request::RouteUpdate {
                 epoch: 8,
                 grid,
                 cells: vec![0, 1],
-            }),
-            stale
-        );
-        assert_eq!(
-            worker.handle_request(Request::EvictBefore {
-                cutoff: Timestamp::from_secs(100),
-                epoch: 8,
-            }),
-            stale
-        );
-        assert_eq!(
-            worker.handle_request(Request::Promote {
+            },
+            Request::EvictBefore { cutoff, epoch: 8 },
+            Request::Promote {
                 failed: NodeId(7),
                 epoch: 8,
-            }),
-            stale
-        );
-        assert_eq!(
-            worker.handle_request(Request::Rejoin {
+            },
+            Request::Rejoin {
                 epoch: 8,
                 grid,
                 cells: vec![0, 1],
-            }),
-            stale
-        );
-        // The fence rejected the rejoin *before* any state reset: the
-        // installed route is untouched.
+            },
+            Request::ReplicateSeq {
+                primary: NodeId(7),
+                epoch: 8,
+                batch: copy,
+            },
+        ] {
+            let refused = worker.handle_request(stale);
+            assert_eq!(refused, Response::Error(STALE_EPOCH_ERROR.into()));
+        }
+        // The fence rejected the rejoin *before* any state reset, and the
+        // copy whole: the installed route is untouched and no log is held.
         assert!(
             matches!(
                 worker.handle_request(Request::Census),
-                Response::Census(ref r) if r.epoch == 9 && r.cells == vec![0]
+                Response::Census(ref r) if r.epoch == 9 && r.cells == vec![0] && r.replica_of.is_empty()
             ),
             "route must survive a fenced rejoin"
         );
         // The installed epoch itself (and anything above) passes.
-        assert_eq!(
-            worker.handle_request(Request::EvictBefore {
-                cutoff: Timestamp::from_secs(100),
-                epoch: 9,
-            }),
-            Response::Ack
-        );
+        let current = Request::EvictBefore { cutoff, epoch: 9 };
+        assert_eq!(worker.handle_request(current), Response::Ack);
     }
 
     #[test]
@@ -1341,14 +1321,14 @@ mod tests {
         // No route yet: an empty report at epoch 0.
         let resp = worker.handle_request(Request::Census);
         assert_eq!(resp, Response::Census(CensusReport::default()));
+        // A replica log and a standing registration become census facts.
+        worker.handle_request(replicate_req(NodeId(9), vec![obs(1, 500, 100.0, 100.0)]));
         let grid = GridSpec::new(Point::ORIGIN, 500.0, 2, 1);
         worker.handle_request(Request::RouteUpdate {
             epoch: 5,
             grid,
             cells: vec![1, 0],
         });
-        // A replica log and a standing registration become census facts.
-        worker.handle_request(replicate_req(NodeId(9), vec![obs(1, 500, 100.0, 100.0)]));
         let predicate = Predicate::new(BBox::new(Point::new(0.0, 0.0), Point::new(400.0, 400.0)));
         worker.handle_request(Request::RegisterContinuous {
             id: ContinuousQueryId(7),

@@ -1,8 +1,9 @@
 //! A copy's cell digests depend only on the rows it holds: not on how
 //! the shard stores them, and not on whether a row was evicted and sent
-//! again. The control loop compares copies by these digests alone.
+//! again. The control loop compares copies by these digests alone, and a
+//! copy routed under a plan older than its holder's route never joins them.
 
-use stcam::{DigestReport, Request, Response, Worker, WorkerConfig};
+use stcam::{DigestReport, Request, Response, Worker, WorkerConfig, STALE_EPOCH_ERROR};
 use stcam_camnet::{CameraId, Observation, ObservationId, Signature};
 use stcam_geo::{BBox, Duration, GridSpec, Point, TimeInterval, Timestamp};
 use stcam_index::IndexConfig;
@@ -88,6 +89,7 @@ fn a_row_sent_again_after_eviction_lands_in_the_shard_as_in_the_log() {
     let ingest = |batch| Request::IngestSeq { epoch: 0, batch };
     let replicate = |batch| Request::ReplicateSeq {
         primary: PRIMARY,
+        epoch: 0,
         batch,
     };
     assert_eq!(worker.handle_request(ingest(batch.clone())), Response::Ack);
@@ -147,4 +149,38 @@ fn a_row_sent_again_after_eviction_lands_in_the_shard_as_in_the_log() {
         .find(|e| e.cell == cell)
         .expect("log cell");
     assert_eq!((shard.count, shard.checksum), (log.count, log.checksum));
+}
+
+#[test]
+fn a_copy_routed_under_an_older_epoch_is_refused_and_leaves_the_log_unchanged() {
+    let fabric = Fabric::new(LinkModel::instant());
+    let config = IndexConfig::new(extent(), 50.0, Duration::from_secs(10));
+    let mut worker = worker(&fabric, NodeId(1), config);
+    let route = Request::RouteUpdate {
+        epoch: 5,
+        grid: grid(),
+        cells: vec![0, 1],
+    };
+    assert_eq!(worker.handle_request(route), Response::Ack);
+    let replicate = |epoch, batch| Request::ReplicateSeq {
+        primary: PRIMARY,
+        epoch,
+        batch,
+    };
+    let rows = rows();
+    let current = worker.handle_request(replicate(5, rows[..30].to_vec()));
+    assert_eq!(current, Response::Ack);
+    let before = digests(&mut worker);
+    let stale = worker.handle_request(replicate(4, rows[30..60].to_vec()));
+    assert_eq!(stale, Response::Error(STALE_EPOCH_ERROR.into()));
+    assert_eq!(
+        digests(&mut worker),
+        before,
+        "a refused copy changed the log"
+    );
+    let newer = worker.handle_request(replicate(6, rows[30..].to_vec()));
+    assert_eq!(newer, Response::Ack);
+    let held = digests(&mut worker).replicas;
+    assert!(held.iter().all(|e| e.primary == PRIMARY));
+    assert_eq!(held.iter().map(|e| e.count).sum::<u32>(), 90);
 }

@@ -84,7 +84,7 @@ proptest! {
             rows.iter().map(|o| o.time.as_millis() / 10_000).collect();
         prop_assert_eq!(primary.stats().sealed_segments > 0, sealed && slices.len() > 1);
         let batch = rows.into_iter().rev().collect();
-        holder.handle_request(Request::ReplicateSeq { primary: PRIMARY, batch });
+        holder.handle_request(Request::ReplicateSeq { primary: PRIMARY, epoch: 0, batch });
 
         let (x, y, side) = corner;
         let region = BBox::new(Point::new(x, y), Point::new(x + side, y + side));

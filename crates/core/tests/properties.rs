@@ -113,7 +113,7 @@ proptest! {
         let requests = [
             Request::Ping,
             Request::IngestSeq { epoch, batch: batch.clone() },
-            Request::ReplicateSeq { primary: NodeId(node), batch: batch.clone() },
+            Request::ReplicateSeq { primary: NodeId(node), epoch, batch: batch.clone() },
             Request::RouteUpdate { epoch, grid: buckets, cells: cells.clone() },
             Request::Range { region, window, limit, projection },
             Request::Knn { at: region.center(), window, k, max_distance },

@@ -330,3 +330,149 @@ fn cluster_ingest_acks_while_a_rebalance_runs() {
     assert_each_once(&cluster, written);
     cluster.shutdown();
 }
+
+/// A client of its own on the cluster's fabric.
+fn side_executor(cluster: &Cluster) -> stcam::Executor {
+    let endpoint = cluster.fabric().register(NodeId(30_000));
+    stcam::Executor::new(endpoint, OpPolicy::new(StdDuration::from_millis(500)))
+}
+
+#[test]
+fn silent_owner_at_factor_zero_is_hinted_to_one_successor_and_parked() {
+    let cluster = Cluster::launch(
+        ClusterConfig::new(extent(), 4)
+            .with_replication(0)
+            .with_link(LinkModel::instant())
+            .with_rpc_timeout(StdDuration::from_millis(100)),
+    )
+    .unwrap();
+    let ingestor = cluster.create_ingestor();
+    let at = Point::new(500.0, 500.0);
+    let victim = cluster.partition().owner_of(at);
+    cluster.fabric().crash(victim);
+    // Recovery has not run: the plan still routes to the dead owner, and
+    // at factor 0 the write itself sends no copy.
+    let batch: Vec<Observation> = (0..20).map(|i| obs(i, at.x, at.y)).collect();
+    assert_eq!(ingestor.ingest(batch).unwrap(), 0, "a hint is not an ack");
+    assert_eq!(ingestor.pending(), 20);
+    // The cluster's reads do not fail over at factor 0; a best-effort
+    // reader that walks one successor finds the hint in its log.
+    let reader = side_executor(&cluster);
+    reader.set_replication(1);
+    let partition = cluster.partition();
+    let alive: HashSet<NodeId> = partition.workers().iter().copied().collect();
+    let window = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(10_000));
+    let read = RangeOp::new(BBox::around(at, 10.0), window);
+    let hinted = reader.execute_degraded(read, &partition, &alive, None, None);
+    assert_eq!(hinted.value.len(), 20);
+    assert_eq!(hinted.completeness.replicas_used.len(), 1);
+    assert_eq!(hinted.completeness.replicas_used[0].0, victim);
+    cluster.shutdown();
+}
+
+#[test]
+fn no_replica_copy_outlives_a_rebalance_beside_a_writer() {
+    const ARCHIVE: u64 = 20_000;
+    const HELD: u64 = 200;
+    const BATCH: u64 = 20;
+    let cluster = launch(4, 5_000);
+    // 70 % of the archive in one corner, so the rebalance moves cells.
+    let hotspot = |i: u64| {
+        if i % 10 < 7 {
+            obs(
+                i,
+                50.0 + (i as f64 * 7.3) % 300.0,
+                50.0 + (i as f64 * 11.7) % 300.0,
+            )
+        } else {
+            spread(i, 1).remove(0)
+        }
+    };
+    let archive: Vec<Observation> = (0..ARCHIVE).map(hotspot).collect();
+    for chunk in archive.chunks(2_000) {
+        assert_eq!(cluster.ingest(chunk.to_vec()).unwrap(), chunk.len());
+    }
+    // A copy leaves beside its owner's write. One ingestor's copies to
+    // the corner owner's successor are held on the link until the
+    // rebalance has returned, then land: routed under the plan it
+    // replaces, for cells it moves. A write is asked after at least
+    // every 50 ms, and given up on only after 5 s.
+    let patient = OpPolicy {
+        timeout: StdDuration::from_millis(50),
+        max_attempts: 100,
+    };
+    for name in ["ingest_seq", "replicate_seq"] {
+        cluster.coordinator().set_op_policy(name, patient);
+    }
+    let before = cluster.partition();
+    let corner_owner = before.owner_of(Point::new(200.0, 200.0));
+    let alive: HashSet<NodeId> = before.workers().iter().copied().collect();
+    let successor = before.alive_successors(corner_owner, 1, &alive)[0];
+    let held = cluster.create_ingestor();
+    cluster
+        .fabric()
+        .set_link_drop_probability(held.id(), successor, 1.0);
+    let window = TimeInterval::new(Timestamp::ZERO, Timestamp::from_secs(10_000));
+    let done = AtomicBool::new(false);
+    let written = std::thread::scope(|scope| {
+        let held_write = scope.spawn(|| {
+            let batch: Vec<Observation> = (ARCHIVE..ARCHIVE + HELD).map(hotspot).collect();
+            held.ingest(batch).unwrap()
+        });
+        // The owners applied the held write, so its copies are on the wire.
+        let last = ObservationId::compose(CameraId(0), ARCHIVE + HELD - 1);
+        while !cluster
+            .range_query(extent(), window)
+            .unwrap()
+            .iter()
+            .any(|o| o.id == last)
+        {
+            std::thread::sleep(StdDuration::from_millis(1));
+        }
+        let writer = scope.spawn(|| {
+            let mut next = ARCHIVE + HELD;
+            while !done.load(Ordering::SeqCst) {
+                let batch = (next..next + BATCH).map(hotspot).collect();
+                assert_eq!(cluster.ingest(batch).unwrap(), BATCH as usize);
+                next += BATCH;
+                std::thread::sleep(StdDuration::from_millis(5));
+            }
+            next
+        });
+        let report = cluster.coordinator().rebalance();
+        cluster
+            .fabric()
+            .clear_link_drop_probability(held.id(), successor);
+        done.store(true, Ordering::SeqCst);
+        assert!(report.expect("rebalance beside a writer").cells_moved > 0);
+        assert_eq!(held_write.join().unwrap(), HELD as usize);
+        writer.join().unwrap()
+    });
+    let after = cluster.partition();
+    let moved = |i| after.owner_of(hotspot(i).position) != before.owner_of(hotspot(i).position);
+    assert!(
+        (ARCHIVE..ARCHIVE + HELD).any(moved),
+        "no held row changed owner"
+    );
+    // Every copy a replica log holds is of a cell its primary owns.
+    let grid = cluster.config().macro_grid();
+    let digest = |_| stcam::Request::CellDigest { grid };
+    let want = |response| match response {
+        Response::Digests(report) => Ok(report),
+        other => Err(StcamError::Remote(format!("{other:?}"))),
+    };
+    let sweep = side_executor(&cluster).ask("cell_digest", after.workers(), digest, want);
+    for (holder, report) in sweep {
+        for entry in report.expect("a digest from every worker").replicas {
+            assert_eq!(
+                after.owner_of_packed(entry.cell),
+                entry.primary,
+                "{holder:?} holds a copy of cell {} for {:?}",
+                entry.cell,
+                entry.primary
+            );
+        }
+    }
+    assert_each_once(&cluster, written);
+    cluster.shutdown();
+}
